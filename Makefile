@@ -1,11 +1,12 @@
 # The single committed verify recipe: builds every executable (CLI,
 # server, bench, examples) and runs the full test suite, then a
 # smallest-scale pass over every bench family (the harness itself is
-# code that can rot).  Run before every merge.
-.PHONY: verify build test fuzz bench-smoke bench-columnar bench-chaos bench-obs bench-approx bench-recover
+# code that can rot) and the wire-level benchmark smoke, which checks
+# every answer against its pin.  Run before every merge.
+.PHONY: verify build test fuzz bench-smoke wirebench-smoke bench-columnar bench-chaos bench-obs bench-approx bench-recover
 
 verify:
-	dune build @all && dune runtest && $(MAKE) bench-smoke
+	dune build @all && dune runtest && $(MAKE) bench-smoke && $(MAKE) wirebench-smoke
 
 build:
 	dune build @all
@@ -24,6 +25,12 @@ fuzz:
 # Every bench family at the smallest scale — a CI guard, not a measurement.
 bench-smoke:
 	dune exec bench/main.exe -- smoke
+
+# Wire-level benchmark at its smoke scales (about 11 s): drives the real
+# server over a socket and fails if any answer differs from the pinned
+# explanations in wirebench/expected/ or a declared metric goes unmeasured.
+wirebench-smoke:
+	sh wirebench/run.sh smoke
 
 # Row vs columnar engine A/B on the fig8 scenarios at scale 32; writes
 # the committed acceptance baseline for the columnar-engine PR.

@@ -1,164 +1,264 @@
-(* Approximate MSR computation (Section 5.4, Algorithm 4).
-
-   Algorithm 4 walks the operators top-down and extends partial SRs with
-   every operator op_j whose trace contains a tuple that is valid,
-   consistent, NOT retained, and in the lineage of a consistent output
-   tuple.  We compute the same SR sets per derivation instead of per
-   existential check: for every consistent row of the root trace, the
-   *failure sets* of its derivations — the sets of operators at which an
-   ancestor row has retained = false — are exactly the operator sets that
-   must be reparameterized for that row to materialize.  The SR prefix
-   imposed by the schema alternative is then added, side-effect bounds are
-   estimated as in Section 5.4, and explanations are pruned and ranked
-   under the partial order of Definition 9. *)
+(* Approximate MSR computation (Section 5.4, Algorithm 4), per derivation:
+   the failure sets of each consistent root row's derivations, as int
+   bitmasks computed in two flat passes over the annotation vectors (see
+   msr.mli for the representation and its bounds). *)
 
 open Nested
 module Int_set = Opset.Int_set
 module Set_set = Opset.Set_set
 
+exception Too_many_operators of int
+
+(* Masks stay non-negative: bits 0..61 of a 63-bit OCaml int. *)
+let max_operators = 62
+
 (* Cap on alternative failure sets tracked per row; beyond it the smallest
    sets are kept (they lead to the minimal explanations). *)
 let max_alternatives = 64
 
-let cap_sets (sets : Set_set.t) : Set_set.t =
-  if Set_set.cardinal sets <= max_alternatives then sets
-  else
-    let sorted =
-      List.sort
-        (fun a b -> compare (Int_set.cardinal a) (Int_set.cardinal b))
-        (Set_set.elements sets)
-    in
-    let rec take n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | x :: rest -> x :: take (n - 1) rest
-    in
-    Set_set.of_list (take max_alternatives sorted)
+(* --- Operator-set bitmasks ----------------------------------------------- *)
 
-(* Dense rid → owning operator map: rids are contiguous per operator, so
-   one array lookup replaces the per-row hash index (and reads the
-   annotation vectors directly — no per-row trees are forced). *)
-let rid_owners (tr : Tracing.t) : Tracing.op_trace option array =
+(* Bits are assigned in increasing op id, so this orders masks exactly as
+   [Int_set.compare] orders the sets they encode (lexicographically over
+   the sorted elements): at the lowest differing bit, the mask holding it
+   is smaller iff the other mask still has a higher bit — otherwise the
+   other set is a proper prefix and ends first. *)
+let compare_mask (a : int) (b : int) : int =
+  if a = b then 0
+  else
+    let d = a lxor b in
+    let low = d land -d in
+    let above = lnot (low lor (low - 1)) in
+    if a land low <> 0 then if b land above <> 0 then -1 else 1
+    else if a land above <> 0 then 1
+    else -1
+
+let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1))
+
+(* A family is a sorted, duplicate-free mask array; [||] is ⊥ (no
+   derivation under any reparameterization), [unit_family] is {∅}. *)
+let unit_family = [| 0 |]
+
+(* Scratch buffer of masks; [push] skips a repeat of the last mask, which
+   collapses the common runs of identical member families. *)
+type buf = { mutable a : int array; mutable n : int }
+
+let push b m =
+  if b.n = 0 || b.a.(b.n - 1) <> m then begin
+    if b.n = Array.length b.a then b.a <- Array.append b.a b.a;
+    b.a.(b.n) <- m;
+    b.n <- b.n + 1
+  end
+
+(* The buffer's masks as a family: sorted, deduplicated, and capped to
+   the [max_alternatives] smallest sets by cardinality, ties broken by set
+   order (a stable sort over the sorted family).  Every truncation is
+   counted: the cap is an approximation, never a silent one. *)
+let family_of_buf (b : buf) : int array =
+  let a = Array.sub b.a 0 b.n in
+  Array.sort compare_mask a;
+  let k = ref 0 in
+  Array.iter
+    (fun m -> if !k = 0 || a.(!k - 1) <> m then (a.(!k) <- m; incr k))
+    a;
+  let a = Array.sub a 0 !k in
+  if !k <= max_alternatives then a
+  else begin
+    Obs.Metrics.(Counter.incr (counter "whynot.msr.cap_truncations"));
+    Array.stable_sort (fun x y -> Int.compare (popcount x) (popcount y)) a;
+    let kept = Array.sub a 0 max_alternatives in
+    Array.sort compare_mask kept;
+    kept
+  end
+
+(* {a ∪ b | a ∈ x, b ∈ y}, capped.  The physical {∅} (every fold's seed
+   and every parameter-free source row) passes the other side through. *)
+let cross b x y =
+  if Array.length x = 0 || Array.length y = 0 then [||]
+  else if x == unit_family then y
+  else if y == unit_family then x
+  else begin
+    b.n <- 0;
+    Array.iter (fun m -> Array.iter (fun m' -> push b (m lor m')) y) x;
+    family_of_buf b
+  end
+
+(* --- Failure-set families ------------------------------------------------ *)
+
+let root_ot (tr : Tracing.t) = Tracing.op_trace tr tr.Tracing.root_op
+let flag b i = Bytes.unsafe_get b i = '\001'
+
+let fold_parents (p : Tracing.parents) i f acc =
+  match p with
+  | Tracing.P_none -> acc
+  | Tracing.P_self base -> f acc (base + i)
+  | Tracing.P_one a -> f acc a.(i)
+  | Tracing.P_many (off, flat) ->
+    let acc = ref acc in
+    for j = off.(i) to off.(i + 1) - 1 do
+      acc := f !acc flat.(j)
+    done;
+    !acc
+
+type families = {
+  op_ids : int array;  (* bit → op id, increasing *)
+  root : Tracing.op_trace option;
+  state : Bytes.t;
+      (* per rid: 0 unread, 1 read but owned by no operator, 2 read and
+         inconsistent, 3 read and consistent *)
+  fam : int array array;  (* per rid; meaningful where state > 0 *)
+}
+
+(* The single-bit mask of an operator; 0 for one without a bit. *)
+let bit (op_ids : int array) (id : int) : int =
+  Option.fold ~none:0 ~some:(( lsl ) 1) (Array.find_index (Int.equal id) op_ids)
+
+let decode (f : families) (m : int) : Int_set.t =
+  let s = ref Int_set.empty in
+  Array.iteri
+    (fun b id -> if m land (1 lsl b) <> 0 then s := Int_set.add id !s)
+    f.op_ids;
+  !s
+
+(* Families of the root rows [want] selects and of all their ancestors,
+   in two passes over the annotation vectors. *)
+let families (tr : Tracing.t) (want : Tracing.op_trace -> int -> bool) :
+    families =
+  (* Parameter-free operators (Table 2) cannot be reparameterized and get
+     no bit; a row they fail to retain has no derivation under any
+     reparameterization.  Neither does an operator that retains every row:
+     its bit could never enter a mask. *)
+  let op_ids =
+    List.filter_map
+      (fun (ot : Tracing.op_trace) ->
+        let a = ot.ann in
+        let rec drops i =
+          i < a.v_n && ((not (flag a.v_retained i)) || drops (i + 1))
+        in
+        match ot.op_node with
+        | Table _ | Union | Diff | Dedup | Product -> None
+        | _ -> if drops 0 then Some ot.op_id else None)
+      tr.Tracing.ops
+    |> List.sort_uniq Int.compare |> Array.of_list
+  in
+  if Array.length op_ids > max_operators then
+    raise (Too_many_operators (Array.length op_ids));
   let total =
     List.fold_left
       (fun acc ot -> max acc (Tracing.rid0 ot + Tracing.n_rows ot))
       0 tr.Tracing.ops
   in
-  let owner = Array.make total None in
+  let state = Bytes.make total '\000' in
+  let st rid =
+    if rid >= 0 && rid < total then Bytes.unsafe_get state rid else '\000'
+  in
+  let mark () rid =
+    if rid >= 0 && rid < total && Bytes.unsafe_get state rid = '\000' then
+      Bytes.unsafe_set state rid '\001'
+  in
+  let root = root_ot tr in
+  Option.iter
+    (fun ot ->
+      for i = 0 to Tracing.n_rows ot - 1 do
+        if want ot i then mark () (Tracing.rid0 ot + i)
+      done)
+    root;
+  (* Mark pass, root first: every consumer of an operator's rows comes
+     after it in [tr.ops], so its rows are fully marked when reached. *)
   List.iter
     (fun (ot : Tracing.op_trace) ->
-      let r0 = Tracing.rid0 ot in
-      for i = 0 to Tracing.n_rows ot - 1 do
-        owner.(r0 + i) <- Some ot
+      let a = ot.ann in
+      for i = 0 to a.v_n - 1 do
+        if st (a.v_rid0 + i) <> '\000' then begin
+          Bytes.unsafe_set state (a.v_rid0 + i)
+            (if flag a.v_consistent i then '\003' else '\002');
+          fold_parents a.v_parents i mark ()
+        end
+      done)
+    (List.rev tr.Tracing.ops);
+  (* Family pass, bottom-up over the marked rows. *)
+  let fam = Array.make total unit_family in
+  let b = { a = Array.make 64 0; n = 0 } in
+  let cross_parent acc pid =
+    cross b acc (if pid >= 0 && pid < total then fam.(pid) else unit_family)
+  in
+  let consistent pid = st pid = '\003' and owned pid = st pid >= '\002' in
+  List.iter
+    (fun (ot : Tracing.op_trace) ->
+      let a = ot.ann and own = bit op_ids ot.op_id in
+      let group =
+        match ot.op_node with
+        | Nest_rel _ | Group_agg _ | Dedup | Agg_tuple _ -> true
+        | _ -> false
+      in
+      for i = 0 to a.v_n - 1 do
+        if st (a.v_rid0 + i) <> '\000' then begin
+          let retained = flag a.v_retained i and p = a.v_parents in
+          let base =
+            if (not retained) && own = 0 then [||]
+            else if group then begin
+              (* each (preferably consistent) member derivation is an
+                 alternative way to influence the group's row; all member
+                 derivations dead ⇒ the row is dead too *)
+              let preferred =
+                if fold_parents p i (fun c pid -> c || consistent pid) false
+                then consistent
+                else owned
+              in
+              b.n <- 0;
+              let n_parents =
+                fold_parents p i
+                  (fun n pid ->
+                    if preferred pid then Array.iter (push b) fam.(pid);
+                    n + 1)
+                  0
+              in
+              if n_parents = 0 then unit_family
+              else if b.n = 0 then [||]
+              else family_of_buf b
+            end
+            else (* cross-product union over parents (joins have two) *)
+              fold_parents p i cross_parent unit_family
+          in
+          fam.(a.v_rid0 + i) <-
+            (if retained || Array.length base = 0 then base
+             else if Array.length base = 1 then [| base.(0) lor own |]
+             else begin
+               b.n <- 0;
+               Array.iter (fun m -> push b (m lor own)) base;
+               family_of_buf b
+             end)
+        end
       done)
     tr.Tracing.ops;
-  owner
+  { op_ids; root; state; fam }
 
-(* All alternative failure sets of a row's derivations. *)
+(* The root rows MSR reads: the consistent ones (candidate sets) and the
+   non-surviving ones the bounds sweep visits at the stride. *)
+let msr_reads stride (ot : Tracing.op_trace) i =
+  Tracing.consistent_at ot i
+  || ((Tracing.rid0 ot + i) mod stride = 0 && not (Tracing.surviving_at ot i))
+
 let failure_sets (tr : Tracing.t) : int -> Set_set.t =
-  let owner = rid_owners tr in
-  let owner_of rid =
-    if rid >= 0 && rid < Array.length owner then owner.(rid) else None
-  in
-  let memo = Hashtbl.create 256 in
-  (* Parameter-free operators (Table 2) cannot be reparameterized; a row
-     they fail to retain has no derivation under any reparameterization
-     (its failure-set is the empty set of alternatives, ⊥). *)
-  let reparameterizable (node : Nrab.Query.node) =
-    match node with
-    | Nrab.Query.Table _ | Nrab.Query.Union | Nrab.Query.Diff
-    | Nrab.Query.Dedup | Nrab.Query.Product ->
-      false
-    | _ -> true
-  in
-  let rec fs (rid : int) : Set_set.t =
-    match Hashtbl.find_opt memo rid with
-    | Some s -> s
-    | None ->
-      Hashtbl.replace memo rid (Set_set.singleton Int_set.empty)
-      (* cycle guard; traces are acyclic so this is never observed *);
-      let result =
-        match owner_of rid with
-        | None -> Set_set.singleton Int_set.empty
-        | Some ot
-          when (not (Tracing.retained_at ot (rid - Tracing.rid0 ot)))
-               && not (reparameterizable ot.Tracing.op_node) ->
-          Set_set.empty
-        | Some ot ->
-          let i = rid - Tracing.rid0 ot in
-          let parents = Tracing.parents_at ot i in
-          let own =
-            if Tracing.retained_at ot i then Int_set.empty
-            else Int_set.singleton ot.Tracing.op_id
-          in
-          let combine_parents (parents : int list) : Set_set.t =
-            (* cross-product union over parents (joins have two) *)
-            List.fold_left
-              (fun acc pid ->
-                let psets = fs pid in
-                cap_sets
-                  (Set_set.fold
-                     (fun a acc' ->
-                       Set_set.fold
-                         (fun b acc'' -> Set_set.add (Int_set.union a b) acc'')
-                         psets acc')
-                     acc Set_set.empty))
-              (Set_set.singleton Int_set.empty)
-              parents
-          in
-          let base =
-            match ot.Tracing.op_node with
-            | Nrab.Query.Nest_rel _ | Nrab.Query.Group_agg _
-            | Nrab.Query.Dedup | Nrab.Query.Agg_tuple _ ->
-              (* group-style operators: each (preferably consistent) member
-                 derivation is an alternative way to influence the row *)
-              let members =
-                List.filter (fun pid -> Option.is_some (owner_of pid)) parents
-              in
-              let pid_consistent pid =
-                match owner_of pid with
-                | Some pot ->
-                  Tracing.consistent_at pot (pid - Tracing.rid0 pot)
-                | None -> false
-              in
-              let preferred =
-                match List.filter pid_consistent members with
-                | [] -> members
-                | cs -> cs
-              in
-              let alternatives =
-                List.fold_left
-                  (fun acc pid -> Set_set.union acc (fs pid))
-                  Set_set.empty preferred
-              in
-              (* all member derivations dead ⇒ this row is dead too,
-                 unless it genuinely has no parents *)
-              if Set_set.is_empty alternatives then
-                if parents = [] then Set_set.singleton Int_set.empty
-                else Set_set.empty
-              else cap_sets alternatives
-            | _ -> combine_parents parents
-          in
-          cap_sets (Set_set.map (fun s -> Int_set.union s own) base)
-      in
-      Hashtbl.replace memo rid result;
-      result
-  in
-  fs
+  let f = families tr (fun _ _ -> true) in
+  fun rid ->
+    if rid < 0 || rid >= Bytes.length f.state || Bytes.get f.state rid = '\000'
+    then invalid_arg "Msr.failure_sets: not a root row or an ancestor of one";
+    Array.fold_left
+      (fun acc m -> Set_set.add (decode f m) acc)
+      Set_set.empty f.fam.(rid)
 
-(* The root operator's trace, and its consistent rows (the candidate
-   missing answers) by rid — flag-vector reads, no tree reconstruction. *)
-let root_ot (tr : Tracing.t) : Tracing.op_trace option =
-  Tracing.op_trace tr tr.Tracing.root_op
-
+(* The root operator's consistent rows (the candidate missing answers) by
+   rid — flag-vector reads, no tree reconstruction. *)
 let consistent_root_rids (tr : Tracing.t) : int list =
   match root_ot tr with
   | None -> []
   | Some ot ->
-    let r0 = Tracing.rid0 ot in
-    List.filter_map
-      (fun i -> if Tracing.consistent_at ot i then Some (r0 + i) else None)
-      (List.init (Tracing.n_rows ot) Fun.id)
+    let acc = ref [] in
+    for i = Tracing.n_rows ot - 1 downto 0 do
+      if Tracing.consistent_at ot i then acc := (Tracing.rid0 ot + i) :: !acc
+    done;
+    !acc
 
 (* --- Side-effect bounds (Section 5.4) ----------------------------------- *)
 
@@ -170,20 +270,16 @@ let contains_filtering_op (q : Nrab.Query.t) (ops : Int_set.t) : bool =
   Int_set.exists
     (fun id ->
       match Nrab.Query.find_op q id with
-      | Some op -> (
-        match op.Nrab.Query.node with
-        | Nrab.Query.Select _ | Nrab.Query.Join _ -> true
-        | _ -> false)
-      | None -> false)
+      | Some { node = Select _ | Join _; _ } -> true
+      | _ -> false)
     ops
 
-(* Candidate-independent part of the bounds computation, hoisted so one
-   sweep over the root rows serves every candidate of a trace: the
-   surviving(-and-matching) counts are the same for all candidates, and
-   only the non-surviving rows' failure sets feed the per-candidate
-   UB(Δ+) scan. *)
+(* Candidate-independent part of the bounds computation: one sweep over
+   the root rows serves every candidate of a trace, and only the
+   non-surviving rows' families feed the per-candidate UB(Δ+) scan. *)
 type bounds_ctx = {
   cq : Nrab.Query.t;
+  fams : families;
   original_count : int;
   stride : int;
       (* 1 = exact sweep; s > 1 = every s-th root row (by global rid)
@@ -192,55 +288,46 @@ type bounds_ctx = {
   ub_minus : int;
       (* UB(Δ−): original tuples whose presence is not witnessed
          unchanged — a floor shared by every candidate's upper bound *)
-  nonsurviving : Set_set.t array;
-      (* failure sets of each (sampled) non-surviving root row *)
+  nonsurviving : int array array;
+      (* failure-set families of each (sampled) non-surviving root row *)
 }
 
-let bounds_ctx ?(sample_stride = 1) ~(bi : bounds_input)
-    ~(q : Nrab.Query.t) (tr : Tracing.t) (fs : int -> Set_set.t) : bounds_ctx
-    =
-  let stride = max 1 sample_stride in
+let bounds_ctx ~stride ~(bi : bounds_input) ~(q : Nrab.Query.t)
+    (fams : families) : bounds_ctx =
   let original_count = List.length bi.original_result in
   (* Bucket the original result by structural hash so each root row is
      compared against at most its hash-colliding candidates. *)
-  let orig_tbl : (int, Value.t list ref) Hashtbl.t =
-    Hashtbl.create (original_count + 7)
-  in
+  let orig_tbl = Hashtbl.create (original_count + 7) in
   List.iter
-    (fun v ->
-      let h = Engine.Columnar.value_hash v in
-      match Hashtbl.find_opt orig_tbl h with
-      | Some l -> l := v :: !l
-      | None -> Hashtbl.add orig_tbl h (ref [ v ]))
+    (fun v -> Hashtbl.add orig_tbl (Engine.Columnar.value_hash v) v)
     bi.original_result;
   let in_original data =
-    match Hashtbl.find_opt orig_tbl (Engine.Columnar.value_hash data) with
-    | None -> false
-    | Some l -> List.exists (Value.equal data) !l
+    List.exists (Value.equal data)
+      (Hashtbl.find_all orig_tbl (Engine.Columnar.value_hash data))
   in
   (* Flag-vector sweep over the root rows; trees are reconstructed only
-     for the surviving rows that must be matched against the original
-     result.  With a stride, only every s-th row (keyed on the global
-     rid, like the tracing sampler, so both engines sample identically)
-     is examined — this sweep dominates MSR time on large inputs, and
-     the counts scale back up into unbiased estimates. *)
+     for surviving rows, to match them against the original result.  With
+     a stride, only rows with rid mod s = 0 (like the tracing sampler) are
+     examined and the counts scale back up into unbiased estimates. *)
   let n_surviving_matching = ref 0
   and n_surviving_ = ref 0
   and nonsurv = ref [] in
-  (match root_ot tr with
-  | None -> ()
-  | Some ot ->
-    let r0 = Tracing.rid0 ot in
-    for i = 0 to Tracing.n_rows ot - 1 do
-      if (r0 + i) mod stride = 0 then
-        if Tracing.surviving_at ot i then begin
-          incr n_surviving_;
-          if in_original (Tracing.data_at ot i) then incr n_surviving_matching
-        end
-        else nonsurv := fs (r0 + i) :: !nonsurv
-    done);
+  Option.iter
+    (fun ot ->
+      let r0 = Tracing.rid0 ot in
+      for i = 0 to Tracing.n_rows ot - 1 do
+        if (r0 + i) mod stride = 0 then
+          if Tracing.surviving_at ot i then begin
+            incr n_surviving_;
+            if in_original (Tracing.data_at ot i) then
+              incr n_surviving_matching
+          end
+          else nonsurv := fams.fam.(r0 + i) :: !nonsurv
+      done)
+    fams.root;
   {
     cq = q;
+    fams;
     original_count;
     stride;
     n_surviving = stride * !n_surviving_;
@@ -251,12 +338,14 @@ let bounds_ctx ?(sample_stride = 1) ~(bi : bounds_input)
 let bounds_with (ctx : bounds_ctx) (expl_ops : Int_set.t) : int * int =
   (* UB(Δ+): rows that may newly appear when the explanation's operators
      are reparameterized (scaled back up when the sweep was sampled) *)
+  let outside =
+    lnot (Int_set.fold (fun id m -> m lor bit ctx.fams.op_ids id) expl_ops 0)
+  in
   let ub_plus =
     ctx.stride
     * Array.fold_left
-        (fun acc sets ->
-          if Set_set.exists (fun s -> Int_set.subset s expl_ops) sets then
-            acc + 1
+        (fun acc fam ->
+          if Array.exists (fun s -> s land outside = 0) fam then acc + 1
           else acc)
         0 ctx.nonsurviving
   in
@@ -266,148 +355,58 @@ let bounds_with (ctx : bounds_ctx) (expl_ops : Int_set.t) : int * int =
   in
   (lb, ub_plus + ctx.ub_minus)
 
+let prepare ?(sample_stride = 1) ~bi ~q tr =
+  let stride = max 1 sample_stride in
+  bounds_ctx ~stride ~bi ~q (families tr (msr_reads stride))
+
 let bounds ~(bi : bounds_input) ~(q : Nrab.Query.t) (tr : Tracing.t)
-    (fs : int -> Set_set.t) (expl_ops : Int_set.t) : int * int =
-  bounds_with (bounds_ctx ~bi ~q tr fs) expl_ops
-
-(* --- Literal Algorithm 4 (queue-based) ----------------------------------
-
-   The paper's pseudocode walks the linearized operator list top-down with
-   a queue of partial SRs and *existential* per-operator conditions.  The
-   failure-set computation above refines these conditions per derivation;
-   Algorithm 4's candidate sets are a superset of the failure-set ones
-   (tested), at the price of more false candidates when different rows
-   witness the extend/skip conditions. *)
-
-(* Rows (by rid) that contribute to a consistent root row — the "lineage
-   of a consistent output tuple" of Algorithm 4, computed as the ancestor
-   closure over parent edges. *)
-let contributing (tr : Tracing.t) : (int, unit) Hashtbl.t =
-  let owner = rid_owners tr in
-  let marked = Hashtbl.create 256 in
-  let rec mark rid =
-    if not (Hashtbl.mem marked rid) then begin
-      Hashtbl.replace marked rid ();
-      if rid >= 0 && rid < Array.length owner then
-        match owner.(rid) with
-        | Some ot ->
-          List.iter mark (Tracing.parents_at ot (rid - Tracing.rid0 ot))
-        | None -> ()
-    end
-  in
-  List.iter mark (consistent_root_rids tr);
-  marked
-
-let algorithm4 (tr : Tracing.t) : Set_set.t =
-  let contrib = contributing tr in
-  let prefix = tr.Tracing.sa.Alternatives.changed_ops in
-  (* linearized operator list, root first (top-down) *)
-  let ops = List.rev tr.Tracing.ops in
-  let conditions (ot : Tracing.op_trace) =
-    let r0 = Tracing.rid0 ot in
-    let extend = ref false and skip = ref false in
-    for i = 0 to Tracing.n_rows ot - 1 do
-      if Hashtbl.mem contrib (r0 + i) && Tracing.consistent_at ot i then
-        if Tracing.retained_at ot i then skip := true else extend := true
-    done;
-    (!extend, !skip)
-  in
-  let reparameterizable (ot : Tracing.op_trace) =
-    match ot.Tracing.op_node with
-    | Nrab.Query.Table _ | Nrab.Query.Dedup | Nrab.Query.Union
-    | Nrab.Query.Diff | Nrab.Query.Product ->
-      false
-    | _ -> true
-  in
-  let results = ref Set_set.empty in
-  let add sr = if not (Int_set.is_empty sr) then results := Set_set.add sr !results in
-  (* queue elements: remaining operator list × current partial SR *)
-  let queue = Queue.create () in
-  Queue.add (ops, prefix) queue;
-  (* visited guard: (number of remaining ops, SR) *)
-  let seen = Hashtbl.create 64 in
-  while not (Queue.is_empty queue) do
-    match Queue.pop queue with
-    | [], sr -> add sr
-    | ot :: rest, sr ->
-      let key = (List.length rest, Int_set.elements sr) in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.replace seen key ();
-        let extend, skip = conditions ot in
-        let extend = extend && reparameterizable ot in
-        if extend then begin
-          let extended = Int_set.add ot.Tracing.op_id sr in
-          add extended;
-          Queue.add (rest, extended) queue
-        end;
-        if skip then begin
-          add sr;
-          Queue.add (rest, sr) queue
-        end;
-        if (not extend) && not skip then
-          (* no consistent contributing tuple at this operator at all:
-             continue with the unchanged SR (nothing to decide here) *)
-          Queue.add (rest, sr) queue
-      end
-  done;
-  !results
+    (expl_ops : Int_set.t) : int * int =
+  bounds_with (prepare ~bi ~q tr) expl_ops
 
 (* --- Explanation assembly ------------------------------------------------ *)
 
 (* Candidate operator sets of one trace: the failure sets of every
    consistent root row, each unioned with the SA's SR prefix, minus the
    empty set (which would mean the answer is not missing at all). *)
-let candidate_sets (tr : Tracing.t) (fs : int -> Set_set.t) : Set_set.t =
+let candidate_sets (tr : Tracing.t) (f : families) : Set_set.t =
   let prefix = tr.Tracing.sa.Alternatives.changed_ops in
-  let sets =
-    List.fold_left
-      (fun acc rid ->
-        Set_set.fold
-          (fun s acc -> Set_set.add (Int_set.union prefix s) acc)
-          (fs rid) acc)
-      Set_set.empty (consistent_root_rids tr)
-  in
-  Set_set.remove Int_set.empty sets
+  let b = { a = Array.make 64 0; n = 0 } in
+  Option.iter
+    (fun ot ->
+      let r0 = Tracing.rid0 ot in
+      for i = 0 to Tracing.n_rows ot - 1 do
+        if Tracing.consistent_at ot i then Array.iter (push b) f.fam.(r0 + i)
+      done)
+    f.root;
+  Set_set.remove Int_set.empty
+    (Array.fold_left
+       (fun acc m -> Set_set.add (Int_set.union prefix (decode f m)) acc)
+       Set_set.empty (Array.sub b.a 0 b.n))
 
-(* Explanations contributed by one schema alternative's trace.  The
-   stride samples only the bounds sweep: the candidate operator sets come
-   from the consistent root rows' failure sets either way, so a sampled
-   run finds the same explanations with estimated side-effect bounds. *)
+(* Explanations of one schema alternative's trace; the stride samples
+   only the bounds sweep (see msr.mli). *)
 let from_trace ?sample_stride ~(bi : bounds_input) ~(q : Nrab.Query.t)
     (tr : Tracing.t) : Explanation.t list =
-  let fs = failure_sets tr in
-  let ctx = bounds_ctx ?sample_stride ~bi ~q tr fs in
+  let ctx = prepare ?sample_stride ~bi ~q tr in
   let sa_index = tr.Tracing.sa.Alternatives.index in
   List.map
     (fun ops ->
       let lb, ub = bounds_with ctx ops in
       Explanation.make ~sa:sa_index ~lb ~ub ops)
-    (Set_set.elements (candidate_sets tr fs))
+    (Set_set.elements (candidate_sets tr ctx.fams))
 
-(* Early-terminating top-k variant.  Candidates are evaluated in the
-   dominant order of [Explanation.rank] — (cardinality, elements) — and
-   the walk stops once k already-evaluated explanations *provably* rank
-   ahead of every candidate still open.  The proof obligation uses two
-   facts: candidates still open have cardinality ≥ the next candidate's
-   (sorted order), and every candidate's upper bound is ≥ [ctx.ub_minus]
-   (UB(Δ−) is candidate-independent).  So a kept explanation beats all
-   open candidates when its cardinality is strictly smaller, or equal
-   with a side-effect UB strictly below that shared floor.  Returns the
-   evaluated explanations (a superset of the true top k, still to be
-   pruned/ranked across SAs) and the number of candidates skipped. *)
+(* Early-terminating top-k variant (see msr.mli): candidates are walked
+   in (cardinality, elements) order, and open candidates all have
+   cardinality ≥ the next one's and an upper bound ≥ [ctx.ub_minus]. *)
 let from_trace_topk ?sample_stride ~(bi : bounds_input) ~(q : Nrab.Query.t)
     ~(k : int) (tr : Tracing.t) : Explanation.t list * int =
-  let fs = failure_sets tr in
-  let ctx = bounds_ctx ?sample_stride ~bi ~q tr fs in
+  let ctx = prepare ?sample_stride ~bi ~q tr in
   let sa_index = tr.Tracing.sa.Alternatives.index in
   let k = max 1 k in
+  let key s = (Int_set.cardinal s, Int_set.elements s) in
   let candidates =
-    List.sort
-      (fun a b ->
-        let c = compare (Int_set.cardinal a) (Int_set.cardinal b) in
-        if c <> 0 then c
-        else compare (Int_set.elements a) (Int_set.elements b))
-      (Set_set.elements (candidate_sets tr fs))
+    List.sort (fun a b -> compare (key a) (key b))
+      (Set_set.elements (candidate_sets tr ctx.fams))
   in
   let beats_open ~open_card (e : Explanation.t) =
     let ec = Int_set.cardinal e.Explanation.ops in

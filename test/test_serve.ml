@@ -1080,6 +1080,38 @@ let str_contains ~needle hay =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
+(* A trace whose reparameterizable operators overflow the MSR bitmask
+   answers an explain error and leaves the server serving. *)
+let test_server_too_many_operators () =
+  let srv = Serve.Server.create ~config:quiet_config () in
+  let step line = Nested.Json.of_string (fst (Serve.Server.handle_line srv line)) in
+  let field name = function
+    | Nested.Json.J_object fields -> List.assoc_opt name fields
+    | _ -> None
+  in
+  ignore (step "{\"op\": \"register\", \"dataset\": \"RE\"}");
+  let rec chain k q =
+    if k = 0 then q else chain (k - 1) (Fmt.str "(select (>= year 2019) %s)" q)
+  in
+  let query =
+    Fmt.str "(nest (name) nList (project (name city) %s))"
+      (chain (Whynot.Msr.max_operators + 1) "(flatten-inner address2 (table person))")
+  in
+  let j =
+    step
+      (Fmt.str "{\"op\": \"explain\", \"dataset\": \"RE\", \"query\": \"%s\"}" query)
+  in
+  Alcotest.(check bool) "explain answers an error" true
+    (field "ok" j = Some (Nested.Json.J_bool false));
+  (match field "message" j with
+  | Some (Nested.Json.J_string m) ->
+    Alcotest.(check bool) "the error names the operator bound" true
+      (str_contains ~needle:"Too_many_operators" m)
+  | _ -> Alcotest.fail "expected an error message");
+  let j = step "{\"op\": \"explain\", \"dataset\": \"RE\"}" in
+  Alcotest.(check bool) "the server still explains" true
+    (field "ok" j = Some (Nested.Json.J_bool true))
+
 let explain_request ?deadline_ms () =
   Serve.Protocol.Explain
     {
@@ -1492,6 +1524,8 @@ let () =
           Alcotest.test_case "approx options do not alias" `Quick
             test_server_approx_no_alias;
           Alcotest.test_case "line session" `Quick test_server_line_session;
+          Alcotest.test_case "too many operators" `Quick
+            test_server_too_many_operators;
         ] );
       ( "frontend",
         [
