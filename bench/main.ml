@@ -34,8 +34,8 @@ let phase_cols (r : Whynot.Pipeline.result) =
        (Whynot.Pipeline.phase_durations_ms r))
 
 (* Engine configuration, settable from the command line: --partitions N
-   sizes the datasets, --parallel turns on the domain pool (for both
-   engine partition work and pipeline SA-level concurrency). *)
+   sizes the datasets, --parallel runs partition-local work on the domain
+   pool. *)
 let partitions = ref Engine.Exec.default_config.Engine.Exec.partitions
 let parallel = ref false
 
@@ -378,12 +378,12 @@ let scenario name = Option.get (Scenarios.Registry.find name)
 let instance ?(scale = 1) s = s.Scenarios.Scenario.make ~scale ()
 
 let run_rp inst =
-  Whynot.Pipeline.explain ~parallel:!parallel
+  Whynot.Pipeline.explain
     ~alternatives:inst.Scenarios.Scenario.alternatives
     inst.Scenarios.Scenario.question
 
 let run_rpnosa inst =
-  Whynot.Pipeline.explain ~parallel:!parallel ~use_sas:false
+  Whynot.Pipeline.explain ~use_sas:false
     inst.Scenarios.Scenario.question
 
 let run_query ?parent inst =
@@ -562,7 +562,7 @@ let fig11 ?(scale = 2) () =
       List.iter
         (fun max_sas ->
           let result =
-            Whynot.Pipeline.explain ~parallel:!parallel ~max_sas ~alternatives
+            Whynot.Pipeline.explain ~max_sas ~alternatives
               inst.Scenarios.Scenario.question
           in
           let ms = Obs.Span.duration_ms result.Whynot.Pipeline.span in
@@ -1013,7 +1013,7 @@ let bench_chaos ?(scale = 2) () =
         fst (Engine.Exec.run ~config:cfg phi.Whynot.Question.db phi.Whynot.Question.query)
       in
       let run_rp_with ~retry () =
-        Whynot.Pipeline.explain ~parallel:!parallel ~retry
+        Whynot.Pipeline.explain ~retry
           ~alternatives:inst.Scenarios.Scenario.alternatives phi
       in
       Obs.Faultinject.reset ();
@@ -1291,7 +1291,7 @@ let bench_approx ?(scales = [ 32; 64; 128; 256 ]) ?(stride = 8)
           let q = phi.Whynot.Question.query in
           let run ?cfg () =
             Gc.full_major ();
-            Whynot.Pipeline.explain ~parallel:!parallel
+            Whynot.Pipeline.explain
               ?approx:(Option.map Whynot.Approx.start cfg)
               ~alternatives:inst.Scenarios.Scenario.alternatives phi
           in

@@ -52,7 +52,7 @@ let pp_approx_report ppf (r : Whynot.Approx.report) =
     | Some b -> Fmt.str " budget_ms=%.0f" b
     | None -> "")
 
-let run_scenario ~scale ~verbose ~metrics ~config ~parallel ~retry ~root
+let run_scenario ~scale ~verbose ~metrics ~config ~retry ~root
     ~approx_cfg (s : Scenarios.Scenario.t) =
   let inst = s.Scenarios.Scenario.make ~scale () in
   let phi = inst.Scenarios.Scenario.question in
@@ -76,11 +76,11 @@ let run_scenario ~scale ~verbose ~metrics ~config ~parallel ~retry ~root
   (* The budget (if any) starts burning per scenario, not per process. *)
   let approx = Option.map Whynot.Approx.start approx_cfg in
   let rp =
-    Whynot.Pipeline.explain ?approx ~parallel ~retry ?parent:root
+    Whynot.Pipeline.explain ?approx ~retry ?parent:root
       ~alternatives:inst.Scenarios.Scenario.alternatives phi
   in
   let rpnosa =
-    Whynot.Pipeline.explain ~parallel ~retry ?parent:root ~use_sas:false phi
+    Whynot.Pipeline.explain ~retry ?parent:root ~use_sas:false phi
   in
   let wnpp = Baselines.Wnpp.explanations ?parent:root phi in
   let conseil = Baselines.Conseil.explanations ?parent:root phi in
@@ -193,7 +193,6 @@ let run_explain args =
   let alts = ref [] in
   let use_sas = ref true and revalidate = ref true in
   let metrics = ref false and trace_file = ref "" in
-  let parallel = ref false in
   let task_retries = ref 0 in
   let budget_ms = ref 0.0 in
   let sample_stride = ref 0 in
@@ -217,10 +216,6 @@ let run_explain args =
         "attribute alternatives, table:a.b=c.d" );
       ("-no-sas", Arg.Clear use_sas, "disable schema alternatives");
       ("-no-revalidate", Arg.Clear revalidate, "disable re-validation (ablation)");
-      ( "-parallel",
-        Arg.Set parallel,
-        "process schema alternatives concurrently on the domain pool" );
-      ("--parallel", Arg.Set parallel, " same as -parallel");
       ( "-task-retries",
         Arg.Set_int task_retries,
         "N  retry budget for transient task faults (default 0: fail fast)" );
@@ -296,7 +291,6 @@ let run_explain args =
   in
   let result =
     Whynot.Pipeline.explain ?approx ~use_sas:!use_sas ~revalidate:!revalidate
-      ~parallel:!parallel
       ~retry:(Engine.Fault.retries (max 0 !task_retries))
       ~alternatives:(List.rev !alts) phi
   in
@@ -419,7 +413,7 @@ let run_scenarios args =
       ("--partitions", Arg.Set_int partitions, "N  same as -partitions");
       ( "-parallel",
         Arg.Set parallel,
-        "run engine partitions and schema alternatives on the domain pool" );
+        "run engine partitions on the domain pool" );
       ("--parallel", Arg.Set parallel, " same as -parallel");
       ( "-task-retries",
         Arg.Set_int task_retries,
@@ -500,7 +494,7 @@ let run_scenarios args =
             parallel = !parallel;
             retry;
           }
-        ~parallel:!parallel ~retry ~root ~approx_cfg s;
+        ~retry ~root ~approx_cfg s;
       Option.iter Obs.Span.finish root)
     scenarios;
   if !metrics then

@@ -19,7 +19,6 @@ let () =
   let handles = ref d.Serve.Server.handle_capacity in
   let queue = ref d.Serve.Server.queue_capacity in
   let deadline = ref 0.0 in
-  let parallel = ref false in
   let task_retries = ref d.Serve.Server.task_retries in
   let timings = ref true in
   let max_conns = ref d.Serve.Server.max_connections in
@@ -54,10 +53,6 @@ let () =
         Arg.Set_float deadline,
         "MS  default per-request deadline (0 = none)" );
       ("--deadline", Arg.Set_float deadline, "MS  same as -deadline");
-      ( "-parallel",
-        Arg.Set parallel,
-        "process schema alternatives on the domain pool" );
-      ("--parallel", Arg.Set parallel, " same as -parallel");
       ( "-task-retries",
         Arg.Set_int task_retries,
         "N  retry budget for transient task faults (default 0: fail fast)" );
@@ -195,7 +190,6 @@ let () =
       handle_capacity = !handles;
       queue_capacity = !queue;
       default_deadline_ms = (if !deadline > 0.0 then Some !deadline else None);
-      parallel = !parallel;
       task_retries = max 0 !task_retries;
       timings = !timings;
       max_connections = !max_conns;

@@ -133,7 +133,7 @@ let prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retry root cursor
 
 (* Steps 1, 3, and 4 — the pattern-dependent per-SA chains plus the final
    prune/rank — under [root], reading everything else from the handle. *)
-let run_phases ?approx ~revalidate ~parallel ~cancel ~retry root cursor
+let run_phases ?approx ~revalidate ~cancel ~retry root cursor
     (h : handle) (missing : Nip.t) :
     Explanation.t list * Approx.report option =
   let phase parent name f = phase_at cursor parent name f in
@@ -194,14 +194,25 @@ let run_phases ?approx ~revalidate ~parallel ~cancel ~retry root cursor
   let sa_name (sa : Alternatives.sa) =
     Fmt.str "sa:S%d" (sa.Alternatives.index + 1)
   in
+  (* Exact multi-SA runs fan the SAs out over the shared domain pool.  A
+     wall-clock budget keeps the sequential path: there each SA's
+     degradation decision depends on how much budget its predecessors
+     left it, so the SAs are not independent. *)
+  let parallel =
+    List.length sas > 1
+    &&
+    match approx with
+    | None -> true
+    | Some a -> (Approx.config a).Approx.budget_ms = None
+  in
   let per_sa =
-    if parallel && List.length sas > 1 then begin
-      (* Fan the SAs out over the shared domain pool.  The sa:S<i> spans
-         are started here on the calling domain (so their order under the
-         root is deterministic); each job tiles its three child phases
-         with a cursor of its own.  Results are awaited in SA order, so
-         the concatenated candidate list — and hence the final ranking —
-         is identical to the sequential pipeline's. *)
+    if parallel then begin
+      (* The sa:S<i> spans are started here on the calling domain (so
+         their order under the root is deterministic) and record how long
+         their job sat in the queue; each job tiles its three child
+         phases with a cursor of its own.  Results are awaited in SA
+         order, so the concatenated candidate list — and hence the final
+         ranking — is identical to the sequential composition's. *)
       Obs.Span.set_bool root "parallel_sas" true;
       let pool = Engine.Pool.default () in
       let futures =
@@ -222,12 +233,18 @@ let run_phases ?approx ~revalidate ~parallel ~cancel ~retry root cursor
                 Fun.protect
                   ~finally:(fun () -> Obs.Span.finish sasp)
                   (fun () ->
-                    Cancel.check cancel ~where:(sa_name sa);
                     let sa_cursor = ref (Obs.Clock.now_ns ()) in
+                    Obs.Span.set_float sasp "queued_ms"
+                      (Obs.Clock.ns_to_ms
+                         (!sa_cursor - Obs.Span.start_ns sasp));
+                    Cancel.check cancel ~where:(sa_name sa);
                     process_sa sa_cursor sa sasp)))
           sas
       in
-      List.map Engine.Pool.await futures
+      let per_sa = List.map Engine.Pool.await futures in
+      (* the root-level prune+rank starts after the last SA finished *)
+      cursor := Obs.Clock.now_ns ();
+      per_sa
     end
     else
       List.map
@@ -364,16 +381,16 @@ let prepare ?(use_sas = true) ?(max_sas = 16)
   Obs.Metrics.Counter.incr (Obs.Metrics.counter "pipeline.prepares");
   h
 
-let explain_with ?approx ?(revalidate = true) ?(parallel = false)
-    ?(cancel = Cancel.none) ?(retry = Engine.Fault.no_retry) ?checkpoint
-    ?parent (h : handle) (missing : Nip.t) : result =
+let explain_with ?approx ?(revalidate = true) ?(cancel = Cancel.none)
+    ?(retry = Engine.Fault.no_retry) ?checkpoint ?parent (h : handle)
+    (missing : Nip.t) : result =
   let root = Obs.Span.start ?parent "pipeline.explain" in
   let cursor = ref (Obs.Span.start_ns root) in
   let explanations, report =
     finish_cancelled root (fun () ->
         with_checkpoint checkpoint (fun () ->
-            run_phases ?approx ~revalidate ~parallel ~cancel ~retry root
-              cursor h missing))
+            run_phases ?approx ~revalidate ~cancel ~retry root cursor h
+              missing))
   in
   Obs.Span.set_int root "sas" (List.length h.h_sas);
   Obs.Span.set_int root "explanations" (List.length explanations);
@@ -388,9 +405,9 @@ let explain_with ?approx ?(revalidate = true) ?(parallel = false)
   { question; sas = h.h_sas; explanations; approx = report; span = root }
 
 let explain ?approx ?(use_sas = true) ?(max_sas = 16) ?(revalidate = true)
-    ?(alternatives : Alternatives.alternatives = []) ?(parallel = false)
-    ?(cancel = Cancel.none) ?(retry = Engine.Fault.no_retry) ?checkpoint
-    ?parent (phi : Question.t) : result =
+    ?(alternatives : Alternatives.alternatives = []) ?(cancel = Cancel.none)
+    ?(retry = Engine.Fault.no_retry) ?checkpoint ?parent (phi : Question.t) :
+    result =
   let root = Obs.Span.start ?parent "pipeline.explain" in
   (* Phase spans are tiled wall-to-wall — the four phase totals account
      for ≈ all of the root span (in the sequential pipeline; concurrent
@@ -404,7 +421,7 @@ let explain ?approx ?(use_sas = true) ?(max_sas = 16) ?(revalidate = true)
                 root cursor ~db:phi.Question.db phi.Question.query
             in
             ( h,
-              run_phases ?approx ~revalidate ~parallel ~cancel ~retry root
+              run_phases ?approx ~revalidate ~cancel ~retry root
                 cursor h phi.Question.missing )))
   in
   Obs.Span.set_int root "sas" (List.length h.h_sas);

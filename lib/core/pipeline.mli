@@ -32,6 +32,19 @@ val schema_env : Relation.Db.t -> Typecheck.env
 
 (** Compute query-based why-not explanations.
 
+    Each schema alternative runs its own backtrace→tracing→MSR chain.
+    When there is more than one SA and no wall-clock budget ([approx]
+    omitted or its [budget_ms] is [None]), the chains run concurrently
+    on the shared {!Engine.Pool} and the root span records
+    [parallel_sas = true]; each [sa:S<i>] span then carries a
+    [queued_ms] attribute (time from submission until the job started
+    running).  A budgeted run, or one with a single SA, runs the chains
+    one after another, so each SA's degradation decision sees the budget
+    its predecessors left.  Either way the per-SA results are recombined
+    in SA order before pruning and ranking, so the explanation list is
+    the same; only the span tree differs — concurrent [sa:S<i>] phases
+    overlap, so per-phase sums can exceed the root span's duration.
+
     @param approx running approximation budget (see {!Approx}).  Omitted,
            the run is exact and [result.approx] is [None].  Given, each
            schema alternative consults {!Approx.decide} before tracing —
@@ -47,12 +60,6 @@ val schema_env : Relation.Db.t -> Typecheck.env
            true); [false] is the no-re-validation ablation, reproducing
            the false positives of prior lineage-based approaches
     @param alternatives attribute-alternative groups per table
-    @param parallel process schema alternatives concurrently on the
-           shared {!Engine.Pool} (default false).  The explanation list
-           is byte-identical to the sequential pipeline's (per-SA results
-           are recombined in SA order before pruning and ranking); only
-           the span tree differs — concurrent sa:S<i> phases overlap, so
-           per-phase sums can exceed the root span's duration
     @param cancel cooperative cancellation token (default
            {!Cancel.none}).  Polled at phase and schema-alternative
            boundaries; when it trips, {!Cancel.Cancelled} is raised with
@@ -75,7 +82,6 @@ val explain :
   ?max_sas:int ->
   ?revalidate:bool ->
   ?alternatives:Alternatives.alternatives ->
-  ?parallel:bool ->
   ?cancel:Cancel.t ->
   ?retry:Engine.Fault.policy ->
   ?checkpoint:Engine.Checkpoint.config ->
@@ -121,7 +127,6 @@ val handle_sas : handle -> Alternatives.sa list
 val explain_with :
   ?approx:Approx.t ->
   ?revalidate:bool ->
-  ?parallel:bool ->
   ?cancel:Cancel.t ->
   ?retry:Engine.Fault.policy ->
   ?checkpoint:Engine.Checkpoint.config ->

@@ -26,8 +26,7 @@ val nip : Whynot.Nip.t -> int64
 val alternatives : Whynot.Alternatives.alternatives -> int64
 
 (** The explain options that affect the {e result} (and therefore belong
-    in the cache key).  [parallel] is deliberately absent: the parallel
-    pipeline is byte-identical to the sequential one.  The approximation
+    in the cache key).  The approximation
     knobs ([sample_stride], [top_k], [budget_ms]) {e are} present — an
     approximate result must never be served from (or alias) an exact
     cache entry; [None] mixes a sentinel distinct from every [Some]. *)

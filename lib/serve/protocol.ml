@@ -10,7 +10,6 @@ type explain_options = {
   use_sas : bool;
   max_sas : int;
   revalidate : bool;
-  parallel : bool;
   sample_stride : int option;
   top_k : int option;
 }
@@ -20,7 +19,6 @@ let default_options =
     use_sas = true;
     max_sas = 16;
     revalidate = true;
-    parallel = false;
     sample_stride = None;
     top_k = None;
   }
@@ -141,7 +139,6 @@ let parse_options j =
     use_sas = get_bool ~default:default_options.use_sas "use_sas" j;
     max_sas = get_int ~default:default_options.max_sas "max_sas" j;
     revalidate = get_bool ~default:default_options.revalidate "revalidate" j;
-    parallel = get_bool ~default:default_options.parallel "parallel" j;
     sample_stride = positive "sample_stride" (get_int_opt "sample_stride" j);
     top_k = positive "top_k" (get_int_opt "top_k" j);
   }

@@ -58,7 +58,6 @@ type explain_options = {
   use_sas : bool;
   max_sas : int;
   revalidate : bool;
-  parallel : bool;  (** affects scheduling only, never the result *)
   sample_stride : int option;
       (** force 1-in-N sampled tracing (≥ 1); result-affecting, so part
           of the explanation-cache key *)

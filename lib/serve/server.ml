@@ -45,7 +45,6 @@ type config = {
   handle_capacity : int;
   queue_capacity : int;
   default_deadline_ms : float option;
-  parallel : bool;
   task_retries : int;
   timings : bool;
   max_connections : int;
@@ -60,7 +59,6 @@ let default_config =
     handle_capacity = 32;
     queue_capacity = 64;
     default_deadline_ms = None;
-    parallel = false;
     task_retries = 0;
     timings = true;
     max_connections = 64;
@@ -431,9 +429,7 @@ let handle_explain t ~dataset ~scale ~seed ~query ~query_name ~pattern
           in
           let result =
             Whynot.Pipeline.explain_with ?approx:budget
-              ~revalidate:options.Protocol.revalidate
-              ~parallel:(options.Protocol.parallel || t.cfg.parallel)
-              ~cancel
+              ~revalidate:options.Protocol.revalidate ~cancel
               ~retry:(Engine.Fault.retries t.cfg.task_retries)
               handle missing
           in

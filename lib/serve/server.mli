@@ -31,7 +31,6 @@ type config = {
   handle_capacity : int;  (** traced-run handles kept (≤ 0 disables) *)
   queue_capacity : int;  (** scheduler admission bound *)
   default_deadline_ms : float option;
-  parallel : bool;  (** run schema alternatives on the pool *)
   task_retries : int;
       (** transient-fault retry budget per pipeline task (0 = fail
           fast); see {!Engine.Fault.retries} *)

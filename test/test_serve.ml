@@ -1080,6 +1080,30 @@ let str_contains ~needle hay =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
+(* A ["parallel"] option on the wire is an unknown field: ignored, so the
+   answer is byte-identical to one without it and shares its cache entry. *)
+let test_server_parallel_field_ignored () =
+  let explain ?(extra = "") srv =
+    fst
+      (Serve.Server.handle_line srv
+         (Fmt.str
+            "{\"op\": \"explain\", \"dataset\": \"D3\"%s}" extra))
+  in
+  let fresh () =
+    let srv = Serve.Server.create ~config:quiet_config () in
+    ignore
+      (Serve.Server.handle_line srv "{\"op\": \"register\", \"dataset\": \"D3\"}");
+    srv
+  in
+  let plain = explain (fresh ()) in
+  let srv = fresh () in
+  let with_field = explain ~extra:", \"parallel\": true" srv in
+  Alcotest.(check string) "same payload bytes" plain with_field;
+  Alcotest.(check bool) "answered ok" true
+    (str_contains ~needle:"\"ok\": true" plain);
+  Alcotest.(check bool) "same cache entry" true
+    (str_contains ~needle:"\"cache\": \"hit\"" (explain srv))
+
 (* A trace whose reparameterizable operators overflow the MSR bitmask
    answers an explain error and leaves the server serving. *)
 let test_server_too_many_operators () =
@@ -1524,6 +1548,8 @@ let () =
           Alcotest.test_case "approx options do not alias" `Quick
             test_server_approx_no_alias;
           Alcotest.test_case "line session" `Quick test_server_line_session;
+          Alcotest.test_case "parallel field is ignored" `Quick
+            test_server_parallel_field_ignored;
           Alcotest.test_case "too many operators" `Quick
             test_server_too_many_operators;
         ] );
