@@ -3,7 +3,7 @@
 # smallest-scale pass over every bench family (the harness itself is
 # code that can rot) and the wire-level benchmark smoke, which checks
 # every answer against its pin.  Run before every merge.
-.PHONY: verify build test fuzz bench-smoke wirebench-smoke bench-columnar bench-chaos bench-obs bench-approx bench-recover
+.PHONY: verify build test fuzz bench-smoke wirebench-smoke bench-chaos bench-obs bench-approx bench-recover
 
 verify:
 	dune build @all && dune runtest && $(MAKE) bench-smoke && $(MAKE) wirebench-smoke
@@ -31,11 +31,6 @@ bench-smoke:
 # explanations in wirebench/expected/ or a declared metric goes unmeasured.
 wirebench-smoke:
 	sh wirebench/run.sh smoke
-
-# Row vs columnar engine A/B on the fig8 scenarios at scale 32; writes
-# the committed acceptance baseline for the columnar-engine PR.
-bench-columnar:
-	dune exec bench/main.exe -- columnar -json BENCH_PR7.json
 
 # Budget-ladder acceptance run (exact vs sampled vs top-k vs combined
 # at scales 32-256); writes the committed baseline for the approx PR.

@@ -110,28 +110,6 @@ let json_records : json_record list ref = ref []
 
 let add_json r = if !json_file <> "" then json_records := r :: !json_records
 
-(* Records of the [serve] target — service-level numbers (cold vs warm
-   latency, throughput, hit ratio) rather than pipeline phases. *)
-type serve_record = {
-  vscenario : string;
-  vscale : int;
-  vcold_ms : float;
-  vwarm_ms : float;
-  vspeedup : float;
-  vrequests : int;
-  vrps : float;
-  vhits : int;
-  vmisses : int;
-  vhit_ratio : float;
-  vburst : int;
-  vcoalesced : int;
-  vburst_ms : float;
-}
-
-let serve_records : serve_record list ref = ref []
-
-let add_serve r = if !json_file <> "" then serve_records := r :: !serve_records
-
 (* Records of the [chaos] target — fault-tolerance numbers: the cost of
    the (unarmed) injection sites and of surviving armed transient
    faults via task retries. *)
@@ -275,9 +253,8 @@ let write_json () =
       (Fmt.str
          "{\n\
          \  \"meta\": {\"git_commit\": %S, \"hostname\": %S, \"ocaml\": %S, \
-          \"word_size\": %d, \"row_engine\": %b},\n"
-         git_commit hostname Sys.ocaml_version Sys.word_size
-         (Engine.Columnar.row_engine ()));
+          \"word_size\": %d},\n"
+         git_commit hostname Sys.ocaml_version Sys.word_size);
     output_string oc
       (Fmt.str "  \"config\": {\"partitions\": %d, \"parallel\": %b},\n"
          !partitions !parallel);
@@ -285,23 +262,6 @@ let write_json () =
     output_string oc
       (String.concat ",\n" (List.rev_map record !json_records));
     output_string oc "\n  ]";
-    if !serve_records <> [] then begin
-      let serve_rec r =
-        Fmt.str
-          "    {\"scenario\": %S, \"scale\": %d, \"cold_ms\": %.3f, \
-           \"warm_ms\": %.4f, \"speedup\": %.1f, \"requests\": %d, \
-           \"requests_per_sec\": %.1f, \"hits\": %d, \"misses\": %d, \
-           \"hit_ratio\": %.3f, \"burst\": %d, \"coalesced\": %d, \
-           \"burst_ms\": %.3f}"
-          r.vscenario r.vscale r.vcold_ms r.vwarm_ms r.vspeedup r.vrequests
-          r.vrps r.vhits r.vmisses r.vhit_ratio r.vburst r.vcoalesced
-          r.vburst_ms
-      in
-      output_string oc ",\n  \"serve\": [\n";
-      output_string oc
-        (String.concat ",\n" (List.rev_map serve_rec !serve_records));
-      output_string oc "\n  ]"
-    end;
     if !obs_records <> [] then begin
       let obs_rec r =
         Fmt.str
@@ -368,8 +328,7 @@ let write_json () =
     output_string oc "\n}\n";
     close_out oc;
     Fmt.pr "@.json summary written to %s (%d records)@." !json_file
-      (List.length !json_records + List.length !serve_records
-      + List.length !chaos_records + List.length !obs_records
+      (List.length !json_records + List.length !chaos_records + List.length !obs_records
       + List.length !approx_records + List.length !recover_records)
   end
 
@@ -816,166 +775,6 @@ let ablation () =
         (List.length spurious))
     Scenarios.Registry.all
 
-(* --- Serve: service-level latency, cache effectiveness, throughput ------- *)
-
-let now_ms () = float_of_int (Obs.Clock.now_ns ()) /. 1e6
-
-(* Cold = the first explain of a freshly created server (full pipeline:
-   alternatives, backtrace, tracing, MSR).  Warm = the same request again
-   (an explanation-cache lookup; the payload is reused, not recomputed).
-   Throughput pushes warm requests through the full wire path —
-   [handle_line] parses the request and serializes the response, so the
-   req/s number includes the JSON codec, not just the lookup. *)
-let bench_serve ?(scale = 1) () =
-  Fmt.pr "@.== Serve: explanation service (scale %d) ==@." scale;
-  Fmt.pr "%-6s %-10s %-10s %-9s %-10s %-7s %-9s %-9s@." "scen" "cold ms"
-    "warm ms" "speedup" "req/s" "hit%" "coal" "burst ms";
-  List.iter
-    (fun name ->
-      let srv =
-        Serve.Server.create
-          ~config:{ Serve.Server.default_config with timings = false }
-          ()
-      in
-      (match
-         Serve.Server.handle_request srv
-           (Serve.Protocol.Register
-              { dataset = name; scale; seed = 0; refresh = false })
-       with
-      | Serve.Protocol.Registered _ -> ()
-      | r ->
-        failwith
-          (Fmt.str "serve bench: cannot register %s: %s" name
-             (Serve.Protocol.response_to_string r)));
-      let explain () =
-        match
-          Serve.Server.handle_request srv
-            (Serve.Protocol.Explain
-               {
-                 dataset = name;
-                 scale;
-                 seed = 0;
-                 query = None;
-                 query_name = None;
-                 pattern = None;
-                 options = Serve.Protocol.default_options;
-                 deadline_ms = None;
-                 budget_ms = None;
-               })
-        with
-        | Serve.Protocol.Explained { cache; _ } -> cache
-        | r ->
-          failwith
-            (Fmt.str "serve bench: explain %s failed: %s" name
-               (Serve.Protocol.response_to_string r))
-      in
-      let timed f =
-        let t0 = now_ms () in
-        let r = f () in
-        (r, now_ms () -. t0)
-      in
-      let first, cold_ms = timed explain in
-      assert (first = `Miss);
-      let reps = 50 in
-      let warm = Array.init reps (fun _ -> snd (timed explain)) in
-      Array.sort compare warm;
-      let warm_ms = warm.(reps / 2) in
-      (* throughput through the wire path (parse + dispatch + serialize) *)
-      let n = 200 in
-      let line =
-        Fmt.str "{\"op\": \"explain\", \"dataset\": %S, \"scale\": %d}" name
-          scale
-      in
-      let t0 = now_ms () in
-      for _ = 1 to n do
-        ignore (Serve.Server.handle_line srv line : string * bool)
-      done;
-      let elapsed_ms = now_ms () -. t0 in
-      let rps = float_of_int n /. Float.max (elapsed_ms /. 1000.) 1e-9 in
-      let hits, misses =
-        match Serve.Server.handle_request srv Serve.Protocol.Stats with
-        | Serve.Protocol.Stats_reply sections -> (
-          match List.assoc_opt "cache" sections with
-          | Some (Nested.Json.J_object fields) ->
-            let int k =
-              match List.assoc_opt k fields with
-              | Some (Nested.Json.J_int v) -> v
-              | _ -> 0
-            in
-            (int "hits", int "misses")
-          | _ -> (0, 0))
-        | _ -> (0, 0)
-      in
-      let hit_ratio =
-        float_of_int hits /. Float.max (float_of_int (hits + misses)) 1.
-      in
-      let speedup = cold_ms /. Float.max warm_ms 1e-6 in
-      (* coalescing burst: invalidate the cached payload (refresh bumps
-         the dataset version), then fire identical explains concurrently —
-         single-flight answers all of them with ONE pipeline execution,
-         so the burst costs about one cold explain, not [burst] of them *)
-      ignore
-        (Serve.Server.handle_request srv
-           (Serve.Protocol.Register
-              { dataset = name; scale; seed = 0; refresh = true })
-          : Serve.Protocol.response);
-      let burst = 8 in
-      let labels = Array.make burst `Miss in
-      (* park all threads on a gate and release them together, so the
-         requests actually overlap instead of serializing on spawn cost *)
-      let gate = Mutex.create () and go = Condition.create () in
-      let released = ref false in
-      let threads =
-        Array.init burst (fun i ->
-            Thread.create
-              (fun () ->
-                Mutex.lock gate;
-                while not !released do
-                  Condition.wait go gate
-                done;
-                Mutex.unlock gate;
-                labels.(i) <- explain ())
-              ())
-      in
-      Unix.sleepf 0.01;
-      let t0 = now_ms () in
-      Mutex.lock gate;
-      released := true;
-      Condition.broadcast go;
-      Mutex.unlock gate;
-      Array.iter Thread.join threads;
-      let burst_ms = now_ms () -. t0 in
-      let coalesced =
-        Array.fold_left
-          (fun acc l -> match l with `Coalesced -> acc + 1 | _ -> acc)
-          0 labels
-      in
-      Fmt.pr "%-6s %-10.2f %-10.4f %-9.1f %-10.0f %-7.1f %d/%-7d %-9.2f@."
-        name cold_ms warm_ms speedup rps (100. *. hit_ratio) coalesced burst
-        burst_ms;
-      csv "serve"
-        "scenario,scale,cold_ms,warm_ms,speedup,requests,requests_per_sec,hits,misses,hit_ratio,burst,coalesced,burst_ms"
-        (Fmt.str "%s,%d,%.3f,%.4f,%.1f,%d,%.1f,%d,%d,%.3f,%d,%d,%.3f" name
-           scale cold_ms warm_ms speedup n rps hits misses hit_ratio burst
-           coalesced burst_ms);
-      add_serve
-        {
-          vscenario = name;
-          vscale = scale;
-          vcold_ms = cold_ms;
-          vwarm_ms = warm_ms;
-          vspeedup = speedup;
-          vrequests = n;
-          vrps = rps;
-          vhits = hits;
-          vmisses = misses;
-          vhit_ratio = hit_ratio;
-          vburst = burst;
-          vcoalesced = coalesced;
-          vburst_ms = burst_ms;
-        })
-    [ "RE"; "D1"; "T2"; "Q3" ]
-
 (* --- Chaos: fault-injection overhead and retry recovery -------------------
 
    Two questions, two columns per scenario:
@@ -1151,102 +950,6 @@ let bench_obs ?(scale = 4) () =
   Obs.Log.remove_sink "bench.obs.count";
   Obs.Log.clear_ring ();
   Obs.Log.set_level saved_level
-
-(* --- Columnar vs row engine (perf PR acceptance run) ----------------------
-
-   Runs the fig8 family twice in one process — first forcing the legacy
-   row-at-a-time engine, then the columnar batch engine — so the two
-   paths share warmup, data generation, and GC state.  With [--json] the
-   records land under benches "fig8-row" and "fig8-columnar"; diffing
-   the per-phase columns (tracing above all) is the acceptance check. *)
-
-let bench_columnar ?(scales = [ 32 ]) () =
-  let saved = Engine.Columnar.row_engine () in
-  Fun.protect ~finally:(fun () -> Engine.Columnar.set_row_engine saved)
-  @@ fun () ->
-  let reps = 5 in
-  Fmt.pr "@.== Columnar vs row engine (interleaved, per-phase min of %d) ==@."
-    reps;
-  Fmt.pr "%-6s %-6s %-8s %-10s %-10s %-10s %-10s@." "scen" "scale" "rows"
-    "engine" "query ms" "RP ms" "trace ms";
-  List.iter
-    (fun name ->
-      let s = scenario name in
-      List.iter
-        (fun scale ->
-          let inst = instance ~scale s in
-          (* One sample = a (query, explain) pair on each arm back to
-             back, row first.  Interleaving the arms inside every rep
-             means a noisy CPU window taxes both engines equally instead
-             of whichever sweep happened to be running; per-phase minima
-             across reps then discard the taxed samples. *)
-          let measure row_arm =
-            Engine.Columnar.set_row_engine row_arm;
-            Gc.full_major ();
-            let _, q =
-              time_span "bench.query" (fun sp -> run_query ~parent:sp inst)
-            in
-            Gc.full_major ();
-            (q, run_rp inst)
-          in
-          let samples =
-            List.init reps (fun _ -> (measure true, measure false))
-          in
-          let emit bench pick =
-            let qs, rps = List.split (List.map pick samples) in
-            let dur r = Obs.Span.duration_ms r.Whynot.Pipeline.span in
-            let q_ms = List.fold_left Float.min Float.infinity qs in
-            let best =
-              List.fold_left
-                (fun b r -> if dur r < dur b then r else b)
-                (List.hd rps) (List.tl rps)
-            in
-            let rp_ms = dur best in
-            let phase_mins =
-              List.map
-                (fun (p, ms) ->
-                  ( p,
-                    List.fold_left
-                      (fun acc r ->
-                        match
-                          List.assoc_opt p
-                            (Whynot.Pipeline.phase_durations_ms r)
-                        with
-                        | Some m -> Float.min acc m
-                        | None -> acc)
-                      ms (List.tl rps) ))
-                (Whynot.Pipeline.phase_durations_ms (List.hd rps))
-            in
-            Fmt.pr "%-6s %-6d %-8d %-10s %-10.2f %-10.2f %-10.2f@." name scale
-              (db_rows inst)
-              (if bench = "fig8-row" then "row" else "columnar")
-              q_ms rp_ms
-              (match List.assoc_opt "tracing" phase_mins with
-              | Some ms -> ms
-              | None -> 0.);
-            csv bench
-              ("scenario,scale,rows,query_ms,rp_ms," ^ phase_header)
-              (Fmt.str "%s,%d,%d,%.3f,%.3f,%s" name scale (db_rows inst) q_ms
-                 rp_ms
-                 (String.concat ","
-                    (List.map (fun (_, ms) -> Fmt.str "%.3f" ms) phase_mins)));
-            add_json
-              {
-                jbench = bench;
-                jscenario = name;
-                jscale = scale;
-                jrows = db_rows inst;
-                jquery_ms = Some q_ms;
-                jrpnosa_ms = None;
-                jrp_ms = rp_ms;
-                jphases = phase_mins;
-                jgc = Whynot.Pipeline.phase_gc best;
-              }
-          in
-          emit "fig8-row" fst;
-          emit "fig8-columnar" snd)
-        scales)
-    [ "D1"; "D2"; "D3"; "D4"; "D5" ]
 
 (* --- Approx: budget-ladder speedups (PR acceptance run) -------------------
 
@@ -1425,6 +1128,11 @@ let bench_recover ?(scale = 4) ?(replicate = 20_000) () =
       let nrows = List.length rows in
       let parts = max 16 !partitions in
       let key_of v = Nested.Value.Int (Hashtbl.hash v land 0xff) in
+      let hash_of b =
+        Array.map
+          (fun v -> Engine.Dataset.value_hash (key_of v))
+          (Engine.Columnar.to_values b)
+      in
       let ckpt_ms, src_ms =
         Engine.Checkpoint.with_config
           (Some
@@ -1436,8 +1144,8 @@ let bench_recover ?(scale = 4) ?(replicate = 20_000) () =
         @@ fun () ->
         let source = Engine.Dataset.distribute ~partitions:parts rows in
         let shuffled, _ =
-          Engine.Dataset.shuffle_by ~barrier:(Fmt.str "bench-%s" name)
-            ~partitions:parts key_of source
+          Engine.Dataset.shuffle_hashed ~barrier:(Fmt.str "bench-%s" name)
+            ~partitions:parts hash_of source
         in
         ignore (Engine.Dataset.to_list shuffled : Nested.Value.t list);
         let lose_all () =
@@ -1544,7 +1252,6 @@ let smoke () =
   fig9 ~scales:[ 1 ] ();
   fig10 ~scale:1 ();
   fig11 ~scale:1 ();
-  bench_columnar ~scales:[ 1 ] ();
   bench_approx ~scales:[ 1 ] ();
   bench_recover ~scale:1 ~replicate:2_000 ()
 
@@ -1611,6 +1318,19 @@ let () =
     | a :: rest -> parse (a :: acc) rest
   in
   let args = parse [] (List.tl (Array.to_list Sys.argv)) in
+  let families =
+    [ "table7"; "table8"; "table6"; "table3"; "fig8"; "fig9"; "fig10";
+      "fig11"; "ablation"; "smoke"; "approx"; "recover"; "chaos"; "obs";
+      "bechamel"; "all" ]
+  in
+  (match List.filter (fun a -> not (List.mem a families)) args with
+  | [] -> ()
+  | unknown ->
+    Fmt.epr "main.exe: unknown bench famil%s %s; known: %s@."
+      (if List.length unknown = 1 then "y" else "ies")
+      (String.concat ", " unknown)
+      (String.concat " " families);
+    exit 2);
   let wants x = args = [] || List.mem x args || List.mem "all" args in
   (* chaos arms process-global fault sites, so it never runs implicitly *)
   let wants_explicit x = List.mem x args || List.mem "all" args in
@@ -1623,12 +1343,10 @@ let () =
   if wants "fig10" then fig10 ();
   if wants "fig11" then fig11 ();
   if wants "ablation" then ablation ();
-  (* engine A/B and smoke are targeted runs, never part of the default set *)
-  if wants_explicit "columnar" then bench_columnar ();
+  (* smoke is a targeted run, never part of the default set *)
   if wants_explicit "smoke" then smoke ();
   (* budget-ladder acceptance run: targeted, scales past the default sweep *)
   if wants_explicit "approx" then bench_approx ();
-  if wants "serve" then bench_serve ();
   (* recover redirects checkpoint scratch to a bench temp dir: explicit only *)
   if wants_explicit "recover" then bench_recover ();
   if wants_explicit "chaos" then bench_chaos ();

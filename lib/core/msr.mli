@@ -83,8 +83,8 @@ val bounds :
 
     [?sample_stride] (default 1 = exact) samples the side-effect bounds
     sweep: only every s-th root row — keyed on the global rid, exactly
-    like {!Tracing.run}'s sampler, so both engines sample identically —
-    is examined, and the counts are scaled back up into unbiased
+    like {!Tracing.run}'s sampler, so tracing and MSR sample the same
+    rows — is examined, and the counts are scaled back up into unbiased
     estimates.  Candidate operator sets always come from the consistent
     root rows' failure sets, so a sampled run finds the {e same}
     explanations with {e estimated} LB/UB bounds. *)

@@ -96,17 +96,14 @@ val op_trace : t -> int -> op_trace option
 val root_rows : t -> trow list
 val find_row : t -> int -> (trow * int) option
 
-(** Optimistic NIP matching for annotated rows: [Pred]/[Prim] constraints
-    on fields with achievable intervals are checked by interval
-    satisfiability. *)
-val row_matches : Nip.t -> Value.t -> (string * (float * float)) list -> bool
-
+(** Interval satisfiability of a comparison: the optimistic NIP check for
+    fields with achievable intervals (aggregate outputs). *)
 val interval_satisfies : Expr.cmp -> Value.t -> float * float -> bool
 
 (** Trace one schema alternative.  [bt] must be the backtrace of the SA's
-    (substituted) query.  Runs the batch-native relaxed evaluation unless
-    the row engine ([WHYNOT_ROW_ENGINE]) is active; both paths produce
-    identical traces (rids, flags, lineage, data).
+    (substituted) query.  The relaxed evaluation runs over
+    {!Engine.Columnar} batches; every operator's rows take a contiguous
+    rid block, allocated in post-order over the operator tree.
 
     [revalidate] (default true) controls the paper's second novel
     technique: with [false], compatibility is checked at the table
@@ -116,8 +113,8 @@ val interval_satisfies : Expr.cmp -> Value.t -> float * float -> bool
 
     [sample_stride] (default 1 = exact) re-validates only rows whose
     global rid is a multiple of the stride; all other rows conservatively
-    read inconsistent.  Because both engines allocate identical
-    contiguous rid blocks, a sampled trace is still engine-identical.
+    read inconsistent.  Rids are deterministic, so a sampled trace is
+    reproducible run to run.
     Sampling makes the consistent set (and hence the explanations
     derived from it) a 1-in-N subsample — callers must surface the
     [1/stride] confidence. *)

@@ -139,9 +139,9 @@ let note_bytes_moved n =
 (* Global string dictionary (hash-consed)                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The stable per-value hash of {!Dataset.value_hash}, reproduced here
-   so vectorized shuffles land rows on exactly the same partitions as
-   the row engine. *)
+(* The stable per-value hash behind {!Dataset.value_hash}; [hash_col]
+   vectorizes it, so a shuffle lands each row on the partition its
+   value hashes to. *)
 let rec value_hash (v : Value.t) : int =
   match v with
   | Value.Null -> 17
@@ -683,8 +683,8 @@ let gather t idx =
 
 (* Every index in [0, n) congruent to [offset] mod [stride] — the
    sampling pattern of approximate tracing, where the congruence class is
-   fixed by the global row id of the batch's first row so both engines
-   pick the same rows. *)
+   fixed by the global row id of the batch's first row so the sampled
+   rows are the rids divisible by the stride. *)
 let stride_indices ~n ~offset ~stride =
   if stride <= 1 then Array.init n Fun.id
   else if offset >= n then [||]
@@ -697,8 +697,8 @@ let filter t (mask : Bitv.t) =
 
 (* Row-wise tuple concatenation.  The fast path concatenates column
    lists; anything irregular falls back to per-row
-   [Value.concat_tuples], which also reproduces the row engine's
-   exception on non-tuple rows. *)
+   [Value.concat_tuples], which also raises its exception on non-tuple
+   rows. *)
 let hstack a b =
   if a.n <> b.n then invalid_arg "Columnar.hstack: length mismatch";
   match (a.row, b.row) with
@@ -1003,8 +1003,8 @@ let null_mask (c : col) : Bitv.t option =
 
 module Coder = struct
   (* Codes are hash-consed integers: two values get the same code iff
-     they are structurally equal (the same equivalence the row engine's
-     generic [Hashtbl] grouping uses).  Tuples and bags fold their
+     they are structurally equal (the same equivalence generic
+     [Hashtbl] grouping on rows uses).  Tuples and bags fold their
      member codes through a pair-interning table, so coding a column is
      linear in its flattened size. *)
 
@@ -1266,7 +1266,7 @@ let col_presence (c : col) n : Bitv.t option =
 let num2 name fi ff (a : col) (b : col) n : col =
   (match (a, b) with CBox _, _ | _, CBox _ -> raise Fallback | _ -> ());
   let pa = col_presence a n and pb = col_presence b n in
-  (* Rows where both operands are non-Null; only those can compute or
+  (* The rows where both operands are non-Null; only those can compute or
      raise — everything else is Null, like [numeric_binop]. *)
   let both =
     match (pa, pb) with
@@ -1468,19 +1468,6 @@ let eval_pred_mask (t : t) (p : Nrab.Expr.pred) : Bitv.t =
     (* Per-row fallback reproduces short-circuit evaluation exactly,
        including which exceptions (if any) escape. *)
     Bitv.init t.n (fun i -> Nrab.Expr.eval_pred (get_row t i) p)
-
-(* ------------------------------------------------------------------ *)
-(* Row-engine escape hatch                                             *)
-(* ------------------------------------------------------------------ *)
-
-let row_engine_flag =
-  ref
-    (match Sys.getenv_opt "WHYNOT_ROW_ENGINE" with
-    | Some "" | Some "0" | None -> false
-    | Some _ -> true)
-
-let row_engine () = !row_engine_flag
-let set_row_engine b = row_engine_flag := b
 
 (* ------------------------------------------------------------------ *)
 (* Relation -> batch cache                                             *)

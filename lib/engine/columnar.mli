@@ -142,14 +142,14 @@ val empty : t
 (** [n] copies of one value, as a batch. *)
 val broadcast : int -> Value.t -> t
 
-(** Rows whose value is [Null] ([None] = no nulls). *)
+(** Which rows hold [Null] ([None] = no nulls). *)
 val null_mask : col -> Bitv.t option
 
 (** {1 Value coding}
 
     Hash-consed integer codes: two values receive the same code iff
-    they are structurally equal — the equivalence the row engine's
-    generic [Hashtbl] grouping uses.  A coder's codes are consistent
+    they are structurally equal — the equivalence generic [Hashtbl]
+    grouping on rows uses.  A coder's codes are consistent
     across every column it codes, so join keys from both sides can be
     compared as ints. *)
 module Coder : sig
@@ -172,8 +172,8 @@ val row_codes : Coder.t -> t -> int array
 
 (** {1 Hashing}
 
-    Identical to [Dataset.value_hash], vectorized — shuffles land rows
-    on the same partitions as the row engine. *)
+    [hash_col] is [value_hash] vectorized: hashing a column lands each
+    row on the partition that hashing its value would. *)
 
 val value_hash : Value.t -> int
 val hash_col : col -> int array
@@ -194,11 +194,3 @@ val col_bytes : col -> int
 val bytes : t -> int
 val note_bytes_moved : int -> unit
 val note_rows_scanned : int -> unit
-
-(** {1 Row-engine escape hatch}
-
-    Initialized from [WHYNOT_ROW_ENGINE]; settable in-process so tests
-    and the bench harness can compare both paths. *)
-
-val row_engine : unit -> bool
-val set_row_engine : bool -> unit

@@ -1,7 +1,8 @@
 (** Partitioned datasets — the engine's unit of distribution.
 
     A dataset is an array of partitions, each holding tuples already
-    expanded to their multiplicities (like rows of a Spark DataFrame). *)
+    expanded to their multiplicities (like rows of a Spark DataFrame) as
+    one {!Columnar.t} batch. *)
 
 open Nested
 
@@ -17,37 +18,34 @@ type t
     their recompute closure). *)
 exception Spill_lost of string
 
-val of_partitions : Value.t list array -> t
-
-(** Row view of every partition (columnar partitions reconstruct). *)
-val partitions : t -> Value.t list array
-
-(** Columnar view of every partition (row partitions build batches). *)
+(** Every partition's batch. *)
 val cpartitions : t -> Columnar.t array
 
-(** Columnar view of one partition — prefer this inside a retry scope:
+(** One partition's batch — prefer this inside a retry scope:
     a checkpointed or spilled partition performs its disk read here, so
     fetching inside {!Fault.protect} makes the read recoverable. *)
 val cpartition : t -> int -> Columnar.t
 
-(** Row view of one partition (same retry-scope guidance as
-    {!cpartition}). *)
-val partition : t -> int -> Value.t list
-
 val of_cpartitions : Columnar.t array -> t
 val partition_count : t -> int
 val cardinal : t -> int
+
+(** Every row, partition by partition (reconstructed from the batches). *)
 val to_list : t -> Value.t list
 
 (** Deterministic, run-stable value hash (partitioning must not depend on
     OCaml's randomized hashing). *)
 val value_hash : Value.t -> int
 
-(** Round-robin distribution over [partitions] partitions (≥ 1). *)
+(** Round-robin distribution of a list of tuples over [partitions]
+    partitions (≥ 1), built as batches. *)
 val distribute : partitions:int -> Value.t list -> t
 
-(** Hash-repartition by a key — a shuffle.  Also returns the number of
-    rows that crossed partitions.
+(** Hash-repartition — a shuffle: [hash_of] yields one destination hash
+    per batch row (e.g. {!Columnar.hash_col} over the key columns, or
+    {!value_hash} of each row's key).  Also returns the number of rows
+    that crossed partitions.  Moved rows travel as contiguous gathered
+    column slices; shipped bytes land on [engine.columnar.bytes_moved].
 
     With [barrier], every output partition is checkpointed to the
     {!Checkpoint} store under that label and becomes a durable recovery
@@ -56,14 +54,6 @@ val distribute : partitions:int -> Value.t list -> t
     the barrier).  A checkpoint write that fails — chaos site
     ["engine.shuffle.write"] or real IO trouble — degrades to the plain
     in-memory partition ([engine.checkpoint.write_failures]). *)
-val shuffle_by :
-  ?barrier:string -> partitions:int -> (Value.t -> Value.t) -> t -> t * int
-
-(** Vectorized shuffle: [hash_of] yields one destination hash per batch
-    row (use {!Columnar.hash_col} over the key columns for parity with
-    {!shuffle_by}).  Moved rows travel as contiguous gathered column
-    slices; shipped bytes land on [engine.columnar.bytes_moved].
-    [barrier] as in {!shuffle_by}. *)
 val shuffle_hashed :
   ?barrier:string ->
   partitions:int ->
@@ -76,14 +66,14 @@ val shuffle_hashed :
     recovery root, counted on [engine.recover.from_checkpoint]); an
     in-memory partition can only replay from its source input
     ([engine.recover.from_source]).  Bumps
-    [engine.recover.replayed_partitions].  {!map_partitions} calls this
+    [engine.recover.replayed_partitions].  {!map_cpartitions} calls this
     automatically before every task re-attempt; executors running their
     own {!Fault.protect} scopes (joins) call it from their retry
     hooks. *)
 val recover_partition : t -> int -> unit
 
-(** Resident in-memory footprint (cached/columnar partitions exact, row
-    partitions estimated; spilled partitions count 0). *)
+(** Resident in-memory footprint in arena bytes (spilled partitions
+    count 0). *)
 val memory_bytes : t -> int
 
 (** [spill_over ~watermark d] evicts partitions largest-first until the
@@ -102,7 +92,7 @@ val spill_over : watermark:int -> t -> int
 (** Collapse to a single partition; returns the rows moved. *)
 val gather : t -> t * int
 
-(** Transform every partition; with [parallel] the partitions are
+(** Transform every partition's batch; with [parallel] the partitions are
     processed concurrently on [pool] (default {!Pool.default} — the
     engine's task parallelism).  [f] must be pure.
 
@@ -113,20 +103,8 @@ val gather : t -> t * int
     with the task attributed as ["<label>/p<i>"].  The
     ["engine.partition"] chaos site fires once per attempt inside the
     retry scope.  [on_retry] fires before each re-attempt (for span
-    attribution). *)
-val map_partitions :
-  ?parallel:bool ->
-  ?pool:Pool.t ->
-  ?retry:Fault.policy ->
-  ?label:string ->
-  ?on_retry:(partition:int -> attempt:int -> exn -> unit) ->
-  (Value.t list -> Value.t list) ->
-  t ->
-  t
-
-(** Columnar sibling of {!map_partitions}: identical task-attempt
-    semantics (chaos site, retries, pool fan-out), batch-in/batch-out —
-    no per-row tree materialization on the fast path. *)
+    attribution).  Batch-in/batch-out: no per-row tree
+    materialization. *)
 val map_cpartitions :
   ?parallel:bool ->
   ?pool:Pool.t ->
@@ -137,8 +115,7 @@ val map_cpartitions :
   t ->
   t
 
-(** Columnar when the columnar engine is active (cached arena build of
-    the relation, round-robin column slices), row lists under
-    [WHYNOT_ROW_ENGINE]. *)
+(** Cached arena build of the relation, split into round-robin column
+    slices. *)
 val of_relation : partitions:int -> Relation.t -> t
 val to_relation : schema:Vtype.t -> t -> Relation.t

@@ -53,9 +53,11 @@ let equi_split (lfields : string list) (rfields : string list) (p : Expr.pred)
 
 let equi_keys lfields rfields p = fst (equi_split lfields rfields p)
 
-(* Per-row kernels shared by narrow operators.  All of these are staged:
-   applying the first argument(s) precomputes the lookup structures once,
-   so the per-row closure does no list scans over the parameters. *)
+(* Per-row kernels: the columnar kernels below fall back to these for
+   batches without tuple columns (rows that disagree on shape).  All of
+   these are staged: applying the first argument(s) precomputes the
+   lookup structures once, so the per-row closure does no list scans
+   over the parameters. *)
 
 (* Key projection staged over the attribute list: one pass over the
    row's fields instead of one [Value.field] scan per key attribute. *)
@@ -91,9 +93,6 @@ let key_of attrs : Value.t -> Value.t =
              | Some v -> (a, v)
              | None -> err "engine: unknown key attribute %s" a)
            attrs)
-
-let project_row cols t =
-  Value.Tuple (List.map (fun (name, e) -> (name, Expr.eval t e)) cols)
 
 let rename_label_fn pairs : string -> string =
   let fresh_of = Hashtbl.create (2 * List.length pairs) in
@@ -151,119 +150,6 @@ let nest_tuple_row pairs c_name : Value.t -> Value.t =
       Value.Tuple (rest @ [ (c_name, Value.Tuple nested) ])
     | _ -> err "engine: nest_tuple of non-tuple"
 
-let agg_tuple_row fn a b t =
-  let values =
-    match Value.field a t with
-    | Some (Value.Bag _ as bag) ->
-      List.map
-        (fun v ->
-          match v with Value.Tuple [ (_, inner) ] -> inner | other -> other)
-        (Value.expand bag)
-    | Some Value.Null | None -> []
-    | Some _ -> err "engine: per-tuple aggregation of non-bag attribute %s" a
-  in
-  Value.concat_tuples t (Value.Tuple [ (b, Agg.apply fn values) ])
-
-(* Partition-local join kernel.  With equi-keys this is a hash join: the
-   smaller side is indexed by its key tuple and the other side probes,
-   evaluating only the residual predicate on each candidate — candidate
-   enumeration is lossless because any pair satisfying the full predicate
-   agrees on the equi-key conjuncts.  Without keys it degrades to the
-   nested loop (the full predicate is then the residual).  Row order
-   within a partition is irrelevant: bags are normalized downstream. *)
-let join_partition ~keys ~(residual : Expr.pred) ~kind ~lnull ~rnull
-    (lrows : Value.t list) (rrows : Value.t list) : Value.t list =
-  let matched_left = Hashtbl.create 16 in
-  let matched_right = Hashtbl.create 16 in
-  let inner =
-    match keys with
-    | [] ->
-      List.concat
-        (List.mapi
-           (fun li t ->
-             List.filter_map
-               (fun (ri, u) ->
-                 let joined = Value.concat_tuples t u in
-                 if Expr.eval_pred joined residual then begin
-                   Hashtbl.replace matched_left li ();
-                   Hashtbl.replace matched_right ri ();
-                   Some joined
-                 end
-                 else None)
-               (List.mapi (fun ri u -> (ri, u)) rrows))
-           lrows)
-    | keys ->
-      let lkey = key_of (List.map fst keys)
-      and rkey = key_of (List.map snd keys) in
-      (* Key tuples are compared positionally (labels stripped) so that
-         the two sides' attribute names do not have to agree.  A key
-         containing Null can never satisfy an equality conjunct
-         ([Null = Null] is false, as in SQL), so such rows are excluded
-         from both build and probe — they surface only as outer pads. *)
-      let key_values k t =
-        match k t with
-        | Value.Tuple fields -> List.map snd fields
-        | v -> [ v ]
-      in
-      let has_null = List.exists (fun v -> v = Value.Null) in
-      let build_is_left = List.length lrows <= List.length rrows in
-      let build_rows, build_key, probe_rows, probe_key =
-        if build_is_left then (lrows, key_values lkey, rrows, key_values rkey)
-        else (rrows, key_values rkey, lrows, key_values lkey)
-      in
-      let index = Hashtbl.create (2 * List.length build_rows) in
-      List.iteri
-        (fun bi b ->
-          let k = build_key b in
-          if not (has_null k) then
-            Hashtbl.replace index k
-              ((bi, b) :: Option.value ~default:[] (Hashtbl.find_opt index k)))
-        build_rows;
-      let matched_build, matched_probe =
-        if build_is_left then (matched_left, matched_right)
-        else (matched_right, matched_left)
-      in
-      List.concat
-        (List.mapi
-           (fun pi p ->
-             List.filter_map
-               (fun (bi, b) ->
-                 let joined =
-                   if build_is_left then Value.concat_tuples b p
-                   else Value.concat_tuples p b
-                 in
-                 if Expr.eval_pred joined residual then begin
-                   Hashtbl.replace matched_build bi ();
-                   Hashtbl.replace matched_probe pi ();
-                   Some joined
-                 end
-                 else None)
-               (Option.value ~default:[]
-                  (Hashtbl.find_opt index (probe_key p))))
-           probe_rows)
-  in
-  let left_pad () =
-    List.concat
-      (List.mapi
-         (fun li t ->
-           if Hashtbl.mem matched_left li then []
-           else [ Value.concat_tuples t rnull ])
-         lrows)
-  in
-  let right_pad () =
-    List.concat
-      (List.mapi
-         (fun ri u ->
-           if Hashtbl.mem matched_right ri then []
-           else [ Value.concat_tuples lnull u ])
-         rrows)
-  in
-  match kind with
-  | Query.Inner -> inner
-  | Query.Left -> inner @ left_pad ()
-  | Query.Right -> inner @ right_pad ()
-  | Query.Full -> inner @ left_pad () @ right_pad ()
-
 (* Group rows of one partition by key. *)
 let group_rows (key : Value.t -> Value.t) (rows : Value.t list) :
     (Value.t * Value.t list) list =
@@ -282,32 +168,12 @@ let group_rows (key : Value.t -> Value.t) (rows : Value.t list) :
 
 let group_by_attrs attrs rows = group_rows (key_of attrs) rows
 
-(* Bag difference on row lists. *)
-let diff_rows (l : Value.t list) (r : Value.t list) : Value.t list =
-  let counts = Hashtbl.create 64 in
-  List.iter
-    (fun row ->
-      Hashtbl.replace counts row
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts row)))
-    r;
-  List.filter
-    (fun row ->
-      match Hashtbl.find_opt counts row with
-      | Some n when n > 0 ->
-        Hashtbl.replace counts row (n - 1);
-        false
-      | _ -> true)
-    l
-
 (* --- Columnar (vectorized) kernels --------------------------------- *)
 
-(* The engine runs these when the columnar engine is active (the
-   default); [WHYNOT_ROW_ENGINE] falls back to the row kernels above.
-   Each kernel is multiset-equivalent to its row sibling — row order
-   within a partition is irrelevant because bags are normalized
-   downstream — and reproduces the row kernel's error behavior. *)
-
-let vectorized () = not (Columnar.row_engine ())
+(* Every operator runs one of these over whole partition batches.  Row
+   order within a partition is irrelevant because bags are normalized
+   downstream; a batch without tuple columns takes its kernel's per-row
+   fallback above, with the same error behavior as the column path. *)
 
 (* Destination hashes for a shuffle keyed by labelled attribute
    projections ([(label, source attr)] pairs), identical to hashing
@@ -354,8 +220,8 @@ let dedup_cols (b : Columnar.t) : Columnar.t =
     codes;
   Columnar.gather b (Array.of_list (List.rev !keep))
 
-(* Bag difference on one partition pair, multiset semantics like
-   [diff_rows]: each right occurrence cancels one left occurrence. *)
+(* Bag difference on one partition pair, multiset semantics: each right
+   occurrence cancels one left occurrence. *)
 let diff_cols (lb : Columnar.t) (rb : Columnar.t) : Columnar.t =
   let coder = Columnar.Coder.create () in
   let lc = Columnar.row_codes coder lb in
@@ -377,9 +243,12 @@ let diff_cols (lb : Columnar.t) (rb : Columnar.t) : Columnar.t =
 
 (* Partition-local hash join over code vectors: build the smaller side's
    key codes into an index, probe with the other side, evaluate only the
-   residual on the gathered candidate pairs.  Mirrors [join_partition]
-   (build-side choice, Null key exclusion, outer padding) without
-   materializing per-row trees. *)
+   residual on the gathered candidate pairs — candidate enumeration is
+   lossless because any pair satisfying the full predicate agrees on the
+   equi-key conjuncts.  Without keys every pair is a candidate (the
+   nested loop; the full predicate is then the residual).  Unmatched
+   rows are padded with the other side's null tuple for outer joins.
+   No per-row trees are materialized. *)
 let join_cols ~keys ~(residual : Expr.pred) ~kind ~lnull ~rnull
     (lb : Columnar.t) (rb : Columnar.t) : Columnar.t =
   let module C = Columnar in
@@ -517,8 +386,8 @@ let join_cols ~keys ~(residual : Expr.pred) ~kind ~lnull ~rnull
   | Query.Right -> C.vstack [ inner; right_pad () ]
   | Query.Full -> C.vstack [ inner; left_pad (); right_pad () ]
 
-(* Rows per structural-equality class of [codes], first-seen order,
-   members ascending — the grouping order of [group_rows]. *)
+(* Row indices per structural-equality class of [codes], first-seen
+   order, members ascending — the grouping order of [group_rows]. *)
 let group_indices (codes : int array) : int array array =
   let tbl = Hashtbl.create 64 in
   let order = ref [] in
@@ -754,8 +623,8 @@ let nest_rel_cols ~group_attrs pairs c_name (b : Columnar.t) : Columnar.t =
          (group_by_attrs group_attrs (Columnar.to_rows b)))
 
 (* Grouped aggregation on one (already shuffled) partition: key columns
-   are lax like [group_key]; aggregate inputs are strict like
-   [aggregate]'s member lookups. *)
+   are lax (a missing attribute groups as Null); aggregate inputs are
+   strict (a missing attribute raises). *)
 let group_agg_cols group aggs (b : Columnar.t) : Columnar.t =
   let n = Columnar.length b in
   match Columnar.cols b with
@@ -890,35 +759,23 @@ let run ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
       ostat.Stats.output_rows <- ostat.Stats.output_rows + output
     in
     (* Every partition-transform of this operator is a retryable task
-       attributed to the operator's span name. *)
+       attributed to the operator's span name.  Kernels skip empty
+       batches, so a missing attribute raises only where some row
+       carries it. *)
     let mapp f d =
-      Dataset.map_partitions ~parallel ~retry ~label:op_name
-        ~on_retry:(retry_attr sp) f d
-    in
-    let mappc f d =
       Dataset.map_cpartitions ~parallel ~retry ~label:op_name
-        ~on_retry:(retry_attr sp) f d
+        ~on_retry:(retry_attr sp)
+        (fun b -> if Columnar.length b = 0 then b else f b)
+        d
     in
     let narrow child kernel =
       let d = go sp child in
       let input = Dataset.cardinal d in
-      let out = mapp (List.concat_map kernel) d in
+      let out = mapp kernel d in
       record_io input (Dataset.cardinal out);
       out
     in
-    (* Columnar sibling of [narrow]: batch-in/batch-out per partition.
-       Kernels skip empty batches so vectorized attribute lookups never
-       raise where the (row-less) row path would not. *)
-    let narrowc child kernel =
-      let d = go sp child in
-      let input = Dataset.cardinal d in
-      let out =
-        mappc (fun b -> if Columnar.length b = 0 then b else kernel b) d
-      in
-      record_io input (Dataset.cardinal out);
-      out
-    in
-    let out = maybe_spill (eval_node sp ostat record_io narrow narrowc mapp mappc q) in
+    let out = maybe_spill (eval_node sp ostat record_io narrow mapp q) in
     Option.iter
       (fun s ->
         Obs.Span.set_int s "op_id" q.id;
@@ -928,35 +785,28 @@ let run ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
         Obs.Span.finish s)
       sp;
     out
-  and eval_node sp ostat record_io narrow narrowc mapp mappc (q : Query.t) :
-      Dataset.t =
+  and eval_node sp ostat record_io narrow mapp (q : Query.t) : Dataset.t =
     match q.node, q.children with
     | Query.Table name, [] ->
       let rel = Relation.Db.find_exn name db in
       let d = Dataset.of_relation ~partitions:n rel in
       record_io (Relation.cardinal rel) (Dataset.cardinal d);
       d
-    | Query.Select pred, [ c ] when vectorized () ->
-      narrowc c (fun b -> Columnar.filter b (Columnar.eval_pred_mask b pred))
     | Query.Select pred, [ c ] ->
-      narrow c (fun t -> if Expr.eval_pred t pred then [ t ] else [])
-    | Query.Project cols, [ c ] when vectorized () ->
-      narrowc c (fun b ->
+      narrow c (fun b -> Columnar.filter b (Columnar.eval_pred_mask b pred))
+    | Query.Project cols, [ c ] ->
+      narrow c (fun b ->
           Columnar.of_cols (Columnar.length b)
             (List.map (fun (name, e) -> (name, Columnar.eval_expr b e)) cols))
-    | Query.Project cols, [ c ] -> narrow c (fun t -> [ project_row cols t ])
-    | Query.Rename pairs, [ c ] when vectorized () ->
+    | Query.Rename pairs, [ c ] ->
       let rename_label = rename_label_fn pairs in
       let rename = rename_row pairs in
-      narrowc c (fun b ->
+      narrow c (fun b ->
           match Columnar.cols b with
           | Some fields ->
             Columnar.of_cols (Columnar.length b)
               (List.map (fun (l, c) -> (rename_label l, c)) fields)
           | None -> Columnar.of_rows (List.map rename (Columnar.to_rows b)))
-    | Query.Rename pairs, [ c ] ->
-      let rename = rename_row pairs in
-      narrow c (fun t -> [ rename t ])
     | Query.Flatten_tuple a, [ c ] ->
       let cty = Typecheck.infer env c in
       let inner_ty =
@@ -964,8 +814,7 @@ let run ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
         | Some ty -> ty
         | None -> err "engine: unknown attribute %s" a
       in
-      if vectorized () then narrowc c (flatten_tuple_cols inner_ty a)
-      else narrow c (fun t -> [ flatten_tuple_row inner_ty a t ])
+      narrow c (flatten_tuple_cols inner_ty a)
     | Query.Flatten (kind, a), [ c ] ->
       let cty = Typecheck.infer env c in
       let inner_ty =
@@ -973,41 +822,20 @@ let run ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
         | Some (Vtype.TBag ety) -> ety
         | Some _ | None -> err "engine: attribute %s is not a relation" a
       in
-      if vectorized () then narrowc c (flatten_cols kind inner_ty a)
-      else narrow c (flatten_rel_rows kind inner_ty a)
+      narrow c (flatten_cols kind inner_ty a)
     | Query.Nest_tuple (pairs, c_name), [ c ] ->
-      if vectorized () then narrowc c (nest_tuple_cols pairs c_name)
-      else
-        let nest = nest_tuple_row pairs c_name in
-        narrow c (fun t -> [ nest t ])
-    | Query.Agg_tuple (fn, a, b), [ c ] ->
-      if vectorized () then narrowc c (agg_tuple_cols fn a b)
-      else narrow c (fun t -> [ agg_tuple_row fn a b t ])
+      narrow c (nest_tuple_cols pairs c_name)
+    | Query.Agg_tuple (fn, a, b), [ c ] -> narrow c (agg_tuple_cols fn a b)
     | Query.Union, [ l; r ] ->
       let dl = go sp l and dr = go sp r in
       let input = Dataset.cardinal dl + Dataset.cardinal dr in
+      let cl = Dataset.cpartitions dl and cr = Dataset.cpartitions dr in
       let out =
-        if vectorized () then begin
-          let cl = Dataset.cpartitions dl and cr = Dataset.cpartitions dr in
-          Dataset.of_cpartitions
-            (Array.init n (fun i ->
-                 let pl = if i < Array.length cl then cl.(i) else Columnar.empty
-                 and pr = if i < Array.length cr then cr.(i) else Columnar.empty in
-                 Columnar.vstack [ pl; pr ]))
-        end
-        else
-          Dataset.of_partitions
-            (Array.init n (fun i ->
-                 let pl =
-                   if i < Dataset.partition_count dl then
-                     (Dataset.partitions dl).(i)
-                   else []
-                 and pr =
-                   if i < Dataset.partition_count dr then
-                     (Dataset.partitions dr).(i)
-                   else []
-                 in
-                 pl @ pr))
+        Dataset.of_cpartitions
+          (Array.init n (fun i ->
+               let pl = if i < Array.length cl then cl.(i) else Columnar.empty
+               and pr = if i < Array.length cr then cr.(i) else Columnar.empty in
+               Columnar.vstack [ pl; pr ]))
       in
       record_io input (Dataset.cardinal out);
       out
@@ -1030,42 +858,21 @@ let run ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
             Obs.Faultinject.fire "engine.partition";
             part_op i)
       in
-      let out, moved =
-        if vectorized () then begin
-          let dl, m1 =
-            Dataset.shuffle_hashed ?barrier:(barrier "diff-l") ~partitions:n
-              whole_row_hash dl
-          in
-          let dr, m2 =
-            Dataset.shuffle_hashed ?barrier:(barrier "diff-r") ~partitions:n
-              whole_row_hash dr
-          in
-          ( Dataset.of_cpartitions
-              (Array.init n
-                 (diff_task dl dr (fun i ->
-                      diff_cols
-                        (Dataset.cpartition dl i)
-                        (Dataset.cpartition dr i)))),
-            m1 + m2 )
-        end
-        else begin
-          let dl, m1 =
-            Dataset.shuffle_by ?barrier:(barrier "diff-l") ~partitions:n
-              Fun.id dl
-          in
-          let dr, m2 =
-            Dataset.shuffle_by ?barrier:(barrier "diff-r") ~partitions:n
-              Fun.id dr
-          in
-          ( Dataset.of_partitions
-              (Array.init n
-                 (diff_task dl dr (fun i ->
-                      diff_rows
-                        (Dataset.partition dl i)
-                        (Dataset.partition dr i)))),
-            m1 + m2 )
-        end
+      let dl, m1 =
+        Dataset.shuffle_hashed ?barrier:(barrier "diff-l") ~partitions:n
+          whole_row_hash dl
       in
+      let dr, m2 =
+        Dataset.shuffle_hashed ?barrier:(barrier "diff-r") ~partitions:n
+          whole_row_hash dr
+      in
+      let out =
+        Dataset.of_cpartitions
+          (Array.init n
+             (diff_task dl dr (fun i ->
+                  diff_cols (Dataset.cpartition dl i) (Dataset.cpartition dr i))))
+      in
+      let moved = m1 + m2 in
       Stats.record_shuffle stats ostat moved;
       finish_shuffle ssp moved;
       record_io input (Dataset.cardinal out);
@@ -1075,17 +882,12 @@ let run ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
       let input = Dataset.cardinal d in
       let ssp = sub sp "shuffle" in
       let d, moved =
-        if vectorized () then
-          Dataset.shuffle_hashed ?barrier:(barrier "dedup") ~partitions:n
-            whole_row_hash d
-        else Dataset.shuffle_by ?barrier:(barrier "dedup") ~partitions:n Fun.id d
+        Dataset.shuffle_hashed ?barrier:(barrier "dedup") ~partitions:n
+          whole_row_hash d
       in
       Stats.record_shuffle stats ostat moved;
       finish_shuffle ssp moved;
-      let out =
-        if vectorized () then mappc dedup_cols d
-        else mapp (fun rows -> List.map fst (group_rows Fun.id rows)) d
-      in
+      let out = mapp dedup_cols d in
       record_io input (Dataset.cardinal out);
       out
     | Query.Nest_rel (pairs, c_name), [ c ] ->
@@ -1097,43 +899,15 @@ let run ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
       let group_attrs = List.filter (fun a -> not (List.mem a attrs)) all in
       let ssp = sub sp "shuffle" in
       let d, moved =
-        if vectorized () then
-          Dataset.shuffle_hashed ?barrier:(barrier "nest") ~partitions:n
-            (key_hash_of_pairs
-               (List.map (fun a -> (a, a)) group_attrs)
-               ~strict:true (key_of group_attrs))
-            d
-        else
-          Dataset.shuffle_by ?barrier:(barrier "nest") ~partitions:n
-            (key_of group_attrs) d
+        Dataset.shuffle_hashed ?barrier:(barrier "nest") ~partitions:n
+          (key_hash_of_pairs
+             (List.map (fun a -> (a, a)) group_attrs)
+             ~strict:true (key_of group_attrs))
+          d
       in
       Stats.record_shuffle stats ostat moved;
       finish_shuffle ssp moved;
-      let proj t =
-        Value.Tuple
-          (List.map
-             (fun (label, a) ->
-               ( label,
-                 Option.value ~default:Value.Null (Value.field a t) ))
-             pairs)
-      in
-      let nest rows =
-        List.map
-          (fun (k, members) ->
-            let nested = List.map proj members in
-            Value.concat_tuples k
-              (Value.Tuple [ (c_name, Value.bag_of_list nested) ]))
-          (group_by_attrs group_attrs rows)
-      in
-      let out =
-        if vectorized () then
-          mappc
-            (fun b ->
-              if Columnar.length b = 0 then b
-              else nest_rel_cols ~group_attrs pairs c_name b)
-            d
-        else mapp nest d
-      in
+      let out = mapp (nest_rel_cols ~group_attrs pairs c_name) d in
       record_io input (Dataset.cardinal out);
       out
     | Query.Group_agg (group, aggs), [ c ] ->
@@ -1148,47 +922,13 @@ let run ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
       in
       let ssp = sub sp "shuffle" in
       let d, moved =
-        if vectorized () then
-          Dataset.shuffle_hashed ?barrier:(barrier "groupagg") ~partitions:n
-            (key_hash_of_pairs group ~strict:false group_key)
-            d
-        else
-          Dataset.shuffle_by ?barrier:(barrier "groupagg") ~partitions:n
-            group_key d
+        Dataset.shuffle_hashed ?barrier:(barrier "groupagg") ~partitions:n
+          (key_hash_of_pairs group ~strict:false group_key)
+          d
       in
       Stats.record_shuffle stats ostat moved;
       finish_shuffle ssp moved;
-      let aggregate rows =
-        List.map
-          (fun (k, members) ->
-            let agg_fields =
-              List.map
-                (fun (fn, a, out_name) ->
-                  let values =
-                    match a with
-                    | Some a ->
-                      List.map
-                        (fun t ->
-                          match Value.field a t with
-                          | Some v -> v
-                          | None -> err "engine: unknown attribute %s" a)
-                        members
-                    | None -> List.map (fun _ -> Value.Int 1) members
-                  in
-                  (out_name, Agg.apply fn values))
-                aggs
-            in
-            Value.concat_tuples k (Value.Tuple agg_fields))
-          (group_rows group_key rows)
-      in
-      let out =
-        if vectorized () then
-          mappc
-            (fun b ->
-              if Columnar.length b = 0 then b else group_agg_cols group aggs b)
-            d
-        else mapp aggregate d
-      in
+      let out = mapp (group_agg_cols group aggs) d in
       record_io input (Dataset.cardinal out);
       out
     | Query.Join (kind, pred), [ l; r ] ->
@@ -1223,61 +963,33 @@ let run ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
               (List.map2 (fun (a, _) (_, v) -> (a, v)) keys fields)
           | v -> v
         in
-        if vectorized () then begin
-          let dl, m1 =
-            Dataset.shuffle_hashed ?barrier:(barrier "join-l") ~partitions:n
-              (key_hash_of_pairs
-                 (List.map (fun (a, _) -> (a, a)) keys)
-                 ~strict:true lkey)
-              dl
-          in
-          let dr, m2 =
-            Dataset.shuffle_hashed ?barrier:(barrier "join-r") ~partitions:n
-              (key_hash_of_pairs keys ~strict:true rkey)
-              dr
-          in
-          (dl, dr, m1 + m2)
-        end
-        else begin
-          let dl, m1 =
-            Dataset.shuffle_by ?barrier:(barrier "join-l") ~partitions:n lkey
-              dl
-          in
-          let dr, m2 =
-            Dataset.shuffle_by ?barrier:(barrier "join-r") ~partitions:n rkey
-              dr
-          in
-          (dl, dr, m1 + m2)
-        end
+        let dl, m1 =
+          Dataset.shuffle_hashed ?barrier:(barrier "join-l") ~partitions:n
+            (key_hash_of_pairs
+               (List.map (fun (a, _) -> (a, a)) keys)
+               ~strict:true lkey)
+            dl
+        in
+        let dr, m2 =
+          Dataset.shuffle_hashed ?barrier:(barrier "join-r") ~partitions:n
+            (key_hash_of_pairs keys ~strict:true rkey)
+            dr
+        in
+        (dl, dr, m1 + m2)
     in
     Stats.record_shuffle stats ostat moved;
     finish_shuffle ssp moved;
     let np = max (Dataset.partition_count dl) (Dataset.partition_count dr) in
-    let vect = vectorized () in
     (* Partition fetches live inside the task (not hoisted before it):
        a checkpointed or spilled partition does its disk read in the
        retry scope, so a torn read is recovered like any other task
        fault. *)
-    let join_part =
-      if vect then begin
-        let cpart d i =
-          if i < Dataset.partition_count d then Dataset.cpartition d i
-          else Columnar.empty
-        in
-        fun i ->
-          `Cols
-            (join_cols ~keys ~residual ~kind ~lnull ~rnull (cpart dl i)
-               (cpart dr i))
-      end
-      else begin
-        let part d i =
-          if i < Dataset.partition_count d then Dataset.partition d i else []
-        in
-        fun i ->
-          `Rows
-            (join_partition ~keys ~residual ~kind ~lnull ~rnull (part dl i)
-               (part dr i))
-      end
+    let cpart d i =
+      if i < Dataset.partition_count d then Dataset.cpartition d i
+      else Columnar.empty
+    in
+    let join_part i =
+      join_cols ~keys ~residual ~kind ~lnull ~rnull (cpart dl i) (cpart dr i)
     in
     (* Join tasks retry like narrow partition tasks: the shuffled input
        partitions are immutable (or durable, after a barrier), so
@@ -1297,18 +1009,7 @@ let run ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
         Pool.map_array (Pool.default ()) join_task (Array.init np Fun.id)
       else Array.init np join_task
     in
-    let out =
-      if vect then
-        Dataset.of_cpartitions
-          (Array.map
-             (function `Cols b -> b | `Rows r -> Columnar.of_rows r)
-             parts)
-      else
-        Dataset.of_partitions
-          (Array.map
-             (function `Rows r -> r | `Cols b -> Columnar.to_rows b)
-             parts)
-    in
+    let out = Dataset.of_cpartitions parts in
     ostat.Stats.input_rows <- ostat.Stats.input_rows + input;
     ostat.Stats.output_rows <- ostat.Stats.output_rows + Dataset.cardinal out;
     out

@@ -2,7 +2,7 @@
 
    OCaml 5 domains are heavyweight (each owns a minor heap and a slice
    of the GC), so spawning one per partition per operator — what
-   [Dataset.map_partitions] did before this module existed — costs more
+   the dataset partition map did before this module existed — costs more
    than the partition work it parallelizes.  Instead we spawn
    [Domain.recommended_domain_count () - 1] workers once, feed them
    through a mutex/condvar work queue, and hand callers futures.

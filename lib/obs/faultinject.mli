@@ -5,7 +5,7 @@
 
     A {e site} is a string naming a hook point.  Current sites:
     - engine: ["engine.partition"] (per-partition task attempts, fired
-      once per attempt inside {!Engine.Dataset.map_partitions} and the
+      once per attempt inside {!Engine.Dataset.map_cpartitions} and the
       executor's join tasks), ["engine.pool.worker"] (the pool's worker
       loop, fired before each dequeue — arming it kills a worker
       domain);

@@ -4,12 +4,8 @@
    (or a fully-off config) renders byte-identical to an exact run, a
    top-k cutoff at or above the result size is the full ranking, and
    sampled runs carry honest confidences — at most 1.0, monotonically
-   non-increasing in the stride — identically on both engines. *)
-
-let with_engine row f =
-  let saved = Engine.Columnar.row_engine () in
-  Engine.Columnar.set_row_engine row;
-  Fun.protect ~finally:(fun () -> Engine.Columnar.set_row_engine saved) f
+   non-increasing in the stride.  The stride-3 sampled explanations
+   themselves are pinned in the golden corpus (explanations.expected). *)
 
 let render (q : Nrab.Query.t) (rp : Whynot.Pipeline.result) =
   String.concat "\n"
@@ -149,26 +145,6 @@ let test_confidence_bounds_and_monotonicity () =
       in
       check_monotone cs)
 
-(* stride sampling keys on global row ids, which both engines allocate
-   identically — sampled runs are engine-deterministic too *)
-let test_sampled_runs_engine_identical () =
-  List.iter
-    (fun (s : Scenarios.Scenario.t) ->
-      let inst = s.Scenarios.Scenario.make ~scale:1 () in
-      let phi = inst.Scenarios.Scenario.question in
-      let q = phi.Whynot.Question.query in
-      let run row =
-        with_engine row (fun () ->
-            render q
-              (Whynot.Pipeline.explain
-                 ~approx:(approx (sampled 3))
-                 ~alternatives:inst.Scenarios.Scenario.alternatives phi))
-      in
-      Alcotest.(check string)
-        (s.Scenarios.Scenario.name ^ ": sampled row = columnar")
-        (run true) (run false))
-    Scenarios.Registry.all
-
 let () =
   Alcotest.run "approx"
     [
@@ -180,7 +156,5 @@ let () =
             test_topk_at_size_is_full_ranking;
           Alcotest.test_case "confidence bounds and monotonicity" `Quick
             test_confidence_bounds_and_monotonicity;
-          Alcotest.test_case "sampled runs engine-identical" `Quick
-            test_sampled_runs_engine_identical;
         ] );
     ]

@@ -1,57 +1,35 @@
-(* Engine determinism cross-check.
+(* Row-at-a-time references vs the columnar engine, per registry
+   scenario.
 
-   The columnar batch engine and the legacy row-at-a-time engine
-   (WHYNOT_ROW_ENGINE=1) must be observationally identical: for every
-   registry scenario, plain query evaluation returns the same relation
-   and the full explanation pipeline renders byte-identical explanations
-   (operator sets, side-effect bounds, schema-alternative indices, and
-   ranking order all included in the rendering). *)
+   The query result must equal the row-at-a-time reference evaluator
+   [Nrab.Eval]'s, and the explanations (exact and stride-3 sampled) must
+   render exactly as the scenario's block of the golden corpus
+   [explanations.expected] — the corpus was printed under the former
+   row-at-a-time engine and the columnar engine with identical bytes.
+   The runtest diff rule guards the whole corpus; these cases name the
+   scenario that moved. *)
 
-let with_engine row f =
-  let saved = Engine.Columnar.row_engine () in
-  Engine.Columnar.set_row_engine row;
-  Fun.protect ~finally:(fun () -> Engine.Columnar.set_row_engine saved) f
+open Nested
 
-let render_explanations (q : Nrab.Query.t) (rp : Whynot.Pipeline.result) =
-  String.concat "\n"
-    (List.map
-       (fun (e : Whynot.Explanation.t) ->
-         Fmt.str "%s lb=%d ub=%d sa=%d"
-           (Whynot.Explanation.to_string_with_query q e)
-           e.Whynot.Explanation.side_effect_lb
-           e.Whynot.Explanation.side_effect_ub e.Whynot.Explanation.sa)
-       rp.Whynot.Pipeline.explanations)
+let corpus =
+  lazy
+    (Golden.parse
+       (In_channel.with_open_bin "explanations.expected" In_channel.input_all))
 
 let test_scenario (s : Scenarios.Scenario.t) () =
-  let inst = s.Scenarios.Scenario.make ~scale:1 () in
-  let phi = inst.Scenarios.Scenario.question in
-  let q = phi.Whynot.Question.query in
-  let db = phi.Whynot.Question.db in
-  let eval row =
-    with_engine row (fun () ->
-        let rel, _ = Engine.Exec.run db q in
-        Fmt.str "%a" Nested.Relation.pp rel)
-  in
-  Alcotest.(check string) "query result byte-identical" (eval true) (eval false);
-  let explain ?approx row =
-    with_engine row (fun () ->
-        render_explanations q
-          (Whynot.Pipeline.explain ?approx
-             ~alternatives:inst.Scenarios.Scenario.alternatives phi))
-  in
-  Alcotest.(check string) "explanations byte-identical" (explain true)
-    (explain false);
-  (* an untriggered budget must not perturb the run on either engine *)
-  let unlimited () =
-    Whynot.Approx.start
-      { Whynot.Approx.exact with Whynot.Approx.budget_ms = Some 3.6e6 }
-  in
-  Alcotest.(check string) "no-budget run unchanged by an unlimited budget"
-    (explain false)
-    (explain ~approx:(unlimited ()) false);
-  Alcotest.(check string) "budgeted runs byte-identical across engines"
-    (explain ~approx:(unlimited ()) true)
-    (explain ~approx:(unlimited ()) false)
+  let name = s.Scenarios.Scenario.name in
+  let phi = (s.Scenarios.Scenario.make ~scale:1 ()).Scenarios.Scenario.question in
+  let db = phi.Whynot.Question.db and q = phi.Whynot.Question.query in
+  let result r = Value.to_string (Relation.data r) in
+  Alcotest.(check string)
+    "query result = Nrab.Eval"
+    (result (Nrab.Eval.eval db q))
+    (result (fst (Engine.Exec.run db q)));
+  match List.assoc_opt name (Lazy.force corpus) with
+  | None -> Alcotest.failf "%s has no block in explanations.expected" name
+  | Some expected ->
+    Alcotest.(check string) "explanations = golden corpus" expected
+      (Golden.block s)
 
 let cases =
   List.map

@@ -180,31 +180,28 @@ let test_distribute_gather () =
 let test_shuffle_colocates () =
   let rows = List.init 40 (fun i -> tup [ ("k", v_int (i mod 4)) ]) in
   let d = Engine.Dataset.distribute ~partitions:4 rows in
+  let key t = Option.get (Value.field "k" t) in
   let shuffled, _ =
-    Engine.Dataset.shuffle_by ~partitions:4
-      (fun t -> Option.get (Value.field "k" t))
+    Engine.Dataset.shuffle_hashed ~partitions:4
+      (fun b ->
+        Array.map
+          (fun t -> Engine.Dataset.value_hash (key t))
+          (Engine.Columnar.to_values b))
       d
   in
   (* all rows with the same key must be in the same partition *)
-  Array.iter
-    (fun part ->
-      let keys =
-        List.sort_uniq Value.compare
-          (List.map (fun t -> Option.get (Value.field "k" t)) part)
-      in
-      ignore keys)
-    (Engine.Dataset.partitions shuffled);
   let key_partition = Hashtbl.create 8 in
   Array.iteri
     (fun pi part ->
       List.iter
         (fun t ->
-          let k = Option.get (Value.field "k" t) in
+          let k = key t in
           match Hashtbl.find_opt key_partition k with
           | Some pj -> Alcotest.(check int) "key colocated" pj pi
           | None -> Hashtbl.replace key_partition k pi)
-        part)
-    (Engine.Dataset.partitions shuffled)
+        (Engine.Columnar.to_rows part))
+    (Engine.Dataset.cpartitions shuffled);
+  Alcotest.(check int) "every row shuffled" 40 (Engine.Dataset.cardinal shuffled)
 
 (* --- physical-plan analysis --- *)
 

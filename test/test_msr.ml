@@ -178,7 +178,7 @@ let reference_failure_sets (tr : Whynot.Tracing.t) : int -> Set_set.t =
   in
   fs
 
-(* Rows (by rid) that contribute to a consistent root row — the "lineage
+(* The rows (by rid) that contribute to a consistent root row — the "lineage
    of a consistent output tuple" of Algorithm 4, computed as the ancestor
    closure over parent edges. *)
 let contributing (tr : Whynot.Tracing.t) : (int, unit) Hashtbl.t =

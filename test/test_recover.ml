@@ -242,29 +242,35 @@ let shuffle_input () =
 
 let sorted_list d = List.sort Value.compare (D.to_list d)
 
+(* Hash-partition by a per-row key, one [D.value_hash] per row. *)
+let shuffle_on ?barrier key d =
+  D.shuffle_hashed ?barrier ~partitions:4
+    (fun b -> Array.map (fun row -> D.value_hash (key row)) (C.to_values b))
+    d
+
 (* A transient fault downstream of a checkpointed shuffle replays from
    the barrier: [from_checkpoint] moves, [from_source] does not. *)
 let test_replay_from_checkpoint () =
   Obs.Faultinject.reset ();
   with_ckpt ~shuffles:true (fun () ->
       let shuffled, _ =
-        D.shuffle_by ~barrier:"t-replay" ~partitions:4 key_of (shuffle_input ())
+        shuffle_on ~barrier:"t-replay" key_of (shuffle_input ())
       in
       let expected =
-        sorted_list (D.map_partitions ~label:"base" Fun.id shuffled)
+        sorted_list (D.map_cpartitions ~label:"base" Fun.id shuffled)
       in
       let from_ckpt0 = counter_value "engine.recover.from_checkpoint" in
       let from_src0 = counter_value "engine.recover.from_source" in
       let replayed0 = counter_value "engine.recover.replayed_partitions" in
       let failed = ref false in
       let out =
-        D.map_partitions ~retry:(fast_retries 3) ~label:"flaky"
-          (fun rows ->
+        D.map_cpartitions ~retry:(fast_retries 3) ~label:"flaky"
+          (fun b ->
             if not !failed then begin
               failed := true;
               raise (transient "chaos")
             end;
-            rows)
+            b)
           shuffled
       in
       Alcotest.(check (list string))
@@ -285,18 +291,18 @@ let test_replay_from_checkpoint () =
    source input instead. *)
 let test_replay_from_source_without_barrier () =
   Obs.Faultinject.reset ();
-  let shuffled, _ = D.shuffle_by ~partitions:4 key_of (shuffle_input ()) in
+  let shuffled, _ = shuffle_on key_of (shuffle_input ()) in
   let from_ckpt0 = counter_value "engine.recover.from_checkpoint" in
   let from_src0 = counter_value "engine.recover.from_source" in
   let failed = ref false in
   let out =
-    D.map_partitions ~retry:(fast_retries 3) ~label:"flaky"
-      (fun rows ->
+    D.map_cpartitions ~retry:(fast_retries 3) ~label:"flaky"
+      (fun b ->
         if not !failed then begin
           failed := true;
           raise (transient "chaos")
         end;
-        rows)
+        b)
       shuffled
   in
   Alcotest.(check int) "all rows survive" 64 (List.length (D.to_list out));
@@ -313,14 +319,14 @@ let test_torn_shuffle_read_is_retryable () =
   Obs.Faultinject.reset ();
   with_ckpt ~shuffles:true (fun () ->
       let shuffled, _ =
-        D.shuffle_by ~barrier:"t-torn" ~partitions:4 key_of (shuffle_input ())
+        shuffle_on ~barrier:"t-torn" key_of (shuffle_input ())
       in
       (* lose a partition, then make its first re-read fault *)
       D.recover_partition shuffled 0;
       Obs.Faultinject.arm "engine.shuffle.read"
         (Obs.Faultinject.fail_once (transient "torn read"));
       let out =
-        D.map_partitions ~retry:(fast_retries 3) ~label:"reader" Fun.id
+        D.map_cpartitions ~retry:(fast_retries 3) ~label:"reader" Fun.id
           shuffled
       in
       Obs.Faultinject.reset ();
@@ -343,22 +349,22 @@ let test_garbled_checkpoint_recomputes () =
                Bytes.to_string b
              end));
       let shuffled, _ =
-        D.shuffle_by ~barrier:"t-crc" ~partitions:4 key_of (shuffle_input ())
+        shuffle_on ~barrier:"t-crc" key_of (shuffle_input ())
       in
       let expected =
-        sorted_list (D.map_partitions ~label:"base" Fun.id shuffled)
+        sorted_list (D.map_cpartitions ~label:"base" Fun.id shuffled)
       in
       let corrupt0 = counter_value "engine.checkpoint.corrupt" in
       let from_src0 = counter_value "engine.recover.from_source" in
       let failed = ref false in
       let out =
-        D.map_partitions ~retry:(fast_retries 3) ~label:"flaky"
-          (fun rows ->
+        D.map_cpartitions ~retry:(fast_retries 3) ~label:"flaky"
+          (fun b ->
             if not !failed then begin
               failed := true;
               raise (transient "chaos")
             end;
-            rows)
+            b)
           shuffled
       in
       Obs.Faultinject.reset ();
@@ -397,7 +403,7 @@ let test_barrier_recompute_memoized () =
         key_of v
       in
       let shuffled, _ =
-        D.shuffle_by ~barrier:"t-memo" ~partitions:4 key (shuffle_input ())
+        shuffle_on ~barrier:"t-memo" key (shuffle_input ())
       in
       calls := 0;
       for i = 0 to 3 do
@@ -419,7 +425,7 @@ let test_failed_checkpoint_write_degrades () =
         (Obs.Faultinject.Fail { times = -1; exn_ = Failure "disk full" });
       let wf0 = counter_value "engine.checkpoint.write_failures" in
       let shuffled, _ =
-        D.shuffle_by ~barrier:"t-wfail" ~partitions:4 key_of (shuffle_input ())
+        shuffle_on ~barrier:"t-wfail" key_of (shuffle_input ())
       in
       Obs.Faultinject.reset ();
       Alcotest.(check int) "all rows survive failed writes" 64
