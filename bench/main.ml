@@ -328,8 +328,9 @@ let write_json () =
     output_string oc "\n}\n";
     close_out oc;
     Fmt.pr "@.json summary written to %s (%d records)@." !json_file
-      (List.length !json_records + List.length !chaos_records + List.length !obs_records
-      + List.length !approx_records + List.length !recover_records)
+      (List.length !json_records + List.length !chaos_records
+      + List.length !obs_records + List.length !approx_records
+      + List.length !recover_records)
   end
 
 let scenario name = Option.get (Scenarios.Registry.find name)
@@ -1326,9 +1327,8 @@ let () =
   (match List.filter (fun a -> not (List.mem a families)) args with
   | [] -> ()
   | unknown ->
-    Fmt.epr "main.exe: unknown bench famil%s %s; known: %s@."
-      (if List.length unknown = 1 then "y" else "ies")
-      (String.concat ", " unknown)
+    Fmt.epr "main.exe: unknown bench family: %s@.known families: %s@."
+      (String.concat " " unknown)
       (String.concat " " families);
     exit 2);
   let wants x = args = [] || List.mem x args || List.mem "all" args in

@@ -91,8 +91,14 @@ let ckpt_fetch (c : ckpt) : Columnar.t =
     c.ck_state <- Live;
     b
 
-let part_cols = function Cols b -> b | Ckpt c -> ckpt_fetch c
-let part_length = function Cols b -> Columnar.length b | Ckpt c -> c.ck_rows
+let part_cols = function
+  | Cols b -> b
+  | Ckpt c -> ckpt_fetch c
+
+let part_length = function
+  | Cols b -> Columnar.length b
+  | Ckpt c -> c.ck_rows
+
 let of_cpartitions batches = { parts = Array.map (fun b -> Cols b) batches }
 let cpartitions d = Array.map part_cols d.parts
 let cpartition d i = part_cols d.parts.(i)

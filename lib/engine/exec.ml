@@ -760,8 +760,8 @@ let run ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
     in
     (* Every partition-transform of this operator is a retryable task
        attributed to the operator's span name.  Kernels skip empty
-       batches, so a missing attribute raises only where some row
-       carries it. *)
+       batches: an empty batch has no columns, so an attribute lookup
+       would raise although no row lacks the attribute. *)
     let mapp f d =
       Dataset.map_cpartitions ~parallel ~retry ~label:op_name
         ~on_retry:(retry_attr sp)
