@@ -1319,39 +1319,44 @@ let () =
     | a :: rest -> parse (a :: acc) rest
   in
   let args = parse [] (List.tl (Array.to_list Sys.argv)) in
+  (* Families in run order.  [true] marks a family that runs only when
+     named (or under "all"), never as part of a bare invocation: smoke is
+     a targeted run, approx scales past the default sweep, recover
+     redirects checkpoint scratch to a bench temp dir, and chaos and obs
+     flip process-global fault sites, log level and sink set. *)
   let families =
-    [ "table7"; "table8"; "table6"; "table3"; "fig8"; "fig9"; "fig10";
-      "fig11"; "ablation"; "smoke"; "approx"; "recover"; "chaos"; "obs";
-      "bechamel"; "all" ]
+    [
+      ("table7", false, table7);
+      ("table8", false, table8);
+      ("table6", false, table6);
+      ("table3", false, table3);
+      ("fig8", false, fun () -> fig8 ());
+      ("fig9", false, fun () -> fig9 ());
+      ("fig10", false, fun () -> fig10 ());
+      ("fig11", false, fun () -> fig11 ());
+      ("ablation", false, ablation);
+      ("smoke", true, smoke);
+      ("approx", true, fun () -> bench_approx ());
+      ("recover", true, fun () -> bench_recover ());
+      ("chaos", true, fun () -> bench_chaos ());
+      ("obs", true, fun () -> bench_obs ());
+      ("bechamel", false, run_bechamel);
+    ]
   in
-  (match List.filter (fun a -> not (List.mem a families)) args with
+  let names = List.map (fun (name, _, _) -> name) families @ [ "all" ] in
+  (match List.filter (fun a -> not (List.mem a names)) args with
   | [] -> ()
   | unknown ->
     Fmt.epr "main.exe: unknown bench family: %s@.known families: %s@."
       (String.concat " " unknown)
-      (String.concat " " families);
+      (String.concat " " names);
     exit 2);
-  let wants x = args = [] || List.mem x args || List.mem "all" args in
-  (* chaos arms process-global fault sites, so it never runs implicitly *)
-  let wants_explicit x = List.mem x args || List.mem "all" args in
-  if wants "table7" then table7 ();
-  if wants "table8" then table8 ();
-  if wants "table6" then table6 ();
-  if wants "table3" then table3 ();
-  if wants "fig8" then fig8 ();
-  if wants "fig9" then fig9 ();
-  if wants "fig10" then fig10 ();
-  if wants "fig11" then fig11 ();
-  if wants "ablation" then ablation ();
-  (* smoke is a targeted run, never part of the default set *)
-  if wants_explicit "smoke" then smoke ();
-  (* budget-ladder acceptance run: targeted, scales past the default sweep *)
-  if wants_explicit "approx" then bench_approx ();
-  (* recover redirects checkpoint scratch to a bench temp dir: explicit only *)
-  if wants_explicit "recover" then bench_recover ();
-  if wants_explicit "chaos" then bench_chaos ();
-  (* obs flips the process-global log level and sink set: explicit only *)
-  if wants_explicit "obs" then bench_obs ();
-  if wants "bechamel" then run_bechamel ();
+  List.iter
+    (fun (name, explicit_only, run) ->
+      if
+        List.mem name args || List.mem "all" args
+        || (args = [] && not explicit_only)
+      then run ())
+    families;
   write_json ();
   close_csv ()
