@@ -1302,17 +1302,33 @@ let run_bechamel () =
 (* --- Driver ---------------------------------------------------------------- *)
 
 let () =
+  let usage fmt =
+    Fmt.kstr
+      (fun m ->
+        Fmt.epr "main.exe: %s@." m;
+        exit 2)
+      fmt
+  in
   let rec parse acc = function
     | [] -> List.rev acc
     | "-csv" :: rest ->
       csv_enabled := true;
       parse acc rest
-    | ("-json" | "--json") :: file :: rest ->
-      json_file := file;
-      parse acc rest
-    | ("-partitions" | "--partitions") :: n :: rest ->
-      partitions := max 1 (int_of_string n);
-      parse acc rest
+    | (("-json" | "--json") as flag) :: rest -> (
+      match rest with
+      | file :: rest ->
+        json_file := file;
+        parse acc rest
+      | [] -> usage "%s needs a file name" flag)
+    | (("-partitions" | "--partitions") as flag) :: rest -> (
+      match rest with
+      | n :: rest -> (
+        match int_of_string_opt n with
+        | Some n ->
+          partitions := max 1 n;
+          parse acc rest
+        | None -> usage "%s needs an integer, got %S" flag n)
+      | [] -> usage "%s needs an integer" flag)
     | ("-parallel" | "--parallel") :: rest ->
       parallel := true;
       parse acc rest

@@ -68,7 +68,9 @@ val failure_sets : Tracing.t -> int -> Set_set.t
 val consistent_root_rids : Tracing.t -> int list
 
 type bounds_input = {
-  original_result : Value.t list;  (** tuples of ⟦Q⟧_D, expanded *)
+  original_result : Value.t list;
+      (** tuples of ⟦Q⟧_D, expanded, in any order: the bounds only count
+          them and test membership *)
 }
 
 (** Side-effect bounds (LB, UB) of one explanation per Section 5.4; LB is

@@ -119,12 +119,12 @@ let prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retry root cursor
   (* ⟦Q⟧_D, the basis of the side-effect bounds, is charged to the MSR
      phase.  Evaluated on the engine rather than the reference
      interpreter: the results are identical and the engine is an order
-     of magnitude faster on the bench scales. *)
+     of magnitude faster on the bench scales.  The bounds only count the
+     rows and test membership, so they take the engine's rows as they
+     come, without the relation's canonical sort. *)
   let bi =
     phase root "msr" (fun sp ->
-        let original_result =
-          Relation.tuples (fst (Engine.Exec.run ~parent:sp db q))
-        in
+        let original_result = fst (Engine.Exec.rows ~parent:sp db q) in
         Obs.Span.set_int sp "original_result_rows"
           (List.length original_result);
         { Msr.original_result })

@@ -298,6 +298,7 @@ let nip_mask (nip : Nip.t) (b : C.t)
           | Some c -> col_mask c pat
           | None -> ball n false)
         | None ->
+          C.note_row_fallback ();
           Bytes.init n (fun i ->
               match Value.field label (C.get_row b i) with
               | Some fv -> chr (Nip.matches fv pat)
@@ -516,6 +517,7 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
           | Some fs ->
             C.of_cols n (List.map (fun (l, col) -> (rename_label l, col)) fs)
           | None ->
+            C.note_row_fallback ();
             C.of_values
               (Array.map
                  (fun t ->
@@ -629,17 +631,21 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
         else
           let right =
             match C.find_col r.c_data a with
-            | Some (C.CTuple (_, _, None) as ic) -> { C.n; row = ic }
-            | Some col ->
-              C.of_values
-                (Array.init n (fun i ->
-                     match C.col_get col i with
-                     | Value.Tuple _ as inner -> inner
-                     | _ -> null_inner))
+            | Some col -> (
+              match C.flatten_tuple inner_ty col with
+              | Some right -> right
+              | None ->
+                C.note_row_fallback ();
+                C.of_values
+                  (Array.init n (fun i ->
+                       match C.col_get col i with
+                       | Value.Tuple _ as inner -> inner
+                       | _ -> null_inner)))
             | None -> (
               match C.cols r.c_data with
               | Some _ -> C.broadcast n null_inner
               | None ->
+                C.note_row_fallback ();
                 C.of_values
                   (Array.init n (fun i ->
                        match Value.field a (C.get_row r.c_data i) with
@@ -712,6 +718,7 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
           in
           (parent_idx, pad, right)
         | col_opt ->
+          C.note_row_fallback ();
           let get_field i =
             match col_opt with
             | Some col -> Some (C.col_get col i)
@@ -858,6 +865,7 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
                   mixed;
                 mixed
               | None ->
+                C.note_row_fallback ();
                 let comps =
                   Array.init n (fun i ->
                       let t = C.get_row bd i in
@@ -1029,6 +1037,7 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
             in
             C.of_cols n (rest @ [ (c_name, C.CTuple (n, nested, None)) ])
           | None ->
+            C.note_row_fallback ();
             C.of_values
               (Array.map
                  (fun t ->
@@ -1074,6 +1083,7 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
         match C.cols r.c_data with
         | Some fs -> fs
         | None ->
+          C.note_row_fallback ();
           List.map
             (fun a ->
               ( a,
@@ -1100,124 +1110,47 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
         C.eqclasses n (List.map (fun (_, a) -> col_of a) pairs)
       in
       let groups = group_indices key_codes in
-      (* Per output row: key representative, canonical bag contents
-         (distinct member rows + multiplicities), flags, parents.  Bag
-         canonicalisation matches [Value.bag_of_list]: equal projections
-         (detected by code equality) merge their multiplicities, and the
-         distinct representatives sort by [Value.compare] — so the lazy
-         tree reconstruction is byte-identical to [Value.bag_of_list]'s. *)
+      (* Per output row: key representative, bag members (also its
+         parents) and flag.  The canonical bag builder turns the members
+         into bag contents byte-identical to [Value.bag_of_list]'s. *)
       let out_reps = ref []
-      and out_elems = ref []
-      and out_total = ref 0
-      and survs = ref []
-      and pars = ref []
-      and cnt = ref 0 in
-      (* Shared per-call scratch: [proj_codes] are representative row
-         indices, so multiplicities live in one [n]-sized count array
-         reset after each group. *)
-      let mult_of = Array.make n 0 in
-      let canon ~only_surv members =
-        let distinct = ref [] in
-        Array.iter
-          (fun i ->
-            if (not only_surv) || bget r.c_surv i then begin
-              let cd = proj_codes.(i) in
-              if mult_of.(cd) = 0 then distinct := cd :: !distinct;
-              mult_of.(cd) <- mult_of.(cd) + 1
-            end)
-          members;
-        let ds =
-          List.rev_map
-            (fun cd ->
-              let m = mult_of.(cd) in
-              mult_of.(cd) <- 0;
-              (cd, m))
-            !distinct
-        in
-        List.sort (fun (a, _) (b, _) -> C.cmp_rows proj_batch a b) ds
-      in
-      let parents_of ~only_surv members =
-        Array.fold_right
-          (fun i acc ->
-            if (not only_surv) || bget r.c_surv i then (r.c_rid0 + i) :: acc
-            else acc)
-          members []
-      in
-      let emit gi elems ~surviving ~parents =
+      and out_members = ref []
+      and survs = ref [] in
+      let emit gi members ~surviving =
         out_reps := gi :: !out_reps;
-        out_elems := elems :: !out_elems;
-        out_total := !out_total + List.length elems;
-        survs := surviving :: !survs;
-        pars := parents :: !pars;
-        incr cnt
+        out_members := members :: !out_members;
+        survs := surviving :: !survs
       in
       Array.iter
         (fun members ->
           let rep = members.(0) in
-          let na = Array.length members in
-          let ns = ref 0 in
-          Array.iter (fun i -> if bget r.c_surv i then incr ns) members;
-          let ns = !ns in
+          let surv_members =
+            Array.of_list
+              (List.filter (fun i -> bget r.c_surv i) (Array.to_list members))
+          in
+          let na = Array.length members and ns = Array.length surv_members in
           (* The surviving members are a sub-multiset of the group, so
              the two bags are equal iff the member counts are. *)
-          emit rep
-            (canon ~only_surv:false members)
-            ~surviving:(ns = na)
-            ~parents:(parents_of ~only_surv:false members);
-          if ns > 0 && ns < na then
-            emit rep
-              (canon ~only_surv:true members)
-              ~surviving:true
-              ~parents:(parents_of ~only_surv:true members))
+          emit rep members ~surviving:(ns = na);
+          if ns > 0 && ns < na then emit rep surv_members ~surviving:true)
         groups;
-      let m = !cnt in
       let reps = Array.of_list (List.rev !out_reps) in
-      let elems = Array.of_list (List.rev !out_elems) in
-      let boff = Array.make (m + 1) 0 in
-      let bmult = Array.make !out_total 1 in
-      let sel = Array.make !out_total 0 in
-      let k = ref 0 in
-      Array.iteri
-        (fun o es ->
-          boff.(o) <- !k;
-          List.iter
-            (fun (i, mult) ->
-              sel.(!k) <- i;
-              bmult.(!k) <- mult;
-              incr k)
-            es)
-        elems;
-      boff.(m) <- !k;
-      let bag_col =
-        C.CBag
-          {
-            C.bn = m;
-            boff;
-            bmult;
-            belems = (C.gather proj_batch sel).C.row;
-            bpresent = None;
-          }
-      in
+      let members = Array.of_list (List.rev !out_members) in
+      let m = Array.length members in
+      let bag_col = C.canonical_bags proj_batch proj_codes members in
       let data =
         C.hstack (C.gather key_batch reps) (C.of_cols m [ (c_name, bag_col) ])
       in
       let surv = Bytes.create m in
       List.iteri (fun o v -> bset surv o v) (List.rev !survs);
-      let plists = Array.of_list (List.rev !pars) in
-      let total = Array.fold_left (fun acc l -> acc + List.length l) 0 plists in
       let off = Array.make (m + 1) 0 in
-      let flat = Array.make total 0 in
-      let k = ref 0 in
       Array.iteri
-        (fun o l ->
-          off.(o) <- !k;
-          List.iter
-            (fun p ->
-              flat.(!k) <- p;
-              incr k)
-            l)
-        plists;
-      off.(m) <- !k;
+        (fun o ms -> off.(o + 1) <- off.(o) + Array.length ms)
+        members;
+      let flat =
+        Array.concat
+          (Array.to_list (Array.map (Array.map (fun i -> r.c_rid0 + i)) members))
+      in
       let par = P_many (off, flat) in
       let cons = reval_cons ~children:[ r ] ~data ~rng:None ~par in
       crecord ~data ~cons ~ret:(ball m true) ~surv ~par ~rng:None
@@ -1251,7 +1184,10 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
                 done;
                 !acc
               end)
+        | Some (C.CNull _) -> Array.make n []
+        | None when Option.is_some (C.cols r.c_data) -> Array.make n []
         | col_opt ->
+          C.note_row_fallback ();
           Array.init n (fun i ->
               let fv =
                 match col_opt with
@@ -1301,6 +1237,7 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
                      | None -> C.CNull n))
                  gattrs))
         | None ->
+          C.note_row_fallback ();
           Array.init n (fun i ->
               C.Coder.value_code coder
                 (Value.Tuple

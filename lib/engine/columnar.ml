@@ -128,12 +128,16 @@ end
 let m_rows_scanned = lazy (Obs.Metrics.counter "engine.columnar.rows_scanned")
 let m_bytes_moved = lazy (Obs.Metrics.counter "engine.columnar.bytes_moved")
 let m_dict_hits = lazy (Obs.Metrics.counter "engine.columnar.dict_hits")
+let m_row_fallbacks = lazy (Obs.Metrics.counter "engine.columnar.row_fallbacks")
 
 let note_rows_scanned n =
   if n > 0 then Obs.Metrics.Counter.incr ~by:n (Lazy.force m_rows_scanned)
 
 let note_bytes_moved n =
   if n > 0 then Obs.Metrics.Counter.incr ~by:n (Lazy.force m_bytes_moved)
+
+let note_row_fallback () =
+  Obs.Metrics.Counter.incr (Lazy.force m_row_fallbacks)
 
 (* ------------------------------------------------------------------ *)
 (* Global string dictionary (hash-consed)                              *)
@@ -997,6 +1001,48 @@ let null_mask (c : col) : Bitv.t option =
     let m = Bitv.init (Array.length a) (fun i -> a.(i) = Value.Null) in
     if Bitv.count m = 0 then None else Some m
 
+(* The field columns of a tuple column, with its presence bitmap pushed
+   into each field: a [Null] tuple reads [Null] in every field, which is
+   what flattening it next to its row must produce.  Fields that cannot
+   carry presence ([CConst], [CBox]) make the whole push fail. *)
+let tuple_fields (c : col) : (string * col) list option =
+  match c with
+  | CTuple (_, fields, None) -> Some fields
+  | CTuple (_, fields, Some p) ->
+    let absent q = Some (match q with None -> p | Some q -> Bitv.logand p q) in
+    let push = function
+      | CNull _ as f -> Some f
+      | CBool (b, q) -> Some (CBool (b, absent q))
+      | CInt (a, q) -> Some (CInt (a, absent q))
+      | CFloat (a, q) -> Some (CFloat (a, absent q))
+      | CStr (a, q) -> Some (CStr (a, absent q))
+      | CTuple (n, fs, q) -> Some (CTuple (n, fs, absent q))
+      | CBag bg -> Some (CBag { bg with bpresent = absent bg.bpresent })
+      | CConst _ | CBox _ -> None
+    in
+    let rec go acc = function
+      | [] -> Some (List.rev acc)
+      | (l, f) :: rest -> (
+        match push f with Some f -> go ((l, f) :: acc) rest | None -> None)
+    in
+    go [] fields
+  | _ -> None
+
+(* The right-hand side of a tuple flatten, column-wise: the fields of a
+   [CTuple] whose labels are the type's, or the type's null tuple
+   broadcast over an all-Null column. *)
+let flatten_tuple (inner_ty : Vtype.t) (c : col) : t option =
+  let n = col_length c in
+  match c, inner_ty with
+  | CNull _, _ -> Some (broadcast n (Vtype.null_tuple inner_ty))
+  | _, Vtype.TTuple tys -> (
+    match tuple_fields c with
+    | Some fields
+      when List.equal String.equal (List.map fst fields) (List.map fst tys) ->
+      Some (of_cols n fields)
+    | _ -> None)
+  | _ -> None
+
 (* ------------------------------------------------------------------ *)
 (* Value coding (exact grouping / join keys)                           *)
 (* ------------------------------------------------------------------ *)
@@ -1242,6 +1288,51 @@ let eqclasses (n : int) (cs : col list) : int array =
   | [ CInt (a, Some p) ] ->
     eqclasses_codes n (fun i -> if Bitv.get p i then a.(i) else min_int)
   | _ -> eqclasses_general n cs
+
+(* One canonical bag per group of row indices of [b]: the members'
+   distinct rows with merged multiplicities, sorted by [cmp_rows] — the
+   contents [Value.bag_of_list] gives the members' rows.  [codes] come
+   from [eqclasses] over [b]'s columns, so a code is the smallest row
+   index of its class and doubles as the element's source row; every
+   bag's elements come from one [gather] of [b]. *)
+let canonical_bags (b : t) (codes : int array) (groups : int array array) :
+    col =
+  (* Multiplicities live in one [n]-sized scratch array, reset after
+     each group. *)
+  let mult_of = Array.make b.n 0 in
+  let canon members =
+    let distinct = ref [] in
+    Array.iter
+      (fun i ->
+        let cd = codes.(i) in
+        if mult_of.(cd) = 0 then distinct := cd :: !distinct;
+        mult_of.(cd) <- mult_of.(cd) + 1)
+      members;
+    let ds = Array.of_list (List.rev !distinct) in
+    Array.stable_sort (cmp_rows b) ds;
+    let ms =
+      Array.map
+        (fun cd ->
+          let m = mult_of.(cd) in
+          mult_of.(cd) <- 0;
+          m)
+        ds
+    in
+    (ds, ms)
+  in
+  let bags = Array.map canon groups in
+  let g = Array.length groups in
+  let boff = Array.make (g + 1) 0 in
+  Array.iteri (fun o (ds, _) -> boff.(o + 1) <- boff.(o) + Array.length ds) bags;
+  let sel = Array.concat (Array.to_list (Array.map fst bags)) in
+  CBag
+    {
+      bn = g;
+      boff;
+      bmult = Array.concat (Array.to_list (Array.map snd bags));
+      belems = (gather b sel).row;
+      bpresent = None;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Vectorized expression evaluation                                    *)

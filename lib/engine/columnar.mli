@@ -145,6 +145,26 @@ val broadcast : int -> Value.t -> t
 (** Which rows hold [Null] ([None] = no nulls). *)
 val null_mask : col -> Bitv.t option
 
+(** [flatten_tuple inner_ty c] — the columns a tuple flatten splices
+    next to its input for the tuple column [c] of type [inner_ty],
+    built column-wise.  A [CTuple] whose labels are [inner_ty]'s gives
+    its field columns, with its presence bitmap pushed into each field so
+    a [Null] tuple reads [Null] in every field (the [Vtype.null_tuple]
+    pad); an all-[Null] column gives the pad, broadcast.  [None] for any
+    other column, and when a field cannot carry presence ([CConst],
+    [CBox]): callers then rebuild the tuples per row. *)
+val flatten_tuple : Vtype.t -> col -> t option
+
+(** The canonical bag builder behind relation nesting, in the engine and
+    in tracing.  [canonical_bags b codes groups] builds one bag per
+    group of row indices of [b].  Each bag holds its members' distinct
+    rows with merged multiplicities, ordered by [cmp_rows b]: exactly
+    the contents [Value.bag_of_list] gives the members' rows, without
+    reconstructing them.  [codes] must be [eqclasses] over [b]'s
+    columns; each bag element is gathered from the row its code names,
+    all of them in one [gather]. *)
+val canonical_bags : t -> int array -> int array array -> col
+
 (** {1 Value coding}
 
     Hash-consed integer codes: two values receive the same code iff
@@ -194,3 +214,9 @@ val col_bytes : col -> int
 val bytes : t -> int
 val note_bytes_moved : int -> unit
 val note_rows_scanned : int -> unit
+
+(** Bump the [engine.columnar.row_fallbacks] counter: one batch took a
+    per-row path (rows rebuilt as {!Nested.Value.t} trees) in the engine
+    or in tracing, because it has no tuple columns or a column cannot
+    be handled column-wise. *)
+val note_row_fallback : unit -> unit

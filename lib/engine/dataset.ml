@@ -360,6 +360,3 @@ let spill_over ~watermark (d : t) : int =
 
 let of_relation ~partitions (r : Relation.t) : t =
   distribute_cols ~partitions (Columnar.of_relation r)
-
-let to_relation ~schema (d : t) : Relation.t =
-  Relation.of_tuples ~schema (to_list d)

@@ -118,4 +118,3 @@ val map_cpartitions :
 (** Cached arena build of the relation, split into round-robin column
     slices. *)
 val of_relation : partitions:int -> Relation.t -> t
-val to_relation : schema:Vtype.t -> t -> Relation.t

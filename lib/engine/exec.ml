@@ -197,6 +197,7 @@ let key_hash_of_pairs (pairs : (string * string) list) ~strict
     Columnar.hash_col (Columnar.CTuple (n, kcols, None))
   | Some _ -> [||]
   | None ->
+    Columnar.note_row_fallback ();
     Array.of_list
       (List.map
          (fun row -> Columnar.value_hash (fallback_key row))
@@ -295,6 +296,7 @@ let join_cols ~keys ~(residual : Expr.pred) ~kind ~lnull ~rnull
           | None ->
             (* Non-uniform rows: code key components row by row, mixing
                them exactly like the column path so both sides agree. *)
+            Columnar.note_row_fallback ();
             let key = key_of attrs in
             let comps =
               Array.init n (fun i ->
@@ -404,26 +406,30 @@ let group_indices (codes : int array) : int array array =
     (List.rev_map (fun cell -> Array.of_list (List.rev !cell)) !order)
 
 (* Tuple flatten: splice the nested tuple column's fields next to the
-   outer columns.  When the nested column is already a clean [CTuple]
-   this is pointer reuse; otherwise the inner tuples are rebuilt per
-   row (with [flatten_tuple_row]'s error behavior). *)
+   outer columns (pointer reuse for a clean [CTuple]).  Columns that
+   cannot carry presence rebuild the inner tuples per row, with
+   [flatten_tuple_row]'s error behavior. *)
 let flatten_tuple_cols inner_ty a (b : Columnar.t) : Columnar.t =
   let n = Columnar.length b in
   let null_inner = Vtype.null_tuple inner_ty in
   match Columnar.cols b with
   | None ->
+    Columnar.note_row_fallback ();
     Columnar.of_rows (List.map (flatten_tuple_row inner_ty a) (Columnar.to_rows b))
   | Some fs ->
     let right =
       match List.assoc_opt a fs with
-      | Some (Columnar.CTuple (_, _, None) as ic) -> { Columnar.n; row = ic }
-      | Some col ->
-        Columnar.of_values
-          (Array.init n (fun i ->
-               match Columnar.col_get col i with
-               | Value.Tuple _ as inner -> inner
-               | Value.Null -> null_inner
-               | _ -> err "engine: tuple flatten of non-tuple attribute %s" a))
+      | Some col -> (
+        match Columnar.flatten_tuple inner_ty col with
+        | Some right -> right
+        | None ->
+          Columnar.note_row_fallback ();
+          Columnar.of_values
+            (Array.init n (fun i ->
+                 match Columnar.col_get col i with
+                 | Value.Tuple _ as inner -> inner
+                 | Value.Null -> null_inner
+                 | _ -> err "engine: tuple flatten of non-tuple attribute %s" a)))
       | None -> err "engine: unknown attribute %s" a
     in
     Columnar.hstack b right
@@ -488,6 +494,7 @@ let flatten_cols kind inner_ty a (b : Columnar.t) : Columnar.t =
     in
     Columnar.hstack (Columnar.gather b parent_idx) right
   | _ ->
+    Columnar.note_row_fallback ();
     Columnar.of_rows
       (List.concat_map (flatten_rel_rows kind inner_ty a) (Columnar.to_rows b))
 
@@ -507,6 +514,7 @@ let nest_tuple_cols pairs c_name (b : Columnar.t) : Columnar.t =
     in
     Columnar.of_cols n (rest @ [ (c_name, Columnar.CTuple (n, nested, None)) ])
   | None ->
+    Columnar.note_row_fallback ();
     Columnar.of_rows (List.map (nest_tuple_row pairs c_name) (Columnar.to_rows b))
 
 (* Per-tuple aggregation over the bag column: member values come straight
@@ -541,12 +549,14 @@ let agg_tuple_cols fn a out (b : Columnar.t) : Columnar.t =
             done;
             !acc
           end)
+    | Some (Columnar.CNull _) -> Array.make n []
+    | None when Option.is_some (Columnar.cols b) -> Array.make n []
     | col_opt ->
+      Columnar.note_row_fallback ();
       let get_field =
-        match col_opt, Columnar.cols b with
-        | Some col, _ -> fun i -> Some (Columnar.col_get col i)
-        | None, Some _ -> fun _ -> None
-        | None, None -> fun i -> Value.field a (Columnar.get_row b i)
+        match col_opt with
+        | Some col -> fun i -> Some (Columnar.col_get col i)
+        | None -> fun i -> Value.field a (Columnar.get_row b i)
       in
       Array.init n (fun i ->
           match get_field i with
@@ -560,7 +570,8 @@ let agg_tuple_cols fn a out (b : Columnar.t) : Columnar.t =
 
 (* Group-and-nest on one (already shuffled) partition: group rows by the
    key columns' structural codes, gather the key columns once per group,
-   and build each group's bag from the projected member columns. *)
+   and build the groups' bags from the projected member columns with the
+   canonical bag builder — no member row is reconstructed. *)
 let nest_rel_cols ~group_attrs pairs c_name (b : Columnar.t) : Columnar.t =
   let n = Columnar.length b in
   match Columnar.cols b with
@@ -585,29 +596,20 @@ let nest_rel_cols ~group_attrs pairs c_name (b : Columnar.t) : Columnar.t =
     in
     let groups = group_indices key_codes in
     let reps = Array.map (fun m -> m.(0)) groups in
-    let proj_vals =
-      Columnar.to_values
-        (Columnar.of_cols n
-           (List.map (fun (label, a) -> (label, lax_col a)) pairs))
+    let proj_cols = List.map (fun (label, a) -> (label, lax_col a)) pairs in
+    let bags =
+      Columnar.canonical_bags (Columnar.of_cols n proj_cols)
+        (Columnar.eqclasses n (List.map snd proj_cols))
+        groups
     in
     let keys =
       Columnar.gather
         (Columnar.of_cols n (List.map (fun a -> (a, strict_col a)) group_attrs))
         reps
     in
-    let bags =
-      Array.map
-        (fun members ->
-          Value.Tuple
-            [
-              ( c_name,
-                Value.bag_of_list
-                  (List.map (fun i -> proj_vals.(i)) (Array.to_list members)) );
-            ])
-        groups
-    in
-    Columnar.hstack keys (Columnar.of_values bags)
+    Columnar.hstack keys (Columnar.of_cols (Array.length groups) [ (c_name, bags) ])
   | None ->
+    Columnar.note_row_fallback ();
     let proj t =
       Value.Tuple
         (List.map
@@ -673,6 +675,7 @@ let group_agg_cols group aggs (b : Columnar.t) : Columnar.t =
     in
     Columnar.hstack keys (Columnar.of_cols (Array.length groups) agg_cols)
   | None ->
+    Columnar.note_row_fallback ();
     let group_key t =
       Value.Tuple
         (List.map
@@ -703,8 +706,8 @@ let group_agg_cols group aggs (b : Columnar.t) : Columnar.t =
            Value.concat_tuples k (Value.Tuple agg_fields))
          (group_rows group_key (Columnar.to_rows b)))
 
-let run ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
-    (q : Query.t) : Relation.t * Stats.t =
+let rows ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
+    (q : Query.t) : Value.t list * Stats.t =
   (* Pin the checkpoint run directory for the whole execution: a
      concurrent sweep (catalog eviction) is deferred until the last
      in-flight run releases, so a spilled partition whose only copy is
@@ -806,7 +809,9 @@ let run ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
           | Some fields ->
             Columnar.of_cols (Columnar.length b)
               (List.map (fun (l, c) -> (rename_label l, c)) fields)
-          | None -> Columnar.of_rows (List.map rename (Columnar.to_rows b)))
+          | None ->
+            Columnar.note_row_fallback ();
+            Columnar.of_rows (List.map rename (Columnar.to_rows b)))
     | Query.Flatten_tuple a, [ c ] ->
       let cty = Typecheck.infer env c in
       let inner_ty =
@@ -1014,16 +1019,22 @@ let run ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
     ostat.Stats.output_rows <- ostat.Stats.output_rows + Dataset.cardinal out;
     out
   in
-  let out_ty = Typecheck.infer env q in
   let root_sp = sub parent "engine.run" in
-  let d = go root_sp q in
-  let rel = Dataset.to_relation ~schema:out_ty d in
+  (* The partitions are read back inside the retained scope: a spilled
+     partition's only copy may be on disk. *)
+  let out = Dataset.to_list (go root_sp q) in
   Option.iter
     (fun s ->
-      Obs.Span.set_int s "output_rows" (Relation.cardinal rel);
+      Obs.Span.set_int s "output_rows" (List.length out);
       Obs.Span.set_int s "shuffled_rows" (Stats.total_shuffled stats);
       Obs.Span.set_int s "stages" (Stats.stages stats);
       Obs.Span.finish s)
     root_sp;
   Stats.fold_into ?registry stats;
-  (rel, stats)
+  (out, stats)
+
+let run ?config ?parent ?registry (db : Relation.Db.t) (q : Query.t) :
+    Relation.t * Stats.t =
+  let schema = Typecheck.infer (schema_env db) q in
+  let out, stats = rows ?config ?parent ?registry db q in
+  (Relation.of_tuples ~schema out, stats)

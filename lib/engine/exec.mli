@@ -54,3 +54,18 @@ val run :
   Relation.Db.t ->
   Query.t ->
   Relation.t * Stats.t
+
+(** The same execution as {!run} — shuffles, checkpoint barriers, spill,
+    retries, spans and statistics alike — returning the result rows in
+    engine order (partition by partition) instead of a relation.  The
+    rows are the multiset [Relation.tuples (fst (run db q))] holds, in
+    another order: callers that only count rows or test membership skip
+    the relation's canonical sort.  [run] is [Relation.of_tuples] over
+    this. *)
+val rows :
+  ?config:config ->
+  ?parent:Obs.Span.t ->
+  ?registry:Obs.Metrics.t ->
+  Relation.Db.t ->
+  Query.t ->
+  Value.t list * Stats.t

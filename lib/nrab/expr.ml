@@ -144,13 +144,17 @@ let eval_cmp (c : cmp) (a : Value.t) (b : Value.t) : bool =
     | Gt -> r > 0
     | Ge -> r >= 0)
 
+(* Naive scan comparing bytes in place: no substring is allocated.
+   [i + n <= m] holds at every [matches_at i _], so both reads are in
+   bounds. *)
 let string_contains ~needle haystack =
   let n = String.length needle and m = String.length haystack in
-  let rec scan i =
-    if i + n > m then false
-    else if String.equal (String.sub haystack i n) needle then true
-    else scan (i + 1)
+  let rec matches_at i j =
+    j >= n
+    || Char.equal (String.unsafe_get haystack (i + j)) (String.unsafe_get needle j)
+       && matches_at i (j + 1)
   in
+  let rec scan i = i + n <= m && (matches_at i 0 || scan (i + 1)) in
   scan 0
 
 let rec eval_pred (tuple : Value.t) (p : pred) : bool =

@@ -222,6 +222,60 @@ let test_mixed_shape_fallback () =
   Alcotest.(check (list bool)) "mixed compare" [ true; false; false ]
     (List.init 3 (C.Bitv.get mask))
 
+(* The shared bag builder gives each group [Value.bag_of_list] of its
+   members' rows: duplicates merged, contents in [Value.compare] order. *)
+let prop_canonical_bags =
+  QCheck.Test.make ~name:"canonical_bags = Value.bag_of_list" ~count:300
+    (QCheck.pair arb_rows (QCheck.int_range 1 4))
+    (fun (rows, k) ->
+      let b = C.of_rows rows in
+      let n = C.length b in
+      let groups =
+        Array.init k (fun g ->
+            Array.of_list (List.filter (fun i -> i mod k = g) (List.init n Fun.id)))
+      in
+      let bags = C.canonical_bags b (C.eqclasses n [ b.C.row ]) groups in
+      let rows = Array.of_list rows in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun g members ->
+             Value.equal (C.col_get bags g)
+               (Value.bag_of_list
+                  (List.map (fun i -> rows.(i)) (Array.to_list members))))
+           groups))
+
+(* A Null tuple flattens to Null fields even where its field columns
+   hold values under the absent row. *)
+let test_flatten_tuple_presence () =
+  let absent = C.Bitv.init 3 (fun i -> i <> 1) in
+  let col =
+    C.CTuple
+      ( 3,
+        [
+          ("x", C.CInt ([| 1; 2; 3 |], None));
+          ("t", C.CTuple (3, [ ("y", C.CStr ([| C.Dict.intern "a"; C.Dict.intern "b"; C.Dict.intern "c" |], None)) ], None));
+        ],
+        Some absent )
+  in
+  let ty = Vtype.TTuple [ ("x", Vtype.TInt); ("t", Vtype.TTuple [ ("y", Vtype.TString) ]) ] in
+  let row x y =
+    Value.Tuple [ ("x", x); ("t", match y with Some y -> Value.Tuple [ ("y", Value.String y) ] | None -> Value.Null) ]
+  in
+  (match C.flatten_tuple ty col with
+  | Some right ->
+    Alcotest.(check bool) "absent row reads Null in every field" true
+      (eq_rows (C.to_rows right)
+         [ row (Value.Int 1) (Some "a"); row Value.Null None; row (Value.Int 3) (Some "c") ])
+  | None -> Alcotest.fail "a CTuple of typed columns flattens column-wise");
+  Alcotest.(check bool) "all-Null column pads with the null tuple" true
+    (match C.flatten_tuple ty (C.CNull 2) with
+    | Some right -> eq_rows (C.to_rows right) [ row Value.Null None; row Value.Null None ]
+    | None -> false);
+  Alcotest.(check bool) "a constant field cannot carry presence" true
+    (C.flatten_tuple ty
+       (C.CTuple (3, [ ("x", C.CConst (3, Value.Int 1)); ("t", C.CNull 3) ], Some absent))
+    = None)
+
 let test_dict_dedup () =
   let rows =
     List.init 100 (fun i ->
@@ -245,6 +299,7 @@ let qsuite =
       prop_hash;
       prop_codes;
       prop_pred_mask;
+      prop_canonical_bags;
     ]
 
 let () =
@@ -257,5 +312,6 @@ let () =
           Alcotest.test_case "all-null join keys" `Quick test_all_null_column;
           Alcotest.test_case "mixed-shape fallback" `Quick test_mixed_shape_fallback;
           Alcotest.test_case "dictionary dedup" `Quick test_dict_dedup;
+          Alcotest.test_case "nullable tuple flatten" `Quick test_flatten_tuple_presence;
         ] );
     ]

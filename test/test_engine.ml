@@ -39,10 +39,61 @@ let mk_db ~seed ~rows =
             ("d", v_str (Datagen.Prng.pick g [ "u"; "v" ]));
           ])
   in
+  (* [t] feeds the nesting and tuple-flatten cases: [q] is a nullable
+     tuple with string, int, nested-tuple and bag fields, [z] a tuple
+     column that is always Null, [nv] a nullable int and [bs] a bag. *)
+  let kids_ty = Vtype.relation [ ("k", Vtype.TInt) ] in
+  let q_ty =
+    Vtype.TTuple
+      [
+        ("qs", Vtype.TString);
+        ("qi", Vtype.TInt);
+        ("qt", Vtype.TTuple [ ("x", Vtype.TInt) ]);
+        ("qk", kids_ty);
+      ]
+  in
+  let t_schema =
+    Vtype.relation
+      [
+        ("g", Vtype.TInt);
+        ("s", Vtype.TString);
+        ("nv", Vtype.TInt);
+        ("bs", kids_ty);
+        ("q", q_ty);
+        ("z", Vtype.TTuple [ ("zx", Vtype.TInt) ]);
+      ]
+  in
+  let kids () =
+    Value.bag_of_list
+      (List.init (Datagen.Prng.int g 3) (fun _ ->
+           tup [ ("k", v_int (Datagen.Prng.int g 3)) ]))
+  in
+  let t_rows =
+    List.init rows (fun _ ->
+        let nullable v = if Datagen.Prng.int g 3 = 0 then Value.Null else v in
+        tup
+          [
+            ("g", v_int (Datagen.Prng.int g 3));
+            ("s", v_str (Datagen.Prng.pick g [ "p"; "o"; "n" ]));
+            ("nv", nullable (v_int (Datagen.Prng.int g 2)));
+            ("bs", kids ());
+            ( "q",
+              nullable
+                (tup
+                   [
+                     ("qs", v_str (Datagen.Prng.pick g [ "m"; "l" ]));
+                     ("qi", v_int (Datagen.Prng.int g 4));
+                     ("qt", tup [ ("x", v_int (Datagen.Prng.int g 2)) ]);
+                     ("qk", kids ());
+                   ]) );
+            ("z", Value.Null);
+          ])
+  in
   Relation.Db.of_list
     [
       ("r", Relation.of_tuples ~schema:r_schema r_rows);
       ("s", Relation.of_tuples ~schema:s_schema s_rows);
+      ("t", Relation.of_tuples ~schema:t_schema t_rows);
     ]
 
 (* A zoo of queries covering every operator kind. *)
@@ -131,6 +182,36 @@ let queries () =
           (Query.select g
              (Expr.Cmp (Expr.Ge, Expr.attr "k", Expr.int 1))
              (Query.flatten_inner g "kids" (Query.table g "r"))));
+    (* relation nesting whose member projections repeat, arrive unsorted,
+       hold Null or are bags: the canonical bag builder must merge and
+       order them exactly like [Value.bag_of_list] *)
+    q "nest duplicated and null members" (fun g ->
+        Query.nest_rel g [ "nv"; "s" ] ~into:"m"
+          (Query.project_attrs g [ "g"; "s"; "nv" ] (Query.table g "t")));
+    q "nest bag-valued members" (fun g ->
+        Query.nest_rel g [ "bs"; "s" ] ~into:"m"
+          (Query.project_attrs g [ "g"; "s"; "bs" ] (Query.table g "t")));
+    q "nest everything" (fun g ->
+        Query.nest_rel g [ "nv"; "bs" ] ~into:"m"
+          (Query.project_attrs g [ "nv"; "bs" ] (Query.table g "t")));
+    (* tuple flatten over a nullable tuple column: its presence goes into
+       the string, int, nested-tuple and bag field columns *)
+    q "nullable tuple flatten" (fun g -> Query.flatten_tuple g "q" (Query.table g "t"));
+    q "nullable tuple flatten then nest" (fun g ->
+        Query.nest_rel g [ "qt"; "qk" ] ~into:"m"
+          (Query.project_attrs g [ "qs"; "qt"; "qk" ]
+             (Query.flatten_tuple g "q" (Query.table g "t"))));
+    (* columns that cannot carry presence: an all-Null tuple column and a
+       constant one *)
+    q "all-null tuple flatten" (fun g -> Query.flatten_tuple g "z" (Query.table g "t"));
+    q "constant tuple flatten" (fun g ->
+        Query.flatten_tuple g "c"
+          (Query.project g
+             [
+               ("g", Expr.attr "g");
+               ("c", Expr.Const (tup [ ("cx", v_int 1); ("cy", v_str "w") ]));
+             ]
+             (Query.table g "t")));
     q "join then nest" (fun g ->
         Query.nest_rel g [ "d" ] ~into:"ds"
           (Query.project_attrs g [ "a"; "d" ]

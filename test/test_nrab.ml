@@ -367,6 +367,43 @@ let test_fragment_expressiveness () =
     (Fragment.explainable Fragment.Reparameterization_based Fragment.Nrab
        Query.Op_nest)
 
+(* [string_contains] compares bytes in place; the substring scan it
+   replaced is the oracle. *)
+let sub_scan_contains ~needle haystack =
+  let n = String.length needle and m = String.length haystack in
+  let rec scan i =
+    i + n <= m && (String.equal (String.sub haystack i n) needle || scan (i + 1))
+  in
+  scan 0
+
+let test_contains_cases () =
+  List.iter
+    (fun (needle, haystack, expected) ->
+      Alcotest.(check bool)
+        (Fmt.str "%S in %S" needle haystack)
+        expected
+        (Expr.string_contains ~needle haystack))
+    [
+      ("", "", true);
+      ("", "abc", true);
+      ("abcd", "abc", false);
+      ("bc", "abc", true);
+      ("c", "abc", true);
+      ("aab", "aaab", true);
+      ("aab", "aaba", true);
+      ("aab", "abab", false);
+      ("a", "", false);
+    ]
+
+(* Small alphabet, so overlapping partial matches are common. *)
+let contains_matches_sub_scan =
+  let word = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (int_range 0 4)) in
+  let text = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (int_range 0 12)) in
+  QCheck.Test.make ~name:"string_contains = substring scan" ~count:2000
+    (QCheck.make ~print:QCheck.Print.(pair string string) QCheck.Gen.(pair word text))
+    (fun (needle, haystack) ->
+      Expr.string_contains ~needle haystack = sub_scan_contains ~needle haystack)
+
 let () =
   Alcotest.run "nrab"
     [
@@ -414,6 +451,11 @@ let () =
           Alcotest.test_case "errors" `Quick test_typecheck_errors;
           Alcotest.test_case "join name clash" `Quick test_typecheck_join_name_clash;
           Alcotest.test_case "output types" `Quick test_output_types;
+        ] );
+      ( "contains",
+        [
+          Alcotest.test_case "edge cases" `Quick test_contains_cases;
+          QCheck_alcotest.to_alcotest contains_matches_sub_scan;
         ] );
       ( "traversals",
         [ Alcotest.test_case "operators and tables" `Quick test_query_traversals ] );

@@ -40,7 +40,15 @@ let test_engine_agreement () =
         expected (run false);
       Alcotest.(check string)
         (Fmt.str "%s: parallel engine = Eval" name)
-        expected (run true))
+        expected (run true);
+      (* [Exec.rows] is the same run before the relation's sort: the
+         same rows, in engine order. *)
+      let sorted rows = List.sort Value.compare rows in
+      Alcotest.(check (list string))
+        (Fmt.str "%s: Exec.rows is a permutation of Exec.run" name)
+        (List.map Value.to_string
+           (sorted (Relation.tuples (fst (Engine.Exec.run db q)))))
+        (List.map Value.to_string (sorted (fst (Engine.Exec.rows db q)))))
     (scenario_instances ())
 
 (* One explanation, every field the ranking and the codec read. *)

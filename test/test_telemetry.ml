@@ -301,6 +301,69 @@ let test_telemetry_verb () =
   Alcotest.(check bool) "unknown format answers bad_request" true
     (member "code" bad = Some (Json.J_string "bad_request"))
 
+(* [engine.columnar.row_fallbacks] counts the batches that took a per-row
+   path in the engine or in tracing.  Relation nesting and nullable tuple
+   flattens run column-wise, so explaining the nested scenarios built on
+   them leaves the counter alone; a shape-mixed ([CBox]) column still
+   moves it, and the telemetry verb reports it. *)
+let test_row_fallbacks () =
+  let fallbacks () =
+    Obs.Metrics.Counter.value
+      (Obs.Metrics.counter "engine.columnar.row_fallbacks")
+  in
+  List.iter
+    (fun name ->
+      let inst =
+        (Option.get (Scenarios.Registry.find name)).Scenarios.Scenario.make
+          ~scale:1 ()
+      in
+      let before = fallbacks () in
+      ignore
+        (Whynot.Pipeline.explain
+           ~alternatives:inst.Scenarios.Scenario.alternatives
+           inst.Scenarios.Scenario.question);
+      Alcotest.(check int)
+        (name ^ " explains without a per-row fallback")
+        before (fallbacks ()))
+    [ "D2"; "D3"; "TASD" ];
+  (* [q.x] holds an int in one row and a string in another, so it is a
+     [CBox] column; with a Null [q] beside it the flatten cannot push
+     presence into it and rebuilds the tuples per row. *)
+  let tup = Value.tuple in
+  let schema =
+    Vtype.relation [ ("a", Vtype.TInt); ("q", Vtype.TTuple [ ("x", Vtype.TInt) ]) ]
+  in
+  let db =
+    Relation.Db.of_list
+      [
+        ( "m",
+          Relation.of_tuples ~schema
+            [
+              tup [ ("a", Value.Int 1); ("q", tup [ ("x", Value.Int 1) ]) ];
+              tup [ ("a", Value.Int 2); ("q", tup [ ("x", Value.String "one") ]) ];
+              tup [ ("a", Value.Int 3); ("q", Value.Null) ];
+            ] );
+      ]
+  in
+  let g = Nrab.Query.Gen.create () in
+  let before = fallbacks () in
+  ignore
+    (Engine.Exec.run
+       ~config:{ Engine.Exec.default_config with partitions = 1 }
+       db
+       (Nrab.Query.flatten_tuple g "q" (Nrab.Query.table g "m")));
+  Alcotest.(check bool) "a CBox column takes the per-row path" true
+    (fallbacks () > before);
+  let srv = Serve.Server.create ~config:quiet_config () in
+  match
+    Serve.Server.handle_request srv (Serve.Protocol.Telemetry { format = `Json })
+  with
+  | Serve.Protocol.Telemetry_reply { metrics; _ } ->
+    Alcotest.(check bool) "the telemetry verb reports the counter" true
+      (member "engine.columnar.row_fallbacks" metrics
+      = Some (Json.J_int (fallbacks ())))
+  | _ -> Alcotest.fail "expected a telemetry reply"
+
 (* --- log-record JSON codec --------------------------------------------- *)
 
 let record_gen =
@@ -464,6 +527,7 @@ let () =
         [
           Alcotest.test_case "Prometheus golden" `Quick test_prometheus_golden;
           Alcotest.test_case "telemetry verb" `Quick test_telemetry_verb;
+          Alcotest.test_case "row fallbacks counter" `Quick test_row_fallbacks;
         ] );
       ( "codec",
         [
