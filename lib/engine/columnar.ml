@@ -128,7 +128,9 @@ end
 let m_rows_scanned = lazy (Obs.Metrics.counter "engine.columnar.rows_scanned")
 let m_bytes_moved = lazy (Obs.Metrics.counter "engine.columnar.bytes_moved")
 let m_dict_hits = lazy (Obs.Metrics.counter "engine.columnar.dict_hits")
-let m_row_fallbacks = lazy (Obs.Metrics.counter "engine.columnar.row_fallbacks")
+(* Registered up front, so telemetry shows it at 0 until a batch falls
+   back. *)
+let m_row_fallbacks = Obs.Metrics.counter "engine.columnar.row_fallbacks"
 
 let note_rows_scanned n =
   if n > 0 then Obs.Metrics.Counter.incr ~by:n (Lazy.force m_rows_scanned)
@@ -136,8 +138,7 @@ let note_rows_scanned n =
 let note_bytes_moved n =
   if n > 0 then Obs.Metrics.Counter.incr ~by:n (Lazy.force m_bytes_moved)
 
-let note_row_fallback () =
-  Obs.Metrics.Counter.incr (Lazy.force m_row_fallbacks)
+let note_row_fallback () = Obs.Metrics.Counter.incr m_row_fallbacks
 
 (* ------------------------------------------------------------------ *)
 (* Global string dictionary (hash-consed)                              *)
