@@ -1,5 +1,6 @@
 (* The golden explanation corpus: every registry scenario at scale 1,
-   explained exactly and with a stride-3 sampled trace.  Each explanation
+   explained exactly, with a stride-3 sampled trace, and exactly without
+   re-validation (the lineage-only ablation).  Each explanation
    renders as its operator set plus side-effect bounds and schema
    alternative (and, for the sampled run, its confidence).  The corpus is
    pinned in [explanations.expected]; see the diff rule in [dune]. *)
@@ -18,13 +19,13 @@ let render_sampled q (e : Whynot.Explanation.t) =
 
 let header name = Fmt.str "== %s ==" name
 
-(* One scenario's block: header, exact run, sampled run. *)
+(* One scenario's block: header, exact run, sampled run, ablation run. *)
 let block (s : Scenarios.Scenario.t) : string =
   let inst = s.Scenarios.Scenario.make ~scale:1 () in
   let phi = inst.Scenarios.Scenario.question in
   let q = phi.Whynot.Question.query in
-  let explain ?approx () =
-    (Whynot.Pipeline.explain ?approx
+  let explain ?approx ?revalidate () =
+    (Whynot.Pipeline.explain ?approx ?revalidate
        ~alternatives:inst.Scenarios.Scenario.alternatives phi)
       .Whynot.Pipeline.explanations
   in
@@ -36,7 +37,9 @@ let block (s : Scenarios.Scenario.t) : string =
     ([ header s.Scenarios.Scenario.name; "-- exact" ]
     @ List.map (render_exact q) (explain ())
     @ [ "-- sampled stride 3" ]
-    @ List.map (render_sampled q) (explain ~approx:sampled ()))
+    @ List.map (render_sampled q) (explain ~approx:sampled ())
+    @ [ "-- no revalidation" ]
+    @ List.map (render_exact q) (explain ~revalidate:false ()))
   ^ "\n"
 
 let corpus () = String.concat "" (List.map block Scenarios.Registry.all)

@@ -2,7 +2,8 @@
    scenario.
 
    The query result must equal the row-at-a-time reference evaluator
-   [Nrab.Eval]'s, and the explanations (exact and stride-3 sampled) must
+   [Nrab.Eval]'s, and the explanations (exact, stride-3 sampled and
+   without re-validation) must
    render exactly as the scenario's block of the golden corpus
    [explanations.expected] — the corpus was printed under the former
    row-at-a-time engine and the columnar engine with identical bytes.
