@@ -18,7 +18,7 @@ let d1 : Scenario.t =
     make =
       (fun ~scale ?seed () ->
         let db = Datagen.Dblp.db ?seed ~scale () in
-        let g = Query.Gen.create () in
+        let g = Query.Gen.create ~start:50 () in
         let proc =
           Query.project ~id:1 g
             [ ("pkey", Expr.attr "pkey"); ("venue", Expr.attr "ptitle") ]
@@ -62,7 +62,7 @@ let d2 : Scenario.t =
     make =
       (fun ~scale ?seed () ->
         let db = Datagen.Dblp.db ?seed ~scale () in
-        let g = Query.Gen.create () in
+        let g = Query.Gen.create ~start:50 () in
         let query =
           Query.agg_tuple ~id:6 g Agg.Count ~over:"titles" ~into:"cnt"
             (Query.nest_rel ~id:5 g [ "content" ] ~into:"titles"
@@ -99,7 +99,7 @@ let d3 : Scenario.t =
     make =
       (fun ~scale ?seed () ->
         let db = Datagen.Dblp.db ?seed ~scale () in
-        let g = Query.Gen.create () in
+        let g = Query.Gen.create ~start:50 () in
         let query =
           Query.nest_rel ~id:5 g [ "pair" ] ~into:"pairs"
             (Query.project_attrs ~id:4 g [ "booktitle"; "year"; "pair" ]
@@ -151,7 +151,7 @@ let d4 : Scenario.t =
     make =
       (fun ~scale ?seed () ->
         let db = Datagen.Dblp.db ?seed ~scale () in
-        let g = Query.Gen.create () in
+        let g = Query.Gen.create ~start:50 () in
         let query =
           Query.agg_tuple ~id:8 g Agg.Count ~over:"papers" ~into:"cnt"
             (Query.nest_rel ~id:7 g [ "ptitle" ] ~into:"papers"
@@ -194,7 +194,7 @@ let d5 : Scenario.t =
     make =
       (fun ~scale ?seed () ->
         let db = Datagen.Dblp.db ?seed ~scale () in
-        let g = Query.Gen.create () in
+        let g = Query.Gen.create ~start:50 () in
         let query =
           Query.nest_rel ~id:4 g [ "homepage" ] ~into:"pages"
             (Query.project ~id:3 g

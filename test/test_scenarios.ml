@@ -207,12 +207,42 @@ let crime_exact_agreement () =
   Alcotest.(check bool) "{σ⁴} is a real SR" true (List.mem [ 4 ] sr_sets);
   Alcotest.(check bool) "{σ³,σ⁴} is a real SR" true (List.mem [ 3; 4 ] sr_sets)
 
+(* Operator ids are unique within a query (the rule of [Query]): NIPs,
+   traces and explanations are looked up by id, so a table access that
+   reuses a numbered operator's id would make the two share one NIP.
+   Checked for every scenario's query and each of its SA queries. *)
+let unique_op_ids () =
+  List.iter
+    (fun (s : Scenarios.Scenario.t) ->
+      let inst = instance_of s in
+      let phi = inst.Scenarios.Scenario.question in
+      let env = Whynot.Pipeline.schema_env phi.Whynot.Question.db in
+      let sas =
+        Whynot.Alternatives.enumerate ~env phi.Whynot.Question.query
+          inst.Scenarios.Scenario.alternatives
+      in
+      List.iter
+        (fun (sa : Whynot.Alternatives.sa) ->
+          let ids =
+            List.map
+              (fun (op : Nrab.Query.t) -> op.Nrab.Query.id)
+              (Nrab.Query.operators sa.Whynot.Alternatives.query)
+          in
+          Alcotest.(check (list int))
+            (Fmt.str "%s S%d: operator ids unique" s.Scenarios.Scenario.name
+               (sa.Whynot.Alternatives.index + 1))
+            (List.sort_uniq compare ids) (List.sort compare ids))
+        sas)
+    Scenarios.Registry.all
+
 let () =
   Alcotest.run "scenarios"
     [
       ("all-scenarios", scenario_cases);
       ("flat-vs-nested", flat_vs_nested_cases);
       ("scale-invariance", scale_invariance_cases);
+      ( "operator-ids",
+        [ Alcotest.test_case "unique in every query and SA" `Quick unique_op_ids ] );
       ( "table7-counts",
         [ Alcotest.test_case "locked reproduction numbers" `Quick table7_counts ] );
       ( "crime-comparison",
