@@ -830,10 +830,13 @@ let bench_chaos ?(scale = 2) () =
       Obs.Faultinject.disarm "engine.partition";
       Obs.Faultinject.arm "tracing.relaxed"
         (Obs.Faultinject.Flaky { period = 2; exn_ = chaos_exn });
+      Obs.Faultinject.arm "tracing.shared"
+        (Obs.Faultinject.Flaky { period = 2; exn_ = chaos_exn });
       let armed_rp, armed_rp_ms = median (run_rp_with ~retry) in
       let faults =
         Obs.Faultinject.fired "engine.partition"
         + Obs.Faultinject.fired "tracing.relaxed"
+        + Obs.Faultinject.fired "tracing.shared"
       in
       Obs.Faultinject.reset ();
       let retries = Obs.Metrics.Counter.value retries_c - retries0 in

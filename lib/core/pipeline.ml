@@ -71,25 +71,27 @@ let protect_phase ~retry ~cancel ~task ~task_id sp f =
     f
 
 (* A prepared traced run: the pattern-independent artifacts of a why-not
-   run over ⟨Q, D⟩.  Schema-alternative enumeration and the original
-   result ⟦Q⟧_D (the anchor of the side-effect bounds) depend only on the
-   query, the database, and the alternative groups — not on the missing-
-   answer pattern — so a long-lived service can compute them once and
-   re-answer every new pattern on the same ⟨Q, D⟩ from the handle. *)
+   run over ⟨Q, D⟩.  Schema-alternative enumeration, the original result
+   ⟦Q⟧_D (the anchor of the side-effect bounds) and the trace of the
+   subtrees no SA changes depend only on the query, the database, and the
+   alternative groups — not on the missing-answer pattern — so a
+   long-lived service can compute them once and re-answer every new
+   pattern on the same ⟨Q, D⟩ from the handle. *)
 type handle = {
   h_query : Query.t;
   h_db : Relation.Db.t;
   h_env : Typecheck.env;
   h_sas : Alternatives.sa list;
   h_bi : Msr.bounds_input;
+  h_shared : Tracing.shared option;  (* [None] with a single SA *)
 }
 
 let handle_query h = h.h_query
 let handle_sas h = h.h_sas
 
-(* Steps 2 (schema alternatives) and the ⟦Q⟧_D execution, charged to the
-   alternatives and MSR phases under [root]; step 1 (backtracing) runs
-   per SA since the NIPs depend on the substituted attributes. *)
+(* Steps 2 (schema alternatives), the ⟦Q⟧_D execution and the shared
+   part of step 3, under [root]; step 1 (backtracing) runs per SA since
+   the NIPs depend on the substituted attributes. *)
 let prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retry root cursor
     ~db q : handle =
   let phase parent name f =
@@ -116,6 +118,40 @@ let prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retry root cursor
         Obs.Span.set_int sp "sas" (List.length sas);
         (env, sas))
   in
+  (* The SA-invariant subtrees are traced once, on the shared pool, while
+     ⟦Q⟧_D runs here, so the two cost the longer of them rather than the
+     sum.  The [tracing.shared] span is started here and finished by the
+     job; its retries run in the job, attributed as [prepare/tracing]. *)
+  let share_job =
+    if List.length sas < 2 then None
+    else begin
+      let sp = Obs.Span.start ~parent:root "tracing.shared" in
+      let abort () =
+        if Cancel.cancelled cancel then begin
+          Obs.Span.set_bool sp "aborted" true;
+          Obs.Span.finish sp;
+          Some (Cancel.Cancelled "pool.dequeue")
+        end
+        else None
+      in
+      Some
+        (Engine.Pool.submit ~abort (Engine.Pool.default ()) (fun () ->
+             Fun.protect
+               ~finally:(fun () -> Obs.Span.finish sp)
+               (fun () ->
+                 Obs.Span.set_float sp "queued_ms"
+                   (Obs.Clock.ns_to_ms
+                      (Obs.Clock.now_ns () - Obs.Span.start_ns sp));
+                 let shared =
+                   protect_phase ~retry ~cancel ~task:"prepare/tracing"
+                     ~task_id:0 sp (fun () -> Tracing.share ~env db sas)
+                 in
+                 Obs.Span.set_int sp "shared_blocks"
+                   (Tracing.shared_blocks shared);
+                 Obs.Span.set_int sp "shared_rows" (Tracing.shared_rows shared);
+                 shared)))
+    end
+  in
   (* ⟦Q⟧_D, the basis of the side-effect bounds, is charged to the MSR
      phase.  Evaluated on the engine rather than the reference
      interpreter: the results are identical and the engine is an order
@@ -129,7 +165,22 @@ let prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retry root cursor
           (List.length original_result);
         { Msr.original_result })
   in
-  { h_query = q; h_db = db; h_env = env; h_sas = sas; h_bi = bi }
+  (* Whatever of the share job outlasts ⟦Q⟧_D is charged to tracing. *)
+  let shared =
+    Option.map
+      (fun job ->
+        Cancel.check cancel ~where:"tracing";
+        phase_at cursor root "tracing" (fun _ -> Engine.Pool.await job))
+      share_job
+  in
+  {
+    h_query = q;
+    h_db = db;
+    h_env = env;
+    h_sas = sas;
+    h_bi = bi;
+    h_shared = shared;
+  }
 
 (* Steps 1, 3, and 4 — the pattern-dependent per-SA chains plus the final
    prune/rank — under [root], reading everything else from the handle. *)
@@ -137,7 +188,10 @@ let run_phases ?approx ~revalidate ~cancel ~retry root cursor
     (h : handle) (missing : Nip.t) :
     Explanation.t list * Approx.report option =
   let phase parent name f = phase_at cursor parent name f in
-  let { h_query = q; h_db = db; h_env = env; h_sas = sas; h_bi = bi } = h in
+  let { h_query = q; h_db = db; h_env = env; h_sas = sas; h_bi = bi; h_shared }
+      =
+    h
+  in
   (* One SA's backtrace→tracing→MSR chain; independent across SAs.  The
      cancellation token is polled before every phase — the pipeline's
      preemption points, so a lapsed deadline is observed within one
@@ -169,8 +223,8 @@ let run_phases ?approx ~revalidate ~cancel ~retry root cursor
       checked "tracing" (fun sp ->
           if decision.Approx.stride > 1 then
             Obs.Span.set_int sp "sample_stride" decision.Approx.stride;
-          Tracing.run ~revalidate ~sample_stride:decision.Approx.stride ~env
-            db sa bt)
+          Tracing.run ~revalidate ~sample_stride:decision.Approx.stride
+            ?shared:h_shared ~env db sa bt)
     in
     checked "msr" (fun msp ->
         let sample_stride = decision.Approx.stride in

@@ -91,19 +91,29 @@ val explain :
 
 (** {1 Prepared traced runs}
 
-    The first half of the pipeline — schema-alternative enumeration and
-    the execution of ⟦Q⟧_D anchoring the side-effect bounds — depends
+    The first half of the pipeline — schema-alternative enumeration,
+    the execution of ⟦Q⟧_D anchoring the side-effect bounds, and the
+    trace of the subtrees no SA changes ({!Tracing.share}) — depends
     only on ⟨query, database, alternatives⟩, not on the missing-answer
     pattern.  A {!handle} captures those artifacts so a long-lived
     service can pay for them once and answer every subsequent why-not
     pattern over the same ⟨Q, D⟩ with {!explain_with}, which runs only
-    the pattern-dependent per-SA backtrace→tracing→MSR chains. *)
+    the pattern-dependent per-SA backtrace→tracing→MSR chains; every
+    SA's tracing reuses the handle's shared blocks. *)
 
 type handle
 
 (** Run the pattern-independent phases.  The work is recorded under a
-    [pipeline.prepare] span (with [alternatives]/[msr] children, exactly
-    like the first half of {!explain}'s span tree). *)
+    [pipeline.prepare] span, exactly like the first half of {!explain}'s
+    span tree: an [alternatives] child, then the [msr] child that runs
+    ⟦Q⟧_D.  With more than one SA, {!Tracing.share} runs as a job on the
+    shared {!Engine.Pool} while ⟦Q⟧_D runs on the calling domain, so the
+    two cost the longer of them, not the sum.  The job's
+    [tracing.shared] span carries [queued_ms], [shared_blocks] and
+    [shared_rows]; a [tracing] child after [msr] covers the wait for the
+    job, if any.  The job retries under [retry] as task
+    ["prepare/tracing"], and a cancelled run drops it if it has not
+    started. *)
 val prepare :
   ?use_sas:bool ->
   ?max_sas:int ->

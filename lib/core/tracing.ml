@@ -96,6 +96,25 @@ let parents_list (p : parents) (i : int) : int list =
   | P_many (off, flat) ->
     List.init (off.(i + 1) - off.(i)) (fun j -> flat.(off.(i) + j))
 
+(* Does some parent of row [i] satisfy [f]?  Walks the adjacency in
+   place, without building the parent list. *)
+let exists_parent (p : parents) (i : int) (f : int -> bool) : bool =
+  match p with
+  | P_none -> false
+  | P_self base -> f (base + i)
+  | P_one a -> f a.(i)
+  | P_many (off, flat) ->
+    let stop = off.(i + 1) in
+    let rec loop j = j < stop && (f flat.(j) || loop (j + 1)) in
+    loop off.(i)
+
+let shift_parents (d : int) (p : parents) : parents =
+  match p with
+  | P_none -> P_none
+  | P_self base -> P_self (base + d)
+  | P_one a -> P_one (Array.map (fun r -> r + d) a)
+  | P_many (off, flat) -> P_many (off, Array.map (fun r -> r + d) flat)
+
 let rng_at (r : (string * (float * float)) list array option) i =
   match r with None -> [] | Some a -> a.(i)
 
@@ -327,20 +346,46 @@ let nip_mask (nip : Nip.t) (b : C.t)
 
 (* --- Relaxed evaluation over columnar batches ---------------------------- *)
 
-type state = { mutable next_rid : int; mutable traces : op_trace list }
-
-(* Per-operator result of the vectorized relaxed evaluation: the data
-   batch plus the annotation vectors, before per-row trees exist. *)
+(* Per-operator result of the relaxed evaluation: the data batch and
+   every annotation except consistency, the one that depends on the
+   backtraced NIP and hence on the missing-answer pattern.  The records
+   form a tree mirroring the query ([c_kids] are the children's). *)
 type cres = {
+  c_op : Query.t;
   c_rid0 : int;
   c_n : int;
   c_data : C.t;
-  c_cons : Bytes.t;
   c_ret : Bytes.t;
   c_surv : Bytes.t;
   c_par : parents;
   c_rng : (string * (float * float)) list array option;
+  c_kids : cres list;
 }
+
+(* An SA-invariant subtree traced once: its records with rids relative to
+   the block (the block's first row is rid 0). *)
+type block = { b_query : Query.t; b_rows : int; b_res : cres }
+
+(* Blocks keyed by tree position: the path of child indices from the
+   root, deepest first. *)
+type shared = { blocks : (int list * block) list }
+
+let shared_blocks (s : shared) = List.length s.blocks
+
+let shared_rows (s : shared) =
+  List.fold_left (fun acc (_, b) -> acc + b.b_rows) 0 s.blocks
+
+(* Move a block to the rid it lands at: rids and parent rids shift by
+   [d]; the data and flag vectors are shared as they are. *)
+let rec rebase d (r : cres) : cres =
+  if d = 0 then r
+  else
+    {
+      r with
+      c_rid0 = r.c_rid0 + d;
+      c_par = shift_parents d r.c_par;
+      c_kids = List.map (rebase d) r.c_kids;
+    }
 
 (* Group rows by code, first-seen group order, members ascending (codes
    are exact for structural equality, so a class is a group of equal
@@ -360,121 +405,58 @@ let group_indices (codes : int array) : int array array =
   Array.of_list
     (List.rev_map (fun cell -> Array.of_list (List.rev !cell)) !order)
 
-let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
-    (db : Relation.Db.t) (sa : Alternatives.sa) (bt : Backtrace.t) : t =
-  let st = { next_rid = 0; traces = [] } in
-  let q = sa.Alternatives.query in
-  (* Stride-sampled NIP re-validation: gather every [stride]th row (in
-     the congruence class of the op's first global rid, so the sampled
-     rows are exactly the rids divisible by the stride), run the mask
-     kernel on the sub-batch, and scatter the verdicts back into an
-     all-false mask — off-sample rows conservatively read inconsistent.
-     Must be called right before the op's [crecord], while [st.next_rid]
-     still reads as the rid the op's first row is about to receive. *)
-  let sampled_mask nip data rng =
-    let n = C.length data in
-    if sample_stride <= 1 then nip_mask nip data rng
-    else begin
-      let rid0 = st.next_rid in
-      let offset =
-        (sample_stride - (rid0 mod sample_stride)) mod sample_stride
-      in
-      let idx = C.stride_indices ~n ~offset ~stride:sample_stride in
-      if Array.length idx = n then nip_mask nip data rng
-      else begin
-        let mask = ball n false in
-        if Array.length idx > 0 then begin
-          let sub = C.gather data idx in
-          let sub_rng =
-            Option.map (fun arr -> Array.map (fun i -> arr.(i)) idx) rng
-          in
-          let sub_mask = nip_mask nip sub sub_rng in
-          Array.iteri (fun j i -> bset mask i (bget sub_mask j)) idx
-        end;
-        mask
-      end
-    end
-  in
+(* The pattern-independent half of tracing: evaluate [q] relaxed, and
+   count its rows.  A position that [blocks] holds, with an equal
+   subtree, is spliced in from the block instead of being evaluated.
+   Rids are allocated after the children's, so they ascend in post-order
+   over the operator tree, and a block's rows stay contiguous. *)
+let relaxed ~(env : Typecheck.env) (db : Relation.Db.t) ~blocks (q : Query.t)
+    : cres * int =
+  let next_rid = ref 0 in
   let fields_of sub =
     match Typecheck.infer_result env sub with
     | Ok ty -> Vtype.relation_fields ty
     | Error e ->
       invalid_arg ("Tracing.run: ill-typed SA query: " ^ e.Typecheck.message)
   in
-  (* Children's stored flags drive the no-re-validation ablation: a row
-     is consistent when any parent is (the Select/Union/Diff/Dedup
-     overrides coincide with single-parent propagation). *)
-  let propagate (children : cres list) (par : parents) n : Bytes.t =
-    let cons_of rid =
-      List.exists
-        (fun ch ->
-          rid >= ch.c_rid0
-          && rid < ch.c_rid0 + ch.c_n
-          && bget ch.c_cons (rid - ch.c_rid0))
-        children
-    in
-    Bytes.init n (fun i -> chr (List.exists cons_of (parents_list par i)))
-  in
-  let rec go (op : Query.t) : cres =
-    let nip = Backtrace.op_nip bt op.Query.id in
-    (* Record allocates the op's contiguous rid block post-children, so
-       rids ascend in post-order over the operator tree. *)
-    let crecord ~data ~cons ~ret ~surv ~par ~rng : cres =
+  let rec go pos (op : Query.t) : cres =
+    match List.assoc_opt pos blocks with
+    | Some b when b.b_query = op ->
+      let r = rebase !next_rid b.b_res in
+      next_rid := !next_rid + b.b_rows;
+      r
+    | _ -> eval pos op
+  and eval pos op =
+    let kids = List.mapi (fun i c -> go (i :: pos) c) op.Query.children in
+    let crecord ~data ~ret ~surv ~par ~rng : cres =
       let n = C.length data in
-      let rid0 = st.next_rid in
-      st.next_rid <- rid0 + n;
-      let ann =
-        {
-          v_n = n;
-          v_rid0 = rid0;
-          v_consistent = cons;
-          v_retained = ret;
-          v_surviving = surv;
-          v_parents = par;
-          v_ranges = rng;
-        }
-      in
-      st.traces <-
-        {
-          op_id = op.Query.id;
-          op_node = op.Query.node;
-          nip;
-          ann;
-          rows = lazy (rows_of_ann ann data);
-          data_at = (fun i -> C.get_row data i);
-        }
-        :: st.traces;
+      let rid0 = !next_rid in
+      next_rid := rid0 + n;
       {
+        c_op = op;
         c_rid0 = rid0;
         c_n = n;
         c_data = data;
-        c_cons = cons;
         c_ret = ret;
         c_surv = surv;
         c_par = par;
         c_rng = rng;
+        c_kids = kids;
       }
     in
-    let reval_cons ~children ~data ~rng ~par =
-      if revalidate then sampled_mask nip data rng
-      else propagate children par (C.length data)
-    in
-    match op.Query.node, op.Query.children with
-    | Query.Table name, [] ->
+    match op.Query.node, op.Query.children, kids with
+    | Query.Table name, [], [] ->
       let rel = Relation.Db.find_exn name db in
       let data = C.of_relation rel in
       let n = C.length data in
       C.note_rows_scanned n;
-      crecord ~data
-        ~cons:(sampled_mask nip data None)
-        ~ret:(ball n true) ~surv:(ball n true) ~par:P_none ~rng:None
-    | Query.Select pred, [ c ] ->
-      let r = go c in
+      crecord ~data ~ret:(ball n true) ~surv:(ball n true) ~par:P_none
+        ~rng:None
+    | Query.Select pred, [ _ ], [ r ] ->
       let keeps = bytes_of_bitv r.c_n (C.eval_pred_mask r.c_data pred) in
-      crecord ~data:r.c_data ~cons:r.c_cons ~ret:keeps
+      crecord ~data:r.c_data ~ret:keeps
         ~surv:(band r.c_surv keeps) ~par:(P_self r.c_rid0) ~rng:r.c_rng
-    | Query.Project cols, [ c ] ->
-      let r = go c in
+    | Query.Project cols, [ _ ], [ r ] ->
       let n = r.c_n in
       let data =
         if n = 0 then C.empty
@@ -499,11 +481,8 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
                arr)
       in
       let par = P_self r.c_rid0 in
-      crecord ~data
-        ~cons:(reval_cons ~children:[ r ] ~data ~rng ~par)
-        ~ret:(ball n true) ~surv:r.c_surv ~par ~rng
-    | Query.Rename pairs, [ c ] ->
-      let r = go c in
+      crecord ~data ~ret:(ball n true) ~surv:r.c_surv ~par ~rng
+    | Query.Rename pairs, [ _ ], [ r ] ->
       let n = r.c_n in
       let rename_label l =
         match List.find_opt (fun (_, old) -> String.equal old l) pairs with
@@ -534,16 +513,13 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
           r.c_rng
       in
       let par = P_self r.c_rid0 in
-      crecord ~data
-        ~cons:(reval_cons ~children:[ r ] ~data ~rng ~par)
-        ~ret:(ball n true) ~surv:r.c_surv ~par ~rng
-    | Query.Dedup, [ c ] ->
-      let r = go c in
+      crecord ~data ~ret:(ball n true) ~surv:r.c_surv ~par ~rng
+    | Query.Dedup, [ _ ], [ r ] ->
       let coder = C.Coder.create () in
       let groups = group_indices (C.row_codes coder r.c_data) in
       let g = Array.length groups in
       let data = C.gather r.c_data (Array.map (fun m -> m.(0)) groups) in
-      let cons = Bytes.create g and surv = Bytes.create g in
+      let surv = Bytes.create g in
       let total = Array.fold_left (fun acc m -> acc + Array.length m) 0 groups in
       let off = Array.make (g + 1) 0 in
       let flat = Array.make total 0 in
@@ -551,8 +527,6 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
       Array.iteri
         (fun gi members ->
           off.(gi) <- !k;
-          bset cons gi
-            (Array.exists (fun i -> bget r.c_cons i) members);
           bset surv gi
             (Array.exists (fun i -> bget r.c_surv i) members);
           Array.iter
@@ -562,10 +536,9 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
             members)
         groups;
       off.(g) <- !k;
-      crecord ~data ~cons ~ret:(ball g true) ~surv ~par:(P_many (off, flat))
+      crecord ~data ~ret:(ball g true) ~surv ~par:(P_many (off, flat))
         ~rng:None
-    | Query.Union, [ l; r ] ->
-      let a = go l and b = go r in
+    | Query.Union, [ _; _ ], [ a; b ] ->
       let n = a.c_n + b.c_n in
       let data = C.vstack [ a.c_data; b.c_data ] in
       let par =
@@ -581,13 +554,10 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
             (Array.init n (fun i ->
                  if i < a.c_n then rng_at ra i else rng_at rb (i - a.c_n)))
       in
-      crecord ~data
-        ~cons:(Bytes.cat a.c_cons b.c_cons)
-        ~ret:(ball n true)
+      crecord ~data ~ret:(ball n true)
         ~surv:(Bytes.cat a.c_surv b.c_surv)
         ~par ~rng
-    | Query.Diff, [ l; r ] ->
-      let a = go l and b = go r in
+    | Query.Diff, [ _; _ ], [ a; b ] ->
       (* Relaxation keeps every left row; multiset difference against the
          *surviving* right rows decides [retained]/[surviving]. *)
       let coder = C.Coder.create () in
@@ -615,10 +585,9 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
           bset ret i (not removed);
           bset surv i (bget a.c_surv i && not removed))
         lc;
-      crecord ~data:a.c_data ~cons:a.c_cons ~ret ~surv ~par:(P_self a.c_rid0)
+      crecord ~data:a.c_data ~ret ~surv ~par:(P_self a.c_rid0)
         ~rng:a.c_rng
-    | Query.Flatten_tuple a, [ c ] ->
-      let r = go c in
+    | Query.Flatten_tuple a, [ c ], [ r ] ->
       let n = r.c_n in
       let inner_ty =
         match List.assoc_opt a (fields_of c) with
@@ -655,11 +624,8 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
           C.hstack r.c_data right
       in
       let par = P_self r.c_rid0 in
-      crecord ~data
-        ~cons:(reval_cons ~children:[ r ] ~data ~rng:r.c_rng ~par)
-        ~ret:(ball n true) ~surv:r.c_surv ~par ~rng:r.c_rng
-    | Query.Flatten (kind, a), [ c ] ->
-      let r = go c in
+      crecord ~data ~ret:(ball n true) ~surv:r.c_surv ~par ~rng:r.c_rng
+    | Query.Flatten (kind, a), [ c ], [ r ] ->
       let n = r.c_n in
       let inner_ty =
         match List.assoc_opt a (fields_of c) with
@@ -771,11 +737,8 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
       let rng =
         Option.map (fun arr -> Array.map (fun i -> arr.(i)) parent_idx) r.c_rng
       in
-      crecord ~data
-        ~cons:(reval_cons ~children:[ r ] ~data ~rng ~par)
-        ~ret ~surv ~par ~rng
-    | Query.Join (kind, pred), [ l; r ] ->
-      let a = go l and b = go r in
+      crecord ~data ~ret ~surv ~par ~rng
+    | Query.Join (kind, pred), [ l; r ], [ a; b ] ->
       let lfs = fields_of l and rfs = fields_of r in
       let lnull = Vtype.null_tuple (Vtype.TTuple lfs) in
       let rnull = Vtype.null_tuple (Vtype.TTuple rfs) in
@@ -1012,10 +975,8 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
                  else if o < nm + nl then rng_at ra ul.(o - nm)
                  else rng_at rb ur.(o - nm - nl)))
       in
-      let cons = reval_cons ~children:[ a; b ] ~data ~rng ~par in
-      crecord ~data ~cons ~ret ~surv ~par ~rng
-    | Query.Nest_tuple (pairs, c_name), [ c ] ->
-      let r = go c in
+      crecord ~data ~ret ~surv ~par ~rng
+    | Query.Nest_tuple (pairs, c_name), [ _ ], [ r ] ->
       let n = r.c_n in
       let attrs = List.map snd pairs in
       let data =
@@ -1068,11 +1029,8 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
                arr)
       in
       let par = P_self r.c_rid0 in
-      crecord ~data
-        ~cons:(reval_cons ~children:[ r ] ~data ~rng ~par)
-        ~ret:(ball n true) ~surv:r.c_surv ~par ~rng
-    | Query.Nest_rel (pairs, c_name), [ c ] ->
-      let r = go c in
+      crecord ~data ~ret:(ball n true) ~surv:r.c_surv ~par ~rng
+    | Query.Nest_rel (pairs, c_name), [ c ], [ r ] ->
       let n = r.c_n in
       let attrs = List.map snd pairs in
       let all = List.map fst (fields_of c) in
@@ -1152,10 +1110,8 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
           (Array.to_list (Array.map (Array.map (fun i -> r.c_rid0 + i)) members))
       in
       let par = P_many (off, flat) in
-      let cons = reval_cons ~children:[ r ] ~data ~rng:None ~par in
-      crecord ~data ~cons ~ret:(ball m true) ~surv ~par ~rng:None
-    | Query.Agg_tuple (fn, a, b), [ c ] ->
-      let r = go c in
+      crecord ~data ~ret:(ball m true) ~surv ~par ~rng:None
+    | Query.Agg_tuple (fn, a, b), [ _ ], [ r ] ->
       let n = r.c_n in
       let unwrap v =
         match v with Value.Tuple [ (_, inner) ] -> inner | other -> other
@@ -1213,11 +1169,8 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
         else C.hstack r.c_data (C.of_cols n [ (b, (C.of_values agg_vals).C.row) ])
       in
       let par = P_self r.c_rid0 in
-      crecord ~data
-        ~cons:(reval_cons ~children:[ r ] ~data ~rng ~par)
-        ~ret:(ball n true) ~surv:r.c_surv ~par ~rng
-    | Query.Group_agg (group, aggs), [ c ] ->
-      let r = go c in
+      crecord ~data ~ret:(ball n true) ~surv:r.c_surv ~par ~rng
+    | Query.Group_agg (group, aggs), [ _ ], [ r ] ->
       let n = r.c_n in
       let ucols = C.cols r.c_data in
       let coder = C.Coder.create () in
@@ -1376,20 +1329,180 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
         plists;
       off.(m) <- !k;
       let par = P_many (off, flat) in
-      crecord ~data
-        ~cons:(reval_cons ~children:[ r ] ~data ~rng ~par)
-        ~ret ~surv ~par ~rng
+      crecord ~data ~ret ~surv ~par ~rng
     | _ -> invalid_arg "Tracing.run: malformed query"
   in
-  ignore (go q);
-  { sa; ops = List.rev st.traces; root_op = q.Query.id }
+  let r = go [] q in
+  (r, !next_rid)
+
+(* --- Consistency --------------------------------------------------------- *)
+
+(* Stride-sampled NIP re-validation: gather every [stride]th row (in the
+   congruence class of the op's first rid [rid0], so the sampled rows are
+   exactly the rids divisible by the stride), run the mask kernel on the
+   sub-batch, and scatter the verdicts back into an all-false mask —
+   off-sample rows conservatively read inconsistent. *)
+let sampled_mask ~stride nip data rng ~rid0 =
+  let n = C.length data in
+  if stride <= 1 then nip_mask nip data rng
+  else begin
+    let offset = (stride - (rid0 mod stride)) mod stride in
+    let idx = C.stride_indices ~n ~offset ~stride in
+    if Array.length idx = n then nip_mask nip data rng
+    else begin
+      let mask = ball n false in
+      if Array.length idx > 0 then begin
+        let sub = C.gather data idx in
+        let sub_rng =
+          Option.map (fun arr -> Array.map (fun i -> arr.(i)) idx) rng
+        in
+        let sub_mask = nip_mask nip sub sub_rng in
+        Array.iteri (fun j i -> bset mask i (bget sub_mask j)) idx
+      end;
+      mask
+    end
+  end
+
+(* Consistency of a row id among the children's rows. *)
+let rec kid_consistent kids rid =
+  match kids with
+  | [] -> false
+  | (k, cons) :: rest ->
+    if rid >= k.c_rid0 && rid < k.c_rid0 + k.c_n then
+      bget cons (rid - k.c_rid0)
+    else kid_consistent rest rid
+
+(* A row is consistent when any of its parents is.  A one-to-one copy of
+   a single child takes the child's vector as it is. *)
+let any_parent kids (r : cres) : Bytes.t =
+  match r.c_par, kids with
+  | P_self base, [ (k, cons) ] when k.c_rid0 = base && k.c_n = r.c_n -> cons
+  | par, kids ->
+    Bytes.init r.c_n (fun i -> chr (exists_parent par i (kid_consistent kids)))
+
+(* The consistency rules, the same for a freshly evaluated operator and
+   for one reused from a shared block; the mask is keyed on the SA's own
+   rids ([r.c_rid0]):
+   - a table access matches its NIP, also without re-validation;
+   - σ, ∪, − and δ keep their rows' data, so a row is consistent when
+     any parent row is;
+   - every other operator re-validates against its NIP, or without
+     re-validation propagates from its parents like σ. *)
+let consistency ~revalidate ~stride nip kids (r : cres) : Bytes.t =
+  let mask () = sampled_mask ~stride nip r.c_data r.c_rng ~rid0:r.c_rid0 in
+  match r.c_op.Query.node with
+  | Query.Table _ -> mask ()
+  | Query.Select _ | Query.Union | Query.Diff | Query.Dedup -> any_parent kids r
+  | _ -> if revalidate then mask () else any_parent kids r
+
+(* The pattern-dependent half: consistency per operator, bottom-up, and
+   the operator traces in post-order. *)
+let annotate ~revalidate ~stride (bt : Backtrace.t) (res : cres) :
+    op_trace list =
+  let traces = ref [] in
+  let rec walk (r : cres) : Bytes.t =
+    let kids = List.map (fun k -> (k, walk k)) r.c_kids in
+    let op = r.c_op in
+    let nip = Backtrace.op_nip bt op.Query.id in
+    let cons = consistency ~revalidate ~stride nip kids r in
+    let ann =
+      {
+        v_n = r.c_n;
+        v_rid0 = r.c_rid0;
+        v_consistent = cons;
+        v_retained = r.c_ret;
+        v_surviving = r.c_surv;
+        v_parents = r.c_par;
+        v_ranges = r.c_rng;
+      }
+    in
+    let data = r.c_data in
+    traces :=
+      {
+        op_id = op.Query.id;
+        op_node = op.Query.node;
+        nip;
+        ann;
+        rows = lazy (rows_of_ann ann data);
+        data_at = (fun i -> C.get_row data i);
+      }
+      :: !traces;
+    cons
+  in
+  ignore (walk res);
+  List.rev !traces
+
+(* --- Sharing SA-invariant subtrees --------------------------------------- *)
+
+(* The maximal subtrees that are equal in every SA query and hold none of
+   the SAs' changed operators, with their positions.  One SA shares
+   nothing. *)
+let shareable (sas : Alternatives.sa list) : (int list * Query.t) list =
+  let changed =
+    List.fold_left
+      (fun acc (sa : Alternatives.sa) ->
+        Int_set.union acc sa.Alternatives.changed_ops)
+      Int_set.empty sas
+  in
+  let untouched q =
+    Query.fold
+      (fun ok (op : Query.t) -> ok && not (Int_set.mem op.Query.id changed))
+      true q
+  in
+  let rec walk pos (qs : Query.t list) =
+    match qs with
+    | [] -> []
+    | q :: rest ->
+      if List.for_all (fun q' -> q' = q) rest && untouched q then [ (pos, q) ]
+      else
+        let arity (q' : Query.t) = List.length q'.Query.children in
+        if List.for_all (fun q' -> arity q' = arity q) rest then
+          List.concat
+            (List.mapi
+               (fun i _ ->
+                 walk (i :: pos)
+                   (List.map
+                      (fun (q' : Query.t) -> List.nth q'.Query.children i)
+                      qs))
+               q.Query.children)
+        else []
+  in
+  match sas with
+  | [] | [ _ ] -> []
+  | sas ->
+    walk [] (List.map (fun (sa : Alternatives.sa) -> sa.Alternatives.query) sas)
 
 let site_relaxed = Obs.Faultinject.register_site "tracing.relaxed"
+let site_shared = Obs.Faultinject.register_site "tracing.shared"
+let m_shared_rows = Obs.Metrics.counter "whynot.tracing.shared_rows"
 
-let run ?(revalidate = true) ?(sample_stride = 1) ~(env : Typecheck.env)
-    (db : Relation.Db.t) (sa : Alternatives.sa) (bt : Backtrace.t) : t =
+let share ~(env : Typecheck.env) (db : Relation.Db.t)
+    (sas : Alternatives.sa list) : shared =
+  (* Chaos hook: fires once per share job attempt. *)
+  Obs.Faultinject.fire site_shared;
+  let blocks =
+    List.map
+      (fun (pos, sub) ->
+        let res, rows = relaxed ~env db ~blocks:[] sub in
+        (pos, { b_query = sub; b_rows = rows; b_res = res }))
+      (shareable sas)
+  in
+  let s = { blocks } in
+  Obs.Metrics.Counter.incr ~by:(shared_rows s) m_shared_rows;
+  s
+
+let run ?(revalidate = true) ?(sample_stride = 1) ?shared
+    ~(env : Typecheck.env) (db : Relation.Db.t) (sa : Alternatives.sa)
+    (bt : Backtrace.t) : t =
   (* Chaos hook: fires once per SA's relaxed evaluation, inside the
      pipeline's per-phase retry scope, so an armed transient fault here
      is recomputed from the (immutable) backtrace and database. *)
   Obs.Faultinject.fire site_relaxed;
-  run_cols ~revalidate ~sample_stride ~env db sa bt
+  let blocks = match shared with Some s -> s.blocks | None -> [] in
+  let q = sa.Alternatives.query in
+  let res, _ = relaxed ~env db ~blocks q in
+  {
+    sa;
+    ops = annotate ~revalidate ~stride:sample_stride bt res;
+    root_op = q.Query.id;
+  }

@@ -100,10 +100,51 @@ val find_row : t -> int -> (trow * int) option
     fields with achievable intervals (aggregate outputs). *)
 val interval_satisfies : Expr.cmp -> Value.t -> float * float -> bool
 
+(** {1 Tracing}
+
+    Tracing splits into a part that does not depend on the missing-answer
+    pattern — the relaxed evaluation, with the data, [retained],
+    [surviving], [parents] and [ranges] of every operator — and a part
+    that does: [consistent], from the SA's backtrace.  The consistency
+    rules, one function for every operator however it was evaluated:
+    - a table access matches its NIP, also when [revalidate] is false;
+    - σ, ∪, − and δ: a row is consistent when any of its parent rows is;
+    - every other operator matches its NIP when [revalidate] is true and
+      otherwise takes the any-parent rule.
+    NIP masks are keyed on the SA's own rids (see [sample_stride]). *)
+
+(** The SA-invariant part of a set of SA queries, traced once. *)
+type shared
+
+(** [share ~env db sas] traces once every maximal subtree that is equal
+    in every SA query of [sas] and holds none of their [changed_ops].
+    Each such block keeps its operators' data batches, [retained],
+    [surviving] and [ranges] vectors and parent rids relative to the
+    block, whose first row is rid 0.  Blocks are keyed by tree position,
+    not by operator id.  Fewer than two SAs share nothing.  Fires the
+    ["tracing.shared"] fault site once per call and adds the blocks' row
+    count to the [whynot.tracing.shared_rows] counter. *)
+val share : env:Typecheck.env -> Relation.Db.t -> Alternatives.sa list -> shared
+
+(** Number of blocks and their total rows. *)
+val shared_blocks : shared -> int
+
+val shared_rows : shared -> int
+
 (** Trace one schema alternative.  [bt] must be the backtrace of the SA's
     (substituted) query.  The relaxed evaluation runs over
     {!Engine.Columnar} batches; every operator's rows take a contiguous
     rid block, allocated in post-order over the operator tree.
+
+    [shared] must come from {!share} over an SA list that holds [sa],
+    with the same [env] and database.  Where the SA's query has a block's
+    subtree at the block's position, the block is reused instead of
+    evaluated: its operators take their rids in the same post-order,
+    starting at the rid the subtree's first row gets in this SA, so the
+    stored parent rids are rebased by that rid; only [consistent] is
+    recomputed, from this SA's backtrace and stride.  The trace is the
+    same, field by field, as without [shared]; omitted, nothing is
+    reused.
 
     [revalidate] (default true) controls the paper's second novel
     technique: with [false], compatibility is checked at the table
@@ -112,8 +153,8 @@ val interval_satisfies : Expr.cmp -> Value.t -> float * float -> bool
     (it admits false positives on nested data).
 
     [sample_stride] (default 1 = exact) re-validates only rows whose
-    global rid is a multiple of the stride; all other rows conservatively
-    read inconsistent.  Rids are deterministic, so a sampled trace is
+    rid is a multiple of the stride; all other rows conservatively read
+    inconsistent.  Rids are deterministic, so a sampled trace is
     reproducible run to run.
     Sampling makes the consistent set (and hence the explanations
     derived from it) a 1-in-N subsample — callers must surface the
@@ -121,6 +162,7 @@ val interval_satisfies : Expr.cmp -> Value.t -> float * float -> bool
 val run :
   ?revalidate:bool ->
   ?sample_stride:int ->
+  ?shared:shared ->
   env:Typecheck.env ->
   Relation.Db.t ->
   Alternatives.sa ->

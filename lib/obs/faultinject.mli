@@ -10,7 +10,9 @@
       loop, fired before each dequeue — arming it kills a worker
       domain);
     - pipeline: ["tracing.relaxed"] (per schema alternative, at the
-      entry of the relaxed data-tracing evaluation);
+      entry of the relaxed data-tracing evaluation), ["tracing.shared"]
+      (per attempt of the job that traces the SA-invariant subtrees
+      once per prepared query);
     - server: ["server.accept"], ["server.read"], ["server.write"],
       ["server.explain"].
 

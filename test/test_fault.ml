@@ -293,6 +293,54 @@ let test_pipeline_exhaustion_attributed () =
     Alcotest.(check int) "budget spent" 3 attempts);
   Obs.Faultinject.reset ()
 
+(* The share job traces the SA-invariant subtrees once per prepared
+   query.  A transient fault there is retried inside the job, so the
+   explanations do not change; a fault that outlasts the retry budget
+   surfaces attributed to the prepare phase, not to an SA. *)
+let test_share_job_identical_under_chaos () =
+  let insts = scenario_questions () in
+  let run ~retry (inst : Scenarios.Scenario.instance) =
+    Whynot.Pipeline.explain ~retry
+      ~alternatives:inst.Scenarios.Scenario.alternatives
+      inst.Scenarios.Scenario.question
+  in
+  Obs.Faultinject.reset ();
+  let plain =
+    List.map (fun (n, i) -> (n, run ~retry:Engine.Fault.no_retry i)) insts
+  in
+  Obs.Faultinject.arm "tracing.shared"
+    (Obs.Faultinject.Flaky { period = 2; exn_ = transient "chaos" });
+  let armed = List.map (fun (n, i) -> (n, run ~retry:(fast_retries 3) i)) insts in
+  let triggered = Obs.Faultinject.fired "tracing.shared" in
+  Obs.Faultinject.reset ();
+  Alcotest.(check bool) "chaos actually fired" true (triggered > 0);
+  List.iter2
+    (fun (name, expected) (_, got) ->
+      Alcotest.(check string)
+        (Fmt.str "%s: explanation JSON byte-identical" name)
+        (result_fingerprint expected) (result_fingerprint got))
+    plain armed
+
+let test_share_job_exhaustion_attributed () =
+  let inst =
+    (Option.get (Scenarios.Registry.find "RE")).Scenarios.Scenario.make
+      ~scale:1 ()
+  in
+  Obs.Faultinject.reset ();
+  Obs.Faultinject.arm "tracing.shared"
+    (Obs.Faultinject.Fail { times = -1; exn_ = transient "hard chaos" });
+  (match
+     Whynot.Pipeline.explain ~retry:(fast_retries 2)
+       ~alternatives:inst.Scenarios.Scenario.alternatives
+       inst.Scenarios.Scenario.question
+   with
+  | _ -> Alcotest.fail "expected Exhausted"
+  | exception Engine.Fault.Exhausted { task; attempts; _ } ->
+    Alcotest.(check string) "task names the prepare phase" "prepare/tracing"
+      task;
+    Alcotest.(check int) "budget spent" 3 attempts);
+  Obs.Faultinject.reset ()
+
 (* --- serve integration --------------------------------------------------- *)
 
 let test_scheduler_maps_exhaustion_to_faulted () =
@@ -414,6 +462,10 @@ let () =
             test_pipeline_identical_under_chaos;
           Alcotest.test_case "pipeline exhaustion attributed" `Quick
             test_pipeline_exhaustion_attributed;
+          Alcotest.test_case "share job results identical" `Quick
+            test_share_job_identical_under_chaos;
+          Alcotest.test_case "share job exhaustion attributed" `Quick
+            test_share_job_exhaustion_attributed;
         ] );
       ( "serve",
         [

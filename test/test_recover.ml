@@ -630,6 +630,33 @@ let test_pipeline_identical_under_recovery_chaos () =
         expected got)
     plain armed
 
+(* The share job flaking under checkpoints: each retry re-traces the
+   SA-invariant subtrees, and the explanations stay byte-identical. *)
+let test_share_job_identical_under_recovery_chaos () =
+  let insts = scenario_insts 3 in
+  Obs.Faultinject.reset ();
+  let plain =
+    Ck.with_config None (fun () ->
+        List.map (fun (n, i) -> (n, result_fingerprint (explain i))) insts)
+  in
+  Obs.Faultinject.arm "tracing.shared"
+    (Obs.Faultinject.Flaky { period = 2; exn_ = transient "chaos" });
+  let armed =
+    with_ckpt ~shuffles:true (fun () ->
+        List.map
+          (fun (n, i) -> (n, result_fingerprint (explain ~retry:(fast_retries 3) i)))
+          insts)
+  in
+  let fired = Obs.Faultinject.fired "tracing.shared" in
+  Obs.Faultinject.reset ();
+  Alcotest.(check bool) "chaos actually fired" true (fired > 0);
+  List.iter2
+    (fun (name, expected) (_, got) ->
+      Alcotest.(check string)
+        (Fmt.str "%s: chaos run byte-identical" name)
+        expected got)
+    plain armed
+
 (* Exec-level chaos: task partitions flaking under a task retry budget,
    with checkpointed shuffles enabled — every query result identical. *)
 let test_exec_identical_under_chaos_with_checkpoints () =
@@ -750,6 +777,8 @@ let () =
             test_pipeline_identical_under_spill;
           Alcotest.test_case "under recovery chaos" `Quick
             test_pipeline_identical_under_recovery_chaos;
+          Alcotest.test_case "share job under recovery chaos" `Quick
+            test_share_job_identical_under_recovery_chaos;
           Alcotest.test_case "exec under task chaos" `Quick
             test_exec_identical_under_chaos_with_checkpoints;
         ] );

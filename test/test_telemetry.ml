@@ -364,6 +364,51 @@ let test_row_fallbacks () =
       = Some (Json.J_int (fallbacks ())))
   | _ -> Alcotest.fail "expected a telemetry reply"
 
+(* [whynot.tracing.shared_rows] counts the rows the share job traces once
+   for all SAs.  A multi-SA explain moves it and records the job under a
+   [tracing.shared] span; a single-SA explain has nothing to share. *)
+let test_shared_rows () =
+  let shared_rows () =
+    Obs.Metrics.Counter.value
+      (Obs.Metrics.counter "whynot.tracing.shared_rows")
+  in
+  let inst =
+    (Option.get (Scenarios.Registry.find "Q3")).Scenarios.Scenario.make
+      ~scale:1 ()
+  in
+  let explain ~use_sas =
+    Whynot.Pipeline.explain ~use_sas
+      ~alternatives:inst.Scenarios.Scenario.alternatives
+      inst.Scenarios.Scenario.question
+  in
+  let before = shared_rows () in
+  let r = explain ~use_sas:true in
+  Alcotest.(check bool) "a Q3 explain shares rows" true (shared_rows () > before);
+  (match
+     Obs.Span.find_all
+       (fun sp -> Obs.Span.name sp = "tracing.shared")
+       r.Whynot.Pipeline.span
+   with
+  | [ sp ] ->
+    List.iter
+      (fun a ->
+        Alcotest.(check bool) (a ^ " recorded") true (Obs.Span.attr sp a <> None))
+      [ "queued_ms"; "shared_blocks"; "shared_rows" ]
+  | sps -> Alcotest.failf "expected one tracing.shared span, got %d" (List.length sps));
+  let before = shared_rows () in
+  ignore (explain ~use_sas:false);
+  Alcotest.(check int) "a use_sas:false explain shares nothing" before
+    (shared_rows ());
+  let srv = Serve.Server.create ~config:quiet_config () in
+  match
+    Serve.Server.handle_request srv (Serve.Protocol.Telemetry { format = `Json })
+  with
+  | Serve.Protocol.Telemetry_reply { metrics; _ } ->
+    Alcotest.(check bool) "the telemetry verb reports the counter" true
+      (member "whynot.tracing.shared_rows" metrics
+      = Some (Json.J_int (shared_rows ())))
+  | _ -> Alcotest.fail "expected a telemetry reply"
+
 (* --- log-record JSON codec --------------------------------------------- *)
 
 let record_gen =
@@ -528,6 +573,7 @@ let () =
           Alcotest.test_case "Prometheus golden" `Quick test_prometheus_golden;
           Alcotest.test_case "telemetry verb" `Quick test_telemetry_verb;
           Alcotest.test_case "row fallbacks counter" `Quick test_row_fallbacks;
+          Alcotest.test_case "shared rows counter" `Quick test_shared_rows;
         ] );
       ( "codec",
         [

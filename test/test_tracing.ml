@@ -261,6 +261,140 @@ let test_interval_satisfies () =
   Alcotest.(check bool) "Le at bound" true
     (interval_satisfies Expr.Le (Value.Int 0) (0., 5.))
 
+(* --- Shared SA-invariant subtrees ---------------------------------------- *)
+
+module T = Whynot.Tracing
+
+(* Two traces agree field by field: operator order and ids, rid blocks,
+   NIPs, every flag vector, parents, ranges and row data. *)
+let same_trace label (a : T.t) (b : T.t) =
+  let ids (t : T.t) = List.map (fun (o : T.op_trace) -> o.T.op_id) t.T.ops in
+  Alcotest.(check (list int)) (label ^ ": op order") (ids a) (ids b);
+  Alcotest.(check int) (label ^ ": root") a.T.root_op b.T.root_op;
+  List.iter2
+    (fun (x : T.op_trace) (y : T.op_trace) ->
+      let l = Fmt.str "%s op %d" label x.T.op_id in
+      let xa = x.T.ann and ya = y.T.ann in
+      Alcotest.(check int) (l ^ " rid0") (T.rid0 x) (T.rid0 y);
+      Alcotest.(check int) (l ^ " n") (T.n_rows x) (T.n_rows y);
+      Alcotest.(check bool) (l ^ " nip") true (x.T.nip = y.T.nip);
+      Alcotest.(check bool) (l ^ " consistent") true
+        (Bytes.equal xa.T.v_consistent ya.T.v_consistent);
+      Alcotest.(check bool) (l ^ " retained") true
+        (Bytes.equal xa.T.v_retained ya.T.v_retained);
+      Alcotest.(check bool) (l ^ " surviving") true
+        (Bytes.equal xa.T.v_surviving ya.T.v_surviving);
+      Alcotest.(check bool) (l ^ " ranges") true (xa.T.v_ranges = ya.T.v_ranges);
+      for i = 0 to T.n_rows x - 1 do
+        if T.parents_at x i <> T.parents_at y i then
+          Alcotest.failf "%s row %d: parents differ" l i;
+        if not (Value.equal (T.data_at x i) (T.data_at y i)) then
+          Alcotest.failf "%s row %d: data differ" l i
+      done)
+    a.T.ops b.T.ops
+
+(* Every SA traced with and without the shared blocks, with and without
+   re-validation, exact and at stride 3. *)
+let check_shared label ~env db missing (sas : Whynot.Alternatives.sa list) =
+  let shared = T.share ~env db sas in
+  List.iter
+    (fun (sa : Whynot.Alternatives.sa) ->
+      let bt = Whynot.Backtrace.run ~env sa.Whynot.Alternatives.query missing in
+      List.iter
+        (fun (revalidate, stride) ->
+          same_trace
+            (Fmt.str "%s S%d revalidate=%b stride=%d" label
+               (sa.Whynot.Alternatives.index + 1) revalidate stride)
+            (T.run ~revalidate ~sample_stride:stride ~shared ~env db sa bt)
+            (T.run ~revalidate ~sample_stride:stride ~env db sa bt))
+        [ (true, 1); (true, 3); (false, 1); (false, 3) ])
+    sas;
+  shared
+
+let test_shared_registry () =
+  List.iter
+    (fun (s : Scenarios.Scenario.t) ->
+      let inst = s.Scenarios.Scenario.make ~scale:1 () in
+      let phi = inst.Scenarios.Scenario.question in
+      let db = phi.Whynot.Question.db in
+      let env = Whynot.Pipeline.schema_env db in
+      let sas =
+        Whynot.Alternatives.enumerate ~env phi.Whynot.Question.query
+          inst.Scenarios.Scenario.alternatives
+      in
+      ignore
+        (check_shared s.Scenarios.Scenario.name ~env db
+           phi.Whynot.Question.missing sas))
+    Scenarios.Registry.all
+
+let likes_schema =
+  Vtype.relation [ ("who", Vtype.TString); ("thing", Vtype.TString) ]
+
+let like who thing =
+  Value.Tuple [ ("who", Value.String who); ("thing", Value.String thing) ]
+
+let db_likes =
+  Relation.Db.of_list
+    (( "likes",
+       Relation.of_tuples ~schema:likes_schema
+         [ like "Sue" "tea"; like "Peter" "coffee"; like "Sue" "x" ] )
+    :: Relation.Db.tables db)
+
+let env_likes = ("likes", likes_schema) :: env
+let address_alts = [ ("person", [ [ "address1" ]; [ "address2" ] ]) ]
+
+(* (a) The changed flatten precedes the shared σ(likes) subtree in
+   post-order and yields 5 rows under address1 but 4 under address2, so
+   the block lands at a different rid in each SA. *)
+let test_shared_block_moves () =
+  let g = Query.Gen.create ~start:50 () in
+  let q =
+    Query.project_attrs ~id:6 g [ "name"; "city"; "thing" ]
+      (Query.join ~id:5 g Query.Inner
+         (Expr.Cmp (Expr.Eq, Expr.attr "name", Expr.attr "who"))
+         (Query.flatten_inner ~id:2 g "address1" (Query.table ~id:1 g "person"))
+         (Query.select ~id:4 g
+            (Expr.Cmp (Expr.Neq, Expr.attr "thing", Expr.str "x"))
+            (Query.table ~id:3 g "likes")))
+  in
+  let missing = Nip.tup [ ("city", Nip.str "NY"); ("thing", Nip.str "tea") ] in
+  let sas = Whynot.Alternatives.enumerate ~env:env_likes q address_alts in
+  Alcotest.(check int) "two SAs" 2 (List.length sas);
+  let shared = check_shared "moved block" ~env:env_likes db_likes missing sas in
+  Alcotest.(check int) "person and σ(likes) are shared" 2
+    (T.shared_blocks shared);
+  let sigma_rid0 (sa : Whynot.Alternatives.sa) =
+    let bt =
+      Whynot.Backtrace.run ~env:env_likes sa.Whynot.Alternatives.query missing
+    in
+    match T.op_trace (T.run ~shared ~env:env_likes db_likes sa bt) 4 with
+    | Some ot -> T.rid0 ot
+    | None -> Alcotest.fail "no trace for σ^4"
+  in
+  Alcotest.(check (list int)) "the block starts at a different rid per SA"
+    [ 10; 9 ] (List.map sigma_rid0 sas)
+
+(* (b) A self-join: both sides read [person], at different positions. *)
+let test_shared_self_join () =
+  let g = Query.Gen.create ~start:50 () in
+  let q =
+    Query.project_attrs ~id:7 g [ "name"; "city"; "other" ]
+      (Query.join ~id:6 g Query.Inner
+         (Expr.Cmp (Expr.Eq, Expr.attr "name", Expr.attr "other"))
+         (Query.flatten_inner ~id:2 g "address1" (Query.table ~id:1 g "person"))
+         (Query.rename ~id:5 g [ ("other", "name") ]
+            (Query.project_attrs ~id:4 g [ "name" ]
+               (Query.table ~id:3 g "person"))))
+  in
+  let missing =
+    Nip.tup [ ("city", Nip.str "NY"); ("other", Nip.str "Peter") ]
+  in
+  let sas = Whynot.Alternatives.enumerate ~env q address_alts in
+  Alcotest.(check int) "two SAs" 2 (List.length sas);
+  let shared = check_shared "self-join" ~env db missing sas in
+  Alcotest.(check int) "both person subtrees are shared" 2
+    (T.shared_blocks shared)
+
 let () =
   Alcotest.run "tracing"
     [
@@ -281,6 +415,14 @@ let () =
       ( "ablation",
         [
           Alcotest.test_case "no re-validation" `Quick test_ablation_no_revalidation;
+        ] );
+      ( "shared",
+        [
+          Alcotest.test_case "registry: run ~shared = run" `Quick
+            test_shared_registry;
+          Alcotest.test_case "block at a different rid per SA" `Quick
+            test_shared_block_moves;
+          Alcotest.test_case "self-join" `Quick test_shared_self_join;
         ] );
       ( "intervals",
         [ Alcotest.test_case "satisfiability" `Quick test_interval_satisfies ] );
