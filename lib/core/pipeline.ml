@@ -70,6 +70,30 @@ let protect_phase ~retry ~cancel ~task ~task_id sp f =
     ~on_retry:(fun ~attempt _ -> Obs.Span.set_int sp "attempt" attempt)
     f
 
+(* Submit [f] to the shared pool under [sp], a span started on the
+   calling domain (so its order under the root is deterministic) and
+   finished by the job, which records how long it sat in the queue and
+   passes [f] the time it started.  Dequeue-edge abort: a job queued
+   behind slow work is reclaimed without running once the run is
+   cancelled. *)
+let submit_spanned ~cancel sp f =
+  let abort () =
+    if Cancel.cancelled cancel then begin
+      Obs.Span.set_bool sp "aborted" true;
+      Obs.Span.finish sp;
+      Some (Cancel.Cancelled "pool.dequeue")
+    end
+    else None
+  in
+  Engine.Pool.submit ~abort (Engine.Pool.default ()) (fun () ->
+      Fun.protect
+        ~finally:(fun () -> Obs.Span.finish sp)
+        (fun () ->
+          let started = Obs.Clock.now_ns () in
+          Obs.Span.set_float sp "queued_ms"
+            (Obs.Clock.ns_to_ms (started - Obs.Span.start_ns sp));
+          f started))
+
 (* A prepared traced run: the pattern-independent artifacts of a why-not
    run over ⟨Q, D⟩.  Schema-alternative enumeration, the original result
    ⟦Q⟧_D (the anchor of the side-effect bounds) and the trace of the
@@ -120,37 +144,20 @@ let prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retry root cursor
   in
   (* The SA-invariant subtrees are traced once, on the shared pool, while
      ⟦Q⟧_D runs here, so the two cost the longer of them rather than the
-     sum.  The [tracing.shared] span is started here and finished by the
-     job; its retries run in the job, attributed as [prepare/tracing]. *)
+     sum.  Retries run in the job, attributed as [prepare/tracing]. *)
   let share_job =
     if List.length sas < 2 then None
-    else begin
+    else
       let sp = Obs.Span.start ~parent:root "tracing.shared" in
-      let abort () =
-        if Cancel.cancelled cancel then begin
-          Obs.Span.set_bool sp "aborted" true;
-          Obs.Span.finish sp;
-          Some (Cancel.Cancelled "pool.dequeue")
-        end
-        else None
-      in
       Some
-        (Engine.Pool.submit ~abort (Engine.Pool.default ()) (fun () ->
-             Fun.protect
-               ~finally:(fun () -> Obs.Span.finish sp)
-               (fun () ->
-                 Obs.Span.set_float sp "queued_ms"
-                   (Obs.Clock.ns_to_ms
-                      (Obs.Clock.now_ns () - Obs.Span.start_ns sp));
-                 let shared =
-                   protect_phase ~retry ~cancel ~task:"prepare/tracing"
-                     ~task_id:0 sp (fun () -> Tracing.share ~env db sas)
-                 in
-                 Obs.Span.set_int sp "shared_blocks"
-                   (Tracing.shared_blocks shared);
-                 Obs.Span.set_int sp "shared_rows" (Tracing.shared_rows shared);
-                 shared)))
-    end
+        (submit_spanned ~cancel sp (fun _ ->
+             let shared =
+               protect_phase ~retry ~cancel ~task:"prepare/tracing" ~task_id:0
+                 sp (fun () -> Tracing.share ~env db sas)
+             in
+             Obs.Span.set_int sp "shared_blocks" (Tracing.shared_blocks shared);
+             Obs.Span.set_int sp "shared_rows" (Tracing.shared_rows shared);
+             shared))
   in
   (* ⟦Q⟧_D, the basis of the side-effect bounds, is charged to the MSR
      phase.  Evaluated on the engine rather than the reference
@@ -261,38 +268,18 @@ let run_phases ?approx ~revalidate ~cancel ~retry root cursor
   in
   let per_sa =
     if parallel then begin
-      (* The sa:S<i> spans are started here on the calling domain (so
-         their order under the root is deterministic) and record how long
-         their job sat in the queue; each job tiles its three child
-         phases with a cursor of its own.  Results are awaited in SA
-         order, so the concatenated candidate list — and hence the final
-         ranking — is identical to the sequential composition's. *)
+      (* Each sa:S<i> job tiles its three child phases with a cursor
+         of its own.  Results are awaited in SA order, so the
+         concatenated candidate list — and hence the final ranking — is
+         identical to the sequential composition's. *)
       Obs.Span.set_bool root "parallel_sas" true;
-      let pool = Engine.Pool.default () in
       let futures =
         List.map
           (fun (sa : Alternatives.sa) ->
             let sasp = Obs.Span.start ~parent:root (sa_name sa) in
-            (* Dequeue-edge abort: an SA job queued behind slow work is
-               reclaimed without running once the run is cancelled. *)
-            let abort () =
-              if Cancel.cancelled cancel then begin
-                Obs.Span.set_bool sasp "aborted" true;
-                Obs.Span.finish sasp;
-                Some (Cancel.Cancelled "pool.dequeue")
-              end
-              else None
-            in
-            Engine.Pool.submit ~abort pool (fun () ->
-                Fun.protect
-                  ~finally:(fun () -> Obs.Span.finish sasp)
-                  (fun () ->
-                    let sa_cursor = ref (Obs.Clock.now_ns ()) in
-                    Obs.Span.set_float sasp "queued_ms"
-                      (Obs.Clock.ns_to_ms
-                         (!sa_cursor - Obs.Span.start_ns sasp));
-                    Cancel.check cancel ~where:(sa_name sa);
-                    process_sa sa_cursor sa sasp)))
+            submit_spanned ~cancel sasp (fun started ->
+                Cancel.check cancel ~where:(sa_name sa);
+                process_sa (ref started) sa sasp))
           sas
       in
       let per_sa = List.map Engine.Pool.await futures in
