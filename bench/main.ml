@@ -8,8 +8,6 @@
      table6  crime comparison Why-Not / Conseil / RP           (Table 6, §6.4)
      table7  explanation summary per scenario                  (Table 7)
      table8  the explanation sets per approach                 (Table 8)
-     bechamel  statistically robust timings (one Test.make per
-               table/figure)
 
    Absolute numbers are not comparable to the paper's Spark cluster; the
    reproduced claims are the *shapes*: linear scaling in input size,
@@ -34,17 +32,11 @@ let phase_cols (r : Whynot.Pipeline.result) =
        (Whynot.Pipeline.phase_durations_ms r))
 
 (* Engine configuration, settable from the command line: --partitions N
-   sizes the datasets, --parallel runs partition-local work on the domain
-   pool. *)
+   sizes the datasets. *)
 let partitions = ref Engine.Exec.default_config.Engine.Exec.partitions
-let parallel = ref false
 
 let engine_config () =
-  {
-    Engine.Exec.partitions = !partitions;
-    parallel = !parallel;
-    retry = Engine.Fault.no_retry;
-  }
+  { Engine.Exec.partitions = !partitions; retry = Engine.Fault.no_retry }
 
 (* Optional CSV sink: each measurement row is also appended to
    results/<target>.csv when -csv is passed, for external plotting. *)
@@ -256,8 +248,7 @@ let write_json () =
           \"word_size\": %d},\n"
          git_commit hostname Sys.ocaml_version Sys.word_size);
     output_string oc
-      (Fmt.str "  \"config\": {\"partitions\": %d, \"parallel\": %b},\n"
-         !partitions !parallel);
+      (Fmt.str "  \"config\": {\"partitions\": %d},\n" !partitions);
     output_string oc "  \"records\": [\n";
     output_string oc
       (String.concat ",\n" (List.rev_map record !json_records));
@@ -1259,49 +1250,6 @@ let smoke () =
   bench_approx ~scales:[ 1 ] ();
   bench_recover ~scale:1 ~replicate:2_000 ()
 
-(* --- Bechamel micro-benchmarks: one Test.make per table/figure ------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let mk name f = Test.make ~name (Staged.stage f) in
-  [
-    mk "fig8/D1-rp" (fun () -> run_rp (instance (scenario "D1")));
-    mk "fig9/T2-rp" (fun () -> run_rp (instance (scenario "T2")));
-    mk "fig10/Q3-rp" (fun () -> run_rp (instance (scenario "Q3")));
-    mk "fig10/Q3-query" (fun () -> run_query (instance (scenario "Q3")));
-    mk "fig11/Q3-4sa" (fun () ->
-        let inst = instance (scenario "Q3") in
-        Whynot.Pipeline.explain ~max_sas:4
-          ~alternatives:(widened_alternatives "Q3" inst)
-          inst.Scenarios.Scenario.question);
-    mk "table6/C1-rp" (fun () -> run_rp (instance (scenario "C1")));
-    mk "table7/wnpp-D4" (fun () ->
-        Baselines.Wnpp.explanations
-          (instance (scenario "D4")).Scenarios.Scenario.question);
-    mk "table8/Q10-rp" (fun () -> run_rp (instance (scenario "Q10")));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  Fmt.pr "@.== Bechamel timings (OLS estimate per run) ==@.";
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.6) () in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analyzed = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Fmt.pr "%-20s %12.3f ms/run@." name (est /. 1e6)
-          | _ -> Fmt.pr "%-20s (no estimate)@." name)
-        analyzed)
-    (bechamel_tests ())
-
 (* --- Driver ---------------------------------------------------------------- *)
 
 let () =
@@ -1332,9 +1280,6 @@ let () =
           parse acc rest
         | None -> usage "%s needs an integer, got %S" flag n)
       | [] -> usage "%s needs an integer" flag)
-    | ("-parallel" | "--parallel") :: rest ->
-      parallel := true;
-      parse acc rest
     | a :: rest -> parse (a :: acc) rest
   in
   let args = parse [] (List.tl (Array.to_list Sys.argv)) in
@@ -1359,7 +1304,6 @@ let () =
       ("recover", true, fun () -> bench_recover ());
       ("chaos", true, fun () -> bench_chaos ());
       ("obs", true, fun () -> bench_obs ());
-      ("bechamel", false, run_bechamel);
     ]
   in
   let names = List.map (fun (name, _, _) -> name) families @ [ "all" ] in

@@ -382,7 +382,6 @@ let run_scenarios args =
   let trace_file = ref "" in
   let names = ref [] in
   let partitions = ref Engine.Exec.default_config.Engine.Exec.partitions in
-  let parallel = ref false in
   let task_retries = ref 0 in
   let budget_ms = ref 0.0 in
   let sample_stride = ref 0 in
@@ -411,10 +410,6 @@ let run_scenarios args =
         Arg.Set_int partitions,
         "N  engine partition count (default 4)" );
       ("--partitions", Arg.Set_int partitions, "N  same as -partitions");
-      ( "-parallel",
-        Arg.Set parallel,
-        "run engine partitions on the domain pool" );
-      ("--parallel", Arg.Set parallel, " same as -parallel");
       ( "-task-retries",
         Arg.Set_int task_retries,
         "N  retry budget for transient task faults (default 0: fail fast)" );
@@ -489,11 +484,7 @@ let run_scenarios args =
       let retry = Engine.Fault.retries (max 0 !task_retries) in
       run_scenario ~scale:!scale ~verbose:!verbose ~metrics:!metrics
         ~config:
-          {
-            Engine.Exec.partitions = max 1 !partitions;
-            parallel = !parallel;
-            retry;
-          }
+          { Engine.Exec.partitions = max 1 !partitions; retry }
         ~retry ~root ~approx_cfg s;
       Option.iter Obs.Span.finish root)
     scenarios;

@@ -20,7 +20,8 @@
    merged annotated tables in Figures 4–7.  The annotations themselves are
    stored columnar ({!vann}: flat flag vectors plus an offset-encoded
    parent adjacency), with per-row {!trow} trees reconstructed lazily —
-   the relaxed evaluation runs over {!Engine.Columnar} batches.
+   the relaxed evaluation runs the engine's operator kernels
+   ({!Engine.Kernel}) over {!Engine.Columnar} batches.
 
    Aggregate constraints of the why-not question (e.g. revenue > 0) are
    checked *optimistically* via achievable ranges over sub-multisets of
@@ -31,6 +32,7 @@ open Nested
 open Nrab
 module Int_set = Opset.Int_set
 module C = Engine.Columnar
+module K = Engine.Kernel
 
 type trow = {
   rid : int;
@@ -387,23 +389,21 @@ let rec rebase d (r : cres) : cres =
       c_kids = List.map (rebase d) r.c_kids;
     }
 
-(* Group rows by code, first-seen group order, members ascending (codes
-   are exact for structural equality, so a class is a group of equal
-   rows). *)
-let group_indices (codes : int array) : int array array =
-  let tbl = Hashtbl.create 64 in
-  let order = ref [] in
+(* The rows among [rows] whose flag is set, in order. *)
+let filter_rows flags (rows : int array) : int array =
+  Array.of_list (List.filter (bget flags) (Array.to_list rows))
+
+(* Parents of rows that each derive from a set of input rows (given as
+   indices of the block starting at rid [base]). *)
+let members_parents base (members : int array array) : parents =
+  let m = Array.length members in
+  let off = Array.make (m + 1) 0 in
+  Array.iteri (fun o ms -> off.(o + 1) <- off.(o) + Array.length ms) members;
+  let flat = Array.make off.(m) 0 in
   Array.iteri
-    (fun i c ->
-      match Hashtbl.find_opt tbl c with
-      | Some cell -> cell := i :: !cell
-      | None ->
-        let cell = ref [ i ] in
-        Hashtbl.add tbl c cell;
-        order := cell :: !order)
-    codes;
-  Array.of_list
-    (List.rev_map (fun cell -> Array.of_list (List.rev !cell)) !order)
+    (fun o ms -> Array.iteri (fun j i -> flat.(off.(o) + j) <- base + i) ms)
+    members;
+  P_many (off, flat)
 
 (* The pattern-independent half of tracing: evaluate [q] relaxed, and
    count its rows.  A position that [blocks] holds, with an equal
@@ -418,6 +418,10 @@ let relaxed ~(env : Typecheck.env) (db : Relation.Db.t) ~blocks (q : Query.t)
     | Ok ty -> Vtype.relation_fields ty
     | Error e ->
       invalid_arg ("Tracing.run: ill-typed SA query: " ^ e.Typecheck.message)
+  in
+  (* Tracing reads an attribute a batch lacks as Null. *)
+  let col b a =
+    match K.column b a with Some c -> c | None -> C.CNull (C.length b)
   in
   let rec go pos (op : Query.t) : cres =
     match List.assoc_opt pos blocks with
@@ -457,13 +461,6 @@ let relaxed ~(env : Typecheck.env) (db : Relation.Db.t) ~blocks (q : Query.t)
       crecord ~data:r.c_data ~ret:keeps
         ~surv:(band r.c_surv keeps) ~par:(P_self r.c_rid0) ~rng:r.c_rng
     | Query.Project cols, [ _ ], [ r ] ->
-      let n = r.c_n in
-      let data =
-        if n = 0 then C.empty
-        else
-          C.of_cols n
-            (List.map (fun (nm, e) -> (nm, C.eval_expr r.c_data e)) cols)
-      in
       let rng =
         match r.c_rng with
         | None -> None
@@ -480,64 +477,24 @@ let relaxed ~(env : Typecheck.env) (db : Relation.Db.t) ~blocks (q : Query.t)
                    cols)
                arr)
       in
-      let par = P_self r.c_rid0 in
-      crecord ~data ~ret:(ball n true) ~surv:r.c_surv ~par ~rng
+      crecord ~data:(K.project cols r.c_data) ~ret:(ball r.c_n true)
+        ~surv:r.c_surv ~par:(P_self r.c_rid0) ~rng
     | Query.Rename pairs, [ _ ], [ r ] ->
-      let n = r.c_n in
-      let rename_label l =
-        match List.find_opt (fun (_, old) -> String.equal old l) pairs with
-        | Some (fresh, _) -> fresh
-        | None -> l
-      in
-      let data =
-        if n = 0 then r.c_data
-        else
-          match C.cols r.c_data with
-          | Some fs ->
-            C.of_cols n (List.map (fun (l, col) -> (rename_label l, col)) fs)
-          | None ->
-            C.note_row_fallback ();
-            C.of_values
-              (Array.map
-                 (fun t ->
-                   match t with
-                   | Value.Tuple fs ->
-                     Value.Tuple
-                       (List.map (fun (l, v) -> (rename_label l, v)) fs)
-                   | other -> other)
-                 (C.to_values r.c_data))
-      in
       let rng =
         Option.map
-          (Array.map (List.map (fun (l, iv) -> (rename_label l, iv))))
+          (Array.map (List.map (fun (l, iv) -> (K.renamed pairs l, iv))))
           r.c_rng
       in
-      let par = P_self r.c_rid0 in
-      crecord ~data ~ret:(ball n true) ~surv:r.c_surv ~par ~rng
+      crecord ~data:(K.rename pairs r.c_data) ~ret:(ball r.c_n true)
+        ~surv:r.c_surv ~par:(P_self r.c_rid0) ~rng
     | Query.Dedup, [ _ ], [ r ] ->
-      let coder = C.Coder.create () in
-      let groups = group_indices (C.row_codes coder r.c_data) in
+      let groups, data = K.dedup r.c_data in
       let g = Array.length groups in
-      let data = C.gather r.c_data (Array.map (fun m -> m.(0)) groups) in
-      let surv = Bytes.create g in
-      let total = Array.fold_left (fun acc m -> acc + Array.length m) 0 groups in
-      let off = Array.make (g + 1) 0 in
-      let flat = Array.make total 0 in
-      let k = ref 0 in
-      Array.iteri
-        (fun gi members ->
-          off.(gi) <- !k;
-          bset surv gi
-            (Array.exists (fun i -> bget r.c_surv i) members);
-          Array.iter
-            (fun i ->
-              flat.(!k) <- r.c_rid0 + i;
-              incr k)
-            members)
-        groups;
-      off.(g) <- !k;
-      crecord ~data ~ret:(ball g true) ~surv ~par:(P_many (off, flat))
-        ~rng:None
+      let surv =
+        Bytes.init g (fun gi -> chr (Array.exists (bget r.c_surv) groups.(gi)))
+      in
+      crecord ~data ~ret:(ball g true) ~surv
+        ~par:(members_parents r.c_rid0 groups) ~rng:None
     | Query.Union, [ _; _ ], [ a; b ] ->
       let n = a.c_n + b.c_n in
       let data = C.vstack [ a.c_data; b.c_data ] in
@@ -558,385 +515,87 @@ let relaxed ~(env : Typecheck.env) (db : Relation.Db.t) ~blocks (q : Query.t)
         ~surv:(Bytes.cat a.c_surv b.c_surv)
         ~par ~rng
     | Query.Diff, [ _; _ ], [ a; b ] ->
-      (* Relaxation keeps every left row; multiset difference against the
-         *surviving* right rows decides [retained]/[surviving]. *)
-      let coder = C.Coder.create () in
-      let lc = C.row_codes coder a.c_data in
-      let rc = C.row_codes coder b.c_data in
-      let counts = Hashtbl.create 32 in
-      Array.iteri
-        (fun j code ->
-          if bget b.c_surv j then
-            Hashtbl.replace counts code
-              (1 + Option.value ~default:0 (Hashtbl.find_opt counts code)))
-        rc;
-      let ret = Bytes.create a.c_n and surv = Bytes.create a.c_n in
-      Array.iteri
-        (fun i code ->
-          let removed =
-            bget a.c_surv i
-            &&
-            match Hashtbl.find_opt counts code with
-            | Some n when n > 0 ->
-              Hashtbl.replace counts code (n - 1);
-              true
-            | _ -> false
-          in
-          bset ret i (not removed);
-          bset surv i (bget a.c_surv i && not removed))
-        lc;
-      crecord ~data:a.c_data ~ret ~surv ~par:(P_self a.c_rid0)
-        ~rng:a.c_rng
+      (* Relaxation keeps every left row; multiset difference of the
+         surviving rows decides [retained]/[surviving]. *)
+      let removed =
+        K.diff_cancelled ~l_live:(bget a.c_surv) ~r_live:(bget b.c_surv)
+          a.c_data b.c_data
+      in
+      let ret = Bytes.init a.c_n (fun i -> chr (not removed.(i))) in
+      crecord ~data:a.c_data ~ret ~surv:(band a.c_surv ret)
+        ~par:(P_self a.c_rid0) ~rng:a.c_rng
     | Query.Flatten_tuple a, [ c ], [ r ] ->
-      let n = r.c_n in
       let inner_ty =
         match List.assoc_opt a (fields_of c) with
         | Some ty -> ty
         | None -> invalid_arg ("Tracing: unknown attribute " ^ a)
       in
-      let null_inner = Vtype.null_tuple inner_ty in
-      let data =
-        if n = 0 then C.empty
-        else
-          let right =
-            match C.find_col r.c_data a with
-            | Some col -> (
-              match C.flatten_tuple inner_ty col with
-              | Some right -> right
-              | None ->
-                C.note_row_fallback ();
-                C.of_values
-                  (Array.init n (fun i ->
-                       match C.col_get col i with
-                       | Value.Tuple _ as inner -> inner
-                       | _ -> null_inner)))
-            | None -> (
-              match C.cols r.c_data with
-              | Some _ -> C.broadcast n null_inner
-              | None ->
-                C.note_row_fallback ();
-                C.of_values
-                  (Array.init n (fun i ->
-                       match Value.field a (C.get_row r.c_data i) with
-                       | Some (Value.Tuple _ as inner) -> inner
-                       | _ -> null_inner)))
-          in
-          C.hstack r.c_data right
-      in
-      let par = P_self r.c_rid0 in
-      crecord ~data ~ret:(ball n true) ~surv:r.c_surv ~par ~rng:r.c_rng
+      crecord
+        ~data:(K.flatten_tuple inner_ty (col r.c_data a) r.c_data)
+        ~ret:(ball r.c_n true) ~surv:r.c_surv ~par:(P_self r.c_rid0)
+        ~rng:r.c_rng
     | Query.Flatten (kind, a), [ c ], [ r ] ->
-      let n = r.c_n in
       let inner_ty =
         match List.assoc_opt a (fields_of c) with
         | Some (Vtype.TBag ety) -> ety
         | _ -> invalid_arg ("Tracing: attribute " ^ a ^ " is not a relation")
       in
-      let null_inner = Vtype.null_tuple inner_ty in
-      (* Expanded output interleaves one pad row at each empty-bag input
-         position, in input order. *)
-      let parent_idx, pad, right =
-        match C.find_col r.c_data a with
-        | Some (C.CBag bg) ->
-          let present i =
-            match bg.C.bpresent with
-            | None -> true
-            | Some p -> C.Bitv.get p i
-          in
-          let total = ref 0 in
-          for i = 0 to n - 1 do
-            let cnt =
-              if not (present i) then 0
-              else begin
-                let s = ref 0 in
-                for j = bg.C.boff.(i) to bg.C.boff.(i + 1) - 1 do
-                  s := !s + bg.C.bmult.(j)
-                done;
-                !s
-              end
-            in
-            total := !total + max 1 cnt
-          done;
-          let m = !total in
-          let parent_idx = Array.make m 0 and sel = Array.make m 0 in
-          let ne = C.col_length bg.C.belems in
-          let k = ref 0 in
-          for i = 0 to n - 1 do
-            let start = !k in
-            if present i then
-              for j = bg.C.boff.(i) to bg.C.boff.(i + 1) - 1 do
-                for _ = 1 to bg.C.bmult.(j) do
-                  parent_idx.(!k) <- i;
-                  sel.(!k) <- j;
-                  incr k
-                done
-              done;
-            if !k = start then begin
-              parent_idx.(!k) <- i;
-              sel.(!k) <- ne;
-              incr k
-            end
-          done;
-          let pad = Bytes.init m (fun o -> chr (sel.(o) = ne)) in
-          let elem_batch = { C.n = ne; row = bg.C.belems } in
-          let right =
-            C.gather (C.vstack [ elem_batch; C.broadcast 1 null_inner ]) sel
-          in
-          (parent_idx, pad, right)
-        | col_opt ->
-          C.note_row_fallback ();
-          let get_field i =
-            match col_opt with
-            | Some col -> Some (C.col_get col i)
-            | None -> Value.field a (C.get_row r.c_data i)
-          in
-          let elems =
-            Array.init n (fun i ->
-                match get_field i with
-                | Some (Value.Bag _ as bag) -> Value.expand bag
-                | _ -> [])
-          in
-          let m =
-            Array.fold_left (fun acc l -> acc + max 1 (List.length l)) 0 elems
-          in
-          let parent_idx = Array.make m 0 in
-          let pad = Bytes.make m '\000' in
-          let vals = Array.make m Value.Null in
-          let k = ref 0 in
-          Array.iteri
-            (fun i l ->
-              match l with
-              | [] ->
-                parent_idx.(!k) <- i;
-                Bytes.set pad !k '\001';
-                vals.(!k) <- null_inner;
-                incr k
-              | l ->
-                List.iter
-                  (fun u ->
-                    parent_idx.(!k) <- i;
-                    vals.(!k) <- u;
-                    incr k)
-                  l)
-            elems;
-          (parent_idx, pad, C.of_values vals)
-      in
-      let m = Array.length parent_idx in
-      let data =
-        if m = 0 then C.empty else C.hstack (C.gather r.c_data parent_idx) right
-      in
+      (* The outer flatten; an inner one does not retain its pads. *)
+      let f = K.flatten ~outer:true inner_ty (col r.c_data a) r.c_data in
+      let m = Array.length f.K.parent in
       let keeps_pad = kind = Query.Flat_outer in
-      let ret = Bytes.init m (fun o -> chr ((not (bget pad o)) || keeps_pad)) in
+      let ret =
+        Bytes.init m (fun o -> chr (keeps_pad || not (C.Bitv.get f.K.pad o)))
+      in
       let surv =
-        Bytes.init m (fun o ->
-            chr
-              (bget r.c_surv parent_idx.(o)
-              && ((not (bget pad o)) || keeps_pad)))
+        Bytes.init m (fun o -> chr (bget ret o && bget r.c_surv f.K.parent.(o)))
       in
-      let par = P_one (Array.map (fun i -> r.c_rid0 + i) parent_idx) in
+      let par = P_one (Array.map (fun i -> r.c_rid0 + i) f.K.parent) in
       let rng =
-        Option.map (fun arr -> Array.map (fun i -> arr.(i)) parent_idx) r.c_rng
+        Option.map (fun arr -> Array.map (fun i -> arr.(i)) f.K.parent) r.c_rng
       in
-      crecord ~data ~ret ~surv ~par ~rng
+      crecord ~data:f.K.data ~ret ~surv ~par ~rng
     | Query.Join (kind, pred), [ l; r ], [ a; b ] ->
       let lfs = fields_of l and rfs = fields_of r in
       let lnull = Vtype.null_tuple (Vtype.TTuple lfs) in
       let rnull = Vtype.null_tuple (Vtype.TTuple rfs) in
       let keys, residual =
-        Engine.Exec.equi_split (List.map fst lfs) (List.map fst rfs) pred
+        K.equi_split (List.map fst lfs) (List.map fst rfs) pred
       in
       let ln = a.c_n and rn = b.c_n in
-      let cand_l, cand_r =
+      let cand =
         if ln = 0 || rn = 0 then ([||], [||])
         else
           match keys with
-          | [] ->
-            let li = Array.make (ln * rn) 0 and ri = Array.make (ln * rn) 0 in
-            for i = 0 to ln - 1 do
-              for j = 0 to rn - 1 do
-                li.((i * rn) + j) <- i;
-                ri.((i * rn) + j) <- j
-              done
-            done;
-            (li, ri)
+          | [] -> K.all_pairs ln rn
           | keys ->
-            let coder = C.Coder.create () in
-            (* Fast path: every key pair is a dictionary-encoded string
-               column on both sides.  Dict codes are global, so they are
-               already cross-batch equality codes — no per-cell interning. *)
-            let fast_key_cols =
-              match C.cols a.c_data, C.cols b.c_data with
-              | Some lf, Some rf ->
-                let rec collect ks acc =
-                  match ks with
-                  | [] -> Some (List.rev acc)
-                  | (la, ra) :: rest -> (
-                    match List.assoc_opt la lf, List.assoc_opt ra rf with
-                    | Some (C.CStr (lc, lp)), Some (C.CStr (rc, rp)) ->
-                      collect rest (((lc, lp), (rc, rp)) :: acc)
-                    | _ -> None)
-                in
-                collect keys []
-              | _ -> None
-            in
-            let dict_side_codes n (cols : (int array * C.Bitv.t option) list) :
-                int array =
-              let comps =
-                List.map
-                  (fun (codes, p) ->
-                    match p with
-                    | None -> codes
-                    | Some bv ->
-                      Array.init n (fun i ->
-                          if C.Bitv.get bv i then codes.(i) else min_int))
-                  cols
-              in
-              let mixed =
-                match comps with
-                | [ one ] -> Array.copy one
-                | comps -> C.Coder.mix coder comps
-              in
-              List.iter
-                (fun cs ->
-                  for i = 0 to n - 1 do
-                    if cs.(i) = min_int then mixed.(i) <- -1
-                  done)
-                comps;
-              mixed
-            in
-            (* Key codes per row; [-1] flags a key containing Null, which
-               can never satisfy an equality conjunct. *)
-            let side_codes (bd : C.t) attrs : int array =
-              let n = C.length bd in
-              match C.cols bd with
-              | Some fields ->
-                let comps =
-                  List.map
-                    (fun at ->
-                      C.Coder.col_codes coder
-                        (match List.assoc_opt at fields with
-                        | Some col -> col
-                        | None -> C.CNull n))
-                    attrs
-                in
-                let mixed = C.Coder.mix coder comps in
-                Array.iteri
-                  (fun i _ ->
-                    if
-                      List.exists (fun cs -> cs.(i) = C.Coder.null_code) comps
-                    then mixed.(i) <- -1)
-                  mixed;
-                mixed
-              | None ->
-                C.note_row_fallback ();
-                let comps =
-                  Array.init n (fun i ->
-                      let t = C.get_row bd i in
-                      List.map
-                        (fun at ->
-                          Option.value ~default:Value.Null (Value.field at t))
-                        attrs)
-                in
-                let code_arrays =
-                  List.init (List.length attrs) (fun j ->
-                      Array.map
-                        (fun cs -> C.Coder.value_code coder (List.nth cs j))
-                        comps)
-                in
-                let mixed = C.Coder.mix coder code_arrays in
-                Array.iteri
-                  (fun i cs ->
-                    if List.exists (fun v -> v = Value.Null) cs then
-                      mixed.(i) <- -1)
-                  comps;
-                mixed
-            in
             let lc, rc =
-              match fast_key_cols with
-              | Some kcols ->
-                ( dict_side_codes ln (List.map fst kcols),
-                  dict_side_codes rn (List.map snd kcols) )
-              | None ->
-                ( side_codes a.c_data (List.map fst keys),
-                  side_codes b.c_data (List.map snd keys) )
+              K.key_codes
+                (List.map
+                   (fun (la, ra) -> (col a.c_data la, col b.c_data ra))
+                   keys)
             in
-            (* Right is always the build side here: the row trace probes
-               left rows in order against newest-first right buckets, and
-               the candidate order below reproduces that enumeration. *)
-            let idx = Hashtbl.create (2 * rn) in
-            Array.iteri
-              (fun j code ->
-                if code >= 0 then
-                  Hashtbl.replace idx code
-                    (j :: Option.value ~default:[] (Hashtbl.find_opt idx code)))
-              rc;
-            let li = ref [] and ri = ref [] in
-            Array.iteri
-              (fun i code ->
-                if code >= 0 then
-                  match Hashtbl.find_opt idx code with
-                  | None -> ()
-                  | Some js ->
-                    List.iter
-                      (fun j ->
-                        li := i :: !li;
-                        ri := j :: !ri)
-                      js)
-              lc;
-            (Array.of_list (List.rev !li), Array.of_list (List.rev !ri))
+            (* The right side is always the build side: the candidate
+               order fixes the rids, which the stride samples read. *)
+            let rs, ls = K.hash_pairs ~build:rc ~probe:lc in
+            (ls, rs)
       in
-      let joined =
-        C.hstack (C.gather a.c_data cand_l) (C.gather b.c_data cand_r)
+      (* The full outer join; the flags say what [kind] keeps. *)
+      let j =
+        K.join ~kind:Query.Full ~residual ~lnull ~rnull cand a.c_data b.c_data
       in
-      let mask =
-        match residual with
-        | Expr.True -> C.Bitv.create (C.length joined) true
-        | p -> C.eval_pred_mask joined p
-      in
-      let keep = C.Bitv.indices mask in
-      let nm = Array.length keep in
-      let inner =
-        if nm = C.length joined then joined else C.filter joined mask
-      in
-      let matched_l = Bytes.make (max ln 1) '\000'
-      and matched_r = Bytes.make (max rn 1) '\000' in
-      Array.iter
-        (fun k ->
-          Bytes.set matched_l cand_l.(k) '\001';
-          Bytes.set matched_r cand_r.(k) '\001')
-        keep;
+      let kl = j.K.kept_l and kr = j.K.kept_r in
+      let ul = j.K.unmatched_l and ur = j.K.unmatched_r in
+      let nm = Array.length kl in
+      let nl = Array.length ul and nr = Array.length ur in
       let keeps_l = kind = Query.Left || kind = Query.Full in
       let keeps_r = kind = Query.Right || kind = Query.Full in
-      let unmatched mbytes cnt =
-        let out = ref [] in
-        for i = cnt - 1 downto 0 do
-          if Bytes.get mbytes i = '\000' then out := i :: !out
-        done;
-        Array.of_list !out
-      in
-      let ul = unmatched matched_l ln and ur = unmatched matched_r rn in
-      let nl = Array.length ul and nr = Array.length ur in
-      let padl =
-        if nl = 0 then C.empty
-        else C.hstack (C.gather a.c_data ul) (C.broadcast nl rnull)
-      in
-      let padr =
-        if nr = 0 then C.empty
-        else C.hstack (C.broadcast nr lnull) (C.gather b.c_data ur)
-      in
-      let data =
-        C.vstack
-          (List.filter (fun t -> C.length t > 0) [ inner; padl; padr ])
-      in
       let m = nm + nl + nr in
       let ret = Bytes.create m and surv = Bytes.create m in
-      (* An unmatched row is in particular not surv-matched, so the row
-         path's extra [not surv_matched] conjunct on pads is vacuous. *)
-      Array.iteri
-        (fun o k ->
-          bset ret o true;
-          bset surv o (bget a.c_surv cand_l.(k) && bget b.c_surv cand_r.(k)))
-        keep;
+      for o = 0 to nm - 1 do
+        bset ret o true;
+        bset surv o (bget a.c_surv kl.(o) && bget b.c_surv kr.(o))
+      done;
       Array.iteri
         (fun o i ->
           bset ret (nm + o) keeps_l;
@@ -951,8 +610,8 @@ let relaxed ~(env : Typecheck.env) (db : Relation.Db.t) ~blocks (q : Query.t)
       let flat = Array.make ((2 * nm) + nl + nr) 0 in
       for o = 0 to nm - 1 do
         off.(o) <- 2 * o;
-        flat.(2 * o) <- a.c_rid0 + cand_l.(keep.(o));
-        flat.((2 * o) + 1) <- b.c_rid0 + cand_r.(keep.(o))
+        flat.(2 * o) <- a.c_rid0 + kl.(o);
+        flat.((2 * o) + 1) <- b.c_rid0 + kr.(o)
       done;
       for o = 0 to nl - 1 do
         off.(nm + o) <- (2 * nm) + o;
@@ -963,61 +622,21 @@ let relaxed ~(env : Typecheck.env) (db : Relation.Db.t) ~blocks (q : Query.t)
         flat.((2 * nm) + nl + o) <- b.c_rid0 + ur.(o)
       done;
       off.(m) <- (2 * nm) + nl + nr;
-      let par = P_many (off, flat) in
       let rng =
         match a.c_rng, b.c_rng with
         | None, None -> None
         | ra, rb ->
           Some
             (Array.init m (fun o ->
-                 if o < nm then
-                   rng_at ra cand_l.(keep.(o)) @ rng_at rb cand_r.(keep.(o))
+                 if o < nm then rng_at ra kl.(o) @ rng_at rb kr.(o)
                  else if o < nm + nl then rng_at ra ul.(o - nm)
                  else rng_at rb ur.(o - nm - nl)))
       in
-      crecord ~data ~ret ~surv ~par ~rng
+      crecord ~data:j.K.data ~ret ~surv ~par:(P_many (off, flat)) ~rng
     | Query.Nest_tuple (pairs, c_name), [ _ ], [ r ] ->
-      let n = r.c_n in
       let attrs = List.map snd pairs in
       let data =
-        if n = 0 then r.c_data
-        else
-          match C.cols r.c_data with
-          | Some fs ->
-            let rest =
-              List.filter (fun (l, _) -> not (List.mem l attrs)) fs
-            in
-            let nested =
-              List.map
-                (fun (label, a) ->
-                  ( label,
-                    match List.assoc_opt a fs with
-                    | Some col -> col
-                    | None -> C.CNull n ))
-                pairs
-            in
-            C.of_cols n (rest @ [ (c_name, C.CTuple (n, nested, None)) ])
-          | None ->
-            C.note_row_fallback ();
-            C.of_values
-              (Array.map
-                 (fun t ->
-                   match t with
-                   | Value.Tuple fs ->
-                     let rest =
-                       List.filter (fun (l, _) -> not (List.mem l attrs)) fs
-                     in
-                     let nested =
-                       List.map
-                         (fun (label, a) ->
-                           ( label,
-                             Option.value ~default:Value.Null
-                               (List.assoc_opt a fs) ))
-                         pairs
-                     in
-                     Value.Tuple (rest @ [ (c_name, Value.Tuple nested) ])
-                   | other -> other)
-                 (C.to_values r.c_data))
+        K.nest_tuple pairs c_name (List.map (col r.c_data) attrs) r.c_data
       in
       let rng =
         match r.c_rng with
@@ -1028,308 +647,130 @@ let relaxed ~(env : Typecheck.env) (db : Relation.Db.t) ~blocks (q : Query.t)
                (List.filter (fun (l, _) -> not (List.mem l attrs)))
                arr)
       in
-      let par = P_self r.c_rid0 in
-      crecord ~data ~ret:(ball n true) ~surv:r.c_surv ~par ~rng
+      crecord ~data ~ret:(ball r.c_n true) ~surv:r.c_surv
+        ~par:(P_self r.c_rid0) ~rng
     | Query.Nest_rel (pairs, c_name), [ c ], [ r ] ->
-      let n = r.c_n in
       let attrs = List.map snd pairs in
-      let all = List.map fst (fields_of c) in
-      let group_attrs = List.filter (fun a -> not (List.mem a attrs)) all in
-      (* Column view of the input; shape-degenerate batches fall back to
-         per-row field extraction once, up front. *)
-      let fcols =
-        match C.cols r.c_data with
-        | Some fs -> fs
-        | None ->
-          C.note_row_fallback ();
-          List.map
-            (fun a ->
-              ( a,
-                (C.of_values
-                   (Array.init n (fun i ->
-                        Option.value ~default:Value.Null
-                          (Value.field a (C.get_row r.c_data i)))))
-                  .C.row ))
-            all
+      let group_attrs =
+        List.filter (fun a -> not (List.mem a attrs)) (List.map fst (fields_of c))
       in
-      let col_of a =
-        match List.assoc_opt a fcols with
-        | Some col -> col
-        | None -> C.CNull n
-      in
-      let key_batch =
-        C.of_cols n (List.map (fun a -> (a, col_of a)) group_attrs)
-      in
-      let proj_batch =
-        C.of_cols n (List.map (fun (label, a) -> (label, col_of a)) pairs)
-      in
-      let key_codes = C.eqclasses n (List.map col_of group_attrs) in
-      let proj_codes =
-        C.eqclasses n (List.map (fun (_, a) -> col_of a) pairs)
-      in
-      let groups = group_indices key_codes in
-      (* Per output row: key representative, bag members (also its
-         parents) and flag.  The canonical bag builder turns the members
-         into bag contents byte-identical to [Value.bag_of_list]'s. *)
-      let out_reps = ref []
-      and out_members = ref []
-      and survs = ref [] in
-      let emit gi members ~surviving =
-        out_reps := gi :: !out_reps;
-        out_members := members :: !out_members;
-        survs := surviving :: !survs
-      in
+      let keys = List.map (fun a -> (a, col r.c_data a)) group_attrs in
+      let proj = List.map (fun (label, a) -> (label, col r.c_data a)) pairs in
+      (* Per group, the row of all its members and, when only some of
+         them survive, the row of the surviving ones.  The surviving
+         members are a sub-multiset of the group, so the two bags are
+         equal iff the member counts are. *)
+      let rows = ref [] in
       Array.iter
         (fun members ->
           let rep = members.(0) in
-          let surv_members =
-            Array.of_list
-              (List.filter (fun i -> bget r.c_surv i) (Array.to_list members))
-          in
+          let surv_members = filter_rows r.c_surv members in
           let na = Array.length members and ns = Array.length surv_members in
-          (* The surviving members are a sub-multiset of the group, so
-             the two bags are equal iff the member counts are. *)
-          emit rep members ~surviving:(ns = na);
-          if ns > 0 && ns < na then emit rep surv_members ~surviving:true)
-        groups;
-      let reps = Array.of_list (List.rev !out_reps) in
-      let members = Array.of_list (List.rev !out_members) in
-      let m = Array.length members in
-      let bag_col = C.canonical_bags proj_batch proj_codes members in
+          rows := (rep, members, ns = na) :: !rows;
+          if ns > 0 && ns < na then rows := (rep, surv_members, true) :: !rows)
+        (K.groups r.c_n (List.map snd keys));
+      let rows = Array.of_list (List.rev !rows) in
+      let members = Array.map (fun (_, ms, _) -> ms) rows in
       let data =
-        C.hstack (C.gather key_batch reps) (C.of_cols m [ (c_name, bag_col) ])
+        K.nest_rel ~keys ~proj c_name
+          ~reps:(Array.map (fun (rep, _, _) -> rep) rows)
+          members r.c_data
       in
-      let surv = Bytes.create m in
-      List.iteri (fun o v -> bset surv o v) (List.rev !survs);
-      let off = Array.make (m + 1) 0 in
-      Array.iteri
-        (fun o ms -> off.(o + 1) <- off.(o) + Array.length ms)
-        members;
-      let flat =
-        Array.concat
-          (Array.to_list (Array.map (Array.map (fun i -> r.c_rid0 + i)) members))
-      in
-      let par = P_many (off, flat) in
-      crecord ~data ~ret:(ball m true) ~surv ~par ~rng:None
+      crecord ~data
+        ~ret:(ball (Array.length rows) true)
+        ~surv:(Bytes.init (Array.length rows) (fun o ->
+                   let _, _, s = rows.(o) in
+                   chr s))
+        ~par:(members_parents r.c_rid0 members) ~rng:None
     | Query.Agg_tuple (fn, a, b), [ _ ], [ r ] ->
-      let n = r.c_n in
-      let unwrap v =
-        match v with Value.Tuple [ (_, inner) ] -> inner | other -> other
-      in
-      let member_vals : Value.t list array =
-        match C.find_col r.c_data a with
-        | Some (C.CBag bg) ->
-          let evs =
-            match bg.C.belems with
-            | C.CTuple (_, [ (_, inner) ], None) -> C.col_values inner
-            | ec -> Array.map unwrap (C.col_values ec)
-          in
-          let present i =
-            match bg.C.bpresent with
-            | None -> true
-            | Some p -> C.Bitv.get p i
-          in
-          Array.init n (fun i ->
-              if not (present i) then []
-              else begin
-                let acc = ref [] in
-                for j = bg.C.boff.(i + 1) - 1 downto bg.C.boff.(i) do
-                  for _ = 1 to bg.C.bmult.(j) do
-                    acc := evs.(j) :: !acc
-                  done
-                done;
-                !acc
-              end)
-        | Some (C.CNull _) -> Array.make n []
-        | None when Option.is_some (C.cols r.c_data) -> Array.make n []
-        | col_opt ->
-          C.note_row_fallback ();
-          Array.init n (fun i ->
-              let fv =
-                match col_opt with
-                | Some col -> Some (C.col_get col i)
-                | None -> Value.field a (C.get_row r.c_data i)
-              in
-              match fv with
-              | Some (Value.Bag _ as bag) ->
-                List.map unwrap (Value.expand bag)
-              | _ -> [])
-      in
-      let agg_vals = Array.map (Agg.apply fn) member_vals in
+      let member_vals, data = K.agg_tuple fn (col r.c_data a) b r.c_data in
       let rng =
         norm_rng
-          (Array.init n (fun i ->
+          (Array.init r.c_n (fun i ->
                let parent = rng_at r.c_rng i in
                match Agg.achievable_range fn member_vals.(i) with
                | Some iv -> (b, iv) :: parent
                | None -> parent))
       in
-      let data =
-        if n = 0 then C.empty
-        else C.hstack r.c_data (C.of_cols n [ (b, (C.of_values agg_vals).C.row) ])
-      in
-      let par = P_self r.c_rid0 in
-      crecord ~data ~ret:(ball n true) ~surv:r.c_surv ~par ~rng
+      crecord ~data ~ret:(ball r.c_n true) ~surv:r.c_surv
+        ~par:(P_self r.c_rid0) ~rng
     | Query.Group_agg (group, aggs), [ _ ], [ r ] ->
-      let n = r.c_n in
-      let ucols = C.cols r.c_data in
-      let coder = C.Coder.create () in
-      let gattrs = List.map snd group in
-      let key_codes =
-        match ucols with
-        | Some fs -> (
-          match gattrs with
-          | [] -> Array.make n 0
-          | gattrs ->
-            C.Coder.mix coder
-              (List.map
-                 (fun a ->
-                   C.Coder.col_codes coder
-                     (match List.assoc_opt a fs with
-                     | Some col -> col
-                     | None -> C.CNull n))
-                 gattrs))
-        | None ->
-          C.note_row_fallback ();
-          Array.init n (fun i ->
-              C.Coder.value_code coder
-                (Value.Tuple
-                   (List.map
-                      (fun (label, a) ->
-                        ( label,
-                          Option.value ~default:Value.Null
-                            (Value.field a (C.get_row r.c_data i)) ))
-                      group)))
-      in
-      let groups = group_indices key_codes in
-      let reps = Array.map (fun m -> m.(0)) groups in
-      let key_vals =
-        match ucols with
-        | Some fs ->
-          C.to_values
-            (C.gather
-               (C.of_cols n
-                  (List.map
-                     (fun (label, a) ->
-                       ( label,
-                         match List.assoc_opt a fs with
-                         | Some col -> col
-                         | None -> C.CNull n ))
-                     group))
-               reps)
-        | None ->
-          Array.map
-            (fun i ->
-              Value.Tuple
-                (List.map
-                   (fun (label, a) ->
-                     ( label,
-                       Option.value ~default:Value.Null
-                         (Value.field a (C.get_row r.c_data i)) ))
-                   group))
-            reps
-      in
-      (* One member-value accessor per aggregate, column-materialized on
-         the uniform path. *)
-      let member_value_of : (int -> Value.t) list =
+      let keys = List.map (fun (label, a) -> (label, col r.c_data a)) group in
+      let aggs =
         List.map
-          (fun (_, a, _) ->
-            match a with
-            | None -> fun _ -> Value.Int 1
-            | Some a -> (
-              match ucols with
-              | Some fs ->
-                let vs =
-                  C.col_values
-                    (match List.assoc_opt a fs with
-                    | Some col -> col
-                    | None -> C.CNull n)
-                in
-                fun i -> vs.(i)
-              | None ->
-                fun i ->
-                  Option.value ~default:Value.Null
-                    (Value.field a (C.get_row r.c_data i))))
+          (fun (fn, a, out) -> K.agg fn (Option.map (col r.c_data) a) out)
           aggs
       in
-      let aggregate members =
-        let agg_fields_and_ranges =
-          List.map2
-            (fun (fn, _, out) getv ->
-              let values = List.map getv members in
-              let field = (out, Agg.apply fn values) in
-              let range =
-                Option.map (fun iv -> (out, iv)) (Agg.achievable_range fn values)
-              in
-              (field, range))
-            aggs member_value_of
-        in
-        ( List.map fst agg_fields_and_ranges,
-          List.filter_map snd agg_fields_and_ranges )
+      let groups = K.groups r.c_n (List.map snd keys) in
+      let reps = K.reps groups in
+      let g = Array.length groups in
+      (* The relaxed rows aggregate every member of a group, the original
+         rows only its surviving members, under the same key row.  Where
+         only some members survive, the original rows come from a second
+         run of the kernel over those sub-groups; where all survive, the
+         original row is the relaxed row. *)
+      let relaxed = K.group_agg ~keys ~reps aggs groups r.c_data in
+      let surviving = Array.map (filter_rows r.c_surv) groups in
+      let partial =
+        Array.of_list
+          (List.filter
+             (fun gi ->
+               let ns = Array.length surviving.(gi) in
+               ns > 0 && ns < Array.length groups.(gi))
+             (List.init g Fun.id))
       in
-      let vals = ref []
-      and rets = ref []
-      and survs = ref []
-      and pars = ref []
-      and rngs = ref []
-      and cnt = ref 0 in
-      let emit v ~retained ~surviving ~parents ~ranges =
-        vals := v :: !vals;
-        rets := retained :: !rets;
-        survs := surviving :: !survs;
-        pars := parents :: !pars;
-        rngs := ranges :: !rngs;
-        incr cnt
+      let original =
+        K.group_agg ~keys
+          ~reps:(Array.map (fun gi -> reps.(gi)) partial)
+          aggs
+          (Array.map (fun gi -> surviving.(gi)) partial)
+          r.c_data
       in
+      (* Where [original]'s rows go: row [g + k] of [relaxed] then
+         [original] is partial group [partial.(k)]'s. *)
+      let original_row = Array.make g (-1) in
+      Array.iteri (fun k gi -> original_row.(gi) <- g + k) partial;
+      let row i =
+        if i < g then C.get_row relaxed i else C.get_row original (i - g)
+      in
+      (* Per output row: its row of [relaxed] then [original], surviving
+         flag, parents and ranges.  A relaxed row survives when it equals
+         its original row; an original row that differs follows it. *)
+      let rows = ref [] in
       Array.iteri
         (fun gi members ->
-          let k = key_vals.(gi) in
-          let member_list = Array.to_list members in
-          let fields, ranges = aggregate member_list in
-          let relaxed_data = Value.concat_tuples k (Value.Tuple fields) in
-          let surviving_members =
-            List.filter (fun i -> bget r.c_surv i) member_list
+          let orig =
+            if Array.length surviving.(gi) = 0 then -1
+            else if original_row.(gi) >= 0 then original_row.(gi)
+            else gi
           in
-          let original_data =
-            if surviving_members = [] then None
-            else
-              let fields, _ = aggregate surviving_members in
-              Some (Value.concat_tuples k (Value.Tuple fields))
+          let same = orig >= 0 && row orig = row gi in
+          let ranges =
+            List.filter_map
+              (fun (a : K.agg) ->
+                Option.map
+                  (fun iv -> (a.K.out, iv))
+                  (Agg.achievable_range a.K.fn (a.K.values members)))
+              aggs
           in
-          emit relaxed_data ~retained:true
-            ~surviving:(original_data = Some relaxed_data)
-            ~parents:(List.map (fun i -> r.c_rid0 + i) member_list)
-            ~ranges;
-          match original_data with
-          | Some od when od <> relaxed_data ->
-            emit od ~retained:true ~surviving:true
-              ~parents:(List.map (fun i -> r.c_rid0 + i) surviving_members)
-              ~ranges:[]
-          | _ -> ())
+          rows := (gi, same, members, ranges) :: !rows;
+          if orig >= 0 && not same then
+            rows := (orig, true, surviving.(gi), []) :: !rows)
         groups;
-      let m = !cnt in
-      let data = C.of_values (Array.of_list (List.rev !vals)) in
-      let ret = Bytes.create m and surv = Bytes.create m in
-      List.iteri (fun o v -> bset ret o v) (List.rev !rets);
-      List.iteri (fun o v -> bset surv o v) (List.rev !survs);
-      let rng = norm_rng (Array.of_list (List.rev !rngs)) in
-      let plists = Array.of_list (List.rev !pars) in
-      let total = Array.fold_left (fun acc l -> acc + List.length l) 0 plists in
-      let off = Array.make (m + 1) 0 in
-      let flat = Array.make total 0 in
-      let k = ref 0 in
-      Array.iteri
-        (fun o l ->
-          off.(o) <- !k;
-          List.iter
-            (fun p ->
-              flat.(!k) <- p;
-              incr k)
-            l)
-        plists;
-      off.(m) <- !k;
-      let par = P_many (off, flat) in
-      crecord ~data ~ret ~surv ~par ~rng
+      let rows = Array.of_list (List.rev !rows) in
+      let m = Array.length rows in
+      let pick = Array.map (fun (i, _, _, _) -> i) rows in
+      let data =
+        if m = 0 then C.empty
+        else if m = g then relaxed (* no original row follows a relaxed one *)
+        else C.gather (C.vstack [ relaxed; original ]) pick
+      in
+      crecord ~data ~ret:(ball m true)
+        ~surv:(Bytes.init m (fun o ->
+                   let _, s, _, _ = rows.(o) in
+                   chr s))
+        ~par:(members_parents r.c_rid0 (Array.map (fun (_, _, ms, _) -> ms) rows))
+        ~rng:(norm_rng (Array.map (fun (_, _, _, rg) -> rg) rows))
     | _ -> invalid_arg "Tracing.run: malformed query"
   in
   let r = go [] q in

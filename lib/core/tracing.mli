@@ -10,6 +10,14 @@
     with per-row {!trow} trees reconstructed lazily from the arena-backed
     data batch.
 
+    The relaxed operators are the engine's own: every operator's data
+    comes from the {!Engine.Kernel} call that ⟦Q⟧_D's executor makes
+    (a relaxed join is the full outer join, a relaxed flatten the outer
+    flatten), and the annotations are derived from the index vectors
+    the kernels return.  Tracing reads an attribute a batch lacks as
+    Null, and builds every hash join on the right side: the candidate
+    order fixes the rids.
+
     Aggregate constraints of the why-not question are checked
     *optimistically* via achievable ranges over sub-multisets of
     contributions, since the algorithm does not trace aggregate subsets

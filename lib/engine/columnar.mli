@@ -180,7 +180,6 @@ module Coder : sig
   (** Code of [Value.Null] (join key exclusion checks against this). *)
   val null_code : int
 
-  val value_code : t -> Value.t -> int
   val col_codes : t -> col -> int array
 
   (** Combine per-column code arrays into one code per row

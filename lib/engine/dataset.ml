@@ -246,12 +246,7 @@ let recover_part (p : part) =
 
 let recover_partition (d : t) i = recover_part d.parts.(i)
 
-(* [parallel] fans the partitions out over the shared domain {!Pool}
-   (the engine's stand-in for a DISC system's task parallelism) instead
-   of spawning a fresh domain per partition per operator, which cost
-   more than it bought.  [f] must be pure.
-
-   Every partition is a *task attempt*: under [retry], a task that
+(* Every partition is a *task attempt*: under [retry], a task that
    raises [Fault.Transient] is recomputed — from its immutable input
    partition (our lineage is the closure plus the input, so
    recomputation is exact — the Spark task-retry model), or, when the
@@ -260,9 +255,8 @@ let recover_partition (d : t) i = recover_part d.parts.(i)
    the replay at the barrier).  The ["engine.partition"] chaos site
    fires once per attempt, inside the retry scope, so an armed fault on
    one attempt is survived by the next. *)
-let map_cpartitions ?(parallel = false) ?pool ?(retry = Fault.no_retry)
-    ?(label = "partition") ?on_retry (f : Columnar.t -> Columnar.t) (d : t) :
-    t =
+let map_cpartitions ?(retry = Fault.no_retry) ?(label = "partition") ?on_retry
+    (f : Columnar.t -> Columnar.t) (d : t) : t =
   let task _i (p : part) () =
     Obs.Faultinject.fire site_partition;
     Cols (f (part_cols p))
@@ -279,12 +273,7 @@ let map_cpartitions ?(parallel = false) ?pool ?(retry = Fault.no_retry)
       ~task:(Fmt.str "%s/p%d" label i)
       ~task_id:i ?on_retry:(fault_retry i p) (task i p)
   in
-  if (not parallel) || Array.length d.parts <= 1 then
-    { parts = Array.mapi run d.parts }
-  else
-    let pool = match pool with Some p -> p | None -> Pool.default () in
-    let indexed = Array.mapi (fun i p -> (i, p)) d.parts in
-    { parts = Pool.map_array pool (fun (i, p) -> run i p) indexed }
+  { parts = Array.mapi run d.parts }
 
 (* --- Spill ---------------------------------------------------------
 

@@ -92,9 +92,8 @@ val spill_over : watermark:int -> t -> int
 (** Collapse to a single partition; returns the rows moved. *)
 val gather : t -> t * int
 
-(** Transform every partition's batch; with [parallel] the partitions are
-    processed concurrently on [pool] (default {!Pool.default} — the
-    engine's task parallelism).  [f] must be pure.
+(** Transform every partition's batch, one partition after the other.
+    [f] must be pure.
 
     Each partition is a retryable task attempt: under [retry], a run of
     [f] that raises {!Fault.Transient} is recomputed from its input
@@ -106,8 +105,6 @@ val gather : t -> t * int
     attribution).  Batch-in/batch-out: no per-row tree
     materialization. *)
 val map_cpartitions :
-  ?parallel:bool ->
-  ?pool:Pool.t ->
   ?retry:Fault.policy ->
   ?label:string ->
   ?on_retry:(partition:int -> attempt:int -> exn -> unit) ->

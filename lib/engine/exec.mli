@@ -3,8 +3,13 @@
     Narrow operators (selection, projection, renaming, flattening, tuple
     nesting, per-tuple aggregation) run partition-local; blocking
     operators (joins, relation nesting, group aggregation, deduplication,
-    difference) shuffle by key first, as a DISC system would.  Results
-    agree with the reference evaluator {!Nrab.Eval} (tested). *)
+    difference) shuffle by key first, as a DISC system would.  The
+    executor is a partition/shuffle driver: every operator's column
+    logic is an {!Kernel} call, the same kernels data tracing runs.  It
+    resolves attribute columns strictly (an unknown attribute raises
+    {!Engine_error}, except where the reference evaluator reads Null)
+    and builds hash joins on the smaller side.  Results agree with the
+    reference evaluator {!Nrab.Eval} (tested). *)
 
 open Nested
 open Nrab
@@ -13,7 +18,6 @@ exception Engine_error of string
 
 type config = {
   partitions : int;
-  parallel : bool;  (** one domain per partition for partition-local work *)
   retry : Fault.policy;
       (** per-partition task retry budget; {!Fault.no_retry} by default.
           A partition task that raises {!Fault.Transient} is recomputed
@@ -24,18 +28,6 @@ type config = {
 }
 
 val default_config : config
-
-(** Split a join predicate's conjunctive closure into equi-join key
-    attribute pairs (left attr, right attr) and the residual predicate
-    ([True] when every conjunct is an equi-key comparison).  The
-    hash-join kernel indexes the smaller side by key and evaluates only
-    the residual on probe candidates. *)
-val equi_split :
-  string list -> string list -> Expr.pred -> (string * string) list * Expr.pred
-
-(** The key pairs of {!equi_split}; determines whether the join
-    hash-partitions or gathers. *)
-val equi_keys : string list -> string list -> Expr.pred -> (string * string) list
 
 (** Execute a plan; returns the result relation and execution
     statistics.

@@ -40,7 +40,7 @@ let movement_of (q : Query.t) ~(left_fields : string list)
     Shuffle (String.concat "," group)
   | Query.Group_agg (group, _) -> Shuffle (String.concat "," (List.map fst group))
   | Query.Join (_, pred) ->
-    let keys = Exec.equi_keys left_fields right_fields pred in
+    let keys = fst (Kernel.equi_split left_fields right_fields pred) in
     if keys = [] then Gather
     else Shuffle (String.concat "," (List.map fst keys))
   | Query.Product -> Gather

@@ -218,19 +218,14 @@ let queries () =
              (Query.join g Query.Left a_eq_c (Query.table g "r") (Query.table g "s"))));
   ]
 
-let check_equivalence ?(parallel = false) ~partitions ~seed () =
+let check_equivalence ~partitions ~seed () =
   let db = mk_db ~seed ~rows:25 in
   List.iter
     (fun (name, query) ->
       let expected = Eval.eval db query in
       let actual, _stats =
         Engine.Exec.run
-          ~config:
-            {
-              Engine.Exec.partitions;
-              parallel;
-              retry = Engine.Fault.no_retry;
-            }
+          ~config:{ Engine.Exec.partitions; retry = Engine.Fault.no_retry }
           db query
       in
       Alcotest.(check string)
@@ -343,8 +338,6 @@ let () =
           Alcotest.test_case "1 partition" `Quick (check_equivalence ~partitions:1 ~seed:11);
           Alcotest.test_case "4 partitions" `Quick (check_equivalence ~partitions:4 ~seed:12);
           Alcotest.test_case "7 partitions" `Quick (check_equivalence ~partitions:7 ~seed:13);
-          Alcotest.test_case "4 partitions, parallel domains" `Quick
-            (check_equivalence ~parallel:true ~partitions:4 ~seed:14);
         ] );
       ( "infrastructure",
         [

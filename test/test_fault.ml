@@ -198,7 +198,7 @@ let test_map_array_retry_recovers () =
 (* --- determinism under chaos --------------------------------------------- *)
 
 let engine_cfg retry =
-  { Engine.Exec.partitions = 4; parallel = false; retry }
+  { Engine.Exec.partitions = 4; retry }
 
 let relation_string r = Value.to_string (Relation.data r)
 

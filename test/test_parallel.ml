@@ -1,8 +1,7 @@
 (* The parallel execution layer must be invisible in the results: the
-   engine with [parallel = true] agrees with [Nrab.Eval] and with the
-   sequential engine on every registered scenario, and the pipeline,
-   which fans exact multi-SA runs out over the domain pool, ranks exactly
-   like the sequential composition of its layers. *)
+   engine agrees with [Nrab.Eval] on every registered scenario, and the
+   pipeline, which fans exact multi-SA runs out over the domain pool,
+   ranks exactly like the sequential composition of its layers. *)
 
 open Nested
 
@@ -14,33 +13,17 @@ let scenario_instances () =
       (s.Scenarios.Scenario.name, s.Scenarios.Scenario.make ~scale:1 ()))
     Scenarios.Registry.all
 
-(* Eval = sequential engine = parallel engine, for every scenario. *)
+(* Engine = Eval, for every scenario. *)
 let test_engine_agreement () =
   List.iter
     (fun (name, (inst : Scenarios.Scenario.instance)) ->
       let phi = inst.Scenarios.Scenario.question in
       let db = phi.Whynot.Question.db in
       let q = phi.Whynot.Question.query in
-      let expected = relation_string (Nrab.Eval.eval db q) in
-      let run parallel =
-        let r, _ =
-          Engine.Exec.run
-            ~config:
-              {
-                Engine.Exec.partitions = 4;
-                parallel;
-                retry = Engine.Fault.no_retry;
-              }
-            db q
-        in
-        relation_string r
-      in
       Alcotest.(check string)
-        (Fmt.str "%s: sequential engine = Eval" name)
-        expected (run false);
-      Alcotest.(check string)
-        (Fmt.str "%s: parallel engine = Eval" name)
-        expected (run true);
+        (Fmt.str "%s: engine = Eval" name)
+        (relation_string (Nrab.Eval.eval db q))
+        (relation_string (fst (Engine.Exec.run db q)));
       (* [Exec.rows] is the same run before the relation's sort: the
          same rows, in engine order. *)
       let sorted rows = List.sort Value.compare rows in
@@ -250,7 +233,7 @@ let () =
     [
       ( "agreement",
         [
-          Alcotest.test_case "engine parallel = sequential = Eval" `Quick
+          Alcotest.test_case "engine = Eval" `Quick
             test_engine_agreement;
           Alcotest.test_case "pipeline = sequential layer composition" `Quick
             test_pipeline_equals_composition;

@@ -665,7 +665,7 @@ let test_exec_identical_under_chaos_with_checkpoints () =
     let phi = inst.Scenarios.Scenario.question in
     let r, _ =
       Engine.Exec.run
-        ~config:{ Engine.Exec.partitions = 4; parallel = false; retry }
+        ~config:{ Engine.Exec.partitions = 4; retry }
         phi.Whynot.Question.db phi.Whynot.Question.query
     in
     Value.to_string (Relation.data r)

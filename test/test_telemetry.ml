@@ -302,30 +302,31 @@ let test_telemetry_verb () =
     (member "code" bad = Some (Json.J_string "bad_request"))
 
 (* [engine.columnar.row_fallbacks] counts the batches that took a per-row
-   path in the engine or in tracing.  Relation nesting and nullable tuple
-   flattens run column-wise, so explaining the nested scenarios built on
-   them leaves the counter alone; a shape-mixed ([CBox]) column still
-   moves it, and the telemetry verb reports it. *)
+   path in an operator kernel.  Every registry scenario explains
+   column-wise, with schema alternatives (RP) and without (RPnoSA), so
+   the counter stays put; a shape-mixed ([CBox]) column still moves it,
+   and the telemetry verb reports it. *)
 let test_row_fallbacks () =
   let fallbacks () =
     Obs.Metrics.Counter.value
       (Obs.Metrics.counter "engine.columnar.row_fallbacks")
   in
   List.iter
-    (fun name ->
-      let inst =
-        (Option.get (Scenarios.Registry.find name)).Scenarios.Scenario.make
-          ~scale:1 ()
-      in
-      let before = fallbacks () in
-      ignore
-        (Whynot.Pipeline.explain
-           ~alternatives:inst.Scenarios.Scenario.alternatives
-           inst.Scenarios.Scenario.question);
-      Alcotest.(check int)
-        (name ^ " explains without a per-row fallback")
-        before (fallbacks ()))
-    [ "D2"; "D3"; "TASD" ];
+    (fun (s : Scenarios.Scenario.t) ->
+      let inst = s.Scenarios.Scenario.make ~scale:1 () in
+      List.iter
+        (fun use_sas ->
+          let before = fallbacks () in
+          ignore
+            (Whynot.Pipeline.explain ~use_sas
+               ~alternatives:inst.Scenarios.Scenario.alternatives
+               inst.Scenarios.Scenario.question);
+          Alcotest.(check int)
+            (Fmt.str "%s (use_sas=%b) explains without a per-row fallback"
+               s.Scenarios.Scenario.name use_sas)
+            before (fallbacks ()))
+        [ true; false ])
+    Scenarios.Registry.all;
   (* [q.x] holds an int in one row and a string in another, so it is a
      [CBox] column; with a Null [q] beside it the flatten cannot push
      presence into it and rebuilds the tuples per row. *)

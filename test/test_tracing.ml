@@ -137,22 +137,52 @@ let test_flatten_padding () =
   Alcotest.(check bool) "padding does not survive" false r.Whynot.Tracing.surviving;
   Alcotest.(check string) "padded city is null" "⊥" (field_str "city" r)
 
-(* Surviving rows of the root reproduce the original result. *)
-let test_surviving_is_original () =
-  let tr = trace () in
+(* Surviving rows of the root reproduce the original result: the
+   surviving root rows of the trace, the engine's rows and the reference
+   evaluator's agree as multisets. *)
+let check_surviving label ~env db missing (sa : Whynot.Alternatives.sa) =
+  let multiset rows = List.map Value.to_string (List.sort Value.compare rows) in
+  let q = sa.Whynot.Alternatives.query in
+  let bt = Whynot.Backtrace.run ~env q missing in
   let surviving =
-    List.filter
-      (fun (r : Whynot.Tracing.trow) -> r.Whynot.Tracing.surviving)
-      (Whynot.Tracing.root_rows tr)
+    multiset
+      (List.filter_map
+         (fun (r : Whynot.Tracing.trow) ->
+           if r.Whynot.Tracing.surviving then Some r.Whynot.Tracing.data
+           else None)
+         (Whynot.Tracing.root_rows (Whynot.Tracing.run ~env db sa bt)))
   in
-  let original = Eval.eval db query in
-  Alcotest.(check int) "same cardinality" (Relation.cardinal original)
-    (List.length surviving);
-  List.iter
-    (fun (r : Whynot.Tracing.trow) ->
-      Alcotest.(check bool) "surviving root row is an original tuple" true
-        (List.exists (Value.equal r.Whynot.Tracing.data) (Relation.tuples original)))
+  Alcotest.(check (list string))
+    (label ^ ": surviving = Exec.rows")
+    (multiset (fst (Engine.Exec.rows db q)))
+    surviving;
+  Alcotest.(check (list string))
+    (label ^ ": surviving = Eval")
+    (multiset (Relation.tuples (Eval.eval db q)))
     surviving
+
+(* On the running example, and on every SA query of every registry
+   scenario at scales 1 and 2. *)
+let test_surviving_is_original () =
+  check_surviving "running example" ~env db missing sa0;
+  List.iter
+    (fun scale ->
+      List.iter
+        (fun (s : Scenarios.Scenario.t) ->
+          let inst = s.Scenarios.Scenario.make ~scale () in
+          let phi = inst.Scenarios.Scenario.question in
+          let db = phi.Whynot.Question.db in
+          let env = Whynot.Pipeline.schema_env db in
+          List.iter
+            (fun (sa : Whynot.Alternatives.sa) ->
+              check_surviving
+                (Fmt.str "%s@%d S%d" s.Scenarios.Scenario.name scale
+                   (sa.Whynot.Alternatives.index + 1))
+                ~env db phi.Whynot.Question.missing sa)
+            (Whynot.Alternatives.enumerate ~env phi.Whynot.Question.query
+               inst.Scenarios.Scenario.alternatives))
+        Scenarios.Registry.all)
+    [ 1; 2 ]
 
 (* Lineage: parents always point to rows of the child operator. *)
 let test_lineage_well_formed () =
