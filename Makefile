@@ -22,7 +22,10 @@ FUZZ ?= 20000
 fuzz:
 	FRONTEND_FUZZ_COUNT=$(FUZZ) dune exec test/test_frontend.exe -- test fuzz
 
-# Every bench family at the smallest scale — a CI guard, not a measurement.
+# Every bench family at the smallest scale — a CI guard, not a
+# measurement.  Exits 1 if any of the bench's correctness checks fails
+# (table3 operator types, approx top-k prefix, chaos and recover
+# identical explanations).
 bench-smoke:
 	dune exec bench/main.exe -- smoke
 
@@ -32,25 +35,27 @@ bench-smoke:
 wirebench-smoke:
 	sh wirebench/run.sh smoke
 
-# Budget-ladder acceptance run (exact vs sampled vs top-k vs combined
-# at scales 32-256); writes the committed baseline for the approx PR.
-bench-approx:
-	dune exec bench/main.exe -- approx -json BENCH_PR9.json
+# The acceptance families below run only when named.  Each writes its
+# rows to results/bench-<family>.json (results/ is not committed); the
+# committed BENCH_PR*.json files are history and are never rewritten.
 
-# Stage-recovery acceptance run: checkpoint restore vs full lineage
-# recompute, plus pipeline cost under a spill watermark; writes the
-# committed baseline for the recovery PR.  (The bench-smoke rung above
+# Budget ladder: exact vs sampled vs top-k vs combined at scales 32-256.
+bench-approx:
+	mkdir -p results && dune exec bench/main.exe -- approx -json results/bench-approx.json
+
+# Stage recovery: checkpoint restore vs full lineage recompute, plus
+# pipeline cost under a spill watermark.  (The bench-smoke rung above
 # already runs this family at the smallest scale, which doubles as the
 # spill smoke: explanations under a starvation watermark must match.)
 bench-recover:
-	dune exec bench/main.exe -- recover -json BENCH_PR10.json
+	mkdir -p results && dune exec bench/main.exe -- recover -json results/bench-recover.json
 
-# Gated chaos measurement (arms process-global fault sites, so it never
-# runs as part of the default bench sweep).
+# Chaos: unarmed fault-site overhead and armed-retry recovery (arms
+# process-global fault sites, so it never runs in the default sweep).
 bench-chaos:
-	dune exec bench/main.exe -- chaos -json BENCH_PR5.json
+	mkdir -p results && dune exec bench/main.exe -- chaos -json results/bench-chaos.json
 
-# Gated telemetry-overhead measurement (flips the process-global log
-# level and sink set, so it never runs as part of the default sweep).
+# Telemetry overhead (flips the process-global log level and sink set,
+# so it never runs in the default sweep).
 bench-obs:
-	dune exec bench/main.exe -- obs -json BENCH_PR6.json
+	mkdir -p results && dune exec bench/main.exe -- obs -json results/bench-obs.json

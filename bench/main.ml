@@ -8,321 +8,141 @@
      table6  crime comparison Why-Not / Conseil / RP           (Table 6, §6.4)
      table7  explanation summary per scenario                  (Table 7)
      table8  the explanation sets per approach                 (Table 8)
+     table3  explainable operator types per fragment           (Table 3)
+     ablation  schema alternatives and re-validation on/off
+
+   plus four acceptance families run only when named — approx (budget
+   ladder), recover (checkpoint restore, spill), chaos (fault sites) and
+   obs (telemetry overhead) — and [smoke], every family at its smallest
+   scale.  [-json FILE] writes every measurement row to FILE.
 
    Absolute numbers are not comparable to the paper's Spark cluster; the
    reproduced claims are the *shapes*: linear scaling in input size,
    bounded overhead factors over the original query, per-SA cost growth,
    and the explanation counts/contents. *)
 
-(* Wall-clock timing goes through Obs spans (monotone-clamped clock).
-   [time_span] is the drop-in for the old [time_ms]; phase-level numbers
-   come straight off the pipeline result's span tree. *)
+(* Wall-clock timing goes through Obs spans (monotone-clamped clock);
+   phase-level numbers come straight off the pipeline result's span
+   tree. *)
 let time_span name (f : Obs.Span.t -> 'a) : 'a * float =
   let sp = Obs.Span.start name in
   let x = Fun.protect ~finally:(fun () -> Obs.Span.finish sp) (fun () -> f sp) in
   (x, Obs.Span.duration_ms sp)
 
-let phase_header =
-  String.concat "," (List.map (fun p -> p ^ "_ms") Whynot.Pipeline.phases)
+(* The fastest of [n] runs of [f] by [ms], each after a full major GC so
+   one run does not pay for garbage another produced. *)
+let fastest ?(n = 5) ms f =
+  let run () =
+    Gc.full_major ();
+    f ()
+  in
+  let rec go best i =
+    if i >= n then best
+    else
+      let r = run () in
+      go (if ms r < ms best then r else best) (i + 1)
+  in
+  go (run ()) 1
 
-let phase_cols (r : Whynot.Pipeline.result) =
-  String.concat ","
-    (List.map
-       (fun (_, ms) -> Fmt.str "%.3f" ms)
-       (Whynot.Pipeline.phase_durations_ms r))
+(* One untimed warm-up run of [f], whose result is returned so callers
+   can check it, then the median wall-clock ms of 5 timed runs, each
+   after an untimed [setup]. *)
+let median_ms ?(setup = ignore) name f =
+  setup ();
+  let r0 = f () in
+  let times =
+    Array.init 5 (fun _ ->
+        setup ();
+        snd (time_span name (fun _ -> f ())))
+  in
+  Array.sort compare times;
+  (r0, times.(2))
 
-(* Engine configuration, settable from the command line: --partitions N
-   sizes the datasets. *)
-let partitions = ref Engine.Exec.default_config.Engine.Exec.partitions
+(* --- One row shape, one sink ---------------------------------------------
 
-let engine_config () =
-  { Engine.Exec.partitions = !partitions; retry = Engine.Fault.no_retry }
+   Every measurement is one [row]: its metrics are named the way
+   BENCHMARK.json names them ([engine.exec_ms] for ⟦Q⟧_D,
+   [whynot.<phase>_ms], [whynot.<phase>_alloc_mb]) and
+   [<layer>.<quantity>_<unit>] otherwise.  [emit] prints the row under a
+   header of its metric names and keeps it for the [-json] file.  A
+   [Bool] metric is a correctness check, named [check.<name>]: a false
+   one is reported on stderr and makes the run exit 1. *)
 
-(* Optional CSV sink: each measurement row is also appended to
-   results/<target>.csv when -csv is passed, for external plotting. *)
-let csv_enabled = ref false
+type value = Int of int | Float of float | Bool of bool
 
-let csv_channel : (string, out_channel) Hashtbl.t = Hashtbl.create 8
-
-let ensure_results_dir =
-  let made = ref false in
-  fun () ->
-    if not !made then begin
-      (if not (Sys.file_exists "results") then Unix.mkdir "results" 0o755);
-      made := true
-    end
-
-let csv target header row =
-  if !csv_enabled then begin
-    let oc =
-      match Hashtbl.find_opt csv_channel target with
-      | Some oc -> oc
-      | None ->
-        ensure_results_dir ();
-        let oc = open_out (Filename.concat "results" (target ^ ".csv")) in
-        output_string oc (header ^ "\n");
-        Hashtbl.replace csv_channel target oc;
-        oc
-    in
-    output_string oc (row ^ "\n")
-  end
-
-let close_csv () =
-  Hashtbl.iter
-    (fun _ oc ->
-      flush oc;
-      close_out oc)
-    csv_channel;
-  Hashtbl.reset csv_channel
-
-(* Flush even when a benchmark raises or the process is cut short;
-   [close_csv] is idempotent (the table is reset), so the explicit call
-   at the end of [main] and this handler cannot double-close. *)
-let () = at_exit close_csv
-
-(* Optional JSON summary (--json FILE): one machine-readable record per
-   measurement — scenario, scale, query/RP wall-clock, and the per-phase
-   breakdown — so perf PRs can diff against a committed baseline. *)
-let json_file = ref ""
-
-type json_record = {
-  jbench : string;
-  jscenario : string;
-  jscale : int;
-  jrows : int;
-  jquery_ms : float option;
-  jrpnosa_ms : float option;
-  jrp_ms : float;
-  jphases : (string * float) list;
-  jgc : (string * (float * int)) list;
-      (* per-phase (bytes allocated, minor collections) *)
+type row = {
+  family : string;
+  scenario : string;
+  scale : int;
+  metrics : (string * value) list;
 }
 
-let json_records : json_record list ref = ref []
+let rows : row list ref = ref [] (* newest first *)
+let failed_checks = ref 0
 
-let add_json r = if !json_file <> "" then json_records := r :: !json_records
+let value_str = function
+  | Int n -> string_of_int n
+  | Float f when Float.is_finite f -> Fmt.str "%.6g" f
+  | Float _ -> "null"
+  | Bool b -> string_of_bool b
 
-(* Records of the [chaos] target — fault-tolerance numbers: the cost of
-   the (unarmed) injection sites and of surviving armed transient
-   faults via task retries. *)
-type chaos_record = {
-  hscenario : string;
-  hscale : int;
-  hunarmed_query_ms : float;
-  harmed_query_ms : float;
-  hunarmed_rp_ms : float;
-  harmed_rp_ms : float;
-  hretries : int;
-  hfaults : int;
-  hidentical : bool;
-}
+let emit family ~scenario ~scale metrics =
+  let print_cols cols =
+    Fmt.pr "%s@."
+      (String.concat " "
+         (List.map
+            (fun (name, v) -> Fmt.str "%-*s" (max 9 (String.length name)) v)
+            cols))
+  in
+  let names = List.map fst metrics in
+  (match !rows with
+  | r :: _ when r.family = family && List.map fst r.metrics = names -> ()
+  | _ ->
+    print_cols
+      (List.map (fun n -> (n, n)) ("scenario" :: "scale" :: names)));
+  print_cols
+    (("scenario", scenario)
+    :: ("scale", string_of_int scale)
+    :: List.map (fun (n, v) -> (n, value_str v)) metrics);
+  List.iter
+    (function
+      | name, Bool false ->
+        Fmt.epr "bench: check failed: %s %s %s@." family scenario name;
+        incr failed_checks
+      | _ -> ())
+    metrics;
+  rows := { family; scenario; scale; metrics } :: !rows
 
-let chaos_records : chaos_record list ref = ref []
-
-let add_chaos r = if !json_file <> "" then chaos_records := r :: !chaos_records
-
-(* Records of the [obs] target — telemetry overhead: the cost of a log
-   call at a disabled level, the record volume and wall-clock cost of
-   running a pipeline at Debug, and the metrics-export render time. *)
-type obs_record = {
-  oscenario : string;
-  oscale : int;
-  odisabled_ns : float;  (* per Log.debug call with the level off *)
-  orecords_per_explain : int;  (* records one RP explain emits at Debug *)
-  ooff_ms : float;  (* RP wall-clock, logging off *)
-  odebug_ms : float;  (* RP wall-clock, Debug + counting sink *)
-  odebug_overhead_pct : float;
-  odisabled_overhead_pct : float;
-      (* computed worst case: every record this explain would emit,
-         charged at the disabled-call price, as %% of the off column *)
-  oexport_ms : float;  (* one Prometheus render of the live registry *)
-}
-
-let obs_records : obs_record list ref = ref []
-
-let add_obs r = if !json_file <> "" then obs_records := r :: !obs_records
-
-(* Records of the [approx] target — budget-ladder numbers: exact RP vs
-   sampled tracing vs top-k-only MSR vs the combined degradation, plus
-   the honesty checks (confidence, skipped candidates, and whether the
-   top-k ranking is a prefix of the exact one). *)
-type approx_record = {
-  xscenario : string;
-  xscale : int;
-  xrows : int;
-  xexact_ms : float;
-  xsampled_ms : float;
-  xtopk_ms : float;
-  xcombined_ms : float;
-  xspeedup : float;  (* exact / combined *)
-  xconfidence : float;  (* of the combined run *)
-  xskipped : int;  (* MSR candidates pruned unevaluated (combined run) *)
-  xprefix_ok : bool;  (* top-k ranking = k-prefix of the exact ranking *)
-}
-
-let approx_records : approx_record list ref = ref []
-
-let add_approx r =
-  if !json_file <> "" then approx_records := r :: !approx_records
-
-(* Records of the [recover] target — stage-recovery numbers: restoring a
-   lost shuffle partition from its barrier checkpoint (a file read) vs
-   the fallback when the file is gone (replay the full upstream lineage
-   through the recompute closure), plus the explanation-pipeline cost of
-   running under a starvation-level spill watermark. *)
-type recover_record = {
-  rscenario : string;
-  rscale : int;
-  rrows : int;
-  rckpt_ms : float;  (* restore one lost partition from its checkpoint *)
-  rsrc_ms : float;  (* same restore with the file gone: full recompute *)
-  rspeedup : float;  (* src / ckpt *)
-  rplain_rp_ms : float;
-  rspill_rp_ms : float;
-  rspill_pct : float;
-  rspill_batches : int;
-  ridentical : bool;
-}
-
-let recover_records : recover_record list ref = ref []
-
-let add_recover r =
-  if !json_file <> "" then recover_records := r :: !recover_records
-
-let write_json () =
-  if !json_file <> "" then begin
-    let oc = open_out !json_file in
-    let field name v = Fmt.str "%S: %s" name v in
-    let opt_ms name = function
-      | None -> []
-      | Some ms -> [ field name (Fmt.str "%.3f" ms) ]
-    in
-    let record r =
-      let phases =
-        Fmt.str "{%s}"
-          (String.concat ", "
-             (List.map (fun (p, ms) -> Fmt.str "%S: %.3f" p ms) r.jphases))
-      in
-      let alloc =
-        Fmt.str "{%s}"
-          (String.concat ", "
-             (List.map (fun (p, (b, _)) -> Fmt.str "%S: %.0f" p b) r.jgc))
-      in
-      let minors =
-        Fmt.str "{%s}"
-          (String.concat ", "
-             (List.map (fun (p, (_, m)) -> Fmt.str "%S: %d" p m) r.jgc))
-      in
-      Fmt.str "    {%s}"
-        (String.concat ", "
-           ([
-              field "bench" (Fmt.str "%S" r.jbench);
-              field "scenario" (Fmt.str "%S" r.jscenario);
-              field "scale" (string_of_int r.jscale);
-              field "rows" (string_of_int r.jrows);
-            ]
-           @ opt_ms "query_ms" r.jquery_ms
-           @ opt_ms "rpnosa_ms" r.jrpnosa_ms
-           @ [
-               field "rp_ms" (Fmt.str "%.3f" r.jrp_ms);
-               field "phases" phases;
-               field "alloc_bytes" alloc;
-               field "minor_collections" minors;
-             ]))
-    in
-    (* provenance: enough to tell two committed baselines apart *)
-    let git_commit =
-      try
-        let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-        let line = try input_line ic with End_of_file -> "unknown" in
-        (match Unix.close_process_in ic with
-        | Unix.WEXITED 0 -> line
-        | _ -> "unknown")
-      with _ -> "unknown"
-    in
-    let hostname = try Unix.gethostname () with _ -> "unknown" in
-    output_string oc
-      (Fmt.str
-         "{\n\
-         \  \"meta\": {\"git_commit\": %S, \"hostname\": %S, \"ocaml\": %S, \
-          \"word_size\": %d},\n"
-         git_commit hostname Sys.ocaml_version Sys.word_size);
-    output_string oc
-      (Fmt.str "  \"config\": {\"partitions\": %d},\n" !partitions);
-    output_string oc "  \"records\": [\n";
-    output_string oc
-      (String.concat ",\n" (List.rev_map record !json_records));
-    output_string oc "\n  ]";
-    if !obs_records <> [] then begin
-      let obs_rec r =
-        Fmt.str
-          "    {\"scenario\": %S, \"scale\": %d, \"disabled_ns\": %.2f, \
-           \"records_per_explain\": %d, \"off_ms\": %.3f, \"debug_ms\": %.3f, \
-           \"debug_overhead_pct\": %.2f, \"disabled_overhead_pct\": %.4f, \
-           \"export_ms\": %.4f}"
-          r.oscenario r.oscale r.odisabled_ns r.orecords_per_explain r.ooff_ms
-          r.odebug_ms r.odebug_overhead_pct r.odisabled_overhead_pct
-          r.oexport_ms
-      in
-      output_string oc ",\n  \"obs\": [\n";
-      output_string oc
-        (String.concat ",\n" (List.rev_map obs_rec !obs_records));
-      output_string oc "\n  ]"
-    end;
-    if !approx_records <> [] then begin
-      let approx_rec r =
-        Fmt.str
-          "    {\"scenario\": %S, \"scale\": %d, \"rows\": %d, \
-           \"exact_ms\": %.3f, \"sampled_ms\": %.3f, \"topk_ms\": %.3f, \
-           \"combined_ms\": %.3f, \"speedup\": %.2f, \"confidence\": %.4f, \
-           \"skipped\": %d, \"prefix_ok\": %b}"
-          r.xscenario r.xscale r.xrows r.xexact_ms r.xsampled_ms r.xtopk_ms
-          r.xcombined_ms r.xspeedup r.xconfidence r.xskipped r.xprefix_ok
-      in
-      output_string oc ",\n  \"approx\": [\n";
-      output_string oc
-        (String.concat ",\n" (List.rev_map approx_rec !approx_records));
-      output_string oc "\n  ]"
-    end;
-    if !recover_records <> [] then begin
-      let recover_rec r =
-        Fmt.str
-          "    {\"scenario\": %S, \"scale\": %d, \"rows\": %d, \
-           \"checkpoint_restore_ms\": %.3f, \"source_recompute_ms\": %.3f, \
-           \"speedup\": %.2f, \"plain_rp_ms\": %.3f, \"spill_rp_ms\": %.3f, \
-           \"spill_overhead_pct\": %.2f, \"spill_batches\": %d, \
-           \"identical\": %b}"
-          r.rscenario r.rscale r.rrows r.rckpt_ms r.rsrc_ms r.rspeedup
-          r.rplain_rp_ms r.rspill_rp_ms r.rspill_pct r.rspill_batches
-          r.ridentical
-      in
-      output_string oc ",\n  \"recover\": [\n";
-      output_string oc
-        (String.concat ",\n" (List.rev_map recover_rec !recover_records));
-      output_string oc "\n  ]"
-    end;
-    if !chaos_records <> [] then begin
-      let chaos_rec r =
-        Fmt.str
-          "    {\"scenario\": %S, \"scale\": %d, \"unarmed_query_ms\": %.3f, \
-           \"armed_query_ms\": %.3f, \"unarmed_rp_ms\": %.3f, \
-           \"armed_rp_ms\": %.3f, \"retries\": %d, \"faults\": %d, \
-           \"identical\": %b}"
-          r.hscenario r.hscale r.hunarmed_query_ms r.harmed_query_ms
-          r.hunarmed_rp_ms r.harmed_rp_ms r.hretries r.hfaults r.hidentical
-      in
-      output_string oc ",\n  \"chaos\": [\n";
-      output_string oc
-        (String.concat ",\n" (List.rev_map chaos_rec !chaos_records));
-      output_string oc "\n  ]"
-    end;
-    output_string oc "\n}\n";
-    close_out oc;
-    Fmt.pr "@.json summary written to %s (%d records)@." !json_file
-      (List.length !json_records + List.length !chaos_records
-      + List.length !obs_records + List.length !approx_records
-      + List.length !recover_records)
-  end
+(* The [-json FILE] summary: provenance, then every row in run order. *)
+let write_json file =
+  let oc = open_out file in
+  let row r =
+    Fmt.str
+      "    {\"family\": %S, \"scenario\": %S, \"scale\": %d, \"metrics\": {%s}}"
+      r.family r.scenario r.scale
+      (String.concat ", "
+         (List.map (fun (n, v) -> Fmt.str "%S: %s" n (value_str v)) r.metrics))
+  in
+  (* provenance: enough to tell two committed baselines apart *)
+  let git_commit =
+    try
+      let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+      let line = try input_line ic with End_of_file -> "unknown" in
+      match Unix.close_process_in ic with
+      | Unix.WEXITED 0 -> line
+      | _ -> "unknown"
+    with _ -> "unknown"
+  in
+  let hostname = try Unix.gethostname () with _ -> "unknown" in
+  Fmt.kstr (output_string oc)
+    "{\n\
+    \  \"meta\": {\"git_commit\": %S, \"hostname\": %S, \"ocaml\": %S, \
+     \"word_size\": %d},\n\
+    \  \"rows\": [\n%s\n  ]\n}\n"
+    git_commit hostname Sys.ocaml_version Sys.word_size
+    (String.concat ",\n" (List.rev_map row !rows));
+  close_out oc;
+  Fmt.pr "@.json summary written to %s (%d rows)@." file (List.length !rows)
 
 let scenario name = Option.get (Scenarios.Registry.find name)
 
@@ -339,8 +159,20 @@ let run_rpnosa inst =
 
 let run_query ?parent inst =
   let phi = inst.Scenarios.Scenario.question in
-  Engine.Exec.run ~config:(engine_config ()) ?parent phi.Whynot.Question.db
-    phi.Whynot.Question.query
+  Engine.Exec.run ?parent phi.Whynot.Question.db phi.Whynot.Question.query
+
+let rp_ms (r : Whynot.Pipeline.result) =
+  Obs.Span.duration_ms r.Whynot.Pipeline.span
+
+(* The per-phase breakdown, summed across schema alternatives. *)
+let phase_metrics r =
+  List.map
+    (fun (p, ms) -> ("whynot." ^ p ^ "_ms", Float ms))
+    (Whynot.Pipeline.phase_durations_ms r)
+  @ List.map
+      (fun (p, (bytes, _)) ->
+        ("whynot." ^ p ^ "_alloc_mb", Float (bytes /. 1048576.)))
+      (Whynot.Pipeline.phase_gc r)
 
 let db_rows (inst : Scenarios.Scenario.instance) =
   let phi = inst.Scenarios.Scenario.question in
@@ -351,97 +183,41 @@ let db_rows (inst : Scenarios.Scenario.instance) =
 
 (* --- Figures 8 and 9: runtime vs dataset size ---------------------------- *)
 
-let fig_scaling ~title ~csv_target ~scenarios ~scales () =
+let fig_scaling ~family ~title ~scenarios ~scales () =
   Fmt.pr "@.== %s ==@." title;
-  Fmt.pr "%-6s %-6s %-8s %-10s %-10s %-8s@." "scen" "scale" "rows" "query ms"
-    "RP ms" "factor";
   List.iter
     (fun name ->
       let s = scenario name in
       List.iter
         (fun scale ->
           let inst = instance ~scale s in
-          (* Settle the heap first so one measurement does not pay for
-             garbage another produced; query latency is min-of-3 (the
-             first rep also charges any one-time arena conversion). *)
-          Gc.full_major ();
-          let q_ms =
-            List.fold_left
-              (fun acc _ ->
-                let _, ms =
-                  time_span "bench.query" (fun sp -> run_query ~parent:sp inst)
-                in
-                Float.min acc ms)
-              Float.infinity [ 1; 2; 3; 4; 5 ]
+          (* Best of 5 for ⟦Q⟧_D (the first rep also charges any one-time
+             arena conversion) and for the pipeline, whose
+             sub-millisecond phases are otherwise dominated by timer/GC
+             noise; the phase columns are the fastest pipeline rep's. *)
+          let _, q_ms =
+            fastest snd (fun () ->
+                time_span "bench.query" (fun sp -> run_query ~parent:sp inst))
           in
-          Gc.full_major ();
-          (* Best-of-3 for the pipeline too: the sub-millisecond phases
-             are otherwise dominated by timer/GC noise.  Totals and
-             per-phase figures each take the minimum across reps. *)
-          let reps =
-            List.map
-              (fun _ ->
-                Gc.full_major ();
-                run_rp inst)
-              [ 1; 2; 3; 4; 5 ]
-          in
-          let rp =
-            List.fold_left
-              (fun b r ->
-                if
-                  Obs.Span.duration_ms r.Whynot.Pipeline.span
-                  < Obs.Span.duration_ms b.Whynot.Pipeline.span
-                then r
-                else b)
-              (List.hd reps) (List.tl reps)
-          in
-          let rp_ms = Obs.Span.duration_ms rp.Whynot.Pipeline.span in
-          let phase_mins =
-            List.map
-              (fun (p, ms) ->
-                ( p,
-                  List.fold_left
-                    (fun acc r ->
-                      match
-                        List.assoc_opt p
-                          (Whynot.Pipeline.phase_durations_ms r)
-                      with
-                      | Some m -> Float.min acc m
-                      | None -> acc)
-                    ms (List.tl reps) ))
-              (Whynot.Pipeline.phase_durations_ms (List.hd reps))
-          in
-          Fmt.pr "%-6s %-6d %-8d %-10.2f %-10.2f %-8.1f@." name scale
-            (db_rows inst) q_ms rp_ms
-            (rp_ms /. Float.max q_ms 0.001);
-          csv csv_target
-            ("scenario,scale,rows,query_ms,rp_ms," ^ phase_header)
-            (Fmt.str "%s,%d,%d,%.3f,%.3f,%s" name scale (db_rows inst) q_ms
-               rp_ms
-               (String.concat ","
-                  (List.map (fun (_, ms) -> Fmt.str "%.3f" ms) phase_mins)));
-          add_json
-            {
-              jbench = csv_target;
-              jscenario = name;
-              jscale = scale;
-              jrows = db_rows inst;
-              jquery_ms = Some q_ms;
-              jrpnosa_ms = None;
-              jrp_ms = rp_ms;
-              jphases = phase_mins;
-              jgc = Whynot.Pipeline.phase_gc rp;
-            })
+          let rp = fastest rp_ms (fun () -> run_rp inst) in
+          emit family ~scenario:name ~scale
+            ([
+               ("db.rows", Int (db_rows inst));
+               ("engine.exec_ms", Float q_ms);
+               ("whynot.rp_ms", Float (rp_ms rp));
+               ("whynot.rp_factor", Float (rp_ms rp /. Float.max q_ms 0.001));
+             ]
+            @ phase_metrics rp))
         scales)
     scenarios
 
 let fig8 ?(scales = [ 1; 2; 4; 8; 16; 32 ]) () =
-  fig_scaling ~title:"Figure 8: DBLP runtime vs dataset size" ~csv_target:"fig8"
+  fig_scaling ~family:"fig8" ~title:"Figure 8: DBLP runtime vs dataset size"
     ~scenarios:[ "D1"; "D2"; "D3"; "D4"; "D5" ]
     ~scales ()
 
 let fig9 ?(scales = [ 1; 2; 4; 8; 16; 32 ]) () =
-  fig_scaling ~title:"Figure 9: Twitter runtime vs dataset size" ~csv_target:"fig9"
+  fig_scaling ~family:"fig9" ~title:"Figure 9: Twitter runtime vs dataset size"
     ~scenarios:[ "T1"; "T2"; "T3"; "T4"; "TASD" ]
     ~scales ()
 
@@ -449,35 +225,22 @@ let fig9 ?(scales = [ 1; 2; 4; 8; 16; 32 ]) () =
 
 let fig10 ?(scale = 2) () =
   Fmt.pr "@.== Figure 10: TPC-H runtime (scale %d) ==@." scale;
-  Fmt.pr "%-6s %-10s %-11s %-9s %-10s %-8s@." "scen" "query ms" "RPnoSA ms"
-    "RP ms" "f(noSA)" "f(RP)";
   List.iter
     (fun name ->
       let inst = instance ~scale (scenario name) in
       let _, q_ms = time_span "bench.query" (fun sp -> run_query ~parent:sp inst) in
-      let rpnosa = run_rpnosa inst in
-      let nosa_ms = Obs.Span.duration_ms rpnosa.Whynot.Pipeline.span in
+      let nosa_ms = rp_ms (run_rpnosa inst) in
       let rp = run_rp inst in
-      let rp_ms = Obs.Span.duration_ms rp.Whynot.Pipeline.span in
-      Fmt.pr "%-6s %-10.2f %-11.2f %-9.2f %-10.1f %-8.1f@." name q_ms nosa_ms
-        rp_ms
-        (nosa_ms /. Float.max q_ms 0.001)
-        (rp_ms /. Float.max q_ms 0.001);
-      csv "fig10"
-        ("scenario,query_ms,rpnosa_ms,rp_ms," ^ phase_header)
-        (Fmt.str "%s,%.3f,%.3f,%.3f,%s" name q_ms nosa_ms rp_ms (phase_cols rp));
-      add_json
-        {
-          jbench = "fig10";
-          jscenario = name;
-          jscale = scale;
-          jrows = db_rows inst;
-          jquery_ms = Some q_ms;
-          jrpnosa_ms = Some nosa_ms;
-          jrp_ms = rp_ms;
-          jphases = Whynot.Pipeline.phase_durations_ms rp;
-          jgc = Whynot.Pipeline.phase_gc rp;
-        })
+      emit "fig10" ~scenario:name ~scale
+        ([
+           ("db.rows", Int (db_rows inst));
+           ("engine.exec_ms", Float q_ms);
+           ("whynot.rpnosa_ms", Float nosa_ms);
+           ("whynot.rp_ms", Float (rp_ms rp));
+           ("whynot.rpnosa_factor", Float (nosa_ms /. Float.max q_ms 0.001));
+           ("whynot.rp_factor", Float (rp_ms rp /. Float.max q_ms 0.001));
+         ]
+        @ phase_metrics rp))
     [ "Q1"; "Q3"; "Q4"; "Q6"; "Q10"; "Q13" ]
 
 (* --- Figure 11: runtime vs number of schema alternatives ----------------- *)
@@ -505,7 +268,6 @@ let widened_alternatives name (inst : Scenarios.Scenario.instance) =
 let fig11 ?(scale = 2) () =
   Fmt.pr "@.== Figure 11: runtime vs number of schema alternatives (scale %d) ==@."
     scale;
-  Fmt.pr "%-6s %-6s %-8s %-10s@." "scen" "maxSA" "used" "RP ms";
   List.iter
     (fun name ->
       let inst = instance ~scale (scenario name) in
@@ -516,28 +278,29 @@ let fig11 ?(scale = 2) () =
             Whynot.Pipeline.explain ~max_sas ~alternatives
               inst.Scenarios.Scenario.question
           in
-          let ms = Obs.Span.duration_ms result.Whynot.Pipeline.span in
-          Fmt.pr "%-6s %-6d %-8d %-10.2f@." name max_sas
-            (List.length result.Whynot.Pipeline.sas)
-            ms;
-          csv "fig11"
-            ("scenario,max_sas,used_sas,rp_ms," ^ phase_header)
-            (Fmt.str "%s,%d,%d,%.3f,%s" name max_sas
-               (List.length result.Whynot.Pipeline.sas) ms (phase_cols result));
-          add_json
-            {
-              jbench = "fig11";
-              jscenario = Fmt.str "%s/%dsa" name max_sas;
-              jscale = scale;
-              jrows = db_rows inst;
-              jquery_ms = None;
-              jrpnosa_ms = None;
-              jrp_ms = ms;
-              jphases = Whynot.Pipeline.phase_durations_ms result;
-              jgc = Whynot.Pipeline.phase_gc result;
-            })
+          emit "fig11" ~scenario:name ~scale
+            ([
+               ("db.rows", Int (db_rows inst));
+               ("whynot.max_sas", Int max_sas);
+               ("whynot.sas", Int (List.length result.Whynot.Pipeline.sas));
+               ("whynot.rp_ms", Float (rp_ms result));
+             ]
+            @ phase_metrics result))
         (if name = "Q3" then [ 1; 2; 4; 8; 12 ] else [ 1; 2; 3; 4 ]))
     [ "TASD"; "D1"; "T3"; "D4"; "Q3" ]
+
+(* The operator types of [q] that explanation id-sets [sets] blame. *)
+let op_types (q : Nrab.Query.t) sets =
+  List.sort_uniq compare
+    (List.concat_map
+       (fun set ->
+         List.filter_map
+           (fun id ->
+             Option.map
+               (fun (op : Nrab.Query.t) -> Nrab.Query.op_type op.Nrab.Query.node)
+               (Nrab.Query.find_op q id))
+           set)
+       sets)
 
 (* --- Table 3: operators that can become part of explanations -------------- *)
 
@@ -556,20 +319,8 @@ let table3 () =
         (render Nrab.Fragment.Lineage_based)
         (render Nrab.Fragment.Reparameterization_based))
     [ Nrab.Fragment.Spc; Nrab.Fragment.Spc_plus; Nrab.Fragment.Nrab ];
-  (* empirical cross-check over all scenarios: the operator types each
-     approach actually blames stay within its Table 3 row *)
-  let found approach_sets q =
-    List.sort_uniq compare
-      (List.concat_map
-         (fun set ->
-           List.filter_map
-             (fun id ->
-               Option.map
-                 (fun (op : Nrab.Query.t) -> Nrab.Query.op_type op.Nrab.Query.node)
-                 (Nrab.Query.find_op q id))
-             set)
-         approach_sets)
-  in
+  (* empirical cross-check over all scenarios, a gate: the operator
+     types each approach actually blames stay within its Table 3 row *)
   let violations = ref 0 in
   List.iter
     (fun (s : Scenarios.Scenario.t) ->
@@ -578,9 +329,11 @@ let table3 () =
       let q = phi.Whynot.Question.query in
       let fragment = Nrab.Fragment.classify q in
       let wn_types =
-        found (List.map Baselines.Explanation_set.op_list (Baselines.Wnpp.explanations phi)) q
+        op_types q
+          (List.map Baselines.Explanation_set.op_list
+             (Baselines.Wnpp.explanations phi))
       in
-      let rp_types = found (Whynot.Pipeline.explanation_sets (run_rp inst)) q in
+      let rp_types = op_types q (Whynot.Pipeline.explanation_sets (run_rp inst)) in
       List.iter
         (fun ty ->
           if not (Nrab.Fragment.explainable Nrab.Fragment.Lineage_based fragment ty)
@@ -595,7 +348,11 @@ let table3 () =
           then incr violations)
         rp_types)
     Scenarios.Registry.all;
-  Fmt.pr "empirical check over all scenarios: %d violations@." !violations
+  emit "table3" ~scenario:"all" ~scale:1
+    [
+      ("nrab.fragment_violations", Int !violations);
+      ("check.no_violations", Bool (!violations = 0));
+    ]
 
 (* --- Table 6: crime comparison ------------------------------------------- *)
 
@@ -648,21 +405,9 @@ let gold_position (inst : Scenarios.Scenario.instance)
 (* Operator-type flags per the paper's legend: ○ found by all
    approaches, ◐ found only by RPnoSA and RP, ● found only by RP. *)
 let op_type_flags (q : Nrab.Query.t) ~wnpp_sets ~rpnosa_sets ~rp_sets : string =
-  let types_of sets =
-    List.sort_uniq compare
-      (List.concat_map
-         (fun set ->
-           List.filter_map
-             (fun id ->
-               Option.map
-                 (fun (op : Nrab.Query.t) -> Nrab.Query.op_type op.Nrab.Query.node)
-                 (Nrab.Query.find_op q id))
-             set)
-         sets)
-  in
-  let w = types_of wnpp_sets
-  and n = types_of rpnosa_sets
-  and r = types_of rp_sets in
+  let w = op_types q wnpp_sets
+  and n = op_types q rpnosa_sets
+  and r = op_types q rp_sets in
   let flag ty =
     let name = Nrab.Query.op_type_to_string ty in
     if List.mem ty w && List.mem ty r then Some (name ^ "○")
@@ -743,7 +488,6 @@ let table8 () =
 
 let ablation () =
   Fmt.pr "@.== Ablation: schema alternatives and re-validation ==@.";
-  Fmt.pr "%-6s %-14s %-14s %-10s@." "scen" "RP" "no-revalidate" "spurious";
   List.iter
     (fun (s : Scenarios.Scenario.t) ->
       let inst = instance s in
@@ -761,10 +505,14 @@ let ablation () =
           (fun set -> not (List.mem set (sets with_rv)))
           (sets without_rv)
       in
-      Fmt.pr "%-6s %-14d %-14d %-10d@." s.Scenarios.Scenario.name
-        (List.length with_rv.Whynot.Pipeline.explanations)
-        (List.length without_rv.Whynot.Pipeline.explanations)
-        (List.length spurious))
+      emit "ablation" ~scenario:s.Scenarios.Scenario.name ~scale:1
+        [
+          ( "whynot.explanations",
+            Int (List.length with_rv.Whynot.Pipeline.explanations) );
+          ( "whynot.explanations_norevalidate",
+            Int (List.length without_rv.Whynot.Pipeline.explanations) );
+          ("whynot.spurious_sets", Int (List.length spurious));
+        ])
     Scenarios.Registry.all
 
 (* --- Chaos: fault-injection overhead and retry recovery -------------------
@@ -782,48 +530,44 @@ let ablation () =
 let bench_chaos ?(scale = 2) () =
   Fmt.pr "@.== Chaos: unarmed-site overhead and armed-retry recovery (scale %d) ==@."
     scale;
-  Fmt.pr "%-6s %-12s %-12s %-12s %-12s %-8s %-7s %-9s@." "scen" "query ms"
-    "query+chaos" "RP ms" "RP+chaos" "retries" "faults" "identical";
   let chaos_exn = Engine.Fault.Transient (Failure "chaos: injected") in
   let retry = Engine.Fault.retries ~base_backoff_ms:0.0 ~max_backoff_ms:0.0 3 in
-  let reps = 5 in
-  let median f =
-    (* first call outside the timed reps warms caches (and, armed,
-       checks the run survives); then the median of [reps] timings *)
-    let r0 = f () in
-    let times = Array.init reps (fun _ -> snd (time_span "bench.chaos" (fun _ -> f ()))) in
-    Array.sort compare times;
-    (r0, times.(reps / 2))
-  in
   let retries_c = Obs.Metrics.counter "engine.task.retries" in
   List.iter
     (fun name ->
       let inst = instance ~scale (scenario name) in
       let phi = inst.Scenarios.Scenario.question in
-      let run_query_with cfg () =
-        fst (Engine.Exec.run ~config:cfg phi.Whynot.Question.db phi.Whynot.Question.query)
+      let run_query_with config () =
+        fst
+          (Engine.Exec.run ~config phi.Whynot.Question.db
+             phi.Whynot.Question.query)
       in
       let run_rp_with ~retry () =
         Whynot.Pipeline.explain ~retry
           ~alternatives:inst.Scenarios.Scenario.alternatives phi
       in
       Obs.Faultinject.reset ();
-      let plain_rel, unarmed_q = median (run_query_with (engine_config ())) in
+      let plain_rel, unarmed_q =
+        median_ms "bench.chaos" (run_query_with Engine.Exec.default_config)
+      in
       let plain_rp, unarmed_rp =
-        median (run_rp_with ~retry:Engine.Fault.no_retry)
+        median_ms "bench.chaos" (run_rp_with ~retry:Engine.Fault.no_retry)
       in
       let retries0 = Obs.Metrics.Counter.value retries_c in
       Obs.Faultinject.arm "engine.partition"
         (Obs.Faultinject.Flaky { period = 20; exn_ = chaos_exn });
       let armed_rel, armed_q =
-        median (run_query_with { (engine_config ()) with Engine.Exec.retry })
+        median_ms "bench.chaos"
+          (run_query_with { Engine.Exec.default_config with Engine.Exec.retry })
       in
       Obs.Faultinject.disarm "engine.partition";
       Obs.Faultinject.arm "tracing.relaxed"
         (Obs.Faultinject.Flaky { period = 2; exn_ = chaos_exn });
       Obs.Faultinject.arm "tracing.shared"
         (Obs.Faultinject.Flaky { period = 2; exn_ = chaos_exn });
-      let armed_rp, armed_rp_ms = median (run_rp_with ~retry) in
+      let armed_rp, armed_rp_ms =
+        median_ms "bench.chaos" (run_rp_with ~retry)
+      in
       let faults =
         Obs.Faultinject.fired "engine.partition"
         + Obs.Faultinject.fired "tracing.relaxed"
@@ -831,6 +575,7 @@ let bench_chaos ?(scale = 2) () =
       in
       Obs.Faultinject.reset ();
       let retries = Obs.Metrics.Counter.value retries_c - retries0 in
+      (* the warm-up runs' results are the ones compared *)
       let identical =
         Nested.Value.compare (Nested.Relation.data plain_rel)
           (Nested.Relation.data armed_rel)
@@ -838,24 +583,16 @@ let bench_chaos ?(scale = 2) () =
         && Whynot.Pipeline.explanation_sets plain_rp
            = Whynot.Pipeline.explanation_sets armed_rp
       in
-      Fmt.pr "%-6s %-12.3f %-12.3f %-12.3f %-12.3f %-8d %-7d %-9b@." name
-        unarmed_q armed_q unarmed_rp armed_rp_ms retries faults identical;
-      csv "chaos"
-        "scenario,scale,unarmed_query_ms,armed_query_ms,unarmed_rp_ms,armed_rp_ms,retries,faults,identical"
-        (Fmt.str "%s,%d,%.3f,%.3f,%.3f,%.3f,%d,%d,%b" name scale unarmed_q
-           armed_q unarmed_rp armed_rp_ms retries faults identical);
-      add_chaos
-        {
-          hscenario = name;
-          hscale = scale;
-          hunarmed_query_ms = unarmed_q;
-          harmed_query_ms = armed_q;
-          hunarmed_rp_ms = unarmed_rp;
-          harmed_rp_ms = armed_rp_ms;
-          hretries = retries;
-          hfaults = faults;
-          hidentical = identical;
-        })
+      emit "chaos" ~scenario:name ~scale
+        [
+          ("engine.exec_ms", Float unarmed_q);
+          ("engine.exec_armed_ms", Float armed_q);
+          ("whynot.rp_ms", Float unarmed_rp);
+          ("whynot.rp_armed_ms", Float armed_rp_ms);
+          ("engine.task.retries", Int retries);
+          ("obs.faults_fired", Int faults);
+          ("check.identical", Bool identical);
+        ])
     [ "D1"; "T2"; "Q3" ]
 
 (* --- Obs: telemetry overhead ----------------------------------------------
@@ -869,7 +606,7 @@ let bench_chaos ?(scale = 2) () =
      explain);
    - what does one Prometheus render of the live registry cost?
 
-   The headline acceptance number is [disabled_overhead_pct]: every
+   The headline acceptance number is [obs.log.disabled_overhead_pct]: every
    record an explain would emit, charged at the disabled-call price, as
    a percentage of the logging-off RP time — the overhead the
    instrumentation adds to a server running at the default Info level.
@@ -878,19 +615,8 @@ let bench_chaos ?(scale = 2) () =
 
 let bench_obs ?(scale = 4) () =
   Fmt.pr "@.== Obs: logging and export overhead (scale %d) ==@." scale;
-  Fmt.pr "%-6s %-12s %-9s %-10s %-10s %-10s %-12s %-10s@." "scen"
-    "disabled ns" "records" "off ms" "debug ms" "debug %" "disabled %"
-    "export ms";
   let saved_level = Obs.Log.level () in
-  let reps = 5 in
-  let median_ms f =
-    ignore (f ());
-    let times =
-      Array.init reps (fun _ -> snd (time_span "bench.obs" (fun _ -> f ())))
-    in
-    Array.sort compare times;
-    times.(reps / 2)
-  in
+  let median_ms f = snd (median_ms "bench.obs" f) in
   (* disabled-call price: one atomic load, thunk never evaluated *)
   Obs.Log.set_level None;
   let n = 2_000_000 in
@@ -917,30 +643,20 @@ let bench_obs ?(scale = 4) () =
       let export_ms =
         median_ms (fun () -> ignore (Obs.Export.prometheus () : string))
       in
-      let debug_pct = 100. *. (debug_ms -. off_ms) /. Float.max off_ms 1e-9 in
-      let disabled_pct =
-        100. *. (float_of_int records *. disabled_ns)
-        /. Float.max (off_ms *. 1e6) 1e-9
-      in
-      Fmt.pr "%-6s %-12.2f %-9d %-10.3f %-10.3f %-10.2f %-12.4f %-10.4f@."
-        name disabled_ns records off_ms debug_ms debug_pct disabled_pct
-        export_ms;
-      csv "obs"
-        "scenario,scale,disabled_ns,records_per_explain,off_ms,debug_ms,debug_overhead_pct,disabled_overhead_pct,export_ms"
-        (Fmt.str "%s,%d,%.2f,%d,%.3f,%.3f,%.2f,%.4f,%.4f" name scale
-           disabled_ns records off_ms debug_ms debug_pct disabled_pct export_ms);
-      add_obs
-        {
-          oscenario = name;
-          oscale = scale;
-          odisabled_ns = disabled_ns;
-          orecords_per_explain = records;
-          ooff_ms = off_ms;
-          odebug_ms = debug_ms;
-          odebug_overhead_pct = debug_pct;
-          odisabled_overhead_pct = disabled_pct;
-          oexport_ms = export_ms;
-        })
+      emit "obs" ~scenario:name ~scale
+        [
+          ("obs.log.disabled_ns", Float disabled_ns);
+          ("obs.log.records_per_explain", Int records);
+          ("whynot.rp_ms", Float off_ms);
+          ("whynot.rp_debug_ms", Float debug_ms);
+          ( "obs.log.debug_overhead_pct",
+            Float (100. *. (debug_ms -. off_ms) /. Float.max off_ms 1e-9) );
+          ( "obs.log.disabled_overhead_pct",
+            Float
+              (100. *. (float_of_int records *. disabled_ns)
+              /. Float.max (off_ms *. 1e6) 1e-9) );
+          ("obs.export_ms", Float export_ms);
+        ])
     [ "D1"; "T2"; "Q3" ];
   Obs.Log.remove_sink "bench.obs.count";
   Obs.Log.clear_ring ();
@@ -962,9 +678,6 @@ let bench_approx ?(scales = [ 32; 64; 128; 256 ]) ?(stride = 8)
     "@.== Approx: budget ladder, stride %d / top-%d / budgeted stride %d (min \
      of 3) ==@."
     stride k combined_stride;
-  Fmt.pr "%-6s %-6s %-8s %-10s %-11s %-9s %-11s %-8s %-6s %-8s %-7s@." "scen"
-    "scale" "rows" "exact ms" "sampled ms" "topk ms" "combined" "speedup"
-    "conf" "skipped" "prefix";
   let sampled_cfg =
     { Whynot.Approx.exact with Whynot.Approx.sample_stride = Some stride }
   in
@@ -987,27 +700,17 @@ let bench_approx ?(scales = [ 32; 64; 128; 256 ]) ?(stride = 8)
           let inst = instance ~scale s in
           let phi = inst.Scenarios.Scenario.question in
           let q = phi.Whynot.Question.query in
-          let run ?cfg () =
-            Gc.full_major ();
-            Whynot.Pipeline.explain
-              ?approx:(Option.map Whynot.Approx.start cfg)
-              ~alternatives:inst.Scenarios.Scenario.alternatives phi
-          in
-          (* min-of-3 per rung, interleaved so a noisy window taxes all
-             rungs rather than whichever was sweeping *)
+          (* best of 3 per rung *)
           let best ?cfg () =
-            let dur r = Obs.Span.duration_ms r.Whynot.Pipeline.span in
-            let reps = List.map (fun _ -> run ?cfg ()) [ 1; 2; 3 ] in
-            List.fold_left
-              (fun b r -> if dur r < dur b then r else b)
-              (List.hd reps) (List.tl reps)
+            fastest ~n:3 rp_ms (fun () ->
+                Whynot.Pipeline.explain
+                  ?approx:(Option.map Whynot.Approx.start cfg)
+                  ~alternatives:inst.Scenarios.Scenario.alternatives phi)
           in
           let exact = best () in
           let sampled = best ~cfg:sampled_cfg () in
           let topk = best ~cfg:topk_cfg () in
           let combined = best ~cfg:combined_cfg () in
-          let ms r = Obs.Span.duration_ms r.Whynot.Pipeline.span in
-          let speedup = ms exact /. Float.max (ms combined) 1e-6 in
           (* top-k never reorders: its ranking is a prefix of exact's *)
           let keys r =
             List.map
@@ -1020,36 +723,24 @@ let bench_approx ?(scales = [ 32; 64; 128; 256 ]) ?(stride = 8)
             | x :: xs, y :: ys -> x = y && is_prefix xs ys
             | _ :: _, [] -> false
           in
-          let prefix_ok = is_prefix (keys topk) (keys exact) in
           let confidence, skipped =
             match combined.Whynot.Pipeline.approx with
             | Some r -> (r.Whynot.Approx.confidence, r.Whynot.Approx.skipped)
             | None -> (1.0, 0)
           in
-          Fmt.pr
-            "%-6s %-6d %-8d %-10.2f %-11.2f %-9.2f %-11.2f %-8.1f %-6.3f \
-             %-8d %-7b@."
-            name scale (db_rows inst) (ms exact) (ms sampled) (ms topk)
-            (ms combined) speedup confidence skipped prefix_ok;
-          csv "approx"
-            "scenario,scale,rows,exact_ms,sampled_ms,topk_ms,combined_ms,speedup,confidence,skipped,prefix_ok"
-            (Fmt.str "%s,%d,%d,%.3f,%.3f,%.3f,%.3f,%.2f,%.4f,%d,%b" name scale
-               (db_rows inst) (ms exact) (ms sampled) (ms topk) (ms combined)
-               speedup confidence skipped prefix_ok);
-          add_approx
-            {
-              xscenario = name;
-              xscale = scale;
-              xrows = db_rows inst;
-              xexact_ms = ms exact;
-              xsampled_ms = ms sampled;
-              xtopk_ms = ms topk;
-              xcombined_ms = ms combined;
-              xspeedup = speedup;
-              xconfidence = confidence;
-              xskipped = skipped;
-              xprefix_ok = prefix_ok;
-            })
+          emit "approx" ~scenario:name ~scale
+            [
+              ("db.rows", Int (db_rows inst));
+              ("whynot.rp_ms", Float (rp_ms exact));
+              ("whynot.sampled_ms", Float (rp_ms sampled));
+              ("whynot.topk_ms", Float (rp_ms topk));
+              ("whynot.combined_ms", Float (rp_ms combined));
+              ( "whynot.approx_speedup",
+                Float (rp_ms exact /. Float.max (rp_ms combined) 1e-6) );
+              ("whynot.approx_confidence", Float confidence);
+              ("whynot.approx_skipped", Int skipped);
+              ("check.prefix_ok", Bool (is_prefix (keys topk) (keys exact)));
+            ])
         scales)
     [ "D1"; "D3"; "T2" ]
 
@@ -1069,8 +760,6 @@ let bench_approx ?(scales = [ 32; 64; 128; 256 ]) ?(stride = 8)
 let bench_recover ?(scale = 4) ?(replicate = 20_000) () =
   Fmt.pr "@.== Recover: checkpoint restore vs lineage recompute (scale %d) ==@."
     scale;
-  Fmt.pr "%-6s %-8s %-10s %-10s %-8s %-10s %-10s %-8s %-9s@." "scen" "rows"
-    "ckpt ms" "src ms" "speedup" "RP ms" "RP+spill" "spill%" "identical";
   let base = Filename.temp_file "whynot-bench-recover" "" in
   Sys.remove base;
   Unix.mkdir base 0o700;
@@ -1079,11 +768,6 @@ let bench_recover ?(scale = 4) ?(replicate = 20_000) () =
       Engine.Checkpoint.sweep ();
       try Unix.rmdir base with Unix.Unix_error _ -> ())
   @@ fun () ->
-  let reps = 5 in
-  let median times =
-    Array.sort compare times;
-    times.(Array.length times / 2)
-  in
   let clear_checkpoint_files () =
     match Engine.Checkpoint.run_dir () with
     | None -> ()
@@ -1120,8 +804,7 @@ let bench_recover ?(scale = 4) ?(replicate = 20_000) () =
       let rows =
         List.concat (List.init copies (fun _ -> base_rows))
       in
-      let nrows = List.length rows in
-      let parts = max 16 !partitions in
+      let parts = 16 in
       let key_of v = Nested.Value.Int (Hashtbl.hash v land 0xff) in
       let hash_of b =
         Array.map
@@ -1158,22 +841,19 @@ let bench_recover ?(scale = 4) ?(replicate = 20_000) () =
         in
         (* arm 1: the whole stage output is lost (executor gone) and the
            checkpoint files answer the restore — [parts] framed reads *)
-        let ckpt_times =
-          Array.init reps (fun _ ->
-              lose_all ();
-              snd (time_span "bench.recover.ckpt" (fun _ -> force ())))
-        in
+        let _, ckpt_ms = median_ms ~setup:lose_all "bench.recover.ckpt" force in
         (* arm 2: the files are gone too — every fetch goes corrupt and
            replays the full upstream lineage, one re-shuffle of the
            whole input per lost partition (plus the re-checkpoint, also
            timed: the rewrite is part of the real recovery path) *)
-        let src_times =
-          Array.init reps (fun _ ->
+        let _, src_ms =
+          median_ms
+            ~setup:(fun () ->
               clear_checkpoint_files ();
-              lose_all ();
-              snd (time_span "bench.recover.src" (fun _ -> force ())))
+              lose_all ())
+            "bench.recover.src" force
         in
-        (median ckpt_times, median src_times)
+        (ckpt_ms, src_ms)
       in
       (* spill: full pipeline under a starvation watermark vs resident *)
       let run_rp_plain () =
@@ -1190,65 +870,50 @@ let bench_recover ?(scale = 4) ?(replicate = 20_000) () =
           (fun () -> run_rp inst)
       in
       let spill_batches_c = Obs.Metrics.counter "engine.spill.batches" in
-      let plain0 = run_rp_plain () in
-      let plain_times =
-        Array.init reps (fun _ ->
-            snd (time_span "bench.recover.plain" (fun _ -> run_rp_plain ())))
-      in
+      let plain0, plain_rp_ms = median_ms "bench.recover.plain" run_rp_plain in
       let batches0 = Obs.Metrics.Counter.value spill_batches_c in
-      let spill0 = run_rp_spill () in
-      let spill_times =
-        Array.init reps (fun _ ->
-            snd (time_span "bench.recover.spill" (fun _ -> run_rp_spill ())))
-      in
-      let spill_batches =
-        Obs.Metrics.Counter.value spill_batches_c - batches0
-      in
-      let plain_rp_ms = median plain_times
-      and spill_rp_ms = median spill_times in
-      let spill_pct =
-        100. *. (spill_rp_ms -. plain_rp_ms) /. Float.max plain_rp_ms 1e-9
-      in
-      let identical =
-        Whynot.Pipeline.explanation_sets plain0
-        = Whynot.Pipeline.explanation_sets spill0
-      in
-      let speedup = src_ms /. Float.max ckpt_ms 1e-9 in
-      Fmt.pr "%-6s %-8d %-10.3f %-10.3f %-8.1f %-10.3f %-10.3f %-8.1f %-9b@."
-        name nrows ckpt_ms src_ms speedup plain_rp_ms spill_rp_ms spill_pct
-        identical;
-      csv "recover"
-        "scenario,scale,rows,checkpoint_restore_ms,source_recompute_ms,speedup,plain_rp_ms,spill_rp_ms,spill_overhead_pct,spill_batches,identical"
-        (Fmt.str "%s,%d,%d,%.3f,%.3f,%.2f,%.3f,%.3f,%.2f,%d,%b" name scale
-           nrows ckpt_ms src_ms speedup plain_rp_ms spill_rp_ms spill_pct
-           spill_batches identical);
-      add_recover
-        {
-          rscenario = name;
-          rscale = scale;
-          rrows = nrows;
-          rckpt_ms = ckpt_ms;
-          rsrc_ms = src_ms;
-          rspeedup = speedup;
-          rplain_rp_ms = plain_rp_ms;
-          rspill_rp_ms = spill_rp_ms;
-          rspill_pct = spill_pct;
-          rspill_batches = spill_batches;
-          ridentical = identical;
-        })
+      let spill0, spill_rp_ms = median_ms "bench.recover.spill" run_rp_spill in
+      emit "recover" ~scenario:name ~scale
+        [
+          ("engine.shuffle.input_rows", Int (List.length rows));
+          ("engine.recover.from_checkpoint_ms", Float ckpt_ms);
+          ("engine.recover.from_source_ms", Float src_ms);
+          ("engine.recover.speedup", Float (src_ms /. Float.max ckpt_ms 1e-9));
+          ("whynot.rp_ms", Float plain_rp_ms);
+          ("whynot.rp_spill_ms", Float spill_rp_ms);
+          ( "whynot.spill_overhead_pct",
+            Float
+              (100. *. (spill_rp_ms -. plain_rp_ms)
+              /. Float.max plain_rp_ms 1e-9) );
+          ( "engine.spill.batches",
+            Int (Obs.Metrics.Counter.value spill_batches_c - batches0) );
+          ( "check.identical",
+            Bool
+              (Whynot.Pipeline.explanation_sets plain0
+              = Whynot.Pipeline.explanation_sets spill0) );
+        ])
     [ "D1"; "T2"; "Q3" ]
 
 (* Smallest-scale pass over every bench family — a CI guard that the
-   bench harness itself keeps working, cheap enough for [make verify].
-   The recover rung doubles as the spill smoke: it runs the pipeline
-   under a starvation watermark and checks the explanations match. *)
+   bench harness itself keeps working and its checks hold, cheap enough
+   for [make verify].  The recover rung doubles as the spill smoke: it
+   runs the pipeline under a starvation watermark and checks the
+   explanations match.  Chaos and obs run last: they flip process-global
+   fault sites, log level and sink set. *)
 let smoke () =
+  table7 ();
+  table8 ();
+  table6 ();
+  table3 ();
   fig8 ~scales:[ 1 ] ();
   fig9 ~scales:[ 1 ] ();
   fig10 ~scale:1 ();
   fig11 ~scale:1 ();
+  ablation ();
   bench_approx ~scales:[ 1 ] ();
-  bench_recover ~scale:1 ~replicate:2_000 ()
+  bench_recover ~scale:1 ~replicate:2_000 ();
+  bench_chaos ~scale:1 ();
+  bench_obs ~scale:1 ()
 
 (* --- Driver ---------------------------------------------------------------- *)
 
@@ -1260,26 +925,17 @@ let () =
         exit 2)
       fmt
   in
+  let json_file = ref None in
   let rec parse acc = function
     | [] -> List.rev acc
-    | "-csv" :: rest ->
-      csv_enabled := true;
-      parse acc rest
     | (("-json" | "--json") as flag) :: rest -> (
       match rest with
       | file :: rest ->
-        json_file := file;
+        json_file := Some file;
         parse acc rest
       | [] -> usage "%s needs a file name" flag)
-    | (("-partitions" | "--partitions") as flag) :: rest -> (
-      match rest with
-      | n :: rest -> (
-        match int_of_string_opt n with
-        | Some n ->
-          partitions := max 1 n;
-          parse acc rest
-        | None -> usage "%s needs an integer, got %S" flag n)
-      | [] -> usage "%s needs an integer" flag)
+    | a :: _ when String.starts_with ~prefix:"-" a ->
+      usage "unknown option %s (the only option is -json FILE)" a
     | a :: rest -> parse (a :: acc) rest
   in
   let args = parse [] (List.tl (Array.to_list Sys.argv)) in
@@ -1321,5 +977,8 @@ let () =
         || (args = [] && not explicit_only)
       then run ())
     families;
-  write_json ();
-  close_csv ()
+  Option.iter write_json !json_file;
+  if !failed_checks > 0 then begin
+    Fmt.epr "main.exe: %d check(s) failed@." !failed_checks;
+    exit 1
+  end

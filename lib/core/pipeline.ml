@@ -397,25 +397,16 @@ let finish_cancelled root f =
     Obs.Span.finish root;
     raise e
 
-(* [?checkpoint] swaps the ambient {!Engine.Checkpoint} config for the
-   duration of the call only — callers that do not pass it inherit
-   whatever the process (server flags, env) has configured. *)
-let with_checkpoint checkpoint f =
-  match checkpoint with
-  | None -> f ()
-  | Some c -> Engine.Checkpoint.with_config (Some c) f
-
 let prepare ?(use_sas = true) ?(max_sas = 16)
     ?(alternatives : Alternatives.alternatives = []) ?(cancel = Cancel.none)
-    ?(retry = Engine.Fault.no_retry) ?checkpoint ?parent ~db (q : Query.t) :
+    ?(retry = Engine.Fault.no_retry) ?parent ~db (q : Query.t) :
     handle =
   let root = Obs.Span.start ?parent "pipeline.prepare" in
   let cursor = ref (Obs.Span.start_ns root) in
   let h =
     finish_cancelled root (fun () ->
-        with_checkpoint checkpoint (fun () ->
-            prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retry root
-              cursor ~db q))
+        prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retry root
+          cursor ~db q)
   in
   Obs.Span.set_int root "sas" (List.length h.h_sas);
   Obs.Span.finish root;
@@ -423,15 +414,13 @@ let prepare ?(use_sas = true) ?(max_sas = 16)
   h
 
 let explain_with ?approx ?(revalidate = true) ?(cancel = Cancel.none)
-    ?(retry = Engine.Fault.no_retry) ?checkpoint ?parent (h : handle)
+    ?(retry = Engine.Fault.no_retry) ?parent (h : handle)
     (missing : Nip.t) : result =
   let root = Obs.Span.start ?parent "pipeline.explain" in
   let cursor = ref (Obs.Span.start_ns root) in
   let explanations, report =
     finish_cancelled root (fun () ->
-        with_checkpoint checkpoint (fun () ->
-            run_phases ?approx ~revalidate ~cancel ~retry root cursor h
-              missing))
+        run_phases ?approx ~revalidate ~cancel ~retry root cursor h missing)
   in
   Obs.Span.set_int root "sas" (List.length h.h_sas);
   Obs.Span.set_int root "explanations" (List.length explanations);
@@ -447,7 +436,7 @@ let explain_with ?approx ?(revalidate = true) ?(cancel = Cancel.none)
 
 let explain ?approx ?(use_sas = true) ?(max_sas = 16) ?(revalidate = true)
     ?(alternatives : Alternatives.alternatives = []) ?(cancel = Cancel.none)
-    ?(retry = Engine.Fault.no_retry) ?checkpoint ?parent (phi : Question.t) :
+    ?(retry = Engine.Fault.no_retry) ?parent (phi : Question.t) :
     result =
   let root = Obs.Span.start ?parent "pipeline.explain" in
   (* Phase spans are tiled wall-to-wall — the four phase totals account
@@ -456,14 +445,13 @@ let explain ?approx ?(use_sas = true) ?(max_sas = 16) ?(revalidate = true)
   let cursor = ref (Obs.Span.start_ns root) in
   let h, (explanations, report) =
     finish_cancelled root (fun () ->
-        with_checkpoint checkpoint (fun () ->
-            let h =
-              prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retry
-                root cursor ~db:phi.Question.db phi.Question.query
-            in
-            ( h,
-              run_phases ?approx ~revalidate ~cancel ~retry root
-                cursor h phi.Question.missing )))
+        let h =
+          prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retry root
+            cursor ~db:phi.Question.db phi.Question.query
+        in
+        ( h,
+          run_phases ?approx ~revalidate ~cancel ~retry root cursor h
+            phi.Question.missing ))
   in
   Obs.Span.set_int root "sas" (List.length h.h_sas);
   Obs.Span.set_int root "explanations" (List.length explanations);

@@ -71,9 +71,6 @@ val schema_env : Relation.Db.t -> Typecheck.env
            inputs; exhaustion raises {!Engine.Fault.Exhausted} attributed
            as e.g. ["sa:S2/tracing"].  {!Cancel.Cancelled} is permanent —
            a cancelled run is never retried
-    @param checkpoint stage-level recovery/spill config for this call
-           only (swaps the ambient {!Engine.Checkpoint.active} config
-           for the duration); omitted means inherit the process config
     @param parent optional parent span; the run's root span is attached
            under it (and always returned in [result.span]) *)
 val explain :
@@ -84,7 +81,6 @@ val explain :
   ?alternatives:Alternatives.alternatives ->
   ?cancel:Cancel.t ->
   ?retry:Engine.Fault.policy ->
-  ?checkpoint:Engine.Checkpoint.config ->
   ?parent:Obs.Span.t ->
   Question.t ->
   result
@@ -120,7 +116,6 @@ val prepare :
   ?alternatives:Alternatives.alternatives ->
   ?cancel:Cancel.t ->
   ?retry:Engine.Fault.policy ->
-  ?checkpoint:Engine.Checkpoint.config ->
   ?parent:Obs.Span.t ->
   db:Nested.Relation.Db.t ->
   Query.t ->
@@ -139,7 +134,6 @@ val explain_with :
   ?revalidate:bool ->
   ?cancel:Cancel.t ->
   ?retry:Engine.Fault.policy ->
-  ?checkpoint:Engine.Checkpoint.config ->
   ?parent:Obs.Span.t ->
   handle ->
   Nip.t ->
