@@ -266,6 +266,37 @@ type bounds_input = {
   original_result : Value.t list;  (* tuples of ⟦Q⟧_D, expanded *)
 }
 
+(* ⟦Q⟧_D indexed for the sweep: its rows bucketed by [value_hash], which
+   [Columnar.hash_col] computes for a whole batch.  Built once per
+   prepared handle and only read afterwards, by SA jobs on any domain.
+   The keys are hashes already, so the table uses them as they are. *)
+module Buckets = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash h = h land max_int
+end)
+
+type original = { o_rows : int; o_buckets : Value.t list Buckets.t }
+
+let index (bi : bounds_input) : original =
+  let buckets = Buckets.create 64 in
+  let add n v =
+    let h = Engine.Columnar.value_hash v in
+    let bucket = Option.value ~default:[] (Buckets.find_opt buckets h) in
+    Buckets.replace buckets h (v :: bucket);
+    n + 1
+  in
+  let o_rows = List.fold_left add 0 bi.original_result in
+  { o_rows; o_buckets = buckets }
+
+type terms = {
+  original_rows : int;
+  surviving : int;
+  matched : int;
+  ub_minus : int;
+}
+
 let contains_filtering_op (q : Nrab.Query.t) (ops : Int_set.t) : bool =
   Int_set.exists
     (fun id ->
@@ -280,59 +311,69 @@ let contains_filtering_op (q : Nrab.Query.t) (ops : Int_set.t) : bool =
 type bounds_ctx = {
   cq : Nrab.Query.t;
   fams : families;
-  original_count : int;
   stride : int;
       (* 1 = exact sweep; s > 1 = every s-th root row (by global rid)
-         was examined and the counts below are scaled-up estimates *)
-  n_surviving : int;
-  ub_minus : int;
-      (* UB(Δ−): original tuples whose presence is not witnessed
-         unchanged — a floor shared by every candidate's upper bound *)
+         was examined and the counts in [terms] are scaled-up estimates *)
+  terms : terms;
+      (* [ub_minus] is UB(Δ−): original tuples whose presence is not
+         witnessed unchanged — a floor shared by every candidate's upper
+         bound *)
   nonsurviving : int array array;
       (* failure-set families of each (sampled) non-surviving root row *)
 }
 
-let bounds_ctx ~stride ~(bi : bounds_input) ~(q : Nrab.Query.t)
+(* Does row [i] of column [c] equal some row of a hash bucket? *)
+let rec in_bucket c i = function
+  | [] -> false
+  | v :: vs -> Engine.Columnar.equal_value c i v || in_bucket c i vs
+
+let bounds_ctx ~stride ~(original : original) ~(q : Nrab.Query.t)
     (fams : families) : bounds_ctx =
-  let original_count = List.length bi.original_result in
-  (* Bucket the original result by structural hash so each root row is
-     compared against at most its hash-colliding candidates. *)
-  let orig_tbl = Hashtbl.create (original_count + 7) in
-  List.iter
-    (fun v -> Hashtbl.add orig_tbl (Engine.Columnar.value_hash v) v)
-    bi.original_result;
-  let in_original data =
-    List.exists (Value.equal data)
-      (Hashtbl.find_all orig_tbl (Engine.Columnar.value_hash data))
-  in
-  (* Flag-vector sweep over the root rows; trees are reconstructed only
-     for surviving rows, to match them against the original result.  With
-     a stride, only rows with rid mod s = 0 (like the tracing sampler) are
-     examined and the counts scale back up into unbiased estimates. *)
-  let n_surviving_matching = ref 0
-  and n_surviving_ = ref 0
-  and nonsurv = ref [] in
+  (* Flag-vector sweep over the root rows.  With a stride, only rows
+     with rid mod s = 0 (like the tracing sampler) are examined and the
+     counts scale back up into unbiased estimates. *)
+  let sampled r = stride = 1 || r mod stride = 0 in
+  let n_surviving = ref 0 and n_matched = ref 0 and nonsurv = ref [] in
   Option.iter
-    (fun ot ->
-      let r0 = Tracing.rid0 ot in
-      for i = 0 to Tracing.n_rows ot - 1 do
-        if (r0 + i) mod stride = 0 then
-          if Tracing.surviving_at ot i then begin
-            incr n_surviving_;
-            if in_original (Tracing.data_at ot i) then
-              incr n_surviving_matching
-          end
+    (fun (ot : Tracing.op_trace) ->
+      let r0 = Tracing.rid0 ot and surviving = ref [] in
+      for i = Tracing.n_rows ot - 1 downto 0 do
+        if sampled (r0 + i) then
+          if Tracing.surviving_at ot i then surviving := i :: !surviving
           else nonsurv := fams.fam.(r0 + i) :: !nonsurv
-      done)
+      done;
+      (* The surviving rows are matched against ⟦Q⟧_D straight from the
+         root batch: [hash_col] over just those rows picks each one's
+         bucket, and [equal_value] compares it with the bucket's rows
+         column by column. *)
+      let surviving = Array.of_list !surviving in
+      let c = ot.data.Engine.Columnar.row in
+      let c =
+        if Array.length surviving = Tracing.n_rows ot then c
+        else Engine.Columnar.col_gather c surviving
+      in
+      let hashes = Engine.Columnar.hash_col c in
+      n_surviving := Array.length surviving;
+      Array.iteri
+        (fun k h ->
+          match Buckets.find_opt original.o_buckets h with
+          | Some bucket when in_bucket c k bucket -> incr n_matched
+          | _ -> ())
+        hashes)
     fams.root;
+  let matched = stride * !n_matched in
   {
     cq = q;
     fams;
-    original_count;
     stride;
-    n_surviving = stride * !n_surviving_;
-    ub_minus = max 0 (original_count - (stride * !n_surviving_matching));
-    nonsurviving = Array.of_list (List.rev !nonsurv);
+    terms =
+      {
+        original_rows = original.o_rows;
+        surviving = stride * !n_surviving;
+        matched;
+        ub_minus = max 0 (original.o_rows - matched);
+      };
+    nonsurviving = Array.of_list !nonsurv;
   }
 
 let bounds_with (ctx : bounds_ctx) (expl_ops : Int_set.t) : int * int =
@@ -349,19 +390,20 @@ let bounds_with (ctx : bounds_ctx) (expl_ops : Int_set.t) : int * int =
           else acc)
         0 ctx.nonsurviving
   in
+  let t = ctx.terms in
   let lb =
     if contains_filtering_op ctx.cq expl_ops then 0
-    else max 0 (ctx.n_surviving - ctx.original_count) + ctx.ub_minus
+    else max 0 (t.surviving - t.original_rows) + t.ub_minus
   in
-  (lb, ub_plus + ctx.ub_minus)
+  (lb, ub_plus + t.ub_minus)
 
-let prepare ?(sample_stride = 1) ~bi ~q tr =
+let prepare ?(sample_stride = 1) ~original ~q tr =
   let stride = max 1 sample_stride in
-  bounds_ctx ~stride ~bi ~q (families tr (msr_reads stride))
+  bounds_ctx ~stride ~original ~q (families tr (msr_reads stride))
 
 let bounds ~(bi : bounds_input) ~(q : Nrab.Query.t) (tr : Tracing.t)
     (expl_ops : Int_set.t) : int * int =
-  bounds_with (prepare ~bi ~q tr) expl_ops
+  bounds_with (prepare ~original:(index bi) ~q tr) expl_ops
 
 (* --- Explanation assembly ------------------------------------------------ *)
 
@@ -383,35 +425,16 @@ let candidate_sets (tr : Tracing.t) (f : families) : Set_set.t =
        (fun acc m -> Set_set.add (Int_set.union prefix (decode f m)) acc)
        Set_set.empty (Array.sub b.a 0 b.n))
 
-(* Explanations of one schema alternative's trace; the stride samples
-   only the bounds sweep (see msr.mli). *)
-let from_trace ?sample_stride ~(bi : bounds_input) ~(q : Nrab.Query.t)
-    (tr : Tracing.t) : Explanation.t list =
-  let ctx = prepare ?sample_stride ~bi ~q tr in
-  let sa_index = tr.Tracing.sa.Alternatives.index in
-  List.map
-    (fun ops ->
-      let lb, ub = bounds_with ctx ops in
-      Explanation.make ~sa:sa_index ~lb ~ub ops)
-    (Set_set.elements (candidate_sets tr ctx.fams))
-
-(* Early-terminating top-k variant (see msr.mli): candidates are walked
-   in (cardinality, elements) order, and open candidates all have
-   cardinality ≥ the next one's and an upper bound ≥ [ctx.ub_minus]. *)
-let from_trace_topk ?sample_stride ~(bi : bounds_input) ~(q : Nrab.Query.t)
-    ~(k : int) (tr : Tracing.t) : Explanation.t list * int =
-  let ctx = prepare ?sample_stride ~bi ~q tr in
-  let sa_index = tr.Tracing.sa.Alternatives.index in
-  let k = max 1 k in
+(* Early-terminating top-k walk (see msr.mli): candidates are walked in
+   (cardinality, elements) order, and open candidates all have
+   cardinality ≥ the next one's and an upper bound ≥ [ub_minus]. *)
+let topk ctx ~k make candidates =
+  let k = max 1 k and ub_minus = ctx.terms.ub_minus in
   let key s = (Int_set.cardinal s, Int_set.elements s) in
-  let candidates =
-    List.sort (fun a b -> compare (key a) (key b))
-      (Set_set.elements (candidate_sets tr ctx.fams))
-  in
   let beats_open ~open_card (e : Explanation.t) =
     let ec = Int_set.cardinal e.Explanation.ops in
     ec < open_card
-    || (ec = open_card && e.Explanation.side_effect_ub < ctx.ub_minus)
+    || (ec = open_card && e.Explanation.side_effect_ub < ub_minus)
   in
   let kept = ref [] and n_kept = ref 0 and skipped = ref 0 in
   let rec go = function
@@ -427,11 +450,38 @@ let from_trace_topk ?sample_stride ~(bi : bounds_input) ~(q : Nrab.Query.t)
       in
       if winners >= k then skipped := 1 + List.length rest
       else begin
-        let lb, ub = bounds_with ctx ops in
-        kept := Explanation.make ~sa:sa_index ~lb ~ub ops :: !kept;
+        kept := make ops :: !kept;
         incr n_kept;
         go rest
       end
   in
-  go candidates;
+  go (List.sort (fun a b -> compare (key a) (key b)) candidates);
   (List.rev !kept, !skipped)
+
+(* Explanations of one schema alternative's trace; the stride samples
+   only the bounds sweep (see msr.mli). *)
+let explain ?sample_stride ?top_k ~(original : original) ~(q : Nrab.Query.t)
+    (tr : Tracing.t) : Explanation.t list * int * terms =
+  let ctx = prepare ?sample_stride ~original ~q tr in
+  let sa_index = tr.Tracing.sa.Alternatives.index in
+  let make ops =
+    let lb, ub = bounds_with ctx ops in
+    Explanation.make ~sa:sa_index ~lb ~ub ops
+  in
+  let candidates = Set_set.elements (candidate_sets tr ctx.fams) in
+  let es, skipped =
+    match top_k with
+    | None -> (List.map make candidates, 0)
+    | Some k -> topk ctx ~k make candidates
+  in
+  (es, skipped, ctx.terms)
+
+let from_trace ?sample_stride ~bi ~q tr =
+  let es, _, _ = explain ?sample_stride ~original:(index bi) ~q tr in
+  es
+
+let from_trace_topk ?sample_stride ~bi ~q ~k tr =
+  let es, skipped, _ =
+    explain ?sample_stride ~top_k:k ~original:(index bi) ~q tr
+  in
+  (es, skipped)

@@ -73,23 +73,80 @@ type bounds_input = {
           them and test membership *)
 }
 
+(** ⟦Q⟧_D indexed for the side-effect bounds: its row count, and its
+    rows bucketed by {!Engine.Columnar.value_hash}.  A surviving root
+    row of an SA's trace {e matches} ⟦Q⟧_D when some row in the bucket
+    of its hash is [Value.equal] to it.  The row is read from the root
+    operator's batch: {!Engine.Columnar.hash_col} hashes the batch's
+    sampled surviving rows and {!Engine.Columnar.equal_value} compares a
+    row with the bucket's rows, so no row tree is built.  A float must match bit for bit: its
+    hash is the hash of its bits, so [0.0] and [-0.0] fall in different
+    buckets and do not match, though [Value.equal] calls them equal.
+
+    Build it once per ⟨Q, D⟩ ({!Pipeline.prepare} does, for the
+    handle); it is never mutated afterwards, so SA jobs on several
+    domains may read it at once. *)
+type original
+
+val index : bounds_input -> original
+
+(** The terms of one SA's bounds sweep, shared by every explanation of
+    that SA.  With a sampling stride [s > 1], [surviving] and [matched]
+    are scaled-up estimates ([s] × the sampled counts).
+    - [original_rows]: |⟦Q⟧_D|;
+    - [surviving]: the trace's surviving root rows (the SA query's
+      result);
+    - [matched]: the surviving root rows that match ⟦Q⟧_D;
+    - [ub_minus]: UB(Δ−) = max 0 ([original_rows] − [matched]). *)
+type terms = {
+  original_rows : int;
+  surviving : int;
+  matched : int;
+  ub_minus : int;
+}
+
 (** Side-effect bounds (LB, UB) of one explanation per Section 5.4; LB is
-    0 for explanations containing selections or joins.  UB(Δ+) counts the
-    non-surviving root rows with a failure set [s] inside the
-    explanation's mask [e] ([s land lnot e = 0]). *)
+    0 for explanations containing selections or joins, and
+    max 0 ([surviving] − [original_rows]) + UB(Δ−) otherwise.  UB is
+    UB(Δ+) + UB(Δ−), where UB(Δ+) counts the non-surviving root rows
+    with a failure set [s] inside the explanation's mask [e]
+    ([s land lnot e = 0]).  Indexes [bi] first, as {!from_trace}. *)
 val bounds :
   bi:bounds_input -> q:Nrab.Query.t -> Tracing.t -> Int_set.t -> int * int
 
 (** Explanations contributed by one schema alternative's trace (not yet
-    pruned/ranked across SAs).
+    pruned/ranked across SAs), the number of candidates [?top_k] left
+    unevaluated (0 without it), and the sweep's bound terms.
 
     [?sample_stride] (default 1 = exact) samples the side-effect bounds
     sweep: only every s-th root row — keyed on the global rid, exactly
     like {!Tracing.run}'s sampler, so tracing and MSR sample the same
-    rows — is examined, and the counts are scaled back up into unbiased
-    estimates.  Candidate operator sets always come from the consistent
-    root rows' failure sets, so a sampled run finds the {e same}
-    explanations with {e estimated} LB/UB bounds. *)
+    rows — is examined, and the counts are scaled back up into
+    estimates.  Candidate operator sets come from the consistent root
+    rows' failure sets.  A sampled run does {e not} find the same
+    explanations as an exact one: {!Tracing.run}'s sampler reads every
+    off-sample row as inconsistent, so candidates that only off-sample
+    rows witness are lost (ROADMAP, "Stop sampled tracing from silently
+    dropping explanations").
+
+    [?top_k] walks the candidates in {!Explanation.rank}'s dominant
+    order (cardinality, then elements) and stops once [k] evaluated
+    explanations provably rank ahead of every open candidate — strictly
+    smaller cardinality, or equal cardinality with a side-effect upper
+    bound strictly below UB(Δ−), the candidate-independent floor every
+    open candidate's UB shares.  Its explanations are a superset of the
+    true per-SA top [k], still to be pruned/ranked across SAs.  With [k]
+    ≥ the number of candidates they are the exact run's explanations. *)
+val explain :
+  ?sample_stride:int ->
+  ?top_k:int ->
+  original:original ->
+  q:Nrab.Query.t ->
+  Tracing.t ->
+  Explanation.t list * int * terms
+
+(** [explain]'s explanations, with ⟦Q⟧_D given as [bi] and indexed for
+    this one call. *)
 val from_trace :
   ?sample_stride:int ->
   bi:bounds_input ->
@@ -97,17 +154,8 @@ val from_trace :
   Tracing.t ->
   Explanation.t list
 
-(** Early-terminating top-k variant of {!from_trace}: candidates are
-    evaluated in {!Explanation.rank}'s dominant order (cardinality, then
-    elements) and the walk stops once [k] evaluated explanations provably
-    rank ahead of every open candidate — strictly smaller cardinality, or
-    equal cardinality with a side-effect upper bound strictly below
-    UB(Δ−), the candidate-independent floor every open candidate's UB
-    shares.  Returns the evaluated explanations (a superset of the true
-    per-SA top [k], still to be pruned/ranked across SAs) and the number
-    of candidates skipped unevaluated.  With [k] ≥ the number of
-    candidates the result equals {!from_trace}'s exactly.
-    [?sample_stride] samples the bounds sweep as in {!from_trace}. *)
+(** [explain ~top_k:k]'s explanations and skipped-candidate count, with
+    ⟦Q⟧_D given as [bi] and indexed for this one call. *)
 val from_trace_topk :
   ?sample_stride:int ->
   bi:bounds_input ->

@@ -106,7 +106,7 @@ type handle = {
   h_db : Relation.Db.t;
   h_env : Typecheck.env;
   h_sas : Alternatives.sa list;
-  h_bi : Msr.bounds_input;
+  h_original : Msr.original;
   h_shared : Tracing.shared option;  (* [None] with a single SA *)
 }
 
@@ -164,13 +164,14 @@ let prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retry root cursor
      interpreter: the results are identical and the engine is an order
      of magnitude faster on the bench scales.  The bounds only count the
      rows and test membership, so they take the engine's rows as they
-     come, without the relation's canonical sort. *)
-  let bi =
+     come, without the relation's canonical sort, and index them here,
+     once, before any SA job can read the index. *)
+  let original =
     phase root "msr" (fun sp ->
         let original_result = fst (Engine.Exec.rows ~parent:sp db q) in
         Obs.Span.set_int sp "original_result_rows"
           (List.length original_result);
-        { Msr.original_result })
+        Msr.index { Msr.original_result })
   in
   (* Whatever of the share job outlasts ⟦Q⟧_D is charged to tracing. *)
   let shared =
@@ -185,7 +186,7 @@ let prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retry root cursor
     h_db = db;
     h_env = env;
     h_sas = sas;
-    h_bi = bi;
+    h_original = original;
     h_shared = shared;
   }
 
@@ -195,8 +196,14 @@ let run_phases ?approx ~revalidate ~cancel ~retry root cursor
     (h : handle) (missing : Nip.t) :
     Explanation.t list * Approx.report option =
   let phase parent name f = phase_at cursor parent name f in
-  let { h_query = q; h_db = db; h_env = env; h_sas = sas; h_bi = bi; h_shared }
-      =
+  let {
+    h_query = q;
+    h_db = db;
+    h_env = env;
+    h_sas = sas;
+    h_original = original;
+    h_shared;
+  } =
     h
   in
   (* One SA's backtrace→tracing→MSR chain; independent across SAs.  The
@@ -234,12 +241,14 @@ let run_phases ?approx ~revalidate ~cancel ~retry root cursor
             ?shared:h_shared ~env db sa bt)
     in
     checked "msr" (fun msp ->
-        let sample_stride = decision.Approx.stride in
-        let es, skipped =
-          match decision.Approx.top_k with
-          | Some k -> Msr.from_trace_topk ~sample_stride ~bi ~q ~k trace
-          | None -> (Msr.from_trace ~sample_stride ~bi ~q trace, 0)
+        let es, skipped, terms =
+          Msr.explain ~sample_stride:decision.Approx.stride
+            ?top_k:decision.Approx.top_k ~original ~q trace
         in
+        Obs.Span.set_int msp "original_rows" terms.Msr.original_rows;
+        Obs.Span.set_int msp "surviving" terms.Msr.surviving;
+        Obs.Span.set_int msp "matched" terms.Msr.matched;
+        Obs.Span.set_int msp "ub_minus" terms.Msr.ub_minus;
         let es =
           if decision.Approx.stride > 1 then
             List.map

@@ -22,8 +22,10 @@ type result = {
           skipped unevaluated) *)
   span : Obs.Span.t;
       (** finished root span of the run: one [sa:S<i>] child per schema
-          alternative, each with [backtrace]/[tracing]/[msr] children,
-          plus the [alternatives] enumeration and the final [msr]
+          alternative, each with [backtrace]/[tracing]/[msr] children
+          (the [msr] child carries the SA's {!Msr.terms} as
+          [original_rows], [surviving], [matched] and [ub_minus]), plus
+          the [alternatives] enumeration and the final [msr]
           rank/prune *)
 }
 
@@ -102,7 +104,7 @@ type handle
 (** Run the pattern-independent phases.  The work is recorded under a
     [pipeline.prepare] span, exactly like the first half of {!explain}'s
     span tree: an [alternatives] child, then the [msr] child that runs
-    ⟦Q⟧_D.  With more than one SA, {!Tracing.share} runs as a job on the
+    ⟦Q⟧_D and indexes it for the bounds ({!Msr.original}).  With more than one SA, {!Tracing.share} runs as a job on the
     shared {!Engine.Pool} while ⟦Q⟧_D runs on the calling domain, so the
     two cost the longer of them, not the sum.  The job's
     [tracing.shared] span carries [queued_ms], [shared_blocks] and

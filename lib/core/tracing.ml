@@ -69,8 +69,7 @@ type op_trace = {
   nip : Nip.t;
   ann : vann;
   rows : trow list Lazy.t;  (* per-row trees, reconstructed on demand *)
-  data_at : int -> Value.t;
-      (* single-row tree, without forcing the whole batch *)
+  data : C.t;  (* the operator's output batch, row [i] = rid [v_rid0 + i] *)
 }
 
 type t = {
@@ -140,7 +139,7 @@ let rows_of_ann (ann : vann) (data : C.t) : trow list =
 (* --- Accessors ---------------------------------------------------------- *)
 
 let rows (ot : op_trace) : trow list = Lazy.force ot.rows
-let data_at (ot : op_trace) i = ot.data_at i
+let data_at (ot : op_trace) i = C.get_row ot.data i
 let n_rows (ot : op_trace) = ot.ann.v_n
 let rid0 (ot : op_trace) = ot.ann.v_rid0
 let consistent_at (ot : op_trace) i = bget ot.ann.v_consistent i
@@ -865,7 +864,7 @@ let annotate ~revalidate ~stride (bt : Backtrace.t) (res : cres) :
         nip;
         ann;
         rows = lazy (rows_of_ann ann data);
-        data_at = (fun i -> C.get_row data i);
+        data;
       }
       :: !traces;
     cons

@@ -72,8 +72,8 @@ type op_trace = {
   ann : vann;
   rows : trow list Lazy.t;
       (** per-row trees, reconstructed on demand — force via {!rows} *)
-  data_at : int -> Value.t;
-      (** single-row tree, without forcing the whole batch *)
+  data : Engine.Columnar.t;
+      (** the operator's output batch: row [i] is rid [ann.v_rid0 + i] *)
 }
 
 type t = {

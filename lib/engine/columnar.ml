@@ -144,6 +144,13 @@ let note_row_fallback () = Obs.Metrics.Counter.incr m_row_fallbacks
 (* Global string dictionary (hash-consed)                              *)
 (* ------------------------------------------------------------------ *)
 
+let string_hash (s : string) : int =
+  let h = ref 5381 in
+  for i = 0 to String.length s - 1 do
+    h := (!h * 33) + Char.code (String.unsafe_get s i)
+  done;
+  !h
+
 (* The stable per-value hash behind {!Dataset.value_hash}; [hash_col]
    vectorizes it, so a shuffle lands each row on the partition its
    value hashes to. *)
@@ -153,17 +160,19 @@ let rec value_hash (v : Value.t) : int =
   | Value.Bool b -> if b then 31 else 37
   | Value.Int i -> i * 2654435761
   | Value.Float f -> Int64.to_int (Int64.bits_of_float f) * 2654435761
-  | Value.String s ->
-    let h = ref 5381 in
-    String.iter (fun c -> h := (!h * 33) + Char.code c) s;
-    !h
-  | Value.Tuple fields ->
-    List.fold_left
-      (fun acc (l, fv) ->
-        (acc * 31) + value_hash (Value.String l) + value_hash fv)
-      7 fields
-  | Value.Bag es ->
-    List.fold_left (fun acc (e, m) -> acc + (value_hash e * m)) 11 es
+  | Value.String s -> string_hash s
+  | Value.Tuple fields -> fields_hash 7 fields
+  | Value.Bag es -> elems_hash 11 es
+
+(* A tuple's labels hash as strings do. *)
+and fields_hash acc = function
+  | [] -> acc
+  | (l, fv) :: fields ->
+    fields_hash ((acc * 31) + string_hash l + value_hash fv) fields
+
+and elems_hash acc = function
+  | [] -> acc
+  | (e, m) :: es -> elems_hash (acc + (value_hash e * m)) es
 
 module Dict = struct
   let mu = Mutex.create ()
@@ -192,7 +201,7 @@ module Dict = struct
           let c = !next in
           incr next;
           !strings.(c) <- s;
-          !hashes.(c) <- value_hash (Value.String s);
+          !hashes.(c) <- string_hash s;
           Hashtbl.add tbl s c;
           (c, false))
 
@@ -572,6 +581,43 @@ let rec cmp_cells (c : col) (i : int) (j : int) : int =
     end
 
 let cmp_rows (t : t) (i : int) (j : int) : int = cmp_cells t.row i j
+
+(* [Value.equal (col_get c i) v] without building row [i]: the cell is
+   walked against [v] the way [cmp_cells] walks two cells, and the
+   helpers are top-level so the walk allocates nothing. *)
+let rec equal_value (c : col) (i : int) (v : Value.t) : bool =
+  match c, v with
+  | CConst (_, w), _ -> Value.equal w v
+  | CBox a, _ -> Value.equal a.(i) v
+  | _, Value.Null -> cell_rank c i = 0
+  | CBool (b, p), Value.Bool x -> present p i && Bool.equal (Bitv.get b i) x
+  | CInt (a, p), Value.Int x -> present p i && Int.equal a.(i) x
+  | CFloat (a, p), Value.Float x -> present p i && Float.compare a.(i) x = 0
+  | CStr (a, p), Value.String s ->
+    present p i && String.equal (Dict.lookup a.(i)) s
+  | CTuple (_, fields, p), Value.Tuple vfs ->
+    present p i && equal_fields fields i vfs
+  | CBag bg, Value.Bag es ->
+    present bg.bpresent i && equal_elems bg bg.boff.(i) bg.boff.(i + 1) es
+  | _ -> false
+
+and equal_fields fields i vfs =
+  match fields, vfs with
+  | [], [] -> true
+  | (l, fc) :: fields, (l', fv) :: vfs ->
+    String.equal l l' && equal_value fc i fv && equal_fields fields i vfs
+  | _ -> false
+
+(* Stored bag contents are canonical and [Value.compare] compares bags
+   as lists, so the stored pairs are matched against [es] in order. *)
+and equal_elems bg j hi es =
+  match es with
+  | [] -> j >= hi
+  | (e, m) :: es ->
+    j < hi
+    && Int.equal bg.bmult.(j) m
+    && equal_value bg.belems j e
+    && equal_elems bg (j + 1) hi es
 
 (* ------------------------------------------------------------------ *)
 (* Tuple-structure access                                              *)
@@ -1208,7 +1254,7 @@ let rec hash_col (c : col) : int array =
   | CTuple (n, fields, p) ->
     let fhashes =
       List.map
-        (fun (l, c) -> (value_hash (Value.String l), hash_col c))
+        (fun (l, c) -> (string_hash l, hash_col c))
         fields
     in
     Array.init n (fun i ->

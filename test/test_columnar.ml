@@ -22,6 +22,9 @@ let value_gen : Value.t QCheck.Gen.t =
                (1, map (fun b -> Value.Bool b) bool);
                (2, map (fun i -> Value.Int i) small_signed_int);
                (1, map (fun f -> Value.Float f) (float_bound_inclusive 100.));
+               (* Floats [Value.equal] and [value_hash] disagree on:
+                  0.0 = -0.0 with different bits, nan = nan. *)
+               (1, oneofl [ Value.Float 0.0; Value.Float (-0.0); Value.Float nan ]);
                (* Tiny alphabet so duplicate strings hit the dictionary. *)
                (2, map (fun s -> Value.String s) (string_size ~gen:(char_range 'a' 'c') (return 2)));
              ]
@@ -65,6 +68,60 @@ let arb_uniform_rows =
   QCheck.make
     ~print:(fun vs -> Fmt.str "%a" (Fmt.Dump.list Value.pp) vs)
     (list_size (int_range 0 20) row)
+
+(* Batches in shapes [of_rows] never builds: constant columns
+   ([broadcast]), boxed columns from a shape-mixed [vstack], and
+   presence bitmaps over cells that still hold values (a kernel's
+   outer-join or flatten padding). *)
+let with_presence (mask : C.Bitv.t) (c : C.col) : C.col =
+  let p = Some mask in
+  match c with
+  | C.CBool (b, _) -> C.CBool (b, p)
+  | C.CInt (a, _) -> C.CInt (a, p)
+  | C.CFloat (a, _) -> C.CFloat (a, p)
+  | C.CStr (a, _) -> C.CStr (a, p)
+  | C.CTuple (n, fields, _) -> C.CTuple (n, fields, p)
+  | C.CBag bg -> C.CBag { bg with C.bpresent = p }
+  | C.CNull n | C.CConst (n, _) -> C.CTuple (n, [ ("w", c) ], p)
+  | C.CBox a -> C.CTuple (Array.length a, [ ("w", c) ], p)
+
+let batch_gen : C.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let rows = list_size (int_range 0 8) value_gen in
+  (* Typed float columns, where the float kernels run, with one label
+   per batch and bags whose elements repeat. *)
+  let float_rows =
+    let f =
+      oneofl
+        Value.
+          [ Float 0.0; Float (-0.0); Float nan; Float 1.5; Null ]
+    in
+    oneofl [ "x"; "z" ] >>= fun label ->
+    list_size (int_range 0 8)
+      (map3
+         (fun x y k ->
+           Value.Tuple [ (label, x); ("y", Value.bag_of_list (List.init k (fun _ -> y))) ])
+         f f (int_range 1 2))
+  in
+  frequency
+    [
+      (2, map C.of_rows rows);
+      (2, map C.of_rows float_rows);
+      (2, map2 (fun xs ys -> C.vstack [ C.of_rows xs; C.of_rows ys ]) rows rows);
+      (1, map2 (fun n v -> C.broadcast n v) (int_range 0 6) value_gen);
+      ( 2,
+        map2
+          (fun xs bits ->
+            let b = C.of_rows xs in
+            let mask = C.Bitv.init b.C.n (fun i -> bits land (1 lsl i) = 0) in
+            { b with C.row = with_presence mask b.C.row })
+          rows (int_bound 255) );
+    ]
+
+let arb_batch =
+  QCheck.make
+    ~print:(fun b -> Fmt.str "%a" (Fmt.Dump.list Value.pp) (C.to_rows b))
+    batch_gen
 
 (* --- Properties ---------------------------------------------------- *)
 
@@ -129,13 +186,41 @@ let prop_hash =
         (fun v h -> C.value_hash v = h)
         rows (Array.to_list hs))
 
+let prop_hash_shapes =
+  QCheck.Test.make ~name:"hash_col matches value_hash on every shape"
+    ~count:300 arb_batch (fun b ->
+      let hs = C.hash_col b.C.row in
+      Array.length hs = b.C.n
+      && List.for_all
+           (fun i -> C.value_hash (C.get_row b i) = hs.(i))
+           (List.init b.C.n Fun.id))
+
+(* Every row of one batch against every row of the other, and of
+   itself, so equal pairs are checked as well as unequal ones. *)
+let prop_equal_value =
+  QCheck.Test.make ~name:"equal_value = Value.equal on col_get" ~count:300
+    (QCheck.pair arb_batch arb_batch) (fun (a, b) ->
+      let agrees x y =
+        List.for_all
+          (fun i ->
+            List.for_all
+              (fun j ->
+                let v = C.get_row y j in
+                C.equal_value x.C.row i v = Value.equal (C.get_row x i) v)
+              (List.init y.C.n Fun.id))
+          (List.init x.C.n Fun.id)
+      in
+      agrees a b && agrees b a && agrees a a)
+
 let prop_codes =
   QCheck.Test.make ~name:"coder codes = structural equality classes"
     ~count:200
     QCheck.(pair arb_rows arb_rows)
     (fun (xs, ys) ->
       (* One coder across two batches: equal codes across batches must
-         mean structurally equal values (the join-key requirement). *)
+         mean structurally equal values (the join-key requirement), in
+         the sense of [Value.equal], which generic [Hashtbl] grouping
+         shares: nan equals nan, unlike under [=]. *)
       let coder = C.Coder.create () in
       let ca = C.row_codes coder (C.of_rows xs) in
       let cb = C.row_codes coder (C.of_rows ys) in
@@ -145,7 +230,7 @@ let prop_codes =
       List.for_all
         (fun (v1, c1) ->
           List.for_all
-            (fun (v2, c2) -> c1 = c2 = (v1 = v2))
+            (fun (v2, c2) -> c1 = c2 = Value.equal v1 v2)
             all)
         all)
 
@@ -297,10 +382,48 @@ let qsuite =
       prop_filter_mask;
       prop_vstack;
       prop_hash;
+      prop_hash_shapes;
+      prop_equal_value;
       prop_codes;
       prop_pred_mask;
       prop_canonical_bags;
     ]
+
+(* Batches the kernels build, not [of_rows]: every operator's output
+   batch in every SA trace of every registry scenario at scale 1.  The
+   MSR bounds sweep hashes the root batch with [hash_col] and matches it
+   with [equal_value], so both must agree with the rebuilt rows. *)
+let test_registry_batches () =
+  let rows = ref 0 in
+  List.iter
+    (fun (s : Scenarios.Scenario.t) ->
+      let inst = s.Scenarios.Scenario.make ~scale:1 () in
+      let phi = inst.Scenarios.Scenario.question in
+      let db = phi.Whynot.Question.db in
+      let env = Whynot.Pipeline.schema_env db in
+      List.iter
+        (fun (sa : Whynot.Alternatives.sa) ->
+          let bt =
+            Whynot.Backtrace.run ~env sa.Whynot.Alternatives.query
+              phi.Whynot.Question.missing
+          in
+          let tr = Whynot.Tracing.run ~env db sa bt in
+          List.iter
+            (fun (ot : Whynot.Tracing.op_trace) ->
+              let c = ot.Whynot.Tracing.data.C.row in
+              let hs = C.hash_col c in
+              for i = 0 to Whynot.Tracing.n_rows ot - 1 do
+                incr rows;
+                let v = Whynot.Tracing.data_at ot i in
+                if C.value_hash v <> hs.(i) || not (C.equal_value c i v) then
+                  Alcotest.failf "%s S%d op %d row %d" s.Scenarios.Scenario.name
+                    (sa.Whynot.Alternatives.index + 1) ot.Whynot.Tracing.op_id i
+              done)
+            tr.Whynot.Tracing.ops)
+        (Whynot.Alternatives.enumerate ~env phi.Whynot.Question.query
+           inst.Scenarios.Scenario.alternatives))
+    Scenarios.Registry.all;
+  Alcotest.(check bool) "rows were checked" true (!rows > 0)
 
 let () =
   Alcotest.run "columnar"
@@ -313,5 +436,10 @@ let () =
           Alcotest.test_case "mixed-shape fallback" `Quick test_mixed_shape_fallback;
           Alcotest.test_case "dictionary dedup" `Quick test_dict_dedup;
           Alcotest.test_case "nullable tuple flatten" `Quick test_flatten_tuple_presence;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "trace batches hash and match their rows" `Quick
+            test_registry_batches;
         ] );
     ]

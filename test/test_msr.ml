@@ -423,6 +423,173 @@ let test_differential_registry () =
   Alcotest.(check bool) "root rows with failure sets were compared" true
     (!checked > 0 && !nonempty > 0 && !explained > 0)
 
+(* --- Side-effect bounds vs the Value sweep -------------------------------- *)
+
+(* The sweep the columnar matching replaced, kept as the reference:
+   ⟦Q⟧_D's rows bucketed by [value_hash], every sampled surviving root
+   row rebuilt as a tree, and a match decided by [Value.equal] within
+   its bucket. *)
+let reference_terms ~stride ~(original : Value.t list) tr : Whynot.Msr.terms =
+  let buckets = Hashtbl.create 64 in
+  List.iter (fun v -> Hashtbl.add buckets (Engine.Columnar.value_hash v) v) original;
+  let surviving = ref 0 and matched = ref 0 in
+  List.iter
+    (fun (ot, i, rid) ->
+      if rid mod stride = 0 && Whynot.Tracing.surviving_at ot i then begin
+        incr surviving;
+        let v = Whynot.Tracing.data_at ot i in
+        if
+          List.exists (Value.equal v)
+            (Hashtbl.find_all buckets (Engine.Columnar.value_hash v))
+        then incr matched
+      end)
+    (root_rids tr);
+  let original_rows = List.length original and matched = stride * !matched in
+  {
+    Whynot.Msr.original_rows;
+    surviving = stride * !surviving;
+    matched;
+    ub_minus = max 0 (original_rows - matched);
+  }
+
+(* Section 5.4's (LB, UB) of [ops] from the reference terms and the
+   reference families. *)
+let reference_bounds ~stride ~q (t : Whynot.Msr.terms) tr =
+  let fs = reference_failure_sets tr and rows = root_rids tr in
+  fun ops ->
+    let ub_plus =
+      stride
+      * List.length
+          (List.filter
+             (fun (ot, i, rid) ->
+               rid mod stride = 0
+               && (not (Whynot.Tracing.surviving_at ot i))
+               && Set_set.exists (fun s -> Int_set.subset s ops) (fs rid))
+             rows)
+    in
+    let filtering =
+      Int_set.exists
+        (fun id ->
+          match Query.find_op q id with
+          | Some { Query.node = Query.Select _ | Query.Join _; _ } -> true
+          | _ -> false)
+        ops
+    in
+    let lb =
+      if filtering then 0
+      else max 0 (t.Whynot.Msr.surviving - t.original_rows) + t.ub_minus
+    in
+    (lb, ub_plus + t.ub_minus)
+
+let terms_list (t : Whynot.Msr.terms) =
+  [ t.Whynot.Msr.original_rows; t.surviving; t.matched; t.ub_minus ]
+
+let bounds_of (es : Whynot.Explanation.t list) =
+  List.map
+    (fun (e : Whynot.Explanation.t) ->
+      (Whynot.Explanation.op_list e, (e.side_effect_lb, e.side_effect_ub)))
+    es
+
+(* One trace's bounds, exact and top-2, through [explain] with the index
+   built once and through the [~bi] wrappers, against the reference. *)
+let check_bounds ~label ~stride ~q ~original tr =
+  let expected = reference_terms ~stride ~original tr in
+  let reference = reference_bounds ~stride ~q expected tr in
+  let index = Whynot.Msr.index { Whynot.Msr.original_result = original } in
+  let bi = { Whynot.Msr.original_result = original } in
+  List.iter
+    (fun top_k ->
+      let l = Fmt.str "%s top_k=%a" label Fmt.(option ~none:(any "-") int) top_k in
+      let es, skipped, terms =
+        Whynot.Msr.explain ~sample_stride:stride ?top_k ~original:index ~q tr
+      in
+      Alcotest.(check (list int)) (l ^ " terms") (terms_list expected) (terms_list terms);
+      Alcotest.(check (list (pair (list int) (pair int int))))
+        (l ^ " (lb, ub)")
+        (List.map
+           (fun (e : Whynot.Explanation.t) ->
+             (Whynot.Explanation.op_list e, reference e.ops))
+           es)
+        (bounds_of es);
+      let wrapped =
+        match top_k with
+        | None -> (Whynot.Msr.from_trace ~sample_stride:stride ~bi ~q tr, 0)
+        | Some k -> Whynot.Msr.from_trace_topk ~sample_stride:stride ~bi ~q ~k tr
+      in
+      Alcotest.(check (pair (list (pair (list int) (pair int int))) int))
+        (l ^ " ~bi wrapper") (bounds_of es, skipped)
+        (bounds_of (fst wrapped), snd wrapped))
+    [ None; Some 2 ];
+  expected
+
+(* [v] with its strings' last two characters moved so the string hashes
+   the same ([value_hash] is h·33 + c per character) but differs; tuples
+   and bags keep their order, so the whole value hashes as [v] does. *)
+let rec colliding (v : Value.t) : Value.t =
+  match v with
+  | Value.String s when String.length s >= 2 ->
+    let n = String.length s in
+    let a = Char.code s.[n - 2] and b = Char.code s.[n - 1] in
+    if a < 126 && b >= 33 then
+      Value.String
+        (String.sub s 0 (n - 2) ^ String.make 1 (Char.chr (a + 1))
+        ^ String.make 1 (Char.chr (b - 33)))
+    else v
+  | Value.Tuple fs -> Value.Tuple (List.map (fun (l, f) -> (l, colliding f)) fs)
+  | Value.Bag es -> Value.Bag (List.map (fun (e, m) -> (colliding e, m)) es)
+  | _ -> v
+
+(* Every SA of every registry scenario at scales 1 and 2, strides 1 and
+   3, against ⟦Q⟧_D as [Pipeline.prepare] computes it.  The running
+   example also runs against a ⟦Q⟧_D whose rows all share a hash bucket
+   with a surviving row without being equal to it, so a sweep that
+   counted a bucket hit as a match would fail. *)
+let test_bounds_differential () =
+  let matched = ref 0 in
+  List.iter
+    (fun scale ->
+      List.iter
+        (fun (sc : Scenarios.Scenario.t) ->
+          let inst = sc.make ~scale () in
+          let env, db, sas = sas_of inst in
+          let q = inst.question.Whynot.Question.query in
+          let original = fst (Engine.Exec.rows db q) in
+          List.iter
+            (fun (sa : Whynot.Alternatives.sa) ->
+              let bt =
+                Whynot.Backtrace.run ~env sa.Whynot.Alternatives.query
+                  inst.question.Whynot.Question.missing
+              in
+              List.iter
+                (fun stride ->
+                  let tr = Whynot.Tracing.run ~sample_stride:stride ~env db sa bt in
+                  let label =
+                    Fmt.str "%s@%d S%d stride %d" sc.name scale
+                      (sa.Whynot.Alternatives.index + 1) stride
+                  in
+                  let t = check_bounds ~label ~stride ~q ~original tr in
+                  matched := !matched + t.Whynot.Msr.matched)
+                [ 1; 3 ])
+            sas)
+        Scenarios.Registry.all)
+    [ 1; 2 ];
+  Alcotest.(check bool) "surviving rows matched ⟦Q⟧_D" true (!matched > 0);
+  let tr = trace0 () in
+  let original = Relation.tuples (Eval.eval db query) in
+  let collided = List.map colliding original in
+  Alcotest.(check bool) "the colliding rows differ and hash alike" true
+    (List.for_all2
+       (fun v v' ->
+         (not (Value.equal v v'))
+         && Engine.Columnar.value_hash v = Engine.Columnar.value_hash v')
+       original collided);
+  let t = check_bounds ~label:"running example" ~stride:1 ~q:query ~original tr in
+  Alcotest.(check bool) "running example matches" true (t.Whynot.Msr.matched > 0);
+  let t =
+    check_bounds ~label:"colliding" ~stride:1 ~q:query ~original:collided tr
+  in
+  Alcotest.(check int) "a bucket hit is not a match" 0 t.Whynot.Msr.matched
+
 let set_of_mask m =
   Int_set.of_list
     (List.filter (fun b -> m land (1 lsl b) <> 0) (List.init 62 Fun.id))
@@ -469,7 +636,7 @@ let op_trace ~q ~id ~rid0 ~n ?(retained = fun _ -> true) parents =
         v_ranges = None;
       };
     rows = lazy [];
-    data_at = (fun _ -> Value.Null);
+    data = Engine.Columnar.broadcast n Value.Null;
   }
 
 let hand_trace q ops =
@@ -570,6 +737,8 @@ let () =
         [
           Alcotest.test_case "side-effect bounds" `Quick test_bounds;
           Alcotest.test_case "from_trace" `Quick test_from_trace_explanations;
+          Alcotest.test_case "registry matches the Value sweep" `Quick
+            test_bounds_differential;
         ] );
       ( "bitmask",
         [

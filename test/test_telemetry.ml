@@ -410,6 +410,50 @@ let test_shared_rows () =
       = Some (Json.J_int (shared_rows ())))
   | _ -> Alcotest.fail "expected a telemetry reply"
 
+(* Each SA's [msr] span carries the terms of its side-effect bounds:
+   |⟦Q⟧_D|, the surviving root rows, those of them that match ⟦Q⟧_D, and
+   UB(Δ−).  Q3 has two SAs and D3 five. *)
+let test_msr_bound_terms () =
+  List.iter
+    (fun name ->
+      let inst =
+        (Option.get (Scenarios.Registry.find name)).Scenarios.Scenario.make
+          ~scale:1 ()
+      in
+      let r =
+        Whynot.Pipeline.explain ~alternatives:inst.Scenarios.Scenario.alternatives
+          inst.Scenarios.Scenario.question
+      in
+      let sas =
+        Obs.Span.find_all
+          (fun sp -> String.starts_with ~prefix:"sa:S" (Obs.Span.name sp))
+          r.Whynot.Pipeline.span
+      in
+      Alcotest.(check bool) (name ^ " has several SAs") true (List.length sas > 1);
+      List.iter
+        (fun sa ->
+          let label = Fmt.str "%s %s" name (Obs.Span.name sa) in
+          match
+            List.filter (fun sp -> Obs.Span.name sp = "msr") (Obs.Span.children sa)
+          with
+          | [ msr ] ->
+            let get a =
+              match Obs.Span.attr msr a with
+              | Some (Obs.Span.Int n) -> n
+              | _ -> Alcotest.failf "%s: msr span lacks %s" label a
+            in
+            let original = get "original_rows" and surviving = get "surviving"
+            and matched = get "matched" in
+            Alcotest.(check bool)
+              (label ^ ": matched <= min(surviving, original_rows)")
+              true
+              (matched <= min surviving original);
+            Alcotest.(check int) (label ^ ": ub_minus") (original - matched)
+              (get "ub_minus")
+          | sps -> Alcotest.failf "%s: %d msr spans" label (List.length sps))
+        sas)
+    [ "Q3"; "D3" ]
+
 (* --- log-record JSON codec --------------------------------------------- *)
 
 let record_gen =
@@ -574,6 +618,7 @@ let () =
           Alcotest.test_case "Prometheus golden" `Quick test_prometheus_golden;
           Alcotest.test_case "telemetry verb" `Quick test_telemetry_verb;
           Alcotest.test_case "row fallbacks counter" `Quick test_row_fallbacks;
+          Alcotest.test_case "msr span bound terms" `Quick test_msr_bound_terms;
           Alcotest.test_case "shared rows counter" `Quick test_shared_rows;
         ] );
       ( "codec",

@@ -139,50 +139,82 @@ let test_flatten_padding () =
 
 (* Surviving rows of the root reproduce the original result: the
    surviving root rows of the trace, the engine's rows and the reference
-   evaluator's agree as multisets. *)
+   evaluator's agree as multisets, row for row under [Value.equal].
+   Float aggregates are the exception: each side sums its rows in its
+   own order, so a sum can differ in its last bits and agree only in the
+   printed (rounded) form.  [check_surviving] accepts that and returns
+   the names of the comparisons where it happened. *)
 let check_surviving label ~env db missing (sa : Whynot.Alternatives.sa) =
-  let multiset rows = List.map Value.to_string (List.sort Value.compare rows) in
+  let sorted rows = List.sort Value.compare rows in
   let q = sa.Whynot.Alternatives.query in
   let bt = Whynot.Backtrace.run ~env q missing in
   let surviving =
-    multiset
+    sorted
       (List.filter_map
          (fun (r : Whynot.Tracing.trow) ->
            if r.Whynot.Tracing.surviving then Some r.Whynot.Tracing.data
            else None)
          (Whynot.Tracing.root_rows (Whynot.Tracing.run ~env db sa bt)))
   in
-  Alcotest.(check (list string))
-    (label ^ ": surviving = Exec.rows")
-    (multiset (fst (Engine.Exec.rows db q)))
-    surviving;
-  Alcotest.(check (list string))
-    (label ^ ": surviving = Eval")
-    (multiset (Relation.tuples (Eval.eval db q)))
-    surviving
+  let compare_with name rows =
+    let rows = sorted rows in
+    let printed = List.map Value.to_string in
+    Alcotest.(check (list string))
+      (Fmt.str "%s: surviving = %s" label name)
+      (printed rows) (printed surviving);
+    if List.for_all2 Value.equal rows surviving then []
+    else [ Fmt.str "%s %s" label name ]
+  in
+  compare_with "Exec.rows" (fst (Engine.Exec.rows db q))
+  @ compare_with "Eval" (Relation.tuples (Eval.eval db q))
+
+(* The comparisons where the surviving rows agree with a float sum only
+   when printed.  A change to it means an evaluator changed the order in
+   which it sums some float aggregate. *)
+let printed_only =
+  [
+    "Q1@1 S1 Exec.rows"; "Q1@1 S1 Eval"; "Q1@1 S2 Exec.rows";
+    "Q3@1 S1 Exec.rows"; "Q3@1 S1 Eval";
+    "Q6@1 S1 Eval"; "Q6@1 S4 Eval";
+    "Q1F@1 S1 Exec.rows"; "Q1F@1 S1 Eval"; "Q1F@1 S2 Exec.rows";
+    "Q3F@1 S1 Eval";
+    "Q6F@1 S1 Eval"; "Q6F@1 S4 Exec.rows"; "Q6F@1 S4 Eval";
+    "F2@1 S2 Exec.rows";
+    "Q1@2 S1 Exec.rows"; "Q1@2 S2 Exec.rows"; "Q1@2 S2 Eval";
+    "Q3@2 S1 Exec.rows"; "Q3@2 S1 Eval"; "Q3@2 S2 Exec.rows"; "Q3@2 S2 Eval";
+    "Q6@2 S1 Exec.rows"; "Q6@2 S1 Eval"; "Q6@2 S3 Exec.rows";
+    "Q6@2 S4 Exec.rows"; "Q6@2 S4 Eval";
+    "Q1F@2 S1 Exec.rows"; "Q1F@2 S2 Exec.rows"; "Q1F@2 S2 Eval";
+    "Q3F@2 S1 Exec.rows"; "Q3F@2 S1 Eval"; "Q3F@2 S2 Exec.rows"; "Q3F@2 S2 Eval";
+    "Q6F@2 S1 Eval"; "Q6F@2 S2 Exec.rows"; "Q6F@2 S4 Eval";
+    "F2@2 S1 Exec.rows"; "F2@2 S1 Eval"; "F2@2 S2 Exec.rows"; "F2@2 S2 Eval";
+  ]
 
 (* On the running example, and on every SA query of every registry
    scenario at scales 1 and 2. *)
 let test_surviving_is_original () =
-  check_surviving "running example" ~env db missing sa0;
-  List.iter
-    (fun scale ->
-      List.iter
-        (fun (s : Scenarios.Scenario.t) ->
-          let inst = s.Scenarios.Scenario.make ~scale () in
-          let phi = inst.Scenarios.Scenario.question in
-          let db = phi.Whynot.Question.db in
-          let env = Whynot.Pipeline.schema_env db in
-          List.iter
-            (fun (sa : Whynot.Alternatives.sa) ->
-              check_surviving
-                (Fmt.str "%s@%d S%d" s.Scenarios.Scenario.name scale
-                   (sa.Whynot.Alternatives.index + 1))
-                ~env db phi.Whynot.Question.missing sa)
-            (Whynot.Alternatives.enumerate ~env phi.Whynot.Question.query
-               inst.Scenarios.Scenario.alternatives))
-        Scenarios.Registry.all)
-    [ 1; 2 ]
+  let found =
+    check_surviving "running example" ~env db missing sa0
+    @ List.concat_map
+        (fun scale ->
+          List.concat_map
+            (fun (s : Scenarios.Scenario.t) ->
+              let inst = s.Scenarios.Scenario.make ~scale () in
+              let phi = inst.Scenarios.Scenario.question in
+              let db = phi.Whynot.Question.db in
+              let env = Whynot.Pipeline.schema_env db in
+              List.concat_map
+                (fun (sa : Whynot.Alternatives.sa) ->
+                  check_surviving
+                    (Fmt.str "%s@%d S%d" s.Scenarios.Scenario.name scale
+                       (sa.Whynot.Alternatives.index + 1))
+                    ~env db phi.Whynot.Question.missing sa)
+                (Whynot.Alternatives.enumerate ~env phi.Whynot.Question.query
+                   inst.Scenarios.Scenario.alternatives))
+            Scenarios.Registry.all)
+        [ 1; 2 ]
+  in
+  Alcotest.(check (list string)) "cases equal only when printed" printed_only found
 
 (* Lineage: parents always point to rows of the child operator. *)
 let test_lineage_well_formed () =
