@@ -3,7 +3,7 @@
 # smallest-scale pass over every bench family (the harness itself is
 # code that can rot) and the wire-level benchmark smoke, which checks
 # every answer against its pin.  Run before every merge.
-.PHONY: verify build test fuzz bench-smoke wirebench-smoke bench-chaos bench-obs bench-approx bench-recover
+.PHONY: verify build test fuzz bench-smoke wirebench-smoke bench-chaos bench-obs bench-approx
 
 verify:
 	dune build @all && dune runtest && $(MAKE) bench-smoke && $(MAKE) wirebench-smoke
@@ -24,8 +24,8 @@ fuzz:
 
 # Every bench family at the smallest scale — a CI guard, not a
 # measurement.  Exits 1 if any of the bench's correctness checks fails
-# (table3 operator types, approx top-k prefix, chaos and recover
-# identical explanations).
+# (table3 operator types, approx top-k prefix, chaos identical
+# explanations).
 bench-smoke:
 	dune exec bench/main.exe -- smoke
 
@@ -42,13 +42,6 @@ wirebench-smoke:
 # Budget ladder: exact vs sampled vs top-k vs combined at scales 32-256.
 bench-approx:
 	mkdir -p results && dune exec bench/main.exe -- approx -json results/bench-approx.json
-
-# Stage recovery: checkpoint restore vs full lineage recompute, plus
-# pipeline cost under a spill watermark.  (The bench-smoke rung above
-# already runs this family at the smallest scale, which doubles as the
-# spill smoke: explanations under a starvation watermark must match.)
-bench-recover:
-	mkdir -p results && dune exec bench/main.exe -- recover -json results/bench-recover.json
 
 # Chaos: unarmed fault-site overhead and armed-retry recovery (arms
 # process-global fault sites, so it never runs in the default sweep).

@@ -11,10 +11,9 @@
      table3  explainable operator types per fragment           (Table 3)
      ablation  schema alternatives and re-validation on/off
 
-   plus four acceptance families run only when named — approx (budget
-   ladder), recover (checkpoint restore, spill), chaos (fault sites) and
-   obs (telemetry overhead) — and [smoke], every family at its smallest
-   scale.  [-json FILE] writes every measurement row to FILE.
+   plus three acceptance families run only when named — approx (budget
+   ladder), chaos (fault sites) and obs (telemetry overhead) — and
+   [smoke], every family at its smallest scale.  [-json FILE] writes every measurement row to FILE.
 
    Absolute numbers are not comparable to the paper's Spark cluster; the
    reproduced claims are the *shapes*: linear scaling in input size,
@@ -45,16 +44,10 @@ let fastest ?(n = 5) ms f =
   go (run ()) 1
 
 (* One untimed warm-up run of [f], whose result is returned so callers
-   can check it, then the median wall-clock ms of 5 timed runs, each
-   after an untimed [setup]. *)
-let median_ms ?(setup = ignore) name f =
-  setup ();
+   can check it, then the median wall-clock ms of 5 timed runs. *)
+let median_ms name f =
   let r0 = f () in
-  let times =
-    Array.init 5 (fun _ ->
-        setup ();
-        snd (time_span name (fun _ -> f ())))
-  in
+  let times = Array.init 5 (fun _ -> snd (time_span name (fun _ -> f ()))) in
   Array.sort compare times;
   (r0, times.(2))
 
@@ -744,161 +737,9 @@ let bench_approx ?(scales = [ 32; 64; 128; 256 ]) ?(stride = 8)
         scales)
     [ "D1"; "D3"; "T2" ]
 
-(* --- Recover: checkpoint restore vs lineage recompute, spill cost ---------
-
-   Two claims, two column groups per scenario:
-   - restore: lose one materialized shuffle output partition and restore
-     it.  With the barrier checkpoint on disk the restore is one framed
-     file read; with the file gone (executor disk lost) the same fetch
-     fails its open, is counted corrupt, and falls back to the lineage
-     closure — a full re-shuffle of the upstream input.  Lineage
-     truncation is exactly the gap between those two columns.
-   - spill: the full explanation pipeline under a 4 KiB memory watermark
-     (every intermediate spilled to disk and restored on access) vs
-     resident, with byte-identical explanation sets required. *)
-
-let bench_recover ?(scale = 4) ?(replicate = 20_000) () =
-  Fmt.pr "@.== Recover: checkpoint restore vs lineage recompute (scale %d) ==@."
-    scale;
-  let base = Filename.temp_file "whynot-bench-recover" "" in
-  Sys.remove base;
-  Unix.mkdir base 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Engine.Checkpoint.sweep ();
-      try Unix.rmdir base with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  let clear_checkpoint_files () =
-    match Engine.Checkpoint.run_dir () with
-    | None -> ()
-    | Some dir ->
-      Array.iter
-        (fun f ->
-          if Filename.check_suffix f ".ckpt" then
-            try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (Sys.readdir dir)
-  in
-  List.iter
-    (fun name ->
-      let inst = instance ~scale (scenario name) in
-      let phi = inst.Scenarios.Scenario.question in
-      (* the shuffle input: the scenario's largest base table (a
-         homogeneous batch, as real shuffle outputs are — mixing tables
-         would force the boxed-value codec fallback), replicated to a
-         workload where restore cost is measurable *)
-      let rows_of rel =
-        match Nested.Relation.data rel with
-        | Nested.Value.Bag items ->
-          List.concat_map (fun (v, m) -> List.init m (fun _ -> v)) items
-        | v -> [ v ]
-      in
-      let base_rows =
-        List.fold_left
-          (fun best (_, rel) ->
-            let rs = rows_of rel in
-            if List.length rs > List.length best then rs else best)
-          []
-          (Nested.Relation.Db.tables phi.Whynot.Question.db)
-      in
-      let copies = max 1 (replicate / max 1 (List.length base_rows)) in
-      let rows =
-        List.concat (List.init copies (fun _ -> base_rows))
-      in
-      let parts = 16 in
-      let key_of v = Nested.Value.Int (Hashtbl.hash v land 0xff) in
-      let hash_of b =
-        Array.map
-          (fun v -> Engine.Dataset.value_hash (key_of v))
-          (Engine.Columnar.to_values b)
-      in
-      let ckpt_ms, src_ms =
-        Engine.Checkpoint.with_config
-          (Some
-             {
-               Engine.Checkpoint.dir = Some base;
-               checkpoint_shuffles = true;
-               max_memory_bytes = None;
-             })
-        @@ fun () ->
-        let source = Engine.Dataset.distribute ~partitions:parts rows in
-        let shuffled, _ =
-          Engine.Dataset.shuffle_hashed ~barrier:(Fmt.str "bench-%s" name)
-            ~partitions:parts hash_of source
-        in
-        ignore (Engine.Dataset.to_list shuffled : Nested.Value.t list);
-        let lose_all () =
-          for i = 0 to parts - 1 do
-            Engine.Dataset.recover_partition shuffled i
-          done
-        in
-        (* force every partition fetch without paying the (identical in
-           both arms, and much larger) batch→rows conversion *)
-        let force () =
-          ignore
-            (Engine.Dataset.map_cpartitions ~label:"bench-force" Fun.id
-               shuffled
-              : Engine.Dataset.t)
-        in
-        (* arm 1: the whole stage output is lost (executor gone) and the
-           checkpoint files answer the restore — [parts] framed reads *)
-        let _, ckpt_ms = median_ms ~setup:lose_all "bench.recover.ckpt" force in
-        (* arm 2: the files are gone too — every fetch goes corrupt and
-           replays the full upstream lineage, one re-shuffle of the
-           whole input per lost partition (plus the re-checkpoint, also
-           timed: the rewrite is part of the real recovery path) *)
-        let _, src_ms =
-          median_ms
-            ~setup:(fun () ->
-              clear_checkpoint_files ();
-              lose_all ())
-            "bench.recover.src" force
-        in
-        (ckpt_ms, src_ms)
-      in
-      (* spill: full pipeline under a starvation watermark vs resident *)
-      let run_rp_plain () =
-        Engine.Checkpoint.with_config None (fun () -> run_rp inst)
-      in
-      let run_rp_spill () =
-        Engine.Checkpoint.with_config
-          (Some
-             {
-               Engine.Checkpoint.dir = Some base;
-               checkpoint_shuffles = false;
-               max_memory_bytes = Some 4096;
-             })
-          (fun () -> run_rp inst)
-      in
-      let spill_batches_c = Obs.Metrics.counter "engine.spill.batches" in
-      let plain0, plain_rp_ms = median_ms "bench.recover.plain" run_rp_plain in
-      let batches0 = Obs.Metrics.Counter.value spill_batches_c in
-      let spill0, spill_rp_ms = median_ms "bench.recover.spill" run_rp_spill in
-      emit "recover" ~scenario:name ~scale
-        [
-          ("engine.shuffle.input_rows", Int (List.length rows));
-          ("engine.recover.from_checkpoint_ms", Float ckpt_ms);
-          ("engine.recover.from_source_ms", Float src_ms);
-          ("engine.recover.speedup", Float (src_ms /. Float.max ckpt_ms 1e-9));
-          ("whynot.rp_ms", Float plain_rp_ms);
-          ("whynot.rp_spill_ms", Float spill_rp_ms);
-          ( "whynot.spill_overhead_pct",
-            Float
-              (100. *. (spill_rp_ms -. plain_rp_ms)
-              /. Float.max plain_rp_ms 1e-9) );
-          ( "engine.spill.batches",
-            Int (Obs.Metrics.Counter.value spill_batches_c - batches0) );
-          ( "check.identical",
-            Bool
-              (Whynot.Pipeline.explanation_sets plain0
-              = Whynot.Pipeline.explanation_sets spill0) );
-        ])
-    [ "D1"; "T2"; "Q3" ]
-
 (* Smallest-scale pass over every bench family — a CI guard that the
    bench harness itself keeps working and its checks hold, cheap enough
-   for [make verify].  The recover rung doubles as the spill smoke: it
-   runs the pipeline under a starvation watermark and checks the
-   explanations match.  Chaos and obs run last: they flip process-global
+   for [make verify].  Chaos and obs run last: they flip process-global
    fault sites, log level and sink set. *)
 let smoke () =
   table7 ();
@@ -911,7 +752,6 @@ let smoke () =
   fig11 ~scale:1 ();
   ablation ();
   bench_approx ~scales:[ 1 ] ();
-  bench_recover ~scale:1 ~replicate:2_000 ();
   bench_chaos ~scale:1 ();
   bench_obs ~scale:1 ()
 
@@ -941,9 +781,8 @@ let () =
   let args = parse [] (List.tl (Array.to_list Sys.argv)) in
   (* Families in run order.  [true] marks a family that runs only when
      named (or under "all"), never as part of a bare invocation: smoke is
-     a targeted run, approx scales past the default sweep, recover
-     redirects checkpoint scratch to a bench temp dir, and chaos and obs
-     flip process-global fault sites, log level and sink set. *)
+     a targeted run, approx scales past the default sweep, and chaos and
+     obs flip process-global fault sites, log level and sink set. *)
   let families =
     [
       ("table7", false, table7);
@@ -957,7 +796,6 @@ let () =
       ("ablation", false, ablation);
       ("smoke", true, smoke);
       ("approx", true, fun () -> bench_approx ());
-      ("recover", true, fun () -> bench_recover ());
       ("chaos", true, fun () -> bench_chaos ());
       ("obs", true, fun () -> bench_obs ());
     ]

@@ -23,6 +23,16 @@ let apply_log_level = function
         failwith
           (Fmt.str "unknown log level %S (debug|info|warn|error|off)" level)))
 
+(* Declares one option under both of its spellings: [-name] with [doc],
+   and [--name], whose help line points back at [-name].  [arg] is the
+   value placeholder the help shows ("" for a flag). *)
+let both ?(arg = "") name action doc =
+  let shown = if arg = "" then "" else arg ^ "  " in
+  [
+    ("-" ^ name, action, shown ^ doc);
+    ("--" ^ name, action, (if arg = "" then " " else shown) ^ "same as -" ^ name);
+  ]
+
 let write_prometheus = function
   | "" -> ()
   | path ->
@@ -200,58 +210,44 @@ let run_explain args =
   let log_level = ref "" in
   let prometheus_file = ref "" in
   let spec =
-    [
-      ("-db", Arg.Set_string db_file, "JSON database file");
-      ( "-query",
-        Arg.Set_string query_inline,
-        "TEXT  inline query (SQL-ish or s-expression, auto-detected)" );
-      ("--query", Arg.Set_string query_inline, "TEXT  same as -query");
-      ( "-query-file",
-        Arg.Set_string query_file,
-        "FILE  query file (SQL-ish or s-expression, auto-detected)" );
-      ("--query-file", Arg.Set_string query_file, "FILE  same as -query-file");
-      ("-whynot", Arg.Set_string whynot_file, "why-not pattern file (s-expression)");
-      ( "-alt",
-        Arg.String (fun s -> alts := parse_alt s :: !alts),
-        "attribute alternatives, table:a.b=c.d" );
-      ("-no-sas", Arg.Clear use_sas, "disable schema alternatives");
-      ("-no-revalidate", Arg.Clear revalidate, "disable re-validation (ablation)");
-      ( "-task-retries",
-        Arg.Set_int task_retries,
-        "N  retry budget for transient task faults (default 0: fail fast)" );
-      ("--task-retries", Arg.Set_int task_retries, "N  same as -task-retries");
-      ( "-budget-ms",
-        Arg.Set_float budget_ms,
-        "MS  approximation budget: degrade exact → sampled → top-k-only as \
-         the wall-clock budget burns (never aborts)" );
-      ("--budget-ms", Arg.Set_float budget_ms, "MS  same as -budget-ms");
-      ( "-sample-stride",
-        Arg.Set_int sample_stride,
-        "N  re-validate only every Nth traced row (1-in-N sampling; \
-         explanations carry confidence 1/N)" );
-      ("--sample-stride", Arg.Set_int sample_stride, "N  same as -sample-stride");
-      ( "-top-k",
-        Arg.Set_int top_k,
-        "K  rank only the K best explanations (early-terminating MSR)" );
-      ("--top-k", Arg.Set_int top_k, "K  same as -top-k");
-      ("-metrics", Arg.Set metrics, "print the per-phase timing breakdown");
-      ("--metrics", Arg.Set metrics, " same as -metrics");
-      ( "-trace",
-        Arg.Set_string trace_file,
-        "FILE  write a Chrome trace_event JSON file" );
-      ("--trace", Arg.Set_string trace_file, "FILE  same as -trace");
-      ( "-log-level",
-        Arg.Set_string log_level,
-        "LEVEL  structured-log threshold (debug|info|warn|error|off), \
-         mirrored to stderr" );
-      ("--log-level", Arg.Set_string log_level, "LEVEL  same as -log-level");
-      ( "-prometheus",
-        Arg.Set_string prometheus_file,
-        "FILE  write Prometheus-format metrics to FILE at the end" );
-      ( "--prometheus",
-        Arg.Set_string prometheus_file,
-        "FILE  same as -prometheus" );
-    ]
+    List.concat
+      [
+        [ ("-db", Arg.Set_string db_file, "JSON database file") ];
+        both "query" ~arg:"TEXT" (Arg.Set_string query_inline)
+          "inline query (SQL-ish or s-expression, auto-detected)";
+        both "query-file" ~arg:"FILE" (Arg.Set_string query_file)
+          "query file (SQL-ish or s-expression, auto-detected)";
+        [
+          ( "-whynot",
+            Arg.Set_string whynot_file,
+            "why-not pattern file (s-expression)" );
+          ( "-alt",
+            Arg.String (fun s -> alts := parse_alt s :: !alts),
+            "attribute alternatives, table:a.b=c.d" );
+          ("-no-sas", Arg.Clear use_sas, "disable schema alternatives");
+          ( "-no-revalidate",
+            Arg.Clear revalidate,
+            "disable re-validation (ablation)" );
+        ];
+        both "task-retries" ~arg:"N" (Arg.Set_int task_retries)
+          "retry budget for transient task faults (default 0: fail fast)";
+        both "budget-ms" ~arg:"MS" (Arg.Set_float budget_ms)
+          "approximation budget: degrade exact → sampled → top-k-only as the \
+           wall-clock budget burns (never aborts)";
+        both "sample-stride" ~arg:"N" (Arg.Set_int sample_stride)
+          "re-validate only every Nth traced row (1-in-N sampling; \
+           explanations carry confidence 1/N)";
+        both "top-k" ~arg:"K" (Arg.Set_int top_k)
+          "rank only the K best explanations (early-terminating MSR)";
+        both "metrics" (Arg.Set metrics) "print the per-phase timing breakdown";
+        both "trace" ~arg:"FILE" (Arg.Set_string trace_file)
+          "write a Chrome trace_event JSON file";
+        both "log-level" ~arg:"LEVEL" (Arg.Set_string log_level)
+          "structured-log threshold (debug|info|warn|error|off), mirrored \
+           to stderr";
+        both "prometheus" ~arg:"FILE" (Arg.Set_string prometheus_file)
+          "write Prometheus-format metrics to FILE at the end";
+      ]
   in
   Arg.parse_argv ~current:(ref 0)
     (Array.of_list (Sys.argv.(0) :: args))
@@ -316,22 +312,26 @@ let run_parse args =
   let query_inline = ref "" and query_file = ref "" in
   let whynot_text = ref "" in
   let spec =
-    [
-      ("-db", Arg.Set_string db_file, "FILE  JSON database file (schema source)");
-      ( "-scenario",
-        Arg.Set_string scenario,
-        "NAME  use a scenario's database as the schema source" );
-      ("-scale", Arg.Set_int scale, "N  scenario data scale (default 1)");
-      ( "-query",
-        Arg.Set_string query_inline,
-        "TEXT  inline query (SQL-ish or s-expression, auto-detected)" );
-      ("--query", Arg.Set_string query_inline, "TEXT  same as -query");
-      ("-query-file", Arg.Set_string query_file, "FILE  query file");
-      ("--query-file", Arg.Set_string query_file, "FILE  same as -query-file");
-      ( "-whynot",
-        Arg.Set_string whynot_text,
-        "TEXT  why-not pattern to check against the query's output type" );
-    ]
+    List.concat
+      [
+        [
+          ( "-db",
+            Arg.Set_string db_file,
+            "FILE  JSON database file (schema source)" );
+          ( "-scenario",
+            Arg.Set_string scenario,
+            "NAME  use a scenario's database as the schema source" );
+          ("-scale", Arg.Set_int scale, "N  scenario data scale (default 1)");
+        ];
+        both "query" ~arg:"TEXT" (Arg.Set_string query_inline)
+          "inline query (SQL-ish or s-expression, auto-detected)";
+        both "query-file" ~arg:"FILE" (Arg.Set_string query_file) "query file";
+        [
+          ( "-whynot",
+            Arg.Set_string whynot_text,
+            "TEXT  why-not pattern to check against the query's output type" );
+        ];
+      ]
   in
   Arg.parse_argv ~current:(ref 0)
     (Array.of_list (Sys.argv.(0) :: args))
@@ -389,53 +389,36 @@ let run_scenarios args =
   let log_level = ref "" in
   let prometheus_file = ref "" in
   let spec =
-    [
-      ("-scale", Arg.Set_int scale, "data scale factor (default 1)");
-      ("-v", Arg.Set verbose, "verbose (print schema alternatives)");
-      ( "-budget-ms",
-        Arg.Set_float budget_ms,
-        "MS  approximation budget for the RP run: degrade exact → sampled → \
-         top-k-only as the wall-clock budget burns (never aborts)" );
-      ("--budget-ms", Arg.Set_float budget_ms, "MS  same as -budget-ms");
-      ( "-sample-stride",
-        Arg.Set_int sample_stride,
-        "N  re-validate only every Nth traced row (1-in-N sampling; \
-         explanations carry confidence 1/N)" );
-      ("--sample-stride", Arg.Set_int sample_stride, "N  same as -sample-stride");
-      ( "-top-k",
-        Arg.Set_int top_k,
-        "K  rank only the K best explanations (early-terminating MSR)" );
-      ("--top-k", Arg.Set_int top_k, "K  same as -top-k");
-      ( "-partitions",
-        Arg.Set_int partitions,
-        "N  engine partition count (default 4)" );
-      ("--partitions", Arg.Set_int partitions, "N  same as -partitions");
-      ( "-task-retries",
-        Arg.Set_int task_retries,
-        "N  retry budget for transient task faults (default 0: fail fast)" );
-      ("--task-retries", Arg.Set_int task_retries, "N  same as -task-retries");
-      ( "-metrics",
-        Arg.Set metrics,
-        "print the per-phase timing breakdown after each scenario and the \
-         metrics registry at the end" );
-      ("--metrics", Arg.Set metrics, " same as -metrics");
-      ( "-trace",
-        Arg.Set_string trace_file,
-        "FILE  write a Chrome trace_event JSON file (open in \
-         chrome://tracing or https://ui.perfetto.dev)" );
-      ("--trace", Arg.Set_string trace_file, "FILE  same as -trace");
-      ( "-log-level",
-        Arg.Set_string log_level,
-        "LEVEL  structured-log threshold (debug|info|warn|error|off), \
-         mirrored to stderr" );
-      ("--log-level", Arg.Set_string log_level, "LEVEL  same as -log-level");
-      ( "-prometheus",
-        Arg.Set_string prometheus_file,
-        "FILE  write Prometheus-format metrics to FILE at the end" );
-      ( "--prometheus",
-        Arg.Set_string prometheus_file,
-        "FILE  same as -prometheus" );
-    ]
+    List.concat
+      [
+        [
+          ("-scale", Arg.Set_int scale, "data scale factor (default 1)");
+          ("-v", Arg.Set verbose, "verbose (print schema alternatives)");
+        ];
+        both "budget-ms" ~arg:"MS" (Arg.Set_float budget_ms)
+          "approximation budget for the RP run: degrade exact → sampled → \
+           top-k-only as the wall-clock budget burns (never aborts)";
+        both "sample-stride" ~arg:"N" (Arg.Set_int sample_stride)
+          "re-validate only every Nth traced row (1-in-N sampling; \
+           explanations carry confidence 1/N)";
+        both "top-k" ~arg:"K" (Arg.Set_int top_k)
+          "rank only the K best explanations (early-terminating MSR)";
+        both "partitions" ~arg:"N" (Arg.Set_int partitions)
+          "engine partition count (default 4)";
+        both "task-retries" ~arg:"N" (Arg.Set_int task_retries)
+          "retry budget for transient task faults (default 0: fail fast)";
+        both "metrics" (Arg.Set metrics)
+          "print the per-phase timing breakdown after each scenario and the \
+           metrics registry at the end";
+        both "trace" ~arg:"FILE" (Arg.Set_string trace_file)
+          "write a Chrome trace_event JSON file (open in chrome://tracing or \
+           https://ui.perfetto.dev)";
+        both "log-level" ~arg:"LEVEL" (Arg.Set_string log_level)
+          "structured-log threshold (debug|info|warn|error|off), mirrored \
+           to stderr";
+        both "prometheus" ~arg:"FILE" (Arg.Set_string prometheus_file)
+          "write Prometheus-format metrics to FILE at the end";
+      ]
   in
   Arg.parse_argv ~current:(ref 0)
     (Array.of_list (Sys.argv.(0) :: args))

@@ -9,6 +9,16 @@
        '{"op": "explain", "dataset": "Q1"}' \
      | whynot_server --stdio --no-timings                              *)
 
+(* Declares one option under both of its spellings: [-name] with [doc],
+   and [--name], whose help line points back at [-name].  [arg] is the
+   value placeholder the help shows ("" for a flag). *)
+let both ?(arg = "") name action doc =
+  let shown = if arg = "" then "" else arg ^ "  " in
+  [
+    ("-" ^ name, action, shown ^ doc);
+    ("--" ^ name, action, (if arg = "" then " " else shown) ^ "same as -" ^ name);
+  ]
+
 let () =
   let stdio = ref false in
   let unix_path = ref "" in
@@ -30,106 +40,51 @@ let () =
   let slo_ms = ref 0.0 in
   let metrics_file = ref "" in
   let metrics_interval = ref 5.0 in
-  let checkpoint_dir = ref "" in
-  let checkpoint_shuffles = ref false in
-  let max_memory_mb = ref 0 in
   let spec =
-    [
-      ("-stdio", Arg.Set stdio, "serve requests from stdin, responses to stdout");
-      ("--stdio", Arg.Set stdio, " same as -stdio");
-      ("-unix", Arg.Set_string unix_path, "PATH  listen on a Unix-domain socket");
-      ("--unix", Arg.Set_string unix_path, "PATH  same as -unix");
-      ("-tcp", Arg.Set_int port, "PORT  listen on TCP");
-      ("--tcp", Arg.Set_int port, "PORT  same as -tcp");
-      ("-host", Arg.Set_string host, "HOST  TCP bind address (default 127.0.0.1)");
-      ("--host", Arg.Set_string host, "HOST  same as -host");
-      ("-cache", Arg.Set_int cache, "N  explanation cache capacity (0 disables)");
-      ("--cache", Arg.Set_int cache, "N  same as -cache");
-      ("-handles", Arg.Set_int handles, "N  traced-run handle cache capacity");
-      ("--handles", Arg.Set_int handles, "N  same as -handles");
-      ("-queue", Arg.Set_int queue, "N  scheduler admission bound");
-      ("--queue", Arg.Set_int queue, "N  same as -queue");
-      ( "-deadline",
-        Arg.Set_float deadline,
-        "MS  default per-request deadline (0 = none)" );
-      ("--deadline", Arg.Set_float deadline, "MS  same as -deadline");
-      ( "-task-retries",
-        Arg.Set_int task_retries,
-        "N  retry budget for transient task faults (default 0: fail fast)" );
-      ("--task-retries", Arg.Set_int task_retries, "N  same as -task-retries");
-      ( "-no-timings",
-        Arg.Clear timings,
-        "omit wall-clock timings from responses (deterministic output)" );
-      ("--no-timings", Arg.Clear timings, " same as -no-timings");
-      ( "-max-conns",
-        Arg.Set_int max_conns,
-        "N  socket connection cap; extra connections get a one-line \
-         overloaded error (default 64)" );
-      ("--max-conns", Arg.Set_int max_conns, "N  same as -max-conns");
-      ( "-max-request-bytes",
-        Arg.Set_int max_request,
-        "N  longest accepted request line; longer lines answer \
-         bad_request (default 1 MiB)" );
-      ( "--max-request-bytes",
-        Arg.Set_int max_request,
-        "N  same as -max-request-bytes" );
-      ( "-log-level",
-        Arg.Set_string log_level,
-        "LEVEL  structured-log threshold: debug|info|warn|error|off \
-         (default info)" );
-      ("--log-level", Arg.Set_string log_level, "LEVEL  same as -log-level");
-      ( "-log-json",
-        Arg.Set_string log_json,
-        "FILE  append JSON-lines log records to FILE" );
-      ("--log-json", Arg.Set_string log_json, "FILE  same as -log-json");
-      ( "-log-stderr",
-        Arg.Set log_stderr,
-        "mirror log records to stderr as text" );
-      ("--log-stderr", Arg.Set log_stderr, " same as -log-stderr");
-      ( "-slow-ms",
-        Arg.Set_float slow_ms,
-        "MS  emit a serve.slow record for requests at or above MS (0 = off)" );
-      ("--slow-ms", Arg.Set_float slow_ms, "MS  same as -slow-ms");
-      ( "-slo-ms",
-        Arg.Set_float slo_ms,
-        "MS  explain-latency SLO threshold feeding serve.slo.{ok,breach} \
-         (0 = off)" );
-      ("--slo-ms", Arg.Set_float slo_ms, "MS  same as -slo-ms");
-      ( "-metrics-file",
-        Arg.Set_string metrics_file,
-        "FILE  periodically dump Prometheus-format metrics to FILE \
-         (atomic tmp+rename; final dump at exit)" );
-      ( "--metrics-file",
-        Arg.Set_string metrics_file,
-        "FILE  same as -metrics-file" );
-      ( "-metrics-interval",
-        Arg.Set_float metrics_interval,
-        "SEC  metrics dump period (default 5)" );
-      ( "--metrics-interval",
-        Arg.Set_float metrics_interval,
-        "SEC  same as -metrics-interval" );
-      ( "-checkpoint-dir",
-        Arg.Set_string checkpoint_dir,
-        "DIR  base directory for shuffle checkpoints / spill files \
-         (default: system temp dir)" );
-      ( "--checkpoint-dir",
-        Arg.Set_string checkpoint_dir,
-        "DIR  same as -checkpoint-dir" );
-      ( "-checkpoint-shuffles",
-        Arg.Set checkpoint_shuffles,
-        "checkpoint post-shuffle partitions so task faults replay from \
-         the barrier instead of recomputing the upstream chain" );
-      ( "--checkpoint-shuffles",
-        Arg.Set checkpoint_shuffles,
-        " same as -checkpoint-shuffles" );
-      ( "-max-memory-mb",
-        Arg.Set_int max_memory_mb,
-        "MB  spill engine intermediates to disk above this per-dataset \
-         watermark (0 = never spill)" );
-      ( "--max-memory-mb",
-        Arg.Set_int max_memory_mb,
-        "MB  same as -max-memory-mb" );
-    ]
+    List.concat
+      [
+        both "stdio" (Arg.Set stdio)
+          "serve requests from stdin, responses to stdout";
+        both "unix" ~arg:"PATH" (Arg.Set_string unix_path)
+          "listen on a Unix-domain socket";
+        both "tcp" ~arg:"PORT" (Arg.Set_int port) "listen on TCP";
+        both "host" ~arg:"HOST" (Arg.Set_string host)
+          "TCP bind address (default 127.0.0.1)";
+        both "cache" ~arg:"N" (Arg.Set_int cache)
+          "explanation cache capacity (0 disables)";
+        both "handles" ~arg:"N" (Arg.Set_int handles)
+          "traced-run handle cache capacity";
+        both "queue" ~arg:"N" (Arg.Set_int queue) "scheduler admission bound";
+        both "deadline" ~arg:"MS" (Arg.Set_float deadline)
+          "default per-request deadline (0 = none)";
+        both "task-retries" ~arg:"N" (Arg.Set_int task_retries)
+          "retry budget for transient task faults (default 0: fail fast)";
+        both "no-timings" (Arg.Clear timings)
+          "omit wall-clock timings from responses (deterministic output)";
+        both "max-conns" ~arg:"N" (Arg.Set_int max_conns)
+          "socket connection cap; extra connections get a one-line \
+           overloaded error (default 64)";
+        both "max-request-bytes" ~arg:"N" (Arg.Set_int max_request)
+          "longest accepted request line; longer lines answer bad_request \
+           (default 1 MiB)";
+        both "log-level" ~arg:"LEVEL" (Arg.Set_string log_level)
+          "structured-log threshold: debug|info|warn|error|off (default \
+           info)";
+        both "log-json" ~arg:"FILE" (Arg.Set_string log_json)
+          "append JSON-lines log records to FILE";
+        both "log-stderr" (Arg.Set log_stderr)
+          "mirror log records to stderr as text";
+        both "slow-ms" ~arg:"MS" (Arg.Set_float slow_ms)
+          "emit a serve.slow record for requests at or above MS (0 = off)";
+        both "slo-ms" ~arg:"MS" (Arg.Set_float slo_ms)
+          "explain-latency SLO threshold feeding serve.slo.{ok,breach} (0 = \
+           off)";
+        both "metrics-file" ~arg:"FILE" (Arg.Set_string metrics_file)
+          "periodically dump Prometheus-format metrics to FILE (atomic \
+           tmp+rename; final dump at exit)";
+        both "metrics-interval" ~arg:"SEC" (Arg.Set_float metrics_interval)
+          "metrics dump period (default 5)";
+      ]
   in
   Arg.parse spec
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
@@ -175,15 +130,6 @@ let () =
              safe_dump ()
            done)
          ()));
-  if !checkpoint_dir <> "" || !checkpoint_shuffles || !max_memory_mb > 0 then
-    Engine.Checkpoint.set_active
-      (Some
-         (Engine.Checkpoint.config
-            ?dir:(if !checkpoint_dir = "" then None else Some !checkpoint_dir)
-            ~checkpoint_shuffles:!checkpoint_shuffles
-            ?max_memory_mb:
-              (if !max_memory_mb > 0 then Some !max_memory_mb else None)
-            ()));
   let config =
     {
       Serve.Server.cache_capacity = !cache;

@@ -109,16 +109,6 @@ module Bitv = struct
        done
      with Exit -> ());
     !ok
-
-  (* Raw packed form, for the checkpoint codec.  [of_bytes] validates
-     the byte count so a truncated file cannot build an out-of-bounds
-     bitmap. *)
-  let to_bytes t = Bytes.to_string t.bits
-
-  let of_bytes len s =
-    if String.length s <> (len + 7) lsr 3 then
-      invalid_arg "Bitv.of_bytes: length mismatch";
-    { len; bits = Bytes.of_string s }
 end
 
 (* ------------------------------------------------------------------ *)

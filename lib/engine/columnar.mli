@@ -35,13 +35,6 @@ module Bitv : sig
   val indices : t -> int array
 
   val for_all : t -> bool
-
-  (** Raw packed bits ([(len+7)/8] bytes), for the checkpoint codec. *)
-  val to_bytes : t -> string
-
-  (** Inverse of [to_bytes]; raises [Invalid_argument] when the string
-      is not exactly [(len+7)/8] bytes. *)
-  val of_bytes : int -> string -> t
 end
 
 (** Process-wide hash-consed string dictionary.  Thread-safe. *)

@@ -82,33 +82,10 @@ let group_agg_cols group aggs (b : C.t) : C.t =
 
 let rows ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
     (q : Query.t) : Value.t list * Stats.t =
-  (* Pin the checkpoint run directory for the whole execution: a
-     concurrent sweep (catalog eviction) is deferred until the last
-     in-flight run releases, so a spilled partition whose only copy is
-     on disk cannot be deleted from under us. *)
-  Checkpoint.with_retained @@ fun () ->
   let env = schema_env db in
   let stats = Stats.create () in
   let n = config.partitions in
   let retry = config.retry in
-  (* Stage-level recovery is ambient (off by default): when the active
-     Checkpoint config asks for it, every hash shuffle below gets a
-     checkpoint barrier, and operator outputs are spilled under the
-     memory watermark.  Read once per run so a concurrent
-     [set_active] cannot tear one execution. *)
-  let ckpt = Checkpoint.active () in
-  let barrier label =
-    match ckpt with
-    | Some { Checkpoint.checkpoint_shuffles = true; _ } -> Some label
-    | _ -> None
-  in
-  let maybe_spill d =
-    (match ckpt with
-    | Some { Checkpoint.max_memory_bytes = Some w; _ } ->
-      ignore (Dataset.spill_over ~watermark:w d)
-    | _ -> ());
-    d
-  in
   (* Retries are attributed on the operator span: a task that needed a
      second attempt leaves [attempt=2] on its operator. *)
   let retry_attr sp ~partition:_ ~attempt _e =
@@ -150,7 +127,7 @@ let rows ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
       record_io input (Dataset.cardinal out);
       out
     in
-    let out = maybe_spill (eval_node sp ostat record_io narrow mapp q) in
+    let out = eval_node sp ostat record_io narrow mapp q in
     Option.iter
       (fun s ->
         Obs.Span.set_int s "op_id" q.id;
@@ -198,13 +175,11 @@ let rows ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
     | Query.Union, [ l; r ] ->
       let dl = go sp l and dr = go sp r in
       let input = Dataset.cardinal dl + Dataset.cardinal dr in
-      let cl = Dataset.cpartitions dl and cr = Dataset.cpartitions dr in
       let out =
-        Dataset.of_cpartitions
-          (Array.init n (fun i ->
-               let pl = if i < Array.length cl then cl.(i) else C.empty
-               and pr = if i < Array.length cr then cr.(i) else C.empty in
-               C.vstack [ pl; pr ]))
+        Array.init n (fun i ->
+            let pl = if i < Array.length dl then dl.(i) else C.empty
+            and pr = if i < Array.length dr then dr.(i) else C.empty in
+            C.vstack [ pl; pr ])
       in
       record_io input (Dataset.cardinal out);
       out
@@ -212,39 +187,18 @@ let rows ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
       let dl = go sp l and dr = go sp r in
       let input = Dataset.cardinal dl + Dataset.cardinal dr in
       let ssp = sub sp "shuffle" in
-      (* Combine per aligned partition pair inside a retry scope: the
-         (possibly checkpointed) partition fetches happen in the task,
-         so a lost partition replays from its recovery root. *)
-      let diff_task dl dr part_op i =
-        Fault.protect ~policy:retry
-          ~task:(Fmt.str "op:%s#%d/p%d" (Query.op_symbol q.node) q.id i)
-          ~task_id:i
-          ~on_retry:(fun ~attempt e ->
-            Dataset.recover_partition dl i;
-            Dataset.recover_partition dr i;
-            retry_attr sp ~partition:i ~attempt e)
-          (fun () ->
-            Obs.Faultinject.fire "engine.partition";
-            part_op i)
-      in
-      let dl, m1 =
-        Dataset.shuffle_hashed ?barrier:(barrier "diff-l") ~partitions:n
-          whole_row_hash dl
-      in
-      let dr, m2 =
-        Dataset.shuffle_hashed ?barrier:(barrier "diff-r") ~partitions:n
-          whole_row_hash dr
-      in
+      let dl, m1 = Dataset.shuffle_hashed ~partitions:n whole_row_hash dl in
+      let dr, m2 = Dataset.shuffle_hashed ~partitions:n whole_row_hash dr in
+      (* Each aligned partition pair is one retryable task. *)
+      let label = Fmt.str "op:%s#%d" (Query.op_symbol q.node) q.id in
       let out =
-        Dataset.of_cpartitions
-          (Array.init n
-             (diff_task dl dr (fun i ->
-                  let lb = Dataset.cpartition dl i in
-                  let cancelled =
-                    Kernel.diff_cancelled lb (Dataset.cpartition dr i)
-                  in
-                  C.filter lb
-                    (C.Bitv.init (C.length lb) (fun j -> not cancelled.(j))))))
+        Array.init n (fun i ->
+            Dataset.task ~retry ~label ~on_retry:(retry_attr sp) i
+              (fun () ->
+                let lb = dl.(i) in
+                let cancelled = Kernel.diff_cancelled lb dr.(i) in
+                C.filter lb
+                  (C.Bitv.init (C.length lb) (fun j -> not cancelled.(j)))))
       in
       let moved = m1 + m2 in
       Stats.record_shuffle stats ostat moved;
@@ -255,10 +209,7 @@ let rows ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
       let d = go sp c in
       let input = Dataset.cardinal d in
       let ssp = sub sp "shuffle" in
-      let d, moved =
-        Dataset.shuffle_hashed ?barrier:(barrier "dedup") ~partitions:n
-          whole_row_hash d
-      in
+      let d, moved = Dataset.shuffle_hashed ~partitions:n whole_row_hash d in
       Stats.record_shuffle stats ostat moved;
       finish_shuffle ssp moved;
       let out = mapp (fun b -> snd (Kernel.dedup b)) d in
@@ -273,7 +224,7 @@ let rows ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
       let group_attrs = List.filter (fun a -> not (List.mem a attrs)) all in
       let ssp = sub sp "shuffle" in
       let d, moved =
-        Dataset.shuffle_hashed ?barrier:(barrier "nest") ~partitions:n
+        Dataset.shuffle_hashed ~partitions:n
           (key_hash strict (List.map (fun a -> (a, a)) group_attrs))
           d
       in
@@ -287,9 +238,7 @@ let rows ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
       let input = Dataset.cardinal d in
       let ssp = sub sp "shuffle" in
       let d, moved =
-        Dataset.shuffle_hashed ?barrier:(barrier "groupagg") ~partitions:n
-          (key_hash lax group)
-          d
+        Dataset.shuffle_hashed ~partitions:n (key_hash lax group) d
       in
       Stats.record_shuffle stats ostat moved;
       finish_shuffle ssp moved;
@@ -319,52 +268,33 @@ let rows ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
         (dl, dr, m1 + m2)
       | keys ->
         let dl, m1 =
-          Dataset.shuffle_hashed ?barrier:(barrier "join-l") ~partitions:n
+          Dataset.shuffle_hashed ~partitions:n
             (key_hash strict (List.map (fun (a, _) -> (a, a)) keys))
             dl
         in
         let dr, m2 =
-          Dataset.shuffle_hashed ?barrier:(barrier "join-r") ~partitions:n
-            (key_hash strict keys)
-            dr
+          Dataset.shuffle_hashed ~partitions:n (key_hash strict keys) dr
         in
         (dl, dr, m1 + m2)
     in
     Stats.record_shuffle stats ostat moved;
     finish_shuffle ssp moved;
-    let np = max (Dataset.partition_count dl) (Dataset.partition_count dr) in
-    (* Partition fetches live inside the task (not hoisted before it):
-       a checkpointed or spilled partition does its disk read in the
-       retry scope, so a torn read is recovered like any other task
-       fault. *)
-    let cpart d i =
-      if i < Dataset.partition_count d then Dataset.cpartition d i
-      else C.empty
-    in
-    let join_part i =
-      join_cols ~keys ~residual ~kind ~lnull ~rnull (cpart dl i) (cpart dr i)
-    in
+    let np = max (Array.length dl) (Array.length dr) in
+    let part d i = if i < Array.length d then d.(i) else C.empty in
     (* Join tasks retry like narrow partition tasks: the shuffled input
-       partitions are immutable (or durable, after a barrier), so
-       recomputation is exact. *)
-    let join_task i =
-      Fault.protect ~policy:retry ~task:(Fmt.str "%s/p%d" task i) ~task_id:i
-        ~on_retry:(fun ~attempt e ->
-          if i < Dataset.partition_count dl then Dataset.recover_partition dl i;
-          if i < Dataset.partition_count dr then Dataset.recover_partition dr i;
-          retry_attr sp ~partition:i ~attempt e)
-        (fun () ->
-          Obs.Faultinject.fire "engine.partition";
-          join_part i)
+       partitions are immutable, so recomputation is exact. *)
+    let out =
+      Array.init np (fun i ->
+          Dataset.task ~retry ~label:task ~on_retry:(retry_attr sp) i
+            (fun () ->
+              join_cols ~keys ~residual ~kind ~lnull ~rnull (part dl i)
+                (part dr i)))
     in
-    let out = Dataset.of_cpartitions (Array.init np join_task) in
     ostat.Stats.input_rows <- ostat.Stats.input_rows + input;
     ostat.Stats.output_rows <- ostat.Stats.output_rows + Dataset.cardinal out;
     out
   in
   let root_sp = sub parent "engine.run" in
-  (* The partitions are read back inside the retained scope: a spilled
-     partition's only copy may be on disk. *)
   let out = Dataset.to_list (go root_sp q) in
   Option.iter
     (fun s ->

@@ -47,8 +47,8 @@ val run :
   Query.t ->
   Relation.t * Stats.t
 
-(** The same execution as {!run} — shuffles, checkpoint barriers, spill,
-    retries, spans and statistics alike — returning the result rows in
+(** The same execution as {!run} — shuffles, retries, spans and
+    statistics alike — returning the result rows in
     engine order (partition by partition) instead of a relation.  The
     rows are the multiset [Relation.tuples (fst (run db q))] holds, in
     another order: callers that only count rows or test membership skip

@@ -5,8 +5,8 @@
 
     A {e site} is a string naming a hook point.  Current sites:
     - engine: ["engine.partition"] (per-partition task attempts, fired
-      once per attempt inside {!Engine.Dataset.map_cpartitions} and the
-      executor's join tasks), ["engine.pool.worker"] (the pool's worker
+      once per attempt inside {!Engine.Dataset.task}, which runs every
+      engine partition task), ["engine.pool.worker"] (the pool's worker
       loop, fired before each dequeue — arming it kills a worker
       domain);
     - pipeline: ["tracing.relaxed"] (per schema alternative, at the

@@ -92,25 +92,15 @@ let evict t ?seed ~name ~scale () =
   match canonical_key ?seed ~name ~scale () with
   | None -> false
   | Some key ->
-    let present =
-      locked t (fun () ->
-          let present = Hashtbl.mem t.entries key in
-          if present then begin
-            Hashtbl.remove t.entries key;
-            t.order <- List.filter (fun k -> k <> key) t.order;
-            Obs.Metrics.Gauge.set (Lazy.force datasets)
-              (float_of_int (Hashtbl.length t.entries))
-          end;
-          present)
-    in
-    (* Eviction is the explicit "drop this dataset's footprint" verb, so
-       its checkpoint/spill scratch goes with it.  Spilled partitions
-       can hold their *only* copy in the run directory (no lineage
-       closure), so [sweep] defers while any execution holds a
-       {!Engine.Checkpoint.retain} pin — the last in-flight run's
-       release performs the sweep. *)
-    if present then Engine.Checkpoint.sweep ();
-    present
+    locked t (fun () ->
+        let present = Hashtbl.mem t.entries key in
+        if present then begin
+          Hashtbl.remove t.entries key;
+          t.order <- List.filter (fun k -> k <> key) t.order;
+          Obs.Metrics.Gauge.set (Lazy.force datasets)
+            (float_of_int (Hashtbl.length t.entries))
+        end;
+        present)
 
 let schema_env (e : entry) =
   Frontend.Compile.env_of_db

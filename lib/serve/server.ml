@@ -1057,9 +1057,6 @@ let accept_loop t sock =
     Condition.wait l.drained l.lmutex
   done;
   Mutex.unlock l.lmutex;
-  (* every in-flight run has drained: this process's checkpoint/spill
-     scratch directory has no remaining reader *)
-  Engine.Checkpoint.sweep ();
   try Unix.close sock with Unix.Unix_error _ -> ()
 
 let serve_unix t ~path =

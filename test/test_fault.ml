@@ -242,7 +242,10 @@ let test_engine_identical_under_chaos () =
 let result_fingerprint (r : Whynot.Pipeline.result) =
   Json.to_string (Serve.Codec.result_to_json ~timings:false r)
 
-let test_pipeline_identical_under_chaos () =
+(* Arm [site] Flaky with [period] and explain every registry scenario
+   under a retry budget: every fault is replayed from immutable inputs,
+   so the explanation JSON and the ranking match the unarmed run. *)
+let pipeline_identical_under ~site ~period () =
   let insts = scenario_questions () in
   let run ~retry (inst : Scenarios.Scenario.instance) =
     Whynot.Pipeline.explain ~retry
@@ -253,12 +256,10 @@ let test_pipeline_identical_under_chaos () =
   let plain =
     List.map (fun (n, i) -> (n, run ~retry:Engine.Fault.no_retry i)) insts
   in
-  (* period 3 on the per-SA tracing site: roughly every third schema
-     alternative's data-tracing attempt faults and is recomputed *)
-  Obs.Faultinject.arm "tracing.relaxed"
-    (Obs.Faultinject.Flaky { period = 3; exn_ = transient "chaos" });
+  Obs.Faultinject.arm site
+    (Obs.Faultinject.Flaky { period; exn_ = transient "chaos" });
   let armed = List.map (fun (n, i) -> (n, run ~retry:(fast_retries 3) i)) insts in
-  let triggered = Obs.Faultinject.fired "tracing.relaxed" in
+  let triggered = Obs.Faultinject.fired site in
   Obs.Faultinject.reset ();
   Alcotest.(check bool) "chaos actually fired" true (triggered > 0);
   List.iter2
@@ -272,13 +273,15 @@ let test_pipeline_identical_under_chaos () =
         (Whynot.Pipeline.explanation_sets got))
     plain armed
 
-let test_pipeline_exhaustion_attributed () =
+(* Arm [site] to fail on every attempt: the explain exhausts its budget
+   of 3 attempts, and [task_ok] checks which task the error names. *)
+let pipeline_exhaustion_attributed ~site task_ok () =
   let inst =
     (Option.get (Scenarios.Registry.find "RE")).Scenarios.Scenario.make
       ~scale:1 ()
   in
   Obs.Faultinject.reset ();
-  Obs.Faultinject.arm "tracing.relaxed"
+  Obs.Faultinject.arm site
     (Obs.Faultinject.Fail { times = -1; exn_ = transient "hard chaos" });
   (match
      Whynot.Pipeline.explain ~retry:(fast_retries 2)
@@ -287,59 +290,50 @@ let test_pipeline_exhaustion_attributed () =
    with
   | _ -> Alcotest.fail "expected Exhausted"
   | exception Engine.Fault.Exhausted { task; attempts; _ } ->
-    Alcotest.(check bool)
-      "task names the SA phase" true
-      (String.length task >= 5 && String.sub task 0 5 = "sa:S1");
+    Alcotest.(check bool) (Fmt.str "task %S attributed" task) true
+      (task_ok task);
     Alcotest.(check int) "budget spent" 3 attempts);
   Obs.Faultinject.reset ()
+
+(* Period 3 on the per-SA tracing site: roughly every third schema
+   alternative's data-tracing attempt faults and is recomputed; an
+   exhausted one names its SA. *)
+let test_pipeline_identical_under_chaos =
+  pipeline_identical_under ~site:"tracing.relaxed" ~period:3
+
+let test_pipeline_exhaustion_attributed =
+  pipeline_exhaustion_attributed ~site:"tracing.relaxed"
+    (String.starts_with ~prefix:"sa:S1")
+
+(* ⟦Q⟧_D runs on the engine inside [prepare]; its partition tasks take
+   the pipeline's retry policy, so a faulted partition is replayed from
+   its input, and an exhausted one names the partition task
+   ("op:<symbol>#<id>/p<i>"), not the phase. *)
+let test_pipeline_identical_under_partition_chaos =
+  pipeline_identical_under ~site:"engine.partition" ~period:7
+
+let test_pipeline_partition_exhaustion_attributed =
+  pipeline_exhaustion_attributed ~site:"engine.partition" (fun task ->
+      String.starts_with ~prefix:"op:" task
+      &&
+      match String.rindex_opt task '/' with
+      | Some i -> (
+        try
+          Scanf.sscanf
+            (String.sub task (i + 1) (String.length task - i - 1))
+            "p%u%!" (fun _ -> true)
+        with Scanf.Scan_failure _ | End_of_file | Failure _ -> false)
+      | None -> false)
 
 (* The share job traces the SA-invariant subtrees once per prepared
    query.  A transient fault there is retried inside the job, so the
    explanations do not change; a fault that outlasts the retry budget
    surfaces attributed to the prepare phase, not to an SA. *)
-let test_share_job_identical_under_chaos () =
-  let insts = scenario_questions () in
-  let run ~retry (inst : Scenarios.Scenario.instance) =
-    Whynot.Pipeline.explain ~retry
-      ~alternatives:inst.Scenarios.Scenario.alternatives
-      inst.Scenarios.Scenario.question
-  in
-  Obs.Faultinject.reset ();
-  let plain =
-    List.map (fun (n, i) -> (n, run ~retry:Engine.Fault.no_retry i)) insts
-  in
-  Obs.Faultinject.arm "tracing.shared"
-    (Obs.Faultinject.Flaky { period = 2; exn_ = transient "chaos" });
-  let armed = List.map (fun (n, i) -> (n, run ~retry:(fast_retries 3) i)) insts in
-  let triggered = Obs.Faultinject.fired "tracing.shared" in
-  Obs.Faultinject.reset ();
-  Alcotest.(check bool) "chaos actually fired" true (triggered > 0);
-  List.iter2
-    (fun (name, expected) (_, got) ->
-      Alcotest.(check string)
-        (Fmt.str "%s: explanation JSON byte-identical" name)
-        (result_fingerprint expected) (result_fingerprint got))
-    plain armed
+let test_share_job_identical_under_chaos =
+  pipeline_identical_under ~site:"tracing.shared" ~period:2
 
-let test_share_job_exhaustion_attributed () =
-  let inst =
-    (Option.get (Scenarios.Registry.find "RE")).Scenarios.Scenario.make
-      ~scale:1 ()
-  in
-  Obs.Faultinject.reset ();
-  Obs.Faultinject.arm "tracing.shared"
-    (Obs.Faultinject.Fail { times = -1; exn_ = transient "hard chaos" });
-  (match
-     Whynot.Pipeline.explain ~retry:(fast_retries 2)
-       ~alternatives:inst.Scenarios.Scenario.alternatives
-       inst.Scenarios.Scenario.question
-   with
-  | _ -> Alcotest.fail "expected Exhausted"
-  | exception Engine.Fault.Exhausted { task; attempts; _ } ->
-    Alcotest.(check string) "task names the prepare phase" "prepare/tracing"
-      task;
-    Alcotest.(check int) "budget spent" 3 attempts);
-  Obs.Faultinject.reset ()
+let test_share_job_exhaustion_attributed =
+  pipeline_exhaustion_attributed ~site:"tracing.shared" (String.equal "prepare/tracing")
 
 (* --- serve integration --------------------------------------------------- *)
 
@@ -460,6 +454,10 @@ let () =
             test_engine_identical_under_chaos;
           Alcotest.test_case "pipeline results identical" `Quick
             test_pipeline_identical_under_chaos;
+          Alcotest.test_case "pipeline under partition faults" `Quick
+            test_pipeline_identical_under_partition_chaos;
+          Alcotest.test_case "pipeline partition exhaustion attributed" `Quick
+            test_pipeline_partition_exhaustion_attributed;
           Alcotest.test_case "pipeline exhaustion attributed" `Quick
             test_pipeline_exhaustion_attributed;
           Alcotest.test_case "share job results identical" `Quick

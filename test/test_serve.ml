@@ -1420,47 +1420,6 @@ let test_server_connection_cap () =
   Thread.join server_thread;
   (try Unix.close a with Unix.Unix_error _ -> ())
 
-(* Checkpoint hygiene: a server session that produced checkpoint/spill
-   files must not leak them — evicting the dataset sweeps the per-run
-   scratch directory. *)
-let test_server_checkpoint_no_leak () =
-  let base = Filename.temp_file "whynot-hygiene" "" in
-  Sys.remove base;
-  Unix.mkdir base 0o700;
-  Engine.Checkpoint.with_config
-    (Some (Engine.Checkpoint.config ~dir:base ~checkpoint_shuffles:true ()))
-    (fun () ->
-      let srv = Serve.Server.create ~config:quiet_config () in
-      register_dataset srv "RE";
-      (match explain_via srv ~dataset:"RE" () with
-      | Serve.Protocol.Explained _ -> ()
-      | Serve.Protocol.Error { message; _ } -> Alcotest.fail message
-      | _ -> Alcotest.fail "expected explained");
-      (match Engine.Checkpoint.run_dir () with
-      | Some d ->
-        Alcotest.(check bool) "run dir exists while live" true
-          (Sys.file_exists d && Sys.is_directory d)
-      | None ->
-        Alcotest.fail "a checkpointing explain must create the run dir");
-      let before = Engine.Checkpoint.run_dir () in
-      (match
-         Serve.Server.handle_request srv
-           (Serve.Protocol.Evict
-              { dataset = Some "RE"; scale = 1; seed = 0; cache = true })
-       with
-      | Serve.Protocol.Evicted { datasets = 1; _ } -> ()
-      | _ -> Alcotest.fail "expected evicted");
-      Alcotest.(check bool) "run dir forgotten after evict" true
-        (Engine.Checkpoint.run_dir () = None);
-      (match before with
-      | Some d ->
-        Alcotest.(check bool) "run dir removed after evict" false
-          (Sys.file_exists d)
-      | None -> ());
-      Alcotest.(check (list string)) "no stray files under the base dir" []
-        (Array.to_list (Sys.readdir base)));
-  Unix.rmdir base
-
 let test_resolve_host () =
   (match Serve.Server.resolve_host "127.0.0.1" with
   | Ok _ -> ()
@@ -1580,8 +1539,6 @@ let () =
           Alcotest.test_case "unix socket lifecycle" `Quick
             test_server_unix_lifecycle;
           Alcotest.test_case "connection cap" `Quick test_server_connection_cap;
-          Alcotest.test_case "checkpoint files do not leak" `Quick
-            test_server_checkpoint_no_leak;
           Alcotest.test_case "resolve host" `Quick test_resolve_host;
         ] );
     ]
