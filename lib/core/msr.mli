@@ -120,11 +120,11 @@ val bounds :
 
     [?sample_stride] (default 1 = exact) samples the side-effect bounds
     sweep: only every s-th root row — keyed on the global rid, exactly
-    like {!Tracing.run}'s sampler, so tracing and MSR sample the same
+    like {!Tracing.annotate}'s sampler, so tracing and MSR sample the same
     rows — is examined, and the counts are scaled back up into
     estimates.  Candidate operator sets come from the consistent root
     rows' failure sets.  A sampled run does {e not} find the same
-    explanations as an exact one: {!Tracing.run}'s sampler reads every
+    explanations as an exact one: {!Tracing.annotate}'s sampler reads every
     off-sample row as inconsistent, so candidates that only off-sample
     rows witness are lost (ROADMAP, "Stop sampled tracing from silently
     dropping explanations").

@@ -96,22 +96,56 @@ let submit_spanned ~cancel sp f =
 
 (* A prepared traced run: the pattern-independent artifacts of a why-not
    run over ⟨Q, D⟩.  Schema-alternative enumeration, the original result
-   ⟦Q⟧_D (the anchor of the side-effect bounds) and the trace of the
-   subtrees no SA changes depend only on the query, the database, and the
-   alternative groups — not on the missing-answer pattern — so a
-   long-lived service can compute them once and re-answer every new
-   pattern on the same ⟨Q, D⟩ from the handle. *)
+   ⟦Q⟧_D (the anchor of the side-effect bounds), the trace of the
+   subtrees no SA changes and each SA's relaxed evaluation depend only on
+   the query, the database, and the alternative groups — not on the
+   missing-answer pattern — so a long-lived service can compute them
+   once and re-answer every new pattern on the same ⟨Q, D⟩ from the
+   handle. *)
 type handle = {
   h_query : Query.t;
   h_db : Relation.Db.t;
   h_env : Typecheck.env;
+  h_max_sas : int;  (* the enumeration cap; 1 without schema alternatives *)
   h_sas : Alternatives.sa list;
   h_original : Msr.original;
   h_shared : Tracing.shared option;  (* [None] with a single SA *)
+  h_relaxed : Tracing.relaxed option Atomic.t array;
+      (* SA [i]'s relaxed evaluation, set once by the first chain that
+         completes it; a race computes the (pure) value twice and keeps
+         one *)
 }
 
 let handle_query h = h.h_query
 let handle_sas h = h.h_sas
+
+(* The one SA of a run without schema alternatives: the query itself. *)
+let original_sa q =
+  {
+    Alternatives.index = 0;
+    query = q;
+    changed_ops = Msr.Int_set.empty;
+    description = "original";
+  }
+
+let rec take k = function
+  | x :: tl when k > 0 -> x :: take (k - 1) tl
+  | _ -> []
+
+(* The SAs a run with [use_sas] and [max_sas] would enumerate, as a
+   prefix of the handle's: enumeration is a fixed order truncated at
+   [max_sas], and its SA 0 is the query itself.  A handle whose
+   enumeration stopped at its cap holds no SA beyond it. *)
+let handle_prefix h ~use_sas ~max_sas =
+  if not use_sas then
+    match h.h_sas with
+    | sa :: _ when sa = original_sa h.h_query -> [ sa ]
+    | _ -> invalid_arg "Pipeline.explain_with: the handle has no original SA"
+  else if max_sas > h.h_max_sas && List.length h.h_sas >= h.h_max_sas then
+    invalid_arg
+      (Fmt.str "Pipeline.explain_with: max_sas %d exceeds the handle's %d"
+         max_sas h.h_max_sas)
+  else take max_sas h.h_sas
 
 (* Steps 2 (schema alternatives), the ⟦Q⟧_D execution and the shared
    part of step 3, under [root]; step 1 (backtracing) runs per SA since
@@ -129,15 +163,7 @@ let prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retry root cursor
         let env = schema_env db in
         let sas =
           if use_sas then Alternatives.enumerate ~max_sas ~env q alternatives
-          else
-            [
-              {
-                Alternatives.index = 0;
-                query = q;
-                changed_ops = Msr.Int_set.empty;
-                description = "original";
-              };
-            ]
+          else [ original_sa q ]
         in
         Obs.Span.set_int sp "sas" (List.length sas);
         (env, sas))
@@ -192,27 +218,36 @@ let prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retry root cursor
     h_query = q;
     h_db = db;
     h_env = env;
+    h_max_sas = (if use_sas then max_sas else 1);
     h_sas = sas;
     h_original = original;
     h_shared = shared;
+    h_relaxed = Array.init (List.length sas) (fun _ -> Atomic.make None);
   }
+
+let m_relaxed_reuses = Obs.Metrics.counter "whynot.tracing.relaxed_reuses"
+
+(* SA [sa]'s relaxed evaluation: read from its slot, or computed and
+   published there.  Runs inside the tracing phase's retry scope, so a
+   faulted or cancelled evaluation raises before it publishes. *)
+let relaxed_of h (sa : Alternatives.sa) =
+  let slot = h.h_relaxed.(sa.Alternatives.index) in
+  match Atomic.get slot with
+  | Some r ->
+    Obs.Metrics.Counter.incr m_relaxed_reuses;
+    (r, true)
+  | None ->
+    let r = Tracing.relax ?shared:h.h_shared ~env:h.h_env h.h_db sa in
+    ignore (Atomic.compare_and_set slot None (Some r) : bool);
+    (r, false)
 
 (* Steps 1, 3, and 4 — the pattern-dependent per-SA chains plus the final
    prune/rank — under [root], reading everything else from the handle. *)
 let run_phases ?approx ~revalidate ~cancel ~retry root cursor
-    (h : handle) (missing : Nip.t) :
+    (h : handle) (sas : Alternatives.sa list) (missing : Nip.t) :
     Explanation.t list * Approx.report option =
   let phase parent name f = phase_at cursor parent name f in
-  let {
-    h_query = q;
-    h_db = db;
-    h_env = env;
-    h_sas = sas;
-    h_original = original;
-    h_shared;
-  } =
-    h
-  in
+  let { h_query = q; h_env = env; h_original = original; _ } = h in
   (* One SA's backtrace→tracing→MSR chain; independent across SAs.  The
      cancellation token is polled before every phase — the pipeline's
      preemption points, so a lapsed deadline is observed within one
@@ -244,8 +279,10 @@ let run_phases ?approx ~revalidate ~cancel ~retry root cursor
       checked "tracing" (fun sp ->
           if decision.Approx.stride > 1 then
             Obs.Span.set_int sp "sample_stride" decision.Approx.stride;
-          Tracing.run ~revalidate ~sample_stride:decision.Approx.stride
-            ?shared:h_shared ~env db sa bt)
+          let relaxed, reused = relaxed_of h sa in
+          Obs.Span.set_bool sp "relaxed_reused" reused;
+          Tracing.annotate ~revalidate ~sample_stride:decision.Approx.stride
+            relaxed bt)
     in
     checked "msr" (fun msp ->
         let es, skipped, terms =
@@ -348,14 +385,6 @@ let run_phases ?approx ~revalidate ~cancel ~retry root cursor
           budget_ms = (Approx.config a).Approx.budget_ms;
         }
   in
-  let take k l =
-    let rec go k = function
-      | [] -> []
-      | _ when k <= 0 -> []
-      | x :: tl -> x :: go (k - 1) tl
-    in
-    go k l
-  in
   let ranked =
     phase root "msr" (fun _ ->
         Explanation.rank (Explanation.prune_dominated explanations))
@@ -429,26 +458,31 @@ let prepare ?(use_sas = true) ?(max_sas = 16)
   Obs.Metrics.Counter.incr (Obs.Metrics.counter "pipeline.prepares");
   h
 
-let explain_with ?approx ?(revalidate = true) ?(cancel = Cancel.none)
-    ?(retry = Engine.Fault.no_retry) ?parent (h : handle)
-    (missing : Nip.t) : result =
+let explain_with ?approx ?(use_sas = true) ?max_sas ?(revalidate = true)
+    ?(cancel = Cancel.none) ?(retry = Engine.Fault.no_retry) ?parent
+    (h : handle) (missing : Nip.t) : result =
+  let sas =
+    handle_prefix h ~use_sas
+      ~max_sas:(Option.value max_sas ~default:h.h_max_sas)
+  in
   let root = Obs.Span.start ?parent "pipeline.explain" in
   let cursor = ref (Obs.Span.start_ns root) in
   let explanations, report =
     finish_cancelled root (fun () ->
-        run_phases ?approx ~revalidate ~cancel ~retry root cursor h missing)
+        run_phases ?approx ~revalidate ~cancel ~retry root cursor h sas
+          missing)
   in
-  Obs.Span.set_int root "sas" (List.length h.h_sas);
+  Obs.Span.set_int root "sas" (List.length sas);
   Obs.Span.set_int root "explanations" (List.length explanations);
   Option.iter
     (fun r -> Obs.Span.set_string root "approx_mode" r.Approx.mode)
     report;
   Obs.Span.finish root;
-  record_run_metrics root ~sas:(List.length h.h_sas)
+  record_run_metrics root ~sas:(List.length sas)
     ~explanations:(List.length explanations);
   record_approx_metrics report;
   let question = Question.make ~query:h.h_query ~db:h.h_db ~missing in
-  { question; sas = h.h_sas; explanations; approx = report; span = root }
+  { question; sas; explanations; approx = report; span = root }
 
 let explain ?approx ?(use_sas = true) ?(max_sas = 16) ?(revalidate = true)
     ?(alternatives : Alternatives.alternatives = []) ?(cancel = Cancel.none)
@@ -467,7 +501,7 @@ let explain ?approx ?(use_sas = true) ?(max_sas = 16) ?(revalidate = true)
         in
         ( h,
           run_phases ?approx ~revalidate ~cancel ~retry root cursor h
-            phi.Question.missing ))
+            h.h_sas phi.Question.missing ))
   in
   Obs.Span.set_int root "sas" (List.length h.h_sas);
   Obs.Span.set_int root "explanations" (List.length explanations);

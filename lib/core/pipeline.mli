@@ -90,14 +90,29 @@ val explain :
 (** {1 Prepared traced runs}
 
     The first half of the pipeline — schema-alternative enumeration,
-    the execution of ⟦Q⟧_D anchoring the side-effect bounds, and the
-    trace of the subtrees no SA changes ({!Tracing.share}) — depends
-    only on ⟨query, database, alternatives⟩, not on the missing-answer
-    pattern.  A {!handle} captures those artifacts so a long-lived
-    service can pay for them once and answer every subsequent why-not
-    pattern over the same ⟨Q, D⟩ with {!explain_with}, which runs only
-    the pattern-dependent per-SA backtrace→tracing→MSR chains; every
-    SA's tracing reuses the handle's shared blocks. *)
+    the execution of ⟦Q⟧_D anchoring the side-effect bounds, the trace
+    of the subtrees no SA changes ({!Tracing.share}) and each SA's
+    relaxed evaluation ({!Tracing.relax}) — depends only on ⟨query,
+    database, alternatives⟩, not on the missing-answer pattern.  A
+    {!handle} captures those artifacts so a long-lived service can pay
+    for them once and answer every subsequent why-not pattern over the
+    same ⟨Q, D⟩ with {!explain_with}.
+
+    A handle holds:
+    - the enumerated SAs (at most [max_sas], in enumeration order);
+    - ⟦Q⟧_D, indexed for the bounds ({!Msr.original});
+    - the shared blocks, with more than one SA;
+    - one set-once slot per SA for its {!Tracing.relaxed}.  The slots
+      are filled lazily: the first SA chain that completes the SA's
+      relaxed evaluation publishes it, and every later chain for that SA
+      runs only backtrace → consistency ({!Tracing.annotate}) → MSR.
+
+    Thread-safety: a handle may be shared by concurrent {!explain_with}
+    calls on any domains.  Each slot is an [Atomic.t] written by
+    compare-and-set from empty, so it never changes once filled; two
+    chains that race on an empty slot both compute the (pure) value and
+    one of them is kept.  An evaluation that faults or is cancelled
+    publishes nothing. *)
 
 type handle
 
@@ -127,12 +142,27 @@ val handle_query : handle -> Query.t
 val handle_sas : handle -> Alternatives.sa list
 
 (** Answer one why-not pattern from a prepared handle.  The result is
-    identical to {!explain} on the same inputs (same explanations, same
-    ranking); the [pipeline.explain] span just lacks the
-    [alternatives]/initial-[msr] children, which were charged to
-    {!prepare}. *)
+    identical to {!explain} with the same options (same explanations,
+    same ranking, same SA list); the [pipeline.explain] span just lacks
+    the [alternatives]/initial-[msr] children, which were charged to
+    {!prepare}.  Each SA's [tracing] span carries [relaxed_reused]: true
+    when its relaxed evaluation came from the handle's slot, counted on
+    [whynot.tracing.relaxed_reuses].
+
+    The run covers a prefix of the handle's SAs.  Enumeration is a fixed
+    order truncated at [max_sas], whose SA 0 is the query itself, so:
+    @param use_sas [false] runs SA 0 alone, as [explain ~use_sas:false]
+           (default true)
+    @param max_sas runs the first [max_sas] SAs (default: the handle's
+           [max_sas], which is 1 for a handle prepared without schema
+           alternatives).
+           @raise Invalid_argument when the handle cannot hold that run:
+           a [max_sas] above the handle's when the handle's enumeration
+           stopped at its cap *)
 val explain_with :
   ?approx:Approx.t ->
+  ?use_sas:bool ->
+  ?max_sas:int ->
   ?revalidate:bool ->
   ?cancel:Cancel.t ->
   ?retry:Engine.Fault.policy ->

@@ -409,7 +409,7 @@ let members_parents base (members : int array array) : parents =
    subtree, is spliced in from the block instead of being evaluated.
    Rids are allocated after the children's, so they ascend in post-order
    over the operator tree, and a block's rows stay contiguous. *)
-let relaxed ~(env : Typecheck.env) (db : Relation.Db.t) ~blocks (q : Query.t)
+let evaluate ~(env : Typecheck.env) (db : Relation.Db.t) ~blocks (q : Query.t)
     : cres * int =
   let next_rid = ref 0 in
   let fields_of sub =
@@ -837,7 +837,7 @@ let consistency ~revalidate ~stride nip kids (r : cres) : Bytes.t =
 
 (* The pattern-dependent half: consistency per operator, bottom-up, and
    the operator traces in post-order. *)
-let annotate ~revalidate ~stride (bt : Backtrace.t) (res : cres) :
+let annotate_tree ~revalidate ~stride (bt : Backtrace.t) (res : cres) :
     op_trace list =
   let traces = ref [] in
   let rec walk (r : cres) : Bytes.t =
@@ -923,7 +923,7 @@ let share ~(env : Typecheck.env) (db : Relation.Db.t)
   let blocks =
     List.map
       (fun (pos, sub) ->
-        let res, rows = relaxed ~env db ~blocks:[] sub in
+        let res, rows = evaluate ~env db ~blocks:[] sub in
         (pos, { b_query = sub; b_rows = rows; b_res = res }))
       (shareable sas)
   in
@@ -931,18 +931,27 @@ let share ~(env : Typecheck.env) (db : Relation.Db.t)
   Obs.Metrics.Counter.incr ~by:(shared_rows s) m_shared_rows;
   s
 
-let run ?(revalidate = true) ?(sample_stride = 1) ?shared
-    ~(env : Typecheck.env) (db : Relation.Db.t) (sa : Alternatives.sa)
-    (bt : Backtrace.t) : t =
+(* One SA's relaxed evaluation, shared blocks spliced in: everything of
+   its trace but consistency. *)
+type relaxed = { r_sa : Alternatives.sa; r_res : cres }
+
+let relax ?shared ~(env : Typecheck.env) (db : Relation.Db.t)
+    (sa : Alternatives.sa) : relaxed =
   (* Chaos hook: fires once per SA's relaxed evaluation, inside the
      pipeline's per-phase retry scope, so an armed transient fault here
-     is recomputed from the (immutable) backtrace and database. *)
+     is recomputed from the (immutable) database and shared blocks. *)
   Obs.Faultinject.fire site_relaxed;
   let blocks = match shared with Some s -> s.blocks | None -> [] in
-  let q = sa.Alternatives.query in
-  let res, _ = relaxed ~env db ~blocks q in
+  { r_sa = sa; r_res = fst (evaluate ~env db ~blocks sa.Alternatives.query) }
+
+let annotate ?(revalidate = true) ?(sample_stride = 1) (r : relaxed)
+    (bt : Backtrace.t) : t =
   {
-    sa;
-    ops = annotate ~revalidate ~stride:sample_stride bt res;
-    root_op = q.Query.id;
+    sa = r.r_sa;
+    ops = annotate_tree ~revalidate ~stride:sample_stride bt r.r_res;
+    root_op = r.r_sa.Alternatives.query.Query.id;
   }
+
+let run ?revalidate ?sample_stride ?shared ~(env : Typecheck.env)
+    (db : Relation.Db.t) (sa : Alternatives.sa) (bt : Backtrace.t) : t =
+  annotate ?revalidate ?sample_stride (relax ?shared ~env db sa) bt

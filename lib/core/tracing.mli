@@ -139,20 +139,33 @@ val shared_blocks : shared -> int
 
 val shared_rows : shared -> int
 
-(** Trace one schema alternative.  [bt] must be the backtrace of the SA's
-    (substituted) query.  The relaxed evaluation runs over
-    {!Engine.Columnar} batches; every operator's rows take a contiguous
-    rid block, allocated in post-order over the operator tree.
+(** One SA's relaxed evaluation: every operator's data batch, rid block,
+    [retained], [surviving], parents and ranges — all of the trace but
+    [consistent].  It depends only on ⟨SA query, database⟩, never on the
+    missing-answer pattern, the stride or [revalidate], so one value
+    serves every {!annotate} of that SA.  Immutable: safe to share across
+    domains. *)
+type relaxed
+
+(** [relax ?shared ~env db sa] evaluates [sa]'s (substituted) query
+    relaxed over {!Engine.Columnar} batches; every operator's rows take a
+    contiguous rid block, allocated in post-order over the operator tree.
+    Fires the ["tracing.relaxed"] fault site once per call.
 
     [shared] must come from {!share} over an SA list that holds [sa],
     with the same [env] and database.  Where the SA's query has a block's
     subtree at the block's position, the block is reused instead of
     evaluated: its operators take their rids in the same post-order,
     starting at the rid the subtree's first row gets in this SA, so the
-    stored parent rids are rebased by that rid; only [consistent] is
-    recomputed, from this SA's backtrace and stride.  The trace is the
-    same, field by field, as without [shared]; omitted, nothing is
-    reused.
+    stored parent rids are rebased by that rid.  The result is the same,
+    field by field, as without [shared]; omitted, nothing is reused. *)
+val relax :
+  ?shared:shared -> env:Typecheck.env -> Relation.Db.t -> Alternatives.sa -> relaxed
+
+(** [annotate r bt] computes consistency over [r], bottom-up, from [bt],
+    which must be the backtrace of [r]'s SA query, and returns the SA's
+    trace.  Only [consistent] is computed here; every other field is
+    [r]'s, shared, not copied.
 
     [revalidate] (default true) controls the paper's second novel
     technique: with [false], compatibility is checked at the table
@@ -167,6 +180,11 @@ val shared_rows : shared -> int
     Sampling makes the consistent set (and hence the explanations
     derived from it) a 1-in-N subsample — callers must surface the
     [1/stride] confidence. *)
+val annotate :
+  ?revalidate:bool -> ?sample_stride:int -> relaxed -> Backtrace.t -> t
+
+(** Trace one schema alternative: [annotate ?revalidate ?sample_stride
+    (relax ?shared ~env db sa) bt]. *)
 val run :
   ?revalidate:bool ->
   ?sample_stride:int ->

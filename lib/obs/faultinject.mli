@@ -9,8 +9,10 @@
       engine partition task), ["engine.pool.worker"] (the pool's worker
       loop, fired before each dequeue — arming it kills a worker
       domain);
-    - pipeline: ["tracing.relaxed"] (per schema alternative, at the
-      entry of the relaxed data-tracing evaluation), ["tracing.shared"]
+    - pipeline: ["tracing.relaxed"] (at the entry of a schema
+      alternative's relaxed data-tracing evaluation, which runs only to
+      fill that SA's empty slot on a prepared handle: a chain that reads
+      a filled slot does not fire it), ["tracing.shared"]
       (per attempt of the job that traces the SA-invariant subtrees
       once per prepared query);
     - server: ["server.accept"], ["server.read"], ["server.write"],

@@ -7,9 +7,14 @@
      query, pattern⟩ → serialized result payload.  A hit costs a hash
      lookup; cached and freshly computed payloads are byte-identical
      (the payload is stored serialized).
-   - handle cache: the pattern-free prefix of the same key → prepared
-     Pipeline.handle (enumerated SAs + executed ⟦Q⟧_D).  A new pattern
-     on a cached handle skips straight to the per-SA phases.
+   - handle cache: ⟨dataset key, version, query, alternatives⟩ →
+     prepared Pipeline.handle (enumerated SAs, indexed ⟦Q⟧_D, shared
+     blocks, and each SA's relaxed trace once an explain has computed
+     it).  The prepare-handle key strips the knobs — every option
+     variant of a query runs on a prefix of one handle's SAs, and only a
+     max_sas above the default is prepared, and keyed, at that value.  A
+     new pattern or option variant on a cached handle skips straight to
+     the per-SA phases, and there to backtrace, consistency and MSR.
    - single-flight (Inflight) in front of both: N concurrent misses on
      one key share one computation — the leader runs the pipeline, the
      followers get the leader's payload and answer with
@@ -265,11 +270,25 @@ let fp_options (o : Protocol.explain_options) ~budget_ms : Fingerprint.options =
     budget_ms;
   }
 
-(* The prepared handle is approximation-independent (sampling and top-k
-   happen in the per-SA phases, after prepare), so the handle key clears
-   the approx knobs: every budget variant of a query shares one handle. *)
-let handle_options (fpo : Fingerprint.options) : Fingerprint.options =
-  { fpo with Fingerprint.sample_stride = None; top_k = None; budget_ms = None }
+(* The SA cap a handle is prepared at: a request's SAs are a prefix of
+   the default enumeration's unless it asks for more. *)
+let prepared_max_sas (o : Protocol.explain_options) =
+  if o.Protocol.use_sas then
+    max o.Protocol.max_sas Protocol.default_options.Protocol.max_sas
+  else Protocol.default_options.Protocol.max_sas
+
+(* The prepare-handle key strips the knobs: no handle field depends on
+   sampling, top-k, budget or [revalidate] (they act in the per-SA
+   phases), and [explain_with] runs [use_sas = false] or a smaller
+   [max_sas] on a prefix of the handle's SAs.  So every option variant
+   of a query shares one handle, prepared with schema alternatives at
+   [prepared_max_sas]; only a larger [max_sas] gets a handle of its
+   own. *)
+let handle_options (o : Protocol.explain_options) : Fingerprint.options =
+  {
+    Fingerprint.default_options with
+    Fingerprint.max_sas = prepared_max_sas o;
+  }
 
 (* -- request handlers ---------------------------------------------------- *)
 
@@ -396,7 +415,7 @@ let handle_explain t ~dataset ~scale ~seed ~query ~query_name ~pattern
           let hkey =
             prefix
             ^ Fingerprint.prepare_key ~dataset:dskey ~version
-                ~options:(handle_options fpo) ~alternatives q
+                ~options:(handle_options options) ~alternatives q
           in
           let handle, reused_handle =
             match Cache.find t.handle_cache hkey with
@@ -411,9 +430,8 @@ let handle_explain t ~dataset ~scale ~seed ~query ~query_name ~pattern
                     | Some h -> (h, false)
                     | None ->
                       let h =
-                        Whynot.Pipeline.prepare
-                          ~use_sas:options.Protocol.use_sas
-                          ~max_sas:options.Protocol.max_sas ~alternatives
+                        Whynot.Pipeline.prepare ~use_sas:true
+                          ~max_sas:(prepared_max_sas options) ~alternatives
                           ~cancel
                           ~retry:(Engine.Fault.retries t.cfg.task_retries)
                           ~db q
@@ -429,6 +447,8 @@ let handle_explain t ~dataset ~scale ~seed ~query ~query_name ~pattern
           in
           let result =
             Whynot.Pipeline.explain_with ?approx:budget
+              ~use_sas:options.Protocol.use_sas
+              ~max_sas:options.Protocol.max_sas
               ~revalidate:options.Protocol.revalidate ~cancel
               ~retry:(Engine.Fault.retries t.cfg.task_retries)
               handle missing

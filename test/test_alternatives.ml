@@ -127,6 +127,51 @@ let test_no_alternatives_yields_original_only () =
   let sas = Alt.enumerate ~env q [] in
   Alcotest.(check int) "just the original" 1 (List.length sas)
 
+(* A prepared handle serves [use_sas = false] and every smaller [max_sas]
+   from its own SAs, which needs enumeration to be a fixed order
+   truncated at [max_sas], with the query itself as SA 0.  Pinned for
+   every registry scenario at scales 1 and 2. *)
+let test_enumeration_prefix_registry () =
+  let same (a : Alt.sa) (b : Alt.sa) =
+    a.Alt.index = b.Alt.index
+    && a.Alt.query = b.Alt.query
+    && Whynot.Msr.Int_set.equal a.Alt.changed_ops b.Alt.changed_ops
+    && a.Alt.description = b.Alt.description
+  in
+  List.iter
+    (fun (s : Scenarios.Scenario.t) ->
+      List.iter
+        (fun scale ->
+          let inst = s.Scenarios.Scenario.make ~scale () in
+          let phi = inst.Scenarios.Scenario.question in
+          let db = phi.Whynot.Question.db and q = phi.Whynot.Question.query in
+          let env = Whynot.Pipeline.schema_env db in
+          let alts = inst.Scenarios.Scenario.alternatives in
+          let label = Fmt.str "%s@%d" s.Scenarios.Scenario.name scale in
+          let all = Alt.enumerate ~env q alts in
+          for k = 0 to 16 do
+            let prefix = Alt.enumerate ~max_sas:k ~env q alts in
+            Alcotest.(check int) (Fmt.str "%s max_sas=%d: length" label k)
+              (min k (List.length all)) (List.length prefix);
+            List.iteri
+              (fun i sa ->
+                if not (same sa (List.nth all i)) then
+                  Alcotest.failf "%s max_sas=%d: SA %d is not the default's"
+                    label k i)
+              prefix
+          done;
+          match
+            ( all,
+              Whynot.Pipeline.handle_sas
+                (Whynot.Pipeline.prepare ~use_sas:false ~db q) )
+          with
+          | sa0 :: _, [ original ] ->
+            Alcotest.(check bool) (label ^ ": SA 0 is the use_sas=false SA")
+              true (same sa0 original)
+          | _ -> Alcotest.failf "%s: expected SAs on both sides" label)
+        [ 1; 2 ])
+    Scenarios.Registry.all
+
 (* --- substitution --- *)
 
 let test_subst_node () =
@@ -164,6 +209,8 @@ let () =
           Alcotest.test_case "max_sas truncation" `Quick test_max_sas_truncation;
           Alcotest.test_case "no alternatives" `Quick
             test_no_alternatives_yields_original_only;
+          Alcotest.test_case "registry: max_sas takes a prefix" `Quick
+            test_enumeration_prefix_registry;
         ] );
       ("substitution", [ Alcotest.test_case "subst_node" `Quick test_subst_node ]);
     ]

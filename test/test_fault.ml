@@ -335,6 +335,68 @@ let test_share_job_identical_under_chaos =
 let test_share_job_exhaustion_attributed =
   pipeline_exhaustion_attributed ~site:"tracing.shared" (String.equal "prepare/tracing")
 
+(* A prepared handle keeps each SA's relaxed trace in a set-once slot.
+   An evaluation that faults publishes nothing: with no retry budget the
+   explain fails, and the next explain still evaluates every SA.  Under
+   Flaky chaos the retries fill the slots, the result matches a fault-free
+   explain, and a second explain reads every slot, so the site does not
+   fire again. *)
+let test_kept_relaxed_traces_under_chaos () =
+  let inst =
+    (Option.get (Scenarios.Registry.find "D3")).Scenarios.Scenario.make
+      ~scale:1 ()
+  in
+  let phi = inst.Scenarios.Scenario.question in
+  let alternatives = inst.Scenarios.Scenario.alternatives in
+  Obs.Faultinject.reset ();
+  let plain = Whynot.Pipeline.explain ~alternatives phi in
+  let h =
+    Whynot.Pipeline.prepare ~alternatives ~db:phi.Whynot.Question.db
+      phi.Whynot.Question.query
+  in
+  let explain ?use_sas ~retry () =
+    Whynot.Pipeline.explain_with ?use_sas ~retry h phi.Whynot.Question.missing
+  in
+  let reused (r : Whynot.Pipeline.result) =
+    List.map
+      (fun sp ->
+        match Obs.Span.attr sp "relaxed_reused" with
+        | Some (Obs.Span.Bool b) -> b
+        | _ -> Alcotest.fail "tracing span without relaxed_reused")
+      (Obs.Span.find_all
+         (fun sp -> Obs.Span.name sp = "tracing")
+         r.Whynot.Pipeline.span)
+  in
+  let n_sas = List.length (Whynot.Pipeline.handle_sas h) in
+  Obs.Faultinject.arm "tracing.relaxed"
+    (Obs.Faultinject.Flaky { period = 1; exn_ = transient "chaos" });
+  (match explain ~use_sas:false ~retry:Engine.Fault.no_retry () with
+  | _ -> Alcotest.fail "expected Exhausted"
+  | exception Engine.Fault.Exhausted _ -> ());
+  Obs.Faultinject.arm "tracing.relaxed"
+    (Obs.Faultinject.Flaky { period = 2; exn_ = transient "chaos" });
+  let first = explain ~retry:(fast_retries 3) () in
+  Alcotest.(check bool) "chaos fired on the first fill" true
+    (Obs.Faultinject.fired "tracing.relaxed" > 1);
+  Alcotest.(check (list bool)) "the faulted evaluation published nothing"
+    (List.init n_sas (fun _ -> false))
+    (reused first);
+  Alcotest.(check string) "first fill byte-identical" (result_fingerprint plain)
+    (result_fingerprint first);
+  let fired = Obs.Faultinject.fired "tracing.relaxed" in
+  let faults = counter_value "fault.tracing.relaxed" in
+  let second = explain ~retry:(fast_retries 3) () in
+  Alcotest.(check (list bool)) "every slot read"
+    (List.init n_sas (fun _ -> true))
+    (reused second);
+  Alcotest.(check int) "the site does not fire again" fired
+    (Obs.Faultinject.fired "tracing.relaxed");
+  Alcotest.(check int) "fault.tracing.relaxed unmoved" faults
+    (counter_value "fault.tracing.relaxed");
+  Alcotest.(check string) "kept traces byte-identical" (result_fingerprint plain)
+    (result_fingerprint second);
+  Obs.Faultinject.reset ()
+
 (* --- serve integration --------------------------------------------------- *)
 
 let test_scheduler_maps_exhaustion_to_faulted () =
@@ -464,6 +526,8 @@ let () =
             test_share_job_identical_under_chaos;
           Alcotest.test_case "share job exhaustion attributed" `Quick
             test_share_job_exhaustion_attributed;
+          Alcotest.test_case "kept relaxed traces under chaos" `Quick
+            test_kept_relaxed_traces_under_chaos;
         ] );
       ( "serve",
         [

@@ -1431,6 +1431,141 @@ let test_resolve_host () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "an unresolvable name must be an Error"
 
+(* --- prepared handles ----------------------------------------------------- *)
+
+(* One handle per query serves every option variant: [explain_with] runs
+   [use_sas = false] or a smaller [max_sas] on a prefix of the handle's
+   SAs, and from its second call on reads each SA's kept relaxed trace.
+   Every cell of the option grid, called twice on one shared handle,
+   answers the same codec JSON as a fresh [Pipeline.explain] with the
+   same options. *)
+let test_handle_option_grid () =
+  let payload r =
+    Nested.Json.to_line (Serve.Codec.result_to_json ~timings:false r)
+  in
+  let approx ~stride ~top_k =
+    let cfg =
+      { Whynot.Approx.budget_ms = None;
+        sample_stride = (if stride = 1 then None else Some stride);
+        top_k }
+    in
+    if Whynot.Approx.is_exact cfg then None else Some (Whynot.Approx.start cfg)
+  in
+  let cells =
+    List.concat_map
+      (fun use_sas ->
+        List.concat_map
+          (fun max_sas ->
+            List.concat_map
+              (fun revalidate ->
+                List.concat_map
+                  (fun stride ->
+                    List.map
+                      (fun top_k -> (use_sas, max_sas, revalidate, stride, top_k))
+                      [ None; Some 2 ])
+                  [ 1; 3 ])
+              [ true; false ])
+          [ 1; 2; 16 ])
+      [ true; false ]
+  in
+  let check_scenario (s : Scenarios.Scenario.t) scale =
+    let inst = s.Scenarios.Scenario.make ~scale () in
+    let phi = inst.Scenarios.Scenario.question in
+    let alternatives = inst.Scenarios.Scenario.alternatives in
+    let h =
+      Whynot.Pipeline.prepare ~alternatives ~db:phi.Whynot.Question.db
+        phi.Whynot.Question.query
+    in
+    List.iter
+      (fun (use_sas, max_sas, revalidate, stride, top_k) ->
+        let label =
+          Fmt.str "%s@%d use_sas=%b max_sas=%d revalidate=%b stride=%d top_k=%a"
+            s.Scenarios.Scenario.name scale use_sas max_sas revalidate stride
+            Fmt.(option ~none:(any "none") int) top_k
+        in
+        let fresh =
+          Whynot.Pipeline.explain ?approx:(approx ~stride ~top_k) ~use_sas
+            ~max_sas ~revalidate ~alternatives phi
+        in
+        let on_handle () =
+          Whynot.Pipeline.explain_with ?approx:(approx ~stride ~top_k)
+            ~use_sas ~max_sas ~revalidate h phi.Whynot.Question.missing
+        in
+        let first = on_handle () in
+        let second = on_handle () in
+        Alcotest.(check string) (label ^ ": first call") (payload fresh)
+          (payload first);
+        Alcotest.(check string) (label ^ ": kept traces") (payload fresh)
+          (payload second))
+      cells
+  in
+  List.iter (fun s -> check_scenario s 1) Scenarios.Registry.all;
+  List.iter
+    (fun name -> check_scenario (Option.get (Scenarios.Registry.find name)) 2)
+    [ "D1"; "T3"; "F2" ]
+
+let explain_with_options srv ~dataset options =
+  Serve.Server.handle_request srv
+    (Serve.Protocol.Explain
+       {
+         dataset;
+         scale = 1;
+         seed = 0;
+         query = None;
+         query_name = None;
+         pattern = None;
+         options;
+         deadline_ms = None;
+         budget_ms = None;
+       })
+
+(* The prepare-handle key strips the knobs: the default and four option
+   variants on one query run one prepare, the first answers "miss" and
+   the rest "handle", and every payload equals a server that keeps no
+   handles.  A max_sas above the default is prepared on its own. *)
+let test_server_one_handle_per_query () =
+  let d = Serve.Protocol.default_options in
+  let variants =
+    [
+      ("default", d, `Miss);
+      ("use_sas=false", { d with use_sas = false }, `Handle);
+      ("max_sas=1", { d with max_sas = 1 }, `Handle);
+      ("revalidate=false", { d with revalidate = false }, `Handle);
+      ("stride=2", { d with sample_stride = Some 2 }, `Handle);
+      ("max_sas=32", { d with max_sas = 32 }, `Miss);
+    ]
+  in
+  let shared = Serve.Server.create ~config:quiet_config () in
+  let unkept =
+    Serve.Server.create ~config:{ quiet_config with handle_capacity = 0 } ()
+  in
+  register_dataset shared "D3";
+  register_dataset unkept "D3";
+  let disposition = function
+    | `Hit -> "hit"
+    | `Miss -> "miss"
+    | `Handle -> "handle"
+    | `Coalesced -> "coalesced"
+  in
+  let prepares () = stat (stats_section shared "server") "prepares" in
+  List.iter
+    (fun (name, options, expected) ->
+      let payload_of srv =
+        match expect_ok name (explain_with_options srv ~dataset:"D3" options) with
+        | Serve.Protocol.Explained { cache; result; _ } ->
+          (cache, Nested.Json.to_line result)
+        | _ -> Alcotest.fail (name ^ ": expected explained")
+      in
+      let cache, got = payload_of shared in
+      let _, want = payload_of unkept in
+      Alcotest.(check string) (name ^ ": disposition") (disposition expected)
+        (disposition cache);
+      Alcotest.(check string) (name ^ ": payload byte-identical") want got;
+      if name = "stride=2" then
+        Alcotest.(check int) "one prepare for five variants" 1 (prepares ()))
+    variants;
+  Alcotest.(check int) "max_sas=32 prepared its own handle" 2 (prepares ())
+
 let () =
   Alcotest.run "serve"
     [
@@ -1540,5 +1675,12 @@ let () =
             test_server_unix_lifecycle;
           Alcotest.test_case "connection cap" `Quick test_server_connection_cap;
           Alcotest.test_case "resolve host" `Quick test_resolve_host;
+        ] );
+      ( "prepared-handle",
+        [
+          Alcotest.test_case "option grid byte-identical" `Quick
+            test_handle_option_grid;
+          Alcotest.test_case "one handle per query" `Quick
+            test_server_one_handle_per_query;
         ] );
     ]

@@ -410,6 +410,57 @@ let test_shared_rows () =
       = Some (Json.J_int (shared_rows ())))
   | _ -> Alcotest.fail "expected a telemetry reply"
 
+(* [whynot.tracing.relaxed_reuses] counts the SA chains that read their
+   relaxed trace from a prepared handle instead of evaluating it: none on
+   a handle's first explain, one per SA on the second, and each SA's
+   [tracing] span says which it was.  The counter is registered up front,
+   so the telemetry verb lists it before any handle is reused. *)
+let test_relaxed_reuses () =
+  let reuses () =
+    Obs.Metrics.Counter.value
+      (Obs.Metrics.counter "whynot.tracing.relaxed_reuses")
+  in
+  let srv = Serve.Server.create ~config:quiet_config () in
+  (match
+     Serve.Server.handle_request srv (Serve.Protocol.Telemetry { format = `Json })
+   with
+  | Serve.Protocol.Telemetry_reply { metrics; _ } ->
+    Alcotest.(check bool) "the telemetry verb lists the counter" true
+      (member "whynot.tracing.relaxed_reuses" metrics <> None)
+  | _ -> Alcotest.fail "expected a telemetry reply");
+  let inst =
+    (Option.get (Scenarios.Registry.find "D3")).Scenarios.Scenario.make
+      ~scale:1 ()
+  in
+  let phi = inst.Scenarios.Scenario.question in
+  let h =
+    Whynot.Pipeline.prepare ~alternatives:inst.Scenarios.Scenario.alternatives
+      ~db:phi.Whynot.Question.db phi.Whynot.Question.query
+  in
+  let n_sas = List.length (Whynot.Pipeline.handle_sas h) in
+  let explain () =
+    let before = reuses () in
+    let r = Whynot.Pipeline.explain_with h phi.Whynot.Question.missing in
+    let flags =
+      List.map
+        (fun sp -> Obs.Span.attr sp "relaxed_reused")
+        (Obs.Span.find_all
+           (fun sp -> Obs.Span.name sp = "tracing")
+           r.Whynot.Pipeline.span)
+    in
+    (reuses () - before, flags)
+  in
+  let first, flags1 = explain () in
+  let second, flags2 = explain () in
+  Alcotest.(check bool) "D3 has several SAs" true (n_sas > 1);
+  Alcotest.(check int) "first explain reuses nothing" 0 first;
+  Alcotest.(check int) "second explain reuses every SA" n_sas second;
+  let all b = List.init n_sas (fun _ -> Some (Obs.Span.Bool b)) in
+  Alcotest.(check bool) "first explain's spans say evaluated" true
+    (flags1 = all false);
+  Alcotest.(check bool) "second explain's spans say reused" true
+    (flags2 = all true)
+
 (* Each SA's [msr] span carries the terms of its side-effect bounds:
    |⟦Q⟧_D|, the surviving root rows, those of them that match ⟦Q⟧_D, and
    UB(Δ−).  Q3 has two SAs and D3 five. *)
@@ -620,6 +671,7 @@ let () =
           Alcotest.test_case "row fallbacks counter" `Quick test_row_fallbacks;
           Alcotest.test_case "msr span bound terms" `Quick test_msr_bound_terms;
           Alcotest.test_case "shared rows counter" `Quick test_shared_rows;
+          Alcotest.test_case "relaxed reuses counter" `Quick test_relaxed_reuses;
         ] );
       ( "codec",
         [

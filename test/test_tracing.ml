@@ -327,12 +327,13 @@ let test_interval_satisfies () =
 
 module T = Whynot.Tracing
 
-(* Two traces agree field by field: operator order and ids, rid blocks,
+(* Two traces agree field by field: the SA, operator order and ids, rid blocks,
    NIPs, every flag vector, parents, ranges and row data. *)
 let same_trace label (a : T.t) (b : T.t) =
   let ids (t : T.t) = List.map (fun (o : T.op_trace) -> o.T.op_id) t.T.ops in
   Alcotest.(check (list int)) (label ^ ": op order") (ids a) (ids b);
   Alcotest.(check int) (label ^ ": root") a.T.root_op b.T.root_op;
+  Alcotest.(check bool) (label ^ ": sa") true (a.T.sa = b.T.sa);
   List.iter2
     (fun (x : T.op_trace) (y : T.op_trace) ->
       let l = Fmt.str "%s op %d" label x.T.op_id in
@@ -356,19 +357,27 @@ let same_trace label (a : T.t) (b : T.t) =
     a.T.ops b.T.ops
 
 (* Every SA traced with and without the shared blocks, with and without
-   re-validation, exact and at stride 3. *)
+   re-validation, exact and at stride 3; and annotated from one relaxed
+   evaluation, kept across all four, as a prepared handle does. *)
 let check_shared label ~env db missing (sas : Whynot.Alternatives.sa list) =
   let shared = T.share ~env db sas in
   List.iter
     (fun (sa : Whynot.Alternatives.sa) ->
       let bt = Whynot.Backtrace.run ~env sa.Whynot.Alternatives.query missing in
+      let relaxed = T.relax ~shared ~env db sa in
       List.iter
         (fun (revalidate, stride) ->
-          same_trace
-            (Fmt.str "%s S%d revalidate=%b stride=%d" label
-               (sa.Whynot.Alternatives.index + 1) revalidate stride)
+          let l =
+            Fmt.str "%s S%d revalidate=%b stride=%d" label
+              (sa.Whynot.Alternatives.index + 1) revalidate stride
+          in
+          let plain = T.run ~revalidate ~sample_stride:stride ~env db sa bt in
+          same_trace l
             (T.run ~revalidate ~sample_stride:stride ~shared ~env db sa bt)
-            (T.run ~revalidate ~sample_stride:stride ~env db sa bt))
+            plain;
+          same_trace (l ^ " relax+annotate")
+            (T.annotate ~revalidate ~sample_stride:stride relaxed bt)
+            plain)
         [ (true, 1); (true, 3); (false, 1); (false, 3) ])
     sas;
   shared
