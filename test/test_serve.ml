@@ -1676,7 +1676,7 @@ let () =
           Alcotest.test_case "connection cap" `Quick test_server_connection_cap;
           Alcotest.test_case "resolve host" `Quick test_resolve_host;
         ] );
-      ( "prepared-handle",
+      ( "handle",
         [
           Alcotest.test_case "option grid byte-identical" `Quick
             test_handle_option_grid;
