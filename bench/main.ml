@@ -514,11 +514,15 @@ let ablation () =
    - unarmed: what do the injection sites cost when nothing is armed?
      (one atomic load per site consultation — this column should match
      the plain engine/pipeline numbers of the other targets);
-   - armed: with a deterministic transient fault on ~5%% of task
-     attempts (Flaky, period 20) and a retry budget, runs must still
-     complete, produce identical results, and the overhead is the
-     recomputed attempts.  Backoff is zeroed so the column measures
-     recomputation, not sleeping. *)
+   - armed: with a deterministic transient fault on every second
+     consultation of the engine-run and tracing sites (Flaky, period 2)
+     and a retry budget, explains must still complete and produce
+     identical explanations, and the overhead is the replayed phases.
+     The pipeline's phase retry is the one recovery path: a faulted
+     engine run of ⟦Q⟧_D is replayed whole.  Backoff is zeroed so the
+     column measures recomputation, not sleeping. *)
+
+let chaos_sites = [ "engine.run"; "tracing.relaxed"; "tracing.shared" ]
 
 let bench_chaos ?(scale = 2) () =
   Fmt.pr "@.== Chaos: unarmed-site overhead and armed-retry recovery (scale %d) ==@."
@@ -530,56 +534,45 @@ let bench_chaos ?(scale = 2) () =
     (fun name ->
       let inst = instance ~scale (scenario name) in
       let phi = inst.Scenarios.Scenario.question in
-      let run_query_with config () =
-        fst
-          (Engine.Exec.run ~config phi.Whynot.Question.db
-             phi.Whynot.Question.query)
-      in
       let run_rp_with ~retry () =
         Whynot.Pipeline.explain ~retry
           ~alternatives:inst.Scenarios.Scenario.alternatives phi
       in
       Obs.Faultinject.reset ();
-      let plain_rel, unarmed_q =
-        median_ms "bench.chaos" (run_query_with Engine.Exec.default_config)
-      in
+      let _, unarmed_q = median_ms "bench.chaos" (fun () -> run_query inst) in
       let plain_rp, unarmed_rp =
         median_ms "bench.chaos" (run_rp_with ~retry:Engine.Fault.no_retry)
       in
       let retries0 = Obs.Metrics.Counter.value retries_c in
-      Obs.Faultinject.arm "engine.partition"
-        (Obs.Faultinject.Flaky { period = 20; exn_ = chaos_exn });
-      let armed_rel, armed_q =
-        median_ms "bench.chaos"
-          (run_query_with { Engine.Exec.default_config with Engine.Exec.retry })
-      in
-      Obs.Faultinject.disarm "engine.partition";
-      Obs.Faultinject.arm "tracing.relaxed"
-        (Obs.Faultinject.Flaky { period = 2; exn_ = chaos_exn });
-      Obs.Faultinject.arm "tracing.shared"
-        (Obs.Faultinject.Flaky { period = 2; exn_ = chaos_exn });
-      let armed_rp, armed_rp_ms =
-        median_ms "bench.chaos" (run_rp_with ~retry)
+      List.iter
+        (fun site ->
+          Obs.Faultinject.arm site
+            (Obs.Faultinject.Flaky { period = 2; exn_ = chaos_exn }))
+        chaos_sites;
+      let armed_runs = ref [] in
+      let _, armed_rp_ms =
+        median_ms "bench.chaos" (fun () ->
+            let r = run_rp_with ~retry () in
+            armed_runs := r :: !armed_runs;
+            r)
       in
       let faults =
-        Obs.Faultinject.fired "engine.partition"
-        + Obs.Faultinject.fired "tracing.relaxed"
-        + Obs.Faultinject.fired "tracing.shared"
+        List.fold_left (fun n site -> n + Obs.Faultinject.fired site) 0
+          chaos_sites
       in
       Obs.Faultinject.reset ();
       let retries = Obs.Metrics.Counter.value retries_c - retries0 in
-      (* the warm-up runs' results are the ones compared *)
+      (* every armed run, timed or not, must match the unarmed warm-up *)
       let identical =
-        Nested.Value.compare (Nested.Relation.data plain_rel)
-          (Nested.Relation.data armed_rel)
-        = 0
-        && Whynot.Pipeline.explanation_sets plain_rp
-           = Whynot.Pipeline.explanation_sets armed_rp
+        List.for_all
+          (fun r ->
+            Whynot.Pipeline.explanation_sets r
+            = Whynot.Pipeline.explanation_sets plain_rp)
+          !armed_runs
       in
       emit "chaos" ~scenario:name ~scale
         [
           ("engine.exec_ms", Float unarmed_q);
-          ("engine.exec_armed_ms", Float armed_q);
           ("whynot.rp_ms", Float unarmed_rp);
           ("whynot.rp_armed_ms", Float armed_rp_ms);
           ("engine.task.retries", Int retries);

@@ -33,6 +33,26 @@ let both ?(arg = "") name action doc =
     ("--" ^ name, action, (if arg = "" then " " else shown) ^ "same as -" ^ name);
   ]
 
+(* Parse a verb's arguments (after the verb) the way [Arg.parse] treats a
+   whole command line: [-help] prints the usage to stdout and exits 0, an
+   unknown option or argument prints the message and usage to stderr and
+   exits 2. *)
+let parse_args args spec anon usage =
+  match
+    Arg.parse_argv ~current:(ref 0)
+      (Array.of_list (Sys.argv.(0) :: args))
+      spec anon usage
+  with
+  | () -> ()
+  | exception Arg.Help msg ->
+    print_string msg;
+    exit 0
+  | exception Arg.Bad msg ->
+    prerr_string msg;
+    exit 2
+
+let unexpected a = raise (Arg.Bad ("unexpected argument " ^ a))
+
 let write_prometheus = function
   | "" -> ()
   | path ->
@@ -62,7 +82,7 @@ let pp_approx_report ppf (r : Whynot.Approx.report) =
     | Some b -> Fmt.str " budget_ms=%.0f" b
     | None -> "")
 
-let run_scenario ~scale ~verbose ~metrics ~config ~retry ~root
+let run_scenario ~scale ~verbose ~metrics ~partitions ~retry ~root
     ~approx_cfg (s : Scenarios.Scenario.t) =
   let inst = s.Scenarios.Scenario.make ~scale () in
   let phi = inst.Scenarios.Scenario.question in
@@ -79,7 +99,7 @@ let run_scenario ~scale ~verbose ~metrics ~config ~retry ~root
      input/output/shuffled cardinalities one reads off a Spark UI. *)
   (if metrics || Option.is_some root then begin
      let _, stats =
-       Engine.Exec.run ~config ?parent:root phi.Whynot.Question.db q
+       Engine.Exec.run ?partitions ?parent:root phi.Whynot.Question.db q
      in
      if metrics then Fmt.pr "engine stats (original query):@.%a@." Engine.Stats.pp stats
    end);
@@ -249,10 +269,7 @@ let run_explain args =
           "write Prometheus-format metrics to FILE at the end";
       ]
   in
-  Arg.parse_argv ~current:(ref 0)
-    (Array.of_list (Sys.argv.(0) :: args))
-    spec
-    (fun a -> failwith ("unexpected argument " ^ a))
+  parse_args args spec unexpected
     "whynot_cli explain -db FILE (-query TEXT | -query-file FILE) -whynot \
      FILE [options]";
   apply_log_level !log_level;
@@ -333,10 +350,7 @@ let run_parse args =
         ];
       ]
   in
-  Arg.parse_argv ~current:(ref 0)
-    (Array.of_list (Sys.argv.(0) :: args))
-    spec
-    (fun a -> failwith ("unexpected argument " ^ a))
+  parse_args args spec unexpected
     "whynot_cli parse (-db FILE | -scenario NAME) (-query TEXT | -query-file \
      FILE) [-whynot TEXT]";
   let db =
@@ -381,7 +395,7 @@ let run_scenarios args =
   let metrics = ref false in
   let trace_file = ref "" in
   let names = ref [] in
-  let partitions = ref Engine.Exec.default_config.Engine.Exec.partitions in
+  let partitions = ref None in
   let task_retries = ref 0 in
   let budget_ms = ref 0.0 in
   let sample_stride = ref 0 in
@@ -403,7 +417,8 @@ let run_scenarios args =
            explanations carry confidence 1/N)";
         both "top-k" ~arg:"K" (Arg.Set_int top_k)
           "rank only the K best explanations (early-terminating MSR)";
-        both "partitions" ~arg:"N" (Arg.Set_int partitions)
+        both "partitions" ~arg:"N"
+          (Arg.Int (fun n -> partitions := Some n))
           "engine partition count (default 4)";
         both "task-retries" ~arg:"N" (Arg.Set_int task_retries)
           "retry budget for transient task faults (default 0: fail fast)";
@@ -420,9 +435,7 @@ let run_scenarios args =
           "write Prometheus-format metrics to FILE at the end";
       ]
   in
-  Arg.parse_argv ~current:(ref 0)
-    (Array.of_list (Sys.argv.(0) :: args))
-    spec
+  parse_args args spec
     (fun n -> names := n :: !names)
     "whynot_cli [scenario...] [--metrics] [--trace out.json]";
   apply_log_level !log_level;
@@ -466,9 +479,7 @@ let run_scenarios args =
       in
       let retry = Engine.Fault.retries (max 0 !task_retries) in
       run_scenario ~scale:!scale ~verbose:!verbose ~metrics:!metrics
-        ~config:
-          { Engine.Exec.partitions = max 1 !partitions; retry }
-        ~retry ~root ~approx_cfg s;
+        ~partitions:!partitions ~retry ~root ~approx_cfg s;
       Option.iter Obs.Span.finish root)
     scenarios;
   if !metrics then

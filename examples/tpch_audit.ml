@@ -14,10 +14,6 @@ let () =
 
   Fmt.pr "report query:@.  %a@.@." Nrab.Query.pp q;
 
-  (* Static physical plan: where the shuffles are, before running. *)
-  let env = Whynot.Pipeline.schema_env phi.Whynot.Question.db in
-  Fmt.pr "physical plan:@.%a@.@." Engine.Plan.pp (Engine.Plan.analyze ~env q);
-
   (* Run the report on the mini-DISC engine and show what a Spark UI
      would show: per-operator cardinalities and shuffles. *)
   let result, stats = Engine.Exec.run phi.Whynot.Question.db q in

@@ -191,17 +191,12 @@ let prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retry root cursor
      of magnitude faster on the bench scales.  The bounds only count the
      rows and test membership, so they take the engine's rows as they
      come, without the relation's canonical sort, and index them here,
-     once, before any SA job can read the index.  Its partition tasks
-     take [retry] too: a faulted partition replays from its input
-     rather than exhausting the whole phase on its first attempt. *)
+     once, before any SA job can read the index.  The engine does not
+     retry: a transient fault in the run propagates unwrapped, and this
+     phase's retry replays the whole of ⟦Q⟧_D. *)
   let original =
     phase root "msr" (fun sp ->
-        let original_result =
-          fst
-            (Engine.Exec.rows
-               ~config:{ Engine.Exec.default_config with retry }
-               ~parent:sp db q)
-        in
+        let original_result = fst (Engine.Exec.rows ~parent:sp db q) in
         Obs.Span.set_int sp "original_result_rows"
           (List.length original_result);
         Msr.index { Msr.original_result })

@@ -68,11 +68,13 @@ val schema_env : Relation.Db.t -> Typecheck.env
            the boundary's name, and the run's root span is finished with
            a [cancelled_at] attribute (partial-phase attribution)
     @param retry per-phase task retry policy (default
-           {!Engine.Fault.no_retry}).  A phase body raising
-           {!Engine.Fault.Transient} is recomputed from its immutable
-           inputs; exhaustion raises {!Engine.Fault.Exhausted} attributed
-           as e.g. ["sa:S2/tracing"].  {!Cancel.Cancelled} is permanent —
-           a cancelled run is never retried
+           {!Engine.Fault.no_retry}), the pipeline's one recovery path.
+           A phase body raising {!Engine.Fault.Transient} is recomputed
+           from its immutable inputs — a fault in the engine's run of
+           ⟦Q⟧_D replays that whole run in the [prepare/msr] phase;
+           exhaustion raises {!Engine.Fault.Exhausted} attributed as e.g.
+           ["sa:S2/tracing"] or ["prepare/msr"].  {!Cancel.Cancelled} is
+           permanent — a cancelled run is never retried
     @param parent optional parent span; the run's root span is attached
            under it (and always returned in [result.span]) *)
 val explain :

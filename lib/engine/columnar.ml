@@ -115,18 +115,18 @@ end
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let m_rows_scanned = lazy (Obs.Metrics.counter "engine.columnar.rows_scanned")
-let m_bytes_moved = lazy (Obs.Metrics.counter "engine.columnar.bytes_moved")
-let m_dict_hits = lazy (Obs.Metrics.counter "engine.columnar.dict_hits")
+let m_rows_scanned = Obs.Metrics.counter "engine.columnar.rows_scanned"
+let m_bytes_moved = Obs.Metrics.counter "engine.columnar.bytes_moved"
+let m_dict_hits = Obs.Metrics.counter "engine.columnar.dict_hits"
 (* Registered up front, so telemetry shows it at 0 until a batch falls
    back. *)
 let m_row_fallbacks = Obs.Metrics.counter "engine.columnar.row_fallbacks"
 
 let note_rows_scanned n =
-  if n > 0 then Obs.Metrics.Counter.incr ~by:n (Lazy.force m_rows_scanned)
+  if n > 0 then Obs.Metrics.Counter.incr ~by:n m_rows_scanned
 
 let note_bytes_moved n =
-  if n > 0 then Obs.Metrics.Counter.incr ~by:n (Lazy.force m_bytes_moved)
+  if n > 0 then Obs.Metrics.Counter.incr ~by:n m_bytes_moved
 
 let note_row_fallback () = Obs.Metrics.Counter.incr m_row_fallbacks
 
@@ -197,7 +197,7 @@ module Dict = struct
 
   let intern s =
     let c, hit = intern_hit s in
-    if hit then Obs.Metrics.Counter.incr (Lazy.force m_dict_hits);
+    if hit then Obs.Metrics.Counter.incr m_dict_hits;
     c
 
   let lookup c = !strings.(c)
@@ -373,7 +373,7 @@ let rec build_col (sh : shape) (vs : Value.t array) : col =
         | _ -> ())
       vs;
     if !hits > 0 then
-      Obs.Metrics.Counter.incr ~by:!hits (Lazy.force m_dict_hits);
+      Obs.Metrics.Counter.incr ~by:!hits m_dict_hits;
     CStr (a, presence_of n (fun i -> vs.(i) = Value.Null))
   | STuple fields ->
     let k = List.length fields in

@@ -10,11 +10,6 @@ open Nested
 
 type t = Columnar.t array
 
-let site_partition = Obs.Faultinject.register_site "engine.partition"
-
-let m_replayed =
-  lazy (Obs.Metrics.counter "engine.recover.replayed_partitions")
-
 let cardinal d = Array.fold_left (fun acc b -> acc + Columnar.length b) 0 d
 
 let to_list (d : t) : Value.t list =
@@ -76,28 +71,6 @@ let gather (d : t) : t * int =
   let b = Columnar.vstack (Array.to_list d) in
   Columnar.note_bytes_moved (Columnar.bytes b);
   ([| b |], Columnar.length b)
-
-(* Every partition is a *task attempt*: under [retry], a task that
-   raises [Fault.Transient] is recomputed from its immutable input
-   partition (our lineage is the closure plus the input, so
-   recomputation is exact — the Spark task-retry model).  The
-   ["engine.partition"] chaos site fires once per attempt, inside the
-   retry scope, so an armed fault on one attempt is survived by the
-   next. *)
-let task ?(retry = Fault.no_retry) ?(label = "partition") ?on_retry i f =
-  Fault.protect ~policy:retry
-    ~task:(Fmt.str "%s/p%d" label i)
-    ~task_id:i
-    ~on_retry:(fun ~attempt e ->
-      Obs.Metrics.Counter.incr (Lazy.force m_replayed);
-      Option.iter (fun cb -> cb ~partition:i ~attempt e) on_retry)
-    (fun () ->
-      Obs.Faultinject.fire site_partition;
-      f ())
-
-let map_cpartitions ?retry ?label ?on_retry (f : Columnar.t -> Columnar.t)
-    (d : t) : t =
-  Array.mapi (fun i b -> task ?retry ?label ?on_retry i (fun () -> f b)) d
 
 let of_relation ~partitions (r : Relation.t) : t =
   distribute_cols ~partitions (Columnar.of_relation r)

@@ -3,8 +3,7 @@
     A dataset is an array of partitions, each holding tuples already
     expanded to their multiplicities (like rows of a Spark DataFrame) as
     one {!Columnar.t} batch.  Partitions live in memory and are never
-    mutated, so a faulted partition task recovers by recomputing its
-    output from its input partition. *)
+    mutated. *)
 
 open Nested
 
@@ -33,34 +32,6 @@ val shuffle_hashed :
 
 (** Collapse to a single partition; returns the rows moved. *)
 val gather : t -> t * int
-
-(** [task ~retry ~label ~on_retry i f] runs partition [i]'s task [f] as
-    a retryable attempt: under [retry], an attempt that raises
-    {!Fault.Transient} is replayed — [f] recomputes the partition from
-    its immutable input — until the policy's attempt budget runs out,
-    then {!Fault.Exhausted} propagates with the task attributed as
-    ["<label>/p<i>"].  The ["engine.partition"] chaos site fires once
-    per attempt inside the retry scope, and every replay bumps
-    [engine.recover.replayed_partitions].  [on_retry] fires before each
-    re-attempt (for span attribution). *)
-val task :
-  ?retry:Fault.policy ->
-  ?label:string ->
-  ?on_retry:(partition:int -> attempt:int -> exn -> unit) ->
-  int ->
-  (unit -> 'a) ->
-  'a
-
-(** Transform every partition's batch, one partition after the other,
-    each as a {!task}.  [f] must be pure, so a replay is exact.
-    Batch-in/batch-out: no per-row tree materialization. *)
-val map_cpartitions :
-  ?retry:Fault.policy ->
-  ?label:string ->
-  ?on_retry:(partition:int -> attempt:int -> exn -> unit) ->
-  (Columnar.t -> Columnar.t) ->
-  t ->
-  t
 
 (** Cached arena build of the relation, split into round-robin column
     slices. *)

@@ -16,9 +16,9 @@ exception Engine_error = Kernel.Engine_error
 
 let err fmt = Fmt.kstr (fun m -> raise (Engine_error m)) fmt
 
-type config = { partitions : int; retry : Fault.policy }
-
-let default_config = { partitions = 4; retry = Fault.no_retry }
+(* Fired once per run, before any work: a run is what the pipeline's
+   phase retry replays, so it is the unit a chaos test faults. *)
+let site_run = Obs.Faultinject.register_site "engine.run"
 
 let schema_env (db : Relation.Db.t) : Typecheck.env =
   List.map (fun (n, r) -> (n, Relation.schema r)) (Relation.Db.tables db)
@@ -80,17 +80,12 @@ let group_agg_cols group aggs (b : C.t) : C.t =
        aggs)
     groups b
 
-let rows ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
+let rows ?(partitions = 4) ?parent ?registry (db : Relation.Db.t)
     (q : Query.t) : Value.t list * Stats.t =
+  Obs.Faultinject.fire site_run;
   let env = schema_env db in
   let stats = Stats.create () in
-  let n = config.partitions in
-  let retry = config.retry in
-  (* Retries are attributed on the operator span: a task that needed a
-     second attempt leaves [attempt=2] on its operator. *)
-  let retry_attr sp ~partition:_ ~attempt _e =
-    Option.iter (fun s -> Obs.Span.set_int s "attempt" attempt) sp
-  in
+  let n = max 1 partitions in
   (* Spans are only materialized when a parent is given: untraced runs
      pay nothing beyond the [Stats] counters they always paid. *)
   let sub sp name = Option.map (fun p -> Obs.Span.start ~parent:p name) sp in
@@ -111,15 +106,10 @@ let rows ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
       ostat.Stats.input_rows <- ostat.Stats.input_rows + input;
       ostat.Stats.output_rows <- ostat.Stats.output_rows + output
     in
-    (* Every partition-transform of this operator is a retryable task
-       attributed to the operator's span name.  Kernels skip empty
-       batches: an empty batch has no columns, so an attribute lookup
-       would raise although no row lacks the attribute. *)
-    let mapp f d =
-      Dataset.map_cpartitions ~retry ~label:op_name ~on_retry:(retry_attr sp)
-        (fun b -> if C.length b = 0 then b else f b)
-        d
-    in
+    (* Kernels skip empty batches: an empty batch has no columns, so an
+       attribute lookup would raise although no row lacks the
+       attribute. *)
+    let mapp f d = Array.map (fun b -> if C.length b = 0 then b else f b) d in
     let narrow child kernel =
       let d = go sp child in
       let input = Dataset.cardinal d in
@@ -189,16 +179,11 @@ let rows ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
       let ssp = sub sp "shuffle" in
       let dl, m1 = Dataset.shuffle_hashed ~partitions:n whole_row_hash dl in
       let dr, m2 = Dataset.shuffle_hashed ~partitions:n whole_row_hash dr in
-      (* Each aligned partition pair is one retryable task. *)
-      let label = Fmt.str "op:%s#%d" (Query.op_symbol q.node) q.id in
       let out =
         Array.init n (fun i ->
-            Dataset.task ~retry ~label ~on_retry:(retry_attr sp) i
-              (fun () ->
-                let lb = dl.(i) in
-                let cancelled = Kernel.diff_cancelled lb dr.(i) in
-                C.filter lb
-                  (C.Bitv.init (C.length lb) (fun j -> not cancelled.(j)))))
+            let lb = dl.(i) in
+            let cancelled = Kernel.diff_cancelled lb dr.(i) in
+            C.filter lb (C.Bitv.init (C.length lb) (fun j -> not cancelled.(j))))
       in
       let moved = m1 + m2 in
       Stats.record_shuffle stats ostat moved;
@@ -245,12 +230,10 @@ let rows ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
       let out = mapp (group_agg_cols group aggs) d in
       record_io input (Dataset.cardinal out);
       out
-    | Query.Join (kind, pred), [ l; r ] ->
-      run_join ~task:(Fmt.str "op:⋈#%d" q.id) sp ostat kind pred l r
-    | Query.Product, [ l; r ] ->
-      run_join ~task:(Fmt.str "op:×#%d" q.id) sp ostat Query.Inner Expr.True l r
+    | Query.Join (kind, pred), [ l; r ] -> run_join sp ostat kind pred l r
+    | Query.Product, [ l; r ] -> run_join sp ostat Query.Inner Expr.True l r
     | _ -> err "engine: malformed query node (operator %d)" q.id
-  and run_join ~task sp ostat kind pred l r =
+  and run_join sp ostat kind pred l r =
     let lty = Typecheck.infer env l and rty = Typecheck.infer env r in
     let lfields = List.map fst (Vtype.relation_fields lty) in
     let rfields = List.map fst (Vtype.relation_fields rty) in
@@ -281,14 +264,9 @@ let rows ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
     finish_shuffle ssp moved;
     let np = max (Array.length dl) (Array.length dr) in
     let part d i = if i < Array.length d then d.(i) else C.empty in
-    (* Join tasks retry like narrow partition tasks: the shuffled input
-       partitions are immutable, so recomputation is exact. *)
     let out =
       Array.init np (fun i ->
-          Dataset.task ~retry ~label:task ~on_retry:(retry_attr sp) i
-            (fun () ->
-              join_cols ~keys ~residual ~kind ~lnull ~rnull (part dl i)
-                (part dr i)))
+          join_cols ~keys ~residual ~kind ~lnull ~rnull (part dl i) (part dr i))
     in
     ostat.Stats.input_rows <- ostat.Stats.input_rows + input;
     ostat.Stats.output_rows <- ostat.Stats.output_rows + Dataset.cardinal out;
@@ -306,8 +284,8 @@ let rows ?(config = default_config) ?parent ?registry (db : Relation.Db.t)
   Stats.fold_into ?registry stats;
   (out, stats)
 
-let run ?config ?parent ?registry (db : Relation.Db.t) (q : Query.t) :
+let run ?partitions ?parent ?registry (db : Relation.Db.t) (q : Query.t) :
     Relation.t * Stats.t =
   let schema = Typecheck.infer (schema_env db) q in
-  let out, stats = rows ?config ?parent ?registry db q in
+  let out, stats = rows ?partitions ?parent ?registry db q in
   (Relation.of_tuples ~schema out, stats)

@@ -16,21 +16,13 @@ open Nrab
 
 exception Engine_error of string
 
-type config = {
-  partitions : int;
-  retry : Fault.policy;
-      (** per-partition task retry budget; {!Fault.no_retry} by default.
-          A partition task that raises {!Fault.Transient} is recomputed
-          from its (immutable) input partition — Spark's task-retry
-          model.  Retried attempts are marked with an [attempt] span
-          attribute on the operator's span; exhaustion raises
-          {!Fault.Exhausted} attributed as ["op:<symbol>#<id>/p<i>"]. *)
-}
+(** Execute a plan over [partitions] partitions (default 4, at least
+    1); returns the result relation and execution statistics.
 
-val default_config : config
-
-(** Execute a plan; returns the result relation and execution
-    statistics.
+    The engine does not retry: an exception, {!Fault.Transient} included,
+    propagates out of the run unwrapped, and the caller replays the
+    whole run (the why-not pipeline's phase retry does).  The
+    ["engine.run"] chaos site fires once per run, before any work.
 
     With [?parent], the run is traced: an [engine.run] span is opened
     under the parent, one [op:<symbol>#<id>] child span per operator
@@ -40,22 +32,22 @@ val default_config : config
     always folded into the {!Obs.Metrics} registry ([?registry],
     defaulting to {!Obs.Metrics.default}). *)
 val run :
-  ?config:config ->
+  ?partitions:int ->
   ?parent:Obs.Span.t ->
   ?registry:Obs.Metrics.t ->
   Relation.Db.t ->
   Query.t ->
   Relation.t * Stats.t
 
-(** The same execution as {!run} — shuffles, retries, spans and
-    statistics alike — returning the result rows in
+(** The same execution as {!run} — shuffles, spans and statistics
+    alike — returning the result rows in
     engine order (partition by partition) instead of a relation.  The
     rows are the multiset [Relation.tuples (fst (run db q))] holds, in
     another order: callers that only count rows or test membership skip
     the relation's canonical sort.  [run] is [Relation.of_tuples] over
     this. *)
 val rows :
-  ?config:config ->
+  ?partitions:int ->
   ?parent:Obs.Span.t ->
   ?registry:Obs.Metrics.t ->
   Relation.Db.t ->

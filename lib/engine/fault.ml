@@ -1,10 +1,13 @@
-(* Typed fault taxonomy + retry policy — the engine's stand-in for a
-   DISC scheduler's task-level fault tolerance.
+(* Typed fault taxonomy + retry policy — the stand-in for a DISC
+   scheduler's fault tolerance.
 
-   Spark retries a failed partition task and recomputes it from lineage;
-   our lineage is the task's closure plus its input partition, so
-   recomputation is exact: re-running the closure on the same input
-   yields the same output.  The retry decision path is fully
+   Spark retries a failed partition task and recomputes it from lineage.
+   The engine here runs its partitions one after the other and does not
+   retry; the why-not pipeline wraps each phase in [protect], and a
+   phase's lineage is its closure plus immutable inputs (the database,
+   the query, the prepared artifacts), so recomputation is exact:
+   re-running the closure yields the same output.  The retry decision
+   path is fully
    deterministic — backoff durations derive from the task id and attempt
    number, never from [Random] or the wall clock — so a chaos run with a
    deterministic fault schedule is exactly reproducible. *)
@@ -13,7 +16,7 @@ exception Transient of exn
 
 exception
   Exhausted of {
-    task : string;  (** attribution: operator span name / partition *)
+    task : string;  (** attribution: the phase, e.g. ["prepare/msr"] *)
     attempts : int;
     last : exn;  (** the final (unwrapped) fault *)
   }
@@ -49,7 +52,7 @@ let retries ?(base_backoff_ms = 1.0) ?(max_backoff_ms = 50.0) n =
 
 (* Capped exponential backoff with deterministic jitter: the jitter
    factor in [0.5, 1.0) comes from a hash of (task id, attempt), so two
-   retried partitions don't thunder in lockstep, yet the schedule is a
+   retried tasks don't thunder in lockstep, yet the schedule is a
    pure function of the task — no randomness, no clock reads. *)
 let backoff_ms (p : policy) ~task_id ~attempt =
   if p.base_backoff_ms <= 0.0 then 0.0
@@ -60,20 +63,20 @@ let backoff_ms (p : policy) ~task_id ~attempt =
     capped *. (0.5 +. (0.5 *. (float_of_int h /. 65536.0)))
   end
 
-let attempts_c = lazy (Obs.Metrics.counter "engine.task.attempts")
-let retries_c = lazy (Obs.Metrics.counter "engine.task.retries")
-let exhausted_c = lazy (Obs.Metrics.counter "engine.task.exhausted")
+let attempts_c = Obs.Metrics.counter "engine.task.attempts"
+let retries_c = Obs.Metrics.counter "engine.task.retries"
+let exhausted_c = Obs.Metrics.counter "engine.task.exhausted"
 
 let protect ?(policy = no_retry) ?(task = "task") ?(task_id = 0) ?abort
     ?on_retry (f : unit -> 'a) : 'a =
   let max_attempts = max 1 policy.max_attempts in
   let rec go attempt =
-    Obs.Metrics.Counter.incr (Lazy.force attempts_c);
+    Obs.Metrics.Counter.incr attempts_c;
     match f () with
     | v -> v
     | exception Transient inner ->
       if attempt >= max_attempts then begin
-        Obs.Metrics.Counter.incr (Lazy.force exhausted_c);
+        Obs.Metrics.Counter.incr exhausted_c;
         Obs.Log.err "task.exhausted" (fun () ->
             [
               Obs.Log.str "task" task;
@@ -89,7 +92,7 @@ let protect ?(policy = no_retry) ?(task = "task") ?(task_id = 0) ?abort
         match (match abort with Some a -> a () | None -> None) with
         | Some abort_exn -> raise abort_exn
         | None ->
-          Obs.Metrics.Counter.incr (Lazy.force retries_c);
+          Obs.Metrics.Counter.incr retries_c;
           Obs.Log.warn "task.retry" (fun () ->
               [
                 Obs.Log.str "task" task;

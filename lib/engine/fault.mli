@@ -1,10 +1,12 @@
-(** Typed fault taxonomy and retry policy — task-level fault tolerance
-    for the mini-DISC engine.
+(** Typed fault taxonomy and retry policy — the fault tolerance of the
+    why-not pipeline.
 
     Spark (the paper's substrate) silently retries failed partition
-    tasks and recomputes them from lineage.  Here the lineage of a task
-    is its closure plus its input partition, so recomputation is exact:
-    {!protect} re-runs the closure on the same input.
+    tasks and recomputes them from lineage.  Here the engine does not
+    retry: the pipeline runs each phase under {!protect}, and a phase's
+    lineage is its closure plus immutable inputs, so recomputation is
+    exact — {!protect} re-runs the closure, which replays a whole engine
+    run when the fault was raised inside one.
 
     Only exceptions wrapped in {!Transient} are retried; everything
     else — including [Whynot.Cancel.Cancelled] — is a permanent fault

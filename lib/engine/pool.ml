@@ -47,8 +47,8 @@ and 'a future = {
 
 let size pool = pool.size
 
-let inline_fallback_c = lazy (Obs.Metrics.counter "engine.pool.inline_fallback")
-let worker_deaths_c = lazy (Obs.Metrics.counter "engine.pool.worker_deaths")
+let inline_fallback_c = Obs.Metrics.counter "engine.pool.inline_fallback"
+let worker_deaths_c = Obs.Metrics.counter "engine.pool.worker_deaths"
 let site_worker = Obs.Faultinject.register_site "engine.pool.worker"
 
 let worker_loop pool () =
@@ -139,7 +139,7 @@ let submit ?abort (pool : t) (f : unit -> 'a) : 'a future =
     (* Graceful degradation: a late job (e.g. during at_exit-ordered
        teardown) runs inline on the calling domain instead of crashing
        the process with Invalid_argument. *)
-    Obs.Metrics.Counter.incr (Lazy.force inline_fallback_c);
+    Obs.Metrics.Counter.incr inline_fallback_c;
     job ()
   end
   else begin
@@ -176,36 +176,18 @@ let rec await (fut : 'a future) : 'a =
       Mutex.unlock fut.fmutex;
       await fut)
 
-let task_label label i =
-  match label with
-  | Some l -> Fmt.str "%s/p%d" l i
-  | None -> Fmt.str "p%d" i
-
-let map_array ?policy ?label ?on_retry (pool : t) (f : 'a -> 'b)
-    (xs : 'a array) : 'b array =
-  let run i x =
-    match policy with
-    | None -> f x
-    | Some policy ->
-      Fault.protect ~policy ~task:(task_label label i) ~task_id:i
-        ?on_retry:
-          (Option.map (fun cb ~attempt e -> cb ~index:i ~attempt e) on_retry)
-        (fun () -> f x)
-  in
+let map_array (pool : t) (f : 'a -> 'b) (xs : 'a array) : 'b array =
   (* Await in submission order: results are deterministic and the first
      exception to propagate is the leftmost one. *)
   match Array.length xs with
   | 0 -> [||]
-  | 1 -> [| run 0 xs.(0) |]
+  | 1 -> [| f xs.(0) |]
   | _ ->
-    let futures =
-      Array.mapi (fun i x -> submit pool (fun () -> run i x)) xs
-    in
+    let futures = Array.map (fun x -> submit pool (fun () -> f x)) xs in
     Array.map await futures
 
-let map_list ?policy ?label ?on_retry (pool : t) (f : 'a -> 'b) (xs : 'a list)
-    : 'b list =
-  Array.to_list (map_array ?policy ?label ?on_retry pool f (Array.of_list xs))
+let map_list (pool : t) (f : 'a -> 'b) (xs : 'a list) : 'b list =
+  Array.to_list (map_array pool f (Array.of_list xs))
 
 let shutdown (pool : t) : unit =
   Mutex.lock pool.mutex;
@@ -220,8 +202,7 @@ let shutdown (pool : t) : unit =
     (fun w ->
       match Domain.join w with
       | () -> ()
-      | exception _ ->
-        Obs.Metrics.Counter.incr (Lazy.force worker_deaths_c))
+      | exception _ -> Obs.Metrics.Counter.incr worker_deaths_c)
     workers;
   (* Jobs stranded in the queue by dead workers are recomputed inline —
      their futures resolve and no awaiter hangs. *)

@@ -43,30 +43,11 @@ val submit : ?abort:(unit -> exn option) -> t -> (unit -> 'a) -> 'a future
 val await : 'a future -> 'a
 
 (** Apply [f] to every element concurrently; results come back in input
-    order (deterministic), and the leftmost exception propagates.
+    order (deterministic), and the leftmost exception propagates.  The
+    pool does not retry: an element whose [f] raises fails the map. *)
+val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 
-    With [?policy], each element is a retryable task: a run of [f] that
-    raises {!Fault.Transient} is recomputed from its input (up to the
-    policy's attempt budget) before {!Fault.Exhausted} propagates; the
-    task is attributed as ["<label>/p<i>"].  [on_retry] fires before
-    each re-attempt with the element index. *)
-val map_array :
-  ?policy:Fault.policy ->
-  ?label:string ->
-  ?on_retry:(index:int -> attempt:int -> exn -> unit) ->
-  t ->
-  ('a -> 'b) ->
-  'a array ->
-  'b array
-
-val map_list :
-  ?policy:Fault.policy ->
-  ?label:string ->
-  ?on_retry:(index:int -> attempt:int -> exn -> unit) ->
-  t ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list
+val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 
 (** Drain-free graceful teardown: workers finish the jobs already
     queued, then exit; [shutdown] joins them all (counting workers that

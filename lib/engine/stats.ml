@@ -25,10 +25,6 @@ let op (t : t) ~op_id ~op_label : op_stats =
     t.ops <- o :: t.ops;
     o
 
-let reset (t : t) =
-  t.ops <- [];
-  t.stages <- 1
-
 let record_shuffle (t : t) (o : op_stats) rows =
   o.shuffled_rows <- o.shuffled_rows + rows;
   if rows > 0 then t.stages <- t.stages + 1

@@ -20,9 +20,6 @@ val op : t -> op_id:int -> op_label:string -> op_stats
 (** Record a shuffle; a non-empty shuffle starts a new stage. *)
 val record_shuffle : t -> op_stats -> int -> unit
 
-(** Drop all recorded operators and reset the stage count. *)
-val reset : t -> unit
-
 (** All operator records, in [op_id] order (deterministic, independent
     of find-or-create insertion order). *)
 val ops : t -> op_stats list

@@ -2,8 +2,8 @@
    the engine, the why-not pipeline, and the serve layer.
 
    The armed-site count is mirrored in an atomic so the unarmed fast
-   path of [fire]/[transform] is a single load — hook points sit on the
-   engine's per-partition task path and the server's hot request path. *)
+   path of [fire]/[transform] is a single load — hook points sit on
+   every engine run and on the server's hot request path. *)
 
 type action =
   | Fail of { times : int; exn_ : exn }

@@ -4,9 +4,10 @@
     must survive.
 
     A {e site} is a string naming a hook point.  Current sites:
-    - engine: ["engine.partition"] (per-partition task attempts, fired
-      once per attempt inside {!Engine.Dataset.task}, which runs every
-      engine partition task), ["engine.pool.worker"] (the pool's worker
+    - engine: ["engine.run"] (fired once per {!Engine.Exec.rows} run,
+      before any work: the engine does not retry, so a fault here is
+      replayed by the pipeline phase that owns the run — the [prepare]
+      [msr] phase for ⟦Q⟧_D), ["engine.pool.worker"] (the pool's worker
       loop, fired before each dequeue — arming it kills a worker
       domain);
     - pipeline: ["tracing.relaxed"] (at the entry of a schema
@@ -29,9 +30,9 @@
     - [Flaky { period; exn_ }] — raise [exn_] on every [period]-th fire
       of the site (deterministic: the decision depends only on the
       site's consultation count, never on [Random] or the clock).
-      [period = 20] ≈ 5%% of task attempts fault; a retried task fires
-      the site again, lands off the period boundary, and succeeds —
-      the transient-fault shape the retry layer is built for.
+      [period = 20] faults one fire in 20; a replayed phase fires the
+      site again, lands off the period boundary, and succeeds — the
+      transient-fault shape the pipeline's phase retry is built for.
     - [Delay_ms d] — sleep [d] milliseconds at each fire (slow-job
       injection, e.g. to push an explain past its deadline).
     - [Garble g] — rewrite the string passing through a {!transform}

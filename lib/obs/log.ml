@@ -98,7 +98,7 @@ let protect f =
   Mutex.lock state.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock state.lock) f
 
-let records_c = lazy (Metrics.counter "obs.log.records")
+let records_c = Metrics.counter "obs.log.records"
 
 let set_ring_capacity n =
   protect (fun () ->
@@ -132,7 +132,7 @@ let remove_sink name =
 let clear_sinks () = protect (fun () -> state.sinks <- [])
 
 let push r =
-  Metrics.Counter.incr (Lazy.force records_c);
+  Metrics.Counter.incr records_c;
   protect (fun () ->
       let n = Array.length state.ring in
       state.ring.(state.head) <- Some r;

@@ -13,7 +13,6 @@ type 'v node = {
 }
 
 type 'v t = {
-  name : string;
   capacity : int;
   mutex : Mutex.t;
   table : (string, 'v node) Hashtbl.t;
@@ -22,14 +21,17 @@ type 'v t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
+  (* registry handles, resolved once so [find]/[add] never take the
+     registry's mutex while holding this cache's *)
+  m_hits : Obs.Metrics.Counter.t;
+  m_misses : Obs.Metrics.Counter.t;
+  m_evictions : Obs.Metrics.Counter.t;
+  m_size : Obs.Metrics.Gauge.t;
 }
 
-let metric t suffix = Obs.Metrics.counter ("serve.cache." ^ t.name ^ "." ^ suffix)
-let size_gauge t = Obs.Metrics.gauge ("serve.cache." ^ t.name ^ ".size")
-
 let create ~name ~capacity =
+  let metric suffix = "serve.cache." ^ name ^ "." ^ suffix in
   {
-    name;
     capacity;
     mutex = Mutex.create ();
     table = Hashtbl.create (max 16 capacity);
@@ -38,6 +40,10 @@ let create ~name ~capacity =
     hits = 0;
     misses = 0;
     evictions = 0;
+    m_hits = Obs.Metrics.counter (metric "hits");
+    m_misses = Obs.Metrics.counter (metric "misses");
+    m_evictions = Obs.Metrics.counter (metric "evictions");
+    m_size = Obs.Metrics.gauge (metric "size");
   }
 
 let capacity t = t.capacity
@@ -79,7 +85,7 @@ let evict_tail t =
     unlink t node;
     Hashtbl.remove t.table node.key;
     t.evictions <- t.evictions + 1;
-    Obs.Metrics.Counter.incr (metric t "evictions")
+    Obs.Metrics.Counter.incr t.m_evictions
 
 (* -- public operations -- *)
 
@@ -89,11 +95,11 @@ let find t key =
       | Some node when t.capacity > 0 ->
         touch t node;
         t.hits <- t.hits + 1;
-        Obs.Metrics.Counter.incr (metric t "hits");
+        Obs.Metrics.Counter.incr t.m_hits;
         Some node.value
       | _ ->
         t.misses <- t.misses + 1;
-        Obs.Metrics.Counter.incr (metric t "misses");
+        Obs.Metrics.Counter.incr t.m_misses;
         None)
 
 let add t key value =
@@ -108,7 +114,7 @@ let add t key value =
           Hashtbl.replace t.table key node;
           push_front t node;
           if Hashtbl.length t.table > t.capacity then evict_tail t);
-        Obs.Metrics.Gauge.set (size_gauge t)
+        Obs.Metrics.Gauge.set t.m_size
           (float_of_int (Hashtbl.length t.table)))
 
 let invalidate t pred =
@@ -123,7 +129,7 @@ let invalidate t pred =
           unlink t node;
           Hashtbl.remove t.table node.key)
         doomed;
-      Obs.Metrics.Gauge.set (size_gauge t)
+      Obs.Metrics.Gauge.set t.m_size
         (float_of_int (Hashtbl.length t.table));
       List.length doomed)
 

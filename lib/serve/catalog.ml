@@ -31,10 +31,10 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let registers = lazy (Obs.Metrics.counter "serve.catalog.registers")
-let reuses = lazy (Obs.Metrics.counter "serve.catalog.reuses")
-let refreshes = lazy (Obs.Metrics.counter "serve.catalog.refreshes")
-let datasets = lazy (Obs.Metrics.gauge "serve.catalog.datasets")
+let registers = Obs.Metrics.counter "serve.catalog.registers"
+let reuses = Obs.Metrics.counter "serve.catalog.reuses"
+let refreshes = Obs.Metrics.counter "serve.catalog.refreshes"
+let datasets = Obs.Metrics.gauge "serve.catalog.datasets"
 
 let table_stats db =
   let tables =
@@ -63,7 +63,7 @@ let register t ?(seed = 0) ?(refresh = false) ~name ~scale () =
     locked t (fun () ->
         match Hashtbl.find_opt t.entries key with
         | Some e when not refresh ->
-          Obs.Metrics.Counter.incr (Lazy.force reuses);
+          Obs.Metrics.Counter.incr reuses;
           Ok (e, false)
         | prior ->
           let version =
@@ -72,9 +72,9 @@ let register t ?(seed = 0) ?(refresh = false) ~name ~scale () =
           let e = build s key version in
           Hashtbl.replace t.entries key e;
           if prior = None then t.order <- t.order @ [ key ]
-          else Obs.Metrics.Counter.incr (Lazy.force refreshes);
-          Obs.Metrics.Counter.incr (Lazy.force registers);
-          Obs.Metrics.Gauge.set (Lazy.force datasets)
+          else Obs.Metrics.Counter.incr refreshes;
+          Obs.Metrics.Counter.incr registers;
+          Obs.Metrics.Gauge.set datasets
             (float_of_int (Hashtbl.length t.entries));
           Ok (e, true))
 
@@ -97,7 +97,7 @@ let evict t ?seed ~name ~scale () =
         if present then begin
           Hashtbl.remove t.entries key;
           t.order <- List.filter (fun k -> k <> key) t.order;
-          Obs.Metrics.Gauge.set (Lazy.force datasets)
+          Obs.Metrics.Gauge.set datasets
             (float_of_int (Hashtbl.length t.entries))
         end;
         present)

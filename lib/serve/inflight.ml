@@ -18,27 +18,31 @@ type 'v entry = {
 }
 
 type 'v t = {
-  name : string;
   mutex : Mutex.t;
   table : (string, 'v entry) Hashtbl.t;
   mutable leaders_n : int;
   mutable coalesced_n : int;
   mutable failures_n : int;
+  m_leaders : Obs.Metrics.Counter.t;
+  m_coalesced : Obs.Metrics.Counter.t;
+  m_failures : Obs.Metrics.Counter.t;
 }
 
 type role = Leader | Follower of { leader_trace : string option }
 
-let metric t suffix =
-  Obs.Metrics.counter ("serve.inflight." ^ t.name ^ "." ^ suffix)
-
 let create ?(name = "default") () =
+  let metric suffix =
+    Obs.Metrics.counter ("serve.inflight." ^ name ^ "." ^ suffix)
+  in
   {
-    name;
     mutex = Mutex.create ();
     table = Hashtbl.create 32;
     leaders_n = 0;
     coalesced_n = 0;
     failures_n = 0;
+    m_leaders = metric "leaders";
+    m_coalesced = metric "coalesced";
+    m_failures = metric "failures";
   }
 
 let run t key (f : unit -> 'v) : role * ('v, exn) result =
@@ -61,7 +65,7 @@ let run t key (f : unit -> 'v) : role * ('v, exn) result =
     in
     let r = awaited () in
     Mutex.unlock t.mutex;
-    Obs.Metrics.Counter.incr (metric t "coalesced");
+    Obs.Metrics.Counter.incr t.m_coalesced;
     (Follower { leader_trace = entry.leader_trace }, r)
   | None ->
     let entry =
@@ -70,14 +74,14 @@ let run t key (f : unit -> 'v) : role * ('v, exn) result =
     Hashtbl.replace t.table key entry;
     t.leaders_n <- t.leaders_n + 1;
     Mutex.unlock t.mutex;
-    Obs.Metrics.Counter.incr (metric t "leaders");
+    Obs.Metrics.Counter.incr t.m_leaders;
     let r = match f () with v -> Ok v | exception e -> Error e in
     Mutex.lock t.mutex;
     entry.outcome <- Resolved r;
     (match r with
     | Error _ ->
       t.failures_n <- t.failures_n + 1;
-      Obs.Metrics.Counter.incr (metric t "failures")
+      Obs.Metrics.Counter.incr t.m_failures
     | Ok _ -> ());
     (* Remove before broadcasting: arrivals from here on lead afresh. *)
     Hashtbl.remove t.table key;

@@ -68,13 +68,13 @@ type stats = {
 
 type 'a ticket = ('a, error) result Engine.Pool.future
 
-let submitted = lazy (Obs.Metrics.counter "serve.sched.submitted")
-let rejected = lazy (Obs.Metrics.counter "serve.sched.rejected")
-let completed = lazy (Obs.Metrics.counter "serve.sched.completed")
-let expired = lazy (Obs.Metrics.counter "serve.sched.expired")
-let faulted = lazy (Obs.Metrics.counter "serve.sched.faulted")
-let depth_gauge = lazy (Obs.Metrics.gauge "serve.sched.depth")
-let wait_hist = lazy (Obs.Metrics.histogram "serve.sched.wait_ms")
+let submitted = Obs.Metrics.counter "serve.sched.submitted"
+let rejected = Obs.Metrics.counter "serve.sched.rejected"
+let completed = Obs.Metrics.counter "serve.sched.completed"
+let expired = Obs.Metrics.counter "serve.sched.expired"
+let faulted = Obs.Metrics.counter "serve.sched.faulted"
+let depth_gauge = Obs.Metrics.gauge "serve.sched.depth"
+let wait_hist = Obs.Metrics.histogram "serve.sched.wait_ms"
 
 let create ?pool ~queue_capacity ?default_deadline_ms () =
   {
@@ -99,7 +99,7 @@ let depth (t : t) =
 let queue_capacity (t : t) = t.capacity
 
 let set_depth_gauge (t : t) =
-  Obs.Metrics.Gauge.set (Lazy.force depth_gauge) (float_of_int t.depth)
+  Obs.Metrics.Gauge.set depth_gauge (float_of_int t.depth)
 
 let submit t ?deadline_ms ?budget (f : Whynot.Cancel.t -> 'a) :
     ('a ticket, error) result =
@@ -113,7 +113,7 @@ let submit t ?deadline_ms ?budget (f : Whynot.Cancel.t -> 'a) :
     let d = t.depth in
     t.rejected_n <- t.rejected_n + 1;
     Mutex.unlock t.mutex;
-    Obs.Metrics.Counter.incr (Lazy.force rejected);
+    Obs.Metrics.Counter.incr rejected;
     Obs.Log.warn "sched.reject" (fun () ->
         [ Obs.Log.int "depth" d; Obs.Log.int "capacity" t.capacity ]);
     Error (Overloaded { depth = d; capacity = t.capacity })
@@ -123,7 +123,7 @@ let submit t ?deadline_ms ?budget (f : Whynot.Cancel.t -> 'a) :
     t.submitted_n <- t.submitted_n + 1;
     set_depth_gauge t;
     Mutex.unlock t.mutex;
-    Obs.Metrics.Counter.incr (Lazy.force submitted);
+    Obs.Metrics.Counter.incr submitted;
     Obs.Log.debug "sched.admit" (fun () ->
         [ Obs.Log.int "depth" (t.depth); Obs.Log.int "capacity" t.capacity ]);
     let admitted_ns = Obs.Clock.now_ns () in
@@ -143,7 +143,7 @@ let submit t ?deadline_ms ?budget (f : Whynot.Cancel.t -> 'a) :
       let elapsed_ms =
         float_of_int (Obs.Clock.now_ns () - admitted_ns) /. 1e6
       in
-      Obs.Metrics.Counter.incr (Lazy.force expired);
+      Obs.Metrics.Counter.incr expired;
       Mutex.lock t.mutex;
       t.expired_n <- t.expired_n + 1;
       Mutex.unlock t.mutex;
@@ -168,14 +168,14 @@ let submit t ?deadline_ms ?budget (f : Whynot.Cancel.t -> 'a) :
           let waited_ms =
             float_of_int (Obs.Clock.now_ns () - admitted_ns) /. 1e6
           in
-          Obs.Metrics.Histogram.observe (Lazy.force wait_hist) waited_ms;
+          Obs.Metrics.Histogram.observe wait_hist waited_ms;
           match deadline_ms with
           | Some budget when waited_ms > budget ->
             expire ~phase:None ~budget
           | _ -> (
             match f cancel with
             | v ->
-              Obs.Metrics.Counter.incr (Lazy.force completed);
+              Obs.Metrics.Counter.incr completed;
               Mutex.lock t.mutex;
               t.completed_n <- t.completed_n + 1;
               Mutex.unlock t.mutex;
@@ -184,7 +184,7 @@ let submit t ?deadline_ms ?budget (f : Whynot.Cancel.t -> 'a) :
               (* Retry budget exhausted inside the run: a typed error,
                  not a crashed connection.  The fault is attributed to
                  the failing task (operator/partition or SA/phase). *)
-              Obs.Metrics.Counter.incr (Lazy.force faulted);
+              Obs.Metrics.Counter.incr faulted;
               Mutex.lock t.mutex;
               t.faulted_n <- t.faulted_n + 1;
               Mutex.unlock t.mutex;

@@ -36,7 +36,7 @@ type error =
               during execution at boundary [p] *)
     }
   | Faulted of {
-      task : string;  (** e.g. ["op:⋈#3/p2"] or ["sa:S2/tracing"] *)
+      task : string;  (** e.g. ["prepare/msr"] or ["sa:S2/tracing"] *)
       attempts : int;
       message : string;  (** the last underlying fault *)
     }

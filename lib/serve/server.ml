@@ -876,8 +876,8 @@ let dispatch t (req : Protocol.request) :
         },
       None )
 
-let slo_ok_c = lazy (Obs.Metrics.counter "serve.slo.ok")
-let slo_breach_c = lazy (Obs.Metrics.counter "serve.slo.breach")
+let slo_ok_c = Obs.Metrics.counter "serve.slo.ok"
+let slo_breach_c = Obs.Metrics.counter "serve.slo.breach"
 
 (* Dispatch plus the request's telemetry: admission/response records,
    the per-op latency histogram, SLO burn counters, and the slow-query
@@ -898,7 +898,7 @@ let observe_request t (req : Protocol.request) :
   (match t.cfg.slo_ms with
   | Some slo when op = "explain" ->
     Obs.Metrics.Counter.incr
-      (Lazy.force (if ms <= slo && ok then slo_ok_c else slo_breach_c))
+      (if ms <= slo && ok then slo_ok_c else slo_breach_c)
   | _ -> ());
   let base_fields () =
     [ Obs.Log.str "op" op; Obs.Log.float "ms" ms; Obs.Log.bool "ok" ok ]
@@ -949,9 +949,9 @@ let handle_line t line : string * bool =
 
 (* -- serving loops ------------------------------------------------------- *)
 
-let conn_faults = lazy (Obs.Metrics.counter "serve.conn.faults")
-let conn_rejected = lazy (Obs.Metrics.counter "serve.conn.rejected")
-let accept_retries = lazy (Obs.Metrics.counter "serve.accept.retries")
+let conn_faults = Obs.Metrics.counter "serve.conn.faults"
+let conn_rejected = Obs.Metrics.counter "serve.conn.rejected"
+let accept_retries = Obs.Metrics.counter "serve.accept.retries"
 
 (* input_line with a size bound: a line longer than [max_bytes] is
    consumed (so the stream stays line-synchronized) but reported as
@@ -1017,12 +1017,12 @@ let serve_connection t fd =
     (fun () ->
       try serve_channels t ic oc
       with e ->
-        Obs.Metrics.Counter.incr (Lazy.force conn_faults);
+        Obs.Metrics.Counter.incr conn_faults;
         Logs.debug (fun m ->
             m "serve: connection fault: %s" (Printexc.to_string e)))
 
 let reject_connection fd =
-  Obs.Metrics.Counter.incr (Lazy.force conn_rejected);
+  Obs.Metrics.Counter.incr conn_rejected;
   let line =
     Protocol.response_to_string
       (Protocol.Error
@@ -1047,7 +1047,7 @@ let accept_loop t sock =
   while not (stopping t) do
     match Unix.select [ sock ] [] [] 0.05 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-      Obs.Metrics.Counter.incr (Lazy.force accept_retries)
+      Obs.Metrics.Counter.incr accept_retries
     | [], _, _ -> ()
     | _ :: _, _, _ -> (
       match
@@ -1058,7 +1058,7 @@ let accept_loop t sock =
           Unix.Unix_error
             ((Unix.EINTR | Unix.ECONNABORTED | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
         ->
-        Obs.Metrics.Counter.incr (Lazy.force accept_retries)
+        Obs.Metrics.Counter.incr accept_retries
       | fd, _addr ->
         if stopping t then
           try Unix.close fd with Unix.Unix_error _ -> ()

@@ -224,9 +224,7 @@ let check_equivalence ~partitions ~seed () =
     (fun (name, query) ->
       let expected = Eval.eval db query in
       let actual, _stats =
-        Engine.Exec.run
-          ~config:{ Engine.Exec.partitions; retry = Engine.Fault.no_retry }
-          db query
+        Engine.Exec.run ~partitions db query
       in
       Alcotest.(check string)
         (Fmt.str "%s (partitions=%d)" name partitions)
@@ -279,13 +277,21 @@ let test_shuffle_colocates () =
     shuffled;
   Alcotest.(check int) "every row shuffled" 40 (Engine.Dataset.cardinal shuffled)
 
-(* --- physical-plan analysis --- *)
+(* --- shuffle placement: which operators of a run move rows --- *)
+
+let op_stats stats label =
+  match
+    List.filter
+      (fun o -> o.Engine.Stats.op_label = label)
+      (Engine.Stats.ops stats)
+  with
+  | [ o ] -> o
+  | _ -> Alcotest.fail (Fmt.str "expected one %s operator" label)
 
 let test_plan_stages () =
   let db = mk_db ~seed:1 ~rows:5 in
-  let env = Eval.schema_env db in
   let g = Query.Gen.create () in
-  (* σ and flatten are narrow; groupby shuffles; equi-join shuffles *)
+  (* σ is narrow; the equi-join and the group-by each shuffle *)
   let q =
     Query.group_agg g [ "b" ]
       [ (Agg.Count, None, "n") ]
@@ -294,41 +300,43 @@ let test_plan_stages () =
          (Query.select g Expr.True (Query.table g "r"))
          (Query.table g "s"))
   in
-  let plan = Engine.Plan.analyze ~env q in
+  let _, stats = Engine.Exec.run db q in
   Alcotest.(check int) "three stages (scan, join, aggregate)" 3
-    (Engine.Plan.stage_count plan);
-  (match plan.Engine.Plan.movement with
-  | Engine.Plan.Shuffle key -> Alcotest.(check string) "group key" "b" key
-  | _ -> Alcotest.fail "group-agg must shuffle");
-  let join_node = List.hd plan.Engine.Plan.inputs in
-  match join_node.Engine.Plan.movement with
-  | Engine.Plan.Shuffle key -> Alcotest.(check string) "join key" "a" key
-  | _ -> Alcotest.fail "equi-join must shuffle"
+    (Engine.Stats.stages stats);
+  let shuffled label = (op_stats stats label).Engine.Stats.shuffled_rows in
+  Alcotest.(check int) "selection is narrow" 0
+    (shuffled (Query.op_symbol (Query.Select Expr.True)));
+  Alcotest.(check bool) "equi-join shuffles" true
+    (shuffled (Query.op_symbol (Query.Join (Query.Inner, Expr.True))) > 0);
+  Alcotest.(check bool) "group-agg shuffles" true
+    (shuffled (Query.op_symbol (Query.Group_agg ([], []))) > 0)
 
 let test_plan_gather_on_theta_join () =
   let db = mk_db ~seed:1 ~rows:5 in
-  let env = Eval.schema_env db in
   let g = Query.Gen.create () in
   let q =
     Query.join g Query.Inner
       (Expr.Cmp (Expr.Lt, Expr.attr "a", Expr.attr "c"))
       (Query.table g "r") (Query.table g "s")
   in
-  let plan = Engine.Plan.analyze ~env q in
-  Alcotest.(check string) "theta join gathers" "gather"
-    (Engine.Plan.movement_to_string plan.Engine.Plan.movement)
+  let _, stats = Engine.Exec.run db q in
+  (* a gather moves every input row, a hash shuffle only the rows whose
+     key lands on another partition *)
+  let join = op_stats stats (Query.op_symbol q.Query.node) in
+  Alcotest.(check int) "theta join gathers" join.Engine.Stats.input_rows
+    join.Engine.Stats.shuffled_rows
 
 let test_plan_narrow_pipeline () =
   let db = mk_db ~seed:1 ~rows:5 in
-  let env = Eval.schema_env db in
   let g = Query.Gen.create () in
   let q =
     Query.project_attrs g [ "a" ]
       (Query.select g Expr.True
          (Query.flatten_inner g "kids" (Query.table g "r")))
   in
-  let plan = Engine.Plan.analyze ~env q in
-  Alcotest.(check int) "single stage" 1 (Engine.Plan.stage_count plan)
+  let _, stats = Engine.Exec.run db q in
+  Alcotest.(check int) "single stage" 1 (Engine.Stats.stages stats);
+  Alcotest.(check int) "nothing shuffled" 0 (Engine.Stats.total_shuffled stats)
 
 let () =
   Alcotest.run "engine"

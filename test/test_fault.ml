@@ -1,7 +1,7 @@
 (* Fault tolerance: the typed fault taxonomy, the retry policy, pool
    supervision, and — the property the whole layer exists for — that a
-   chaos run (deterministic transient faults on ~5% of task attempts)
-   produces byte-identical results to a fault-free run. *)
+   chaos run (deterministic transient faults replayed by the pipeline's
+   phase retry) produces byte-identical results to a fault-free run. *)
 
 open Nested
 
@@ -159,85 +159,13 @@ let test_shutdown_drains_stranded_jobs () =
         (i * i) (Engine.Pool.await fut))
     futs
 
-let test_map_array_exhaustion_attribution () =
-  let pool = Engine.Pool.create ~size:2 () in
-  let boom = Failure "flaky shard" in
-  (match
-     Engine.Pool.map_array ~policy:(fast_retries 2) ~label:"op:σ#4" pool
-       (fun i -> if i = 1 then raise (Engine.Fault.Transient boom) else i)
-       [| 0; 1; 2 |]
-   with
-  | _ -> Alcotest.fail "expected Exhausted"
-  | exception Engine.Fault.Exhausted { task; attempts; last } ->
-    Alcotest.(check string) "partition attributed" "op:σ#4/p1" task;
-    Alcotest.(check int) "attempts" 3 attempts;
-    Alcotest.(check bool) "last fault kept" true (last == boom));
-  Engine.Pool.shutdown pool
-
-let test_map_array_retry_recovers () =
-  let pool = Engine.Pool.create ~size:2 () in
-  let failed_once = Atomic.make false in
-  let before = counter_value "engine.task.retries" in
-  let out =
-    Engine.Pool.map_array ~policy:(fast_retries 2) ~label:"t" pool
-      (fun i ->
-        if i = 2 && not (Atomic.exchange failed_once true) then
-          raise (transient "blip");
-        i + 10)
-      (Array.init 5 Fun.id)
-  in
-  Alcotest.(check (array int))
-    "all elements recovered"
-    [| 10; 11; 12; 13; 14 |]
-    out;
-  Alcotest.(check int)
-    "one retry counted" 1
-    (counter_value "engine.task.retries" - before);
-  Engine.Pool.shutdown pool
-
 (* --- determinism under chaos --------------------------------------------- *)
-
-let engine_cfg retry =
-  { Engine.Exec.partitions = 4; retry }
-
-let relation_string r = Value.to_string (Relation.data r)
 
 let scenario_questions () =
   List.map
     (fun (s : Scenarios.Scenario.t) ->
       (s.Scenarios.Scenario.name, s.Scenarios.Scenario.make ~scale:1 ()))
     Scenarios.Registry.all
-
-let test_engine_identical_under_chaos () =
-  let insts = scenario_questions () in
-  let run cfg (inst : Scenarios.Scenario.instance) =
-    let phi = inst.Scenarios.Scenario.question in
-    let r, _ =
-      Engine.Exec.run ~config:cfg phi.Whynot.Question.db
-        phi.Whynot.Question.query
-    in
-    relation_string r
-  in
-  Obs.Faultinject.reset ();
-  let plain =
-    List.map (fun (n, i) -> (n, run (engine_cfg Engine.Fault.no_retry) i)) insts
-  in
-  (* one arming across every scenario: the Flaky consultation count
-     accumulates, so faults land in different operators per scenario *)
-  Obs.Faultinject.arm "engine.partition"
-    (Obs.Faultinject.Flaky { period = 20; exn_ = transient "chaos" });
-  let armed =
-    List.map (fun (n, i) -> (n, run (engine_cfg (fast_retries 3)) i)) insts
-  in
-  let triggered = Obs.Faultinject.fired "engine.partition" in
-  Obs.Faultinject.reset ();
-  Alcotest.(check bool) "chaos actually fired" true (triggered > 0);
-  List.iter2
-    (fun (name, expected) (_, got) ->
-      Alcotest.(check string)
-        (Fmt.str "%s: chaos run identical" name)
-        expected got)
-    plain armed
 
 let result_fingerprint (r : Whynot.Pipeline.result) =
   Json.to_string (Serve.Codec.result_to_json ~timings:false r)
@@ -305,25 +233,55 @@ let test_pipeline_exhaustion_attributed =
   pipeline_exhaustion_attributed ~site:"tracing.relaxed"
     (String.starts_with ~prefix:"sa:S1")
 
-(* ⟦Q⟧_D runs on the engine inside [prepare]; its partition tasks take
-   the pipeline's retry policy, so a faulted partition is replayed from
-   its input, and an exhausted one names the partition task
-   ("op:<symbol>#<id>/p<i>"), not the phase. *)
+(* ⟦Q⟧_D runs on the engine inside [prepare].  The engine does not
+   retry: a fault in its run propagates unwrapped, the [prepare/msr]
+   phase replays the whole run, and an exhausted one names that phase. *)
 let test_pipeline_identical_under_partition_chaos =
-  pipeline_identical_under ~site:"engine.partition" ~period:7
+  pipeline_identical_under ~site:"engine.run" ~period:7
 
 let test_pipeline_partition_exhaustion_attributed =
-  pipeline_exhaustion_attributed ~site:"engine.partition" (fun task ->
-      String.starts_with ~prefix:"op:" task
-      &&
-      match String.rindex_opt task '/' with
-      | Some i -> (
-        try
-          Scanf.sscanf
-            (String.sub task (i + 1) (String.length task - i - 1))
-            "p%u%!" (fun _ -> true)
-        with Scanf.Scan_failure _ | End_of_file | Failure _ -> false)
-      | None -> false)
+  pipeline_exhaustion_attributed ~site:"engine.run" (String.equal "prepare/msr")
+
+(* One faulted engine run is replayed by the phase that owns it: the
+   explanations are byte-identical to an unarmed run, and the retry is
+   marked on the [prepare] [msr] phase span, not on any span of the
+   engine run inside it. *)
+let test_engine_run_replayed_by_phase () =
+  let inst =
+    (Option.get (Scenarios.Registry.find "RE")).Scenarios.Scenario.make
+      ~scale:1 ()
+  in
+  let explain () =
+    Whynot.Pipeline.explain ~retry:(fast_retries 1)
+      ~alternatives:inst.Scenarios.Scenario.alternatives
+      inst.Scenarios.Scenario.question
+  in
+  Obs.Faultinject.reset ();
+  let plain = explain () in
+  Obs.Faultinject.arm "engine.run"
+    (Obs.Faultinject.fail_once (transient "chaos"));
+  let armed = explain () in
+  let fired = Obs.Faultinject.fired "engine.run" in
+  Obs.Faultinject.reset ();
+  Alcotest.(check int) "the engine run faulted once" 1 fired;
+  Alcotest.(check string) "codec JSON byte-identical"
+    (result_fingerprint plain) (result_fingerprint armed);
+  let attempted =
+    Obs.Span.find_all
+      (fun sp -> Option.is_some (Obs.Span.attr sp "attempt"))
+      armed.Whynot.Pipeline.span
+  in
+  match attempted with
+  | [ sp ] ->
+    Alcotest.(check string) "the retried span" "msr" (Obs.Span.name sp);
+    Alcotest.(check bool) "a prepare phase, under the run's root" true
+      (List.memq sp (Obs.Span.children armed.Whynot.Pipeline.span));
+    Alcotest.(check bool) "attempt = 2" true
+      (Obs.Span.attr sp "attempt" = Some (Obs.Span.Int 2))
+  | sps ->
+    Alcotest.fail
+      (Fmt.str "expected one retried span, got [%s]"
+         (String.concat "; " (List.map Obs.Span.name sps)))
 
 (* The share job traces the SA-invariant subtrees once per prepared
    query.  A transient fault there is retried inside the job, so the
@@ -403,11 +361,11 @@ let test_scheduler_maps_exhaustion_to_faulted () =
   let sched = Serve.Scheduler.create ~queue_capacity:4 () in
   (match
      Serve.Scheduler.run sched (fun _cancel ->
-         Engine.Fault.protect ~policy:Engine.Fault.no_retry ~task:"op:⋈#3/p2"
+         Engine.Fault.protect ~policy:Engine.Fault.no_retry ~task:"prepare/msr"
            (fun () -> raise (transient "shard lost")))
    with
   | Error (Serve.Scheduler.Faulted { task; attempts; message }) ->
-    Alcotest.(check string) "task attribution survives" "op:⋈#3/p2" task;
+    Alcotest.(check string) "task attribution survives" "prepare/msr" task;
     Alcotest.(check int) "attempts" 1 attempts;
     Alcotest.(check bool)
       "message carries the fault" true
@@ -505,21 +463,17 @@ let () =
             test_worker_death_detected;
           Alcotest.test_case "shutdown drains stranded jobs" `Quick
             test_shutdown_drains_stranded_jobs;
-          Alcotest.test_case "map_array exhaustion attributed" `Quick
-            test_map_array_exhaustion_attribution;
-          Alcotest.test_case "map_array retry recovers" `Quick
-            test_map_array_retry_recovers;
         ] );
       ( "determinism under chaos",
         [
-          Alcotest.test_case "engine results identical" `Quick
-            test_engine_identical_under_chaos;
           Alcotest.test_case "pipeline results identical" `Quick
             test_pipeline_identical_under_chaos;
           Alcotest.test_case "pipeline under partition faults" `Quick
             test_pipeline_identical_under_partition_chaos;
           Alcotest.test_case "pipeline partition exhaustion attributed" `Quick
             test_pipeline_partition_exhaustion_attributed;
+          Alcotest.test_case "engine run replayed by its phase" `Quick
+            test_engine_run_replayed_by_phase;
           Alcotest.test_case "pipeline exhaustion attributed" `Quick
             test_pipeline_exhaustion_attributed;
           Alcotest.test_case "share job results identical" `Quick

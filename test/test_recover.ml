@@ -1,58 +1,15 @@
-(* Recovery by lineage recompute: a faulted partition task replays from
-   its in-memory input partition, a faulted explain is byte-identical
-   to a clean one with every engine and tracing fault site flaking at
-   once, and a killed pool worker does not lose its job.  Ends with the
-   chaos-coverage lint: every registered fault site must have been
-   armed by some test in this binary. *)
-
-open Nested
-module C = Engine.Columnar
-module D = Engine.Dataset
+(* Recovery by phase replay: a faulted explain is byte-identical to a
+   clean one with the engine-run and every tracing fault site flaking at
+   once — the pipeline's phase retry is the one recovery path, and it
+   recomputes each faulted phase from immutable inputs — and a killed
+   pool worker does not lose its job.  Ends with the chaos-coverage
+   lint: every registered fault site must have been armed by some test
+   in this binary. *)
 
 let transient msg = Engine.Fault.Transient (Failure msg)
 
 let fast_retries n =
   Engine.Fault.retries ~base_backoff_ms:0.0 ~max_backoff_ms:0.0 n
-
-let counter_value name = Obs.Metrics.Counter.value (Obs.Metrics.counter name)
-
-(* --- replay from source -------------------------------------------------- *)
-
-let key_of = function
-  | Value.Tuple fields -> (
-    match List.assoc_opt "k" fields with Some v -> v | None -> Value.Null)
-  | _ -> Value.Null
-
-let shuffle_input () =
-  D.distribute ~partitions:4
-    (List.init 64 (fun i ->
-         Value.Tuple [ ("k", Value.Int (i mod 7)); ("v", Value.Int i) ]))
-
-let sorted_list d = List.sort Value.compare (D.to_list d)
-
-(* A transient fault on a task downstream of a shuffle replays that task
-   from its shuffled input partition, which stays in memory. *)
-let test_replay_from_source_without_barrier () =
-  Obs.Faultinject.reset ();
-  let shuffled, _ =
-    D.shuffle_hashed ~partitions:4
-      (fun b -> Array.map (fun row -> D.value_hash (key_of row)) (C.to_values b))
-      (shuffle_input ())
-  in
-  let replayed0 = counter_value "engine.recover.replayed_partitions" in
-  Obs.Faultinject.arm "engine.partition"
-    (Obs.Faultinject.fail_once (transient "chaos"));
-  let out =
-    D.map_cpartitions ~retry:(fast_retries 3) ~label:"flaky" Fun.id shuffled
-  in
-  Obs.Faultinject.reset ();
-  Alcotest.(check (list string))
-    "replayed run is identical"
-    (List.map Value.to_string (sorted_list shuffled))
-    (List.map Value.to_string (sorted_list out));
-  Alcotest.(check int)
-    "one replay counted" 1
-    (counter_value "engine.recover.replayed_partitions" - replayed0)
 
 (* --- pipeline byte-identity ----------------------------------------------- *)
 
@@ -61,9 +18,9 @@ let result_fingerprint (r : Whynot.Pipeline.result) =
     Fmt.(Dump.list (Dump.list int))
     (Whynot.Pipeline.explanation_sets r)
 
-(* The engine's partition tasks (⟦Q⟧_D), the share job and every SA's
-   relaxed trace flake in the same runs; each fault is replayed from
-   immutable inputs, so the explanations do not move. *)
+(* The engine's run of ⟦Q⟧_D, the share job and every SA's relaxed
+   trace flake in the same runs; each fault is replayed from immutable
+   inputs, so the explanations do not move. *)
 let test_every_site_flaking () =
   let insts =
     List.map
@@ -78,7 +35,7 @@ let test_every_site_flaking () =
          inst.Scenarios.Scenario.question)
   in
   let sites =
-    [ ("engine.partition", 7); ("tracing.relaxed", 3); ("tracing.shared", 2) ]
+    [ ("engine.run", 7); ("tracing.relaxed", 3); ("tracing.shared", 2) ]
   in
   Obs.Faultinject.reset ();
   let plain =
@@ -140,11 +97,6 @@ let test_every_site_armed () =
 let () =
   Alcotest.run "recover"
     [
-      ( "recovery",
-        [
-          Alcotest.test_case "replay from source without barrier" `Quick
-            test_replay_from_source_without_barrier;
-        ] );
       ( "pipeline byte-identity",
         [
           Alcotest.test_case "every site flaking at once" `Quick

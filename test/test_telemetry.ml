@@ -349,9 +349,7 @@ let test_row_fallbacks () =
   let g = Nrab.Query.Gen.create () in
   let before = fallbacks () in
   ignore
-    (Engine.Exec.run
-       ~config:{ Engine.Exec.default_config with partitions = 1 }
-       db
+    (Engine.Exec.run ~partitions:1 db
        (Nrab.Query.flatten_tuple g "q" (Nrab.Query.table g "m")));
   Alcotest.(check bool) "a CBox column takes the per-row path" true
     (fallbacks () > before);
