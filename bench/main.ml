@@ -519,8 +519,7 @@ let ablation () =
      and a retry budget, explains must still complete and produce
      identical explanations, and the overhead is the replayed phases.
      The pipeline's phase retry is the one recovery path: a faulted
-     engine run of ⟦Q⟧_D is replayed whole.  Backoff is zeroed so the
-     column measures recomputation, not sleeping. *)
+     engine run of ⟦Q⟧_D is replayed whole. *)
 
 let chaos_sites = [ "engine.run"; "tracing.relaxed"; "tracing.shared" ]
 
@@ -528,20 +527,19 @@ let bench_chaos ?(scale = 2) () =
   Fmt.pr "@.== Chaos: unarmed-site overhead and armed-retry recovery (scale %d) ==@."
     scale;
   let chaos_exn = Engine.Fault.Transient (Failure "chaos: injected") in
-  let retry = Engine.Fault.retries ~base_backoff_ms:0.0 ~max_backoff_ms:0.0 3 in
   let retries_c = Obs.Metrics.counter "engine.task.retries" in
   List.iter
     (fun name ->
       let inst = instance ~scale (scenario name) in
       let phi = inst.Scenarios.Scenario.question in
-      let run_rp_with ~retry () =
-        Whynot.Pipeline.explain ~retry
+      let run_rp_with ?retries () =
+        Whynot.Pipeline.explain ?retries
           ~alternatives:inst.Scenarios.Scenario.alternatives phi
       in
       Obs.Faultinject.reset ();
       let _, unarmed_q = median_ms "bench.chaos" (fun () -> run_query inst) in
       let plain_rp, unarmed_rp =
-        median_ms "bench.chaos" (run_rp_with ~retry:Engine.Fault.no_retry)
+        median_ms "bench.chaos" (fun () -> run_rp_with ())
       in
       let retries0 = Obs.Metrics.Counter.value retries_c in
       List.iter
@@ -552,7 +550,7 @@ let bench_chaos ?(scale = 2) () =
       let armed_runs = ref [] in
       let _, armed_rp_ms =
         median_ms "bench.chaos" (fun () ->
-            let r = run_rp_with ~retry () in
+            let r = run_rp_with ~retries:3 () in
             armed_runs := r :: !armed_runs;
             r)
       in
@@ -645,7 +643,6 @@ let bench_obs ?(scale = 4) () =
         ])
     [ "D1"; "T2"; "Q3" ];
   Obs.Log.remove_sink "bench.obs.count";
-  Obs.Log.clear_ring ();
   Obs.Log.set_level saved_level
 
 (* --- Approx: budget-ladder speedups (PR acceptance run) -------------------

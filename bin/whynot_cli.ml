@@ -7,6 +7,12 @@
    one span tree per scenario (engine operators included) and writes a
    Chrome trace_event JSON file for chrome://tracing / Perfetto. *)
 
+(* A usage error found after the options parse: the message on stderr
+   and exit 2, as for an unknown option. *)
+let usage_error msg =
+  prerr_endline ("whynot_cli: " ^ msg);
+  exit 2
+
 (* [-log-level L] turns the structured log on at threshold L, mirrored
    to stderr as text (the CLI has no log file of its own). *)
 let apply_log_level = function
@@ -20,7 +26,7 @@ let apply_log_level = function
         Obs.Log.set_level (Some l);
         Obs.Log.add_sink "stderr" Obs.Log.stderr_text_sink
       | None ->
-        failwith
+        usage_error
           (Fmt.str "unknown log level %S (debug|info|warn|error|off)" level)))
 
 (* Declares one option under both of its spellings: [-name] with [doc],
@@ -82,7 +88,7 @@ let pp_approx_report ppf (r : Whynot.Approx.report) =
     | Some b -> Fmt.str " budget_ms=%.0f" b
     | None -> "")
 
-let run_scenario ~scale ~verbose ~metrics ~partitions ~retry ~root
+let run_scenario ~scale ~verbose ~metrics ~retries ~root
     ~approx_cfg (s : Scenarios.Scenario.t) =
   let inst = s.Scenarios.Scenario.make ~scale () in
   let phi = inst.Scenarios.Scenario.question in
@@ -99,18 +105,18 @@ let run_scenario ~scale ~verbose ~metrics ~partitions ~retry ~root
      input/output/shuffled cardinalities one reads off a Spark UI. *)
   (if metrics || Option.is_some root then begin
      let _, stats =
-       Engine.Exec.run ?partitions ?parent:root phi.Whynot.Question.db q
+       Engine.Exec.run ?parent:root phi.Whynot.Question.db q
      in
      if metrics then Fmt.pr "engine stats (original query):@.%a@." Engine.Stats.pp stats
    end);
   (* The budget (if any) starts burning per scenario, not per process. *)
   let approx = Option.map Whynot.Approx.start approx_cfg in
   let rp =
-    Whynot.Pipeline.explain ?approx ~retry ?parent:root
+    Whynot.Pipeline.explain ?approx ~retries ?parent:root
       ~alternatives:inst.Scenarios.Scenario.alternatives phi
   in
   let rpnosa =
-    Whynot.Pipeline.explain ~retry ?parent:root ~use_sas:false phi
+    Whynot.Pipeline.explain ~retries ?parent:root ~use_sas:false phi
   in
   let wnpp = Baselines.Wnpp.explanations ?parent:root phi in
   let conseil = Baselines.Conseil.explanations ?parent:root phi in
@@ -209,13 +215,13 @@ let query_text_of_args ~query ~query_file =
   | "", "" -> None
   | text, "" -> Some text
   | "", file -> Some (String.trim (read_file file))
-  | _ -> failwith "-query and -query-file are mutually exclusive"
+  | _ -> usage_error "-query and -query-file are mutually exclusive"
 
 let parse_alt (spec : string) : string * Nested.Path.t list =
   match String.split_on_char ':' spec with
   | [ table; group ] ->
     (table, List.map Nested.Path.of_string (String.split_on_char '=' group))
-  | _ -> failwith ("invalid -alt spec (want table:a.b=c.d): " ^ spec)
+  | _ -> raise (Arg.Bad ("invalid -alt spec (want table:a.b=c.d): " ^ spec))
 
 let run_explain args =
   let db_file = ref "" and query_file = ref "" and whynot_file = ref "" in
@@ -274,11 +280,11 @@ let run_explain args =
      FILE [options]";
   apply_log_level !log_level;
   if !db_file = "" || !whynot_file = "" then
-    failwith "explain needs -db, a query, and -whynot";
+    usage_error "explain needs -db, a query, and -whynot";
   let db = Nested.Json.db_of_string (read_file !db_file) in
   let query =
     match query_text_of_args ~query:!query_inline ~query_file:!query_file with
-    | None -> failwith "explain needs -query TEXT or -query-file FILE"
+    | None -> usage_error "explain needs -query TEXT or -query-file FILE"
     | Some text -> fst (compile_query_text ~db text)
   in
   let missing = parse_pattern_text (String.trim (read_file !whynot_file)) in
@@ -287,7 +293,9 @@ let run_explain args =
   Fmt.pr "why-not: %a@." Whynot.Nip.pp missing;
   (match Whynot.Question.check_missing phi with
   | Ok () -> ()
-  | Error msg -> failwith ("invalid why-not pattern: " ^ msg));
+  | Error msg ->
+    Fmt.epr "invalid why-not pattern: %s@." msg;
+    exit 1);
   if not (Whynot.Question.is_proper phi) then
     Fmt.pr "WARNING: the answer is not actually missing@.";
   let approx =
@@ -304,7 +312,7 @@ let run_explain args =
   in
   let result =
     Whynot.Pipeline.explain ?approx ~use_sas:!use_sas ~revalidate:!revalidate
-      ~retry:(Engine.Fault.retries (max 0 !task_retries))
+      ~retries:!task_retries
       ~alternatives:(List.rev !alts) phi
   in
   Fmt.pr "%a@." Whynot.Pipeline.pp_result result;
@@ -355,19 +363,20 @@ let run_parse args =
      FILE) [-whynot TEXT]";
   let db =
     match (!db_file, !scenario) with
-    | "", "" -> failwith "parse needs -db FILE or -scenario NAME"
+    | "", "" -> usage_error "parse needs -db FILE or -scenario NAME"
     | file, "" -> Nested.Json.db_of_string (read_file file)
     | "", name -> (
       match Scenarios.Registry.find name with
-      | None -> failwith (Fmt.str "unknown scenario %S (try `whynot_cli list`)" name)
+      | None ->
+        usage_error (Fmt.str "unknown scenario %S (try `whynot_cli list`)" name)
       | Some s ->
         let inst = s.Scenarios.Scenario.make ~scale:!scale () in
         inst.Scenarios.Scenario.question.Whynot.Question.db)
-    | _ -> failwith "-db and -scenario are mutually exclusive"
+    | _ -> usage_error "-db and -scenario are mutually exclusive"
   in
   let text =
     match query_text_of_args ~query:!query_inline ~query_file:!query_file with
-    | None -> failwith "parse needs -query TEXT or -query-file FILE"
+    | None -> usage_error "parse needs -query TEXT or -query-file FILE"
     | Some text -> text
   in
   let q, ty = compile_query_text ~db text in
@@ -395,7 +404,6 @@ let run_scenarios args =
   let metrics = ref false in
   let trace_file = ref "" in
   let names = ref [] in
-  let partitions = ref None in
   let task_retries = ref 0 in
   let budget_ms = ref 0.0 in
   let sample_stride = ref 0 in
@@ -417,9 +425,6 @@ let run_scenarios args =
            explanations carry confidence 1/N)";
         both "top-k" ~arg:"K" (Arg.Set_int top_k)
           "rank only the K best explanations (early-terminating MSR)";
-        both "partitions" ~arg:"N"
-          (Arg.Int (fun n -> partitions := Some n))
-          "engine partition count (default 4)";
         both "task-retries" ~arg:"N" (Arg.Set_int task_retries)
           "retry budget for transient task faults (default 0: fail fast)";
         both "metrics" (Arg.Set metrics)
@@ -477,9 +482,8 @@ let run_scenarios args =
         end
         else None
       in
-      let retry = Engine.Fault.retries (max 0 !task_retries) in
       run_scenario ~scale:!scale ~verbose:!verbose ~metrics:!metrics
-        ~partitions:!partitions ~retry ~root ~approx_cfg s;
+        ~retries:!task_retries ~root ~approx_cfg s;
       Option.iter Obs.Span.finish root)
     scenarios;
   if !metrics then

@@ -280,9 +280,11 @@ let enumerate ?(max_sas = 16) ~(env : Typecheck.env) (q : Query.t)
   let ordered = originals @ others in
   let ordered =
     if List.length ordered > max_sas then (
-      Logs.warn (fun m ->
-          m "schema alternatives truncated: %d candidates, keeping %d"
-            (List.length ordered) max_sas);
+      Obs.Log.warn "alternatives.truncated" (fun () ->
+          [
+            Obs.Log.int "candidates" (List.length ordered);
+            Obs.Log.int "kept" max_sas;
+          ]);
       List.filteri (fun i _ -> i < max_sas) ordered)
     else ordered
   in

@@ -35,8 +35,3 @@ let cancelled t =
   | None -> false
 
 let check t ~where = if cancelled t then raise (Cancelled where)
-
-let remaining_ms t =
-  match t.deadline_ns with
-  | None -> None
-  | Some d -> Some (float_of_int (d - Obs.Clock.now_ns ()) /. 1e6)

@@ -38,7 +38,3 @@ val cancelled : t -> bool
 
 (** [check t ~where] raises [Cancelled where] iff [cancelled t]. *)
 val check : t -> where:string -> unit
-
-(** Milliseconds left until the deadline ([None] when the token has no
-    deadline); negative once the deadline has passed. *)
-val remaining_ms : t -> float option

@@ -56,15 +56,16 @@ let phase_at cursor parent name f =
           ]))
     (fun () -> f sp)
 
-(* Phase bodies are retryable tasks under [retry]: a body that raises
-   {!Engine.Fault.Transient} is recomputed from its (immutable) inputs —
-   the database, the query, the backtrace — so a re-attempt is exact.
-   Cancellation composes: [Cancel.Cancelled] is a permanent fault (never
-   retried), and the abort hook is polled before every re-attempt so a
-   cancelled run stops instead of burning its retry budget.  Retried
-   attempts mark the phase span with an [attempt] attribute. *)
-let protect_phase ~retry ~cancel ~task ~task_id sp f =
-  Engine.Fault.protect ~policy:retry ~task ~task_id
+(* Phase bodies are retryable tasks, re-run up to [retries] times: a
+   body that raises {!Engine.Fault.Transient} is recomputed from its
+   (immutable) inputs — the database, the query, the backtrace — so a
+   re-attempt is exact.  Cancellation composes: [Cancel.Cancelled] is a
+   permanent fault (never retried), and the abort hook is polled before
+   every re-attempt so a cancelled run stops instead of burning its
+   retry budget.  Retried attempts mark the phase span with an
+   [attempt] attribute. *)
+let protect_phase ~retries ~cancel ~task sp f =
+  Engine.Fault.protect ~retries ~task
     ~abort:(fun () ->
       if Cancel.cancelled cancel then Some (Cancel.Cancelled task) else None)
     ~on_retry:(fun ~attempt _ -> Obs.Span.set_int sp "attempt" attempt)
@@ -116,7 +117,6 @@ type handle = {
          one *)
 }
 
-let handle_query h = h.h_query
 let handle_sas h = h.h_sas
 
 (* The one SA of a run without schema alternatives: the query itself. *)
@@ -150,13 +150,13 @@ let handle_prefix h ~use_sas ~max_sas =
 (* Steps 2 (schema alternatives), the ⟦Q⟧_D execution and the shared
    part of step 3, under [root]; step 1 (backtracing) runs per SA since
    the NIPs depend on the substituted attributes. *)
-let prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retry root cursor
+let prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retries root cursor
     ~db q : handle =
   let phase parent name f =
     Cancel.check cancel ~where:name;
     phase_at cursor parent name (fun sp ->
-        protect_phase ~retry ~cancel ~task:("prepare/" ^ name) ~task_id:0 sp
-          (fun () -> f sp))
+        protect_phase ~retries ~cancel ~task:("prepare/" ^ name) sp (fun () ->
+            f sp))
   in
   let env, sas =
     phase root "alternatives" (fun sp ->
@@ -178,8 +178,8 @@ let prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retry root cursor
       Some
         (submit_spanned ~cancel sp (fun _ ->
              let shared =
-               protect_phase ~retry ~cancel ~task:"prepare/tracing" ~task_id:0
-                 sp (fun () -> Tracing.share ~env db sas)
+               protect_phase ~retries ~cancel ~task:"prepare/tracing" sp
+                 (fun () -> Tracing.share ~env db sas)
              in
              Obs.Span.set_int sp "shared_blocks" (Tracing.shared_blocks shared);
              Obs.Span.set_int sp "shared_rows" (Tracing.shared_rows shared);
@@ -238,7 +238,7 @@ let relaxed_of h (sa : Alternatives.sa) =
 
 (* Steps 1, 3, and 4 — the pattern-dependent per-SA chains plus the final
    prune/rank — under [root], reading everything else from the handle. *)
-let run_phases ?approx ~revalidate ~cancel ~retry root cursor
+let run_phases ?approx ~revalidate ~cancel ~retries root cursor
     (h : handle) (sas : Alternatives.sa list) (missing : Nip.t) :
     Explanation.t list * Approx.report option =
   let phase parent name f = phase_at cursor parent name f in
@@ -253,10 +253,9 @@ let run_phases ?approx ~revalidate ~cancel ~retry root cursor
     let checked name f =
       Cancel.check cancel ~where:name;
       phase_at cursor sasp name (fun sp ->
-          protect_phase ~retry ~cancel
+          protect_phase ~retries ~cancel
             ~task:(Fmt.str "sa:S%d/%s" (sa.Alternatives.index + 1) name)
-            ~task_id:sa.Alternatives.index sp
-            (fun () -> f sp))
+            sp (fun () -> f sp))
     in
     let bt =
       checked "backtrace" (fun _ ->
@@ -439,13 +438,12 @@ let finish_cancelled root f =
 
 let prepare ?(use_sas = true) ?(max_sas = 16)
     ?(alternatives : Alternatives.alternatives = []) ?(cancel = Cancel.none)
-    ?(retry = Engine.Fault.no_retry) ?parent ~db (q : Query.t) :
-    handle =
+    ?(retries = 0) ?parent ~db (q : Query.t) : handle =
   let root = Obs.Span.start ?parent "pipeline.prepare" in
   let cursor = ref (Obs.Span.start_ns root) in
   let h =
     finish_cancelled root (fun () ->
-        prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retry root
+        prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retries root
           cursor ~db q)
   in
   Obs.Span.set_int root "sas" (List.length h.h_sas);
@@ -454,7 +452,7 @@ let prepare ?(use_sas = true) ?(max_sas = 16)
   h
 
 let explain_with ?approx ?(use_sas = true) ?max_sas ?(revalidate = true)
-    ?(cancel = Cancel.none) ?(retry = Engine.Fault.no_retry) ?parent
+    ?(cancel = Cancel.none) ?(retries = 0) ?parent
     (h : handle) (missing : Nip.t) : result =
   let sas =
     handle_prefix h ~use_sas
@@ -464,7 +462,7 @@ let explain_with ?approx ?(use_sas = true) ?max_sas ?(revalidate = true)
   let cursor = ref (Obs.Span.start_ns root) in
   let explanations, report =
     finish_cancelled root (fun () ->
-        run_phases ?approx ~revalidate ~cancel ~retry root cursor h sas
+        run_phases ?approx ~revalidate ~cancel ~retries root cursor h sas
           missing)
   in
   Obs.Span.set_int root "sas" (List.length sas);
@@ -481,7 +479,7 @@ let explain_with ?approx ?(use_sas = true) ?max_sas ?(revalidate = true)
 
 let explain ?approx ?(use_sas = true) ?(max_sas = 16) ?(revalidate = true)
     ?(alternatives : Alternatives.alternatives = []) ?(cancel = Cancel.none)
-    ?(retry = Engine.Fault.no_retry) ?parent (phi : Question.t) :
+    ?(retries = 0) ?parent (phi : Question.t) :
     result =
   let root = Obs.Span.start ?parent "pipeline.explain" in
   (* Phase spans are tiled wall-to-wall — the four phase totals account
@@ -491,11 +489,11 @@ let explain ?approx ?(use_sas = true) ?(max_sas = 16) ?(revalidate = true)
   let h, (explanations, report) =
     finish_cancelled root (fun () ->
         let h =
-          prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retry root
+          prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retries root
             cursor ~db:phi.Question.db phi.Question.query
         in
         ( h,
-          run_phases ?approx ~revalidate ~cancel ~retry root cursor h
+          run_phases ?approx ~revalidate ~cancel ~retries root cursor h
             h.h_sas phi.Question.missing ))
   in
   Obs.Span.set_int root "sas" (List.length h.h_sas);

@@ -67,8 +67,8 @@ val schema_env : Relation.Db.t -> Typecheck.env
            boundaries; when it trips, {!Cancel.Cancelled} is raised with
            the boundary's name, and the run's root span is finished with
            a [cancelled_at] attribute (partial-phase attribution)
-    @param retry per-phase task retry policy (default
-           {!Engine.Fault.no_retry}), the pipeline's one recovery path.
+    @param retries how many times a faulted phase is re-run (default 0,
+           no retries), the pipeline's one recovery path.
            A phase body raising {!Engine.Fault.Transient} is recomputed
            from its immutable inputs — a fault in the engine's run of
            ⟦Q⟧_D replays that whole run in the [prepare/msr] phase;
@@ -84,7 +84,7 @@ val explain :
   ?revalidate:bool ->
   ?alternatives:Alternatives.alternatives ->
   ?cancel:Cancel.t ->
-  ?retry:Engine.Fault.policy ->
+  ?retries:int ->
   ?parent:Obs.Span.t ->
   Question.t ->
   result
@@ -126,7 +126,7 @@ type handle
     two cost the longer of them, not the sum.  The job's
     [tracing.shared] span carries [queued_ms], [shared_blocks] and
     [shared_rows]; a [tracing] child after [msr] covers the wait for the
-    job, if any.  The job retries under [retry] as task
+    job, if any.  The job retries under [retries] as task
     ["prepare/tracing"], and a cancelled run drops it if it has not
     started. *)
 val prepare :
@@ -134,13 +134,12 @@ val prepare :
   ?max_sas:int ->
   ?alternatives:Alternatives.alternatives ->
   ?cancel:Cancel.t ->
-  ?retry:Engine.Fault.policy ->
+  ?retries:int ->
   ?parent:Obs.Span.t ->
   db:Nested.Relation.Db.t ->
   Query.t ->
   handle
 
-val handle_query : handle -> Query.t
 val handle_sas : handle -> Alternatives.sa list
 
 (** Answer one why-not pattern from a prepared handle.  The result is
@@ -167,7 +166,7 @@ val explain_with :
   ?max_sas:int ->
   ?revalidate:bool ->
   ?cancel:Cancel.t ->
-  ?retry:Engine.Fault.policy ->
+  ?retries:int ->
   ?parent:Obs.Span.t ->
   handle ->
   Nip.t ->

@@ -107,10 +107,6 @@ let elems (v : t) : (t * int) list =
   | Bool _ | Int _ | Float _ | String _ | Tuple _ ->
     invalid_arg "Value.elems: not a bag"
 
-let is_empty_bag = function
-  | Bag [] | Null -> true
-  | Bag _ | Bool _ | Int _ | Float _ | String _ | Tuple _ -> false
-
 let cardinal (v : t) : int =
   List.fold_left (fun acc (_, m) -> acc + m) 0 (elems v)
 
@@ -146,9 +142,6 @@ let bag_filter p a = bag (List.filter (fun (v, _) -> p v) (elems a))
 
 let dedup a = bag (List.map (fun (v, _) -> (v, 1)) (elems a))
 
-let bag_fold f init a =
-  List.fold_left (fun acc (v, m) -> f acc v m) init (elems a)
-
 (* Expanded element list: each element repeated [multiplicity] times. *)
 let expand (a : t) : t list =
   List.concat_map (fun (v, m) -> List.init m (fun _ -> v)) (elems a)
@@ -181,5 +174,4 @@ let to_string v = Fmt.str "%a" pp v
 (* Convenience constructors *)
 let str s = String s
 let int i = Int i
-let boolean b = Bool b
 let float f = Float f

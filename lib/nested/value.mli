@@ -37,7 +37,6 @@ val empty_bag : t
 val tuple : (string * t) list -> t
 val str : string -> t
 val int : int -> t
-val boolean : bool -> t
 val float : float -> t
 
 (** {1 Tuple accessors} *)
@@ -61,8 +60,6 @@ val labels : t -> string list
     bag; raises on other non-bags. *)
 val elems : t -> (t * int) list
 
-val is_empty_bag : t -> bool
-
 (** Total multiplicity. *)
 val cardinal : t -> int
 
@@ -83,8 +80,6 @@ val bag_filter : (t -> bool) -> t -> t
 
 (** Duplicate elimination: every multiplicity becomes 1. *)
 val dedup : t -> t
-
-val bag_fold : ('a -> t -> int -> 'a) -> 'a -> t -> 'a
 
 (** Elements expanded to their multiplicities (each element repeated). *)
 val expand : t -> t list

@@ -204,4 +204,3 @@ let rec pp_pred ppf (p : pred) =
   | Contains (e, s) -> Fmt.pf ppf "%a contains %S" pp e s
 
 let to_string e = Fmt.str "%a" pp e
-let pred_to_string p = Fmt.str "%a" pp_pred p

@@ -92,4 +92,3 @@ val pp_cmp : Format.formatter -> cmp -> unit
 val pp : Format.formatter -> t -> unit
 val pp_pred : Format.formatter -> pred -> unit
 val to_string : t -> string
-val pred_to_string : pred -> string

@@ -270,5 +270,3 @@ let query_of_string ?gen (s : string) : Query.t =
   query_of_sexp ?gen (Sexp.of_string s)
 
 let query_to_string (q : Query.t) : string = Sexp.to_string (query_to_sexp q)
-let pred_of_string (s : string) : Expr.pred = pred_of_sexp (Sexp.of_string s)
-let expr_of_string (s : string) : Expr.t = expr_of_sexp (Sexp.of_string s)

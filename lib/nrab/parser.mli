@@ -45,5 +45,3 @@ val query_to_sexp : Query.t -> Sexp.t
 
 val query_of_string : ?gen:Query.Gen.t -> string -> Query.t
 val query_to_string : Query.t -> string
-val pred_of_string : string -> Expr.pred
-val expr_of_string : string -> Expr.t

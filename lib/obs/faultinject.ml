@@ -66,13 +66,6 @@ let arm name action =
       Hashtbl.replace armed_log name ();
       recount ())
 
-let disarm name =
-  locked (fun () ->
-      (match Hashtbl.find_opt table name with
-      | Some s -> s.action <- None
-      | None -> ());
-      recount ())
-
 let reset () =
   locked (fun () ->
       Hashtbl.reset table;

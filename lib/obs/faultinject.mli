@@ -53,8 +53,6 @@ val fail_once : exn -> action
     zeroing the Flaky consultation count). *)
 val arm : string -> action -> unit
 
-val disarm : string -> unit
-
 (** Disarm every site and zero the per-site trigger counts. *)
 val reset : unit -> unit
 

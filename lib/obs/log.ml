@@ -10,9 +10,7 @@
    per-call-site cost of disabled logging is the thunk closure plus the
    load (benched in `bench obs`, recorded in BENCH_PR6.json).
 
-   Enabled records go to a bounded ring buffer (the last N records are
-   always inspectable — tests and the telemetry verb read it) and to
-   every registered sink.  Built-in sinks: human text on stderr,
+   Enabled records go to every registered sink.  Built-in sinks: human text on stderr,
    JSON-lines to a channel (each record flushed, so a live server's log
    file is greppable mid-run), and an in-memory collector for tests.
    Sink emission is serialized by one mutex — sinks never interleave
@@ -73,54 +71,19 @@ type record = {
   fields : field list;
 }
 
-(* -- ring buffer + sinks -------------------------------------------------- *)
+(* -- sinks ---------------------------------------------------------------- *)
 
 type sink = record -> unit
 
-type state = {
-  mutable ring : record option array;
-  mutable head : int;  (* next write slot *)
-  mutable stored : int;  (* total records ever stored *)
-  mutable sinks : (string * sink) list;
-  lock : Mutex.t;
-}
+type state = { mutable sinks : (string * sink) list; lock : Mutex.t }
 
-let state =
-  {
-    ring = Array.make 512 None;
-    head = 0;
-    stored = 0;
-    sinks = [];
-    lock = Mutex.create ();
-  }
+let state = { sinks = []; lock = Mutex.create () }
 
 let protect f =
   Mutex.lock state.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock state.lock) f
 
 let records_c = Metrics.counter "obs.log.records"
-
-let set_ring_capacity n =
-  protect (fun () ->
-      state.ring <- Array.make (max 1 n) None;
-      state.head <- 0)
-
-let recent () =
-  protect (fun () ->
-      let n = Array.length state.ring in
-      let out = ref [] in
-      for i = 0 to n - 1 do
-        (* oldest-first: walk forward from the write head *)
-        match state.ring.((state.head + i) mod n) with
-        | Some r -> out := r :: !out
-        | None -> ()
-      done;
-      List.rev !out)
-
-let clear_ring () =
-  protect (fun () ->
-      Array.fill state.ring 0 (Array.length state.ring) None;
-      state.head <- 0)
 
 let add_sink name sink =
   protect (fun () ->
@@ -129,15 +92,9 @@ let add_sink name sink =
 let remove_sink name =
   protect (fun () -> state.sinks <- List.remove_assoc name state.sinks)
 
-let clear_sinks () = protect (fun () -> state.sinks <- [])
-
 let push r =
   Metrics.Counter.incr records_c;
   protect (fun () ->
-      let n = Array.length state.ring in
-      state.ring.(state.head) <- Some r;
-      state.head <- (state.head + 1) mod n;
-      state.stored <- state.stored + 1;
       (* Sinks run under the lock: records in a file sink never
          interleave.  Sinks must not log (they would deadlock). *)
       List.iter

@@ -1,11 +1,9 @@
 (** Leveled structured logging — typed key→value records with monotone
     timestamps ({!Clock}), ambient trace-id stamping
-    ({!Trace_context}), a bounded in-process ring buffer, and pluggable
-    sinks.
+    ({!Trace_context}), and pluggable sinks.
 
     The level gate is one atomic load: a call at a disabled level never
-    evaluates its field thunk.  Records that pass the gate are stored
-    in the ring (the last N records are always inspectable) and handed
+    evaluates its field thunk.  Records that pass the gate are handed
     to each registered sink under one lock, so sink output never
     interleaves.
 
@@ -56,16 +54,6 @@ val info : string -> (unit -> field list) -> unit
 val warn : string -> (unit -> field list) -> unit
 val err : string -> (unit -> field list) -> unit
 
-(** {1 Ring buffer} *)
-
-(** Replace the ring (default capacity 512), dropping stored records. *)
-val set_ring_capacity : int -> unit
-
-(** Stored records, oldest first (at most the ring capacity). *)
-val recent : unit -> record list
-
-val clear_ring : unit -> unit
-
 (** {1 Sinks} *)
 
 (** [add_sink name sink] registers (or replaces) a named sink.  Sinks
@@ -74,7 +62,6 @@ val clear_ring : unit -> unit
 val add_sink : string -> (record -> unit) -> unit
 
 val remove_sink : string -> unit
-val clear_sinks : unit -> unit
 
 (** Human-readable single-line rendering. *)
 val pp_text : Format.formatter -> record -> unit

@@ -39,6 +39,3 @@ let ids_by_symbol (q : Query.t) : (string * int) list =
   List.map
     (fun (op : Query.t) -> (Query.op_symbol op.Query.node, op.Query.id))
     (Query.operators q)
-
-let pp_instance ppf (i : instance) =
-  Fmt.pf ppf "%a" Whynot.Question.pp i.question

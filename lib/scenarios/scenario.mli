@@ -31,5 +31,3 @@ val family_to_string : family -> string
 
 (** (operator symbol, id) pairs of a query, in topological order. *)
 val ids_by_symbol : Query.t -> (string * int) list
-
-val pp_instance : Format.formatter -> instance -> unit

@@ -432,9 +432,7 @@ let handle_explain t ~dataset ~scale ~seed ~query ~query_name ~pattern
                       let h =
                         Whynot.Pipeline.prepare ~use_sas:true
                           ~max_sas:(prepared_max_sas options) ~alternatives
-                          ~cancel
-                          ~retry:(Engine.Fault.retries t.cfg.task_retries)
-                          ~db q
+                          ~cancel ~retries:t.cfg.task_retries ~db q
                       in
                       bump t (fun t -> t.prepares <- t.prepares + 1);
                       Cache.add t.handle_cache hkey h;
@@ -450,7 +448,7 @@ let handle_explain t ~dataset ~scale ~seed ~query ~query_name ~pattern
               ~use_sas:options.Protocol.use_sas
               ~max_sas:options.Protocol.max_sas
               ~revalidate:options.Protocol.revalidate ~cancel
-              ~retry:(Engine.Fault.retries t.cfg.task_retries)
+              ~retries:t.cfg.task_retries
               handle missing
           in
           let payload = Codec.result_to_json ~timings:t.cfg.timings result in
@@ -1018,8 +1016,8 @@ let serve_connection t fd =
       try serve_channels t ic oc
       with e ->
         Obs.Metrics.Counter.incr conn_faults;
-        Logs.debug (fun m ->
-            m "serve: connection fault: %s" (Printexc.to_string e)))
+        Obs.Log.debug "serve.connection_fault" (fun () ->
+            [ Obs.Log.str "error" (Printexc.to_string e) ]))
 
 let reject_connection fd =
   Obs.Metrics.Counter.incr conn_rejected;

@@ -32,8 +32,8 @@ type config = {
   queue_capacity : int;  (** scheduler admission bound *)
   default_deadline_ms : float option;
   task_retries : int;
-      (** transient-fault retry budget per pipeline task (0 = fail
-          fast); see {!Engine.Fault.retries} *)
+      (** how many times a pipeline phase that raised a transient fault
+          is re-run (0 = fail fast); see {!Engine.Fault.protect} *)
   timings : bool;
       (** include wall-clock timings in responses; [false] makes
           responses fully deterministic (the smoke test diffs them) *)

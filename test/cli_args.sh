@@ -1,7 +1,8 @@
 #!/bin/sh
 # Option errors in each verb of whynot_cli (scenarios, explain, parse):
-# -help prints the usage on stdout and exits 0; an unknown option prints
-# a message on stderr and exits 2 — never an uncaught exception.
+# -help prints the usage on stdout and exits 0; an unknown option, a
+# missing required option or a bad option value prints a message on
+# stderr and exits 2 — never an uncaught exception.
 #
 #   sh test/cli_args.sh _build/default/bin/whynot_cli.exe
 cli=$1
@@ -27,6 +28,21 @@ for verb in "" explain parse; do
   *"Fatal error"*) fail "$name -bogus raised: $err" ;;
   *"unknown option '-bogus'"*) ;;
   *) fail "$name -bogus printed no message: $err" ;;
+  esac
+done
+# usage errors found after the options parse: "<args>|<expected message>"
+for case in "explain|explain needs -db" \
+  "parse -scenario RE|parse needs -query" \
+  "RE -log-level bogus|unknown log level"; do
+  args=${case%%|*}
+  want=${case#*|}
+  err=$($cli $args 2>&1 >/dev/null)
+  code=$?
+  [ "$code" -eq 2 ] || fail "'$args' exited $code"
+  case $err in
+  *"Fatal error"*) fail "'$args' raised: $err" ;;
+  *"$want"*) ;;
+  *) fail "'$args' printed no message: $err" ;;
   esac
 done
 exit $status

@@ -1,4 +1,4 @@
-(* Fault tolerance: the typed fault taxonomy, the retry policy, pool
+(* Fault tolerance: transient faults, the retry loop, pool
    supervision, and — the property the whole layer exists for — that a
    chaos run (deterministic transient faults replayed by the pipeline's
    phase retry) produces byte-identical results to a fault-free run. *)
@@ -7,63 +7,15 @@ open Nested
 
 let transient msg = Engine.Fault.Transient (Failure msg)
 
-let fast_retries n =
-  (* zero backoff: tests measure semantics, not sleeping *)
-  Engine.Fault.retries ~base_backoff_ms:0.0 ~max_backoff_ms:0.0 n
-
 let counter_value name = Obs.Metrics.Counter.value (Obs.Metrics.counter name)
 
-(* --- taxonomy and policy ------------------------------------------------- *)
-
-let test_classify () =
-  Alcotest.(check bool)
-    "Transient is transient" true
-    (Engine.Fault.classify (transient "x") = Engine.Fault.Transient_fault);
-  Alcotest.(check bool)
-    "plain exn is permanent" true
-    (Engine.Fault.classify (Failure "x") = Engine.Fault.Permanent_fault);
-  Alcotest.(check bool)
-    "cancellation is permanent" true
-    (Engine.Fault.classify (Whynot.Cancel.Cancelled "deadline")
-    = Engine.Fault.Permanent_fault);
-  let inner = Failure "io" in
-  Alcotest.(check bool)
-    "unwrap strips one layer" true
-    (Engine.Fault.unwrap (Engine.Fault.Transient inner) == inner);
-  Alcotest.(check bool)
-    "unwrap is identity on permanent" true
-    (Engine.Fault.unwrap inner == inner)
-
-let test_backoff_deterministic_and_bounded () =
-  let p = Engine.Fault.retries ~base_backoff_ms:2.0 ~max_backoff_ms:10.0 6 in
-  for task_id = 0 to 3 do
-    for attempt = 1 to 6 do
-      let a = Engine.Fault.backoff_ms p ~task_id ~attempt in
-      let b = Engine.Fault.backoff_ms p ~task_id ~attempt in
-      Alcotest.(check (float 0.0))
-        (Fmt.str "deterministic (task %d attempt %d)" task_id attempt)
-        a b;
-      Alcotest.(check bool)
-        "within [0, max_backoff]" true
-        (a >= 0.0 && a <= p.Engine.Fault.max_backoff_ms)
-    done
-  done;
-  (* distinct tasks jitter apart (the factor is task-id-derived): at
-     least one pair of task ids must disagree on the same attempt *)
-  let all_equal =
-    List.for_all
-      (fun tid ->
-        Engine.Fault.backoff_ms p ~task_id:tid ~attempt:1
-        = Engine.Fault.backoff_ms p ~task_id:0 ~attempt:1)
-      [ 1; 2; 3; 4; 5 ]
-  in
-  Alcotest.(check bool) "jitter separates task ids" false all_equal
+(* --- protect ------------------------------------------------------------- *)
 
 let test_protect_recovers () =
   let tries = ref 0 in
   let retried_at = ref [] in
   let r =
-    Engine.Fault.protect ~policy:(fast_retries 3) ~task:"flaky" ~task_id:7
+    Engine.Fault.protect ~retries:3 ~task:"flaky"
       ~on_retry:(fun ~attempt _ -> retried_at := attempt :: !retried_at)
       (fun () ->
         incr tries;
@@ -77,20 +29,30 @@ let test_protect_recovers () =
 let test_protect_permanent_not_retried () =
   let tries = ref 0 in
   (match
-     Engine.Fault.protect ~policy:(fast_retries 5) (fun () ->
+     Engine.Fault.protect ~retries:5 (fun () ->
          incr tries;
          failwith "permanent")
    with
   | _ -> Alcotest.fail "expected Failure"
   | exception Failure _ -> ());
-  Alcotest.(check int) "one attempt only" 1 !tries
+  Alcotest.(check int) "one attempt only" 1 !tries;
+  (* a cancelled run must not retry: cancellation is permanent *)
+  let tries = ref 0 in
+  (match
+     Engine.Fault.protect ~retries:5 (fun () ->
+         incr tries;
+         raise (Whynot.Cancel.Cancelled "deadline"))
+   with
+  | _ -> Alcotest.fail "expected Cancelled"
+  | exception Whynot.Cancel.Cancelled _ -> ());
+  Alcotest.(check int) "cancellation is permanent" 1 !tries
 
 let test_protect_exhaustion () =
   let boom = Failure "disk on fire" in
   let before = counter_value "engine.task.exhausted" in
   (match
-     Engine.Fault.protect ~policy:(fast_retries 2) ~task:"op:x#1/p3"
-       ~task_id:3 (fun () -> raise (Engine.Fault.Transient boom))
+     Engine.Fault.protect ~retries:2 ~task:"op:x#1/p3" (fun () ->
+         raise (Engine.Fault.Transient boom))
    with
   | _ -> Alcotest.fail "expected Exhausted"
   | exception Engine.Fault.Exhausted { task; attempts; last } ->
@@ -99,7 +61,15 @@ let test_protect_exhaustion () =
     Alcotest.(check bool) "last fault unwrapped" true (last == boom));
   Alcotest.(check int)
     "exhaustion counted" 1
-    (counter_value "engine.task.exhausted" - before)
+    (counter_value "engine.task.exhausted" - before);
+  (* a negative budget is clamped to no retries: one attempt *)
+  match
+    Engine.Fault.protect ~retries:(-3) (fun () ->
+        raise (Engine.Fault.Transient boom))
+  with
+  | _ -> Alcotest.fail "expected Exhausted"
+  | exception Engine.Fault.Exhausted { attempts; _ } ->
+    Alcotest.(check int) "negative retries clamped" 1 attempts
 
 let test_abort_suppresses_retries () =
   (* cancellation composes with retries: the abort hook is polled before
@@ -108,7 +78,7 @@ let test_abort_suppresses_retries () =
   let cancel = Whynot.Cancel.create () in
   let tries = ref 0 in
   (match
-     Engine.Fault.protect ~policy:(fast_retries 5)
+     Engine.Fault.protect ~retries:5
        ~abort:(fun () ->
          if Whynot.Cancel.cancelled cancel then
            Some (Whynot.Cancel.Cancelled "retry-gate")
@@ -175,18 +145,18 @@ let result_fingerprint (r : Whynot.Pipeline.result) =
    so the explanation JSON and the ranking match the unarmed run. *)
 let pipeline_identical_under ~site ~period () =
   let insts = scenario_questions () in
-  let run ~retry (inst : Scenarios.Scenario.instance) =
-    Whynot.Pipeline.explain ~retry
+  let run ~retries (inst : Scenarios.Scenario.instance) =
+    Whynot.Pipeline.explain ~retries
       ~alternatives:inst.Scenarios.Scenario.alternatives
       inst.Scenarios.Scenario.question
   in
   Obs.Faultinject.reset ();
   let plain =
-    List.map (fun (n, i) -> (n, run ~retry:Engine.Fault.no_retry i)) insts
+    List.map (fun (n, i) -> (n, run ~retries:0 i)) insts
   in
   Obs.Faultinject.arm site
     (Obs.Faultinject.Flaky { period; exn_ = transient "chaos" });
-  let armed = List.map (fun (n, i) -> (n, run ~retry:(fast_retries 3) i)) insts in
+  let armed = List.map (fun (n, i) -> (n, run ~retries:3 i)) insts in
   let triggered = Obs.Faultinject.fired site in
   Obs.Faultinject.reset ();
   Alcotest.(check bool) "chaos actually fired" true (triggered > 0);
@@ -212,7 +182,7 @@ let pipeline_exhaustion_attributed ~site task_ok () =
   Obs.Faultinject.arm site
     (Obs.Faultinject.Fail { times = -1; exn_ = transient "hard chaos" });
   (match
-     Whynot.Pipeline.explain ~retry:(fast_retries 2)
+     Whynot.Pipeline.explain ~retries:2
        ~alternatives:inst.Scenarios.Scenario.alternatives
        inst.Scenarios.Scenario.question
    with
@@ -252,7 +222,7 @@ let test_engine_run_replayed_by_phase () =
       ~scale:1 ()
   in
   let explain () =
-    Whynot.Pipeline.explain ~retry:(fast_retries 1)
+    Whynot.Pipeline.explain ~retries:1
       ~alternatives:inst.Scenarios.Scenario.alternatives
       inst.Scenarios.Scenario.question
   in
@@ -312,8 +282,8 @@ let test_kept_relaxed_traces_under_chaos () =
     Whynot.Pipeline.prepare ~alternatives ~db:phi.Whynot.Question.db
       phi.Whynot.Question.query
   in
-  let explain ?use_sas ~retry () =
-    Whynot.Pipeline.explain_with ?use_sas ~retry h phi.Whynot.Question.missing
+  let explain ?use_sas ~retries () =
+    Whynot.Pipeline.explain_with ?use_sas ~retries h phi.Whynot.Question.missing
   in
   let reused (r : Whynot.Pipeline.result) =
     List.map
@@ -328,12 +298,12 @@ let test_kept_relaxed_traces_under_chaos () =
   let n_sas = List.length (Whynot.Pipeline.handle_sas h) in
   Obs.Faultinject.arm "tracing.relaxed"
     (Obs.Faultinject.Flaky { period = 1; exn_ = transient "chaos" });
-  (match explain ~use_sas:false ~retry:Engine.Fault.no_retry () with
+  (match explain ~use_sas:false ~retries:0 () with
   | _ -> Alcotest.fail "expected Exhausted"
   | exception Engine.Fault.Exhausted _ -> ());
   Obs.Faultinject.arm "tracing.relaxed"
     (Obs.Faultinject.Flaky { period = 2; exn_ = transient "chaos" });
-  let first = explain ~retry:(fast_retries 3) () in
+  let first = explain ~retries:3 () in
   Alcotest.(check bool) "chaos fired on the first fill" true
     (Obs.Faultinject.fired "tracing.relaxed" > 1);
   Alcotest.(check (list bool)) "the faulted evaluation published nothing"
@@ -343,7 +313,7 @@ let test_kept_relaxed_traces_under_chaos () =
     (result_fingerprint first);
   let fired = Obs.Faultinject.fired "tracing.relaxed" in
   let faults = counter_value "fault.tracing.relaxed" in
-  let second = explain ~retry:(fast_retries 3) () in
+  let second = explain ~retries:3 () in
   Alcotest.(check (list bool)) "every slot read"
     (List.init n_sas (fun _ -> true))
     (reused second);
@@ -361,8 +331,8 @@ let test_scheduler_maps_exhaustion_to_faulted () =
   let sched = Serve.Scheduler.create ~queue_capacity:4 () in
   (match
      Serve.Scheduler.run sched (fun _cancel ->
-         Engine.Fault.protect ~policy:Engine.Fault.no_retry ~task:"prepare/msr"
-           (fun () -> raise (transient "shard lost")))
+         Engine.Fault.protect ~task:"prepare/msr" (fun () ->
+             raise (transient "shard lost")))
    with
   | Error (Serve.Scheduler.Faulted { task; attempts; message }) ->
     Alcotest.(check string) "task attribution survives" "prepare/msr" task;
@@ -440,12 +410,6 @@ let () =
   at_exit Engine.Pool.shutdown_default;
   Alcotest.run "fault"
     [
-      ( "taxonomy",
-        [
-          Alcotest.test_case "classify and unwrap" `Quick test_classify;
-          Alcotest.test_case "backoff deterministic, bounded" `Quick
-            test_backoff_deterministic_and_bounded;
-        ] );
       ( "protect",
         [
           Alcotest.test_case "recovers after transient faults" `Quick

@@ -190,13 +190,12 @@ let test_cumulative_buckets () =
 
 (* --- structured logging ---------------------------------------------------- *)
 
-(* The global log level/sink/ring state is restored after each test. *)
+(* The global log level and sink state are restored after each test. *)
 let with_log_state f =
   let saved = Obs.Log.level () in
   Fun.protect
     ~finally:(fun () ->
       Obs.Log.remove_sink "test.mem";
-      Obs.Log.set_ring_capacity 512;
       Obs.Log.set_level saved)
     f
 
@@ -221,21 +220,6 @@ let test_log_gating () =
       evaluated := true;
       []);
   Alcotest.(check bool) "enabled level evaluates" true !evaluated
-
-let test_log_ring_wraparound () =
-  with_log_state @@ fun () ->
-  Obs.Log.set_level (Some Obs.Log.Info);
-  Obs.Log.set_ring_capacity 4;
-  for i = 1 to 6 do
-    Obs.Log.info (Fmt.str "e%d" i) (fun () -> [ Obs.Log.int "i" i ])
-  done;
-  Alcotest.(check (list string))
-    "ring keeps the last N, oldest first"
-    [ "e3"; "e4"; "e5"; "e6" ]
-    (List.map (fun r -> r.Obs.Log.event) (Obs.Log.recent ()));
-  Obs.Log.clear_ring ();
-  Alcotest.(check int) "clear empties the ring" 0
-    (List.length (Obs.Log.recent ()))
 
 let test_log_sinks () =
   with_log_state @@ fun () ->
@@ -444,7 +428,6 @@ let () =
       ( "log",
         [
           Alcotest.test_case "level gating" `Quick test_log_gating;
-          Alcotest.test_case "ring wraparound" `Quick test_log_ring_wraparound;
           Alcotest.test_case "sinks" `Quick test_log_sinks;
         ] );
       ( "trace_context",

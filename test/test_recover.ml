@@ -8,9 +8,6 @@
 
 let transient msg = Engine.Fault.Transient (Failure msg)
 
-let fast_retries n =
-  Engine.Fault.retries ~base_backoff_ms:0.0 ~max_backoff_ms:0.0 n
-
 (* --- pipeline byte-identity ----------------------------------------------- *)
 
 let result_fingerprint (r : Whynot.Pipeline.result) =
@@ -28,9 +25,9 @@ let test_every_site_flaking () =
         (s.Scenarios.Scenario.name, s.Scenarios.Scenario.make ~scale:1 ()))
       Scenarios.Registry.all
   in
-  let explain ~retry (inst : Scenarios.Scenario.instance) =
+  let explain ~retries (inst : Scenarios.Scenario.instance) =
     result_fingerprint
-      (Whynot.Pipeline.explain ~retry
+      (Whynot.Pipeline.explain ~retries
          ~alternatives:inst.Scenarios.Scenario.alternatives
          inst.Scenarios.Scenario.question)
   in
@@ -39,7 +36,7 @@ let test_every_site_flaking () =
   in
   Obs.Faultinject.reset ();
   let plain =
-    List.map (fun (n, i) -> (n, explain ~retry:Engine.Fault.no_retry i)) insts
+    List.map (fun (n, i) -> (n, explain ~retries:0 i)) insts
   in
   List.iter
     (fun (site, period) ->
@@ -47,7 +44,7 @@ let test_every_site_flaking () =
         (Obs.Faultinject.Flaky { period; exn_ = transient "chaos" }))
     sites;
   let armed =
-    List.map (fun (n, i) -> (n, explain ~retry:(fast_retries 3) i)) insts
+    List.map (fun (n, i) -> (n, explain ~retries:3 i)) insts
   in
   let fired = List.map (fun (site, _) -> (site, Obs.Faultinject.fired site)) sites in
   Obs.Faultinject.reset ();

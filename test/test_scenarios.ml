@@ -235,6 +235,39 @@ let unique_op_ids () =
         sas)
     Scenarios.Registry.all
 
+(* Truncating the enumeration at [max_sas] is reported once on the
+   structured log, with the candidate count and how many were kept. *)
+let truncation_logged () =
+  let inst = instance_of (Option.get (Scenarios.Registry.find "D3")) in
+  let phi = inst.Scenarios.Scenario.question in
+  let env = Whynot.Pipeline.schema_env phi.Whynot.Question.db in
+  let enumerate ?max_sas () =
+    Whynot.Alternatives.enumerate ?max_sas ~env phi.Whynot.Question.query
+      inst.Scenarios.Scenario.alternatives
+  in
+  let n = List.length (enumerate ()) in
+  Alcotest.(check bool) "D3 has at least two SAs" true (n >= 2);
+  let saved = Obs.Log.level () in
+  let sink, seen = Obs.Log.memory_sink () in
+  Obs.Log.set_level (Some Obs.Log.Warn);
+  Obs.Log.add_sink "test.truncation" sink;
+  let sas =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Log.remove_sink "test.truncation";
+        Obs.Log.set_level saved)
+      (fun () -> enumerate ~max_sas:1 ())
+  in
+  Alcotest.(check int) "one SA kept" 1 (List.length sas);
+  match seen () with
+  | [ r ] ->
+    Alcotest.(check string) "event" "alternatives.truncated" r.Obs.Log.event;
+    Alcotest.(check bool) "warn level" true (r.Obs.Log.lvl = Obs.Log.Warn);
+    Alcotest.(check bool) "fields" true
+      (r.Obs.Log.fields
+      = [ Obs.Log.int "candidates" n; Obs.Log.int "kept" 1 ])
+  | rs -> Alcotest.fail (Fmt.str "expected one record, got %d" (List.length rs))
+
 let () =
   Alcotest.run "scenarios"
     [
@@ -243,6 +276,8 @@ let () =
       ("scale-invariance", scale_invariance_cases);
       ( "operator-ids",
         [ Alcotest.test_case "unique in every query and SA" `Quick unique_op_ids ] );
+      ( "alternatives",
+        [ Alcotest.test_case "truncation logged" `Quick truncation_logged ] );
       ( "table7-counts",
         [ Alcotest.test_case "locked reproduction numbers" `Quick table7_counts ] );
       ( "crime-comparison",
