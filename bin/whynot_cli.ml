@@ -184,12 +184,16 @@ let run_scenario ~scale ~verbose ~metrics ~retries ~root
      whynot_cli explain -db data.json -query-file q.sql -whynot pattern.sexp \\
        [-alt table:a.b=c.d]... [-no-sas] [-no-revalidate]                  *)
 
+(* A file that cannot be read, or a database that does not decode, is a
+   usage error: one line on stderr, exit 2. *)
 let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg -> usage_error msg
+
+let read_db path =
+  try Nested.Json.db_of_string (read_file path)
+  with Nested.Json.Parse_error msg | Invalid_argument msg ->
+    usage_error (Fmt.str "%s: invalid database: %s" path msg)
 
 (* Compile query text through the frontend; on failure, print the
    caret-underlined diagnostic and exit non-zero. *)
@@ -281,7 +285,7 @@ let run_explain args =
   apply_log_level !log_level;
   if !db_file = "" || !whynot_file = "" then
     usage_error "explain needs -db, a query, and -whynot";
-  let db = Nested.Json.db_of_string (read_file !db_file) in
+  let db = read_db !db_file in
   let query =
     match query_text_of_args ~query:!query_inline ~query_file:!query_file with
     | None -> usage_error "explain needs -query TEXT or -query-file FILE"
@@ -364,7 +368,7 @@ let run_parse args =
   let db =
     match (!db_file, !scenario) with
     | "", "" -> usage_error "parse needs -db FILE or -scenario NAME"
-    | file, "" -> Nested.Json.db_of_string (read_file file)
+    | file, "" -> read_db file
     | "", name -> (
       match Scenarios.Registry.find name with
       | None ->

@@ -241,7 +241,7 @@ let rec col_mask (c : C.col) (pat : Nip.t) : Bytes.t =
         if not (present bg.C.bpresent i) then chr (np = 0)
         else begin
           let supply = ref 0 in
-          for j = bg.C.boff.(i) to bg.C.boff.(i + 1) - 1 do
+          for j = bg.C.bstart.(i) to bg.C.bstop.(i) - 1 do
             supply := !supply + bg.C.bmult.(j)
           done;
           chr (!supply >= np && (star || !supply = np))
@@ -274,7 +274,7 @@ let rec col_mask (c : C.col) (pat : Nip.t) : Bytes.t =
       Bytes.init n (fun i ->
           if not (present bg.C.bpresent i) then chr (pats = [])
           else begin
-            let lo = bg.C.boff.(i) and hi = bg.C.boff.(i + 1) in
+            let lo = bg.C.bstart.(i) and hi = bg.C.bstop.(i) in
             let matching = ref 0 and total = ref 0 in
             for j = lo to hi - 1 do
               total := !total + bg.C.bmult.(j);
@@ -286,7 +286,7 @@ let rec col_mask (c : C.col) (pat : Nip.t) : Bytes.t =
     Bytes.init n (fun i ->
         if not (present bg.C.bpresent i) then chr (pats = [])
         else begin
-          let lo = bg.C.boff.(i) and hi = bg.C.boff.(i + 1) in
+          let lo = bg.C.bstart.(i) and hi = bg.C.bstop.(i) in
           let ni = hi - lo in
           let supplies = Array.sub bg.C.bmult lo ni in
           let supply_total = Array.fold_left ( + ) 0 supplies in
@@ -390,7 +390,18 @@ let rec rebase d (r : cres) : cres =
 
 (* The rows among [rows] whose flag is set, in order. *)
 let filter_rows flags (rows : int array) : int array =
-  Array.of_list (List.filter (bget flags) (Array.to_list rows))
+  let k = ref 0 in
+  Array.iter (fun i -> if bget flags i then incr k) rows;
+  let out = Array.make !k 0 in
+  k := 0;
+  Array.iter
+    (fun i ->
+      if bget flags i then begin
+        out.(!k) <- i;
+        incr k
+      end)
+    rows;
+  out
 
 (* Parents of rows that each derive from a set of input rows (given as
    indices of the block starting at rid [base]). *)
@@ -729,8 +740,8 @@ let evaluate ~(env : Typecheck.env) (db : Relation.Db.t) ~blocks (q : Query.t)
          [original] is partial group [partial.(k)]'s. *)
       let original_row = Array.make g (-1) in
       Array.iteri (fun k gi -> original_row.(gi) <- g + k) partial;
-      let row i =
-        if i < g then C.get_row relaxed i else C.get_row original (i - g)
+      let cell i =
+        if i < g then (relaxed.C.row, i) else (original.C.row, i - g)
       in
       (* Per output row: its row of [relaxed] then [original], surviving
          flag, parents and ranges.  A relaxed row survives when it equals
@@ -743,13 +754,18 @@ let evaluate ~(env : Typecheck.env) (db : Relation.Db.t) ~blocks (q : Query.t)
             else if original_row.(gi) >= 0 then original_row.(gi)
             else gi
           in
-          let same = orig >= 0 && row orig = row gi in
+          let same =
+            orig >= 0
+            &&
+            let c, i = cell orig and c', i' = cell gi in
+            C.cells_equal c i c' i'
+          in
           let ranges =
             List.filter_map
               (fun (a : K.agg) ->
                 Option.map
                   (fun iv -> (a.K.out, iv))
-                  (Agg.achievable_range a.K.fn (a.K.values members)))
+                  (a.K.range members))
               aggs
           in
           rows := (gi, same, members, ranges) :: !rows;

@@ -1,7 +1,8 @@
 (* Columnar arena representation of nested-value batches.
 
    A batch stores rows struct-of-arrays: flat typed arrays for
-   primitive columns, offset vectors for nested bags, one global
+   primitive columns, per-row element ranges into a shared element store
+   for nested bags, one global
    hash-consed dictionary for strings, and packed presence bitmaps for
    Null.  [of_values]/[to_values] are exact inverses on arbitrary
    [Value.t] rows — canonical bag order is preserved verbatim, never
@@ -222,9 +223,10 @@ type col =
 
 and bag = {
   bn : int;
-  boff : int array;  (** [bn + 1] element offsets *)
+  bstart : int array;  (** per row, its first element in the store *)
+  bstop : int array;  (** per row, one past its last element *)
   bmult : int array;  (** per stored element, its multiplicity *)
-  belems : col;  (** flattened distinct elements, canonical order *)
+  belems : col;  (** the element store; each range in canonical order *)
   bpresent : Bitv.t option;  (** absent rows are [Null], not empty bags *)
 }
 
@@ -395,14 +397,14 @@ let rec build_col (sh : shape) (vs : Value.t array) : col =
           match v with Value.Bag es -> acc + List.length es | _ -> acc)
         0 vs
     in
-    let boff = Array.make (n + 1) 0 in
+    let bstart = Array.make n 0 and bstop = Array.make n 0 in
     let bmult = Array.make total 0 in
     let evs = Array.make total Value.Null in
     let k = ref 0 in
     Array.iteri
       (fun i v ->
-        boff.(i) <- !k;
-        match v with
+        bstart.(i) <- !k;
+        (match v with
         | Value.Bag es ->
           List.iter
             (fun (e, m) ->
@@ -410,13 +412,14 @@ let rec build_col (sh : shape) (vs : Value.t array) : col =
               bmult.(!k) <- m;
               incr k)
             es
-        | _ -> ())
+        | _ -> ());
+        bstop.(i) <- !k)
       vs;
-    boff.(n) <- !k;
     CBag
       {
         bn = n;
-        boff;
+        bstart;
+        bstop;
         bmult;
         belems = build_col esh evs;
         bpresent = presence_of n (fun i -> vs.(i) = Value.Null);
@@ -463,7 +466,7 @@ let rec col_values (c : col) : Value.t array =
     let evs = col_values bg.belems in
     Array.init bg.bn (fun i ->
         if present bg.bpresent i then begin
-          let lo = bg.boff.(i) and hi = bg.boff.(i + 1) in
+          let lo = bg.bstart.(i) and hi = bg.bstop.(i) in
           let rec pairs j =
             if j >= hi then [] else (evs.(j), bg.bmult.(j)) :: pairs (j + 1)
           in
@@ -491,7 +494,7 @@ let rec col_get (c : col) (i : int) : Value.t =
   | CBag bg ->
     if present bg.bpresent i then begin
       let evs = bg.belems in
-      let lo = bg.boff.(i) and hi = bg.boff.(i + 1) in
+      let lo = bg.bstart.(i) and hi = bg.bstop.(i) in
       let rec pairs j =
         if j >= hi then [] else (col_get evs j, bg.bmult.(j)) :: pairs (j + 1)
       in
@@ -555,7 +558,7 @@ let rec cmp_cells (c : col) (i : int) (j : int) : int =
         (* Stored contents are canonical, so bag comparison is
            lexicographic over (element, multiplicity) pairs. *)
         let rec go u v =
-          let endu = u >= bg.boff.(i + 1) and endv = v >= bg.boff.(j + 1) in
+          let endu = u >= bg.bstop.(i) and endv = v >= bg.bstop.(j) in
           if endu && endv then 0
           else if endu then -1
           else if endv then 1
@@ -566,7 +569,7 @@ let rec cmp_cells (c : col) (i : int) (j : int) : int =
               let c = Stdlib.compare bg.bmult.(u) bg.bmult.(v) in
               if c <> 0 then c else go (u + 1) (v + 1)
         in
-        go bg.boff.(i) bg.boff.(j)
+        go bg.bstart.(i) bg.bstart.(j)
       | CNull _ | CConst _ | CBox _ -> 0
     end
 
@@ -588,7 +591,7 @@ let rec equal_value (c : col) (i : int) (v : Value.t) : bool =
   | CTuple (_, fields, p), Value.Tuple vfs ->
     present p i && equal_fields fields i vfs
   | CBag bg, Value.Bag es ->
-    present bg.bpresent i && equal_elems bg bg.boff.(i) bg.boff.(i + 1) es
+    present bg.bpresent i && equal_elems bg bg.bstart.(i) bg.bstop.(i) es
   | _ -> false
 
 and equal_fields fields i vfs =
@@ -608,6 +611,40 @@ and equal_elems bg j hi es =
     && Int.equal bg.bmult.(j) m
     && equal_value bg.belems j e
     && equal_elems bg (j + 1) hi es
+
+(* [col_get a i = col_get b j] under OCaml's structural equality, where
+   [nan] differs from itself and [0.0] equals [-0.0], without building
+   either value.  The columns may differ in representation (one may be
+   all Null); constant and boxed columns compare their values. *)
+let rec cells_equal (a : col) (i : int) (b : col) (j : int) : bool =
+  match a, b with
+  | (CConst _ | CBox _), _ | _, (CConst _ | CBox _) -> col_get a i = col_get b j
+  | _ -> (
+    let r = cell_rank a i in
+    r = cell_rank b j
+    && (r = 0
+       ||
+       match a, b with
+       | CBool (x, _), CBool (y, _) -> Bool.equal (Bitv.get x i) (Bitv.get y j)
+       | CInt (x, _), CInt (y, _) -> Int.equal x.(i) y.(j)
+       | CFloat (x, _), CFloat (y, _) -> (x.(i) : float) = y.(j)
+       | CStr (x, _), CStr (y, _) -> Int.equal x.(i) y.(j)
+       | CTuple (_, fa, _), CTuple (_, fb, _) ->
+         List.compare_lengths fa fb = 0
+         && List.for_all2
+              (fun (la, ca) (lb, cb) -> String.equal la lb && cells_equal ca i cb j)
+              fa fb
+       | CBag x, CBag y ->
+         let len = x.bstop.(i) - x.bstart.(i) in
+         len = y.bstop.(j) - y.bstart.(j)
+         && equal_ranges x x.bstart.(i) y y.bstart.(j) len
+       | _ -> false))
+
+and equal_ranges x u y v len =
+  len = 0
+  || Int.equal x.bmult.(u) y.bmult.(v)
+     && cells_equal x.belems u y.belems v
+     && equal_ranges x (u + 1) y (v + 1) (len - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Tuple-structure access                                              *)
@@ -642,6 +679,15 @@ let rec value_bytes (v : Value.t) : int =
 
 let opt_bitv_bytes = function None -> 0 | Some p -> (Bitv.length p + 7) / 8
 
+(* The element references of a bag's rows: the sum of their range
+   lengths, a row counted once per occurrence. *)
+let bag_refs (bg : bag) : int =
+  let r = ref 0 in
+  for i = 0 to bg.bn - 1 do
+    r := !r + (bg.bstop.(i) - bg.bstart.(i))
+  done;
+  !r
+
 let rec col_bytes (c : col) : int =
   match c with
   | CNull n -> 8 + (n / 64)
@@ -653,10 +699,13 @@ let rec col_bytes (c : col) : int =
   | CTuple (_, fields, p) ->
     List.fold_left (fun acc (_, c) -> acc + col_bytes c) (opt_bitv_bytes p) fields
   | CBag bg ->
-    (8 * (bg.bn + 1))
-    + (8 * Array.length bg.bmult)
-    + col_bytes bg.belems
+    (* The ranges, and the elements the rows reference at the store's
+       mean element size: a slice that shares its store counts what it
+       references, not the whole store again. *)
+    let ne = Array.length bg.bmult in
+    (16 * bg.bn)
     + opt_bitv_bytes bg.bpresent
+    + if ne = 0 then 0 else bag_refs bg * ((8 * ne) + col_bytes bg.belems) / ne
   | CBox a -> Array.fold_left (fun acc v -> acc + value_bytes v) 0 a
 
 let bytes t = col_bytes t.row
@@ -691,32 +740,65 @@ let rec col_gather (c : col) (idx : int array) : col =
         List.map (fun (l, c) -> (l, col_gather c idx)) fields,
         opt_bitv_gather p idx )
   | CBag bg ->
-    let boff = Array.make (m + 1) 0 in
-    let total = ref 0 in
-    for j = 0 to m - 1 do
-      boff.(j) <- !total;
-      total := !total + (bg.boff.(idx.(j) + 1) - bg.boff.(idx.(j)))
-    done;
-    boff.(m) <- !total;
-    let eidx = Array.make !total 0 in
-    let bmult = Array.make !total 0 in
-    let k = ref 0 in
-    for j = 0 to m - 1 do
-      for e = bg.boff.(idx.(j)) to bg.boff.(idx.(j) + 1) - 1 do
-        eidx.(!k) <- e;
-        bmult.(!k) <- bg.bmult.(e);
-        incr k
-      done
-    done;
-    CBag
+    let g =
       {
+        bg with
         bn = m;
-        boff;
-        bmult;
-        belems = col_gather bg.belems eidx;
+        bstart = Array.init m (fun j -> bg.bstart.(idx.(j)));
+        bstop = Array.init m (fun j -> bg.bstop.(idx.(j)));
         bpresent = opt_bitv_gather bg.bpresent idx;
       }
+    in
+    (* The rows share the store while they reference at least half of
+       it, so a pass over the store never costs more than twice theirs. *)
+    if 2 * bag_refs g >= Array.length bg.bmult then CBag g
+    else CBag (compact_bag g)
   | CBox a -> CBox (Array.init m (fun j -> a.(idx.(j))))
+
+(* [bg]'s rows over a store of just the ranges they reference, in row
+   order; a row whose range equals the previous row's shares its copy
+   (a flatten repeats each parent row).  [bg] itself when its store is
+   already that. *)
+and compact_bag (bg : bag) : bag =
+  let m = bg.bn in
+  let repeat i =
+    i > 0 && bg.bstart.(i) = bg.bstart.(i - 1) && bg.bstop.(i) = bg.bstop.(i - 1)
+  in
+  let total = ref 0 and dense = ref true in
+  for i = 0 to m - 1 do
+    if not (repeat i) then begin
+      if bg.bstop.(i) > bg.bstart.(i) && bg.bstart.(i) <> !total then
+        dense := false;
+      total := !total + (bg.bstop.(i) - bg.bstart.(i))
+    end
+  done;
+  if !dense && !total = Array.length bg.bmult then bg
+  else begin
+    let bstart = Array.make m 0 and bstop = Array.make m 0 in
+    let eidx = Array.make !total 0 in
+    let k = ref 0 in
+    for i = 0 to m - 1 do
+      if repeat i then begin
+        bstart.(i) <- bstart.(i - 1);
+        bstop.(i) <- bstop.(i - 1)
+      end
+      else begin
+        bstart.(i) <- !k;
+        for e = bg.bstart.(i) to bg.bstop.(i) - 1 do
+          eidx.(!k) <- e;
+          incr k
+        done;
+        bstop.(i) <- !k
+      end
+    done;
+    {
+      bg with
+      bstart;
+      bstop;
+      bmult = Array.map (fun e -> bg.bmult.(e)) eidx;
+      belems = col_gather bg.belems eidx;
+    }
+  end
 
 let gather t idx =
   note_rows_scanned (Array.length idx);
@@ -952,48 +1034,54 @@ let vstack (ts : t list) : t =
           when List.for_all
                  (function CBag _ | CNull _ -> true | _ -> false)
                  cs ->
-          let boff = Array.make (total + 1) 0 in
-          let row = ref 0 in
-          (* Per CBag piece, the packed (elems, mults) slice it uses. *)
-          let elem_pieces = ref [] and mult_pieces = ref [] in
+          (* Pieces that all share one store stack their ranges over it;
+             otherwise each piece is compacted and the stores are
+             concatenated, its ranges shifted by its store's offset. *)
+          let bags = List.filter_map (function CBag bg -> Some bg | _ -> None) cs in
+          let first = List.hd bags in
+          let shared =
+            List.for_all
+              (fun bg -> bg.belems == first.belems && bg.bmult == first.bmult)
+              bags
+          in
+          let bstart = Array.make total 0 and bstop = Array.make total 0 in
+          let row = ref 0 and base = ref 0 and stores = ref [] in
           List.iter
             (fun c ->
               match c with
               | CBag bg ->
+                let bg = if shared then bg else compact_bag bg in
                 for i = 0 to bg.bn - 1 do
-                  boff.(!row + i + 1) <-
-                    boff.(!row + i) + (bg.boff.(i + 1) - bg.boff.(i))
+                  bstart.(!row + i) <- !base + bg.bstart.(i);
+                  bstop.(!row + i) <- !base + bg.bstop.(i)
                 done;
                 splice_presence !row bg.bn bg.bpresent;
-                let lo = bg.boff.(0) and hi = bg.boff.(bg.bn) in
-                if lo = 0 && hi = col_length bg.belems then begin
-                  elem_pieces := bg.belems :: !elem_pieces;
-                  mult_pieces := bg.bmult :: !mult_pieces
-                end
-                else begin
-                  let idx = Array.init (hi - lo) (fun i -> lo + i) in
-                  elem_pieces := col_gather bg.belems idx :: !elem_pieces;
-                  mult_pieces := Array.sub bg.bmult lo (hi - lo) :: !mult_pieces
+                if not shared then begin
+                  stores := bg :: !stores;
+                  base := !base + Array.length bg.bmult
                 end;
                 row := !row + bg.bn
               | CNull k ->
                 for i = 0 to k - 1 do
-                  boff.(!row + i + 1) <- boff.(!row + i);
                   mark_absent (!row + i)
                 done;
                 row := !row + k
               | _ -> assert false)
             cs;
-          let elem_cols = List.rev !elem_pieces in
-          let ne = List.fold_left (fun acc c -> acc + col_length c) 0 elem_cols in
-          CBag
-            {
-              bn = total;
-              boff;
-              bmult = Array.concat (List.rev !mult_pieces);
-              belems = concat esh elem_cols ne;
-              bpresent = !pres;
-            }
+          if shared then
+            CBag { first with bn = total; bstart; bstop; bpresent = !pres }
+          else begin
+            let stores = List.rev !stores in
+            CBag
+              {
+                bn = total;
+                bstart;
+                bstop;
+                bmult = Array.concat (List.map (fun bg -> bg.bmult) stores);
+                belems = concat esh (List.map (fun bg -> bg.belems) stores) !base;
+                bpresent = !pres;
+              }
+          end
         | _ -> build_col sh (Lazy.force vals))
     in
     { n; row = concat sh (List.map (fun t -> t.row) ts) n }
@@ -1190,7 +1278,7 @@ module Coder = struct
       Array.init bg.bn (fun i ->
           if present bg.bpresent i then begin
             let acc = ref bag_tag in
-            for j = bg.boff.(i) to bg.boff.(i + 1) - 1 do
+            for j = bg.bstart.(i) to bg.bstop.(i) - 1 do
               acc := pair t !acc (pair t ecodes.(j) (int_code t bg.bmult.(j)))
             done;
             !acc
@@ -1258,7 +1346,7 @@ let rec hash_col (c : col) : int array =
     Array.init bg.bn (fun i ->
         if present bg.bpresent i then begin
           let acc = ref 11 in
-          for j = bg.boff.(i) to bg.boff.(i + 1) - 1 do
+          for j = bg.bstart.(i) to bg.bstop.(i) - 1 do
             acc := !acc + (ehashes.(j) * bg.bmult.(j))
           done;
           !acc
@@ -1266,25 +1354,43 @@ let rec hash_col (c : col) : int array =
         else 17)
   | CBox a -> Array.map value_hash a
 
-(* Equivalence classes of rows over a list of columns: [result.(i)] is
-   the smallest row index whose cells equal row [i]'s on every listed
-   column.  Hash candidates are verified with [cmp_cells], so classes
-   are exact (class equality iff structural row equality). *)
-(* Equivalence classes over a single integer key per row (the key is
-   already a structural-equality witness: dict codes, raw ints). *)
-let eqclasses_codes (n : int) (key : int -> int) : int array =
-  let tbl : (int, int) Hashtbl.t = Hashtbl.create ((n / 2) + 11) in
+(* Equivalence classes of rows: [result.(i)] is the smallest row whose
+   [key] equals row [i]'s and that [same] accepts as equal to it.  Open
+   addressing over a power-of-two table at most half full: each slot
+   holds a key and the first row that had it, and a probe passes over
+   the slots of other classes. *)
+let classes (n : int) (key : int -> int) (same : int -> int -> bool) : int array =
+  let cap = ref 16 in
+  while !cap < 2 * n do
+    cap := 2 * !cap
+  done;
+  let mask = !cap - 1 in
+  let keys = Array.make !cap 0 and first = Array.make !cap (-1) in
   let cls = Array.make n 0 in
   for i = 0 to n - 1 do
     let k = key i in
-    match Hashtbl.find_opt tbl k with
-    | Some r -> cls.(i) <- r
-    | None ->
-      Hashtbl.add tbl k i;
+    let x = k * 0x2545F4914F6CDD1D in
+    let s = ref ((x lxor (x lsr 32)) land mask) in
+    while first.(!s) >= 0 && not (keys.(!s) = k && same first.(!s) i) do
+      s := (!s + 1) land mask
+    done;
+    if first.(!s) < 0 then begin
+      keys.(!s) <- k;
+      first.(!s) <- i;
       cls.(i) <- i
+    end
+    else cls.(i) <- first.(!s)
   done;
   cls
 
+(* Over a single integer key per row that is already a structural
+   equality witness (dict codes, raw ints). *)
+let eqclasses_codes (n : int) (key : int -> int) : int array =
+  classes n key (fun _ _ -> true)
+
+(* Over several columns: the key is a hash of the row's cells, and
+   candidates are verified with [cmp_cells], so classes are exact (class
+   equality iff structural row equality). *)
 let eqclasses_general (n : int) (cs : col list) : int array =
   let h = Array.make n 0 in
   List.iter
@@ -1294,25 +1400,7 @@ let eqclasses_general (n : int) (cs : col list) : int array =
         h.(i) <- (h.(i) * 31) + ha.(i)
       done)
     cs;
-  let tbl : (int, int list ref) Hashtbl.t = Hashtbl.create ((n / 2) + 11) in
-  let cls = Array.make n 0 in
-  for i = 0 to n - 1 do
-    match Hashtbl.find_opt tbl h.(i) with
-    | None ->
-      Hashtbl.add tbl h.(i) (ref [ i ]);
-      cls.(i) <- i
-    | Some bucket ->
-      let rec find = function
-        | [] ->
-          bucket := i :: !bucket;
-          cls.(i) <- i
-        | r :: rest ->
-          if List.for_all (fun c -> cmp_cells c r i = 0) cs then cls.(i) <- r
-          else find rest
-      in
-      find !bucket
-  done;
-  cls
+  classes n (Array.get h) (fun r i -> List.for_all (fun c -> cmp_cells c r i = 0) cs)
 
 let eqclasses (n : int) (cs : col list) : int array =
   match cs with
@@ -1359,13 +1447,18 @@ let canonical_bags (b : t) (codes : int array) (groups : int array array) :
   in
   let bags = Array.map canon groups in
   let g = Array.length groups in
-  let boff = Array.make (g + 1) 0 in
-  Array.iteri (fun o (ds, _) -> boff.(o + 1) <- boff.(o) + Array.length ds) bags;
+  let bstart = Array.make g 0 and bstop = Array.make g 0 in
+  Array.iteri
+    (fun o (ds, _) ->
+      if o > 0 then bstart.(o) <- bstop.(o - 1);
+      bstop.(o) <- bstart.(o) + Array.length ds)
+    bags;
   let sel = Array.concat (Array.to_list (Array.map fst bags)) in
   CBag
     {
       bn = g;
-      boff;
+      bstart;
+      bstop;
       bmult = Array.concat (Array.to_list (Array.map snd bags));
       belems = (gather b sel).row;
       bpresent = None;

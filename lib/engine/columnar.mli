@@ -1,8 +1,9 @@
 (** Columnar arena representation of nested-value batches.
 
     A batch stores rows struct-of-arrays: flat typed arrays for
-    primitive columns, offset vectors encoding bag nesting, one global
-    hash-consed string dictionary, and packed presence bitmaps for
+    primitive columns, per-row element ranges into a shared element
+    store for bags, one global hash-consed string dictionary, and packed
+    presence bitmaps for
     [Null].  [of_rows]/[to_rows] are exact inverses on arbitrary
     {!Nested.Value.t} rows — canonical bag order is preserved verbatim —
     so the tree API remains the semantic boundary and per-row
@@ -63,11 +64,25 @@ type col =
   | CBag of bag
   | CBox of Value.t array  (** fallback for shape-mixed columns *)
 
+(** A bag column.  Row [i]'s bag is the elements
+    [\[bstart.(i), bstop.(i))] of the store [belems], with their
+    multiplicities in [bmult], in canonical order.  Rows may share one
+    store, and ranges: {!gather} and {!filter} keep the store when the
+    gathered rows reference at least half of it, and {!vstack} stacks the
+    ranges of pieces that all have the same ([==]) store.  Otherwise
+    they compact it to the ranges the rows reference, a run of rows with
+    one range keeping one copy.
+
+    Invariant: a store holds at most twice the element references of
+    its rows (the sum of their range lengths), so a vectorized pass over
+    the store ([hash_col], [Coder.col_codes], [col_values], NIP masks)
+    costs at most twice what a walk over the rows' ranges would. *)
 and bag = {
   bn : int;
-  boff : int array;  (** [bn + 1] element offsets *)
+  bstart : int array;  (** per row, its first element in the store *)
+  bstop : int array;  (** per row, one past its last element *)
   bmult : int array;  (** per stored element, its multiplicity *)
-  belems : col;  (** flattened elements, canonical order preserved *)
+  belems : col;  (** the element store; each range in canonical order *)
   bpresent : Bitv.t option;  (** absent rows are [Null], not empty bags *)
 }
 
@@ -99,6 +114,12 @@ val cmp_rows : t -> int -> int -> int
     compare as [Value.equal] compares them ([0.0] equals [-0.0], [nan]
     equals [nan]). *)
 val equal_value : col -> int -> Value.t -> bool
+
+(** [cells_equal a i b j] is [col_get a i = col_get b j] under OCaml's
+    structural equality ([nan] differs from itself, [0.0] equals
+    [-0.0]), decided without reconstructing either value.  The two
+    columns may be of different batches and representations. *)
+val cells_equal : col -> int -> col -> int -> bool
 
 (** [eqclasses n cols] assigns each of the [n] rows the smallest row
     index structurally equal to it on every listed column — an exact
@@ -208,6 +229,11 @@ val eval_pred_mask : t -> Nrab.Expr.pred -> Bitv.t
 
 (** {1 Size accounting} *)
 
+(** Approximate bytes of a column.  A bag counts its two range vectors
+    and the elements its rows reference, each reference at the store's
+    mean element size (multiplicity included), never the whole store: a
+    gathered slice that shares its store counts about what a compacted
+    copy of it would (exactly, over fixed-width elements). *)
 val col_bytes : col -> int
 val bytes : t -> int
 val note_bytes_moved : int -> unit

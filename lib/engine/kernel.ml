@@ -58,9 +58,39 @@ let group_indices (codes : int array) : int array array =
     (List.rev_map (fun cell -> Array.of_list (List.rev !cell)) !order)
 
 (* The groups of [n] rows by their values in the key columns; no key
-   column puts every row in one group. *)
+   column puts every row in one group.  An [eqclasses] code is the
+   smallest row of its class, so classes are first seen at their code
+   row, and two counting passes over [n]-sized arrays lay out
+   [group_indices]'s groups with no hashing. *)
 let groups n (keys : C.col list) : int array array =
-  group_indices (match keys with [] -> Array.make n 0 | ks -> C.eqclasses n ks)
+  match keys with
+  | [] -> if n = 0 then [||] else [| Array.init n Fun.id |]
+  | ks ->
+    let codes = C.eqclasses n ks in
+    (* [slot.(r)] is first the size of the class of row [r], then the
+       next free position in its group. *)
+    let slot = Array.make n 0 in
+    Array.iter (fun r -> slot.(r) <- slot.(r) + 1) codes;
+    let gid = Array.make n 0 and ng = ref 0 in
+    for r = 0 to n - 1 do
+      if codes.(r) = r then begin
+        gid.(r) <- !ng;
+        incr ng
+      end
+    done;
+    let out = Array.make !ng [||] in
+    for r = 0 to n - 1 do
+      if codes.(r) = r then begin
+        out.(gid.(r)) <- Array.make slot.(r) 0;
+        slot.(r) <- 0
+      end
+    done;
+    for i = 0 to n - 1 do
+      let r = codes.(i) in
+      out.(gid.(r)).(slot.(r)) <- i;
+      slot.(r) <- slot.(r) + 1
+    done;
+    out
 
 let reps (groups : int array array) = Array.map (fun m -> m.(0)) groups
 
@@ -155,7 +185,8 @@ let as_bag (col : C.col) : C.bag =
       Some
         {
           C.bn = n;
-          boff = Array.make (n + 1) 0;
+          bstart = Array.make n 0;
+          bstop = Array.make n 0;
           bmult = [||];
           belems = C.CNull 0;
           bpresent = Some (C.Bitv.create n false);
@@ -191,7 +222,7 @@ let flatten ~outer inner_ty (col : C.col) (b : C.t) : flat =
     if not (bag_present bg i) then 0
     else begin
       let s = ref 0 in
-      for j = bg.C.boff.(i) to bg.C.boff.(i + 1) - 1 do
+      for j = bg.C.bstart.(i) to bg.C.bstop.(i) - 1 do
         s := !s + bg.C.bmult.(j)
       done;
       !s
@@ -209,7 +240,7 @@ let flatten ~outer inner_ty (col : C.col) (b : C.t) : flat =
   for i = 0 to n - 1 do
     let start = !k in
     if bag_present bg i then
-      for j = bg.C.boff.(i) to bg.C.boff.(i + 1) - 1 do
+      for j = bg.C.bstart.(i) to bg.C.bstop.(i) - 1 do
         for _ = 1 to bg.C.bmult.(j) do
           parent.(!k) <- i;
           sel.(!k) <- j;
@@ -229,7 +260,7 @@ let flatten ~outer inner_ty (col : C.col) (b : C.t) : flat =
     else
       let elems = { C.n = ne; row = bg.C.belems } in
       let right =
-        if outer then
+        if outer && C.Bitv.count pad > 0 then
           C.gather
             (C.vstack [ elems; C.broadcast 1 (Vtype.null_tuple inner_ty) ])
             sel
@@ -256,7 +287,7 @@ let agg_tuple fn (col : C.col) out (b : C.t) : Value.t list array * C.t =
         if not (bag_present bg i) then []
         else begin
           let acc = ref [] in
-          for j = bg.C.boff.(i + 1) - 1 downto bg.C.boff.(i) do
+          for j = bg.C.bstop.(i) - 1 downto bg.C.bstart.(i) do
             for _ = 1 to bg.C.bmult.(j) do
               acc := evs.(j) :: !acc
             done
@@ -292,21 +323,149 @@ let nest_rel ~keys ~proj c_name ~reps (members : int array array) (b : C.t) :
 
 type agg = {
   fn : Agg.fn;
-  values : int array -> Value.t list;  (* the input values of some rows *)
+  apply : int array -> Value.t;  (* [Agg.apply fn] over some rows' inputs *)
+  range : int array -> (float * float) option;
+      (* [Agg.achievable_range fn] over some rows' inputs *)
   out : string;
 }
 
-(* An aggregate over the column [input]; no input counts rows (each
-   contributes [Int 1]). *)
-let agg fn (input : C.col option) out : agg =
-  let values =
-    match input with
-    | None -> fun rows -> List.init (Array.length rows) (fun _ -> Value.Int 1)
-    | Some col ->
-      let vs = C.col_values col in
-      fun rows -> List.map (fun i -> vs.(i)) (Array.to_list rows)
+(* The input of an unboxed aggregate: a float column, an integer
+   column, or one [Int 1] per row. *)
+type num = Floats of float array | Ints of int array | Ones
+
+(* The rows whose input is not Null, in order. *)
+let live_rows (present : C.Bitv.t option) (rows : int array) : int array =
+  match present with
+  | None -> rows
+  | Some p ->
+    let k = ref 0 in
+    Array.iter (fun i -> if C.Bitv.get p i then incr k) rows;
+    let out = Array.make !k 0 in
+    k := 0;
+    Array.iter
+      (fun i ->
+        if C.Bitv.get p i then begin
+          out.(!k) <- i;
+          incr k
+        end)
+      rows;
+    out
+
+(* The inputs of the [live] rows, in order, as floats. *)
+let floats num (live : int array) : float array =
+  let n = Array.length live in
+  match num with
+  | Floats a ->
+    let xs = Array.make n 0. in
+    for k = 0 to n - 1 do
+      xs.(k) <- a.(live.(k))
+    done;
+    xs
+  | Ints a ->
+    let xs = Array.make n 0. in
+    for k = 0 to n - 1 do
+      xs.(k) <- float_of_int a.(live.(k))
+    done;
+    xs
+  | Ones -> Array.make n 1.
+
+(* [Agg.apply] over the inputs of the [live] rows, folded in order with
+   the boxed function's operations: sums add left to right from [0.],
+   [Min], [Max] and distinct counts keep [Stdlib.compare]'s order, and
+   integer inputs keep integer sums and extremes. *)
+let typed_apply fn num (live : int array) : Value.t =
+  let n = Array.length live in
+  let fsum () =
+    let xs = floats num live in
+    let s = ref 0. in
+    for k = 0 to n - 1 do
+      s := !s +. xs.(k)
+    done;
+    !s
   in
-  { fn; values; out }
+  (* The first input that [keep] prefers to every earlier one. *)
+  let extreme keep =
+    match num with
+    | Floats a ->
+      let b = ref live.(0) in
+      Array.iter (fun i -> if keep (Float.compare a.(i) a.(!b)) then b := i) live;
+      Value.Float a.(!b)
+    | Ints a ->
+      let b = ref live.(0) in
+      Array.iter (fun i -> if keep (Int.compare a.(i) a.(!b)) then b := i) live;
+      Value.Int a.(!b)
+    | Ones -> Value.Int 1
+  in
+  let distinct cmp a =
+    Array.sort cmp a;
+    let d = ref 0 in
+    Array.iteri (fun k v -> if k = 0 || cmp a.(k - 1) v <> 0 then incr d) a;
+    Value.Int !d
+  in
+  match fn, num with
+  | Agg.Count, _ -> Value.Int n
+  | Agg.Count_distinct, Floats _ -> distinct Float.compare (floats num live)
+  | Agg.Count_distinct, Ints a -> distinct Int.compare (Array.map (Array.get a) live)
+  | Agg.Count_distinct, Ones -> Value.Int (min n 1)
+  | (Agg.Sum | Agg.Avg | Agg.Min | Agg.Max), _ when n = 0 -> Value.Null
+  | Agg.Sum, Ints a -> Value.Int (Array.fold_left (fun s i -> s + a.(i)) 0 live)
+  | Agg.Sum, Ones -> Value.Int n
+  | Agg.Sum, Floats _ -> Value.Float (fsum ())
+  | Agg.Avg, _ -> Value.Float (fsum () /. float_of_int n)
+  | Agg.Min, _ -> extreme (fun c -> c < 0)
+  | Agg.Max, _ -> extreme (fun c -> c > 0)
+
+(* [Agg.achievable_range] over the inputs of the [live] rows: a sum
+   splits [f < 0.] from [f > 0.], the others fold [min]/[max] from the
+   first input, as [Stdlib.min]/[max] do. *)
+let typed_range fn num (live : int array) : (float * float) option =
+  let n = Array.length live in
+  match fn with
+  | Agg.Count | Agg.Count_distinct -> Some (0., float_of_int n)
+  | _ when n = 0 -> None
+  | Agg.Sum ->
+    let xs = floats num live in
+    let neg = ref 0. and pos = ref 0. in
+    for k = 0 to n - 1 do
+      let f = xs.(k) in
+      if f < 0. then neg := !neg +. f else if f > 0. then pos := !pos +. f
+    done;
+    Some (!neg, !pos)
+  | Agg.Avg | Agg.Min | Agg.Max ->
+    let xs = floats num live in
+    let lo = ref xs.(0) and hi = ref xs.(0) in
+    for k = 0 to n - 1 do
+      let f = xs.(k) in
+      if not (!lo <= f) then lo := f;
+      if not (!hi >= f) then hi := f
+    done;
+    Some (!lo, !hi)
+
+(* An aggregate over the column [input]; no input counts rows (each
+   contributes [Int 1]).  Float and integer columns, and row counts, fold
+   their rows unboxed; any other column boxes the rows' values when a
+   closure runs. *)
+let agg fn (input : C.col option) out : agg =
+  let typed num present =
+    {
+      fn;
+      apply = (fun rows -> typed_apply fn num (live_rows present rows));
+      range = (fun rows -> typed_range fn num (live_rows present rows));
+      out;
+    }
+  in
+  match input with
+  | None -> typed Ones None
+  | Some (C.CFloat (a, p)) -> typed (Floats a) p
+  | Some (C.CInt (a, p)) -> typed (Ints a) p
+  | Some col ->
+    let values rows = List.map (C.col_get col) (Array.to_list rows) in
+    {
+      fn;
+      apply = (fun rows -> Agg.apply fn (values rows));
+      range = (fun rows -> Agg.achievable_range fn (values rows));
+      out;
+    }
 
 (* Grouped aggregation: output row [o] holds the [keys] columns of row
    [reps.(o)] and each aggregate's value over the rows [groups.(o)], as
@@ -319,7 +478,7 @@ let group_agg ~keys ~reps (aggs : agg list) (groups : int array array)
        (List.map
           (fun a ->
             let vals =
-              Array.map (fun rows -> Agg.apply a.fn (a.values rows)) groups
+              Array.map a.apply groups
             in
             (a.out, (C.of_values vals).C.row))
           aggs))
@@ -395,55 +554,91 @@ let equi_split (lfields : string list) (rfields : string list) (p : Expr.pred)
    on both sides, the codes are the global dictionary codes, which need
    no interning. *)
 let key_codes (pairs : (C.col * C.col) list) : int array * int array =
-  let coder = C.Coder.create () in
-  let dict =
-    List.for_all (function C.CStr _, C.CStr _ -> true | _ -> false) pairs
-  in
-  let null = if dict then min_int else C.Coder.null_code in
-  let component = function
-    | C.CStr (codes, None) when dict -> codes
-    | C.CStr (codes, Some p) when dict ->
-      Array.mapi (fun i c -> if C.Bitv.get p i then c else min_int) codes
-    | col -> C.Coder.col_codes coder col
-  in
-  let side cols =
-    let comps = List.map component cols in
-    let codes =
-      match comps with
-      | [ one ] -> Array.copy one
-      | comps -> C.Coder.mix coder comps
+  match pairs with
+  | [ (C.CInt (la, lp), C.CInt (ra, rp)) ] ->
+    (* One integer key: a value's code is its first row over both
+       sides. *)
+    let nl = Array.length la in
+    let cls = C.eqclasses (nl + Array.length ra) [ C.CInt (Array.append la ra, None) ] in
+    let side p n base =
+      Array.init n (fun i ->
+          match p with Some p when not (C.Bitv.get p i) -> -1 | _ -> cls.(base + i))
     in
-    List.iter
-      (fun cs -> Array.iteri (fun i c -> if c = null then codes.(i) <- -1) cs)
-      comps;
-    codes
-  in
-  (side (List.map fst pairs), side (List.map snd pairs))
+    (side lp nl 0, side rp (Array.length ra) nl)
+  | _ ->
+    let coder = C.Coder.create () in
+    let dict =
+      List.for_all (function C.CStr _, C.CStr _ -> true | _ -> false) pairs
+    in
+    let null = if dict then min_int else C.Coder.null_code in
+    let component = function
+      | C.CStr (codes, None) when dict -> codes
+      | C.CStr (codes, Some p) when dict ->
+        Array.mapi (fun i c -> if C.Bitv.get p i then c else min_int) codes
+      | col -> C.Coder.col_codes coder col
+    in
+    let side cols =
+      let comps = List.map component cols in
+      let codes =
+        match comps with
+        | [ one ] -> Array.copy one
+        | comps -> C.Coder.mix coder comps
+      in
+      List.iter
+        (fun cs -> Array.iteri (fun i c -> if c = null then codes.(i) <- -1) cs)
+        comps;
+      codes
+    in
+    (side (List.map fst pairs), side (List.map snd pairs))
 
 (* Hash-join candidates: the [(build, probe)] row pairs with equal codes,
-   probe rows ascending and, within one, build rows descending. *)
+   probe rows ascending and, within one, build rows descending.  The
+   classes of equal codes over both sides name each probe row's first
+   equal build row, if any; the build rows of each class are laid out
+   descending, one class after the other. *)
 let hash_pairs ~(build : int array) ~(probe : int array) : int array * int array =
-  let index = Hashtbl.create (2 * Array.length build + 1) in
-  Array.iteri
-    (fun bi c ->
-      if c >= 0 then
-        Hashtbl.replace index c
-          (bi :: Option.value ~default:[] (Hashtbl.find_opt index c)))
-    build;
-  let bs = ref [] and ps = ref [] in
-  Array.iteri
-    (fun pi c ->
-      if c >= 0 then
-        match Hashtbl.find_opt index c with
-        | None -> ()
-        | Some bis ->
-          List.iter
-            (fun bi ->
-              bs := bi :: !bs;
-              ps := pi :: !ps)
-            bis)
-    probe;
-  (Array.of_list (List.rev !bs), Array.of_list (List.rev !ps))
+  let nb = Array.length build and np = Array.length probe in
+  let cls = C.eqclasses (nb + np) [ C.CInt (Array.append build probe, None) ] in
+  let size = Array.make nb 0 in
+  Array.iteri (fun bi c -> if c >= 0 then size.(cls.(bi)) <- size.(cls.(bi)) + 1) build;
+  let cursor = Array.make nb 0 and total = ref 0 in
+  for r = 0 to nb - 1 do
+    if size.(r) > 0 then begin
+      cursor.(r) <- !total;
+      total := !total + size.(r)
+    end
+  done;
+  let start = Array.copy cursor in
+  let members = Array.make !total 0 in
+  for bi = nb - 1 downto 0 do
+    if build.(bi) >= 0 then begin
+      let r = cls.(bi) in
+      members.(cursor.(r)) <- bi;
+      cursor.(r) <- cursor.(r) + 1
+    end
+  done;
+  (* The class of probe row [pi] when a build row is in it, else -1. *)
+  let match_of pi =
+    let r = cls.(nb + pi) in
+    if probe.(pi) >= 0 && r < nb then r else -1
+  in
+  let m = ref 0 in
+  for pi = 0 to np - 1 do
+    let r = match_of pi in
+    if r >= 0 then m := !m + size.(r)
+  done;
+  let bs = Array.make !m 0 and ps = Array.make !m 0 in
+  let k = ref 0 in
+  for pi = 0 to np - 1 do
+    let r = match_of pi in
+    if r >= 0 then
+      for j = start.(r) to start.(r) + size.(r) - 1 do
+        bs.(!k) <- members.(j);
+        ps.(!k) <- pi;
+        incr k
+      done
+  done;
+  (bs, ps)
 
 (* Every (left, right) pair, left-major: the nested loop. *)
 let all_pairs ln rn : int array * int array =

@@ -32,8 +32,9 @@ val column : Columnar.t -> string -> Columnar.col option
 val group_indices : int array -> int array array
 
 (** [groups n keys] groups [n] rows by their values in the [keys]
-    columns ({!group_indices} order); no key column makes one group of
-    every row. *)
+    columns: [group_indices (Columnar.eqclasses n keys)], built by
+    counting, without hashing.  No key column makes one group of every
+    row (none when [n = 0]). *)
 val groups : int -> Columnar.col list -> int array array
 
 (** The first member of each group. *)
@@ -102,15 +103,21 @@ val nest_rel :
   Columnar.t ->
   Columnar.t
 
-(** One aggregate of a grouped aggregation. *)
+(** One aggregate of a grouped aggregation, over the rows of a group. *)
 type agg = {
   fn : Agg.fn;
-  values : int array -> Value.t list;  (** the input values of some rows *)
+  apply : int array -> Value.t;
+      (** [Agg.apply fn] over the rows' input values, bit for bit *)
+  range : int array -> (float * float) option;
+      (** [Agg.achievable_range fn] over the rows' input values, bit for
+          bit *)
   out : string;
 }
 
 (** [agg fn input out]: [fn] over the column [input], or over one
-    [Int 1] per row without one. *)
+    [Int 1] per row without one.  Over a float or integer column, and
+    without one, both closures fold the rows in order without boxing;
+    any other column boxes the rows' values when a closure runs. *)
 val agg : Agg.fn -> Columnar.col option -> string -> agg
 
 (** [group_agg ~keys ~reps aggs groups b]: output row [o] holds the
@@ -150,12 +157,14 @@ val equi_split :
 (** Join-key codes of both sides from (left, right) key column pairs,
     comparable across the sides; [-1] marks a key with a Null
     component.  When every key is a string column on both sides the
-    codes are global dictionary codes. *)
+    codes are global dictionary codes; one integer key pair codes each
+    value by its first row over both sides. *)
 val key_codes : (Columnar.col * Columnar.col) list -> int array * int array
 
 (** [hash_pairs ~build ~probe]: the [(build, probe)] row index pairs
     with equal non-negative codes, probe rows ascending and, within one
-    probe row, build rows descending. *)
+    probe row, build rows descending.  Linear in the rows and the
+    pairs: the build rows are laid out per code by counting. *)
 val hash_pairs : build:int array -> probe:int array -> int array * int array
 
 (** Every [(left, right)] pair of [ln × rn] rows, left-major (the nested

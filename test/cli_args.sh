@@ -31,9 +31,15 @@ for verb in "" explain parse; do
   esac
 done
 # usage errors found after the options parse: "<args>|<expected message>"
+bad_db=$(mktemp)
+trap 'rm -f "$bad_db"' EXIT
+printf '{"t": ' >"$bad_db"
 for case in "explain|explain needs -db" \
   "parse -scenario RE|parse needs -query" \
-  "RE -log-level bogus|unknown log level"; do
+  "RE -log-level bogus|unknown log level" \
+  "explain -db /nonexistent.json -query x -whynot x|/nonexistent.json: No such file" \
+  "parse -scenario RE -query-file /nonexistent.sql|/nonexistent.sql: No such file" \
+  "parse -db $bad_db -query x|invalid database"; do
   args=${case%%|*}
   want=${case#*|}
   err=$($cli $args 2>&1 >/dev/null)

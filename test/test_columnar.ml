@@ -372,6 +372,204 @@ let test_dict_dedup () =
   Alcotest.(check bool) "at most two new strings" true (after - before <= 2);
   Alcotest.(check bool) "roundtrip" true (eq_rows (C.to_rows b) rows)
 
+(* --- Shared bag stores ------------------------------------------------ *)
+
+(* Rows with a bag column [b], Null in some rows, next to an int key:
+   gathering them with repeated indices makes slices that share the
+   element store. *)
+let arb_bag_rows =
+  let open QCheck.Gen in
+  let row =
+    map3
+      (fun k null es ->
+        Value.Tuple
+          [ ("k", Value.Int k); ("b", if null then Value.Null else Value.bag_of_list es) ])
+      small_nat
+      (frequencyl [ (1, true); (4, false) ])
+      (list_size (int_range 0 4) value_gen)
+  in
+  QCheck.make
+    ~print:(fun vs -> Fmt.str "%a" (Fmt.Dump.list Value.pp) vs)
+    (list_size (int_range 0 10) row)
+
+let pick_indices n picks =
+  if n = 0 then [||] else Array.of_list (List.map (fun p -> p mod n) picks)
+
+let prop_shared_ops =
+  QCheck.Test.make ~name:"shared stores: gather, filter, vstack" ~count:400
+    QCheck.(triple arb_bag_rows arb_bag_rows (small_list small_nat))
+    (fun (xs, ys, picks) ->
+      let a = C.of_rows xs and b = C.of_rows ys in
+      let xa = Array.of_list xs in
+      let at idx = List.map (fun i -> xa.(i)) (Array.to_list idx) in
+      let idx = pick_indices (C.length a) picks in
+      let idx' = pick_indices (C.length a) (List.rev picks) in
+      let ga = C.gather a idx and ga' = C.gather a idx' in
+      let keep i = i mod 3 <> 1 in
+      let fa = C.filter ga (C.Bitv.init (C.length ga) keep) in
+      let exp_fa = List.filteri (fun i _ -> keep i) (at idx) in
+      let null_piece =
+        C.of_rows [ Value.Tuple [ ("k", Value.Int 0); ("b", Value.Null) ] ]
+      in
+      eq_rows (C.to_rows ga) (at idx)
+      && eq_rows (C.to_rows fa) exp_fa
+      && eq_rows (C.to_rows (C.gather ga (Array.init (C.length ga) (fun i -> C.length ga - 1 - i))))
+           (List.rev (at idx))
+      (* pieces over one store, over distinct stores, and with an
+         all-Null piece *)
+      && eq_rows (C.to_rows (C.vstack [ ga; fa; a; ga' ])) (at idx @ exp_fa @ xs @ at idx')
+      && eq_rows (C.to_rows (C.vstack [ ga; b; fa ])) (at idx @ ys @ exp_fa)
+      && eq_rows
+           (C.to_rows (C.vstack [ ga; null_piece; ga' ]))
+           (at idx @ C.to_rows null_piece @ at idx'))
+
+(* A batch whose bag column shares its store reads exactly like its
+   compacted copy, [of_rows (to_rows b)], under every row-level reader. *)
+let prop_shared_readers =
+  QCheck.Test.make ~name:"shared stores read like their compacted copy"
+    ~count:300
+    QCheck.(pair arb_bag_rows (small_list small_nat))
+    (fun (xs, picks) ->
+      let a = C.of_rows xs in
+      let sh = C.gather a (pick_indices (C.length a) picks) in
+      let cp = C.of_rows (C.to_rows sh) in
+      let rows = List.init (C.length sh) Fun.id in
+      let coder = C.Coder.create () in
+      List.for_all
+        (fun i ->
+          let v = C.get_row sh i in
+          String.equal (Value.to_string v) (Value.to_string (C.get_row cp i))
+          && List.for_all
+               (fun j ->
+                 let w = C.get_row cp j in
+                 C.cmp_rows sh i j = C.cmp_rows cp i j
+                 && C.equal_value sh.C.row i w = C.equal_value cp.C.row i w
+                 && C.cells_equal sh.C.row i cp.C.row j = (v = w))
+               rows)
+        rows
+      && C.hash_col sh.C.row = C.hash_col cp.C.row
+      && C.Coder.col_codes coder sh.C.row = C.Coder.col_codes coder cp.C.row)
+
+let prop_cells_equal =
+  QCheck.Test.make ~name:"cells_equal = (=) on col_get" ~count:300
+    (QCheck.pair arb_batch arb_batch) (fun (a, b) ->
+      let agrees x y =
+        List.for_all
+          (fun i ->
+            List.for_all
+              (fun j -> C.cells_equal x.C.row i y.C.row j = (C.get_row x i = C.get_row y j))
+              (List.init y.C.n Fun.id))
+          (List.init x.C.n Fun.id)
+      in
+      agrees a b && agrees a a)
+
+(* --- Kernels against their boxed definitions --------------------------- *)
+
+module K = Engine.Kernel
+
+let fns = Nrab.Agg.[ Sum; Count; Count_distinct; Avg; Min; Max ]
+
+(* Values compared bit for bit: [Value.equal] identifies [0.0] with
+   [-0.0]. *)
+let same_value a b =
+  match a, b with
+  | Value.Float x, Value.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> Value.equal a b
+
+let same_range a b =
+  match a, b with
+  | None, None -> true
+  | Some (l, h), Some (l', h') ->
+    same_value (Value.Float l) (Value.Float l') && same_value (Value.Float h) (Value.Float h')
+  | _ -> false
+
+let arb_agg_column =
+  let open QCheck.Gen in
+  let float =
+    frequency
+      [
+        (3, oneofl [ 0.0; -0.0; nan; infinity; neg_infinity; 0.1; -2.5; 1e308 ]);
+        (3, float_range (-100.) 100.);
+      ]
+  in
+  let cell =
+    frequency
+      [
+        (1, return Value.Null);
+        (4, map (fun f -> Value.Float f) float);
+      ]
+  in
+  let int_cell =
+    frequency [ (1, return Value.Null); (4, map (fun i -> Value.Int i) small_signed_int) ]
+  in
+  let column = oneof [ list_size (int_range 0 12) cell; list_size (int_range 0 12) int_cell ] in
+  QCheck.make
+    ~print:(fun (vs, _) -> Fmt.str "%a" (Fmt.Dump.list Value.pp) vs)
+    (pair column (small_list small_nat))
+
+let prop_typed_aggs =
+  QCheck.Test.make ~name:"typed agg apply/range = Agg, bit for bit" ~count:500
+    arb_agg_column (fun (vs, picks) ->
+      let col = (C.of_rows vs).C.row in
+      let rows = pick_indices (List.length vs) picks in
+      let values = List.map (C.col_get col) (Array.to_list rows) in
+      let ones = List.map (fun _ -> Value.Int 1) (Array.to_list rows) in
+      List.for_all
+        (fun fn ->
+          let a = K.agg fn (Some col) "o" and c = K.agg fn None "o" in
+          same_value (a.K.apply rows) (Nrab.Agg.apply fn values)
+          && same_range (a.K.range rows) (Nrab.Agg.achievable_range fn values)
+          && same_value (c.K.apply rows) (Nrab.Agg.apply fn ones)
+          && same_range (c.K.range rows) (Nrab.Agg.achievable_range fn ones))
+        fns)
+
+let prop_groups =
+  QCheck.Test.make ~name:"groups = group_indices (eqclasses)" ~count:300
+    QCheck.(pair arb_batch (int_range 0 2))
+    (fun (b, k) ->
+      let n = C.length b in
+      let keys =
+        match C.cols b with
+        | Some fs -> List.filteri (fun i _ -> i < k) (List.map snd fs)
+        | None -> [ b.C.row ]
+      in
+      let expected =
+        K.group_indices (match keys with [] -> Array.make n 0 | ks -> C.eqclasses n ks)
+      in
+      K.groups n keys = expected)
+
+(* Each row's class is the smallest row equal to it on every key. *)
+let prop_eqclasses =
+  QCheck.Test.make ~name:"eqclasses = smallest equal row" ~count:300
+    QCheck.(pair arb_batch (int_range 1 2))
+    (fun (b, k) ->
+      let n = C.length b in
+      let keys =
+        match C.cols b with
+        | Some fs when fs <> [] -> List.filteri (fun i _ -> i < k) (List.map snd fs)
+        | _ -> [ b.C.row ]
+      in
+      let equal i j = List.for_all (fun c -> Value.equal (C.col_get c i) (C.col_get c j)) keys in
+      let cls = C.eqclasses n keys in
+      List.for_all
+        (fun i -> cls.(i) = List.find (fun j -> equal i j) (List.init n Fun.id))
+        (List.init n Fun.id))
+
+let prop_hash_pairs =
+  QCheck.Test.make ~name:"hash_pairs = nested-loop order" ~count:300
+    QCheck.(pair (small_list (int_range (-1) 5)) (small_list (int_range (-1) 5)))
+    (fun (build, probe) ->
+      let expected =
+        List.concat_map
+          (fun (pi, c) ->
+            List.filter_map
+              (fun (bi, c') -> if c >= 0 && c = c' then Some (bi, pi) else None)
+              (List.rev (List.mapi (fun bi c' -> (bi, c')) build)))
+          (List.mapi (fun pi c -> (pi, c)) probe)
+      in
+      let bs, ps = K.hash_pairs ~build:(Array.of_list build) ~probe:(Array.of_list probe) in
+      List.combine (Array.to_list bs) (Array.to_list ps) = expected)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -387,7 +585,72 @@ let qsuite =
       prop_codes;
       prop_pred_mask;
       prop_canonical_bags;
+      prop_shared_ops;
+      prop_shared_readers;
+      prop_cells_equal;
+      prop_typed_aggs;
+      prop_groups;
+      prop_eqclasses;
+      prop_hash_pairs;
     ]
+
+(* A relation flatten repeats each parent row once per element, so its
+   output keeps the input's bag column over the input's store. *)
+let test_flatten_shares_store () =
+  let rows =
+    List.init 6 (fun i ->
+        Value.Tuple
+          [
+            ("o", Value.Int i);
+            ( "items",
+              Value.bag_of_list
+                (List.init ((i mod 3) + 1) (fun j ->
+                     Value.Tuple [ ("l", Value.Int ((10 * i) + j)) ])) );
+          ])
+  in
+  let b = C.of_rows rows in
+  let col = Option.get (C.find_col b "items") in
+  let flat =
+    K.flatten ~outer:false (Vtype.TTuple [ ("l", Vtype.TInt) ]) col b
+  in
+  match col, C.find_col flat.K.data "items" with
+  | C.CBag bg, Some (C.CBag out) ->
+    Alcotest.(check int) "one row per element" 12 (C.length flat.K.data);
+    Alcotest.(check bool) "elements shared" true (out.C.belems == bg.C.belems);
+    Alcotest.(check bool) "multiplicities shared" true (out.C.bmult == bg.C.bmult)
+  | _ -> Alcotest.fail "expected bag columns"
+
+(* [col_bytes] counts the elements a bag's rows reference, not its
+   store: over fixed-width elements a shared slice counts exactly what
+   its compacted copy does, and slices that split a batch count what the
+   batch does. *)
+let test_bytes_shared () =
+  let rows =
+    List.init 100 (fun i ->
+        Value.Tuple
+          [
+            ("k", Value.Int i);
+            ( "b",
+              Value.bag_of_list
+                (List.init 10 (fun j -> Value.Tuple [ ("l", Value.Int ((100 * i) + j)) ])) );
+          ])
+  in
+  let b = C.of_rows rows in
+  let store c = match C.find_col c "b" with Some (C.CBag bg) -> bg.C.belems | _ -> C.CNull 0 in
+  let shared = C.gather b (Array.init 60 (fun i -> i * 3 mod 100)) in
+  Alcotest.(check bool) "60 of 100 rows share the store" true (store shared == store b);
+  Alcotest.(check int) "shared slice counts like its copy"
+    (C.bytes (C.of_rows (C.to_rows shared)))
+    (C.bytes shared);
+  let parts =
+    List.init 4 (fun p -> C.gather b (Array.init 25 (fun i -> (4 * i) + p)))
+  in
+  Alcotest.(check int) "slices count like the batch" (C.bytes b)
+    (List.fold_left (fun acc s -> acc + C.bytes s) 0 parts);
+  let one = C.gather b [| 7; 7; 7 |] in
+  Alcotest.(check bool) "a small slice compacts" true (store one != store b);
+  Alcotest.(check int) "repeated rows keep one copy" 10
+    (match C.find_col one "b" with Some (C.CBag bg) -> Array.length bg.C.bmult | _ -> -1)
 
 (* Batches the kernels build, not [of_rows]: every operator's output
    batch in every SA trace of every registry scenario at scale 1.  The
@@ -436,6 +699,11 @@ let () =
           Alcotest.test_case "mixed-shape fallback" `Quick test_mixed_shape_fallback;
           Alcotest.test_case "dictionary dedup" `Quick test_dict_dedup;
           Alcotest.test_case "nullable tuple flatten" `Quick test_flatten_tuple_presence;
+        ] );
+      ( "shared",
+        [
+          Alcotest.test_case "flatten shares its store" `Quick test_flatten_shares_store;
+          Alcotest.test_case "bytes count referenced elements" `Quick test_bytes_shared;
         ] );
       ( "registry",
         [

@@ -232,6 +232,53 @@ let check_equivalence ~partitions ~seed () =
         (Value.to_string (Relation.data actual)))
     (queries ())
 
+(* Plans whose flattened rows keep their bag columns ([kids], and [q]'s
+   nested [qk]) through shuffles and joins: the shuffled slices share or
+   compact their element stores, and each partition stacks slices from
+   every source.  [Exec.rows] must give [Eval]'s bag at 1 and at 4
+   partitions. *)
+let nested_plans () =
+  let q name build = (name, build (Query.Gen.create ())) in
+  let flat_r g = Query.flatten_inner g "kids" (Query.table g "r") in
+  [
+    q "flatten, select, aggregate" (fun g ->
+        Query.group_agg g [ "b" ]
+          [ (Agg.Sum, Some "k", "total"); (Agg.Avg, Some "a", "mean"); (Agg.Count, None, "n") ]
+          (Query.select g (Expr.Cmp (Expr.Ge, Expr.attr "k", Expr.int 1)) (flat_r g)));
+    q "aggregate keyed by a bag" (fun g ->
+        Query.group_agg g [ "kids" ]
+          [ (Agg.Max, Some "k", "top"); (Agg.Count, None, "n") ]
+          (flat_r g));
+    q "flatten then join" (fun g ->
+        Query.join g Query.Inner
+          (Expr.Cmp (Expr.Eq, Expr.attr "a", Expr.attr "c"))
+          (flat_r g) (Query.table g "s"));
+    q "flatten then left join" (fun g ->
+        Query.join g Query.Left
+          (Expr.Cmp (Expr.Eq, Expr.attr "k", Expr.attr "c"))
+          (Query.flatten_outer g "bs" (Query.table g "t"))
+          (Query.table g "s"));
+    q "flatten then dedup" (fun g ->
+        Query.dedup g (Query.project_attrs g [ "b"; "kids" ] (flat_r g)));
+  ]
+
+let check_nested ~partitions () =
+  let db = mk_db ~seed:21 ~rows:60 in
+  List.iter
+    (fun (name, query) ->
+      let expected = Relation.data (Eval.eval db query) in
+      let rows, stats = Engine.Exec.rows ~partitions db query in
+      Alcotest.(check string)
+        (Fmt.str "%s (partitions=%d)" name partitions)
+        (Value.to_string expected)
+        (Value.to_string (Value.bag_of_list rows));
+      if partitions > 1 then
+        Alcotest.(check bool)
+          (Fmt.str "%s shuffles" name)
+          true
+          (Engine.Stats.total_shuffled stats > 0))
+    (nested_plans ())
+
 let test_stats_recorded () =
   let db = mk_db ~seed:3 ~rows:30 in
   let g = Query.Gen.create () in
@@ -346,6 +393,11 @@ let () =
           Alcotest.test_case "1 partition" `Quick (check_equivalence ~partitions:1 ~seed:11);
           Alcotest.test_case "4 partitions" `Quick (check_equivalence ~partitions:4 ~seed:12);
           Alcotest.test_case "7 partitions" `Quick (check_equivalence ~partitions:7 ~seed:13);
+        ] );
+      ( "nested",
+        [
+          Alcotest.test_case "1 partition" `Quick (check_nested ~partitions:1);
+          Alcotest.test_case "4 partitions" `Quick (check_nested ~partitions:4);
         ] );
       ( "infrastructure",
         [
