@@ -3,7 +3,7 @@
 # smallest-scale pass over every bench family (the harness itself is
 # code that can rot) and the wire-level benchmark smoke, which checks
 # every answer against its pin.  Run before every merge.
-.PHONY: verify build test fuzz bench-smoke wirebench-smoke bench-chaos bench-obs bench-approx
+.PHONY: verify build test fuzz bench-smoke wirebench-smoke wirebench-pairs bench-chaos bench-obs bench-approx
 
 verify:
 	dune build @all && dune runtest && $(MAKE) bench-smoke && $(MAKE) wirebench-smoke
@@ -34,6 +34,15 @@ bench-smoke:
 # explanations in wirebench/expected/ or a declared metric goes unmeasured.
 wirebench-smoke:
 	sh wirebench/run.sh smoke
+
+# Interleaved parent/change wirebench pairs and their comparison, e.g.
+#   make wirebench-pairs PARENT=../parent CHANGE=. WORKLOAD=tpch-cold N=10 \
+#     CLAIM=tpch-cold:throughput_rps
+# Results go to .wirebench/pairs/<workload>/ (see scripts/wirebench_pairs.sh).
+N ?= 10
+CHANGE ?= .
+wirebench-pairs:
+	sh scripts/wirebench_pairs.sh $(PARENT) $(CHANGE) $(WORKLOAD) $(N) $(CLAIM)
 
 # The acceptance families below run only when named.  Each writes its
 # rows to results/bench-<family>.json (results/ is not committed); the

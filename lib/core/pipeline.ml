@@ -183,6 +183,9 @@ let prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retries root cursor
              in
              Obs.Span.set_int sp "shared_blocks" (Tracing.shared_blocks shared);
              Obs.Span.set_int sp "shared_rows" (Tracing.shared_rows shared);
+             let kept, pruned = Tracing.shared_columns shared in
+             Obs.Span.set_int sp "columns_kept" kept;
+             Obs.Span.set_int sp "columns_pruned" pruned;
              shared))
   in
   (* ⟦Q⟧_D, the basis of the side-effect bounds, is charged to the MSR

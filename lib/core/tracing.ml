@@ -363,18 +363,22 @@ type cres = {
   c_kids : cres list;
 }
 
-(* An SA-invariant subtree traced once: its records with rids relative to
-   the block (the block's first row is rid 0). *)
-type block = { b_query : Query.t; b_rows : int; b_res : cres }
+(* An SA-invariant subtree traced once, under [b_cols], the union of the
+   SAs' column sets: its records with rids relative to the block (the
+   block's first row is rid 0). *)
+type block = { b_query : Query.t; b_rows : int; b_res : cres; b_cols : K.cols }
 
 (* Blocks keyed by tree position: the path of child indices from the
-   root, deepest first. *)
-type shared = { blocks : (int list * block) list }
+   root, deepest first.  [s_kept] and [s_pruned] count the columns the
+   blocks' table scans kept and left out. *)
+type shared = { blocks : (int list * block) list; s_kept : int; s_pruned : int }
 
 let shared_blocks (s : shared) = List.length s.blocks
 
 let shared_rows (s : shared) =
   List.fold_left (fun acc (_, b) -> acc + b.b_rows) 0 s.blocks
+
+let shared_columns (s : shared) = (s.s_kept, s.s_pruned)
 
 (* Move a block to the rid it lands at: rids and parent rids shift by
    [d]; the data and flag vectors are shared as they are. *)
@@ -387,6 +391,17 @@ let rec rebase d (r : cres) : cres =
       c_par = shift_parents d r.c_par;
       c_kids = List.map (rebase d) r.c_kids;
     }
+
+(* A block evaluated under a superset of [cols], narrowed to what
+   evaluating it under [cols] gives: only the data batches change.
+   [None] when a batch cannot be narrowed exactly. *)
+let rec narrow cols (r : cres) : cres option =
+  match K.keep cols r.c_op r.c_data with
+  | None -> None
+  | Some data ->
+    let kids = List.filter_map (narrow cols) r.c_kids in
+    if List.compare_lengths kids r.c_kids <> 0 then None
+    else Some { r with c_data = data; c_kids = kids }
 
 (* The rows among [rows] whose flag is set, in order. *)
 let filter_rows flags (rows : int array) : int array =
@@ -419,13 +434,19 @@ let members_parents base (members : int array array) : parents =
    count its rows.  A position that [blocks] holds, with an equal
    subtree, is spliced in from the block instead of being evaluated.
    Rids are allocated after the children's, so they ascend in post-order
-   over the operator tree, and a block's rows stay contiguous. *)
-let evaluate ~(env : Typecheck.env) (db : Relation.Db.t) ~blocks (q : Query.t)
-    : cres * int =
+   over the operator tree, and a block's rows stay contiguous.
+
+   Batches hold the columns [cols] keeps (see {!Engine.Kernel.reads}):
+   table scans narrow to them, and a block evaluated under a wider set
+   is narrowed to them, or evaluated here when it cannot be.  [columns]
+   adds up the columns the scans keep and leave out. *)
+let evaluate ~(env : Typecheck.env) (db : Relation.Db.t) ~cols ~blocks
+    ?(columns = ref (0, 0)) (q : Query.t) : cres * int =
   let next_rid = ref 0 in
+  (* A subtree's fields as its narrowed batches hold them. *)
   let fields_of sub =
     match Typecheck.infer_result env sub with
-    | Ok ty -> Vtype.relation_fields ty
+    | Ok ty -> Vtype.relation_fields (K.keep_type cols sub ty)
     | Error e ->
       invalid_arg ("Tracing.run: ill-typed SA query: " ^ e.Typecheck.message)
   in
@@ -435,10 +456,17 @@ let evaluate ~(env : Typecheck.env) (db : Relation.Db.t) ~blocks (q : Query.t)
   in
   let rec go pos (op : Query.t) : cres =
     match List.assoc_opt pos blocks with
-    | Some b when b.b_query = op ->
-      let r = rebase !next_rid b.b_res in
-      next_rid := !next_rid + b.b_rows;
-      r
+    | Some b when b.b_query = op -> (
+      let res =
+        if K.equal_cols b.b_cols cols then Some b.b_res
+        else narrow cols b.b_res
+      in
+      match res with
+      | Some res ->
+        let r = rebase !next_rid res in
+        next_rid := !next_rid + b.b_rows;
+        r
+      | None -> eval pos op)
     | _ -> eval pos op
   and eval pos op =
     let kids = List.mapi (fun i c -> go (i :: pos) c) op.Query.children in
@@ -461,7 +489,9 @@ let evaluate ~(env : Typecheck.env) (db : Relation.Db.t) ~blocks (q : Query.t)
     match op.Query.node, op.Query.children, kids with
     | Query.Table name, [], [] ->
       let rel = Relation.Db.find_exn name db in
-      let data = C.of_relation rel in
+      let data, kept, pruned = K.scan cols op (C.of_relation rel) in
+      let k, p = !columns in
+      columns := (k + kept, p + pruned);
       let n = C.length data in
       C.note_rows_scanned n;
       crecord ~data ~ret:(ball n true) ~surv:(ball n true) ~par:P_none
@@ -551,7 +581,8 @@ let evaluate ~(env : Typecheck.env) (db : Relation.Db.t) ~blocks (q : Query.t)
         | _ -> invalid_arg ("Tracing: attribute " ^ a ^ " is not a relation")
       in
       (* The outer flatten; an inner one does not retain its pads. *)
-      let f = K.flatten ~outer:true inner_ty (col r.c_data a) r.c_data in
+      let parents = if K.drops cols a then K.without a r.c_data else r.c_data in
+      let f = K.flatten ~outer:true inner_ty (col r.c_data a) parents in
       let m = Array.length f.K.parent in
       let keeps_pad = kind = Query.Flat_outer in
       let ret =
@@ -936,14 +967,25 @@ let share ~(env : Typecheck.env) (db : Relation.Db.t)
     (sas : Alternatives.sa list) : shared =
   (* Chaos hook: fires once per share job attempt. *)
   Obs.Faultinject.fire site_shared;
+  let reads (sa : Alternatives.sa) = K.reads env sa.Alternatives.query in
+  let columns = ref (0, 0) in
   let blocks =
-    List.map
-      (fun (pos, sub) ->
-        let res, rows = evaluate ~env db ~blocks:[] sub in
-        (pos, { b_query = sub; b_rows = rows; b_res = res }))
-      (shareable sas)
+    match shareable sas, sas with
+    | [], _ | _, [] -> []
+    | subs, sa :: rest ->
+      (* Q3's block, say, reads [l_discount] in one SA and [l_tax] in
+         the other. *)
+      let cols =
+        List.fold_left (fun acc sa -> K.union acc (reads sa)) (reads sa) rest
+      in
+      List.map
+        (fun (pos, sub) ->
+          let res, rows = evaluate ~env db ~cols ~blocks:[] ~columns sub in
+          (pos, { b_query = sub; b_rows = rows; b_res = res; b_cols = cols }))
+        subs
   in
-  let s = { blocks } in
+  let s_kept, s_pruned = !columns in
+  let s = { blocks; s_kept; s_pruned } in
   Obs.Metrics.Counter.incr ~by:(shared_rows s) m_shared_rows;
   s
 
@@ -958,7 +1000,8 @@ let relax ?shared ~(env : Typecheck.env) (db : Relation.Db.t)
      is recomputed from the (immutable) database and shared blocks. *)
   Obs.Faultinject.fire site_relaxed;
   let blocks = match shared with Some s -> s.blocks | None -> [] in
-  { r_sa = sa; r_res = fst (evaluate ~env db ~blocks sa.Alternatives.query) }
+  let q = sa.Alternatives.query in
+  { r_sa = sa; r_res = fst (evaluate ~env db ~cols:(K.reads env q) ~blocks q) }
 
 let annotate ?(revalidate = true) ?(sample_stride = 1) (r : relaxed)
     (bt : Backtrace.t) : t =

@@ -139,6 +139,10 @@ val shared_blocks : shared -> int
 
 val shared_rows : shared -> int
 
+(** Columns the blocks' table scans kept and left out, counted at every
+    depth as {!Engine.Kernel.scan} counts them. *)
+val shared_columns : shared -> int * int
+
 (** One SA's relaxed evaluation: every operator's data batch, rid block,
     [retained], [surviving], parents and ranges — all of the trace but
     [consistent].  It depends only on ⟨SA query, database⟩, never on the

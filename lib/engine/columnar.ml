@@ -122,6 +122,7 @@ let m_dict_hits = Obs.Metrics.counter "engine.columnar.dict_hits"
 (* Registered up front, so telemetry shows it at 0 until a batch falls
    back. *)
 let m_row_fallbacks = Obs.Metrics.counter "engine.columnar.row_fallbacks"
+let m_columns_pruned = Obs.Metrics.counter "engine.columnar.columns_pruned"
 
 let note_rows_scanned n =
   if n > 0 then Obs.Metrics.Counter.incr ~by:n m_rows_scanned
@@ -130,6 +131,9 @@ let note_bytes_moved n =
   if n > 0 then Obs.Metrics.Counter.incr ~by:n m_bytes_moved
 
 let note_row_fallback () = Obs.Metrics.Counter.incr m_row_fallbacks
+
+let note_columns_pruned n =
+  if n > 0 then Obs.Metrics.Counter.incr ~by:n m_columns_pruned
 
 (* ------------------------------------------------------------------ *)
 (* Global string dictionary (hash-consed)                              *)
@@ -1411,7 +1415,11 @@ let eqclasses (n : int) (cs : col list) : int array =
     eqclasses_codes n (fun i -> if Bitv.get p i then codes.(i) else min_int)
   | [ CInt (a, None) ] -> eqclasses_codes n (fun i -> a.(i))
   | [ CInt (a, Some p) ] ->
-    eqclasses_codes n (fun i -> if Bitv.get p i then a.(i) else min_int)
+    (* [Null] keys as [min_int]; presence tells it from a present
+       [min_int]. *)
+    classes n
+      (fun i -> if Bitv.get p i then a.(i) else min_int)
+      (fun r i -> Bool.equal (Bitv.get p r) (Bitv.get p i))
   | _ -> eqclasses_general n cs
 
 (* One canonical bag per group of row indices of [b]: the members'

@@ -244,3 +244,7 @@ val note_rows_scanned : int -> unit
     or in tracing, because it has no tuple columns or a column cannot
     be handled column-wise. *)
 val note_row_fallback : unit -> unit
+
+(** Add to the [engine.columnar.columns_pruned] counter: columns a table
+    scan left out because no operator of the query reads them. *)
+val note_columns_pruned : int -> unit

@@ -22,7 +22,7 @@ let value_hash = Columnar.value_hash
 
 (* Round-robin distribution of a columnar batch: partition [i] takes
    rows [i, i+n, ...], in order. *)
-let distribute_cols ~partitions:n (b : Columnar.t) : t =
+let distribute_batch ~partitions:n (b : Columnar.t) : t =
   let n = max 1 n in
   let total = Columnar.length b in
   Array.init n (fun i ->
@@ -31,7 +31,7 @@ let distribute_cols ~partitions:n (b : Columnar.t) : t =
 
 (* Round-robin distribution of a list of tuples. *)
 let distribute ~partitions rows =
-  distribute_cols ~partitions (Columnar.of_rows rows)
+  distribute_batch ~partitions (Columnar.of_rows rows)
 
 (* Repartition by a per-row destination hash (a shuffle): [hash_of]
    produces one destination hash per row of a batch; moved rows travel
@@ -71,6 +71,3 @@ let gather (d : t) : t * int =
   let b = Columnar.vstack (Array.to_list d) in
   Columnar.note_bytes_moved (Columnar.bytes b);
   ([| b |], Columnar.length b)
-
-let of_relation ~partitions (r : Relation.t) : t =
-  distribute_cols ~partitions (Columnar.of_relation r)

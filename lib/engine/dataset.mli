@@ -22,6 +22,10 @@ val value_hash : Value.t -> int
     partitions (≥ 1), built as batches. *)
 val distribute : partitions:int -> Value.t list -> t
 
+(** Round-robin distribution of a batch's rows over [partitions]
+    partitions (≥ 1), as gathered column slices. *)
+val distribute_batch : partitions:int -> Columnar.t -> t
+
 (** Hash-repartition — a shuffle: [hash_of] yields one destination hash
     per batch row (e.g. {!Columnar.hash_col} over the key columns, or
     {!value_hash} of each row's key).  Also returns the number of rows
@@ -33,6 +37,3 @@ val shuffle_hashed :
 (** Collapse to a single partition; returns the rows moved. *)
 val gather : t -> t * int
 
-(** Cached arena build of the relation, split into round-robin column
-    slices. *)
-val of_relation : partitions:int -> Relation.t -> t

@@ -84,6 +84,10 @@ let rows ?(partitions = 4) ?parent ?registry (db : Relation.Db.t)
     (q : Query.t) : Value.t list * Stats.t =
   Obs.Faultinject.fire site_run;
   let env = schema_env db in
+  let cols = Kernel.reads env q in
+  (* A child's output type as its narrowed batches hold it: the shape
+     of the Null pads stacked onto them. *)
+  let kept_type c = Kernel.keep_type cols c (Typecheck.infer env c) in
   let stats = Stats.create () in
   let n = max 1 partitions in
   (* Spans are only materialized when a parent is given: untraced runs
@@ -131,7 +135,13 @@ let rows ?(partitions = 4) ?parent ?registry (db : Relation.Db.t)
     match q.node, q.children with
     | Query.Table name, [] ->
       let rel = Relation.Db.find_exn name db in
-      let d = Dataset.of_relation ~partitions:n rel in
+      let b, kept, pruned = Kernel.scan cols q (C.of_relation rel) in
+      let d = Dataset.distribute_batch ~partitions:n b in
+      Option.iter
+        (fun s ->
+          Obs.Span.set_int s "columns_kept" kept;
+          Obs.Span.set_int s "columns_pruned" pruned)
+        sp;
       record_io (Relation.cardinal rel) (Dataset.cardinal d);
       d
     | Query.Select pred, [ c ] ->
@@ -147,14 +157,15 @@ let rows ?(partitions = 4) ?parent ?registry (db : Relation.Db.t)
       in
       narrow c (fun b -> Kernel.flatten_tuple inner_ty (strict b a) b)
     | Query.Flatten (kind, a), [ c ] ->
-      let cty = Typecheck.infer env c in
       let inner_ty =
-        match List.assoc_opt a (Vtype.relation_fields cty) with
+        match List.assoc_opt a (Vtype.relation_fields (kept_type c)) with
         | Some (Vtype.TBag ety) -> ety
         | Some _ | None -> err "engine: attribute %s is not a relation" a
       in
       let outer = kind = Query.Flat_outer in
-      narrow c (fun b -> (Kernel.flatten ~outer inner_ty (lax b a) b).Kernel.data)
+      let parents b = if Kernel.drops cols a then Kernel.without a b else b in
+      narrow c (fun b ->
+          (Kernel.flatten ~outer inner_ty (lax b a) (parents b)).Kernel.data)
     | Query.Nest_tuple (pairs, c_name), [ c ] ->
       narrow c (fun b ->
           Kernel.nest_tuple pairs c_name
@@ -237,8 +248,8 @@ let rows ?(partitions = 4) ?parent ?registry (db : Relation.Db.t)
     let lty = Typecheck.infer env l and rty = Typecheck.infer env r in
     let lfields = List.map fst (Vtype.relation_fields lty) in
     let rfields = List.map fst (Vtype.relation_fields rty) in
-    let lnull = Vtype.null_tuple (Vtype.element lty) in
-    let rnull = Vtype.null_tuple (Vtype.element rty) in
+    let lnull = Vtype.null_tuple (Vtype.element (kept_type l)) in
+    let rnull = Vtype.null_tuple (Vtype.element (kept_type r)) in
     let dl = go sp l and dr = go sp r in
     let input = Dataset.cardinal dl + Dataset.cardinal dr in
     let keys, residual = Kernel.equi_split lfields rfields pred in

@@ -40,6 +40,208 @@ let column (b : C.t) (a : string) : C.col option =
         Some (C.of_values (Array.map (Option.value ~default:Value.Null) vs)).C.row
       else None
 
+(* --- Column analysis ------------------------------------------------------ *)
+
+module Names = Set.Make (String)
+
+(* The fields a query's batches keep.  A field outside [names] is read
+   by no operator and is no output field; a bag in [names] but not in
+   [whole] is read only by relation flattens, which need only the
+   element fields in [names]; a bag in [drops] is read by one flatten
+   alone and stops at it. *)
+type sets = { names : Names.t; whole : Names.t; drops : Names.t }
+
+(* [Every] keeps every column: the query does not typecheck, so the
+   analysis cannot name its fields. *)
+type cols = Every | Only of sets
+
+let reads (env : Typecheck.env) (q : Query.t) : cols =
+  let fields sub = Vtype.relation_fields (Typecheck.infer env sub) in
+  let names = ref Names.empty and whole = ref Names.empty in
+  let read ls =
+    List.iter
+      (fun l ->
+        names := Names.add l !names;
+        whole := Names.add l !whole)
+      ls
+  in
+  let count tbl l =
+    Hashtbl.replace tbl l (1 + Option.value ~default:0 (Hashtbl.find_opt tbl l))
+  in
+  (* How many flattens read each bag, and how many operators bring each
+     name in from outside the query: table accesses and flattened
+     elements.  A bag one flatten reads, brought in once, is the bag
+     every batch above that flatten would hold. *)
+  let flattens = Hashtbl.create 8 and intros = Hashtbl.create 64 in
+  let whole_rows c = read (List.map fst (fields c)) in
+  let op (o : Query.t) =
+    match o.Query.node, o.Query.children with
+    | Query.Table _, [] -> List.iter (fun (l, _) -> count intros l) (fields o)
+    | Query.Select p, _ | Query.Join (_, p), _ -> read (Expr.pred_attrs p)
+    | Query.Project cols, _ ->
+      read (List.concat_map (fun (l, e) -> l :: Expr.attrs e) cols)
+    | Query.Rename pairs, _ ->
+      read (List.concat_map (fun (fresh, old) -> [ fresh; old ]) pairs)
+    | (Query.Union | Query.Diff), [ l; r ] ->
+      whole_rows l;
+      whole_rows r
+    | Query.Dedup, [ c ] -> whole_rows c
+    | Query.Flatten_tuple a, [ c ] -> (
+      read [ a ];
+      match List.assoc_opt a (fields c) with
+      | Some (Vtype.TTuple inner) -> read (List.map fst inner)
+      | _ -> ())
+    | Query.Flatten (_, a), [ c ] -> (
+      names := Names.add a !names;
+      count flattens a;
+      match List.assoc_opt a (fields c) with
+      | Some (Vtype.TBag (Vtype.TTuple inner)) ->
+        List.iter (fun (l, _) -> count intros l) inner
+      | _ -> ())
+    | Query.Nest_tuple (pairs, c_name), _ -> read (c_name :: List.map snd pairs)
+    | Query.Nest_rel (_, c_name), [ c ] ->
+      whole_rows c;
+      read [ c_name ]
+    | Query.Agg_tuple (_, a, b), _ -> read [ a; b ]
+    | Query.Group_agg (group, aggs), _ ->
+      read (List.concat_map (fun (l, a) -> [ l; a ]) group);
+      read
+        (List.concat_map
+           (fun (_, a, out) -> out :: Option.to_list a)
+           aggs)
+    | _ -> ()
+  in
+  match
+    List.iter op (Query.operators q);
+    whole_rows q
+  with
+  | exception Typecheck.Type_error _ -> Every
+  | () ->
+    let once tbl l = Hashtbl.find_opt tbl l = Some 1 in
+    let drops =
+      Names.filter
+        (fun a -> once flattens a && once intros a && not (Names.mem a !whole))
+        !names
+    in
+    Only { names = !names; whole = !whole; drops }
+
+let union (a : cols) (b : cols) : cols =
+  match a, b with
+  | Every, _ | _, Every -> Every
+  | Only a, Only b ->
+    Only
+      {
+        names = Names.union a.names b.names;
+        whole = Names.union a.whole b.whole;
+        drops = Names.inter a.drops b.drops;
+      }
+
+let equal_cols (a : cols) (b : cols) : bool =
+  match a, b with
+  | Every, Every -> true
+  | Only a, Only b ->
+    Names.equal a.names b.names
+    && Names.equal a.whole b.whole
+    && Names.equal a.drops b.drops
+  | _ -> false
+
+let drops (c : cols) (a : string) : bool =
+  match c with Every -> false | Only s -> Names.mem a s.drops
+
+(* What a batch of [q]'s output does with field [l]: drop it, keep it
+   whole, or keep it with its elements narrowed.  Above the flatten
+   that drops a bag, the bag is gone. *)
+type verdict = Drop | Whole | Elements
+
+let verdict (s : sets) ~(dropped : string -> bool) l =
+  if (not (Names.mem l s.names)) || dropped l then Drop
+  else if Names.mem l s.whole then Whole
+  else Elements
+
+(* The bags the flattens of [q] drop. *)
+let dropped_in (s : sets) (q : Query.t) : string -> bool =
+  if Names.is_empty s.drops then fun _ -> false
+  else
+    let gone =
+      Query.fold
+        (fun acc (o : Query.t) ->
+          match o.Query.node with
+          | Query.Flatten (_, a) when Names.mem a s.drops -> Names.add a acc
+          | _ -> acc)
+        Names.empty q
+    in
+    fun l -> Names.mem l gone
+
+let never _ = false
+
+let rec keep_fields_ty s ~dropped (fs : (string * Vtype.t) list) =
+  List.filter_map
+    (fun (l, ty) ->
+      match verdict s ~dropped l, ty with
+      | Drop, _ -> None
+      | Elements, Vtype.TBag (Vtype.TTuple efs) ->
+        Some (l, Vtype.TBag (Vtype.TTuple (keep_fields_ty s ~dropped:never efs)))
+      | _ -> Some (l, ty))
+    fs
+
+let keep_type (c : cols) (q : Query.t) (ty : Vtype.t) : Vtype.t =
+  match c with
+  | Every -> ty
+  | Only s ->
+    Vtype.relation
+      (keep_fields_ty s ~dropped:(dropped_in s q) (Vtype.relation_fields ty))
+
+exception Inexact
+
+let rec keep_fields s ~dropped (fs : (string * C.col) list) =
+  List.filter_map
+    (fun (l, col) ->
+      match verdict s ~dropped l, col with
+      | Drop, _ -> None
+      | Elements, C.CBag ({ C.belems = C.CTuple (n, efs, p); _ } as bg) ->
+        Some
+          ( l,
+            C.CBag
+              { bg with C.belems = C.CTuple (n, keep_fields s ~dropped:never efs, p) }
+          )
+      | Elements, (C.CBag { C.belems = C.CNull _; _ } | C.CNull _) -> Some (l, col)
+      | Elements, (C.CBag _ | C.CBox _ | C.CConst _) -> raise Inexact
+      | _ -> Some (l, col))
+    fs
+
+let keep (c : cols) (q : Query.t) (b : C.t) : C.t option =
+  match c with
+  | Every -> Some b
+  | Only _ when C.length b = 0 -> Some b
+  | Only s -> (
+    match C.cols b with
+    | None -> None
+    | Some fs -> (
+      match keep_fields s ~dropped:(dropped_in s q) fs with
+      | fs' -> Some (C.of_cols (C.length b) fs')
+      | exception Inexact -> None))
+
+(* Labelled columns at every depth: tuple fields and bag element
+   fields. *)
+let rec width (col : C.col) : int =
+  match col with
+  | C.CTuple (_, fs, _) -> List.fold_left (fun acc (_, c) -> acc + 1 + width c) 0 fs
+  | C.CBag bg -> width bg.C.belems
+  | _ -> 0
+
+let scan (c : cols) (q : Query.t) (b : C.t) : C.t * int * int =
+  let b' = Option.value ~default:b (keep c q b) in
+  let kept = width b'.C.row in
+  let pruned = width b.C.row - kept in
+  C.note_columns_pruned pruned;
+  (b', kept, pruned)
+
+let without (a : string) (b : C.t) : C.t =
+  match C.cols b with
+  | Some fs when C.length b > 0 ->
+    C.of_cols (C.length b) (List.filter (fun (l, _) -> not (String.equal l a)) fs)
+  | _ -> b
+
 (* Rows per structural-equality class of [codes]: first-seen class
    order, members ascending. *)
 let group_indices (codes : int array) : int array array =

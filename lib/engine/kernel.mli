@@ -25,6 +25,58 @@ exception Engine_error of string
     Null). *)
 val column : Columnar.t -> string -> Columnar.col option
 
+(** {1 Column analysis}
+
+    Which columns a query's batches need.  Both evaluators narrow each
+    table batch to them before any operator runs; every column an
+    operator reads, and every output field, stays, so the rows, their
+    order and every value read are the same as over whole batches. *)
+
+(** The columns one query (or several, under {!union}) reads. *)
+type cols
+
+(** [reads env q]: the names any operator of [q] reads or produces,
+    plus [q]'s output fields.  δ, ∪, − and ν compare or group whole
+    rows, so every field of their children stays, bags with every
+    element field.  A bag that only relation flattens read keeps only
+    the element fields in the set; when one flatten reads it and it
+    enters the query once, that flatten drops it before gathering its
+    parent rows.  A query that does not typecheck keeps every column. *)
+val reads : Typecheck.env -> Query.t -> cols
+
+(** The columns either set keeps: evaluating under [union a b] and
+    narrowing with {!keep} gives what evaluating under [a] gives. *)
+val union : cols -> cols -> cols
+
+val equal_cols : cols -> cols -> bool
+
+(** [drops c a]: the flatten of the bag [a] leaves [a] out of its
+    output (and the caller leaves it out of the parent rows it
+    gathers). *)
+val drops : cols -> string -> bool
+
+(** [keep c q b]: [b], a batch of [q]'s output evaluated under [c] or
+    under a superset of [c] from {!union}, narrowed to the batch [q]
+    gives under [c], in O(fields) without copying a column; the cached
+    {!Columnar.of_relation} batch is left as it is.  [None] when [b]
+    has no tuple columns or a bag to narrow has no tuple element
+    store. *)
+val keep : cols -> Query.t -> Columnar.t -> Columnar.t option
+
+(** [keep_type c q ty]: [q]'s output type [ty] as its batches under [c]
+    hold it.  Null pads (outer joins, outer flattens) take this shape,
+    so they stack column-wise onto the narrowed rows. *)
+val keep_type : cols -> Query.t -> Vtype.t -> Vtype.t
+
+(** [scan c q b]: the table batch [b] of the access [q] narrowed by
+    {!keep} (whole when it cannot be), with the labelled columns, at
+    every depth, kept and left out.  Adds the latter to
+    [engine.columnar.columns_pruned]. *)
+val scan : cols -> Query.t -> Columnar.t -> Columnar.t * int * int
+
+(** [without a b]: [b] less its top-level column [a]. *)
+val without : string -> Columnar.t -> Columnar.t
+
 (** {1 Grouping} *)
 
 (** Row indices per structural-equality class of the codes: classes in

@@ -688,6 +688,18 @@ let test_registry_batches () =
     Scenarios.Registry.all;
   Alcotest.(check bool) "rows were checked" true (!rows > 0)
 
+(* Nullable integer columns code Null as [min_int]: a present [min_int]
+   is still its own class, and classes keep their first-seen order. *)
+let test_min_int_is_not_null () =
+  let col vs = (C.of_rows vs).C.row in
+  let m = Value.Int min_int in
+  Alcotest.(check (array int)) "classes" [| 0; 1; 0; 1 |]
+    (C.eqclasses 4 [ col [ m; Value.Null; m; Value.Null ] ]);
+  Alcotest.(check (array int)) "Null first" [| 0; 1; 1 |]
+    (C.eqclasses 3 [ col [ Value.Null; m; m ] ]);
+  Alcotest.(check (array (array int))) "groups" [| [| 0; 2 |]; [| 1 |] |]
+    (K.groups 3 [ col [ m; Value.Null; m ] ])
+
 let () =
   Alcotest.run "columnar"
     [
@@ -699,6 +711,7 @@ let () =
           Alcotest.test_case "mixed-shape fallback" `Quick test_mixed_shape_fallback;
           Alcotest.test_case "dictionary dedup" `Quick test_dict_dedup;
           Alcotest.test_case "nullable tuple flatten" `Quick test_flatten_tuple_presence;
+          Alcotest.test_case "min_int key is not Null" `Quick test_min_int_is_not_null;
         ] );
       ( "shared",
         [

@@ -385,6 +385,104 @@ let test_plan_narrow_pipeline () =
   Alcotest.(check int) "single stage" 1 (Engine.Stats.stages stats);
   Alcotest.(check int) "nothing shuffled" 0 (Engine.Stats.total_shuffled stats)
 
+(* --- Column pruning ------------------------------------------------------ *)
+
+(* A small random database over [Query_gen]'s schema: nullable fields,
+   repeated values, and [addrs] bags that are empty, Null or repeat an
+   element. *)
+let gen_db rs : Relation.Db.t =
+  let open QCheck.Gen in
+  let nullable v = if int_bound 4 rs = 0 then Value.Null else v in
+  let pick l = List.nth l (int_bound (List.length l - 1) rs) in
+  let addr () =
+    tup
+      [
+        ("city", nullable (v_str (pick [ "NY"; "LA"; "SF" ])));
+        ("year", nullable (v_int (2017 + int_bound 3 rs)));
+      ]
+  in
+  let addrs () =
+    if int_bound 6 rs = 0 then Value.Null
+    else
+      let one = addr () in
+      Value.bag_of_list
+        (List.init (int_bound 3 rs) (fun i -> if i = 2 then one else addr ()))
+  in
+  let person () =
+    tup
+      [
+        ("name", nullable (v_str (pick [ "Sue"; "Peter"; "Ann" ])));
+        ("age", nullable (v_int (int_bound 4 rs)));
+        ("score", nullable (Value.Float (pick [ 0.5; -2.25; 3. ])));
+        ("active", nullable (Value.Bool (bool rs)));
+        ("addrs", addrs ());
+      ]
+  in
+  let order () =
+    tup
+      [
+        ("oid", nullable (v_int (int_bound 4 rs)));
+        ("item", nullable (v_str (pick [ "tea"; "pen" ])));
+        ("qty", nullable (v_int (int_bound 3 rs)));
+      ]
+  in
+  let rows f = List.init (int_bound 7 rs) (fun _ -> f ()) in
+  let schema name = List.assoc name Query_gen.env in
+  Relation.Db.of_list
+    [
+      ("people", Relation.of_tuples ~schema:(schema "people") (rows person));
+      ("orders", Relation.of_tuples ~schema:(schema "orders") (rows order));
+    ]
+
+(* Each table batch keeps only the columns some operator reads, yet
+   [Exec.rows] gives [Eval]'s bag over random queries (outer joins,
+   flattens, nesting, aggregation, ∪, −, δ) and random nested data. *)
+let pruning_sound =
+  QCheck.Test.make ~count:300 ~name:"pruned Exec.rows = Eval"
+    (QCheck.make
+       ~print:(fun (q, _) -> Parser.query_to_string q)
+       (fun rs -> (Query_gen.gen_query rs, gen_db rs)))
+    (fun (q, db) ->
+      let expected = Value.to_string (Relation.data (Eval.eval db q)) in
+      List.for_all
+        (fun partitions ->
+          let rows, _ = Engine.Exec.rows ~partitions db q in
+          String.equal expected (Value.to_string (Value.bag_of_list rows)))
+        [ 1; 4 ])
+
+(* Counting rows reads no column of [s]: the table batch keeps none, and its
+   zero-column rows still count. *)
+let test_count_star_reads_nothing ~partitions () =
+  let db = mk_db ~seed:5 ~rows:23 in
+  let g = Query.Gen.create () in
+  let q = Query.group_agg g [] [ (Agg.Count, None, "n") ] (Query.table g "s") in
+  let rows, _ = Engine.Exec.rows ~partitions db q in
+  Alcotest.(check string) "one row counting every row" "{{⟨n: 23⟩}}"
+    (Value.to_string (Value.bag_of_list rows));
+  Alcotest.(check string) "= Eval"
+    (Value.to_string (Relation.data (Eval.eval db q)))
+    (Value.to_string (Value.bag_of_list rows))
+
+(* A Null key and a [min_int] key are two groups, at any partition
+   count (nullable integer columns code Null as [min_int]). *)
+let test_min_int_key_is_not_null ~partitions () =
+  let schema = Vtype.relation [ ("k", Vtype.TInt) ] in
+  let db =
+    Relation.Db.of_list
+      [
+        ( "m",
+          Relation.of_tuples ~schema
+            [ tup [ ("k", v_int min_int) ]; tup [ ("k", Value.Null) ] ] );
+      ]
+  in
+  let g = Query.Gen.create () in
+  let q = Query.group_agg g [ "k" ] [ (Agg.Count, None, "n") ] (Query.table g "m") in
+  let rows, _ = Engine.Exec.rows ~partitions db q in
+  Alcotest.(check int) "two groups" 2 (List.length rows);
+  Alcotest.(check string) "= Eval"
+    (Value.to_string (Relation.data (Eval.eval db q)))
+    (Value.to_string (Value.bag_of_list rows))
+
 let () =
   Alcotest.run "engine"
     [
@@ -410,5 +508,20 @@ let () =
           Alcotest.test_case "stage assignment" `Quick test_plan_stages;
           Alcotest.test_case "theta join gathers" `Quick test_plan_gather_on_theta_join;
           Alcotest.test_case "narrow pipeline" `Quick test_plan_narrow_pipeline;
+        ] );
+      ( "pruning",
+        [
+          QCheck_alcotest.to_alcotest pruning_sound;
+          Alcotest.test_case "count(*) over no column, 1 partition" `Quick
+            (test_count_star_reads_nothing ~partitions:1);
+          Alcotest.test_case "count(*) over no column, 4 partitions" `Quick
+            (test_count_star_reads_nothing ~partitions:4);
+        ] );
+      ( "null keys",
+        [
+          Alcotest.test_case "min_int is not Null, 1 partition" `Quick
+            (test_min_int_key_is_not_null ~partitions:1);
+          Alcotest.test_case "min_int is not Null, 4 partitions" `Quick
+            (test_min_int_key_is_not_null ~partitions:4);
         ] );
     ]

@@ -408,6 +408,69 @@ let test_shared_rows () =
       = Some (Json.J_int (shared_rows ())))
   | _ -> Alcotest.fail "expected a telemetry reply"
 
+(* Table scans keep only the columns the query reads.  On Q3 at scale 1
+   each table access span of ⟦Q⟧_D's run and the [tracing.shared] span
+   carry [columns_kept] and [columns_pruned], and the columns left out
+   land on [engine.columnar.columns_pruned]. *)
+let test_columns_pruned () =
+  let pruned () =
+    Obs.Metrics.Counter.value
+      (Obs.Metrics.counter "engine.columnar.columns_pruned")
+  in
+  let inst =
+    (Option.get (Scenarios.Registry.find "Q3")).Scenarios.Scenario.make
+      ~scale:1 ()
+  in
+  let before = pruned () in
+  let r =
+    Whynot.Pipeline.explain ~alternatives:inst.Scenarios.Scenario.alternatives
+      inst.Scenarios.Scenario.question
+  in
+  let int_attr sp a =
+    match Obs.Span.attr sp a with
+    | Some (Obs.Span.Int i) -> i
+    | _ -> Alcotest.failf "%s: no integer %s" (Obs.Span.name sp) a
+  in
+  let tables =
+    Nrab.Query.input_tables inst.Scenarios.Scenario.question.Whynot.Question.query
+  in
+  let scans =
+    Obs.Span.find_all
+      (fun sp ->
+        List.exists
+          (fun t -> String.starts_with ~prefix:("op:" ^ t ^ "#") (Obs.Span.name sp))
+          tables)
+      r.Whynot.Pipeline.span
+  in
+  Alcotest.(check int) "one span per table access" (List.length tables)
+    (List.length scans);
+  let exec_pruned =
+    List.fold_left
+      (fun acc sp ->
+        Alcotest.(check bool)
+          (Obs.Span.name sp ^ " keeps columns")
+          true
+          (int_attr sp "columns_kept" > 0);
+        acc + int_attr sp "columns_pruned")
+      0 scans
+  in
+  Alcotest.(check bool) "Exec prunes columns" true (exec_pruned > 0);
+  let shared_pruned =
+    match
+      Obs.Span.find_all
+        (fun sp -> Obs.Span.name sp = "tracing.shared")
+        r.Whynot.Pipeline.span
+    with
+    | [ sp ] ->
+      Alcotest.(check bool) "the shared blocks keep columns" true
+        (int_attr sp "columns_kept" > 0);
+      int_attr sp "columns_pruned"
+    | sps -> Alcotest.failf "expected one tracing.shared span, got %d" (List.length sps)
+  in
+  Alcotest.(check bool) "the shared blocks prune columns" true (shared_pruned > 0);
+  Alcotest.(check bool) "the counter holds every scan's pruned columns" true
+    (pruned () - before >= exec_pruned + shared_pruned)
+
 (* [whynot.tracing.relaxed_reuses] counts the SA chains that read their
    relaxed trace from a prepared handle instead of evaluating it: none on
    a handle's first explain, one per SA on the second, and each SA's
@@ -669,6 +732,7 @@ let () =
           Alcotest.test_case "row fallbacks counter" `Quick test_row_fallbacks;
           Alcotest.test_case "msr span bound terms" `Quick test_msr_bound_terms;
           Alcotest.test_case "shared rows counter" `Quick test_shared_rows;
+          Alcotest.test_case "columns pruned" `Quick test_columns_pruned;
           Alcotest.test_case "relaxed reuses counter" `Quick test_relaxed_reuses;
         ] );
       ( "codec",

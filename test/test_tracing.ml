@@ -398,6 +398,64 @@ let test_shared_registry () =
            phi.Whynot.Question.missing sas))
     Scenarios.Registry.all
 
+(* The attributes [nip] constrains that [col] lacks: top-level fields,
+   then, through tuple and bag patterns, nested and element fields. *)
+let rec missing_attrs (nip : Nip.t) (col : Engine.Columnar.col) : string list =
+  match nip, col with
+  | Nip.Tup cs, Engine.Columnar.CTuple (_, fs, _) ->
+    List.concat_map
+      (fun (l, p) ->
+        match List.assoc_opt l fs with
+        | _ when p = Nip.Any -> []
+        | None -> [ l ]
+        | Some c -> List.map (fun m -> l ^ "." ^ m) (missing_attrs p c))
+      cs
+  | Nip.Bag (ps, _), Engine.Columnar.CBag bg ->
+    List.concat_map (fun p -> missing_attrs p bg.Engine.Columnar.belems) ps
+  | _ -> []
+
+(* Tracing reads an attribute a batch lacks as Null, so a column pruned
+   by mistake would pass unnoticed: every attribute an operator's NIP
+   constrains must be a column of that operator's batch, in every SA of
+   every registry scenario, with and without the shared blocks. *)
+let test_nip_attrs_are_columns () =
+  List.iter
+    (fun (s : Scenarios.Scenario.t) ->
+      List.iter
+        (fun scale ->
+          let inst = s.Scenarios.Scenario.make ~scale () in
+          let phi = inst.Scenarios.Scenario.question in
+          let db = phi.Whynot.Question.db in
+          let env = Whynot.Pipeline.schema_env db in
+          let sas =
+            Whynot.Alternatives.enumerate ~env phi.Whynot.Question.query
+              inst.Scenarios.Scenario.alternatives
+          in
+          let shared = T.share ~env db sas in
+          List.iter
+            (fun (sa : Whynot.Alternatives.sa) ->
+              let bt =
+                Whynot.Backtrace.run ~env sa.Whynot.Alternatives.query
+                  phi.Whynot.Question.missing
+              in
+              List.iter
+                (fun (tr : T.t) ->
+                  List.iter
+                    (fun (o : T.op_trace) ->
+                      if T.n_rows o > 0 then
+                        match missing_attrs o.T.nip o.T.data.Engine.Columnar.row with
+                        | [] -> ()
+                        | m ->
+                          Alcotest.failf "%s@%d S%d op %d lacks %s"
+                            s.Scenarios.Scenario.name scale
+                            (sa.Whynot.Alternatives.index + 1) o.T.op_id
+                            (String.concat ", " m))
+                    tr.T.ops)
+                [ T.run ~env db sa bt; T.run ~shared ~env db sa bt ])
+            sas)
+        [ 1; 2 ])
+    Scenarios.Registry.all
+
 let likes_schema =
   Vtype.relation [ ("who", Vtype.TString); ("thing", Vtype.TString) ]
 
@@ -489,6 +547,8 @@ let () =
         ] );
       ( "shared",
         [
+          Alcotest.test_case "registry: NIP attributes are batch columns" `Quick
+            test_nip_attrs_are_columns;
           Alcotest.test_case "registry: run ~shared = run" `Quick
             test_shared_registry;
           Alcotest.test_case "block at a different rid per SA" `Quick
