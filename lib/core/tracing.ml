@@ -581,8 +581,10 @@ let evaluate ~(env : Typecheck.env) (db : Relation.Db.t) ~cols ~blocks
         | _ -> invalid_arg ("Tracing: attribute " ^ a ^ " is not a relation")
       in
       (* The outer flatten; an inner one does not retain its pads. *)
-      let parents = if K.drops cols a then K.without a r.c_data else r.c_data in
-      let f = K.flatten ~outer:true inner_ty (col r.c_data a) parents in
+      let f =
+        K.flatten ~outer:true inner_ty (col r.c_data a)
+          (K.flatten_parents cols a r.c_data)
+      in
       let m = Array.length f.K.parent in
       let keeps_pad = kind = Query.Flat_outer in
       let ret =

@@ -18,6 +18,15 @@
     Null, and builds every hash join on the right side: the candidate
     order fixes the rids.
 
+    A batch holds only the columns the SA query reads
+    ({!Engine.Kernel.reads}): every attribute an operator reads, every
+    output field, every field under δ, ∪, − and ν, and of a bag only
+    flattens read, the element fields read above them.  So every
+    attribute a backtraced NIP constrains is a column of its operator's
+    batch, and the rows, flags, parents and ranges are those of whole
+    batches; [data] at an inner operator may lack columns no operator
+    reads.
+
     Aggregate constraints of the why-not question are checked
     *optimistically* via achievable ranges over sub-multisets of
     contributions, since the algorithm does not trace aggregate subsets
@@ -131,7 +140,8 @@ type shared
     block, whose first row is rid 0.  Blocks are keyed by tree position,
     not by operator id.  Fewer than two SAs share nothing.  Fires the
     ["tracing.shared"] fault site once per call and adds the blocks' row
-    count to the [whynot.tracing.shared_rows] counter. *)
+    count to the [whynot.tracing.shared_rows] counter.  The blocks are
+    evaluated under the union of the SAs' column sets. *)
 val share : env:Typecheck.env -> Relation.Db.t -> Alternatives.sa list -> shared
 
 (** Number of blocks and their total rows. *)
@@ -161,8 +171,11 @@ type relaxed
     subtree at the block's position, the block is reused instead of
     evaluated: its operators take their rids in the same post-order,
     starting at the rid the subtree's first row gets in this SA, so the
-    stored parent rids are rebased by that rid.  The result is the same,
-    field by field, as without [shared]; omitted, nothing is reused. *)
+    stored parent rids are rebased by that rid, and its batches are
+    narrowed to the SA's own column set ({!Engine.Kernel.keep}); a block
+    that cannot be narrowed exactly is evaluated instead.  The result is
+    the same, field by field, as without [shared]; omitted, nothing is
+    reused. *)
 val relax :
   ?shared:shared -> env:Typecheck.env -> Relation.Db.t -> Alternatives.sa -> relaxed
 

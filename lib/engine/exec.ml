@@ -85,9 +85,6 @@ let rows ?(partitions = 4) ?parent ?registry (db : Relation.Db.t)
   Obs.Faultinject.fire site_run;
   let env = schema_env db in
   let cols = Kernel.reads env q in
-  (* A child's output type as its narrowed batches hold it: the shape
-     of the Null pads stacked onto them. *)
-  let kept_type c = Kernel.keep_type cols c (Typecheck.infer env c) in
   let stats = Stats.create () in
   let n = max 1 partitions in
   (* Spans are only materialized when a parent is given: untraced runs
@@ -157,15 +154,18 @@ let rows ?(partitions = 4) ?parent ?registry (db : Relation.Db.t)
       in
       narrow c (fun b -> Kernel.flatten_tuple inner_ty (strict b a) b)
     | Query.Flatten (kind, a), [ c ] ->
+      (* The element type of the narrowed bag: the outer pad's shape. *)
+      let cty = Kernel.keep_type cols c (Typecheck.infer env c) in
       let inner_ty =
-        match List.assoc_opt a (Vtype.relation_fields (kept_type c)) with
+        match List.assoc_opt a (Vtype.relation_fields cty) with
         | Some (Vtype.TBag ety) -> ety
         | Some _ | None -> err "engine: attribute %s is not a relation" a
       in
       let outer = kind = Query.Flat_outer in
-      let parents b = if Kernel.drops cols a then Kernel.without a b else b in
       narrow c (fun b ->
-          (Kernel.flatten ~outer inner_ty (lax b a) (parents b)).Kernel.data)
+          (Kernel.flatten ~outer inner_ty (lax b a)
+             (Kernel.flatten_parents cols a b))
+            .Kernel.data)
     | Query.Nest_tuple (pairs, c_name), [ c ] ->
       narrow c (fun b ->
           Kernel.nest_tuple pairs c_name
@@ -248,8 +248,9 @@ let rows ?(partitions = 4) ?parent ?registry (db : Relation.Db.t)
     let lty = Typecheck.infer env l and rty = Typecheck.infer env r in
     let lfields = List.map fst (Vtype.relation_fields lty) in
     let rfields = List.map fst (Vtype.relation_fields rty) in
-    let lnull = Vtype.null_tuple (Vtype.element (kept_type l)) in
-    let rnull = Vtype.null_tuple (Vtype.element (kept_type r)) in
+    (* The pads take the shape of the narrowed batches they stack onto. *)
+    let null c ty = Vtype.null_tuple (Vtype.element (Kernel.keep_type cols c ty)) in
+    let lnull = null l lty and rnull = null r rty in
     let dl = go sp l and dr = go sp r in
     let input = Dataset.cardinal dl + Dataset.cardinal dr in
     let keys, residual = Kernel.equi_split lfields rfields pred in

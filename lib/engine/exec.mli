@@ -8,7 +8,10 @@
     logic is an {!Kernel} call, the same kernels data tracing runs.  It
     resolves attribute columns strictly (an unknown attribute raises
     {!Engine_error}, except where the reference evaluator reads Null)
-    and builds hash joins on the smaller side.  Results agree with the
+    and builds hash joins on the smaller side.  Each table batch is
+    narrowed to the columns the query reads ({!Kernel.reads}) before it
+    is distributed, and a bag only its one flatten reads is dropped
+    before that flatten gathers the parent rows.  Results agree with the
     reference evaluator {!Nrab.Eval} (tested). *)
 
 open Nested
@@ -26,7 +29,8 @@ exception Engine_error of string
 
     With [?parent], the run is traced: an [engine.run] span is opened
     under the parent, one [op:<symbol>#<id>] child span per operator
-    (carrying [input_rows]/[output_rows]/[shuffled_rows] attributes) and
+    (carrying [input_rows]/[output_rows]/[shuffled_rows] attributes, and
+    for a table access [columns_kept]/[columns_pruned]) and
     one [shuffle] child span per shuffle stage (carrying [rows_moved]).
     Without a parent no spans are allocated.  The {!Stats} counters are
     always folded into the {!Obs.Metrics} registry ([?registry],

@@ -145,9 +145,6 @@ let equal_cols (a : cols) (b : cols) : bool =
     && Names.equal a.drops b.drops
   | _ -> false
 
-let drops (c : cols) (a : string) : bool =
-  match c with Every -> false | Only s -> Names.mem a s.drops
-
 (* What a batch of [q]'s output does with field [l]: drop it, keep it
    whole, or keep it with its elements narrowed.  Above the flatten
    that drops a bag, the bag is gone. *)
@@ -236,9 +233,9 @@ let scan (c : cols) (q : Query.t) (b : C.t) : C.t * int * int =
   C.note_columns_pruned pruned;
   (b', kept, pruned)
 
-let without (a : string) (b : C.t) : C.t =
-  match C.cols b with
-  | Some fs when C.length b > 0 ->
+let flatten_parents (c : cols) (a : string) (b : C.t) : C.t =
+  match c, C.cols b with
+  | Only s, Some fs when Names.mem a s.drops && C.length b > 0 ->
     C.of_cols (C.length b) (List.filter (fun (l, _) -> not (String.equal l a)) fs)
   | _ -> b
 

@@ -12,7 +12,9 @@
 
     Callers resolve attribute columns with {!column} and decide what a
     missing attribute means (the executor raises, tracing reads Null);
-    callers also choose a hash join's build side. *)
+    callers also choose a hash join's build side.  Both callers narrow
+    their table batches to the columns the query reads ({!reads},
+    {!keep}) and shape their null pads with {!keep_type}. *)
 
 open Nested
 open Nrab
@@ -50,11 +52,6 @@ val union : cols -> cols -> cols
 
 val equal_cols : cols -> cols -> bool
 
-(** [drops c a]: the flatten of the bag [a] leaves [a] out of its
-    output (and the caller leaves it out of the parent rows it
-    gathers). *)
-val drops : cols -> string -> bool
-
 (** [keep c q b]: [b], a batch of [q]'s output evaluated under [c] or
     under a superset of [c] from {!union}, narrowed to the batch [q]
     gives under [c], in O(fields) without copying a column; the cached
@@ -74,8 +71,10 @@ val keep_type : cols -> Query.t -> Vtype.t -> Vtype.t
     [engine.columnar.columns_pruned]. *)
 val scan : cols -> Query.t -> Columnar.t -> Columnar.t * int * int
 
-(** [without a b]: [b] less its top-level column [a]. *)
-val without : string -> Columnar.t -> Columnar.t
+(** [flatten_parents c a b]: the parent rows a flatten of the bag [a]
+    gathers from its input [b] — [b] less [a] when [a] is read by that
+    flatten alone, so the flatten leaves the bag out of its output. *)
+val flatten_parents : cols -> string -> Columnar.t -> Columnar.t
 
 (** {1 Grouping} *)
 
