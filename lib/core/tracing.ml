@@ -312,17 +312,9 @@ let nip_mask (nip : Nip.t) (b : C.t)
   | Nip.Tup constraints ->
     let constraint_mask (label, pat) =
       let base =
-        match C.cols b with
-        | Some fs -> (
-          match List.assoc_opt label fs with
-          | Some c -> col_mask c pat
-          | None -> ball n false)
-        | None ->
-          C.note_row_fallback ();
-          Bytes.init n (fun i ->
-              match Value.field label (C.get_row b i) with
-              | Some fv -> chr (Nip.matches fv pat)
-              | None -> '\000')
+        match List.assoc_opt label (C.cols b) with
+        | Some c -> col_mask c pat
+        | None -> ball n false
       in
       (match vranges, pat with
       | Some arr, Nip.Pred (c, x) ->

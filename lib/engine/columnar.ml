@@ -4,14 +4,15 @@
    primitive columns, per-row element ranges into a shared element store
    for nested bags, one global
    hash-consed dictionary for strings, and packed presence bitmaps for
-   Null.  [of_values]/[to_values] are exact inverses on arbitrary
-   [Value.t] rows — canonical bag order is preserved verbatim, never
+   Null.  [of_values]/[to_values] are exact inverses on rows that agree
+   on shape — canonical bag order is preserved verbatim, never
    re-normalized — so the tree API remains the semantic boundary and
    row reconstruction can stay lazy.
 
-   Columns whose rows disagree on shape (mixed primitive kinds,
-   differing tuple labels) fall back to a boxed [CBox] column; every
-   kernel keeps working, just row-at-a-time for that column. *)
+   Every column has one shape: the rows of a batch built from a
+   typechecked query over a typed database share their type, and Null
+   (⊥) fits every shape.  Rows that disagree on shape raise
+   [Shape_mismatch] where they meet. *)
 
 open Nested
 
@@ -119,9 +120,6 @@ end
 let m_rows_scanned = Obs.Metrics.counter "engine.columnar.rows_scanned"
 let m_bytes_moved = Obs.Metrics.counter "engine.columnar.bytes_moved"
 let m_dict_hits = Obs.Metrics.counter "engine.columnar.dict_hits"
-(* Registered up front, so telemetry shows it at 0 until a batch falls
-   back. *)
-let m_row_fallbacks = Obs.Metrics.counter "engine.columnar.row_fallbacks"
 let m_columns_pruned = Obs.Metrics.counter "engine.columnar.columns_pruned"
 
 let note_rows_scanned n =
@@ -129,8 +127,6 @@ let note_rows_scanned n =
 
 let note_bytes_moved n =
   if n > 0 then Obs.Metrics.Counter.incr ~by:n m_bytes_moved
-
-let note_row_fallback () = Obs.Metrics.Counter.incr m_row_fallbacks
 
 let note_columns_pruned n =
   if n > 0 then Obs.Metrics.Counter.incr ~by:n m_columns_pruned
@@ -223,7 +219,6 @@ type col =
   | CStr of int array * Bitv.t option  (** global dictionary codes *)
   | CTuple of int * (string * col) list * Bitv.t option
   | CBag of bag
-  | CBox of Value.t array  (** fallback for shape-mixed columns *)
 
 and bag = {
   bn : int;
@@ -245,7 +240,6 @@ let col_length = function
   | CFloat (a, _) -> Array.length a
   | CStr (a, _) -> Array.length a
   | CBag b -> b.bn
-  | CBox a -> Array.length a
 
 let present (p : Bitv.t option) i =
   match p with None -> true | Some p -> Bitv.get p i
@@ -263,7 +257,26 @@ type shape =
   | SStr
   | STuple of (string * shape) list
   | SBag of shape
-  | SMixed
+
+let rec pp_shape ppf = function
+  | SBot | SNull -> Fmt.string ppf "null"
+  | SBool -> Fmt.string ppf "bool"
+  | SInt -> Fmt.string ppf "int"
+  | SFloat -> Fmt.string ppf "float"
+  | SStr -> Fmt.string ppf "string"
+  | STuple fs ->
+    Fmt.pf ppf "⟨%a⟩"
+      (Fmt.list ~sep:(Fmt.any ", ") (fun ppf (l, s) -> Fmt.pf ppf "%s: %a" l pp_shape s))
+      fs
+  | SBag s -> Fmt.pf ppf "{{%a}}" pp_shape s
+
+exception Shape_mismatch of string * string
+
+let mismatch a b = raise (Shape_mismatch (Fmt.str "%a" pp_shape a, Fmt.str "%a" pp_shape b))
+
+let same_labels fa fb =
+  List.length fa = List.length fb
+  && List.for_all2 (fun (la, _) (lb, _) -> String.equal la lb) fa fb
 
 let rec shape_join a b =
   match (a, b) with
@@ -273,14 +286,10 @@ let rec shape_join a b =
   | SInt, SInt -> SInt
   | SFloat, SFloat -> SFloat
   | SStr, SStr -> SStr
-  | STuple fa, STuple fb ->
-    if
-      List.length fa = List.length fb
-      && List.for_all2 (fun (la, _) (lb, _) -> String.equal la lb) fa fb
-    then STuple (List.map2 (fun (l, sa) (_, sb) -> (l, shape_join sa sb)) fa fb)
-    else SMixed
+  | STuple fa, STuple fb when same_labels fa fb ->
+    STuple (List.map2 (fun (l, sa) (_, sb) -> (l, shape_join sa sb)) fa fb)
   | SBag ea, SBag eb -> SBag (shape_join ea eb)
-  | _ -> SMixed
+  | _ -> mismatch a b
 
 let rec shape_of (v : Value.t) : shape =
   match v with
@@ -298,36 +307,29 @@ let rec shape_of (v : Value.t) : shape =
    homogeneous rows so the sweep allocates almost nothing. *)
 let rec shape_join_value (acc : shape) (v : Value.t) : shape =
   match (acc, v) with
-  | SMixed, _ -> SMixed
   | _, Value.Null -> ( match acc with SBot -> SNull | s -> s)
   | (SBot | SNull), _ -> shape_of v
   | SBool, Value.Bool _ -> acc
   | SInt, Value.Int _ -> acc
   | SFloat, Value.Float _ -> acc
   | SStr, Value.String _ -> acc
-  | STuple fs, Value.Tuple vfs ->
-    if
-      List.length fs = List.length vfs
-      && List.for_all2 (fun (l, _) (l', _) -> String.equal l l') fs vfs
-    then begin
-      let changed = ref false in
-      let fs' =
-        List.map2
-          (fun (l, s) (_, fv) ->
-            let s' = shape_join_value s fv in
-            if s' != s then changed := true;
-            (l, s'))
-          fs vfs
-      in
-      if !changed then STuple fs' else acc
-    end
-    else SMixed
+  | STuple fs, Value.Tuple vfs when same_labels fs vfs ->
+    let changed = ref false in
+    let fs' =
+      List.map2
+        (fun (l, s) (_, fv) ->
+          let s' = shape_join_value s fv in
+          if s' != s then changed := true;
+          (l, s'))
+        fs vfs
+    in
+    if !changed then STuple fs' else acc
   | SBag es, Value.Bag elems ->
     let es' =
       List.fold_left (fun a (e, _) -> shape_join_value a e) es elems
     in
     if es' != es then SBag es' else acc
-  | _ -> SMixed
+  | _ -> mismatch acc (shape_of v)
 
 let shape_of_values (vs : Value.t array) : shape =
   Array.fold_left shape_join_value SBot vs
@@ -347,7 +349,6 @@ let rec build_col (sh : shape) (vs : Value.t array) : col =
   let n = Array.length vs in
   match sh with
   | SBot | SNull -> CNull n
-  | SMixed -> CBox vs
   | SBool ->
     let b = Bitv.create n false in
     Array.iteri
@@ -477,7 +478,6 @@ let rec col_values (c : col) : Value.t array =
           Value.Bag (pairs lo)
         end
         else Value.Null)
-  | CBox a -> a
 
 let to_values t = col_values t.row
 let to_rows t = Array.to_list (to_values t)
@@ -505,7 +505,6 @@ let rec col_get (c : col) (i : int) : Value.t =
       Value.Bag (pairs lo)
     end
     else Value.Null
-  | CBox a -> a.(i)
 
 let get_row t i = col_get t.row i
 
@@ -532,12 +531,10 @@ let cell_rank (c : col) (i : int) : int =
   | CStr (_, p) -> if present p i then 4 else 0
   | CTuple (_, _, p) -> if present p i then 5 else 0
   | CBag bg -> if present bg.bpresent i then 6 else 0
-  | CBox a -> value_rank a.(i)
 
 let rec cmp_cells (c : col) (i : int) (j : int) : int =
   match c with
   | CNull _ | CConst _ -> 0
-  | CBox a -> Value.compare a.(i) a.(j)
   | _ ->
     let ri = cell_rank c i and rj = cell_rank c j in
     if ri <> rj then Stdlib.compare ri rj
@@ -574,7 +571,7 @@ let rec cmp_cells (c : col) (i : int) (j : int) : int =
               if c <> 0 then c else go (u + 1) (v + 1)
         in
         go bg.bstart.(i) bg.bstart.(j)
-      | CNull _ | CConst _ | CBox _ -> 0
+      | CNull _ | CConst _ -> 0
     end
 
 let cmp_rows (t : t) (i : int) (j : int) : int = cmp_cells t.row i j
@@ -585,7 +582,6 @@ let cmp_rows (t : t) (i : int) (j : int) : int = cmp_cells t.row i j
 let rec equal_value (c : col) (i : int) (v : Value.t) : bool =
   match c, v with
   | CConst (_, w), _ -> Value.equal w v
-  | CBox a, _ -> Value.equal a.(i) v
   | _, Value.Null -> cell_rank c i = 0
   | CBool (b, p), Value.Bool x -> present p i && Bool.equal (Bitv.get b i) x
   | CInt (a, p), Value.Int x -> present p i && Int.equal a.(i) x
@@ -619,10 +615,10 @@ and equal_elems bg j hi es =
 (* [col_get a i = col_get b j] under OCaml's structural equality, where
    [nan] differs from itself and [0.0] equals [-0.0], without building
    either value.  The columns may differ in representation (one may be
-   all Null); constant and boxed columns compare their values. *)
+   all Null); constant columns compare their values. *)
 let rec cells_equal (a : col) (i : int) (b : col) (j : int) : bool =
   match a, b with
-  | (CConst _ | CBox _), _ | _, (CConst _ | CBox _) -> col_get a i = col_get b j
+  | CConst _, _ | _, CConst _ -> col_get a i = col_get b j
   | _ -> (
     let r = cell_rank a i in
     r = cell_rank b j
@@ -654,11 +650,12 @@ and equal_ranges x u y v len =
 (* Tuple-structure access                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* An empty batch may have no columns. *)
 let cols t =
   match t.row with
-  | CTuple (_, fields, None) -> Some fields
-  | CNull 0 -> Some []
-  | _ -> None
+  | CTuple (_, fields, None) -> fields
+  | _ when t.n = 0 -> []
+  | _ -> invalid_arg "Columnar.cols: rows are not tuples"
 
 let find_col t name =
   match t.row with
@@ -710,7 +707,6 @@ let rec col_bytes (c : col) : int =
     (16 * bg.bn)
     + opt_bitv_bytes bg.bpresent
     + if ne = 0 then 0 else bag_refs bg * ((8 * ne) + col_bytes bg.belems) / ne
-  | CBox a -> Array.fold_left (fun acc v -> acc + value_bytes v) 0 a
 
 let bytes t = col_bytes t.row
 
@@ -757,7 +753,6 @@ let rec col_gather (c : col) (idx : int array) : col =
        it, so a pass over the store never costs more than twice theirs. *)
     if 2 * bag_refs g >= Array.length bg.bmult then CBag g
     else CBag (compact_bag g)
-  | CBox a -> CBox (Array.init m (fun j -> a.(idx.(j))))
 
 (* [bg]'s rows over a store of just the ranges they reference, in row
    order; a row whose range equals the previous row's shares its copy
@@ -822,19 +817,51 @@ let filter t (mask : Bitv.t) =
   let idx = Bitv.indices mask in
   { n = Array.length idx; row = col_gather t.row idx }
 
-(* Row-wise tuple concatenation.  The fast path concatenates column
-   lists; anything irregular falls back to per-row
-   [Value.concat_tuples], which also raises its exception on non-tuple
-   rows. *)
+(* Row-wise tuple concatenation. *)
 let hstack a b =
   if a.n <> b.n then invalid_arg "Columnar.hstack: length mismatch";
-  match (a.row, b.row) with
-  | CTuple (_, fa, None), CTuple (_, fb, None) ->
-    { n = a.n; row = CTuple (a.n, fa @ fb, None) }
-  | _ ->
-    let va = to_values a and vb = to_values b in
-    of_values (Array.init a.n (fun i -> Value.concat_tuples va.(i) vb.(i)))
+  of_cols a.n (cols a @ cols b)
 
+let empty = of_cols 0 []
+
+(* [n] copies of [v]; Null is an all-Null column. *)
+let repeat n (v : Value.t) : col =
+  match v with Value.Null -> CNull n | v -> CConst (n, v)
+
+let broadcast n (v : Value.t) : t =
+  match v with
+  | Value.Tuple fs ->
+    (* Per-field constant columns keep [hstack]/[vstack] on their
+       column fast paths (join/flatten pads broadcast null tuples). *)
+    of_cols n (List.map (fun (l, fv) -> (l, repeat n fv)) fs)
+  | v -> { n; row = repeat n v }
+
+let as_bag (c : col) : bag =
+  match c with
+  | CBag bg -> bg
+  | CNull n ->
+    {
+      bn = n;
+      bstart = Array.make n 0;
+      bstop = Array.make n 0;
+      bmult = [||];
+      belems = CNull 0;
+      bpresent = Some (Bitv.create n false);
+    }
+  | CConst (n, Value.Bag es) ->
+    (* Every row ranges over one stored copy of the bag. *)
+    let evs = Array.of_list (List.map fst es) in
+    {
+      bn = n;
+      bstart = Array.make n 0;
+      bstop = Array.make n (Array.length evs);
+      bmult = Array.of_list (List.map snd es);
+      belems = build_col (shape_of_values evs) evs;
+      bpresent = None;
+    }
+  | _ -> invalid_arg "Columnar.as_bag: not a bag column"
+
+(* A bag with no stored element has no element shape yet. *)
 let rec col_shape (c : col) : shape =
   match c with
   | CNull _ -> SNull
@@ -845,272 +872,156 @@ let rec col_shape (c : col) : shape =
   | CStr _ -> SStr
   | CTuple (_, fields, _) ->
     STuple (List.map (fun (l, c) -> (l, col_shape c)) fields)
-  | CBag bg -> SBag (col_shape bg.belems)
-  | CBox a -> if Array.length a = 0 then SBot else SMixed
+  | CBag bg ->
+    SBag (if Array.length bg.bmult = 0 then SBot else col_shape bg.belems)
 
-(* Concatenate columns after unifying on a target shape.  Falls back to
-   materialize-and-rebuild when the shapes genuinely disagree. *)
+(* Splice the columns [cs], all of shape [sh], into one [total]-row
+   column without materializing rows: Null pieces become presence bits,
+   constant pieces array fills, bag pieces ranges over their stores.
+   Empty pieces take no part. *)
+let rec concat (sh : shape) (cs : col list) (total : int) : col =
+  let cs = List.filter (fun c -> col_length c > 0) cs in
+  let pres = ref None in
+  let absent i =
+    let p =
+      match !pres with
+      | Some p -> p
+      | None ->
+        let p = Bitv.create total true in
+        pres := Some p;
+        p
+    in
+    Bitv.set p i false
+  in
+  let splice off len = function
+    | None -> ()
+    | Some b ->
+      for i = 0 to len - 1 do
+        if not (Bitv.get b i) then absent (off + i)
+      done
+  in
+  (* [f off len c] on every piece that is not all Null, at its row
+     offset. *)
+  let each f =
+    ignore
+      (List.fold_left
+         (fun off c ->
+           let len = col_length c in
+           (match c with
+           | CNull _ ->
+             for i = off to off + len - 1 do
+               absent i
+             done
+           | c -> f off len c);
+           off + len)
+         0 cs)
+  in
+  let outside () = invalid_arg "Columnar.vstack: a piece outside the shape" in
+  (* A flat array: [cells c] is a piece's values and presence, [const v]
+     the value a constant piece fills in. *)
+  let flat zero cells const =
+    let arr = Array.make total zero in
+    each (fun off len c ->
+        match c with
+        | CConst (_, v) -> Array.fill arr off len (const v)
+        | c ->
+          let a, p = cells c in
+          Array.blit a 0 arr off len;
+          splice off len p);
+    arr
+  in
+  match sh with
+  | SBot | SNull -> CNull total
+  | SBool ->
+    let bits =
+      flat false
+        (function
+          | CBool (b, p) -> (Array.init (Bitv.length b) (Bitv.get b), p) | _ -> outside ())
+        (function Value.Bool x -> x | _ -> outside ())
+    in
+    CBool (Bitv.init total (Array.get bits), !pres)
+  | SInt ->
+    let a =
+      flat 0
+        (function CInt (a, p) -> (a, p) | _ -> outside ())
+        (function Value.Int x -> x | _ -> outside ())
+    in
+    CInt (a, !pres)
+  | SFloat ->
+    let a =
+      flat 0.
+        (function CFloat (a, p) -> (a, p) | _ -> outside ())
+        (function Value.Float x -> x | _ -> outside ())
+    in
+    CFloat (a, !pres)
+  | SStr ->
+    let a =
+      flat 0
+        (function CStr (a, p) -> (a, p) | _ -> outside ())
+        (function Value.String s -> Dict.intern s | _ -> outside ())
+    in
+    CStr (a, !pres)
+  | STuple fields ->
+    let field j = function
+      | CTuple (_, fs, _) -> snd (List.nth fs j)
+      | CConst (k, Value.Tuple fs) -> repeat k (snd (List.nth fs j))
+      | CNull k -> CNull k
+      | _ -> outside ()
+    in
+    let fields =
+      List.mapi (fun j (l, fsh) -> (l, concat fsh (List.map (field j) cs) total)) fields
+    in
+    each (fun off len -> function CTuple (_, _, p) -> splice off len p | _ -> ());
+    CTuple (total, fields, !pres)
+  | SBag esh ->
+    (* Pieces whose elements all sit in one store stack their ranges
+       over it; otherwise each piece is compacted and the stores are
+       concatenated, its ranges shifted by its store's offset. *)
+    let bags = List.map as_bag cs in
+    let shared =
+      match List.filter (fun bg -> Array.length bg.bmult > 0) bags with
+      | s :: rest
+        when List.for_all (fun bg -> bg.belems == s.belems && bg.bmult == s.bmult) rest
+        ->
+        Some s
+      | _ -> None
+    in
+    let bags = if Option.is_some shared then bags else List.map compact_bag bags in
+    let bstart = Array.make total 0 and bstop = Array.make total 0 in
+    let _, stored =
+      List.fold_left
+        (fun (row, base) bg ->
+          for i = 0 to bg.bn - 1 do
+            bstart.(row + i) <- base + bg.bstart.(i);
+            bstop.(row + i) <- base + bg.bstop.(i)
+          done;
+          splice row bg.bn bg.bpresent;
+          (row + bg.bn, if Option.is_some shared then 0 else base + Array.length bg.bmult))
+        (0, 0) bags
+    in
+    match shared with
+    | Some s -> CBag { s with bn = total; bstart; bstop; bpresent = !pres }
+    | None ->
+      CBag
+        {
+          bn = total;
+          bstart;
+          bstop;
+          bmult = Array.concat (List.map (fun bg -> bg.bmult) bags);
+          belems = concat esh (List.map (fun bg -> bg.belems) bags) stored;
+          bpresent = !pres;
+        }
+
+(* 0-row pieces take no part, so an empty partition never decides a
+   shape; rows of two shapes raise [Shape_mismatch]. *)
 let vstack (ts : t list) : t =
-  match ts with
-  | [] -> { n = 0; row = CNull 0 }
+  match List.filter (fun t -> t.n > 0) ts with
+  | [] -> ( match ts with t :: _ -> t | [] -> empty)
   | [ t ] -> t
-  | _ ->
-    let sh =
-      List.fold_left (fun acc t -> shape_join acc (col_shape t.row)) SBot ts
-    in
+  | ts ->
+    let sh = List.fold_left (fun acc t -> shape_join acc (col_shape t.row)) SBot ts in
     let n = List.fold_left (fun acc t -> acc + t.n) 0 ts in
-    (* Splice pieces without materializing rows whenever every piece is
-       either the target constructor, an all-Null block, or a constant
-       block: Null pieces become presence bits, constant pieces become
-       array fills.  Only genuinely shape-mixed inputs still round-trip
-       through [build_col]. *)
-    let rec concat sh (cs : col list) total : col =
-      match sh with
-      | SBot | SNull -> CNull total
-      | SMixed -> CBox (Array.concat (List.map col_values cs))
-      | _ -> (
-        let vals = lazy (Array.concat (List.map col_values cs)) in
-        (* Shared presence accumulator over the spliced rows. *)
-        let pres = ref None in
-        let mark_absent idx =
-          (match !pres with
-          | None -> pres := Some (Bitv.create total true)
-          | Some _ -> ());
-          Bitv.set (Option.get !pres) idx false
-        in
-        let splice_presence off len = function
-          | None -> ()
-          | Some b ->
-            for i = 0 to len - 1 do
-              if not (Bitv.get b i) then mark_absent (off + i)
-            done
-        in
-        match sh with
-        | STuple fields
-          when List.for_all
-                 (function
-                   | CTuple (_, fs, _) ->
-                     List.length fs = List.length fields
-                     && List.for_all2
-                          (fun (l, _) (l', _) -> String.equal l l')
-                          fs fields
-                   | CNull _ -> true
-                   | CConst (_, Value.Tuple fs) ->
-                     List.length fs = List.length fields
-                     && List.for_all2
-                          (fun (l, _) (l', _) -> String.equal l l')
-                          fs fields
-                   | _ -> false)
-                 cs ->
-          let fields' =
-            List.mapi
-              (fun j (l, fsh) ->
-                ( l,
-                  concat fsh
-                    (List.map
-                       (function
-                         | CTuple (_, fs, _) -> snd (List.nth fs j)
-                         | CNull k -> CNull k
-                         | CConst (k, Value.Tuple fs) -> (
-                           match snd (List.nth fs j) with
-                           | Value.Null -> CNull k
-                           | fv -> CConst (k, fv))
-                         | _ -> assert false)
-                       cs)
-                    total ))
-              fields
-          in
-          let off = ref 0 in
-          List.iter
-            (fun c ->
-              (match c with
-              | CTuple (_, _, p) -> splice_presence !off (col_length c) p
-              | CNull k ->
-                for i = 0 to k - 1 do
-                  mark_absent (!off + i)
-                done
-              | CConst _ -> ()
-              | _ -> assert false);
-              off := !off + col_length c)
-            cs;
-          CTuple (total, fields', !pres)
-        | SBool
-          when List.for_all
-                 (function
-                   | CBool _ | CNull _ | CConst (_, Value.Bool _) -> true
-                   | _ -> false)
-                 cs ->
-          let bits = Bitv.create total false in
-          let off = ref 0 in
-          List.iter
-            (fun c ->
-              (match c with
-              | CBool (b, p) ->
-                let len = col_length c in
-                for i = 0 to len - 1 do
-                  if Bitv.get b i then Bitv.set bits (!off + i) true
-                done;
-                splice_presence !off len p
-              | CNull k ->
-                for i = 0 to k - 1 do
-                  mark_absent (!off + i)
-                done
-              | CConst (k, Value.Bool x) ->
-                if x then
-                  for i = 0 to k - 1 do
-                    Bitv.set bits (!off + i) true
-                  done
-              | _ -> assert false);
-              off := !off + col_length c)
-            cs;
-          CBool (bits, !pres)
-        | SInt
-          when List.for_all
-                 (function
-                   | CInt _ | CNull _ | CConst (_, Value.Int _) -> true
-                   | _ -> false)
-                 cs ->
-          let arr = Array.make total 0 in
-          let off = ref 0 in
-          List.iter
-            (fun c ->
-              (match c with
-              | CInt (a, p) ->
-                Array.blit a 0 arr !off (Array.length a);
-                splice_presence !off (Array.length a) p
-              | CNull k ->
-                for i = 0 to k - 1 do
-                  mark_absent (!off + i)
-                done
-              | CConst (k, Value.Int x) -> Array.fill arr !off k x
-              | _ -> assert false);
-              off := !off + col_length c)
-            cs;
-          CInt (arr, !pres)
-        | SFloat
-          when List.for_all
-                 (function
-                   | CFloat _ | CNull _ | CConst (_, Value.Float _) -> true
-                   | _ -> false)
-                 cs ->
-          let arr = Array.make total 0.0 in
-          let off = ref 0 in
-          List.iter
-            (fun c ->
-              (match c with
-              | CFloat (a, p) ->
-                Array.blit a 0 arr !off (Array.length a);
-                splice_presence !off (Array.length a) p
-              | CNull k ->
-                for i = 0 to k - 1 do
-                  mark_absent (!off + i)
-                done
-              | CConst (k, Value.Float x) -> Array.fill arr !off k x
-              | _ -> assert false);
-              off := !off + col_length c)
-            cs;
-          CFloat (arr, !pres)
-        | SStr
-          when List.for_all
-                 (function
-                   | CStr _ | CNull _ | CConst (_, Value.String _) -> true
-                   | _ -> false)
-                 cs ->
-          let arr = Array.make total 0 in
-          let off = ref 0 in
-          List.iter
-            (fun c ->
-              (match c with
-              | CStr (a, p) ->
-                Array.blit a 0 arr !off (Array.length a);
-                splice_presence !off (Array.length a) p
-              | CNull k ->
-                for i = 0 to k - 1 do
-                  mark_absent (!off + i)
-                done
-              | CConst (k, Value.String s) ->
-                Array.fill arr !off k (Dict.intern s)
-              | _ -> assert false);
-              off := !off + col_length c)
-            cs;
-          CStr (arr, !pres)
-        | SBag esh
-          when List.for_all
-                 (function CBag _ | CNull _ -> true | _ -> false)
-                 cs ->
-          (* Pieces that all share one store stack their ranges over it;
-             otherwise each piece is compacted and the stores are
-             concatenated, its ranges shifted by its store's offset. *)
-          let bags = List.filter_map (function CBag bg -> Some bg | _ -> None) cs in
-          let first = List.hd bags in
-          let shared =
-            List.for_all
-              (fun bg -> bg.belems == first.belems && bg.bmult == first.bmult)
-              bags
-          in
-          let bstart = Array.make total 0 and bstop = Array.make total 0 in
-          let row = ref 0 and base = ref 0 and stores = ref [] in
-          List.iter
-            (fun c ->
-              match c with
-              | CBag bg ->
-                let bg = if shared then bg else compact_bag bg in
-                for i = 0 to bg.bn - 1 do
-                  bstart.(!row + i) <- !base + bg.bstart.(i);
-                  bstop.(!row + i) <- !base + bg.bstop.(i)
-                done;
-                splice_presence !row bg.bn bg.bpresent;
-                if not shared then begin
-                  stores := bg :: !stores;
-                  base := !base + Array.length bg.bmult
-                end;
-                row := !row + bg.bn
-              | CNull k ->
-                for i = 0 to k - 1 do
-                  mark_absent (!row + i)
-                done;
-                row := !row + k
-              | _ -> assert false)
-            cs;
-          if shared then
-            CBag { first with bn = total; bstart; bstop; bpresent = !pres }
-          else begin
-            let stores = List.rev !stores in
-            CBag
-              {
-                bn = total;
-                bstart;
-                bstop;
-                bmult = Array.concat (List.map (fun bg -> bg.bmult) stores);
-                belems = concat esh (List.map (fun bg -> bg.belems) stores) !base;
-                bpresent = !pres;
-              }
-          end
-        | _ -> build_col sh (Lazy.force vals))
-    in
     { n; row = concat sh (List.map (fun t -> t.row) ts) n }
-
-let empty = { n = 0; row = CNull 0 }
-let broadcast n (v : Value.t) : t =
-  match v with
-  | Value.Null -> { n; row = CNull n }
-  | Value.Tuple fs ->
-    (* Per-field constant columns keep [hstack]/[vstack] on their
-       column fast paths (join/flatten pads broadcast null tuples). *)
-    { n;
-      row =
-        CTuple
-          ( n,
-            List.map
-              (fun (l, fv) ->
-                ( l,
-                  match fv with
-                  | Value.Null -> CNull n
-                  | _ -> CConst (n, fv) ))
-              fs,
-            None );
-    }
-  | _ -> { n; row = CConst (n, v) }
 
 (* ------------------------------------------------------------------ *)
 (* Null masks                                                          *)
@@ -1126,51 +1037,33 @@ let null_mask (c : col) : Bitv.t option =
   | CTuple (_, _, p) ->
     Option.map Bitv.lognot p
   | CBag bg -> Option.map Bitv.lognot bg.bpresent
-  | CBox a ->
-    let m = Bitv.init (Array.length a) (fun i -> a.(i) = Value.Null) in
-    if Bitv.count m = 0 then None else Some m
 
-(* The field columns of a tuple column, with its presence bitmap pushed
-   into each field: a [Null] tuple reads [Null] in every field, which is
-   what flattening it next to its row must produce.  Fields that cannot
-   carry presence ([CConst], [CBox]) make the whole push fail. *)
-let tuple_fields (c : col) : (string * col) list option =
+(* [c] with the rows outside [p] read as Null. *)
+let rec mask_col (p : Bitv.t) (c : col) : col =
+  let absent q = Some (match q with None -> p | Some q -> Bitv.logand p q) in
   match c with
-  | CTuple (_, fields, None) -> Some fields
-  | CTuple (_, fields, Some p) ->
-    let absent q = Some (match q with None -> p | Some q -> Bitv.logand p q) in
-    let push = function
-      | CNull _ as f -> Some f
-      | CBool (b, q) -> Some (CBool (b, absent q))
-      | CInt (a, q) -> Some (CInt (a, absent q))
-      | CFloat (a, q) -> Some (CFloat (a, absent q))
-      | CStr (a, q) -> Some (CStr (a, absent q))
-      | CTuple (n, fs, q) -> Some (CTuple (n, fs, absent q))
-      | CBag bg -> Some (CBag { bg with bpresent = absent bg.bpresent })
-      | CConst _ | CBox _ -> None
-    in
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | (l, f) :: rest -> (
-        match push f with Some f -> go ((l, f) :: acc) rest | None -> None)
-    in
-    go [] fields
-  | _ -> None
+  | CNull _ -> c
+  | CConst (n, v) -> mask_col p (build_col (shape_of v) (Array.make n v))
+  | CBool (b, q) -> CBool (b, absent q)
+  | CInt (a, q) -> CInt (a, absent q)
+  | CFloat (a, q) -> CFloat (a, absent q)
+  | CStr (a, q) -> CStr (a, absent q)
+  | CTuple (n, fs, q) -> CTuple (n, fs, absent q)
+  | CBag bg -> CBag { bg with bpresent = absent bg.bpresent }
 
-(* The right-hand side of a tuple flatten, column-wise: the fields of a
-   [CTuple] whose labels are the type's, or the type's null tuple
-   broadcast over an all-Null column. *)
-let flatten_tuple (inner_ty : Vtype.t) (c : col) : t option =
+(* The right-hand side of a tuple flatten, column-wise: a tuple column's
+   fields, with its presence pushed into each so a Null tuple reads Null
+   in every field, or the type's null tuple broadcast over an all-Null
+   column. *)
+let flatten_tuple (inner_ty : Vtype.t) (c : col) : t =
   let n = col_length c in
-  match c, inner_ty with
-  | CNull _, _ -> Some (broadcast n (Vtype.null_tuple inner_ty))
-  | _, Vtype.TTuple tys -> (
-    match tuple_fields c with
-    | Some fields
-      when List.equal String.equal (List.map fst fields) (List.map fst tys) ->
-      Some (of_cols n fields)
-    | _ -> None)
-  | _ -> None
+  match c with
+  | CNull _ -> broadcast n (Vtype.null_tuple inner_ty)
+  | CConst (_, (Value.Tuple _ as v)) -> broadcast n v
+  | CTuple (_, fields, None) -> of_cols n fields
+  | CTuple (_, fields, Some p) ->
+    of_cols n (List.map (fun (l, f) -> (l, mask_col p f)) fields)
+  | _ -> invalid_arg "Columnar.flatten_tuple: not a tuple column"
 
 (* ------------------------------------------------------------------ *)
 (* Value coding (exact grouping / join keys)                           *)
@@ -1190,7 +1083,6 @@ module Coder = struct
     strs : (int, int) Hashtbl.t;  (* dict code -> code *)
     labels : (string, int) Hashtbl.t;
     pairs : (int * int, int) Hashtbl.t;
-    boxed : (Value.t, int) Hashtbl.t;
   }
 
   type t = coder
@@ -1209,7 +1101,6 @@ module Coder = struct
       strs = Hashtbl.create 64;
       labels = Hashtbl.create 16;
       pairs = Hashtbl.create 256;
-      boxed = Hashtbl.create 16;
     }
 
   let fresh t =
@@ -1288,7 +1179,6 @@ module Coder = struct
             !acc
           end
           else null_code)
-    | CBox a -> Array.map (value_code t) a
 
   (* Combine per-column code arrays into one code per row (order
      sensitive, like an unlabelled tuple). *)
@@ -1356,7 +1246,6 @@ let rec hash_col (c : col) : int array =
           !acc
         end
         else 17)
-  | CBox a -> Array.map value_hash a
 
 (* Equivalence classes of rows: [result.(i)] is the smallest row whose
    [key] equals row [i]'s and that [same] accepts as equal to it.  Open
@@ -1476,10 +1365,7 @@ let canonical_bags (b : t) (codes : int array) (groups : int array array) :
 (* Vectorized expression evaluation                                    *)
 (* ------------------------------------------------------------------ *)
 
-exception Fallback
-
-(* Presence bitmap of a column ([None] = all rows present).  [CBox]
-   callers must handle separately. *)
+(* Presence bitmap of a column ([None] = all rows present). *)
 let col_presence (c : col) n : Bitv.t option =
   match c with
   | CNull _ -> Some (Bitv.create n false)
@@ -1488,12 +1374,8 @@ let col_presence (c : col) n : Bitv.t option =
   | CTuple (_, _, p) ->
     p
   | CBag bg -> bg.bpresent
-  | CBox a ->
-    let p = Bitv.init (Array.length a) (fun i -> a.(i) <> Value.Null) in
-    if Bitv.for_all p then None else Some p
 
 let num2 name fi ff (a : col) (b : col) n : col =
-  (match (a, b) with CBox _, _ | _, CBox _ -> raise Fallback | _ -> ());
   let pa = col_presence a n and pb = col_presence b n in
   (* The rows where both operands are non-Null; only those can compute or
      raise — everything else is Null, like [numeric_binop]. *)
@@ -1549,11 +1431,7 @@ let rec eval_col (t : t) (e : Nrab.Expr.t) : col =
   | Nrab.Expr.Attr a -> (
     match find_col t a with
     | Some c -> c
-    | None -> (
-      match t.row with
-      | CTuple _ | CNull _ ->
-        raise (Nrab.Expr.Eval_error ("unknown attribute " ^ a))
-      | _ -> raise Fallback))
+    | None -> raise (Nrab.Expr.Eval_error ("unknown attribute " ^ a)))
   | Nrab.Expr.Add (a, b) ->
     num2 "+" ( + ) ( +. ) (eval_col t a) (eval_col t b) t.n
   | Nrab.Expr.Sub (a, b) ->
@@ -1566,7 +1444,7 @@ let rec eval_col (t : t) (e : Nrab.Expr.t) : col =
 let eval_expr (t : t) (e : Nrab.Expr.t) : col =
   note_rows_scanned t.n;
   try eval_col t e
-  with Fallback | Division_by_zero ->
+  with Division_by_zero ->
     (* Exact per-row semantics (ordering of raises included). *)
     let vs = Array.init t.n (fun i -> Nrab.Expr.eval (get_row t i) e) in
     build_col (shape_of_values vs) vs
@@ -1683,17 +1561,12 @@ let rec pred_mask (t : t) (p : Nrab.Expr.pred) : Bitv.t =
             r)
     | CConst (_, Value.String text) ->
       Bitv.create t.n (Nrab.Expr.string_contains ~needle:s text)
-    | CBox a ->
-      Bitv.init t.n (fun i ->
-          match a.(i) with
-          | Value.String text -> Nrab.Expr.string_contains ~needle:s text
-          | _ -> false)
     | _ -> Bitv.create t.n false)
 
 let eval_pred_mask (t : t) (p : Nrab.Expr.pred) : Bitv.t =
   note_rows_scanned t.n;
   try pred_mask t p
-  with Fallback | Division_by_zero | Nrab.Expr.Eval_error _ ->
+  with Division_by_zero | Nrab.Expr.Eval_error _ ->
     (* Per-row fallback reproduces short-circuit evaluation exactly,
        including which exceptions (if any) escape. *)
     Bitv.init t.n (fun i -> Nrab.Expr.eval_pred (get_row t i) p)

@@ -4,14 +4,16 @@
     primitive columns, per-row element ranges into a shared element
     store for bags, one global hash-consed string dictionary, and packed
     presence bitmaps for
-    [Null].  [of_rows]/[to_rows] are exact inverses on arbitrary
-    {!Nested.Value.t} rows — canonical bag order is preserved verbatim —
-    so the tree API remains the semantic boundary and per-row
-    reconstruction can stay lazy.
+    [Null].  [of_rows]/[to_rows] are exact inverses on rows that agree
+    on shape — canonical bag order is preserved verbatim — so the tree
+    API remains the semantic boundary and per-row reconstruction can
+    stay lazy.
 
-    Columns whose rows disagree on shape (mixed primitive kinds,
-    differing tuple labels) fall back to a boxed [CBox] column; every
-    kernel still works, just row-at-a-time for that column. *)
+    Every column has one shape.  The rows of a batch built from a
+    typechecked query over a typed database share their type, and
+    [Null] fits every shape, so kernels work column by column; rows that
+    disagree on shape (mixed primitive kinds, differing tuple labels)
+    raise {!Shape_mismatch} where they meet. *)
 
 open Nested
 
@@ -62,7 +64,6 @@ type col =
   | CStr of int array * Bitv.t option  (** global dictionary codes *)
   | CTuple of int * (string * col) list * Bitv.t option
   | CBag of bag
-  | CBox of Value.t array  (** fallback for shape-mixed columns *)
 
 (** A bag column.  Row [i]'s bag is the elements
     [\[bstart.(i), bstop.(i))] of the store [belems], with their
@@ -93,7 +94,14 @@ val col_length : col -> int
 
 (** {1 Building and reconstruction} *)
 
+(** [Shape_mismatch (a, b)]: rows of the shapes [a] and [b], printed,
+    meet in one column — a primitive kind against another, or tuples of
+    different labels.  Raised by {!of_rows} and {!vstack}. *)
+exception Shape_mismatch of string * string
+
+(** A batch of rows that agree on shape ({!Shape_mismatch} otherwise). *)
 val of_rows : Value.t list -> t
+
 val of_values : Value.t array -> t
 
 (** Exact inverse of [of_rows]: bags come back in stored canonical
@@ -134,9 +142,10 @@ val of_relation : Relation.t -> t
 
 (** {1 Tuple structure} *)
 
-(** Top-level columns when every row is a tuple of the same labels;
-    [None] otherwise (fall back to row access). *)
-val cols : t -> (string * col) list option
+(** The top-level columns of a batch of tuple rows; an empty batch may
+    have none.  Raises [Invalid_argument] when the rows are not
+    tuples. *)
+val cols : t -> (string * col) list
 
 val find_col : t -> string -> col option
 val of_cols : int -> (string * col) list -> t
@@ -152,11 +161,17 @@ val col_gather : col -> int array -> col
     them).  The gather pattern of stride-sampled tracing scans. *)
 val stride_indices : n:int -> offset:int -> stride:int -> int array
 
-(** Row-wise tuple concatenation (raises like [Value.concat_tuples] on
-    non-tuple rows). *)
+(** Row-wise tuple concatenation, column lists appended (raises like
+    {!cols} on non-tuple rows). *)
 val hstack : t -> t -> t
 
+(** Row-wise concatenation.  0-row pieces take no part, so an empty
+    partition never decides a shape, and a bag without stored elements
+    fits any element shape; pieces of two shapes raise
+    {!Shape_mismatch}. *)
 val vstack : t list -> t
+
+(** The batch of no rows and no columns. *)
 val empty : t
 
 (** [n] copies of one value, as a batch. *)
@@ -167,13 +182,18 @@ val null_mask : col -> Bitv.t option
 
 (** [flatten_tuple inner_ty c] — the columns a tuple flatten splices
     next to its input for the tuple column [c] of type [inner_ty],
-    built column-wise.  A [CTuple] whose labels are [inner_ty]'s gives
-    its field columns, with its presence bitmap pushed into each field so
-    a [Null] tuple reads [Null] in every field (the [Vtype.null_tuple]
-    pad); an all-[Null] column gives the pad, broadcast.  [None] for any
-    other column, and when a field cannot carry presence ([CConst],
-    [CBox]): callers then rebuild the tuples per row. *)
-val flatten_tuple : Vtype.t -> col -> t option
+    built column-wise.  A [CTuple] gives its field columns, with its
+    presence bitmap pushed into each field so a [Null] tuple reads
+    [Null] in every field (the [Vtype.null_tuple] pad); a constant tuple
+    gives its fields, broadcast; an all-[Null] column gives the pad,
+    broadcast.  Raises [Invalid_argument] on any other column. *)
+val flatten_tuple : Vtype.t -> col -> t
+
+(** A bag column as a {!bag}: an all-[Null] column is a bag column of
+    absent rows, and a constant bag ranges every row over one stored
+    copy of its elements.  Raises [Invalid_argument] on any other
+    column. *)
+val as_bag : col -> bag
 
 (** The canonical bag builder behind relation nesting, in the engine and
     in tracing.  [canonical_bags b codes groups] builds one bag per
@@ -238,12 +258,6 @@ val col_bytes : col -> int
 val bytes : t -> int
 val note_bytes_moved : int -> unit
 val note_rows_scanned : int -> unit
-
-(** Bump the [engine.columnar.row_fallbacks] counter: one batch took a
-    per-row path (rows rebuilt as {!Nested.Value.t} trees) in the engine
-    or in tracing, because it has no tuple columns or a column cannot
-    be handled column-wise. *)
-val note_row_fallback : unit -> unit
 
 (** Add to the [engine.columnar.columns_pruned] counter: columns a table
     scan left out because no operator of the query reads them. *)

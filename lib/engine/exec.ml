@@ -12,7 +12,7 @@ open Nested
 open Nrab
 module C = Columnar
 
-exception Engine_error = Kernel.Engine_error
+exception Engine_error of string
 
 let err fmt = Fmt.kstr (fun m -> raise (Engine_error m)) fmt
 

@@ -7,9 +7,8 @@
    A kernel works on one batch, or one batch pair, and returns the index
    vectors it computes on the way (join pairs and unmatched rows,
    flatten parents and pads, group members, diff cancellations) next to
-   its output batch.  Each kernel has at most one per-row path, taken
-   when a batch has no tuple columns or a column cannot be handled
-   column-wise; it bumps [engine.columnar.row_fallbacks].
+   its output batch.  Every batch has one shape per column (see
+   {!Columnar}), so kernels work column by column.
 
    Callers resolve attribute columns ({!column}) before they call a
    kernel, and decide what a missing attribute means: the executor
@@ -19,26 +18,10 @@ open Nested
 open Nrab
 module C = Columnar
 
-exception Engine_error of string
-
-let err fmt = Fmt.kstr (fun m -> raise (Engine_error m)) fmt
-
 (* The column of attribute [a] in [b], [None] when [b] has none.  An
-   empty batch has every column, empty.  A batch without tuple columns
-   (rows that disagree on shape) extracts it row by row; rows lacking the
-   attribute read Null there. *)
+   empty batch has every column, empty. *)
 let column (b : C.t) (a : string) : C.col option =
-  let n = C.length b in
-  if n = 0 then Some (C.CNull 0)
-  else
-    match C.cols b with
-    | Some fs -> List.assoc_opt a fs
-    | None ->
-      C.note_row_fallback ();
-      let vs = Array.init n (fun i -> Value.field a (C.get_row b i)) in
-      if Array.exists Option.is_some vs then
-        Some (C.of_values (Array.map (Option.value ~default:Value.Null) vs)).C.row
-      else None
+  if C.length b = 0 then Some (C.CNull 0) else List.assoc_opt a (C.cols b)
 
 (* --- Column analysis ------------------------------------------------------ *)
 
@@ -111,9 +94,23 @@ let reads (env : Typecheck.env) (q : Query.t) : cols =
            aggs)
     | _ -> ()
   in
+  (* A field kept whole holds every field inside it, and a flatten can
+     bring any of them to the top of a batch, so they all count as
+     read. *)
+  let rec inner = function
+    | Vtype.TBag t -> inner t
+    | Vtype.TTuple fs -> List.concat_map (fun (l, t) -> l :: inner t) fs
+    | _ -> []
+  in
+  let rec close all =
+    let before = Names.cardinal !whole in
+    List.iter (fun (l, ty) -> if Names.mem l !whole then read (inner ty)) all;
+    if Names.cardinal !whole > before then close all
+  in
   match
     List.iter op (Query.operators q);
-    whole_rows q
+    whole_rows q;
+    close (List.concat_map fields (Query.operators q))
   with
   | exception Typecheck.Type_error _ -> Every
   | () ->
@@ -202,7 +199,7 @@ let rec keep_fields s ~dropped (fs : (string * C.col) list) =
               { bg with C.belems = C.CTuple (n, keep_fields s ~dropped:never efs, p) }
           )
       | Elements, (C.CBag { C.belems = C.CNull _; _ } | C.CNull _) -> Some (l, col)
-      | Elements, (C.CBag _ | C.CBox _ | C.CConst _) -> raise Inexact
+      | Elements, (C.CBag _ | C.CConst _) -> raise Inexact
       | _ -> Some (l, col))
     fs
 
@@ -211,12 +208,9 @@ let keep (c : cols) (q : Query.t) (b : C.t) : C.t option =
   | Every -> Some b
   | Only _ when C.length b = 0 -> Some b
   | Only s -> (
-    match C.cols b with
-    | None -> None
-    | Some fs -> (
-      match keep_fields s ~dropped:(dropped_in s q) fs with
-      | fs' -> Some (C.of_cols (C.length b) fs')
-      | exception Inexact -> None))
+    match keep_fields s ~dropped:(dropped_in s q) (C.cols b) with
+    | fs -> Some (C.of_cols (C.length b) fs)
+    | exception Inexact -> None)
 
 (* Labelled columns at every depth: tuple fields and bag element
    fields. *)
@@ -234,9 +228,10 @@ let scan (c : cols) (q : Query.t) (b : C.t) : C.t * int * int =
   (b', kept, pruned)
 
 let flatten_parents (c : cols) (a : string) (b : C.t) : C.t =
-  match c, C.cols b with
-  | Only s, Some fs when Names.mem a s.drops && C.length b > 0 ->
-    C.of_cols (C.length b) (List.filter (fun (l, _) -> not (String.equal l a)) fs)
+  match c with
+  | Only s when Names.mem a s.drops && C.length b > 0 ->
+    C.of_cols (C.length b)
+      (List.filter (fun (l, _) -> not (String.equal l a)) (C.cols b))
   | _ -> b
 
 (* Rows per structural-equality class of [codes]: first-seen class
@@ -308,21 +303,9 @@ let renamed (pairs : (string * string) list) (l : string) : string =
   | None -> l
 
 let rename (pairs : (string * string) list) (b : C.t) : C.t =
-  let fresh = renamed pairs in
   let n = C.length b in
   if n = 0 then b
-  else
-    match C.cols b with
-    | Some fs -> C.of_cols n (List.map (fun (l, c) -> (fresh l, c)) fs)
-    | None ->
-      C.note_row_fallback ();
-      C.of_values
-        (Array.map
-           (function
-             | Value.Tuple fs ->
-               Value.Tuple (List.map (fun (l, v) -> (fresh l, v)) fs)
-             | _ -> err "engine: rename of non-tuple")
-           (C.to_values b))
+  else C.of_cols n (List.map (fun (l, c) -> (renamed pairs l, c)) (C.cols b))
 
 (* Tuple nesting: the [pairs]' source attributes, whose columns are
    [nested] in pair order, move into one tuple column [c_name]. *)
@@ -330,75 +313,17 @@ let nest_tuple (pairs : (string * string) list) c_name (nested : C.col list)
     (b : C.t) : C.t =
   let n = C.length b in
   let attrs = List.map snd pairs in
-  let labels = List.map fst pairs in
   if n = 0 then b
   else
-    match C.cols b with
-    | Some fs ->
-      let rest = List.filter (fun (l, _) -> not (List.mem l attrs)) fs in
-      C.of_cols n
-        (rest @ [ (c_name, C.CTuple (n, List.combine labels nested, None)) ])
-    | None ->
-      C.note_row_fallback ();
-      C.of_values
-        (Array.mapi
-           (fun i t ->
-             match t with
-             | Value.Tuple fs ->
-               let rest = List.filter (fun (l, _) -> not (List.mem l attrs)) fs in
-               let inner =
-                 List.map2 (fun l col -> (l, C.col_get col i)) labels nested
-               in
-               Value.Tuple (rest @ [ (c_name, Value.Tuple inner) ])
-             | _ -> err "engine: nest_tuple of non-tuple")
-           (C.to_values b))
+    let rest = List.filter (fun (l, _) -> not (List.mem l attrs)) (C.cols b) in
+    C.of_cols n
+      (rest @ [ (c_name, C.CTuple (n, List.combine (List.map fst pairs) nested, None)) ])
 
 (* Tuple flatten: splice the fields of the tuple column [col] (of type
    [inner_ty]) next to [b]'s columns; a Null tuple reads Null in every
    field. *)
 let flatten_tuple inner_ty (col : C.col) (b : C.t) : C.t =
-  let n = C.length b in
-  if n = 0 then C.empty
-  else
-    let right =
-      match C.flatten_tuple inner_ty col with
-      | Some right -> right
-      | None ->
-        C.note_row_fallback ();
-        let null_inner = Vtype.null_tuple inner_ty in
-        C.of_values
-          (Array.init n (fun i ->
-               match C.col_get col i with
-               | Value.Tuple _ as inner -> inner
-               | Value.Null -> null_inner
-               | _ -> err "engine: tuple flatten of a non-tuple attribute"))
-    in
-    C.hstack b right
-
-(* A bag column as [CBag]: an all-Null column is a bag column of absent
-   rows; any other column is rebuilt from its values (the per-row path). *)
-let as_bag (col : C.col) : C.bag =
-  let of_col = function
-    | C.CBag bg -> Some bg
-    | C.CNull n ->
-      Some
-        {
-          C.bn = n;
-          bstart = Array.make n 0;
-          bstop = Array.make n 0;
-          bmult = [||];
-          belems = C.CNull 0;
-          bpresent = Some (C.Bitv.create n false);
-        }
-    | _ -> None
-  in
-  match of_col col with
-  | Some bg -> bg
-  | None -> (
-    C.note_row_fallback ();
-    match of_col (C.of_values (C.col_values col)).C.row with
-    | Some bg -> bg
-    | None -> err "engine: bag operation over a non-bag attribute")
+  if C.length b = 0 then C.empty else C.hstack b (C.flatten_tuple inner_ty col)
 
 let bag_present (bg : C.bag) i =
   match bg.C.bpresent with None -> true | Some p -> C.Bitv.get p i
@@ -416,7 +341,7 @@ type flat = {
    tuple. *)
 let flatten ~outer inner_ty (col : C.col) (b : C.t) : flat =
   let n = C.length b in
-  let bg = as_bag col in
+  let bg = C.as_bag col in
   let size i =
     if not (bag_present bg i) then 0
     else begin
@@ -474,7 +399,7 @@ let flatten ~outer inner_ty (col : C.col) (b : C.t) : flat =
    [out].  Returns each row's member values too. *)
 let agg_tuple fn (col : C.col) out (b : C.t) : Value.t list array * C.t =
   let n = C.length b in
-  let bg = as_bag col in
+  let bg = C.as_bag col in
   let unwrap v = match v with Value.Tuple [ (_, inner) ] -> inner | v -> v in
   let evs =
     match bg.C.belems with

@@ -6,9 +6,8 @@
     A kernel works on one batch or one batch pair and returns the index
     vectors it computes on the way — join pairs and unmatched rows,
     flatten parents and pads, group members, diff cancellations — next
-    to its output batch.  Each kernel has at most one per-row path, taken
-    when a batch has no tuple columns or a column cannot be handled
-    column-wise; it bumps [engine.columnar.row_fallbacks].
+    to its output batch.  Every batch has one shape per column (see
+    {!Columnar}), so every kernel works column by column.
 
     Callers resolve attribute columns with {!column} and decide what a
     missing attribute means (the executor raises, tracing reads Null);
@@ -19,12 +18,8 @@
 open Nested
 open Nrab
 
-exception Engine_error of string
-
 (** The column of an attribute, [None] when the batch has none.  An
-    empty batch has every column, empty.  A batch without tuple columns
-    extracts the column row by row (rows lacking the attribute read
-    Null). *)
+    empty batch has every column, empty. *)
 val column : Columnar.t -> string -> Columnar.col option
 
 (** {1 Column analysis}
@@ -43,7 +38,10 @@ type cols
     element field.  A bag that only relation flattens read keeps only
     the element fields in the set; when one flatten reads it and it
     enters the query once, that flatten drops it before gathering its
-    parent rows.  A query that does not typecheck keeps every column. *)
+    parent rows.  A field kept whole keeps every field inside it, and a
+    flatten can bring any of them to the top of a batch, so they count
+    as read too: {!keep_type} then names every field the batches hold.
+    A query that does not typecheck keeps every column. *)
 val reads : Typecheck.env -> Query.t -> cols
 
 (** The columns either set keeps: evaluating under [union a b] and
@@ -55,9 +53,8 @@ val equal_cols : cols -> cols -> bool
 (** [keep c q b]: [b], a batch of [q]'s output evaluated under [c] or
     under a superset of [c] from {!union}, narrowed to the batch [q]
     gives under [c], in O(fields) without copying a column; the cached
-    {!Columnar.of_relation} batch is left as it is.  [None] when [b]
-    has no tuple columns or a bag to narrow has no tuple element
-    store. *)
+    {!Columnar.of_relation} batch is left as it is.  [None] when a bag
+    to narrow has no tuple element store. *)
 val keep : cols -> Query.t -> Columnar.t -> Columnar.t option
 
 (** [keep_type c q ty]: [q]'s output type [ty] as its batches under [c]
@@ -127,12 +124,14 @@ type flat = {
 (** [flatten ~outer inner_ty col b]: one output row per element of the
     bag column [col] (elements of type [inner_ty]), repeated by its
     multiplicity, in input order.  With [outer], a row whose bag is
-    empty or Null gives one row padded with [inner_ty]'s null tuple. *)
+    empty or Null gives one row padded with [inner_ty]'s null tuple.
+    [col] is read through {!Columnar.as_bag}. *)
 val flatten : outer:bool -> Vtype.t -> Columnar.col -> Columnar.t -> flat
 
 (** [agg_tuple fn col out b] adds column [out]: [fn] over each row's
-    bag in the column [col], one-field element tuples read as their
-    field.  Also returns each row's member values. *)
+    bag in the column [col] (read through {!Columnar.as_bag}), one-field
+    element tuples read as their field.  Also returns each row's member
+    values. *)
 val agg_tuple :
   Agg.fn ->
   Columnar.col ->

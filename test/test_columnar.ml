@@ -2,52 +2,74 @@
    inverse of the tree representation ([to_rows ∘ of_rows = id]), and
    the vectorized kernels must agree with their row-at-a-time
    counterparts on the engine zoo's awkward cases (empty partitions,
-   all-Null join keys, shape-mixed columns). *)
+   all-Null join keys, empty bag stores). *)
 
 open Nested
 module C = Engine.Columnar
 
 (* --- Generators ---------------------------------------------------- *)
 
-(* Nested values biased toward the cases that stress the arena: deep
-   nesting, empty bags, Null-heavy columns, duplicate strings. *)
-let value_gen : Value.t QCheck.Gen.t =
+(* A random type — primitives, tuples of one to three fields, bags — up
+   to four levels deep. *)
+let vtype_gen : Vtype.t QCheck.Gen.t =
   let open QCheck.Gen in
-  sized
+  sized_size (int_bound 16)
   @@ fix (fun self n ->
-         if n <= 0 then
-           frequency
-             [
-               (2, return Value.Null);
-               (1, map (fun b -> Value.Bool b) bool);
-               (2, map (fun i -> Value.Int i) small_signed_int);
-               (1, map (fun f -> Value.Float f) (float_bound_inclusive 100.));
-               (* Floats [Value.equal] and [value_hash] disagree on:
-                  0.0 = -0.0 with different bits, nan = nan. *)
-               (1, oneofl [ Value.Float 0.0; Value.Float (-0.0); Value.Float nan ]);
-               (* Tiny alphabet so duplicate strings hit the dictionary. *)
-               (2, map (fun s -> Value.String s) (string_size ~gen:(char_range 'a' 'c') (return 2)));
-             ]
+         let prim = oneofl Vtype.[ TBool; TInt; TFloat; TString ] in
+         if n <= 0 then prim
          else
            frequency
              [
-               (2, map (fun i -> Value.Int i) small_signed_int);
-               (1, return Value.Null);
+               (2, prim);
                ( 2,
                  map
-                   (fun vs ->
-                     Value.Tuple (List.mapi (fun i v -> (Fmt.str "f%d" i, v)) vs))
+                   (fun tys -> Vtype.TTuple (List.mapi (fun i t -> (Fmt.str "f%d" i, t)) tys))
                    (list_size (int_range 1 3) (self (n / 2))) );
-               ( 2,
-                 map
-                   (fun vs -> Value.bag_of_list vs)
-                   (list_size (int_range 0 4) (self (n / 2))) );
+               (2, map (fun t -> Vtype.TBag t) (self (n / 2)));
              ])
 
-let arb_rows =
-  QCheck.make
-    ~print:(fun vs -> Fmt.str "%a" (Fmt.Dump.list Value.pp) vs)
-    QCheck.Gen.(list_size (int_range 0 12) value_gen)
+(* Values of [ty] biased toward the cases that stress the arena: Null
+   at every level ([nulls] to 3 against a present value), empty bags,
+   awkward floats and duplicate strings. *)
+let rec value_of nulls (ty : Vtype.t) : Value.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let present =
+    match ty with
+    | Vtype.TBool -> map (fun b -> Value.Bool b) bool
+    | Vtype.TInt -> map (fun i -> Value.Int i) small_signed_int
+    | Vtype.TFloat ->
+      frequency
+        [
+          (2, map (fun f -> Value.Float f) (float_bound_inclusive 100.));
+          (* Floats [Value.equal] and [value_hash] disagree on: 0.0 =
+             -0.0 with different bits, nan = nan. *)
+          (1, oneofl [ Value.Float 0.0; Value.Float (-0.0); Value.Float nan ]);
+        ]
+    | Vtype.TString ->
+      (* Tiny alphabet so duplicate strings hit the dictionary. *)
+      map (fun s -> Value.String s) (string_size ~gen:(char_range 'a' 'c') (return 2))
+    | Vtype.TTuple fs ->
+      map
+        (fun vs -> Value.Tuple (List.combine (List.map fst fs) vs))
+        (flatten_l (List.map (fun (_, t) -> value_of nulls t) fs))
+    | Vtype.TBag t -> map Value.bag_of_list (list_size (int_range 0 4) (value_of nulls t))
+  in
+  if nulls = 0 then present else frequency [ (nulls, return Value.Null); (3, present) ]
+
+(* A list of rows of the type [vtype_gen] picks, at a Null rate of its
+   own; [rows_pair_gen] gives two lists of one type. *)
+let rows_of nulls ty = QCheck.Gen.(list_size (int_range 0 12) (value_of nulls ty))
+let rows_gen = QCheck.Gen.(vtype_gen >>= fun ty -> int_bound 3 >>= fun k -> rows_of k ty)
+
+let rows_pair_gen =
+  QCheck.Gen.(
+    vtype_gen >>= fun ty -> int_bound 3 >>= fun k -> pair (rows_of k ty) (rows_of k ty))
+
+let value_gen = QCheck.Gen.(vtype_gen >>= value_of 1)
+let print_rows vs = Fmt.str "%a" (Fmt.Dump.list Value.pp) vs
+let print_pair (xs, ys) = print_rows xs ^ " " ^ print_rows ys
+let arb_rows = QCheck.make ~print:print_rows rows_gen
+let arb_rows_pair = QCheck.make ~print:print_pair rows_pair_gen
 
 (* Uniform tuple rows (the common relational case: typed columns). *)
 let arb_uniform_rows =
@@ -70,9 +92,8 @@ let arb_uniform_rows =
     (list_size (int_range 0 20) row)
 
 (* Batches in shapes [of_rows] never builds: constant columns
-   ([broadcast]), boxed columns from a shape-mixed [vstack], and
-   presence bitmaps over cells that still hold values (a kernel's
-   outer-join or flatten padding). *)
+   ([broadcast]), stacked pieces, and presence bitmaps over cells that
+   still hold values (a kernel's outer-join or flatten padding). *)
 let with_presence (mask : C.Bitv.t) (c : C.col) : C.col =
   let p = Some mask in
   match c with
@@ -83,11 +104,9 @@ let with_presence (mask : C.Bitv.t) (c : C.col) : C.col =
   | C.CTuple (n, fields, _) -> C.CTuple (n, fields, p)
   | C.CBag bg -> C.CBag { bg with C.bpresent = p }
   | C.CNull n | C.CConst (n, _) -> C.CTuple (n, [ ("w", c) ], p)
-  | C.CBox a -> C.CTuple (Array.length a, [ ("w", c) ], p)
 
 let batch_gen : C.t QCheck.Gen.t =
   let open QCheck.Gen in
-  let rows = list_size (int_range 0 8) value_gen in
   (* Typed float columns, where the float kernels run, with one label
    per batch and bags whose elements repeat. *)
   let float_rows =
@@ -105,9 +124,9 @@ let batch_gen : C.t QCheck.Gen.t =
   in
   frequency
     [
-      (2, map C.of_rows rows);
+      (2, map C.of_rows rows_gen);
       (2, map C.of_rows float_rows);
-      (2, map2 (fun xs ys -> C.vstack [ C.of_rows xs; C.of_rows ys ]) rows rows);
+      (2, map (fun (xs, ys) -> C.vstack [ C.of_rows xs; C.of_rows ys ]) rows_pair_gen);
       (1, map2 (fun n v -> C.broadcast n v) (int_range 0 6) value_gen);
       ( 2,
         map2
@@ -115,7 +134,7 @@ let batch_gen : C.t QCheck.Gen.t =
             let b = C.of_rows xs in
             let mask = C.Bitv.init b.C.n (fun i -> bits land (1 lsl i) = 0) in
             { b with C.row = with_presence mask b.C.row })
-          rows (int_bound 255) );
+          rows_gen (int_bound 255) );
     ]
 
 let arb_batch =
@@ -172,7 +191,7 @@ let prop_filter_mask =
 
 let prop_vstack =
   QCheck.Test.make ~name:"vstack = list append" ~count:200
-    (QCheck.pair arb_rows arb_rows) (fun (xs, ys) ->
+    arb_rows_pair (fun (xs, ys) ->
       eq_rows
         (C.to_rows (C.vstack [ C.of_rows xs; C.of_rows ys ]))
         (xs @ ys))
@@ -290,22 +309,36 @@ let test_all_null_column () =
   Alcotest.(check bool) "all codes are null_code" true
     (Array.for_all (fun c -> c = C.Coder.null_code) codes)
 
-let test_mixed_shape_fallback () =
-  (* Mixed Int/String column degrades to a boxed column but stays
-     semantically exact. *)
-  let rows =
-    [
-      Value.Tuple [ ("x", Value.Int 1) ];
-      Value.Tuple [ ("x", Value.String "one") ];
-      Value.Tuple [ ("x", Value.Null) ];
-    ]
-  in
-  let b = C.of_rows rows in
-  Alcotest.(check bool) "roundtrip" true (eq_rows (C.to_rows b) rows);
-  let open Nrab.Expr.Infix in
-  let mask = C.eval_pred_mask b (Nrab.Expr.attr "x" = Nrab.Expr.int 1) in
-  Alcotest.(check (list bool)) "mixed compare" [ true; false; false ]
-    (List.init 3 (C.Bitv.get mask))
+(* Rows that disagree on shape have no column: building or stacking
+   them raises, naming both shapes. *)
+let test_mixed_shapes_raise () =
+  let x v = Value.Tuple [ ("x", v) ] in
+  Alcotest.check_raises "int against string" (C.Shape_mismatch ("int", "string"))
+    (fun () -> ignore (C.of_rows [ x (Value.Int 1); x Value.Null; x (Value.String "one") ]));
+  Alcotest.check_raises "tuples of other labels" (C.Shape_mismatch ("⟨x: int⟩", "⟨y: int⟩"))
+    (fun () ->
+      ignore
+        (C.vstack
+           [ C.of_rows [ x (Value.Int 1) ]; C.of_rows [ Value.Tuple [ ("y", Value.Int 2) ] ] ]))
+
+(* Empty pieces never decide a shape: a 0-row piece and a piece whose
+   bags store no element carry element labels of their own, and the
+   stack is still a bag column of tuples. *)
+let test_empty_pieces_take_no_shape () =
+  let elem ls = Value.Tuple (List.map (fun l -> (l, Value.Int 1)) ls) in
+  let bags es = C.of_rows (List.map (fun e -> Value.Tuple [ ("b", Value.bag_of_list e) ]) es) in
+  let full = bags [ [ elem [ "x1"; "x2"; "x3" ] ]; [] ] in
+  let no_rows = C.gather (bags [ [ elem [ "y" ] ] ]) [||] in
+  (* Both rows range over nothing, so the store compacts to no element
+     of labels [z]. *)
+  let no_elems = C.gather (bags [ [ elem [ "z" ] ]; [] ]) [| 1; 1 |] in
+  let v = C.vstack [ full; no_rows; no_elems; full ] in
+  (match C.find_col v "b" with
+  | Some (C.CBag { C.belems = C.CTuple _; _ }) -> ()
+  | _ -> Alcotest.fail "expected a bag column of tuples");
+  Alcotest.(check bool) "roundtrip" true
+    (eq_rows (C.to_rows v)
+       (List.concat_map C.to_rows [ full; no_rows; no_elems; full ]))
 
 (* The shared bag builder gives each group [Value.bag_of_list] of its
    members' rows: duplicates merged, contents in [Value.compare] order. *)
@@ -346,20 +379,20 @@ let test_flatten_tuple_presence () =
   let row x y =
     Value.Tuple [ ("x", x); ("t", match y with Some y -> Value.Tuple [ ("y", Value.String y) ] | None -> Value.Null) ]
   in
-  (match C.flatten_tuple ty col with
-  | Some right ->
-    Alcotest.(check bool) "absent row reads Null in every field" true
-      (eq_rows (C.to_rows right)
-         [ row (Value.Int 1) (Some "a"); row Value.Null None; row (Value.Int 3) (Some "c") ])
-  | None -> Alcotest.fail "a CTuple of typed columns flattens column-wise");
+  Alcotest.(check bool) "absent row reads Null in every field" true
+    (eq_rows
+       (C.to_rows (C.flatten_tuple ty col))
+       [ row (Value.Int 1) (Some "a"); row Value.Null None; row (Value.Int 3) (Some "c") ]);
   Alcotest.(check bool) "all-Null column pads with the null tuple" true
-    (match C.flatten_tuple ty (C.CNull 2) with
-    | Some right -> eq_rows (C.to_rows right) [ row Value.Null None; row Value.Null None ]
-    | None -> false);
-  Alcotest.(check bool) "a constant field cannot carry presence" true
-    (C.flatten_tuple ty
-       (C.CTuple (3, [ ("x", C.CConst (3, Value.Int 1)); ("t", C.CNull 3) ], Some absent))
-    = None)
+    (eq_rows
+       (C.to_rows (C.flatten_tuple ty (C.CNull 2)))
+       [ row Value.Null None; row Value.Null None ]);
+  Alcotest.(check bool) "a constant field takes the presence" true
+    (eq_rows
+       (C.to_rows
+          (C.flatten_tuple ty
+             (C.CTuple (3, [ ("x", C.CConst (3, Value.Int 1)); ("t", C.CNull 3) ], Some absent))))
+       [ row (Value.Int 1) None; row Value.Null None; row (Value.Int 1) None ])
 
 let test_dict_dedup () =
   let rows =
@@ -374,10 +407,10 @@ let test_dict_dedup () =
 
 (* --- Shared bag stores ------------------------------------------------ *)
 
-(* Rows with a bag column [b], Null in some rows, next to an int key:
-   gathering them with repeated indices makes slices that share the
-   element store. *)
-let arb_bag_rows =
+(* Lists of rows with a bag column [b] of one random element type, Null
+   in some rows, next to an int key: gathering them with repeated
+   indices makes slices that share the element store. *)
+let bag_rows_of ety =
   let open QCheck.Gen in
   let row =
     map3
@@ -386,19 +419,23 @@ let arb_bag_rows =
           [ ("k", Value.Int k); ("b", if null then Value.Null else Value.bag_of_list es) ])
       small_nat
       (frequencyl [ (1, true); (4, false) ])
-      (list_size (int_range 0 4) value_gen)
+      (list_size (int_range 0 4) (value_of 1 ety))
   in
-  QCheck.make
-    ~print:(fun vs -> Fmt.str "%a" (Fmt.Dump.list Value.pp) vs)
-    (list_size (int_range 0 10) row)
+  list_size (int_range 0 10) row
+
+let arb_bag_rows = QCheck.make ~print:print_rows QCheck.Gen.(vtype_gen >>= bag_rows_of)
+
+let arb_bag_rows_pair =
+  QCheck.make ~print:print_pair
+    QCheck.Gen.(vtype_gen >>= fun ety -> pair (bag_rows_of ety) (bag_rows_of ety))
 
 let pick_indices n picks =
   if n = 0 then [||] else Array.of_list (List.map (fun p -> p mod n) picks)
 
 let prop_shared_ops =
   QCheck.Test.make ~name:"shared stores: gather, filter, vstack" ~count:400
-    QCheck.(triple arb_bag_rows arb_bag_rows (small_list small_nat))
-    (fun (xs, ys, picks) ->
+    QCheck.(pair arb_bag_rows_pair (small_list small_nat))
+    (fun ((xs, ys), picks) ->
       let a = C.of_rows xs and b = C.of_rows ys in
       let xa = Array.of_list xs in
       let at idx = List.map (fun i -> xa.(i)) (Array.to_list idx) in
@@ -529,9 +566,9 @@ let prop_groups =
     (fun (b, k) ->
       let n = C.length b in
       let keys =
-        match C.cols b with
-        | Some fs -> List.filteri (fun i _ -> i < k) (List.map snd fs)
-        | None -> [ b.C.row ]
+        match b.C.row with
+        | C.CTuple (_, fs, None) -> List.filteri (fun i _ -> i < k) (List.map snd fs)
+        | _ -> [ b.C.row ]
       in
       let expected =
         K.group_indices (match keys with [] -> Array.make n 0 | ks -> C.eqclasses n ks)
@@ -545,8 +582,8 @@ let prop_eqclasses =
     (fun (b, k) ->
       let n = C.length b in
       let keys =
-        match C.cols b with
-        | Some fs when fs <> [] -> List.filteri (fun i _ -> i < k) (List.map snd fs)
+        match b.C.row with
+        | C.CTuple (_, (_ :: _ as fs), None) -> List.filteri (fun i _ -> i < k) (List.map snd fs)
         | _ -> [ b.C.row ]
       in
       let equal i j = List.for_all (fun c -> Value.equal (C.col_get c i) (C.col_get c j)) keys in
@@ -708,7 +745,9 @@ let () =
         [
           Alcotest.test_case "empty partitions" `Quick test_empty;
           Alcotest.test_case "all-null join keys" `Quick test_all_null_column;
-          Alcotest.test_case "mixed-shape fallback" `Quick test_mixed_shape_fallback;
+          Alcotest.test_case "mixed shapes raise" `Quick test_mixed_shapes_raise;
+          Alcotest.test_case "empty pieces take no shape" `Quick
+            test_empty_pieces_take_no_shape;
           Alcotest.test_case "dictionary dedup" `Quick test_dict_dedup;
           Alcotest.test_case "nullable tuple flatten" `Quick test_flatten_tuple_presence;
           Alcotest.test_case "min_int key is not Null" `Quick test_min_int_is_not_null;

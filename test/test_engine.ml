@@ -99,6 +99,10 @@ let mk_db ~seed ~rows =
 (* A zoo of queries covering every operator kind. *)
 let queries () =
   let q name build = (name, build (Query.Gen.create ())) in
+  let kids ks = Value.bag_of_list (List.map (fun k -> tup [ ("k", v_int k) ]) ks) in
+  let const_bag g =
+    Query.project g [ ("g", Expr.attr "g"); ("c", Expr.Const (kids [ 2; 1; 2 ])) ] (Query.table g "t")
+  in
   let a_eq_c = Expr.Cmp (Expr.Eq, Expr.attr "a", Expr.attr "c") in
   [
     q "select" (fun g ->
@@ -212,6 +216,17 @@ let queries () =
                ("c", Expr.Const (tup [ ("cx", v_int 1); ("cy", v_str "w") ]));
              ]
              (Query.table g "t")));
+    (* a constant bag column: its rows range over one stored copy, and
+       stack onto a table's bag column *)
+    q "constant bag flatten" (fun g -> Query.flatten_inner g "c" (const_bag g));
+    q "constant bag per-tuple aggregation" (fun g ->
+        Query.agg_tuple g Agg.Sum ~over:"c" ~into:"total" (const_bag g));
+    q "constant bag ∪ table bag" (fun g ->
+        Query.union g
+          (Query.project_attrs g [ "a"; "kids" ] (Query.table g "r"))
+          (Query.project g
+             [ ("a", Expr.attr "a"); ("kids", Expr.Const (kids [ 3; 1; 3 ])) ]
+             (Query.table g "r")));
     q "join then nest" (fun g ->
         Query.nest_rel g [ "d" ] ~into:"ds"
           (Query.project_attrs g [ "a"; "d" ]

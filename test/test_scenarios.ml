@@ -268,6 +268,25 @@ let truncation_logged () =
       = [ Obs.Log.int "candidates" n; Obs.Log.int "kept" 1 ])
   | rs -> Alcotest.fail (Fmt.str "expected one record, got %d" (List.length rs))
 
+(* The engine builds one column per field and takes each column's shape
+   from its values, so the tables every scenario generates must inhabit
+   their schemas: a value of another kind would raise
+   [Columnar.Shape_mismatch] in a scan. *)
+let tables_well_typed () =
+  List.iter
+    (fun (s : Scenarios.Scenario.t) ->
+      List.iter
+        (fun scale ->
+          let inst = s.Scenarios.Scenario.make ~scale () in
+          List.iter
+            (fun (name, rel) ->
+              Alcotest.(check bool)
+                (Fmt.str "%s@%d %s well-typed" s.Scenarios.Scenario.name scale name)
+                true (Nested.Relation.well_typed rel))
+            (Nested.Relation.Db.tables inst.Scenarios.Scenario.question.Whynot.Question.db))
+        [ 1; 2 ])
+    Scenarios.Registry.all
+
 let () =
   Alcotest.run "scenarios"
     [
@@ -276,6 +295,8 @@ let () =
       ("scale-invariance", scale_invariance_cases);
       ( "operator-ids",
         [ Alcotest.test_case "unique in every query and SA" `Quick unique_op_ids ] );
+      ( "typed-data",
+        [ Alcotest.test_case "registry tables well-typed at scales 1 and 2" `Quick tables_well_typed ] );
       ( "alternatives",
         [ Alcotest.test_case "truncation logged" `Quick truncation_logged ] );
       ( "table7-counts",

@@ -301,68 +301,6 @@ let test_telemetry_verb () =
   Alcotest.(check bool) "unknown format answers bad_request" true
     (member "code" bad = Some (Json.J_string "bad_request"))
 
-(* [engine.columnar.row_fallbacks] counts the batches that took a per-row
-   path in an operator kernel.  Every registry scenario explains
-   column-wise, with schema alternatives (RP) and without (RPnoSA), so
-   the counter stays put; a shape-mixed ([CBox]) column still moves it,
-   and the telemetry verb reports it. *)
-let test_row_fallbacks () =
-  let fallbacks () =
-    Obs.Metrics.Counter.value
-      (Obs.Metrics.counter "engine.columnar.row_fallbacks")
-  in
-  List.iter
-    (fun (s : Scenarios.Scenario.t) ->
-      let inst = s.Scenarios.Scenario.make ~scale:1 () in
-      List.iter
-        (fun use_sas ->
-          let before = fallbacks () in
-          ignore
-            (Whynot.Pipeline.explain ~use_sas
-               ~alternatives:inst.Scenarios.Scenario.alternatives
-               inst.Scenarios.Scenario.question);
-          Alcotest.(check int)
-            (Fmt.str "%s (use_sas=%b) explains without a per-row fallback"
-               s.Scenarios.Scenario.name use_sas)
-            before (fallbacks ()))
-        [ true; false ])
-    Scenarios.Registry.all;
-  (* [q.x] holds an int in one row and a string in another, so it is a
-     [CBox] column; with a Null [q] beside it the flatten cannot push
-     presence into it and rebuilds the tuples per row. *)
-  let tup = Value.tuple in
-  let schema =
-    Vtype.relation [ ("a", Vtype.TInt); ("q", Vtype.TTuple [ ("x", Vtype.TInt) ]) ]
-  in
-  let db =
-    Relation.Db.of_list
-      [
-        ( "m",
-          Relation.of_tuples ~schema
-            [
-              tup [ ("a", Value.Int 1); ("q", tup [ ("x", Value.Int 1) ]) ];
-              tup [ ("a", Value.Int 2); ("q", tup [ ("x", Value.String "one") ]) ];
-              tup [ ("a", Value.Int 3); ("q", Value.Null) ];
-            ] );
-      ]
-  in
-  let g = Nrab.Query.Gen.create () in
-  let before = fallbacks () in
-  ignore
-    (Engine.Exec.run ~partitions:1 db
-       (Nrab.Query.flatten_tuple g "q" (Nrab.Query.table g "m")));
-  Alcotest.(check bool) "a CBox column takes the per-row path" true
-    (fallbacks () > before);
-  let srv = Serve.Server.create ~config:quiet_config () in
-  match
-    Serve.Server.handle_request srv (Serve.Protocol.Telemetry { format = `Json })
-  with
-  | Serve.Protocol.Telemetry_reply { metrics; _ } ->
-    Alcotest.(check bool) "the telemetry verb reports the counter" true
-      (member "engine.columnar.row_fallbacks" metrics
-      = Some (Json.J_int (fallbacks ())))
-  | _ -> Alcotest.fail "expected a telemetry reply"
-
 (* [whynot.tracing.shared_rows] counts the rows the share job traces once
    for all SAs.  A multi-SA explain moves it and records the job under a
    [tracing.shared] span; a single-SA explain has nothing to share. *)
@@ -729,7 +667,6 @@ let () =
         [
           Alcotest.test_case "Prometheus golden" `Quick test_prometheus_golden;
           Alcotest.test_case "telemetry verb" `Quick test_telemetry_verb;
-          Alcotest.test_case "row fallbacks counter" `Quick test_row_fallbacks;
           Alcotest.test_case "msr span bound terms" `Quick test_msr_bound_terms;
           Alcotest.test_case "shared rows counter" `Quick test_shared_rows;
           Alcotest.test_case "columns pruned" `Quick test_columns_pruned;
