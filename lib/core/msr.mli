@@ -79,9 +79,10 @@ type bounds_input = {
     of its hash is [Value.equal] to it.  The row is read from the root
     operator's batch: {!Engine.Columnar.hash_col} hashes the batch's
     sampled surviving rows and {!Engine.Columnar.equal_value} compares a
-    row with the bucket's rows, so no row tree is built.  A float must match bit for bit: its
-    hash is the hash of its bits, so [0.0] and [-0.0] fall in different
-    buckets and do not match, though [Value.equal] calls them equal.
+    row with the bucket's rows, so no row tree is built.  A match is
+    exactly [Value.equal]: equal values hash equally, so [-0.0] matches
+    [0.0] (both hash to [0]) and any NaN matches any NaN (each hashes as
+    [Float.nan]).
 
     Build it once per ⟨Q, D⟩ ({!Pipeline.prepare} does, for the
     handle); it is never mutated afterwards, so SA jobs on several

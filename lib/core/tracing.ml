@@ -594,9 +594,7 @@ let evaluate ~(env : Typecheck.env) (db : Relation.Db.t) ~cols ~blocks
       let lfs = fields_of l and rfs = fields_of r in
       let lnull = Vtype.null_tuple (Vtype.TTuple lfs) in
       let rnull = Vtype.null_tuple (Vtype.TTuple rfs) in
-      let keys, residual =
-        K.equi_split (List.map fst lfs) (List.map fst rfs) pred
-      in
+      let keys, residual = K.equi_split lfs rfs pred in
       let ln = a.c_n and rn = b.c_n in
       let cand =
         if ln = 0 || rn = 0 then ([||], [||])
@@ -765,12 +763,12 @@ let evaluate ~(env : Typecheck.env) (db : Relation.Db.t) ~cols ~blocks
          [original] is partial group [partial.(k)]'s. *)
       let original_row = Array.make g (-1) in
       Array.iteri (fun k gi -> original_row.(gi) <- g + k) partial;
-      let cell i =
-        if i < g then (relaxed.C.row, i) else (original.C.row, i - g)
-      in
+      let both = C.vstack [ relaxed; original ] in
       (* Per output row: its row of [relaxed] then [original], surviving
-         flag, parents and ranges.  A relaxed row survives when it equals
-         its original row; an original row that differs follows it. *)
+         flag, parents and ranges.  A relaxed row survives when it is
+         [Value.equal] to its original row (a group all of whose members
+         survive is its own original row); an original row that differs
+         follows it. *)
       let rows = ref [] in
       Array.iteri
         (fun gi members ->
@@ -779,12 +777,7 @@ let evaluate ~(env : Typecheck.env) (db : Relation.Db.t) ~cols ~blocks
             else if original_row.(gi) >= 0 then original_row.(gi)
             else gi
           in
-          let same =
-            orig >= 0
-            &&
-            let c, i = cell orig and c', i' = cell gi in
-            C.cells_equal c i c' i'
-          in
+          let same = orig >= 0 && (orig = gi || C.cmp_rows both orig gi = 0) in
           let ranges =
             List.filter_map
               (fun (a : K.agg) ->
@@ -803,7 +796,7 @@ let evaluate ~(env : Typecheck.env) (db : Relation.Db.t) ~cols ~blocks
       let data =
         if m = 0 then C.empty
         else if m = g then relaxed (* no original row follows a relaxed one *)
-        else C.gather (C.vstack [ relaxed; original ]) pick
+        else C.gather both pick
       in
       crecord ~data ~ret:(ball m true)
         ~surv:(Bytes.init m (fun o ->

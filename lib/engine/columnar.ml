@@ -142,15 +142,22 @@ let string_hash (s : string) : int =
   done;
   !h
 
-(* The stable per-value hash behind {!Dataset.value_hash}; [hash_col]
-   vectorizes it, so a shuffle lands each row on the partition its
-   value hashes to. *)
+(* A float's hash is the hash of its bits, with every NaN read as
+   [Float.nan]: [Value.equal] calls all NaNs equal, and [0.0] and [-0.0]
+   already agree, because [Int64.to_int] drops the sign bit. *)
+let float_hash (f : float) : int =
+  let f = if Float.is_nan f then Float.nan else f in
+  Int64.to_int (Int64.bits_of_float f) * 2654435761
+
+(* The stable per-value hash: [Value.equal] values hash equally.
+   [hash_col] vectorizes it, so a shuffle lands each row on the
+   partition its value hashes to. *)
 let rec value_hash (v : Value.t) : int =
   match v with
   | Value.Null -> 17
   | Value.Bool b -> if b then 31 else 37
   | Value.Int i -> i * 2654435761
-  | Value.Float f -> Int64.to_int (Int64.bits_of_float f) * 2654435761
+  | Value.Float f -> float_hash f
   | Value.String s -> string_hash s
   | Value.Tuple fields -> fields_hash 7 fields
   | Value.Bag es -> elems_hash 11 es
@@ -612,40 +619,6 @@ and equal_elems bg j hi es =
     && equal_value bg.belems j e
     && equal_elems bg (j + 1) hi es
 
-(* [col_get a i = col_get b j] under OCaml's structural equality, where
-   [nan] differs from itself and [0.0] equals [-0.0], without building
-   either value.  The columns may differ in representation (one may be
-   all Null); constant columns compare their values. *)
-let rec cells_equal (a : col) (i : int) (b : col) (j : int) : bool =
-  match a, b with
-  | CConst _, _ | _, CConst _ -> col_get a i = col_get b j
-  | _ -> (
-    let r = cell_rank a i in
-    r = cell_rank b j
-    && (r = 0
-       ||
-       match a, b with
-       | CBool (x, _), CBool (y, _) -> Bool.equal (Bitv.get x i) (Bitv.get y j)
-       | CInt (x, _), CInt (y, _) -> Int.equal x.(i) y.(j)
-       | CFloat (x, _), CFloat (y, _) -> (x.(i) : float) = y.(j)
-       | CStr (x, _), CStr (y, _) -> Int.equal x.(i) y.(j)
-       | CTuple (_, fa, _), CTuple (_, fb, _) ->
-         List.compare_lengths fa fb = 0
-         && List.for_all2
-              (fun (la, ca) (lb, cb) -> String.equal la lb && cells_equal ca i cb j)
-              fa fb
-       | CBag x, CBag y ->
-         let len = x.bstop.(i) - x.bstart.(i) in
-         len = y.bstop.(j) - y.bstart.(j)
-         && equal_ranges x x.bstart.(i) y y.bstart.(j) len
-       | _ -> false))
-
-and equal_ranges x u y v len =
-  len = 0
-  || Int.equal x.bmult.(u) y.bmult.(v)
-     && cells_equal x.belems u y.belems v
-     && equal_ranges x (u + 1) y (v + 1) (len - 1)
-
 (* ------------------------------------------------------------------ *)
 (* Tuple-structure access                                              *)
 (* ------------------------------------------------------------------ *)
@@ -1066,142 +1039,6 @@ let flatten_tuple (inner_ty : Vtype.t) (c : col) : t =
   | _ -> invalid_arg "Columnar.flatten_tuple: not a tuple column"
 
 (* ------------------------------------------------------------------ *)
-(* Value coding (exact grouping / join keys)                           *)
-(* ------------------------------------------------------------------ *)
-
-module Coder = struct
-  (* Codes are hash-consed integers: two values get the same code iff
-     they are structurally equal (the same equivalence generic
-     [Hashtbl] grouping on rows uses).  Tuples and bags fold their
-     member codes through a pair-interning table, so coding a column is
-     linear in its flattened size. *)
-
-  type coder = {
-    mutable next : int;
-    ints : (int, int) Hashtbl.t;
-    floats : (float, int) Hashtbl.t;
-    strs : (int, int) Hashtbl.t;  (* dict code -> code *)
-    labels : (string, int) Hashtbl.t;
-    pairs : (int * int, int) Hashtbl.t;
-  }
-
-  type t = coder
-
-  let null_code = 0
-  let false_code = 1
-  let true_code = 2
-  let tup_tag = 3
-  let bag_tag = 4
-
-  let create () =
-    {
-      next = 5;
-      ints = Hashtbl.create 64;
-      floats = Hashtbl.create 16;
-      strs = Hashtbl.create 64;
-      labels = Hashtbl.create 16;
-      pairs = Hashtbl.create 256;
-    }
-
-  let fresh t =
-    let c = t.next in
-    t.next <- c + 1;
-    c
-
-  let via : 'a. coder -> ('a, int) Hashtbl.t -> 'a -> int =
-   fun t tbl k ->
-    match Hashtbl.find_opt tbl k with
-    | Some c -> c
-    | None ->
-      let c = fresh t in
-      Hashtbl.add tbl k c;
-      c
-
-  let int_code t i = via t t.ints i
-  let float_code t f = via t t.floats f
-  let str_code t dcode = via t t.strs dcode
-  let label_code t l = via t t.labels l
-  let pair t a b = via t t.pairs (a, b)
-
-  let rec value_code t (v : Value.t) : int =
-    match v with
-    | Value.Null -> null_code
-    | Value.Bool false -> false_code
-    | Value.Bool true -> true_code
-    | Value.Int i -> int_code t i
-    | Value.Float f -> float_code t f
-    | Value.String s -> str_code t (Dict.intern s)
-    | Value.Tuple fs ->
-      List.fold_left
-        (fun acc (l, fv) -> pair t acc (pair t (label_code t l) (value_code t fv)))
-        tup_tag fs
-    | Value.Bag es ->
-      List.fold_left
-        (fun acc (e, m) -> pair t acc (pair t (value_code t e) (int_code t m)))
-        bag_tag es
-
-  let rec col_codes t (c : col) : int array =
-    match c with
-    | CNull n -> Array.make n null_code
-    | CConst (n, v) -> Array.make n (value_code t v)
-    | CBool (b, p) ->
-      Array.init (Bitv.length b) (fun i ->
-          if not (present p i) then null_code
-          else if Bitv.get b i then true_code
-          else false_code)
-    | CInt (a, p) ->
-      Array.init (Array.length a) (fun i ->
-          if present p i then int_code t a.(i) else null_code)
-    | CFloat (a, p) ->
-      Array.init (Array.length a) (fun i ->
-          if present p i then float_code t a.(i) else null_code)
-    | CStr (a, p) ->
-      Array.init (Array.length a) (fun i ->
-          if present p i then str_code t a.(i) else null_code)
-    | CTuple (n, fields, p) ->
-      let fcodes =
-        List.map (fun (l, c) -> (label_code t l, col_codes t c)) fields
-      in
-      Array.init n (fun i ->
-          if present p i then
-            List.fold_left
-              (fun acc (lc, cs) -> pair t acc (pair t lc cs.(i)))
-              tup_tag fcodes
-          else null_code)
-    | CBag bg ->
-      let ecodes = col_codes t bg.belems in
-      Array.init bg.bn (fun i ->
-          if present bg.bpresent i then begin
-            let acc = ref bag_tag in
-            for j = bg.bstart.(i) to bg.bstop.(i) - 1 do
-              acc := pair t !acc (pair t ecodes.(j) (int_code t bg.bmult.(j)))
-            done;
-            !acc
-          end
-          else null_code)
-
-  (* Combine per-column code arrays into one code per row (order
-     sensitive, like an unlabelled tuple). *)
-  let mix t (cols : int array list) : int array =
-    match cols with
-    | [] -> [||]
-    | first :: rest ->
-      let n = Array.length first in
-      let acc = Array.init n (fun i -> pair t tup_tag first.(i)) in
-      List.iter
-        (fun cs ->
-          for i = 0 to n - 1 do
-            acc.(i) <- pair t acc.(i) cs.(i)
-          done)
-        rest;
-      acc
-
-end
-
-let row_codes (coder : Coder.t) (t : t) : int array =
-  Coder.col_codes coder t.row
-
-(* ------------------------------------------------------------------ *)
 (* Vectorized hash (shuffle destinations)                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1217,9 +1054,7 @@ let rec hash_col (c : col) : int array =
         if present p i then a.(i) * 2654435761 else 17)
   | CFloat (a, p) ->
     Array.init (Array.length a) (fun i ->
-        if present p i then
-          Int64.to_int (Int64.bits_of_float a.(i)) * 2654435761
-        else 17)
+        if present p i then float_hash a.(i) else 17)
   | CStr (a, p) ->
     Array.init (Array.length a) (fun i ->
         if present p i then Dict.hash a.(i) else 17)
@@ -1282,8 +1117,9 @@ let eqclasses_codes (n : int) (key : int -> int) : int array =
   classes n key (fun _ _ -> true)
 
 (* Over several columns: the key is a hash of the row's cells, and
-   candidates are verified with [cmp_cells], so classes are exact (class
-   equality iff structural row equality). *)
+   candidates are verified with [cmp_cells].  Cells [cmp_cells] calls
+   equal hash equally, so classes are exact (class equality iff
+   [Value.equal] rows). *)
 let eqclasses_general (n : int) (cs : col list) : int array =
   let h = Array.make n 0 in
   List.iter

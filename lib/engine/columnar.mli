@@ -76,7 +76,7 @@ type col =
 
     Invariant: a store holds at most twice the element references of
     its rows (the sum of their range lengths), so a vectorized pass over
-    the store ([hash_col], [Coder.col_codes], [col_values], NIP masks)
+    the store ([hash_col], [eqclasses], [col_values], NIP masks)
     costs at most twice what a walk over the rows' ranges would. *)
 and bag = {
   bn : int;
@@ -123,16 +123,12 @@ val cmp_rows : t -> int -> int -> int
     equals [nan]). *)
 val equal_value : col -> int -> Value.t -> bool
 
-(** [cells_equal a i b j] is [col_get a i = col_get b j] under OCaml's
-    structural equality ([nan] differs from itself, [0.0] equals
-    [-0.0]), decided without reconstructing either value.  The two
-    columns may be of different batches and representations. *)
-val cells_equal : col -> int -> col -> int -> bool
-
 (** [eqclasses n cols] assigns each of the [n] rows the smallest row
-    index structurally equal to it on every listed column — an exact
-    integer grouping key (hash candidates are verified with the
-    columnar comparator). *)
+    index whose cells are [Value.equal] to its own on every listed
+    column: an exact integer grouping key (hash candidates are verified
+    with the columnar comparator).  It is the engine's one row-equality
+    test: grouping, relation nesting, δ, − and join keys all run on it,
+    over the two sides stacked with {!vstack} where two batches meet. *)
 val eqclasses : int -> col list -> int array
 val col_get : col -> int -> Value.t
 
@@ -205,34 +201,12 @@ val as_bag : col -> bag
     all of them in one [gather]. *)
 val canonical_bags : t -> int array -> int array array -> col
 
-(** {1 Value coding}
-
-    Hash-consed integer codes: two values receive the same code iff
-    they are structurally equal — the equivalence generic [Hashtbl]
-    grouping on rows uses.  A coder's codes are consistent
-    across every column it codes, so join keys from both sides can be
-    compared as ints. *)
-module Coder : sig
-  type t
-
-  val create : unit -> t
-
-  (** Code of [Value.Null] (join key exclusion checks against this). *)
-  val null_code : int
-
-  val col_codes : t -> col -> int array
-
-  (** Combine per-column code arrays into one code per row
-      (order-sensitive, like an unlabelled tuple). *)
-  val mix : t -> int array list -> int array
-end
-
-val row_codes : Coder.t -> t -> int array
-
 (** {1 Hashing}
 
     [hash_col] is [value_hash] vectorized: hashing a column lands each
-    row on the partition that hashing its value would. *)
+    row on the partition that hashing its value would.  [Value.equal]
+    values hash equally: [0.0] and [-0.0] both hash to [0], and every
+    NaN hashes as [Float.nan] does. *)
 
 val value_hash : Value.t -> int
 val hash_col : col -> int array

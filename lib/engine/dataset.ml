@@ -15,11 +15,6 @@ let cardinal d = Array.fold_left (fun acc b -> acc + Columnar.length b) 0 d
 let to_list (d : t) : Value.t list =
   List.concat_map Columnar.to_rows (Array.to_list d)
 
-(* Hash of a value, stable across runs (no use of OCaml's randomized
-   hashing).  {!Columnar.hash_col} vectorizes the identical function
-   for shuffles. *)
-let value_hash = Columnar.value_hash
-
 (* Round-robin distribution of a columnar batch: partition [i] takes
    rows [i, i+n, ...], in order. *)
 let distribute_batch ~partitions:n (b : Columnar.t) : t =

@@ -14,10 +14,6 @@ val cardinal : t -> int
 (** Every row, partition by partition (reconstructed from the batches). *)
 val to_list : t -> Value.t list
 
-(** Deterministic, run-stable value hash (partitioning must not depend on
-    OCaml's randomized hashing). *)
-val value_hash : Value.t -> int
-
 (** Round-robin distribution of a list of tuples over [partitions]
     partitions (≥ 1), built as batches. *)
 val distribute : partitions:int -> Value.t list -> t
@@ -28,7 +24,7 @@ val distribute_batch : partitions:int -> Columnar.t -> t
 
 (** Hash-repartition — a shuffle: [hash_of] yields one destination hash
     per batch row (e.g. {!Columnar.hash_col} over the key columns, or
-    {!value_hash} of each row's key).  Also returns the number of rows
+    {!Columnar.value_hash} of each row's key).  Also returns the number of rows
     that crossed partitions.  Moved rows travel as contiguous gathered
     column slices; shipped bytes land on [engine.columnar.bytes_moved]. *)
 val shuffle_hashed :

@@ -246,8 +246,8 @@ let rows ?(partitions = 4) ?parent ?registry (db : Relation.Db.t)
     | _ -> err "engine: malformed query node (operator %d)" q.id
   and run_join sp ostat kind pred l r =
     let lty = Typecheck.infer env l and rty = Typecheck.infer env r in
-    let lfields = List.map fst (Vtype.relation_fields lty) in
-    let rfields = List.map fst (Vtype.relation_fields rty) in
+    let lfields = Vtype.relation_fields lty in
+    let rfields = Vtype.relation_fields rty in
     (* The pads take the shape of the narrowed batches they stack onto. *)
     let null c ty = Vtype.null_tuple (Vtype.element (Kernel.keep_type cols c ty)) in
     let lnull = null l lty and rnull = null r rty in

@@ -234,28 +234,11 @@ let flatten_parents (c : cols) (a : string) (b : C.t) : C.t =
       (List.filter (fun (l, _) -> not (String.equal l a)) (C.cols b))
   | _ -> b
 
-(* Rows per structural-equality class of [codes]: first-seen class
-   order, members ascending. *)
-let group_indices (codes : int array) : int array array =
-  let tbl = Hashtbl.create 64 in
-  let order = ref [] in
-  Array.iteri
-    (fun i c ->
-      match Hashtbl.find_opt tbl c with
-      | Some cell -> cell := i :: !cell
-      | None ->
-        let cell = ref [ i ] in
-        Hashtbl.add tbl c cell;
-        order := cell :: !order)
-    codes;
-  Array.of_list
-    (List.rev_map (fun cell -> Array.of_list (List.rev !cell)) !order)
-
-(* The groups of [n] rows by their values in the key columns; no key
-   column puts every row in one group.  An [eqclasses] code is the
-   smallest row of its class, so classes are first seen at their code
-   row, and two counting passes over [n]-sized arrays lay out
-   [group_indices]'s groups with no hashing. *)
+(* The groups of [n] rows by their values in the key columns, in
+   first-seen order with members ascending; no key column puts every
+   row in one group.  An [eqclasses] code is the smallest row of its
+   class, so classes are first seen at their code row, and two counting
+   passes over [n]-sized arrays lay the groups out with no hashing. *)
 let groups n (keys : C.col list) : int array array =
   match keys with
   | [] -> if n = 0 then [||] else [| Array.init n Fun.id |]
@@ -612,55 +595,61 @@ let group_agg ~keys ~reps (aggs : agg list) (groups : int array array)
 (* Duplicate elimination: the groups of equal rows and their first
    rows. *)
 let dedup (b : C.t) : int array array * C.t =
-  let groups = group_indices (C.row_codes (C.Coder.create ()) b) in
+  let groups = groups (C.length b) (List.map snd (C.cols b)) in
   (groups, C.gather b (reps groups))
 
 (* Bag difference [l − r]: which rows of [l] are cancelled.  Every
    counted right row cancels one equal left row, earliest first; only
-   [l_live] rows can be cancelled and only [r_live] rows count. *)
+   [l_live] rows can be cancelled and only [r_live] rows count.  The
+   classes of the stacked sides name a right row's equal left rows, and
+   each class keeps its count of uncancelled right rows. *)
 let diff_cancelled ?(l_live = fun _ -> true) ?(r_live = fun _ -> true)
     (lb : C.t) (rb : C.t) : bool array =
-  let coder = C.Coder.create () in
-  let lc = C.row_codes coder lb and rc = C.row_codes coder rb in
-  let counts = Hashtbl.create (2 * Array.length rc + 1) in
-  Array.iteri
-    (fun j c ->
-      if r_live j then
-        Hashtbl.replace counts c
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts c)))
-    rc;
-  Array.mapi
-    (fun i c ->
+  let ln = C.length lb and rn = C.length rb in
+  let both = C.vstack [ lb; rb ] in
+  let cls = C.eqclasses (ln + rn) (List.map snd (C.cols both)) in
+  let counts = Array.make (ln + rn) 0 in
+  for j = 0 to rn - 1 do
+    if r_live j then counts.(cls.(ln + j)) <- counts.(cls.(ln + j)) + 1
+  done;
+  Array.init ln (fun i ->
       l_live i
       &&
-      match Hashtbl.find_opt counts c with
-      | Some k when k > 0 ->
-        Hashtbl.replace counts c (k - 1);
+      let c = cls.(i) in
+      counts.(c) > 0
+      && begin
+        counts.(c) <- counts.(c) - 1;
         true
-      | _ -> false)
-    lc
+      end)
 
 (* --- Joins ----------------------------------------------------------------- *)
 
 (* Split a join predicate's conjunctive closure into equi-join key
    attribute pairs (left attr, right attr) and the residual predicate
    (the conjuncts that are not equi-key comparisons, [True] if none).
-   The hash join probes by key and evaluates only the residual. *)
-let equi_split (lfields : string list) (rfields : string list) (p : Expr.pred)
-    : (string * string) list * Expr.pred =
+   [a = b] is a key only between attributes of one type: [Int 1] equals
+   [Float 1.0] under the predicate but not as a value, so a mixed
+   comparison stays in the residual.  The hash join probes by key and
+   evaluates only the residual. *)
+let equi_split (lfields : (string * Vtype.t) list)
+    (rfields : (string * Vtype.t) list) (p : Expr.pred) :
+    (string * string) list * Expr.pred =
   let rec conjuncts = function
     | Expr.And (a, b) -> conjuncts a @ conjuncts b
     | p -> [ p ]
+  in
+  let key a b =
+    match List.assoc_opt a lfields, List.assoc_opt b rfields with
+    | Some ta, Some tb -> Vtype.equal ta tb
+    | _ -> false
   in
   let keys, residual =
     List.fold_left
       (fun (keys, residual) c ->
         match c with
-        | Expr.Cmp (Expr.Eq, Expr.Attr a, Expr.Attr b)
-          when List.mem a lfields && List.mem b rfields ->
+        | Expr.Cmp (Expr.Eq, Expr.Attr a, Expr.Attr b) when key a b ->
           ((a, b) :: keys, residual)
-        | Expr.Cmp (Expr.Eq, Expr.Attr a, Expr.Attr b)
-          when List.mem b lfields && List.mem a rfields ->
+        | Expr.Cmp (Expr.Eq, Expr.Attr a, Expr.Attr b) when key b a ->
           ((b, a) :: keys, residual)
         | c -> (keys, c :: residual))
       ([], []) (conjuncts p)
@@ -674,46 +663,35 @@ let equi_split (lfields : string list) (rfields : string list) (p : Expr.pred)
 
 (* Join-key codes of both sides from the (left, right) key column pairs,
    comparable across the sides; [-1] marks a key with a Null component,
-   which no equality conjunct accepts.  When every key is a string column
-   on both sides, the codes are the global dictionary codes, which need
-   no interning. *)
+   which no equality conjunct accepts.  One string pair keeps its
+   dictionary codes, which are equality witnesses already; any other key
+   codes each row by the [eqclasses] class of its key over both sides
+   stacked ([equi_split] pairs columns of one type, so they stack). *)
 let key_codes (pairs : (C.col * C.col) list) : int array * int array =
   match pairs with
-  | [ (C.CInt (la, lp), C.CInt (ra, rp)) ] ->
-    (* One integer key: a value's code is its first row over both
-       sides. *)
-    let nl = Array.length la in
-    let cls = C.eqclasses (nl + Array.length ra) [ C.CInt (Array.append la ra, None) ] in
-    let side p n base =
-      Array.init n (fun i ->
-          match p with Some p when not (C.Bitv.get p i) -> -1 | _ -> cls.(base + i))
+  | [ (C.CStr (la, lp), C.CStr (ra, rp)) ] ->
+    let side a p =
+      match p with
+      | None -> a
+      | Some p -> Array.mapi (fun i c -> if C.Bitv.get p i then c else -1) a
     in
-    (side lp nl 0, side rp (Array.length ra) nl)
+    (side la lp, side ra rp)
   | _ ->
-    let coder = C.Coder.create () in
-    let dict =
-      List.for_all (function C.CStr _, C.CStr _ -> true | _ -> false) pairs
-    in
-    let null = if dict then min_int else C.Coder.null_code in
-    let component = function
-      | C.CStr (codes, None) when dict -> codes
-      | C.CStr (codes, Some p) when dict ->
-        Array.mapi (fun i c -> if C.Bitv.get p i then c else min_int) codes
-      | col -> C.Coder.col_codes coder col
-    in
     let side cols =
-      let comps = List.map component cols in
-      let codes =
-        match comps with
-        | [ one ] -> Array.copy one
-        | comps -> C.Coder.mix coder comps
-      in
-      List.iter
-        (fun cs -> Array.iteri (fun i c -> if c = null then codes.(i) <- -1) cs)
-        comps;
-      codes
+      C.of_cols (C.col_length (List.hd cols))
+        (List.mapi (fun k c -> (string_of_int k, c)) cols)
     in
-    (side (List.map fst pairs), side (List.map snd pairs))
+    let l = side (List.map fst pairs) and r = side (List.map snd pairs) in
+    let nl = C.length l and n = C.length l + C.length r in
+    let cols = List.map snd (C.cols (C.vstack [ l; r ])) in
+    let codes = C.eqclasses n cols in
+    List.iter
+      (fun c ->
+        Option.iter
+          (fun m -> Array.iter (fun i -> codes.(i) <- -1) (C.Bitv.indices m))
+          (C.null_mask c))
+      cols;
+    (Array.sub codes 0 nl, Array.sub codes nl (n - nl))
 
 (* Hash-join candidates: the [(build, probe)] row pairs with equal codes,
    probe rows ascending and, within one, build rows descending.  The

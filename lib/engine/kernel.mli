@@ -75,14 +75,11 @@ val flatten_parents : cols -> string -> Columnar.t -> Columnar.t
 
 (** {1 Grouping} *)
 
-(** Row indices per structural-equality class of the codes: classes in
-    first-seen order, members ascending. *)
-val group_indices : int array -> int array array
-
 (** [groups n keys] groups [n] rows by their values in the [keys]
-    columns: [group_indices (Columnar.eqclasses n keys)], built by
-    counting, without hashing.  No key column makes one group of every
-    row (none when [n = 0]). *)
+    columns, the classes of [Columnar.eqclasses n keys]: groups in
+    first-seen order, members ascending, laid out by counting, without
+    hashing.  No key column makes one group of every row (none when
+    [n = 0]). *)
 val groups : int -> Columnar.col list -> int array array
 
 (** The first member of each group. *)
@@ -182,13 +179,17 @@ val group_agg :
   Columnar.t
 
 (** Duplicate elimination: the groups of equal rows and the batch of
-    their first rows. *)
+    their first rows.  The groups are {!groups} over the batch's field
+    columns. *)
 val dedup : Columnar.t -> int array array * Columnar.t
 
 (** [diff_cancelled l r]: which rows of [l] the bag difference [l − r]
     removes.  Every counted right row cancels one equal left row,
     earliest first; only [l_live] rows can be cancelled and only
-    [r_live] rows count (default: all). *)
+    [r_live] rows count (default: all).  Rows are equal when
+    [Columnar.eqclasses] over the two batches stacked puts them in one
+    class; each class counts its uncancelled right rows in an [int
+    array]. *)
 val diff_cancelled :
   ?l_live:(int -> bool) ->
   ?r_live:(int -> bool) ->
@@ -198,17 +199,26 @@ val diff_cancelled :
 
 (** {1 Joins} *)
 
-(** Split a join predicate's conjunctive closure into equi-join key
-    attribute pairs (left attr, right attr) and the residual predicate
-    ([True] when every conjunct is an equi-key comparison). *)
+(** [equi_split lfields rfields p] splits a join predicate's
+    conjunctive closure into equi-join key attribute pairs (left attr,
+    right attr) and the residual predicate ([True] when every conjunct
+    is an equi-key comparison).  The fields are the two sides' typed
+    attributes.  A conjunct [a = b] is a key only when the two
+    attributes have one type ([Vtype.equal]): [Int 1 = Float 1.0] holds
+    under the predicate's numeric coercion but the values differ, so a
+    mixed Int/Float conjunct stays in the residual, and the key columns
+    of the two sides always stack. *)
 val equi_split :
-  string list -> string list -> Expr.pred -> (string * string) list * Expr.pred
+  (string * Vtype.t) list ->
+  (string * Vtype.t) list ->
+  Expr.pred ->
+  (string * string) list * Expr.pred
 
-(** Join-key codes of both sides from (left, right) key column pairs,
-    comparable across the sides; [-1] marks a key with a Null
-    component.  When every key is a string column on both sides the
-    codes are global dictionary codes; one integer key pair codes each
-    value by its first row over both sides. *)
+(** Join-key codes of both sides from (left, right) key column pairs of
+    one type, comparable across the sides; [-1] marks a key with a Null
+    component.  One string pair codes by global dictionary codes; any
+    other key codes each row by its [Columnar.eqclasses] class over the
+    key columns of both sides stacked, left rows first. *)
 val key_codes : (Columnar.col * Columnar.col) list -> int array * int array
 
 (** [hash_pairs ~build ~probe]: the [(build, probe)] row index pairs

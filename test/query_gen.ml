@@ -175,17 +175,27 @@ let gen_query rs : Query.t =
                 Query.agg_tuple g fn ~over:a ~into:(fresh ()) !q)
         | None -> ())
       fs;
-    (* join against a freshly-renamed copy of orders *)
+    (* join against a freshly-renamed copy of orders, on an int or
+       float attribute = oid (an Int = Float conjunct is no hash key)
+       and sometimes a second conjunct *)
     add (fun () ->
         let o1 = fresh () and o2 = fresh () and o3 = fresh () in
         let r =
           Query.rename g [ (o1, "oid"); (o2, "item"); (o3, "qty") ]
             (Query.table g "orders")
         in
+        let eq ok o =
+          match List.filter (fun (_, t) -> ok t) fs with
+          | [] -> []
+          | cands -> [ Expr.Cmp (Expr.Eq, Expr.attr (fst (pick cands)), Expr.attr o) ]
+        in
+        let second () =
+          if coin () then eq is_numeric o3 else eq (fun t -> t = Vtype.TString) o2
+        in
         let pred =
-          match List.filter (fun (_, t) -> t = Vtype.TInt) fs with
-          | (a, _) :: _ when coin () -> Expr.Cmp (Expr.Eq, Expr.attr a, Expr.attr o1)
-          | _ -> Expr.True
+          match if coin () then eq is_numeric o1 @ (if coin () then second () else []) else [] with
+          | [] -> Expr.True
+          | c :: cs -> List.fold_left (fun acc c -> Expr.And (acc, c)) c cs
         in
         Query.join g (pick [ Query.Inner; Query.Left; Query.Right; Query.Full ]) pred !q r);
     (* set operations against a relabeled copy of the query so far *)

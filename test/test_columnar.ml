@@ -6,8 +6,15 @@
 
 open Nested
 module C = Engine.Columnar
+module K = Engine.Kernel
 
 (* --- Generators ---------------------------------------------------- *)
+
+(* A NaN with other bits than [nan]'s: [0.0 /. 0.0] computed at run
+   time. *)
+let computed_nan =
+  let z = Sys.opaque_identity 0.0 in
+  z /. z
 
 (* A random type — primitives, tuples of one to three fields, bags — up
    to four levels deep. *)
@@ -41,9 +48,12 @@ let rec value_of nulls (ty : Vtype.t) : Value.t QCheck.Gen.t =
       frequency
         [
           (2, map (fun f -> Value.Float f) (float_bound_inclusive 100.));
-          (* Floats [Value.equal] and [value_hash] disagree on: 0.0 =
-             -0.0 with different bits, nan = nan. *)
-          (1, oneofl [ Value.Float 0.0; Value.Float (-0.0); Value.Float nan ]);
+          (* Floats [Value.equal] calls equal with other bits: 0.0 and
+             -0.0, and NaNs of two payloads. *)
+          ( 1,
+            oneofl
+              [ Value.Float 0.0; Value.Float (-0.0); Value.Float nan; Value.Float computed_nan ]
+          );
         ]
     | Vtype.TString ->
       (* Tiny alphabet so duplicate strings hit the dictionary. *)
@@ -113,7 +123,7 @@ let batch_gen : C.t QCheck.Gen.t =
     let f =
       oneofl
         Value.
-          [ Float 0.0; Float (-0.0); Float nan; Float 1.5; Null ]
+          [ Float 0.0; Float (-0.0); Float nan; Float computed_nan; Float 1.5; Null ]
     in
     oneofl [ "x"; "z" ] >>= fun label ->
     list_size (int_range 0 8)
@@ -231,27 +241,36 @@ let prop_equal_value =
       in
       agrees a b && agrees b a && agrees a a)
 
-let prop_codes =
-  QCheck.Test.make ~name:"coder codes = structural equality classes"
-    ~count:200
+(* Equal values hash equally, so a hash bucket (a shuffle's partition,
+   an [eqclasses] probe, an MSR bucket) never splits a class. *)
+let prop_equal_hash =
+  QCheck.Test.make ~name:"Value.equal implies equal value_hash" ~count:300
     QCheck.(pair arb_rows arb_rows)
     (fun (xs, ys) ->
-      (* One coder across two batches: equal codes across batches must
-         mean structurally equal values (the join-key requirement), in
-         the sense of [Value.equal], which generic [Hashtbl] grouping
-         shares: nan equals nan, unlike under [=]. *)
-      let coder = C.Coder.create () in
-      let ca = C.row_codes coder (C.of_rows xs) in
-      let cb = C.row_codes coder (C.of_rows ys) in
-      let all =
-        Array.to_list (Array.combine (Array.of_list (xs @ ys)) (Array.append ca cb))
-      in
+      let all = xs @ ys in
       List.for_all
-        (fun (v1, c1) ->
+        (fun a ->
           List.for_all
-            (fun (v2, c2) -> c1 = c2 = Value.equal v1 v2)
+            (fun b -> (not (Value.equal a b)) || C.value_hash a = C.value_hash b)
             all)
         all)
+
+(* The classes over two stacked batches are the [Value.equal] classes
+   across both: the join-key and bag-difference requirement (nan equals
+   nan and 0.0 equals -0.0, as [Value.compare] has it). *)
+let prop_codes =
+  QCheck.Test.make ~name:"stacked eqclasses = Value.equal"
+    ~count:200 arb_rows_pair (fun (xs, ys) ->
+      let all = Array.of_list (xs @ ys) in
+      let n = Array.length all in
+      let b = C.vstack [ C.of_rows xs; C.of_rows ys ] in
+      let cls = C.eqclasses n [ b.C.row ] in
+      List.for_all
+        (fun i ->
+          List.for_all
+            (fun j -> cls.(i) = cls.(j) = Value.equal all.(i) all.(j))
+            (List.init n Fun.id))
+        (List.init n Fun.id))
 
 let prop_pred_mask =
   QCheck.Test.make ~name:"eval_pred_mask = per-row eval_pred" ~count:200
@@ -300,14 +319,16 @@ let test_all_null_column () =
     | Some m -> Alcotest.(check int) "all key nulls" 8 (C.Bitv.count m)
     | None -> Alcotest.fail "expected null mask")
   | None -> Alcotest.fail "missing column");
-  (* All-Null join keys: every key codes to null_code, so a hash join
-     that excludes nulls must produce no matches. *)
-  let coder = C.Coder.create () in
-  let codes =
-    C.Coder.col_codes coder (Option.get (C.find_col b "k"))
-  in
-  Alcotest.(check bool) "all codes are null_code" true
-    (Array.for_all (fun c -> c = C.Coder.null_code) codes)
+  (* All-Null join keys: [eqclasses] puts them in one class, and
+     [key_codes] marks every one [-1], so a hash join that excludes
+     nulls produces no matches. *)
+  let k = Option.get (C.find_col b "k") in
+  Alcotest.(check (array int)) "one Null class" (Array.make 8 0) (C.eqclasses 8 [ k ]);
+  let lc, rc = K.key_codes [ (k, k) ] in
+  Alcotest.(check bool) "every key code is -1" true
+    (Array.for_all (fun c -> c = -1) (Array.append lc rc));
+  Alcotest.(check (pair (array int) (array int))) "no candidate pair" ([||], [||])
+    (K.hash_pairs ~build:rc ~probe:lc)
 
 (* Rows that disagree on shape have no column: building or stacking
    them raises, naming both shapes. *)
@@ -471,7 +492,6 @@ let prop_shared_readers =
       let sh = C.gather a (pick_indices (C.length a) picks) in
       let cp = C.of_rows (C.to_rows sh) in
       let rows = List.init (C.length sh) Fun.id in
-      let coder = C.Coder.create () in
       List.for_all
         (fun i ->
           let v = C.get_row sh i in
@@ -480,29 +500,28 @@ let prop_shared_readers =
                (fun j ->
                  let w = C.get_row cp j in
                  C.cmp_rows sh i j = C.cmp_rows cp i j
-                 && C.equal_value sh.C.row i w = C.equal_value cp.C.row i w
-                 && C.cells_equal sh.C.row i cp.C.row j = (v = w))
+                 && C.equal_value sh.C.row i w = C.equal_value cp.C.row i w)
                rows)
         rows
       && C.hash_col sh.C.row = C.hash_col cp.C.row
-      && C.Coder.col_codes coder sh.C.row = C.Coder.col_codes coder cp.C.row)
+      && C.eqclasses (C.length sh) [ sh.C.row ] = C.eqclasses (C.length cp) [ cp.C.row ])
 
-let prop_cells_equal =
-  QCheck.Test.make ~name:"cells_equal = (=) on col_get" ~count:300
-    (QCheck.pair arb_batch arb_batch) (fun (a, b) ->
-      let agrees x y =
-        List.for_all
-          (fun i ->
-            List.for_all
-              (fun j -> C.cells_equal x.C.row i y.C.row j = (C.get_row x i = C.get_row y j))
-              (List.init y.C.n Fun.id))
-          (List.init x.C.n Fun.id)
-      in
-      agrees a b && agrees a a)
+(* [cmp_rows] orders every row pair as [Value.compare] orders the rows
+   rebuilt; the relaxed γ's original rows are told apart with it. *)
+let prop_cmp_rows =
+  QCheck.Test.make ~name:"cmp_rows = Value.compare on get_row" ~count:300 arb_batch
+    (fun b ->
+      let rows = List.init b.C.n Fun.id in
+      List.for_all
+        (fun i ->
+          List.for_all
+            (fun j ->
+              Int.compare (C.cmp_rows b i j) 0
+              = Int.compare (Value.compare (C.get_row b i) (C.get_row b j)) 0)
+            rows)
+        rows)
 
 (* --- Kernels against their boxed definitions --------------------------- *)
-
-module K = Engine.Kernel
 
 let fns = Nrab.Agg.[ Sum; Count; Count_distinct; Avg; Min; Max ]
 
@@ -560,6 +579,22 @@ let prop_typed_aggs =
           && same_range (c.K.range rows) (Nrab.Agg.achievable_range fn ones))
         fns)
 
+(* The reference for [K.groups]: rows per class of [codes], classes in
+   first-seen order, members ascending, through a [Hashtbl]. *)
+let group_indices (codes : int array) : int array array =
+  let tbl = Hashtbl.create 64 in
+  let order = ref [] in
+  Array.iteri
+    (fun i c ->
+      match Hashtbl.find_opt tbl c with
+      | Some cell -> cell := i :: !cell
+      | None ->
+        let cell = ref [ i ] in
+        Hashtbl.add tbl c cell;
+        order := cell :: !order)
+    codes;
+  Array.of_list (List.rev_map (fun cell -> Array.of_list (List.rev !cell)) !order)
+
 let prop_groups =
   QCheck.Test.make ~name:"groups = group_indices (eqclasses)" ~count:300
     QCheck.(pair arb_batch (int_range 0 2))
@@ -571,7 +606,7 @@ let prop_groups =
         | _ -> [ b.C.row ]
       in
       let expected =
-        K.group_indices (match keys with [] -> Array.make n 0 | ks -> C.eqclasses n ks)
+        group_indices (match keys with [] -> Array.make n 0 | ks -> C.eqclasses n ks)
       in
       K.groups n keys = expected)
 
@@ -619,12 +654,13 @@ let qsuite =
       prop_hash;
       prop_hash_shapes;
       prop_equal_value;
+      prop_equal_hash;
       prop_codes;
       prop_pred_mask;
       prop_canonical_bags;
       prop_shared_ops;
       prop_shared_readers;
-      prop_cells_equal;
+      prop_cmp_rows;
       prop_typed_aggs;
       prop_groups;
       prop_eqclasses;
@@ -737,6 +773,18 @@ let test_min_int_is_not_null () =
   Alcotest.(check (array (array int))) "groups" [| [| 0; 2 |]; [| 1 |] |]
     (K.groups 3 [ col [ m; Value.Null; m ] ])
 
+(* [Value.equal] calls [0.0] and [-0.0] equal, and every NaN equal to
+   every other: both hash alike, as values and as cells, and
+   [eqclasses] puts each pair in one class. *)
+let test_float_classes () =
+  let fs = [ 0.0; -0.0; nan; computed_nan; 1.0 ] in
+  let h f = C.value_hash (Value.Float f) in
+  Alcotest.(check int) "0.0 and -0.0 hash to 0" 0 (h 0.0 lor h (-0.0));
+  Alcotest.(check int) "NaNs hash alike" (h nan) (h computed_nan);
+  let c = (C.of_rows (List.map (fun f -> Value.Float f) fs)).C.row in
+  Alcotest.(check (array int)) "hash_col" (Array.of_list (List.map h fs)) (C.hash_col c);
+  Alcotest.(check (array int)) "classes" [| 0; 0; 2; 2; 4 |] (C.eqclasses 5 [ c ])
+
 let () =
   Alcotest.run "columnar"
     [
@@ -751,6 +799,7 @@ let () =
           Alcotest.test_case "dictionary dedup" `Quick test_dict_dedup;
           Alcotest.test_case "nullable tuple flatten" `Quick test_flatten_tuple_presence;
           Alcotest.test_case "min_int key is not Null" `Quick test_min_int_is_not_null;
+          Alcotest.test_case "signed zeros and NaNs" `Quick test_float_classes;
         ] );
       ( "shared",
         [

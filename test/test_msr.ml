@@ -718,6 +718,36 @@ let test_too_many_operators () =
   | exception Whynot.Msr.Too_many_operators k ->
     Alcotest.(check int) "operator count" n_sel k
 
+(* A surviving root row matches a row of ⟦Q⟧_D exactly when the two are
+   [Value.equal]: [-0.0] matches [0.0] and a NaN computed at run time
+   matches [nan], though their bits differ, because equal values hash
+   into one bucket. *)
+let test_float_matches () =
+  let z = Sys.opaque_identity 0.0 in
+  let row f = Value.Tuple [ ("x", Value.Float f) ] in
+  let schema = Vtype.relation [ ("x", Vtype.TFloat) ] in
+  let db =
+    Relation.Db.of_list
+      [ ("f", Relation.of_tuples ~schema [ row (-0.0); row (z /. z); row 2.0 ]) ]
+  in
+  let env = [ ("f", schema) ] in
+  let g = Query.Gen.create () in
+  let q =
+    Query.select ~id:2 g
+      (Expr.Cmp (Expr.Neq, Expr.attr "x", Expr.flt 7.0))
+      (Query.table ~id:1 g "f")
+  in
+  let sa =
+    { Whynot.Alternatives.index = 0; query = q; changed_ops = Int_set.empty; description = "original" }
+  in
+  let bt = Whynot.Backtrace.run ~env q (Nip.tup [ ("x", Nip.flt 7.0) ]) in
+  let tr = Whynot.Tracing.run ~env db sa bt in
+  let original =
+    Whynot.Msr.index { Whynot.Msr.original_result = [ row 0.0; row nan; row 2.0 ] }
+  in
+  let _, _, terms = Whynot.Msr.explain ~original ~q tr in
+  Alcotest.(check (list int)) "every surviving row matches" [ 3; 3; 3; 0 ] (terms_list terms)
+
 let () =
   Alcotest.run "msr"
     [
@@ -739,6 +769,7 @@ let () =
           Alcotest.test_case "from_trace" `Quick test_from_trace_explanations;
           Alcotest.test_case "registry matches the Value sweep" `Quick
             test_bounds_differential;
+          Alcotest.test_case "signed zeros and NaNs match" `Quick test_float_matches;
         ] );
       ( "bitmask",
         [

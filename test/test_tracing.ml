@@ -308,6 +308,73 @@ let test_difference_blames_nothing_spurious () =
       Alcotest.(check bool) "difference never blamed" false (List.mem 3 set))
     (Whynot.Pipeline.explanation_sets result)
 
+(* An Int = Float join predicate holds under numeric coercion (1 = 1.0,
+   0 = -0.0), so the relaxed trace's surviving root rows are [Eval]'s
+   bag for every join kind: an equality between an int and a float
+   attribute is no hash key. *)
+let test_int_float_join () =
+  let db =
+    Relation.Db.of_list
+      [
+        ( "r",
+          Relation.of_tuples ~schema:(Vtype.relation [ ("a", Vtype.TInt) ])
+            (List.map (fun a -> Value.Tuple [ ("a", Value.Int a) ]) [ 1; 2; 0 ]) );
+        ( "s",
+          Relation.of_tuples ~schema:(Vtype.relation [ ("b", Vtype.TFloat) ])
+            (List.map (fun b -> Value.Tuple [ ("b", Value.Float b) ]) [ 1.0; 3.0; -0.0; nan ]) );
+      ]
+  in
+  let env = Whynot.Pipeline.schema_env db in
+  List.iter
+    (fun kind ->
+      let g = Query.Gen.create () in
+      let q =
+        Query.join g kind
+          (Expr.Cmp (Expr.Eq, Expr.attr "a", Expr.attr "b"))
+          (Query.table g "r") (Query.table g "s")
+      in
+      let sa = { sa0 with Whynot.Alternatives.query = q } in
+      let bt = Whynot.Backtrace.run ~env q (Nip.tup [ ("a", Nip.int 2) ]) in
+      let surviving =
+        List.filter_map
+          (fun (r : Whynot.Tracing.trow) ->
+            if r.Whynot.Tracing.surviving then Some r.Whynot.Tracing.data else None)
+          (Whynot.Tracing.root_rows (Whynot.Tracing.run ~env db sa bt))
+      in
+      let expected = Relation.data (Eval.eval db q) in
+      let got = Value.bag_of_list surviving in
+      if not (Value.equal expected got) then
+        Alcotest.failf "%a join: expected %a, surviving %a" Query.pp_node q.Query.node
+          Value.pp expected Value.pp got)
+    [ Query.Inner; Query.Left; Query.Full ]
+
+(* A relaxed γ whose every member survives is its own original row, also
+   when the row holds a NaN: one surviving root row per group, [Eval]'s
+   bag, and no non-surviving copy. *)
+let test_nan_group () =
+  let z = Sys.opaque_identity 0.0 in
+  let schema = Vtype.relation [ ("k", Vtype.TFloat) ] in
+  let db =
+    Relation.Db.of_list
+      [
+        ( "f",
+          Relation.of_tuples ~schema
+            (List.map (fun k -> Value.Tuple [ ("k", Value.Float k) ]) [ nan; z /. z; 1.0 ]) );
+      ]
+  in
+  let env = [ ("f", schema) ] in
+  let g = Query.Gen.create () in
+  let q = Query.group_agg g [ "k" ] [ (Agg.Count, None, "n") ] (Query.table g "f") in
+  let sa = { sa0 with Whynot.Alternatives.query = q } in
+  let bt = Whynot.Backtrace.run ~env q (Nip.tup [ ("k", Nip.flt 5.0) ]) in
+  let roots = Whynot.Tracing.root_rows (Whynot.Tracing.run ~env db sa bt) in
+  Alcotest.(check (list bool)) "every root row survives" [ true; true ]
+    (List.map (fun (r : Whynot.Tracing.trow) -> r.Whynot.Tracing.surviving) roots);
+  Alcotest.(check bool) "= Eval" true
+    (Value.equal
+       (Relation.data (Eval.eval db q))
+       (Value.bag_of_list (List.map (fun (r : Whynot.Tracing.trow) -> r.Whynot.Tracing.data) roots)))
+
 (* Aggregate ranges: interval satisfiability used for optimistic
    consistency. *)
 let test_interval_satisfies () =
@@ -544,6 +611,11 @@ let () =
       ( "ablation",
         [
           Alcotest.test_case "no re-validation" `Quick test_ablation_no_revalidation;
+        ] );
+      ( "float keys",
+        [
+          Alcotest.test_case "int = float join" `Quick test_int_float_join;
+          Alcotest.test_case "γ over a NaN key" `Quick test_nan_group;
         ] );
       ( "shared",
         [
