@@ -157,8 +157,24 @@ let run_query ?parent inst =
 let rp_ms (r : Whynot.Pipeline.result) =
   Obs.Span.duration_ms r.Whynot.Pipeline.span
 
-(* The per-phase breakdown, summed across schema alternatives. *)
+(* The per-phase breakdown, summed across schema alternatives, and MSR's
+   split into families, bounds sweep and candidates (the [_us]
+   attributes of each SA's [msr] span). *)
 let phase_metrics r =
+  let msr_split part =
+    let us =
+      List.fold_left
+        (fun acc sp ->
+          match Obs.Span.attr sp (part ^ "_us") with
+          | Some (Obs.Span.Int n) -> acc + n
+          | _ -> acc)
+        0
+        (Obs.Span.find_all
+           (fun sp -> Obs.Span.name sp = "msr")
+           r.Whynot.Pipeline.span)
+    in
+    ("whynot.msr." ^ part ^ "_ms", Float (float_of_int us /. 1000.))
+  in
   List.map
     (fun (p, ms) -> ("whynot." ^ p ^ "_ms", Float ms))
     (Whynot.Pipeline.phase_durations_ms r)
@@ -166,6 +182,7 @@ let phase_metrics r =
       (fun (p, (bytes, _)) ->
         ("whynot." ^ p ^ "_alloc_mb", Float (bytes /. 1048576.)))
       (Whynot.Pipeline.phase_gc r)
+  @ List.map msr_split [ "families"; "sweep"; "candidates" ]
 
 let db_rows (inst : Scenarios.Scenario.instance) =
   let phi = inst.Scenarios.Scenario.question in

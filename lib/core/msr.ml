@@ -1,7 +1,8 @@
 (* Approximate MSR computation (Section 5.4, Algorithm 4), per derivation:
    the failure sets of each consistent root row's derivations, as int
-   bitmasks computed in two flat passes over the annotation vectors (see
-   msr.mli for the representation and its bounds). *)
+   bitmasks computed in two flat passes over the annotation vectors, each
+   row's family one int code (see msr.mli for the representation and its
+   bounds). *)
 
 open Nested
 module Int_set = Opset.Int_set
@@ -35,52 +36,173 @@ let compare_mask (a : int) (b : int) : int =
 
 let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1))
 
-(* A family is a sorted, duplicate-free mask array; [||] is ⊥ (no
-   derivation under any reparameterization), [unit_family] is {∅}. *)
-let unit_family = [| 0 |]
+(* --- Family codes -------------------------------------------------------- *)
 
-(* Scratch buffer of masks; [push] skips a repeat of the last mask, which
-   collapses the common runs of identical member families. *)
-type buf = { mutable a : int array; mutable n : int }
+(* A row's failure-set family is one int code:
+   - [m >= 0] is the one-set family {m}, so [0] is {∅};
+   - [bot] is ⊥, the empty family (no derivation under any
+     reparameterization);
+   - [-2 - k] is the [k]-th multi-set family of a [table]: at least two
+     masks, sorted by [compare_mask], duplicate-free and capped. *)
+let bot = -1
 
-let push b m =
-  if b.n = 0 || b.a.(b.n - 1) <> m then begin
-    if b.n = Array.length b.a then b.a <- Array.append b.a b.a;
-    b.a.(b.n) <- m;
-    b.n <- b.n + 1
+module Family_codes = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) (b : t) =
+    Array.length a = Array.length b && Array.for_all2 Int.equal a b
+
+  let hash (a : t) = Array.fold_left (fun h m -> (h * 31) + m) 0 a land max_int
+end)
+
+type table = {
+  mutable fams : int array array;
+  mutable len : int;
+  codes : int Family_codes.t;  (* hash-consing: equal families, one code *)
+}
+
+let table () = { fams = [||]; len = 0; codes = Family_codes.create 16 }
+let multi (t : table) c = t.fams.(-2 - c)
+
+(* The code of a sorted, capped family of at least two masks. *)
+let intern (t : table) (a : int array) : int =
+  match Family_codes.find_opt t.codes a with
+  | Some c -> c
+  | None ->
+    if t.len = Array.length t.fams then
+      t.fams <- Array.append t.fams (Array.make (max 16 t.len) [||]);
+    t.fams.(t.len) <- a;
+    t.len <- t.len + 1;
+    Family_codes.add t.codes a (-1 - t.len);
+    -1 - t.len
+
+(* The masks of a family under construction: the distinct masks pushed
+   since [reset], in push order.  Repeats are dropped by an
+   open-addressing set over a power-of-two table at most half full (the
+   probe [Columnar.eqclasses] uses), whose slots belong to the current
+   build only while their stamp is [gen]: a reset bumps [gen] and clears
+   nothing. *)
+type mask_set = {
+  mutable masks : int array;  (* the [n] distinct masks *)
+  mutable n : int;
+  mutable slot : int array;  (* index into [masks] *)
+  mutable stamp : int array;
+  mutable gen : int;
+}
+
+let mask_set () =
+  {
+    masks = Array.make 64 0;
+    n = 0;
+    slot = Array.make 128 0;
+    stamp = Array.make 128 0;
+    gen = 1;
+  }
+
+let reset s =
+  s.n <- 0;
+  s.gen <- s.gen + 1
+
+let probe s m =
+  let mask = Array.length s.slot - 1 in
+  let x = m * 0x2545F4914F6CDD1D in
+  let i = ref ((x lxor (x lsr 32)) land mask) in
+  while s.stamp.(!i) = s.gen && s.masks.(s.slot.(!i)) <> m do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let grow s =
+  let cap = 2 * Array.length s.slot in
+  s.slot <- Array.make cap 0;
+  s.stamp <- Array.make cap 0;
+  for k = 0 to s.n - 1 do
+    let i = probe s s.masks.(k) in
+    s.stamp.(i) <- s.gen;
+    s.slot.(i) <- k
+  done
+
+(* The position of [m] among the distinct masks, added if new.  A repeat
+   of the last mask, the common run of identical members, skips the
+   probe. *)
+let position s m =
+  if s.n > 0 && s.masks.(s.n - 1) = m then s.n - 1
+  else
+    let i = probe s m in
+    if s.stamp.(i) = s.gen then s.slot.(i)
+    else begin
+      if s.n = Array.length s.masks then
+        s.masks <- Array.append s.masks s.masks;
+      let k = s.n in
+      s.masks.(k) <- m;
+      s.stamp.(i) <- s.gen;
+      s.slot.(i) <- k;
+      s.n <- k + 1;
+      if 2 * s.n > Array.length s.slot then grow s;
+      k
+    end
+
+let push s m = ignore (position s m)
+
+(* Every mask of the family [c], each ORed with [own]. *)
+let push_family t s own c =
+  if c >= 0 then push s (c lor own)
+  else if c <> bot then begin
+    let a = multi t c in
+    for k = 0 to Array.length a - 1 do
+      push s (a.(k) lor own)
+    done
   end
 
-(* The buffer's masks as a family: sorted, deduplicated, and capped to
-   the [max_alternatives] smallest sets by cardinality, ties broken by set
-   order (a stable sort over the sorted family).  Every truncation is
+(* The set's masks as a code: sorted (by insertion: a family holds a
+   few masks) and capped to the [max_alternatives] smallest sets by
+   cardinality, ties broken by set order (a stable sort over the sorted
+   family).  Only distinct masks are ever sorted.  Every truncation is
    counted: the cap is an approximation, never a silent one. *)
-let family_of_buf (b : buf) : int array =
-  let a = Array.sub b.a 0 b.n in
-  Array.sort compare_mask a;
-  let k = ref 0 in
-  Array.iter
-    (fun m -> if !k = 0 || a.(!k - 1) <> m then (a.(!k) <- m; incr k))
-    a;
-  let a = Array.sub a 0 !k in
-  if !k <= max_alternatives then a
+let finish t s : int =
+  if s.n = 0 then bot
+  else if s.n = 1 then s.masks.(0)
   else begin
-    Obs.Metrics.(Counter.incr (counter "whynot.msr.cap_truncations"));
-    Array.stable_sort (fun x y -> Int.compare (popcount x) (popcount y)) a;
-    let kept = Array.sub a 0 max_alternatives in
-    Array.sort compare_mask kept;
-    kept
+    let a = Array.sub s.masks 0 s.n in
+    if s.n <= max_alternatives then begin
+      for k = 1 to s.n - 1 do
+        let m = a.(k) and j = ref (k - 1) in
+        while !j >= 0 && compare_mask a.(!j) m > 0 do
+          a.(!j + 1) <- a.(!j);
+          decr j
+        done;
+        a.(!j + 1) <- m
+      done;
+      intern t a
+    end
+    else begin
+      Obs.Metrics.(Counter.incr (counter "whynot.msr.cap_truncations"));
+      Array.sort compare_mask a;
+      Array.stable_sort (fun x y -> Int.compare (popcount x) (popcount y)) a;
+      let kept = Array.sub a 0 max_alternatives in
+      Array.sort compare_mask kept;
+      intern t kept
+    end
   end
 
-(* {a ∪ b | a ∈ x, b ∈ y}, capped.  The physical {∅} (every fold's seed
-   and every parameter-free source row) passes the other side through. *)
-let cross b x y =
-  if Array.length x = 0 || Array.length y = 0 then [||]
-  else if x == unit_family then y
-  else if y == unit_family then x
+(* {a ∪ b | a ∈ x, b ∈ y}, capped: a plain [lor] unless both sides hold
+   several sets, and {∅} passes the other side through.  With [x] a
+   single bit, it adds an operator to every set of [y]. *)
+let cross t s x y =
+  if x = bot || y = bot then bot
+  else if x >= 0 && y >= 0 then x lor y
+  else if x = 0 then y
+  else if y = 0 then x
   else begin
-    b.n <- 0;
-    Array.iter (fun m -> Array.iter (fun m' -> push b (m lor m')) y) x;
-    family_of_buf b
+    reset s;
+    if x >= 0 then push_family t s x y
+    else begin
+      let a = multi t x in
+      for k = 0 to Array.length a - 1 do
+        push_family t s a.(k) y
+      done
+    end;
+    finish t s
   end
 
 (* --- Failure-set families ------------------------------------------------ *)
@@ -88,25 +210,15 @@ let cross b x y =
 let root_ot (tr : Tracing.t) = Tracing.op_trace tr tr.Tracing.root_op
 let flag b i = Bytes.unsafe_get b i = '\001'
 
-let fold_parents (p : Tracing.parents) i f acc =
-  match p with
-  | Tracing.P_none -> acc
-  | Tracing.P_self base -> f acc (base + i)
-  | Tracing.P_one a -> f acc a.(i)
-  | Tracing.P_many (off, flat) ->
-    let acc = ref acc in
-    for j = off.(i) to off.(i + 1) - 1 do
-      acc := f !acc flat.(j)
-    done;
-    !acc
-
 type families = {
   op_ids : int array;  (* bit → op id, increasing *)
   root : Tracing.op_trace option;
   state : Bytes.t;
       (* per rid: 0 unread, 1 read but owned by no operator, 2 read and
          inconsistent, 3 read and consistent *)
-  fam : int array array;  (* per rid; meaningful where state > 0 *)
+  codes : int array;  (* per rid; meaningful where state > 0 *)
+  table : table;  (* the multi-set families [codes] name *)
+  rows : int;  (* rows whose family was computed *)
 }
 
 (* The single-bit mask of an operator; 0 for one without a bit. *)
@@ -119,6 +231,9 @@ let decode (f : families) (m : int) : Int_set.t =
     (fun b id -> if m land (1 lsl b) <> 0 then s := Int_set.add id !s)
     f.op_ids;
   !s
+
+let masks (f : families) c =
+  if c >= 0 then [| c |] else if c = bot then [||] else multi f.table c
 
 (* Families of the root rows [want] selects and of all their ancestors,
    in two passes over the annotation vectors. *)
@@ -149,10 +264,10 @@ let families (tr : Tracing.t) (want : Tracing.op_trace -> int -> bool) :
       0 tr.Tracing.ops
   in
   let state = Bytes.make total '\000' in
-  let st rid =
+  let[@inline] st rid =
     if rid >= 0 && rid < total then Bytes.unsafe_get state rid else '\000'
   in
-  let mark () rid =
+  let[@inline] mark rid =
     if rid >= 0 && rid < total && Bytes.unsafe_get state rid = '\000' then
       Bytes.unsafe_set state rid '\001'
   in
@@ -160,29 +275,84 @@ let families (tr : Tracing.t) (want : Tracing.op_trace -> int -> bool) :
   Option.iter
     (fun ot ->
       for i = 0 to Tracing.n_rows ot - 1 do
-        if want ot i then mark () (Tracing.rid0 ot + i)
+        if want ot i then mark (Tracing.rid0 ot + i)
       done)
     root;
   (* Mark pass, root first: every consumer of an operator's rows comes
-     after it in [tr.ops], so its rows are fully marked when reached. *)
+     after it in [tr.ops], so its rows are fully marked when reached.
+     [claim] records a marked row's consistency and says it is marked. *)
+  let[@inline] claim (a : Tracing.vann) i =
+    let r = a.v_rid0 + i in
+    Bytes.unsafe_get state r <> '\000'
+    && begin
+         Bytes.unsafe_set state r
+           (if flag a.v_consistent i then '\003' else '\002');
+         true
+       end
+  in
   List.iter
     (fun (ot : Tracing.op_trace) ->
       let a = ot.ann in
-      for i = 0 to a.v_n - 1 do
-        if st (a.v_rid0 + i) <> '\000' then begin
-          Bytes.unsafe_set state (a.v_rid0 + i)
-            (if flag a.v_consistent i then '\003' else '\002');
-          fold_parents a.v_parents i mark ()
-        end
-      done)
+      match a.v_parents with
+      | Tracing.P_none ->
+        for i = 0 to a.v_n - 1 do
+          ignore (claim a i)
+        done
+      | Tracing.P_self base ->
+        for i = 0 to a.v_n - 1 do
+          if claim a i then mark (base + i)
+        done
+      | Tracing.P_one p ->
+        for i = 0 to a.v_n - 1 do
+          if claim a i then mark p.(i)
+        done
+      | Tracing.P_many (off, flat) ->
+        for i = 0 to a.v_n - 1 do
+          if claim a i then
+            for j = off.(i) to off.(i + 1) - 1 do
+              mark flat.(j)
+            done
+        done)
     (List.rev tr.Tracing.ops);
-  (* Family pass, bottom-up over the marked rows. *)
-  let fam = Array.make total unit_family in
-  let b = { a = Array.make 64 0; n = 0 } in
-  let cross_parent acc pid =
-    cross b acc (if pid >= 0 && pid < total then fam.(pid) else unit_family)
+  (* Family pass, bottom-up over the marked rows.  A rid that no operator
+     owns, or that lies outside the trace, has the family {∅}. *)
+  let codes = Array.make total 0 in
+  let t = table () and s = mask_set () in
+  let[@inline] code pid = if pid >= 0 && pid < total then codes.(pid) else 0 in
+  (* cross-product union over a row's parents (joins have two) *)
+  let cross_range lo hi flat =
+    let acc = ref 0 in
+    for j = lo to hi - 1 do
+      acc := cross t s !acc (code flat.(j))
+    done;
+    !acc
   in
-  let consistent pid = st pid = '\003' and owned pid = st pid >= '\002' in
+  (* each (preferably consistent) member derivation is an alternative way
+     to influence the group's row; all member derivations dead ⇒ the row
+     is dead too *)
+  let group_range lo hi flat =
+    if lo = hi then 0
+    else begin
+      let least = ref '\002' in
+      for j = lo to hi - 1 do
+        if st flat.(j) = '\003' then least := '\003'
+      done;
+      reset s;
+      let last = ref bot in
+      for j = lo to hi - 1 do
+        let pid = flat.(j) in
+        if st pid >= !least && code pid <> !last then begin
+          last := code pid;
+          push_family t s 0 !last
+        end
+      done;
+      finish t s
+    end
+  in
+  (* a group of one member: its family, if the member belongs to an
+     operator *)
+  let group_one pid = if st pid >= '\002' then code pid else bot in
+  let rows = ref 0 in
   List.iter
     (fun (ot : Tracing.op_trace) ->
       let a = ot.ann and own = bit op_ids ot.op_id in
@@ -191,47 +361,30 @@ let families (tr : Tracing.t) (want : Tracing.op_trace -> int -> bool) :
         | Nest_rel _ | Group_agg _ | Dedup | Agg_tuple _ -> true
         | _ -> false
       in
+      let base : int -> int =
+        match (group, a.v_parents) with
+        | _, Tracing.P_none -> fun _ -> 0
+        | false, Tracing.P_self b -> fun i -> code (b + i)
+        | false, Tracing.P_one p -> fun i -> code p.(i)
+        | false, Tracing.P_many (off, flat) ->
+          fun i -> cross_range off.(i) off.(i + 1) flat
+        | true, Tracing.P_self b -> fun i -> group_one (b + i)
+        | true, Tracing.P_one p -> fun i -> group_one p.(i)
+        | true, Tracing.P_many (off, flat) ->
+          fun i -> group_range off.(i) off.(i + 1) flat
+      in
       for i = 0 to a.v_n - 1 do
-        if st (a.v_rid0 + i) <> '\000' then begin
-          let retained = flag a.v_retained i and p = a.v_parents in
-          let base =
-            if (not retained) && own = 0 then [||]
-            else if group then begin
-              (* each (preferably consistent) member derivation is an
-                 alternative way to influence the group's row; all member
-                 derivations dead ⇒ the row is dead too *)
-              let preferred =
-                if fold_parents p i (fun c pid -> c || consistent pid) false
-                then consistent
-                else owned
-              in
-              b.n <- 0;
-              let n_parents =
-                fold_parents p i
-                  (fun n pid ->
-                    if preferred pid then Array.iter (push b) fam.(pid);
-                    n + 1)
-                  0
-              in
-              if n_parents = 0 then unit_family
-              else if b.n = 0 then [||]
-              else family_of_buf b
-            end
-            else (* cross-product union over parents (joins have two) *)
-              fold_parents p i cross_parent unit_family
-          in
-          fam.(a.v_rid0 + i) <-
-            (if retained || Array.length base = 0 then base
-             else if Array.length base = 1 then [| base.(0) lor own |]
-             else begin
-               b.n <- 0;
-               Array.iter (fun m -> push b (m lor own)) base;
-               family_of_buf b
-             end)
+        let r = a.v_rid0 + i in
+        if Bytes.unsafe_get state r <> '\000' then begin
+          incr rows;
+          codes.(r) <-
+            (if flag a.v_retained i then base i
+             else if own = 0 then bot
+             else cross t s own (base i))
         end
       done)
     tr.Tracing.ops;
-  { op_ids; root; state; fam }
+  { op_ids; root; state; codes; table = t; rows = !rows }
 
 (* The root rows MSR reads: the consistent ones (candidate sets) and the
    non-surviving ones the bounds sweep visits at the stride. *)
@@ -246,7 +399,8 @@ let failure_sets (tr : Tracing.t) : int -> Set_set.t =
     then invalid_arg "Msr.failure_sets: not a root row or an ancestor of one";
     Array.fold_left
       (fun acc m -> Set_set.add (decode f m) acc)
-      Set_set.empty f.fam.(rid)
+      Set_set.empty
+      (masks f f.codes.(rid))
 
 (* The root operator's consistent rows (the candidate missing answers) by
    rid — flag-vector reads, no tree reconstruction. *)
@@ -318,8 +472,10 @@ type bounds_ctx = {
       (* [ub_minus] is UB(Δ−): original tuples whose presence is not
          witnessed unchanged — a floor shared by every candidate's upper
          bound *)
-  nonsurviving : int array array;
-      (* failure-set families of each (sampled) non-surviving root row *)
+  nonsurviving : int array;
+      (* the distinct family codes of the (sampled) non-surviving root
+         rows, ⊥ left out ... *)
+  counts : int array;  (* ... and how many of those rows have each *)
 }
 
 (* Does row [i] of column [c] equal some row of a hash bucket? *)
@@ -333,33 +489,47 @@ let bounds_ctx ~stride ~(original : original) ~(q : Nrab.Query.t)
      with rid mod s = 0 (like the tracing sampler) are examined and the
      counts scale back up into unbiased estimates. *)
   let sampled r = stride = 1 || r mod stride = 0 in
-  let n_surviving = ref 0 and n_matched = ref 0 and nonsurv = ref [] in
+  let n_surviving = ref 0 and n_matched = ref 0 in
+  let s = mask_set () and counts = ref (Array.make 64 0) in
   Option.iter
     (fun (ot : Tracing.op_trace) ->
-      let r0 = Tracing.rid0 ot and surviving = ref [] in
-      for i = Tracing.n_rows ot - 1 downto 0 do
+      let r0 = Tracing.rid0 ot and n = Tracing.n_rows ot in
+      for i = 0 to n - 1 do
         if sampled (r0 + i) then
-          if Tracing.surviving_at ot i then surviving := i :: !surviving
-          else nonsurv := fams.fam.(r0 + i) :: !nonsurv
+          if Tracing.surviving_at ot i then incr n_surviving
+          else
+            let c = fams.codes.(r0 + i) in
+            if c <> bot then begin
+              let k = position s c in
+              if k = Array.length !counts then
+                counts := Array.append !counts (Array.make k 0);
+              !counts.(k) <- !counts.(k) + 1
+            end
       done;
       (* The surviving rows are matched against ⟦Q⟧_D straight from the
          root batch: [hash_col] over just those rows picks each one's
          bucket, and [equal_value] compares it with the bucket's rows
          column by column. *)
-      let surviving = Array.of_list !surviving in
       let c = ot.data.Engine.Columnar.row in
       let c =
-        if Array.length surviving = Tracing.n_rows ot then c
-        else Engine.Columnar.col_gather c surviving
+        if !n_surviving = n then c
+        else begin
+          let surviving = Array.make !n_surviving 0 and k = ref 0 in
+          for i = 0 to n - 1 do
+            if sampled (r0 + i) && Tracing.surviving_at ot i then begin
+              surviving.(!k) <- i;
+              incr k
+            end
+          done;
+          Engine.Columnar.col_gather c surviving
+        end
       in
-      let hashes = Engine.Columnar.hash_col c in
-      n_surviving := Array.length surviving;
       Array.iteri
         (fun k h ->
           match Buckets.find_opt original.o_buckets h with
           | Some bucket when in_bucket c k bucket -> incr n_matched
           | _ -> ())
-        hashes)
+        (Engine.Columnar.hash_col c))
     fams.root;
   let matched = stride * !n_matched in
   {
@@ -373,7 +543,8 @@ let bounds_ctx ~stride ~(original : original) ~(q : Nrab.Query.t)
         matched;
         ub_minus = max 0 (original.o_rows - matched);
       };
-    nonsurviving = Array.of_list !nonsurv;
+    nonsurviving = Array.sub s.masks 0 s.n;
+    counts = Array.sub !counts 0 s.n;
   }
 
 let bounds_with (ctx : bounds_ctx) (expl_ops : Int_set.t) : int * int =
@@ -382,20 +553,21 @@ let bounds_with (ctx : bounds_ctx) (expl_ops : Int_set.t) : int * int =
   let outside =
     lnot (Int_set.fold (fun id m -> m lor bit ctx.fams.op_ids id) expl_ops 0)
   in
-  let ub_plus =
-    ctx.stride
-    * Array.fold_left
-        (fun acc fam ->
-          if Array.exists (fun s -> s land outside = 0) fam then acc + 1
-          else acc)
-        0 ctx.nonsurviving
-  in
+  let inside m = m land outside = 0 in
+  let covered = ref 0 in
+  Array.iteri
+    (fun k c ->
+      if
+        if c >= 0 then inside c
+        else Array.exists inside (multi ctx.fams.table c)
+      then covered := !covered + ctx.counts.(k))
+    ctx.nonsurviving;
   let t = ctx.terms in
   let lb =
     if contains_filtering_op ctx.cq expl_ops then 0
     else max 0 (t.surviving - t.original_rows) + t.ub_minus
   in
-  (lb, ub_plus + t.ub_minus)
+  (lb, (ctx.stride * !covered) + t.ub_minus)
 
 let prepare ?(sample_stride = 1) ~original ~q tr =
   let stride = max 1 sample_stride in
@@ -409,21 +581,24 @@ let bounds ~(bi : bounds_input) ~(q : Nrab.Query.t) (tr : Tracing.t)
 
 (* Candidate operator sets of one trace: the failure sets of every
    consistent root row, each unioned with the SA's SR prefix, minus the
-   empty set (which would mean the answer is not missing at all). *)
+   empty set (which would mean the answer is not missing at all).  The
+   masks are deduplicated before any is decoded. *)
 let candidate_sets (tr : Tracing.t) (f : families) : Set_set.t =
   let prefix = tr.Tracing.sa.Alternatives.changed_ops in
-  let b = { a = Array.make 64 0; n = 0 } in
+  let s = mask_set () in
   Option.iter
     (fun ot ->
       let r0 = Tracing.rid0 ot in
       for i = 0 to Tracing.n_rows ot - 1 do
-        if Tracing.consistent_at ot i then Array.iter (push b) f.fam.(r0 + i)
+        if Tracing.consistent_at ot i then
+          push_family f.table s 0 f.codes.(r0 + i)
       done)
     f.root;
-  Set_set.remove Int_set.empty
-    (Array.fold_left
-       (fun acc m -> Set_set.add (Int_set.union prefix (decode f m)) acc)
-       Set_set.empty (Array.sub b.a 0 b.n))
+  let sets = ref Set_set.empty in
+  for k = 0 to s.n - 1 do
+    sets := Set_set.add (Int_set.union prefix (decode f s.masks.(k))) !sets
+  done;
+  Set_set.remove Int_set.empty !sets
 
 (* Early-terminating top-k walk (see msr.mli): candidates are walked in
    (cardinality, elements) order, and open candidates all have
@@ -459,21 +634,40 @@ let topk ctx ~k make candidates =
   (List.rev !kept, !skipped)
 
 (* Explanations of one schema alternative's trace; the stride samples
-   only the bounds sweep (see msr.mli). *)
-let explain ?sample_stride ?top_k ~(original : original) ~(q : Nrab.Query.t)
-    (tr : Tracing.t) : Explanation.t list * int * terms =
-  let ctx = prepare ?sample_stride ~original ~q tr in
+   only the bounds sweep (see msr.mli).  With [span], the time of each
+   step and the family counts go on it. *)
+let explain ?span ?(sample_stride = 1) ?top_k ~(original : original)
+    ~(q : Nrab.Query.t) (tr : Tracing.t) : Explanation.t list * int * terms =
+  let stride = max 1 sample_stride in
+  let t0 = Obs.Clock.now_ns () in
+  let fams = families tr (msr_reads stride) in
+  let t1 = Obs.Clock.now_ns () in
+  let ctx = bounds_ctx ~stride ~original ~q fams in
+  let t2 = Obs.Clock.now_ns () in
   let sa_index = tr.Tracing.sa.Alternatives.index in
   let make ops =
     let lb, ub = bounds_with ctx ops in
     Explanation.make ~sa:sa_index ~lb ~ub ops
   in
-  let candidates = Set_set.elements (candidate_sets tr ctx.fams) in
+  let candidates = Set_set.elements (candidate_sets tr fams) in
   let es, skipped =
     match top_k with
     | None -> (List.map make candidates, 0)
     | Some k -> topk ctx ~k make candidates
   in
+  Option.iter
+    (fun sp ->
+      let t3 = Obs.Clock.now_ns () in
+      List.iter
+        (fun (name, v) -> Obs.Span.set_int sp name v)
+        [
+          ("families_us", (t1 - t0) / 1000);
+          ("sweep_us", (t2 - t1) / 1000);
+          ("candidates_us", (t3 - t2) / 1000);
+          ("family_rows", fams.rows);
+          ("multi_families", fams.table.len);
+        ])
+    span;
   (es, skipped, ctx.terms)
 
 let from_trace ?sample_stride ~bi ~q tr =

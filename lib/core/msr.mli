@@ -12,20 +12,29 @@
     {b Representation.}  Each trace gets a dense bit index over its
     reparameterizable operators that fail to retain at least one row
     (no other operator can enter a failure set), bit [b] for the [b]-th
-    smallest such op id, so an operator set is an [int] bitmask and a
-    row's failure-set family is a small [int array] of masks,
-    deduplicated and sorted in
-    {!Int_set.compare} order ({!compare_mask}).  Families are built in
-    two flat passes over the annotation vectors ({!Tracing.vann}): a
+    smallest such op id, so an operator set is an [int] bitmask.  A
+    row's failure-set family is one [int] code: a code [m >= 0] is the
+    one-set family [{m}] ([0] is [{∅}]), [-1] is ⊥ (the empty family),
+    and [-2 - k] names the [k]-th entry of a per-trace side table of
+    multi-set families, each at least two masks, deduplicated and
+    sorted in {!Int_set.compare} order ({!compare_mask}).  Families are
+    built in two flat passes over the annotation vectors
+    ({!Tracing.vann}), each specialised on the parents' shape: a
     root-first pass marks the root rows MSR reads — the consistent ones
     and the non-surviving ones the bounds sweep visits — and their
-    ancestors; a bottom-up pass computes the marked rows' families:
-    - ⊥ (the empty family) where a parameter-free operator drops the row;
+    ancestors; a bottom-up pass computes the marked rows' codes:
+    - ⊥ where a parameter-free operator drops the row;
     - for Nest_rel, Group_agg, Dedup and Agg_tuple rows, the union of the
-      members' families, preferring the consistent members;
+      members' families, preferring the consistent members; repeated
+      member masks are dropped by an open-addressing set, so only the
+      distinct ones are sorted;
     - for every other operator, the cross-product union over the
-      parents (joins have two);
+      parents (joins have two), a plain [lor] of the codes unless both
+      sides hold several sets;
     - plus the operator's own bit where the row is not retained.
+    The bounds sweep keeps the sampled non-surviving root rows as
+    distinct (code, count) pairs, and the candidate sets are the
+    distinct masks of the consistent root rows' families.
     [Int_set]/[Set_set] appear only at the API edge: candidate sets are
     decoded for {!Explanation.make}, and {!failure_sets} decodes for
     callers outside the pipeline. *)
@@ -137,8 +146,15 @@ val bounds :
     bound strictly below UB(Δ−), the candidate-independent floor every
     open candidate's UB shares.  Its explanations are a superset of the
     true per-SA top [k], still to be pruned/ranked across SAs.  With [k]
-    ≥ the number of candidates they are the exact run's explanations. *)
+    ≥ the number of candidates they are the exact run's explanations.
+
+    [?span] gets int attributes that split the call's time, in µs:
+    [families_us] (the two passes), [sweep_us] (the bounds sweep) and
+    [candidates_us] (candidate sets and their bounds); and its family
+    counts: [family_rows] (rows whose family was computed) and
+    [multi_families] (entries of the side table). *)
 val explain :
+  ?span:Obs.Span.t ->
   ?sample_stride:int ->
   ?top_k:int ->
   original:original ->

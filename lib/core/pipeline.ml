@@ -283,7 +283,7 @@ let run_phases ?approx ~revalidate ~cancel ~retries root cursor
     in
     checked "msr" (fun msp ->
         let es, skipped, terms =
-          Msr.explain ~sample_stride:decision.Approx.stride
+          Msr.explain ~span:msp ~sample_stride:decision.Approx.stride
             ?top_k:decision.Approx.top_k ~original ~q trace
         in
         Obs.Span.set_int msp "original_rows" terms.Msr.original_rows;

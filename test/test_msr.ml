@@ -90,9 +90,14 @@ let reparameterizable (node : Query.node) =
     false
   | _ -> true
 
+(* Applications of [cap_sets] that dropped sets: the reference's count of
+   what [whynot.msr.cap_truncations] counts. *)
+let reference_drops = ref 0
+
 let cap_sets (sets : Set_set.t) : Set_set.t =
   if Set_set.cardinal sets <= Whynot.Msr.max_alternatives then sets
   else
+    let () = incr reference_drops in
     let sorted =
       List.sort
         (fun a b -> compare (Int_set.cardinal a) (Int_set.cardinal b))
@@ -178,10 +183,10 @@ let reference_failure_sets (tr : Whynot.Tracing.t) : int -> Set_set.t =
   in
   fs
 
-(* The rows (by rid) that contribute to a consistent root row — the "lineage
-   of a consistent output tuple" of Algorithm 4, computed as the ancestor
-   closure over parent edges. *)
-let contributing (tr : Whynot.Tracing.t) : (int, unit) Hashtbl.t =
+(* The rows (by rid) of [roots] and all their ancestors, over parent
+   edges. *)
+let ancestor_closure (tr : Whynot.Tracing.t) (roots : int list) :
+    (int, unit) Hashtbl.t =
   let owner = rid_owners tr in
   let marked = Hashtbl.create 256 in
   let rec mark rid =
@@ -194,8 +199,13 @@ let contributing (tr : Whynot.Tracing.t) : (int, unit) Hashtbl.t =
         | None -> ()
     end
   in
-  List.iter mark (Whynot.Msr.consistent_root_rids tr);
+  List.iter mark roots;
   marked
+
+(* The rows that contribute to a consistent root row — the "lineage of a
+   consistent output tuple" of Algorithm 4. *)
+let contributing (tr : Whynot.Tracing.t) : (int, unit) Hashtbl.t =
+  ancestor_closure tr (Whynot.Msr.consistent_root_rids tr)
 
 (* The paper's queue-based Algorithm 4: the linearized operator list is
    walked top-down with a queue of partial SRs and *existential*
@@ -377,13 +387,26 @@ let reference_from_trace ~stride tr =
     (fun ops -> (Int_set.elements ops, ub ops))
     (Set_set.elements (Set_set.remove Int_set.empty candidates))
 
+(* [Msr.from_trace]'s candidate sets and UBs against the reference's, with
+   an empty ⟦Q⟧_D; the number of explanations. *)
+let check_from_trace ~label ~stride ~q tr =
+  let expected = reference_from_trace ~stride tr in
+  let bi = { Whynot.Msr.original_result = [] } in
+  Alcotest.(check (list (pair (list int) int)))
+    (label ^ " from_trace") expected
+    (List.sort compare
+       (List.map
+          (fun (e : Whynot.Explanation.t) ->
+            (Whynot.Explanation.op_list e, e.side_effect_ub))
+          (Whynot.Msr.from_trace ~sample_stride:stride ~bi ~q tr)));
+  List.length expected
+
 (* Every root row of every SA of every registry scenario at scale 2, for
    strides 1 and 3: the decoded families, and the candidate sets and
    stride-sampled UBs of [from_trace], which marks only the root rows it
    reads at that stride. *)
 let test_differential_registry () =
   let checked = ref 0 and nonempty = ref 0 and explained = ref 0 in
-  let bi = { Whynot.Msr.original_result = [] } in
   List.iter
     (fun (sc : Scenarios.Scenario.t) ->
       let inst = sc.make ~scale:2 () in
@@ -408,15 +431,8 @@ let test_differential_registry () =
                   then incr nonempty;
                   check_families ~label expected got rid)
                 (root_rids tr);
-              let expected = reference_from_trace ~stride tr in
-              explained := !explained + List.length expected;
-              Alcotest.(check (list (pair (list int) int)))
-                (label ^ " from_trace") expected
-                (List.sort compare
-                   (List.map
-                      (fun (e : Whynot.Explanation.t) ->
-                        (Whynot.Explanation.op_list e, e.side_effect_ub))
-                      (Whynot.Msr.from_trace ~sample_stride:stride ~bi ~q tr))))
+              explained :=
+                !explained + check_from_trace ~label ~stride ~q tr)
             [ 1; 3 ])
         sas)
     Scenarios.Registry.all;
@@ -615,7 +631,8 @@ let prop_compare_mask =
 
 let flags n f = Bytes.init n (fun i -> if f i then '\001' else '\000')
 
-let op_trace ~q ~id ~rid0 ~n ?(retained = fun _ -> true) parents =
+let op_trace ~q ~id ~rid0 ~n ?(retained = fun _ -> true)
+    ?(consistent = fun _ -> true) ?(surviving = fun _ -> false) parents =
   let op_node =
     match Query.find_op q id with
     | Some op -> op.Query.node
@@ -629,9 +646,9 @@ let op_trace ~q ~id ~rid0 ~n ?(retained = fun _ -> true) parents =
       {
         Whynot.Tracing.v_n = n;
         v_rid0 = rid0;
-        v_consistent = flags n (fun _ -> true);
+        v_consistent = flags n consistent;
         v_retained = flags n retained;
-        v_surviving = flags n (fun _ -> false);
+        v_surviving = flags n surviving;
         v_parents = parents;
         v_ranges = None;
       };
@@ -718,6 +735,214 @@ let test_too_many_operators () =
   | exception Whynot.Msr.Too_many_operators k ->
     Alcotest.(check int) "operator count" n_sel k
 
+(* --- Random hand-built traces -------------------------------------------- *)
+
+(* The shape of a random trace: table accesses, σ, inner flattens (one
+   parent per row), Nᴿ over a number of groups and δ (members as
+   offset-encoded parents), two-parent joins and ∪ (one parent per row). *)
+type shape =
+  | Tab of int
+  | Sel of shape
+  | Flat of shape
+  | Grp of int * shape
+  | Dist of shape
+  | Join of shape * shape
+  | Uni of shape * shape
+
+let rec pp_shape ppf = function
+  | Tab n -> Fmt.pf ppf "t[%d]" n
+  | Sel c -> Fmt.pf ppf "σ(%a)" pp_shape c
+  | Flat c -> Fmt.pf ppf "F(%a)" pp_shape c
+  | Grp (k, c) -> Fmt.pf ppf "N%d(%a)" k pp_shape c
+  | Dist c -> Fmt.pf ppf "δ(%a)" pp_shape c
+  | Join (l, r) -> Fmt.pf ppf "⋈(%a, %a)" pp_shape l pp_shape r
+  | Uni (l, r) -> Fmt.pf ppf "∪(%a, %a)" pp_shape l pp_shape r
+
+let rec sels k c = if k = 0 then c else Sel (sels (k - 1) c)
+
+(* Mostly small trees of every operator.  One case in eight is wide:
+   9 σs over up to 200 rows in one or two groups (a member union of more
+   than 64 masks), a join of two 4-σ groups (a cross product of up to 256
+   masks), or the 9 σs alone (root rows with many distinct families). *)
+let gen_shape =
+  QCheck.Gen.(
+    let wide =
+      oneof
+        [
+          map2 (fun n k -> Grp (k, sels 9 (Tab n))) (int_range 130 200) (int_range 1 2);
+          map
+            (fun n -> Join (Grp (1, sels 4 (Tab n)), Grp (1, sels 4 (Tab n))))
+            (int_range 30 60);
+          map (fun n -> sels 9 (Tab n)) (int_range 130 200);
+        ]
+    in
+    let small =
+      sized_size (int_bound 5)
+      @@ fix (fun self d ->
+             let tab = map (fun n -> Tab n) (int_range 1 12) in
+             if d = 0 then tab
+             else
+               frequency
+                 [
+                   (1, tab);
+                   (4, map (fun c -> Sel c) (self (d - 1)));
+                   (2, map (fun c -> Flat c) (self (d - 1)));
+                   (3, map2 (fun k c -> Grp (k, c)) (int_range 1 3) (self (d - 1)));
+                   (1, map (fun c -> Dist c) (self (d - 1)));
+                   (2, map2 (fun l r -> Join (l, r)) (self (d / 2)) (self (d / 2)));
+                   (1, map2 (fun l r -> Uni (l, r)) (self (d / 2)) (self (d / 2)));
+                 ])
+    in
+    frequency [ (1, wide); (7, small) ])
+
+(* Offset-encoded parents from per-row parent lists. *)
+let many (ps : int list array) =
+  let off = Array.make (Array.length ps + 1) 0 in
+  Array.iteri (fun i l -> off.(i + 1) <- off.(i) + List.length l) ps;
+  Whynot.Tracing.P_many (off, Array.of_list (List.concat (Array.to_list ps)))
+
+(* The query and trace of [shape], with rows and flags drawn from [seed]:
+   σ, Fᴵ, Nᴿ and ⋈ fail to retain a row with probability 1/3, δ and ∪
+   (parameter-free) with probability 1/6; half the rows are consistent
+   and half survive.  A group's members are drawn at random, so their
+   families interleave. *)
+let random_trace (shape, seed) =
+  let rs = Random.State.make [| seed |] in
+  let g = Query.Gen.create () in
+  let coin k = Random.State.int rs k = 0 in
+  let next_id = ref 0 and next_rid = ref 0 and ops = ref [] in
+  let emit make ~n ?(keep = fun () -> not (coin 3)) parents =
+    incr next_id;
+    let q = make !next_id in
+    let rid0 = !next_rid in
+    let draw f = Array.get (Array.init n (fun _ -> f ())) in
+    ops :=
+      op_trace ~q ~id:!next_id ~rid0 ~n ~retained:(draw keep)
+        ~consistent:(draw (fun () -> coin 2))
+        ~surviving:(draw (fun () -> coin 2))
+        parents
+      :: !ops;
+    next_rid := rid0 + n;
+    (q, n, rid0)
+  in
+  let pred = Expr.Cmp (Expr.Ge, Expr.attr "year", Expr.int 2019) in
+  let groups (_, cn, c0) k =
+    let members = Array.make k [] in
+    for r = cn - 1 downto 0 do
+      let j = Random.State.int rs k in
+      members.(j) <- (c0 + r) :: members.(j)
+    done;
+    many members
+  in
+  let rec go = function
+    | Tab n -> emit (fun id -> Query.table ~id g "t") ~n ~keep:(fun () -> true) Whynot.Tracing.P_none
+    | Sel c ->
+      let ((cq, cn, c0) : Query.t * int * int) = go c in
+      emit (fun id -> Query.select ~id g pred cq) ~n:cn (Whynot.Tracing.P_self c0)
+    | Flat c ->
+      let cq, cn, c0 = go c in
+      let ps =
+        List.concat (List.init cn (fun r -> List.init (Random.State.int rs 3) (fun _ -> c0 + r)))
+      in
+      emit
+        (fun id -> Query.flatten_inner ~id g "b" cq)
+        ~n:(List.length ps) (Whynot.Tracing.P_one (Array.of_list ps))
+    | Grp (k, c) ->
+      let ((cq, _, _) as child) = go c in
+      emit (fun id -> Query.nest_rel ~id g [ "name" ] ~into:"g" cq) ~n:k (groups child k)
+    | Dist c ->
+      let ((cq, _, _) as child) = go c in
+      let k = 1 + Random.State.int rs 3 in
+      emit (fun id -> Query.dedup ~id g cq) ~n:k ~keep:(fun () -> not (coin 6))
+        (groups child k)
+    | Join (l, r) ->
+      let lq, ln, l0 = go l in
+      let rq, rn, r0 = go r in
+      let n = if ln * rn = 0 then 0 else 1 + Random.State.int rs (min (ln * rn) 20) in
+      emit
+        (fun id -> Query.join ~id g Query.Inner pred lq rq)
+        ~n
+        (many
+           (Array.init n (fun _ ->
+                [ l0 + Random.State.int rs ln; r0 + Random.State.int rs rn ])))
+    | Uni (l, r) ->
+      let lq, ln, l0 = go l in
+      let rq, rn, r0 = go r in
+      emit (fun id -> Query.union ~id g lq rq) ~n:(ln + rn) ~keep:(fun () -> not (coin 6))
+        (Whynot.Tracing.P_one
+           (Array.init (ln + rn) (fun i -> if i < ln then l0 + i else r0 + i - ln)))
+  in
+  let q, _, _ = go shape in
+  (q, hand_trace q (List.rev !ops))
+
+let capped_cases = ref 0
+
+(* On a random trace: the decoded family of every root row and ancestor,
+   the cap truncations [Msr.failure_sets] counts (the reference counts
+   its own, each row's family computed once), and [from_trace]'s
+   candidate sets and UBs at strides 1 and 3. *)
+let prop_random_traces =
+  QCheck.Test.make ~count:300 ~name:"random traces match the reference"
+    QCheck.(
+      make
+        ~print:(fun (s, seed) -> Fmt.str "%a seed %d" pp_shape s seed)
+        Gen.(pair gen_shape int))
+    (fun input ->
+      let q, tr = random_trace input in
+      let truncations = Obs.Metrics.counter "whynot.msr.cap_truncations" in
+      let before = Obs.Metrics.Counter.value truncations in
+      let got = Whynot.Msr.failure_sets tr in
+      let counted = Obs.Metrics.Counter.value truncations - before in
+      let expected = reference_failure_sets tr in
+      reference_drops := 0;
+      let rids =
+        ancestor_closure tr (List.map (fun (_, _, rid) -> rid) (root_rids tr))
+      in
+      Hashtbl.iter (fun rid () -> check_families ~label:"random" expected got rid) rids;
+      Alcotest.(check int) "cap truncations" !reference_drops counted;
+      if counted > 0 then incr capped_cases;
+      List.iter
+        (fun stride -> ignore (check_from_trace ~label:"random" ~stride ~q tr))
+        [ 1; 3 ];
+      true)
+
+let test_random_traces () =
+  capped_cases := 0;
+  QCheck.Test.check_exn prop_random_traces;
+  Alcotest.(check bool) "some families exceeded the cap" true (!capped_cases > 0)
+
+(* Families are int codes: on a 120k-row trace — a table, three σs and
+   an inner flatten, every root row consistent and none surviving —
+   [Msr.explain] allocates a bounded number of minor-heap words, far
+   below one per row.  A per-row array or list would exceed the bound. *)
+let test_no_per_row_allocation () =
+  let n = 20_000 in
+  let g = Query.Gen.create () in
+  let q = Query.flatten_inner ~id:5 g "b" (select_chain g ~last:4) in
+  let table = op_trace ~q ~id:1 ~rid0:0 ~n Whynot.Tracing.P_none in
+  let selects =
+    List.init 3 (fun k ->
+        op_trace ~q ~id:(k + 2) ~rid0:((k + 1) * n) ~n
+          ~retained:(fun r -> r land (1 lsl k) = 0)
+          (Whynot.Tracing.P_self (k * n)))
+  in
+  let flatten =
+    op_trace ~q ~id:5 ~rid0:(4 * n) ~n:(2 * n)
+      ~retained:(fun r -> r mod 5 <> 0)
+      (Whynot.Tracing.P_one (Array.init (2 * n) (fun r -> (3 * n) + (r / 2))))
+  in
+  let tr = hand_trace q ((table :: selects) @ [ flatten ]) in
+  let rows = 6 * n in
+  let original = Whynot.Msr.index { Whynot.Msr.original_result = [] } in
+  let before = Gc.minor_words () in
+  let es, _, _ = Whynot.Msr.explain ~original ~q tr in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every non-empty set of the 4 bits explains" 15 (List.length es);
+  Alcotest.(check bool)
+    (Fmt.str "%.0f minor words for %d rows stay under %d" words rows (rows / 8))
+    true
+    (words < float_of_int (rows / 8))
+
 (* A surviving root row matches a row of ⟦Q⟧_D exactly when the two are
    [Value.equal]: [-0.0] matches [0.0] and a NaN computed at run time
    matches [nan], though their bits differ, because equal values hash
@@ -778,5 +1003,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_compare_mask;
           Alcotest.test_case "cap tie-break" `Quick test_cap_tie_break;
           Alcotest.test_case "too many operators" `Quick test_too_many_operators;
+          Alcotest.test_case "random traces" `Quick test_random_traces;
+          Alcotest.test_case "no per-row allocation" `Quick test_no_per_row_allocation;
         ] );
     ]

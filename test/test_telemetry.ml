@@ -462,8 +462,11 @@ let test_relaxed_reuses () =
 
 (* Each SA's [msr] span carries the terms of its side-effect bounds:
    |⟦Q⟧_D|, the surviving root rows, those of them that match ⟦Q⟧_D, and
-   UB(Δ−).  Q3 has two SAs and D3 five. *)
+   UB(Δ−); and the split of its time into families, bounds sweep and
+   candidates, which together fit in the span, with the family counts.
+   Q3 has two SAs and D3 five. *)
 let test_msr_bound_terms () =
+  let family_rows = ref 0 in
   List.iter
     (fun name ->
       let inst =
@@ -499,10 +502,23 @@ let test_msr_bound_terms () =
               true
               (matched <= min surviving original);
             Alcotest.(check int) (label ^ ": ub_minus") (original - matched)
-              (get "ub_minus")
+              (get "ub_minus");
+            let split_us =
+              get "families_us" + get "sweep_us" + get "candidates_us"
+            in
+            Alcotest.(check bool)
+              (label ^ ": the time split fits in the span")
+              true
+              (split_us * 1000 <= Obs.Span.duration_ns msr);
+            Alcotest.(check bool)
+              (label ^ ": family counts")
+              true
+              (get "family_rows" >= 0 && get "multi_families" >= 0);
+            family_rows := !family_rows + get "family_rows"
           | sps -> Alcotest.failf "%s: %d msr spans" label (List.length sps))
         sas)
-    [ "Q3"; "D3" ]
+    [ "Q3"; "D3" ];
+  Alcotest.(check bool) "some SA computed families" true (!family_rows > 0)
 
 (* --- log-record JSON codec --------------------------------------------- *)
 
