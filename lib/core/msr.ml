@@ -154,35 +154,30 @@ let push_family t s own c =
     done
   end
 
-(* The set's masks as a code: sorted (by insertion: a family holds a
-   few masks) and capped to the [max_alternatives] smallest sets by
-   cardinality, ties broken by set order (a stable sort over the sorted
-   family).  Only distinct masks are ever sorted.  Every truncation is
-   counted: the cap is an approximation, never a silent one. *)
+(* Cardinality first, then set order. *)
+let by_size x y =
+  let c = Int.compare (popcount x) (popcount y) in
+  if c <> 0 then c else compare_mask x y
+
+(* The set's masks as a code: capped to the [max_alternatives] smallest
+   sets by [by_size], then sorted by set order.  Only distinct masks are
+   ever sorted.  Every truncation is counted: the cap is an
+   approximation, never a silent one. *)
 let finish t s : int =
   if s.n = 0 then bot
   else if s.n = 1 then s.masks.(0)
   else begin
     let a = Array.sub s.masks 0 s.n in
-    if s.n <= max_alternatives then begin
-      for k = 1 to s.n - 1 do
-        let m = a.(k) and j = ref (k - 1) in
-        while !j >= 0 && compare_mask a.(!j) m > 0 do
-          a.(!j + 1) <- a.(!j);
-          decr j
-        done;
-        a.(!j + 1) <- m
-      done;
-      intern t a
-    end
-    else begin
-      Obs.Metrics.(Counter.incr (counter "whynot.msr.cap_truncations"));
-      Array.sort compare_mask a;
-      Array.stable_sort (fun x y -> Int.compare (popcount x) (popcount y)) a;
-      let kept = Array.sub a 0 max_alternatives in
-      Array.sort compare_mask kept;
-      intern t kept
-    end
+    let a =
+      if s.n <= max_alternatives then a
+      else begin
+        Obs.Metrics.(Counter.incr (counter "whynot.msr.cap_truncations"));
+        Array.sort by_size a;
+        Array.sub a 0 max_alternatives
+      end
+    in
+    Array.stable_sort compare_mask a;
+    intern t a
   end
 
 (* {a ∪ b | a ∈ x, b ∈ y}, capped: a plain [lor] unless both sides hold
@@ -569,13 +564,10 @@ let bounds_with (ctx : bounds_ctx) (expl_ops : Int_set.t) : int * int =
   in
   (lb, (ctx.stride * !covered) + t.ub_minus)
 
-let prepare ?(sample_stride = 1) ~original ~q tr =
-  let stride = max 1 sample_stride in
-  bounds_ctx ~stride ~original ~q (families tr (msr_reads stride))
-
 let bounds ~(bi : bounds_input) ~(q : Nrab.Query.t) (tr : Tracing.t)
     (expl_ops : Int_set.t) : int * int =
-  bounds_with (prepare ~original:(index bi) ~q tr) expl_ops
+  let fams = families tr (msr_reads 1) in
+  bounds_with (bounds_ctx ~stride:1 ~original:(index bi) ~q fams) expl_ops
 
 (* --- Explanation assembly ------------------------------------------------ *)
 
