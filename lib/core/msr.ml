@@ -415,29 +415,36 @@ type bounds_input = {
   original_result : Value.t list;  (* tuples of ⟦Q⟧_D, expanded *)
 }
 
-(* ⟦Q⟧_D indexed for the sweep: its rows bucketed by [value_hash], which
-   [Columnar.hash_col] computes for a whole batch.  Built once per
-   prepared handle and only read afterwards, by SA jobs on any domain.
-   The keys are hashes already, so the table uses them as they are. *)
-module Buckets = Hashtbl.Make (struct
-  type t = int
+type matches = { q_rows : int; flags : Bytes.t }
 
-  let equal = Int.equal
-  let hash h = h land max_int
-end)
-
-type original = { o_rows : int; o_buckets : Value.t list Buckets.t }
-
-let index (bi : bounds_input) : original =
-  let buckets = Buckets.create 64 in
-  let add n v =
-    let h = Engine.Columnar.value_hash v in
-    let bucket = Option.value ~default:[] (Buckets.find_opt buckets h) in
-    Buckets.replace buckets h (v :: bucket);
-    n + 1
+(* ⟦Q⟧_D stacked above the surviving rows: [eqclasses] codes each row by
+   the smallest row of its class, so a surviving row equals some row of
+   ⟦Q⟧_D exactly when its code falls among ⟦Q⟧_D's rows. *)
+let matches ~(original : Engine.Columnar.t) (data : Engine.Columnar.t)
+    (surviving : Bytes.t) : matches =
+  let module C = Engine.Columnar in
+  let nq = C.length original and n = Bytes.length surviving in
+  let matched = Bytes.make n '\000' in
+  let rows =
+    if nq = 0 then [||]
+    else Array.of_seq (Seq.filter (flag surviving) (Seq.init n Fun.id))
   in
-  let o_rows = List.fold_left add 0 bi.original_result in
-  { o_rows; o_buckets = buckets }
+  if Array.length rows > 0 then begin
+    let kept = if Array.length rows = n then data else C.gather data rows in
+    let both = C.vstack [ original; kept ] in
+    let codes = C.eqclasses both.C.n [ both.C.row ] in
+    Array.iteri
+      (fun k i -> if codes.(nq + k) < nq then Bytes.set matched i '\001')
+      rows
+  end;
+  { q_rows = nq; flags = matched }
+
+(* ⟦Q⟧_D given as rows, matched against a trace's root rows. *)
+let matches_of_trace (bi : bounds_input) (tr : Tracing.t) : matches =
+  let original = Engine.Columnar.of_rows bi.original_result in
+  match root_ot tr with
+  | Some ot -> matches ~original ot.data ot.ann.v_surviving
+  | None -> matches ~original Engine.Columnar.empty Bytes.empty
 
 type terms = {
   original_rows : int;
@@ -473,12 +480,7 @@ type bounds_ctx = {
   counts : int array;  (* ... and how many of those rows have each *)
 }
 
-(* Does row [i] of column [c] equal some row of a hash bucket? *)
-let rec in_bucket c i = function
-  | [] -> false
-  | v :: vs -> Engine.Columnar.equal_value c i v || in_bucket c i vs
-
-let bounds_ctx ~stride ~(original : original) ~(q : Nrab.Query.t)
+let bounds_ctx ~stride ~(matches : matches) ~(q : Nrab.Query.t)
     (fams : families) : bounds_ctx =
   (* Flag-vector sweep over the root rows.  With a stride, only rows
      with rid mod s = 0 (like the tracing sampler) are examined and the
@@ -489,9 +491,14 @@ let bounds_ctx ~stride ~(original : original) ~(q : Nrab.Query.t)
   Option.iter
     (fun (ot : Tracing.op_trace) ->
       let r0 = Tracing.rid0 ot and n = Tracing.n_rows ot in
+      if Bytes.length matches.flags <> n then
+        invalid_arg "Msr.explain: the matches are not this trace's root rows";
       for i = 0 to n - 1 do
         if sampled (r0 + i) then
-          if Tracing.surviving_at ot i then incr n_surviving
+          if Tracing.surviving_at ot i then begin
+            incr n_surviving;
+            if flag matches.flags i then incr n_matched
+          end
           else
             let c = fams.codes.(r0 + i) in
             if c <> bot then begin
@@ -500,43 +507,19 @@ let bounds_ctx ~stride ~(original : original) ~(q : Nrab.Query.t)
                 counts := Array.append !counts (Array.make k 0);
               !counts.(k) <- !counts.(k) + 1
             end
-      done;
-      (* The surviving rows are matched against ⟦Q⟧_D straight from the
-         root batch: [hash_col] over just those rows picks each one's
-         bucket, and [equal_value] compares it with the bucket's rows
-         column by column. *)
-      let c = ot.data.Engine.Columnar.row in
-      let c =
-        if !n_surviving = n then c
-        else begin
-          let surviving = Array.make !n_surviving 0 and k = ref 0 in
-          for i = 0 to n - 1 do
-            if sampled (r0 + i) && Tracing.surviving_at ot i then begin
-              surviving.(!k) <- i;
-              incr k
-            end
-          done;
-          Engine.Columnar.col_gather c surviving
-        end
-      in
-      Array.iteri
-        (fun k h ->
-          match Buckets.find_opt original.o_buckets h with
-          | Some bucket when in_bucket c k bucket -> incr n_matched
-          | _ -> ())
-        (Engine.Columnar.hash_col c))
+      done)
     fams.root;
-  let matched = stride * !n_matched in
+  let matched = stride * !n_matched and original_rows = matches.q_rows in
   {
     cq = q;
     fams;
     stride;
     terms =
       {
-        original_rows = original.o_rows;
+        original_rows;
         surviving = stride * !n_surviving;
         matched;
-        ub_minus = max 0 (original.o_rows - matched);
+        ub_minus = max 0 (original_rows - matched);
       };
     nonsurviving = Array.sub s.masks 0 s.n;
     counts = Array.sub !counts 0 s.n;
@@ -567,7 +550,9 @@ let bounds_with (ctx : bounds_ctx) (expl_ops : Int_set.t) : int * int =
 let bounds ~(bi : bounds_input) ~(q : Nrab.Query.t) (tr : Tracing.t)
     (expl_ops : Int_set.t) : int * int =
   let fams = families tr (msr_reads 1) in
-  bounds_with (bounds_ctx ~stride:1 ~original:(index bi) ~q fams) expl_ops
+  bounds_with
+    (bounds_ctx ~stride:1 ~matches:(matches_of_trace bi tr) ~q fams)
+    expl_ops
 
 (* --- Explanation assembly ------------------------------------------------ *)
 
@@ -628,13 +613,13 @@ let topk ctx ~k make candidates =
 (* Explanations of one schema alternative's trace; the stride samples
    only the bounds sweep (see msr.mli).  With [span], the time of each
    step and the family counts go on it. *)
-let explain ?span ?(sample_stride = 1) ?top_k ~(original : original)
+let explain ?span ?(sample_stride = 1) ?top_k ~(matches : matches)
     ~(q : Nrab.Query.t) (tr : Tracing.t) : Explanation.t list * int * terms =
   let stride = max 1 sample_stride in
   let t0 = Obs.Clock.now_ns () in
   let fams = families tr (msr_reads stride) in
   let t1 = Obs.Clock.now_ns () in
-  let ctx = bounds_ctx ~stride ~original ~q fams in
+  let ctx = bounds_ctx ~stride ~matches ~q fams in
   let t2 = Obs.Clock.now_ns () in
   let sa_index = tr.Tracing.sa.Alternatives.index in
   let make ops =
@@ -663,11 +648,11 @@ let explain ?span ?(sample_stride = 1) ?top_k ~(original : original)
   (es, skipped, ctx.terms)
 
 let from_trace ?sample_stride ~bi ~q tr =
-  let es, _, _ = explain ?sample_stride ~original:(index bi) ~q tr in
+  let es, _, _ = explain ?sample_stride ~matches:(matches_of_trace bi tr) ~q tr in
   es
 
 let from_trace_topk ?sample_stride ~bi ~q ~k tr =
   let es, skipped, _ =
-    explain ?sample_stride ~top_k:k ~original:(index bi) ~q tr
+    explain ?sample_stride ~top_k:k ~matches:(matches_of_trace bi tr) ~q tr
   in
   (es, skipped)

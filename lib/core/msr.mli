@@ -82,23 +82,26 @@ type bounds_input = {
           them and test membership *)
 }
 
-(** ⟦Q⟧_D indexed for the side-effect bounds: its row count, and its
-    rows bucketed by {!Engine.Columnar.value_hash}.  A surviving root
-    row of an SA's trace {e matches} ⟦Q⟧_D when some row in the bucket
-    of its hash is [Value.equal] to it.  The row is read from the root
-    operator's batch: {!Engine.Columnar.hash_col} hashes the batch's
-    sampled surviving rows and {!Engine.Columnar.equal_value} compares a
-    row with the bucket's rows, so no row tree is built.  A match is
-    exactly [Value.equal]: equal values hash equally, so [-0.0] matches
-    [0.0] (both hash to [0]) and any NaN matches any NaN (each hashes as
-    [Float.nan]).
+(** ⟦Q⟧_D matched against one SA's root rows, the two facts the bounds
+    need of it: [q_rows] = |⟦Q⟧_D|, and per root row, by index,
+    [flags.\[i\]] = ['\001'] when row [i] survives and is
+    [Value.equal] to some row of ⟦Q⟧_D (['\000'] otherwise).  A match
+    is exactly [Value.equal]: [-0.0] matches [0.0] and any NaN matches
+    any NaN.  Immutable once built, so SA jobs on several domains may
+    read it at once. *)
+type matches = { q_rows : int; flags : Bytes.t }
 
-    Build it once per ⟨Q, D⟩ ({!Pipeline.prepare} does, for the
-    handle); it is never mutated afterwards, so SA jobs on several
-    domains may read it at once. *)
-type original
-
-val index : bounds_input -> original
+(** [matches ~original data surviving]: [original] is ⟦Q⟧_D as a batch,
+    [data] an SA's root batch and [surviving] its flags
+    ({!Tracing.relaxed_root}).  ⟦Q⟧_D and the surviving rows are stacked
+    ({!Engine.Columnar.vstack}) and coded by one
+    {!Engine.Columnar.eqclasses} pass: a surviving row matches when the
+    smallest row of its class is a row of ⟦Q⟧_D.  The two batches must
+    share a row type (an SA preserves the query's output type); their
+    columns may differ in representation.  Compute it once per SA's
+    relaxed evaluation ({!Pipeline.explain_with} keeps it beside the
+    evaluation): every {!explain} of that SA reads it. *)
+val matches : original:Engine.Columnar.t -> Engine.Columnar.t -> Bytes.t -> matches
 
 (** The terms of one SA's bounds sweep, shared by every explanation of
     that SA.  With a sampling stride [s > 1], [surviving] and [matched]
@@ -120,13 +123,18 @@ type terms = {
     max 0 ([surviving] − [original_rows]) + UB(Δ−) otherwise.  UB is
     UB(Δ+) + UB(Δ−), where UB(Δ+) counts the non-surviving root rows
     with a failure set [s] inside the explanation's mask [e]
-    ([s land lnot e = 0]).  Indexes [bi] first, as {!from_trace}. *)
+    ([s land lnot e = 0]).  Matches [bi] first, as {!from_trace}. *)
 val bounds :
   bi:bounds_input -> q:Nrab.Query.t -> Tracing.t -> Int_set.t -> int * int
 
 (** Explanations contributed by one schema alternative's trace (not yet
     pruned/ranked across SAs), the number of candidates [?top_k] left
     unevaluated (0 without it), and the sweep's bound terms.
+
+    [matches] must be {!matches} over the trace's root rows (raises
+    [Invalid_argument] when its flags are not one per root row).  The
+    sweep only counts the sampled surviving rows and those of them it
+    flags: no row is hashed or compared here.
 
     [?sample_stride] (default 1 = exact) samples the side-effect bounds
     sweep: only every s-th root row — keyed on the global rid, exactly
@@ -157,12 +165,13 @@ val explain :
   ?span:Obs.Span.t ->
   ?sample_stride:int ->
   ?top_k:int ->
-  original:original ->
+  matches:matches ->
   q:Nrab.Query.t ->
   Tracing.t ->
   Explanation.t list * int * terms
 
-(** [explain]'s explanations, with ⟦Q⟧_D given as [bi] and indexed for
+(** [explain]'s explanations, with ⟦Q⟧_D given as [bi] and matched
+    ({!matches} over [Engine.Columnar.of_rows bi.original_result]) for
     this one call. *)
 val from_trace :
   ?sample_stride:int ->
@@ -172,7 +181,7 @@ val from_trace :
   Explanation.t list
 
 (** [explain ~top_k:k]'s explanations and skipped-candidate count, with
-    ⟦Q⟧_D given as [bi] and indexed for this one call. *)
+    ⟦Q⟧_D given as [bi] and matched for this one call. *)
 val from_trace_topk :
   ?sample_stride:int ->
   bi:bounds_input ->

@@ -109,12 +109,12 @@ type handle = {
   h_env : Typecheck.env;
   h_max_sas : int;  (* the enumeration cap; 1 without schema alternatives *)
   h_sas : Alternatives.sa list;
-  h_original : Msr.original;
+  h_original : Engine.Columnar.t;  (* ⟦Q⟧_D *)
   h_shared : Tracing.shared option;  (* [None] with a single SA *)
-  h_relaxed : Tracing.relaxed option Atomic.t array;
-      (* SA [i]'s relaxed evaluation, set once by the first chain that
-         completes it; a race computes the (pure) value twice and keeps
-         one *)
+  h_relaxed : (Tracing.relaxed * Msr.matches) option Atomic.t array;
+      (* SA [i]'s relaxed evaluation and its root rows matched against
+         ⟦Q⟧_D, set once by the first chain that completes them; a race
+         computes the (pure) pair twice and keeps one *)
 }
 
 let handle_sas h = h.h_sas
@@ -192,17 +192,17 @@ let prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retries root cursor
      phase.  Evaluated on the engine rather than the reference
      interpreter: the results are identical and the engine is an order
      of magnitude faster on the bench scales.  The bounds only count the
-     rows and test membership, so they take the engine's rows as they
-     come, without the relation's canonical sort, and index them here,
-     once, before any SA job can read the index.  The engine does not
-     retry: a transient fault in the run propagates unwrapped, and this
-     phase's retry replays the whole of ⟦Q⟧_D. *)
+     rows and test membership, so they keep the engine's batch as it
+     comes, without the relation's canonical sort or a row tree; each
+     SA's root rows are matched against it once ({!relaxed_of}).  The
+     engine does not retry: a transient fault in the run propagates
+     unwrapped, and this phase's retry replays the whole of ⟦Q⟧_D. *)
   let original =
     phase root "msr" (fun sp ->
-        let original_result = fst (Engine.Exec.rows ~parent:sp db q) in
+        let original = fst (Engine.Exec.rows ~parent:sp db q) in
         Obs.Span.set_int sp "original_result_rows"
-          (List.length original_result);
-        Msr.index { Msr.original_result })
+          (Engine.Columnar.length original);
+        original)
   in
   (* Whatever of the share job outlasts ⟦Q⟧_D is charged to tracing. *)
   let shared =
@@ -225,19 +225,25 @@ let prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retries root cursor
 
 let m_relaxed_reuses = Obs.Metrics.counter "whynot.tracing.relaxed_reuses"
 
-(* SA [sa]'s relaxed evaluation: read from its slot, or computed and
-   published there.  Runs inside the tracing phase's retry scope, so a
-   faulted or cancelled evaluation raises before it publishes. *)
-let relaxed_of h (sa : Alternatives.sa) =
+(* SA [sa]'s relaxed evaluation and its matches against ⟦Q⟧_D: read
+   from its slot, or computed and published there, with the matching's
+   time as [match_us] on [sp].  Runs inside the tracing phase's retry
+   scope, so a faulted or cancelled evaluation raises before it
+   publishes. *)
+let relaxed_of h (sa : Alternatives.sa) sp =
   let slot = h.h_relaxed.(sa.Alternatives.index) in
   match Atomic.get slot with
-  | Some r ->
+  | Some (r, m) ->
     Obs.Metrics.Counter.incr m_relaxed_reuses;
-    (r, true)
+    (r, m, true)
   | None ->
     let r = Tracing.relax ?shared:h.h_shared ~env:h.h_env h.h_db sa in
-    ignore (Atomic.compare_and_set slot None (Some r) : bool);
-    (r, false)
+    let t0 = Obs.Clock.now_ns () in
+    let data, surviving = Tracing.relaxed_root r in
+    let m = Msr.matches ~original:h.h_original data surviving in
+    Obs.Span.set_int sp "match_us" ((Obs.Clock.now_ns () - t0) / 1000);
+    ignore (Atomic.compare_and_set slot None (Some (r, m)) : bool);
+    (r, m, false)
 
 (* Steps 1, 3, and 4 — the pattern-dependent per-SA chains plus the final
    prune/rank — under [root], reading everything else from the handle. *)
@@ -245,7 +251,7 @@ let run_phases ?approx ~revalidate ~cancel ~retries root cursor
     (h : handle) (sas : Alternatives.sa list) (missing : Nip.t) :
     Explanation.t list * Approx.report option =
   let phase parent name f = phase_at cursor parent name f in
-  let { h_query = q; h_env = env; h_original = original; _ } = h in
+  let { h_query = q; h_env = env; _ } = h in
   (* One SA's backtrace→tracing→MSR chain; independent across SAs.  The
      cancellation token is polled before every phase — the pipeline's
      preemption points, so a lapsed deadline is observed within one
@@ -272,19 +278,20 @@ let run_phases ?approx ~revalidate ~cancel ~retries root cursor
       | Some a -> Approx.decide a
     in
     (* steps 3 and 4 *)
-    let trace =
+    let trace, matches =
       checked "tracing" (fun sp ->
           if decision.Approx.stride > 1 then
             Obs.Span.set_int sp "sample_stride" decision.Approx.stride;
-          let relaxed, reused = relaxed_of h sa in
+          let relaxed, matches, reused = relaxed_of h sa sp in
           Obs.Span.set_bool sp "relaxed_reused" reused;
-          Tracing.annotate ~revalidate ~sample_stride:decision.Approx.stride
-            relaxed bt)
+          ( Tracing.annotate ~revalidate ~sample_stride:decision.Approx.stride
+              relaxed bt,
+            matches ))
     in
     checked "msr" (fun msp ->
         let es, skipped, terms =
           Msr.explain ~span:msp ~sample_stride:decision.Approx.stride
-            ?top_k:decision.Approx.top_k ~original ~q trace
+            ?top_k:decision.Approx.top_k ~matches ~q trace
         in
         Obs.Span.set_int msp "original_rows" terms.Msr.original_rows;
         Obs.Span.set_int msp "surviving" terms.Msr.surviving;

@@ -990,6 +990,8 @@ let relax ?shared ~(env : Typecheck.env) (db : Relation.Db.t)
   let q = sa.Alternatives.query in
   { r_sa = sa; r_res = fst (evaluate ~env db ~cols:(K.reads env q) ~blocks q) }
 
+let relaxed_root (r : relaxed) = (r.r_res.c_data, r.r_res.c_surv)
+
 let annotate ?(revalidate = true) ?(sample_stride = 1) (r : relaxed)
     (bt : Backtrace.t) : t =
   {

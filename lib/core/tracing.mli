@@ -179,6 +179,13 @@ type relaxed
 val relax :
   ?shared:shared -> env:Typecheck.env -> Relation.Db.t -> Alternatives.sa -> relaxed
 
+(** The root operator's data batch and its [surviving] flags, one byte
+    per row (['\001'] = surviving): the rows of the SA query's relaxed
+    result, and which of them are the SA query's result.  The same
+    batch and flags as the root's {!op_trace} in every {!annotate} of
+    [r]. *)
+val relaxed_root : relaxed -> Engine.Columnar.t * Bytes.t
+
 (** [annotate r bt] computes consistency over [r], bottom-up, from [bt],
     which must be the backtrace of [r]'s SA query, and returns the SA's
     trace.  Only [consistent] is computed here; every other field is

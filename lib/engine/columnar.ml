@@ -583,42 +583,6 @@ let rec cmp_cells (c : col) (i : int) (j : int) : int =
 
 let cmp_rows (t : t) (i : int) (j : int) : int = cmp_cells t.row i j
 
-(* [Value.equal (col_get c i) v] without building row [i]: the cell is
-   walked against [v] the way [cmp_cells] walks two cells, and the
-   helpers are top-level so the walk allocates nothing. *)
-let rec equal_value (c : col) (i : int) (v : Value.t) : bool =
-  match c, v with
-  | CConst (_, w), _ -> Value.equal w v
-  | _, Value.Null -> cell_rank c i = 0
-  | CBool (b, p), Value.Bool x -> present p i && Bool.equal (Bitv.get b i) x
-  | CInt (a, p), Value.Int x -> present p i && Int.equal a.(i) x
-  | CFloat (a, p), Value.Float x -> present p i && Float.compare a.(i) x = 0
-  | CStr (a, p), Value.String s ->
-    present p i && String.equal (Dict.lookup a.(i)) s
-  | CTuple (_, fields, p), Value.Tuple vfs ->
-    present p i && equal_fields fields i vfs
-  | CBag bg, Value.Bag es ->
-    present bg.bpresent i && equal_elems bg bg.bstart.(i) bg.bstop.(i) es
-  | _ -> false
-
-and equal_fields fields i vfs =
-  match fields, vfs with
-  | [], [] -> true
-  | (l, fc) :: fields, (l', fv) :: vfs ->
-    String.equal l l' && equal_value fc i fv && equal_fields fields i vfs
-  | _ -> false
-
-(* Stored bag contents are canonical and [Value.compare] compares bags
-   as lists, so the stored pairs are matched against [es] in order. *)
-and equal_elems bg j hi es =
-  match es with
-  | [] -> j >= hi
-  | (e, m) :: es ->
-    j < hi
-    && Int.equal bg.bmult.(j) m
-    && equal_value bg.belems j e
-    && equal_elems bg (j + 1) hi es
-
 (* ------------------------------------------------------------------ *)
 (* Tuple-structure access                                              *)
 (* ------------------------------------------------------------------ *)

@@ -117,12 +117,6 @@ val get_row : t -> int -> Value.t
     either value. *)
 val cmp_rows : t -> int -> int -> int
 
-(** [equal_value c i v] is [Value.equal (col_get c i) v], decided
-    without reconstructing row [i] and without allocating.  Floats
-    compare as [Value.equal] compares them ([0.0] equals [-0.0], [nan]
-    equals [nan]). *)
-val equal_value : col -> int -> Value.t -> bool
-
 (** [eqclasses n cols] assigns each of the [n] rows the smallest row
     index whose cells are [Value.equal] to its own on every listed
     column: an exact integer grouping key (hash candidates are verified

@@ -2,18 +2,12 @@
 
    A dataset is an array of partitions.  Each partition holds tuples
    already expanded to their multiplicities (like rows of a Spark
-   DataFrame), stored as a columnar {!Columnar.t} batch.  [to_list]
-   reconstructs rows on demand, so callers that think in trees keep
-   working while operators move contiguous column slices. *)
-
-open Nested
+   DataFrame), stored as a columnar {!Columnar.t} batch; operators move
+   contiguous column slices. *)
 
 type t = Columnar.t array
 
 let cardinal d = Array.fold_left (fun acc b -> acc + Columnar.length b) 0 d
-
-let to_list (d : t) : Value.t list =
-  List.concat_map Columnar.to_rows (Array.to_list d)
 
 (* Round-robin distribution of a columnar batch: partition [i] takes
    rows [i, i+n, ...], in order. *)
@@ -23,10 +17,6 @@ let distribute_batch ~partitions:n (b : Columnar.t) : t =
   Array.init n (fun i ->
       let m = if total <= i then 0 else 1 + ((total - i - 1) / n) in
       Columnar.gather b (Array.init m (fun j -> i + (j * n))))
-
-(* Round-robin distribution of a list of tuples. *)
-let distribute ~partitions rows =
-  distribute_batch ~partitions (Columnar.of_rows rows)
 
 (* Repartition by a per-row destination hash (a shuffle): [hash_of]
    produces one destination hash per row of a batch; moved rows travel

@@ -5,18 +5,9 @@
     one {!Columnar.t} batch.  Partitions live in memory and are never
     mutated. *)
 
-open Nested
-
 type t = Columnar.t array
 
 val cardinal : t -> int
-
-(** Every row, partition by partition (reconstructed from the batches). *)
-val to_list : t -> Value.t list
-
-(** Round-robin distribution of a list of tuples over [partitions]
-    partitions (≥ 1), built as batches. *)
-val distribute : partitions:int -> Value.t list -> t
 
 (** Round-robin distribution of a batch's rows over [partitions]
     partitions (≥ 1), as gathered column slices. *)

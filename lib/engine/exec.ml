@@ -81,7 +81,7 @@ let group_agg_cols group aggs (b : C.t) : C.t =
     groups b
 
 let rows ?(partitions = 4) ?parent ?registry (db : Relation.Db.t)
-    (q : Query.t) : Value.t list * Stats.t =
+    (q : Query.t) : C.t * Stats.t =
   Obs.Faultinject.fire site_run;
   let env = schema_env db in
   let cols = Kernel.reads env q in
@@ -285,10 +285,10 @@ let rows ?(partitions = 4) ?parent ?registry (db : Relation.Db.t)
     out
   in
   let root_sp = sub parent "engine.run" in
-  let out = Dataset.to_list (go root_sp q) in
+  let out = C.vstack (Array.to_list (go root_sp q)) in
   Option.iter
     (fun s ->
-      Obs.Span.set_int s "output_rows" (List.length out);
+      Obs.Span.set_int s "output_rows" (C.length out);
       Obs.Span.set_int s "shuffled_rows" (Stats.total_shuffled stats);
       Obs.Span.set_int s "stages" (Stats.stages stats);
       Obs.Span.finish s)
@@ -300,4 +300,4 @@ let run ?partitions ?parent ?registry (db : Relation.Db.t) (q : Query.t) :
     Relation.t * Stats.t =
   let schema = Typecheck.infer (schema_env db) q in
   let out, stats = rows ?partitions ?parent ?registry db q in
-  (Relation.of_tuples ~schema out, stats)
+  (Relation.of_tuples ~schema (C.to_rows out), stats)

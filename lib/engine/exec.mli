@@ -44,16 +44,16 @@ val run :
   Relation.t * Stats.t
 
 (** The same execution as {!run} — shuffles, spans and statistics
-    alike — returning the result rows in
-    engine order (partition by partition) instead of a relation.  The
-    rows are the multiset [Relation.tuples (fst (run db q))] holds, in
+    alike — returning the result as one batch: the partitions stacked
+    in partition order ({!Columnar.vstack}), not a relation.  Its rows
+    are the multiset [Relation.tuples (fst (run db q))] holds, in
     another order: callers that only count rows or test membership skip
-    the relation's canonical sort.  [run] is [Relation.of_tuples] over
-    this. *)
+    the relation's canonical sort and never rebuild a row.  [run] is
+    [Relation.of_tuples] over this batch's rows. *)
 val rows :
   ?partitions:int ->
   ?parent:Obs.Span.t ->
   ?registry:Obs.Metrics.t ->
   Relation.Db.t ->
   Query.t ->
-  Value.t list * Stats.t
+  Columnar.t * Stats.t

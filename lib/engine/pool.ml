@@ -176,19 +176,6 @@ let rec await (fut : 'a future) : 'a =
       Mutex.unlock fut.fmutex;
       await fut)
 
-let map_array (pool : t) (f : 'a -> 'b) (xs : 'a array) : 'b array =
-  (* Await in submission order: results are deterministic and the first
-     exception to propagate is the leftmost one. *)
-  match Array.length xs with
-  | 0 -> [||]
-  | 1 -> [| f xs.(0) |]
-  | _ ->
-    let futures = Array.map (fun x -> submit pool (fun () -> f x)) xs in
-    Array.map await futures
-
-let map_list (pool : t) (f : 'a -> 'b) (xs : 'a list) : 'b list =
-  Array.to_list (map_array pool f (Array.of_list xs))
-
 let shutdown (pool : t) : unit =
   Mutex.lock pool.mutex;
   let workers = pool.workers in

@@ -42,13 +42,6 @@ val submit : ?abort:(unit -> exn option) -> t -> (unit -> 'a) -> 'a future
     meantime.  Re-raises the job's exception if it failed. *)
 val await : 'a future -> 'a
 
-(** Apply [f] to every element concurrently; results come back in input
-    order (deterministic), and the leftmost exception propagates.  The
-    pool does not retry: an element whose [f] raises fails the map. *)
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-
 (** Drain-free graceful teardown: workers finish the jobs already
     queued, then exit; [shutdown] joins them all (counting workers that
     died, then recomputing any jobs they stranded).  Idempotent. *)

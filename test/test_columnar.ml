@@ -224,25 +224,8 @@ let prop_hash_shapes =
            (fun i -> C.value_hash (C.get_row b i) = hs.(i))
            (List.init b.C.n Fun.id))
 
-(* Every row of one batch against every row of the other, and of
-   itself, so equal pairs are checked as well as unequal ones. *)
-let prop_equal_value =
-  QCheck.Test.make ~name:"equal_value = Value.equal on col_get" ~count:300
-    (QCheck.pair arb_batch arb_batch) (fun (a, b) ->
-      let agrees x y =
-        List.for_all
-          (fun i ->
-            List.for_all
-              (fun j ->
-                let v = C.get_row y j in
-                C.equal_value x.C.row i v = Value.equal (C.get_row x i) v)
-              (List.init y.C.n Fun.id))
-          (List.init x.C.n Fun.id)
-      in
-      agrees a b && agrees b a && agrees a a)
-
 (* Equal values hash equally, so a hash bucket (a shuffle's partition,
-   an [eqclasses] probe, an MSR bucket) never splits a class. *)
+   an [eqclasses] probe) never splits a class. *)
 let prop_equal_hash =
   QCheck.Test.make ~name:"Value.equal implies equal value_hash" ~count:300
     QCheck.(pair arb_rows arb_rows)
@@ -496,15 +479,15 @@ let prop_shared_readers =
         (fun i ->
           let v = C.get_row sh i in
           String.equal (Value.to_string v) (Value.to_string (C.get_row cp i))
-          && List.for_all
-               (fun j ->
-                 let w = C.get_row cp j in
-                 C.cmp_rows sh i j = C.cmp_rows cp i j
-                 && C.equal_value sh.C.row i w = C.equal_value cp.C.row i w)
-               rows)
+          && List.for_all (fun j -> C.cmp_rows sh i j = C.cmp_rows cp i j) rows)
         rows
       && C.hash_col sh.C.row = C.hash_col cp.C.row
-      && C.eqclasses (C.length sh) [ sh.C.row ] = C.eqclasses (C.length cp) [ cp.C.row ])
+      && C.eqclasses (C.length sh) [ sh.C.row ] = C.eqclasses (C.length cp) [ cp.C.row ]
+      &&
+      (* stacked, each row shares its class with its copy *)
+      let n = C.length sh and both = C.vstack [ sh; cp ] in
+      let cls = C.eqclasses (2 * n) [ both.C.row ] in
+      List.for_all (fun i -> cls.(n + i) = cls.(i)) rows)
 
 (* [cmp_rows] orders every row pair as [Value.compare] orders the rows
    rebuilt; the relaxed γ's original rows are told apart with it. *)
@@ -642,6 +625,92 @@ let prop_hash_pairs =
       let bs, ps = K.hash_pairs ~build:(Array.of_list build) ~probe:(Array.of_list probe) in
       List.combine (Array.to_list bs) (Array.to_list ps) = expected)
 
+(* --- ⟦Q⟧_D matching ----------------------------------------------- *)
+
+(* A batch of rows of [ty] in one of the representations the engine and
+   tracing leave: typed columns ([of_rows]), a constant or all-Null
+   column ([broadcast], per field for a tuple), typed cells under a
+   presence bitmap, or two such pieces stacked. *)
+let batch_of_type (ty : Vtype.t) : C.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let masked xs bits =
+    let b = C.of_rows xs in
+    match b.C.row with
+    | C.CNull _ | C.CConst _ -> b
+    | c -> { b with C.row = with_presence (C.Bitv.init b.C.n (fun i -> bits land (1 lsl i) = 0)) c }
+  in
+  let piece =
+    frequency
+      [
+        (3, int_bound 3 >>= fun k -> map C.of_rows (rows_of k ty));
+        (2, map2 C.broadcast (int_range 0 4) (value_of 1 ty));
+        (1, map2 masked (rows_of 0 ty) (int_bound 255));
+      ]
+  in
+  frequency [ (3, piece); (1, map2 (fun a b -> C.vstack [ a; b ]) piece piece) ]
+
+(* ⟦Q⟧_D, an SA's root batch of the same type (some of its rows copied
+   from ⟦Q⟧_D, in typed columns) and its surviving flags. *)
+let match_case_gen =
+  let open QCheck.Gen in
+  vtype_gen >>= fun ty ->
+  batch_of_type ty >>= fun original ->
+  let qs = Array.of_list (C.to_rows original) in
+  batch_of_type ty >>= fun other ->
+  list_size (int_range 0 4) (int_bound 1000) >>= fun picks ->
+  let copies =
+    if Array.length qs = 0 then []
+    else List.map (fun k -> qs.(k mod Array.length qs)) picks
+  in
+  let data = C.vstack [ other; C.of_rows copies ] in
+  map
+    (fun flags -> (original, data, Bytes.of_seq (List.to_seq flags)))
+    (list_repeat (C.length data) (map (fun b -> if b then '\001' else '\000') bool))
+
+let arb_match_case =
+  QCheck.make
+    ~print:(fun (o, d, f) ->
+      Fmt.str "%a %a %S" (Fmt.Dump.list Value.pp) (C.to_rows o) (Fmt.Dump.list Value.pp)
+        (C.to_rows d) (Bytes.to_string f))
+    match_case_gen
+
+(* Row by row, a root row matches exactly when it survives and some row
+   of ⟦Q⟧_D is [Value.equal] to it. *)
+let prop_matches =
+  QCheck.Test.make ~name:"Msr.matches = surviving and Value.equal to a row of ⟦Q⟧_D"
+    ~count:500 arb_match_case (fun (original, data, surviving) ->
+      let qs = C.to_rows original in
+      let m = Whynot.Msr.matches ~original data surviving in
+      m.Whynot.Msr.q_rows = List.length qs
+      && Bytes.length m.Whynot.Msr.flags = C.length data
+      && List.for_all
+           (fun i ->
+             let expected =
+               Bytes.get surviving i = '\001'
+               && List.exists (Value.equal (C.get_row data i)) qs
+             in
+             Bool.equal expected (Bytes.get m.Whynot.Msr.flags i = '\001'))
+           (List.init (C.length data) Fun.id))
+
+(* One row type, two representations: constant and all-Null columns on
+   one side, typed float and string columns on the other, either way
+   round; -0.0 matches 0.0. *)
+let test_matches_representations () =
+  let row x s = Value.Tuple [ ("x", Value.Float x); ("s", s) ] in
+  let const = C.of_cols 3 [ ("x", C.CConst (3, Value.Float 0.0)); ("s", C.CNull 3) ] in
+  let typed =
+    C.of_rows
+      [ row 0.0 Value.Null; row 0.0 (Value.String "a"); row (-0.0) Value.Null; row 2.0 Value.Null ]
+  in
+  let matched m = Bytes.to_string m.Whynot.Msr.flags in
+  let m = Whynot.Msr.matches ~original:const typed (Bytes.of_string "\001\001\001\001") in
+  Alcotest.(check string) "typed rows against constant columns" "\001\000\001\000" (matched m);
+  Alcotest.(check int) "|⟦Q⟧_D|" 3 m.Whynot.Msr.q_rows;
+  let m = Whynot.Msr.matches ~original:typed const (Bytes.of_string "\001\000\001") in
+  Alcotest.(check string) "constant rows against typed columns" "\001\000\001" (matched m);
+  let m = Whynot.Msr.matches ~original:C.empty typed (Bytes.make 4 '\001') in
+  Alcotest.(check string) "an empty ⟦Q⟧_D matches nothing" "\000\000\000\000" (matched m)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -653,9 +722,9 @@ let qsuite =
       prop_vstack;
       prop_hash;
       prop_hash_shapes;
-      prop_equal_value;
       prop_equal_hash;
       prop_codes;
+      prop_matches;
       prop_pred_mask;
       prop_canonical_bags;
       prop_shared_ops;
@@ -726,9 +795,11 @@ let test_bytes_shared () =
     (match C.find_col one "b" with Some (C.CBag bg) -> Array.length bg.C.bmult | _ -> -1)
 
 (* Batches the kernels build, not [of_rows]: every operator's output
-   batch in every SA trace of every registry scenario at scale 1.  The
-   MSR bounds sweep hashes the root batch with [hash_col] and matches it
-   with [equal_value], so both must agree with the rebuilt rows. *)
+   batch in every SA trace of every registry scenario at scale 1.  Its
+   [hash_col] must agree with the rebuilt rows' [value_hash], and
+   [Msr.matches] must match every row with its rebuilt copy, built by
+   [of_rows] in typed columns where the kernels may have left constant
+   ones. *)
 let test_registry_batches () =
   let rows = ref 0 in
   List.iter
@@ -746,15 +817,21 @@ let test_registry_batches () =
           let tr = Whynot.Tracing.run ~env db sa bt in
           List.iter
             (fun (ot : Whynot.Tracing.op_trace) ->
-              let c = ot.Whynot.Tracing.data.C.row in
-              let hs = C.hash_col c in
-              for i = 0 to Whynot.Tracing.n_rows ot - 1 do
-                incr rows;
-                let v = Whynot.Tracing.data_at ot i in
-                if C.value_hash v <> hs.(i) || not (C.equal_value c i v) then
-                  Alcotest.failf "%s S%d op %d row %d" s.Scenarios.Scenario.name
-                    (sa.Whynot.Alternatives.index + 1) ot.Whynot.Tracing.op_id i
-              done)
+              let data = ot.Whynot.Tracing.data in
+              let n = Whynot.Tracing.n_rows ot in
+              let hs = C.hash_col data.C.row in
+              let vs = List.init n (Whynot.Tracing.data_at ot) in
+              let m =
+                Whynot.Msr.matches ~original:(C.of_rows vs) data (Bytes.make n '\001')
+              in
+              List.iteri
+                (fun i v ->
+                  incr rows;
+                  if C.value_hash v <> hs.(i) || Bytes.get m.Whynot.Msr.flags i <> '\001'
+                  then
+                    Alcotest.failf "%s S%d op %d row %d" s.Scenarios.Scenario.name
+                      (sa.Whynot.Alternatives.index + 1) ot.Whynot.Tracing.op_id i)
+                vs)
             tr.Whynot.Tracing.ops)
         (Whynot.Alternatives.enumerate ~env phi.Whynot.Question.query
            inst.Scenarios.Scenario.alternatives))
@@ -800,6 +877,8 @@ let () =
           Alcotest.test_case "nullable tuple flatten" `Quick test_flatten_tuple_presence;
           Alcotest.test_case "min_int key is not Null" `Quick test_min_int_is_not_null;
           Alcotest.test_case "signed zeros and NaNs" `Quick test_float_classes;
+          Alcotest.test_case "matches across representations" `Quick
+            test_matches_representations;
         ] );
       ( "shared",
         [

@@ -8,6 +8,11 @@ let v_int i = Value.Int i
 let v_str s = Value.String s
 let tup = Value.tuple
 
+(* [Exec.rows]'s batch as rows. *)
+let exec_rows ~partitions db q =
+  let b, stats = Engine.Exec.rows ~partitions db q in
+  (Engine.Columnar.to_rows b, stats)
+
 (* [f] holds float keys that [Value.equal] calls equal with other bits
    ([nan] and a NaN computed at run time, [0.0] and [-0.0]), keys that
    equal an int of [r.a] under the predicates' numeric coercion, and a
@@ -334,7 +339,7 @@ let check_nested ~partitions () =
   List.iter
     (fun (name, query) ->
       let expected = Relation.data (Eval.eval db query) in
-      let rows, stats = Engine.Exec.rows ~partitions db query in
+      let rows, stats = exec_rows ~partitions db query in
       Alcotest.(check string)
         (Fmt.str "%s (partitions=%d)" name partitions)
         (Value.to_string expected)
@@ -358,7 +363,7 @@ let test_stats_recorded () =
 
 let test_distribute_gather () =
   let rows = List.init 17 (fun i -> v_int i) in
-  let d = Engine.Dataset.distribute ~partitions:4 rows in
+  let d = Engine.Dataset.distribute_batch ~partitions:4 (Engine.Columnar.of_rows rows) in
   Alcotest.(check int) "partitions" 4 (Array.length d);
   Alcotest.(check int) "cardinality preserved" 17 (Engine.Dataset.cardinal d);
   let gathered, moved = Engine.Dataset.gather d in
@@ -367,7 +372,7 @@ let test_distribute_gather () =
 
 let test_shuffle_colocates () =
   let rows = List.init 40 (fun i -> tup [ ("k", v_int (i mod 4)) ]) in
-  let d = Engine.Dataset.distribute ~partitions:4 rows in
+  let d = Engine.Dataset.distribute_batch ~partitions:4 (Engine.Columnar.of_rows rows) in
   let key t = Option.get (Value.field "k" t) in
   let shuffled, _ =
     Engine.Dataset.shuffle_hashed ~partitions:4
@@ -513,7 +518,7 @@ let pruning_sound =
       let expected = Value.to_string (Relation.data (Eval.eval db q)) in
       List.for_all
         (fun partitions ->
-          let rows, _ = Engine.Exec.rows ~partitions db q in
+          let rows, _ = exec_rows ~partitions db q in
           String.equal expected (Value.to_string (Value.bag_of_list rows)))
         [ 1; 4 ])
 
@@ -523,7 +528,7 @@ let test_count_star_reads_nothing ~partitions () =
   let db = mk_db ~seed:5 ~rows:23 in
   let g = Query.Gen.create () in
   let q = Query.group_agg g [] [ (Agg.Count, None, "n") ] (Query.table g "s") in
-  let rows, _ = Engine.Exec.rows ~partitions db q in
+  let rows, _ = exec_rows ~partitions db q in
   Alcotest.(check string) "one row counting every row" "{{⟨n: 23⟩}}"
     (Value.to_string (Value.bag_of_list rows));
   Alcotest.(check string) "= Eval"
@@ -544,7 +549,7 @@ let test_min_int_key_is_not_null ~partitions () =
   in
   let g = Query.Gen.create () in
   let q = Query.group_agg g [ "k" ] [ (Agg.Count, None, "n") ] (Query.table g "m") in
-  let rows, _ = Engine.Exec.rows ~partitions db q in
+  let rows, _ = exec_rows ~partitions db q in
   Alcotest.(check int) "two groups" 2 (List.length rows);
   Alcotest.(check string) "= Eval"
     (Value.to_string (Relation.data (Eval.eval db q)))

@@ -506,18 +506,26 @@ let bounds_of (es : Whynot.Explanation.t list) =
       (Whynot.Explanation.op_list e, (e.side_effect_lb, e.side_effect_ub)))
     es
 
-(* One trace's bounds, exact and top-2, through [explain] with the index
-   built once and through the [~bi] wrappers, against the reference. *)
+(* ⟦Q⟧_D, as a batch, matched against the trace's root rows. *)
+let matches_of (original : Engine.Columnar.t) (tr : Whynot.Tracing.t) =
+  let ot = Option.get (Whynot.Tracing.op_trace tr tr.Whynot.Tracing.root_op) in
+  Whynot.Msr.matches ~original ot.Whynot.Tracing.data
+    ot.Whynot.Tracing.ann.Whynot.Tracing.v_surviving
+
+(* One trace's bounds, exact and top-2, through [explain] with the
+   matches computed once and through the [~bi] wrappers (⟦Q⟧_D as
+   rows), against the reference. *)
 let check_bounds ~label ~stride ~q ~original tr =
-  let expected = reference_terms ~stride ~original tr in
+  let rows = Engine.Columnar.to_rows original in
+  let expected = reference_terms ~stride ~original:rows tr in
   let reference = reference_bounds ~stride ~q expected tr in
-  let index = Whynot.Msr.index { Whynot.Msr.original_result = original } in
-  let bi = { Whynot.Msr.original_result = original } in
+  let matches = matches_of original tr in
+  let bi = { Whynot.Msr.original_result = rows } in
   List.iter
     (fun top_k ->
       let l = Fmt.str "%s top_k=%a" label Fmt.(option ~none:(any "-") int) top_k in
       let es, skipped, terms =
-        Whynot.Msr.explain ~sample_stride:stride ?top_k ~original:index ~q tr
+        Whynot.Msr.explain ~sample_stride:stride ?top_k ~matches ~q tr
       in
       Alcotest.(check (list int)) (l ^ " terms") (terms_list expected) (terms_list terms);
       Alcotest.(check (list (pair (list int) (pair int int))))
@@ -556,10 +564,10 @@ let rec colliding (v : Value.t) : Value.t =
   | _ -> v
 
 (* Every SA of every registry scenario at scales 1 and 2, strides 1 and
-   3, against ⟦Q⟧_D as [Pipeline.prepare] computes it.  The running
-   example also runs against a ⟦Q⟧_D whose rows all share a hash bucket
-   with a surviving row without being equal to it, so a sweep that
-   counted a bucket hit as a match would fail. *)
+   3, against ⟦Q⟧_D as [Pipeline.prepare] computes it (the engine's
+   batch).  The running example also runs against a ⟦Q⟧_D whose rows
+   each hash like a surviving row without being equal to it, so a
+   matching that took a hash hit for a match would fail. *)
 let test_bounds_differential () =
   let matched = ref 0 in
   List.iter
@@ -599,12 +607,16 @@ let test_bounds_differential () =
          (not (Value.equal v v'))
          && Engine.Columnar.value_hash v = Engine.Columnar.value_hash v')
        original collided);
-  let t = check_bounds ~label:"running example" ~stride:1 ~q:query ~original tr in
+  let t =
+    check_bounds ~label:"running example" ~stride:1 ~q:query
+      ~original:(Engine.Columnar.of_rows original) tr
+  in
   Alcotest.(check bool) "running example matches" true (t.Whynot.Msr.matched > 0);
   let t =
-    check_bounds ~label:"colliding" ~stride:1 ~q:query ~original:collided tr
+    check_bounds ~label:"colliding" ~stride:1 ~q:query
+      ~original:(Engine.Columnar.of_rows collided) tr
   in
-  Alcotest.(check int) "a bucket hit is not a match" 0 t.Whynot.Msr.matched
+  Alcotest.(check int) "a hash hit is not a match" 0 t.Whynot.Msr.matched
 
 let set_of_mask m =
   Int_set.of_list
@@ -933,9 +945,9 @@ let test_no_per_row_allocation () =
   in
   let tr = hand_trace q ((table :: selects) @ [ flatten ]) in
   let rows = 6 * n in
-  let original = Whynot.Msr.index { Whynot.Msr.original_result = [] } in
+  let matches = matches_of Engine.Columnar.empty tr in
   let before = Gc.minor_words () in
-  let es, _, _ = Whynot.Msr.explain ~original ~q tr in
+  let es, _, _ = Whynot.Msr.explain ~matches ~q tr in
   let words = Gc.minor_words () -. before in
   Alcotest.(check int) "every non-empty set of the 4 bits explains" 15 (List.length es);
   Alcotest.(check bool)
@@ -945,8 +957,8 @@ let test_no_per_row_allocation () =
 
 (* A surviving root row matches a row of ⟦Q⟧_D exactly when the two are
    [Value.equal]: [-0.0] matches [0.0] and a NaN computed at run time
-   matches [nan], though their bits differ, because equal values hash
-   into one bucket. *)
+   matches [nan], though their bits differ, because [eqclasses] puts
+   equal values in one class. *)
 let test_float_matches () =
   let z = Sys.opaque_identity 0.0 in
   let row f = Value.Tuple [ ("x", Value.Float f) ] in
@@ -967,10 +979,10 @@ let test_float_matches () =
   in
   let bt = Whynot.Backtrace.run ~env q (Nip.tup [ ("x", Nip.flt 7.0) ]) in
   let tr = Whynot.Tracing.run ~env db sa bt in
-  let original =
-    Whynot.Msr.index { Whynot.Msr.original_result = [ row 0.0; row nan; row 2.0 ] }
+  let matches =
+    matches_of (Engine.Columnar.of_rows [ row 0.0; row nan; row 2.0 ]) tr
   in
-  let _, _, terms = Whynot.Msr.explain ~original ~q tr in
+  let _, _, terms = Whynot.Msr.explain ~matches ~q tr in
   Alcotest.(check (list int)) "every surviving row matches" [ 3; 3; 3; 0 ] (terms_list terms)
 
 let () =

@@ -31,7 +31,7 @@ let test_engine_agreement () =
         (Fmt.str "%s: Exec.rows is a permutation of Exec.run" name)
         (List.map Value.to_string
            (sorted (Relation.tuples (fst (Engine.Exec.run db q)))))
-        (List.map Value.to_string (sorted (fst (Engine.Exec.rows db q)))))
+        (List.map Value.to_string (sorted (Engine.Columnar.to_rows (fst (Engine.Exec.rows db q))))))
     (scenario_instances ())
 
 (* One explanation, every field the ranking and the codec read. *)

@@ -1,25 +1,11 @@
-(* Unit tests for the shared domain pool: result ordering, exception
-   propagation, reuse across submissions, nested submission (helping),
-   and teardown. *)
+(* Unit tests for the shared domain pool: exception propagation, reuse
+   across submissions, nested submission (helping), and teardown. *)
 
-let test_map_array_ordering () =
-  let pool = Engine.Pool.create ~size:2 () in
-  let results =
-    Engine.Pool.map_array pool (fun i -> i * i) (Array.init 100 Fun.id)
-  in
-  Alcotest.(check (array int))
-    "results in input order"
-    (Array.init 100 (fun i -> i * i))
-    results;
-  Engine.Pool.shutdown pool
-
-let test_map_list_ordering () =
-  let pool = Engine.Pool.create ~size:2 () in
-  let results =
-    Engine.Pool.map_list pool String.uppercase_ascii [ "a"; "b"; "c" ]
-  in
-  Alcotest.(check (list string)) "list order" [ "A"; "B"; "C" ] results;
-  Engine.Pool.shutdown pool
+(* Submit [f x] for every [x], then await the results in submission
+   order. *)
+let submit_all pool f xs =
+  let futures = Array.map (fun x -> Engine.Pool.submit pool (fun () -> f x)) xs in
+  Array.map Engine.Pool.await futures
 
 exception Boom of int
 
@@ -33,25 +19,12 @@ let test_exception_propagates () =
   Alcotest.(check int) "pool alive after failure" 42 (Engine.Pool.await fut2);
   Engine.Pool.shutdown pool
 
-let test_map_array_leftmost_exception () =
-  let pool = Engine.Pool.create ~size:2 () in
-  (try
-     ignore
-       (Engine.Pool.map_array pool
-          (fun i -> if i mod 3 = 0 then raise (Boom i) else i)
-          (Array.init 10 (fun i -> i + 3)));
-     Alcotest.fail "expected Boom"
-   with Boom i ->
-     (* inputs 3..12; 3 is the leftmost failing element *)
-     Alcotest.(check int) "leftmost failure wins" 3 i);
-  Engine.Pool.shutdown pool
-
 let test_reuse_across_submissions () =
   let pool = Engine.Pool.create ~size:1 () in
   let total = ref 0 in
   for round = 1 to 5 do
     let results =
-      Engine.Pool.map_array pool (fun i -> i + round) (Array.init 8 Fun.id)
+      submit_all pool (fun i -> i + round) (Array.init 8 Fun.id)
     in
     total := !total + Array.fold_left ( + ) 0 results
   done;
@@ -66,7 +39,7 @@ let test_nested_submission () =
   let fut =
     Engine.Pool.submit pool (fun () ->
         let inner =
-          Engine.Pool.map_array pool (fun i -> i * 2) (Array.init 5 Fun.id)
+          submit_all pool (fun i -> i * 2) (Array.init 5 Fun.id)
         in
         Array.fold_left ( + ) 0 inner)
   in
@@ -106,7 +79,7 @@ let test_create_shutdown_cycles () =
   for round = 1 to 10 do
     let pool = Engine.Pool.create ~size:2 () in
     let results =
-      Engine.Pool.map_array pool (fun i -> i + round) (Array.init 4 Fun.id)
+      submit_all pool (fun i -> i + round) (Array.init 4 Fun.id)
     in
     Alcotest.(check (array int))
       (Fmt.str "round %d" round)
@@ -139,12 +112,8 @@ let () =
     [
       ( "futures",
         [
-          Alcotest.test_case "map_array ordering" `Quick test_map_array_ordering;
-          Alcotest.test_case "map_list ordering" `Quick test_map_list_ordering;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagates;
-          Alcotest.test_case "leftmost exception wins" `Quick
-            test_map_array_leftmost_exception;
         ] );
       ( "lifecycle",
         [

@@ -412,8 +412,10 @@ let test_columns_pruned () =
 (* [whynot.tracing.relaxed_reuses] counts the SA chains that read their
    relaxed trace from a prepared handle instead of evaluating it: none on
    a handle's first explain, one per SA on the second, and each SA's
-   [tracing] span says which it was.  The counter is registered up front,
-   so the telemetry verb lists it before any handle is reused. *)
+   [tracing] span says which it was.  Only an evaluated SA's span carries
+   [match_us], the time its root rows took to match ⟦Q⟧_D: a reused one
+   reads its matches from the slot too.  The counter is registered up
+   front, so the telemetry verb lists it before any handle is reused. *)
 let test_relaxed_reuses () =
   let reuses () =
     Obs.Metrics.Counter.value
@@ -440,17 +442,25 @@ let test_relaxed_reuses () =
   let explain () =
     let before = reuses () in
     let r = Whynot.Pipeline.explain_with h phi.Whynot.Question.missing in
-    let flags =
-      List.map
-        (fun sp -> Obs.Span.attr sp "relaxed_reused")
-        (Obs.Span.find_all
-           (fun sp -> Obs.Span.name sp = "tracing")
-           r.Whynot.Pipeline.span)
+    let spans =
+      Obs.Span.find_all
+        (fun sp -> Obs.Span.name sp = "tracing")
+        r.Whynot.Pipeline.span
     in
-    (reuses () - before, flags)
+    let flags = List.map (fun sp -> Obs.Span.attr sp "relaxed_reused") spans in
+    let matched =
+      List.map
+        (fun sp ->
+          match Obs.Span.attr sp "match_us" with
+          | Some (Obs.Span.Int us) -> us >= 0
+          | Some _ -> Alcotest.fail "match_us is not an int"
+          | None -> false)
+        spans
+    in
+    (reuses () - before, flags, matched)
   in
-  let first, flags1 = explain () in
-  let second, flags2 = explain () in
+  let first, flags1, matched1 = explain () in
+  let second, flags2, matched2 = explain () in
   Alcotest.(check bool) "D3 has several SAs" true (n_sas > 1);
   Alcotest.(check int) "first explain reuses nothing" 0 first;
   Alcotest.(check int) "second explain reuses every SA" n_sas second;
@@ -458,7 +468,11 @@ let test_relaxed_reuses () =
   Alcotest.(check bool) "first explain's spans say evaluated" true
     (flags1 = all false);
   Alcotest.(check bool) "second explain's spans say reused" true
-    (flags2 = all true)
+    (flags2 = all true);
+  Alcotest.(check (list bool)) "evaluated SAs time their matching"
+    (List.init n_sas (fun _ -> true)) matched1;
+  Alcotest.(check (list bool)) "reused SAs carry no match_us"
+    (List.init n_sas (fun _ -> false)) matched2
 
 (* Each SA's [msr] span carries the terms of its side-effect bounds:
    |⟦Q⟧_D|, the surviving root rows, those of them that match ⟦Q⟧_D, and

@@ -165,7 +165,7 @@ let check_surviving label ~env db missing (sa : Whynot.Alternatives.sa) =
     if List.for_all2 Value.equal rows surviving then []
     else [ Fmt.str "%s %s" label name ]
   in
-  compare_with "Exec.rows" (fst (Engine.Exec.rows db q))
+  compare_with "Exec.rows" (Engine.Columnar.to_rows (fst (Engine.Exec.rows db q)))
   @ compare_with "Eval" (Relation.tuples (Eval.eval db q))
 
 (* The comparisons where the surviving rows agree with a float sum only
