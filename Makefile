@@ -3,7 +3,7 @@
 # smallest-scale pass over every bench family (the harness itself is
 # code that can rot) and the wire-level benchmark smoke, which checks
 # every answer against its pin.  Run before every merge.
-.PHONY: verify build test fuzz bench-smoke wirebench-smoke wirebench-pairs bench-chaos bench-obs bench-approx
+.PHONY: verify build test fuzz lib-lines bench-smoke wirebench-smoke wirebench-pairs bench-chaos bench-obs bench-approx
 
 verify:
 	dune build @all && dune runtest && $(MAKE) bench-smoke && $(MAKE) wirebench-smoke
@@ -13,6 +13,10 @@ build:
 
 test:
 	dune runtest
+
+# Lines of library code, the size ROADMAP.md and CHANGES.md report.
+lib-lines:
+	@cat lib/*/*.ml lib/*/*.mli | wc -l
 
 # High-iteration frontend fuzz: random well-typed queries are printed to
 # SQL and to s-expressions, re-parsed, and checked fingerprint-identical.

@@ -20,20 +20,22 @@ let explanations ?parent (phi : Whynot.Question.t) : Explanation_set.t list =
   (* follow successors also through rows that only a repair admits *)
   let successor = Lineage.successor_rids ~surviving_only:false info in
   let fs = Whynot.Msr.failure_sets info.Lineage.trace in
-  let candidate_roots =
-    List.filter
-      (fun (r : Whynot.Tracing.trow) ->
-        Hashtbl.mem successor r.Whynot.Tracing.rid)
-      (Whynot.Tracing.root_rows info.Lineage.trace)
-  in
+  (* the sets of the successor root rows, each prepended in turn *)
   let sets =
-    List.fold_left
-      (fun acc (r : Whynot.Tracing.trow) ->
-        Whynot.Msr.Set_set.fold
-          (fun s acc -> if Int_set.is_empty s then acc else s :: acc)
-          (fs r.Whynot.Tracing.rid)
-          acc)
-      [] candidate_roots
+    let tr = info.Lineage.trace in
+    match Whynot.Tracing.op_trace tr tr.Whynot.Tracing.root_op with
+    | None -> []
+    | Some ot ->
+      let r0 = Whynot.Tracing.rid0 ot in
+      let acc = ref [] in
+      for i = 0 to Whynot.Tracing.n_rows ot - 1 do
+        if Hashtbl.mem successor (r0 + i) then
+          acc :=
+            Whynot.Msr.Set_set.fold
+              (fun s acc -> if Int_set.is_empty s then acc else s :: acc)
+              (fs (r0 + i)) !acc
+      done;
+      !acc
   in
   match
     List.sort (fun a b -> compare (Int_set.cardinal a) (Int_set.cardinal b)) sets

@@ -67,23 +67,19 @@ let op_index (q : Query.t) : (int, Query.t) Hashtbl.t =
     (Query.operators q);
   tbl
 
-let rec op_in_subtree (op : Query.t) (id : int) : bool =
-  op.Query.id = id || List.exists (fun c -> op_in_subtree c id) op.Query.children
-
 let successor_rids ~(surviving_only : bool) (info : info) :
     (int, unit) Hashtbl.t =
   let constrained = constrained_tables info in
   let ops_tbl = op_index info.query in
-  (* rid → op id, to locate which join side a parent row comes from (the
-     annotation vectors make this a range walk — no tree forcing) *)
-  let row_op = Hashtbl.create 256 in
-  List.iter
-    (fun (ot : Whynot.Tracing.op_trace) ->
-      let r0 = Whynot.Tracing.rid0 ot in
-      for i = 0 to Whynot.Tracing.n_rows ot - 1 do
-        Hashtbl.replace row_op (r0 + i) ot.Whynot.Tracing.op_id
-      done)
-    info.trace.Whynot.Tracing.ops;
+  (* A join row's parents are rows of its immediate children, so a
+     parent lies on the left side iff it is in the left child's block. *)
+  let in_block (c : Query.t) rid =
+    match Whynot.Tracing.op_trace info.trace c.Query.id with
+    | Some o ->
+      let r0 = Whynot.Tracing.rid0 o in
+      rid >= r0 && rid < r0 + Whynot.Tracing.n_rows o
+    | None -> false
+  in
   let successor = Hashtbl.create 256 in
   let is_succ rid = Hashtbl.mem successor rid in
   List.iter
@@ -106,13 +102,10 @@ let successor_rids ~(surviving_only : bool) (info : info) :
               match parents, op.Query.children with
               | [ lp; rp ], _ -> is_succ lp && is_succ rp
               | [ p ], [ lchild; rchild ] ->
-                (* null-padded row: [p] sits in one child's subtree; the
+                (* null-padded row: [p] is a row of one child; the
                    padded-away side must be unconstrained *)
-                let p_op =
-                  Option.value ~default:(-1) (Hashtbl.find_opt row_op p)
-                in
                 let padded_side_unconstrained =
-                  if op_in_subtree lchild p_op then
+                  if in_block lchild p then
                     not (subtree_constrained constrained rchild)
                   else not (subtree_constrained constrained lchild)
                 in

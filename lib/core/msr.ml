@@ -241,9 +241,8 @@ let families (tr : Tracing.t) (want : Tracing.op_trace -> int -> bool) :
   let op_ids =
     List.filter_map
       (fun (ot : Tracing.op_trace) ->
-        let a = ot.ann in
         let rec drops i =
-          i < a.v_n && ((not (flag a.v_retained i)) || drops (i + 1))
+          i < ot.n && ((not (flag ot.retained i)) || drops (i + 1))
         in
         match ot.op_node with
         | Table _ | Union | Diff | Dedup | Product -> None
@@ -276,34 +275,33 @@ let families (tr : Tracing.t) (want : Tracing.op_trace -> int -> bool) :
   (* Mark pass, root first: every consumer of an operator's rows comes
      after it in [tr.ops], so its rows are fully marked when reached.
      [claim] records a marked row's consistency and says it is marked. *)
-  let[@inline] claim (a : Tracing.vann) i =
-    let r = a.v_rid0 + i in
+  let[@inline] claim (ot : Tracing.op_trace) i =
+    let r = ot.rid0 + i in
     Bytes.unsafe_get state r <> '\000'
     && begin
          Bytes.unsafe_set state r
-           (if flag a.v_consistent i then '\003' else '\002');
+           (if flag ot.consistent i then '\003' else '\002');
          true
        end
   in
   List.iter
     (fun (ot : Tracing.op_trace) ->
-      let a = ot.ann in
-      match a.v_parents with
+      match ot.parents with
       | Tracing.P_none ->
-        for i = 0 to a.v_n - 1 do
-          ignore (claim a i)
+        for i = 0 to ot.n - 1 do
+          ignore (claim ot i)
         done
       | Tracing.P_self base ->
-        for i = 0 to a.v_n - 1 do
-          if claim a i then mark (base + i)
+        for i = 0 to ot.n - 1 do
+          if claim ot i then mark (base + i)
         done
       | Tracing.P_one p ->
-        for i = 0 to a.v_n - 1 do
-          if claim a i then mark p.(i)
+        for i = 0 to ot.n - 1 do
+          if claim ot i then mark p.(i)
         done
       | Tracing.P_many (off, flat) ->
-        for i = 0 to a.v_n - 1 do
-          if claim a i then
+        for i = 0 to ot.n - 1 do
+          if claim ot i then
             for j = off.(i) to off.(i + 1) - 1 do
               mark flat.(j)
             done
@@ -350,14 +348,14 @@ let families (tr : Tracing.t) (want : Tracing.op_trace -> int -> bool) :
   let rows = ref 0 in
   List.iter
     (fun (ot : Tracing.op_trace) ->
-      let a = ot.ann and own = bit op_ids ot.op_id in
+      let own = bit op_ids ot.op_id in
       let group =
         match ot.op_node with
         | Nest_rel _ | Group_agg _ | Dedup | Agg_tuple _ -> true
         | _ -> false
       in
       let base : int -> int =
-        match (group, a.v_parents) with
+        match (group, ot.parents) with
         | _, Tracing.P_none -> fun _ -> 0
         | false, Tracing.P_self b -> fun i -> code (b + i)
         | false, Tracing.P_one p -> fun i -> code p.(i)
@@ -368,12 +366,12 @@ let families (tr : Tracing.t) (want : Tracing.op_trace -> int -> bool) :
         | true, Tracing.P_many (off, flat) ->
           fun i -> group_range off.(i) off.(i + 1) flat
       in
-      for i = 0 to a.v_n - 1 do
-        let r = a.v_rid0 + i in
+      for i = 0 to ot.n - 1 do
+        let r = ot.rid0 + i in
         if Bytes.unsafe_get state r <> '\000' then begin
           incr rows;
           codes.(r) <-
-            (if flag a.v_retained i then base i
+            (if flag ot.retained i then base i
              else if own = 0 then bot
              else cross t s own (base i))
         end
@@ -443,7 +441,7 @@ let matches ~(original : Engine.Columnar.t) (data : Engine.Columnar.t)
 let matches_of_trace (bi : bounds_input) (tr : Tracing.t) : matches =
   let original = Engine.Columnar.of_rows bi.original_result in
   match root_ot tr with
-  | Some ot -> matches ~original ot.data ot.ann.v_surviving
+  | Some ot -> matches ~original ot.data ot.surviving
   | None -> matches ~original Engine.Columnar.empty Bytes.empty
 
 type terms = {

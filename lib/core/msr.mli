@@ -18,8 +18,8 @@
     and [-2 - k] names the [k]-th entry of a per-trace side table of
     multi-set families, each at least two masks, deduplicated and
     sorted in {!Int_set.compare} order ({!compare_mask}).  Families are
-    built in two flat passes over the annotation vectors
-    ({!Tracing.vann}), each specialised on the parents' shape: a
+    built in two flat passes over the annotation vectors of each
+    {!Tracing.op_trace}, each specialised on the parents' shape: a
     root-first pass marks the root rows MSR reads — the consistent ones
     and the non-surviving ones the bounds sweep visits — and their
     ancestors; a bottom-up pass computes the marked rows' codes:

@@ -71,6 +71,14 @@ let protect_phase ~retries ~cancel ~task sp f =
     ~on_retry:(fun ~attempt _ -> Obs.Span.set_int sp "attempt" attempt)
     f
 
+(* One guarded phase: poll the cancellation token — the pipeline's
+   preemption point — then run [f] as phase [name] under [parent], in
+   its retry scope, attributed to the task [prefix ^ name]. *)
+let guarded_phase ~retries ~cancel cursor ~prefix parent name f =
+  Cancel.check cancel ~where:name;
+  phase_at cursor parent name (fun sp ->
+      protect_phase ~retries ~cancel ~task:(prefix ^ name) sp (fun () -> f sp))
+
 (* Submit [f] to the shared pool under [sp], a span started on the
    calling domain (so its order under the root is deterministic) and
    finished by the job, which records how long it sat in the queue and
@@ -153,10 +161,7 @@ let handle_prefix h ~use_sas ~max_sas =
 let prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retries root cursor
     ~db q : handle =
   let phase parent name f =
-    Cancel.check cancel ~where:name;
-    phase_at cursor parent name (fun sp ->
-        protect_phase ~retries ~cancel ~task:("prepare/" ^ name) sp (fun () ->
-            f sp))
+    guarded_phase ~retries ~cancel cursor ~prefix:"prepare/" parent name f
   in
   let env, sas =
     phase root "alternatives" (fun sp ->
@@ -259,12 +264,9 @@ let run_phases ?approx ~revalidate ~cancel ~retries root cursor
      explanations plus the approximation decision it ran under (stride 1 /
      no top-k on the exact path). *)
   let process_sa cursor (sa : Alternatives.sa) sasp =
+    let prefix = Fmt.str "sa:S%d/" (sa.Alternatives.index + 1) in
     let checked name f =
-      Cancel.check cancel ~where:name;
-      phase_at cursor sasp name (fun sp ->
-          protect_phase ~retries ~cancel
-            ~task:(Fmt.str "sa:S%d/%s" (sa.Alternatives.index + 1) name)
-            sp (fun () -> f sp))
+      guarded_phase ~retries ~cancel cursor ~prefix sasp name f
     in
     let bt =
       checked "backtrace" (fun _ ->

@@ -17,11 +17,11 @@
    - [parents]:   the immediate-predecessor rows (lineage).
 
    The per-SA relations here correspond to the per-SA column groups of the
-   merged annotated tables in Figures 4–7.  The annotations themselves are
-   stored columnar ({!vann}: flat flag vectors plus an offset-encoded
-   parent adjacency), with per-row {!trow} trees reconstructed lazily —
-   the relaxed evaluation runs the engine's operator kernels
-   ({!Engine.Kernel}) over {!Engine.Columnar} batches.
+   merged annotated tables in Figures 4–7.  Each operator's trace is one
+   columnar record ({!op_trace}): its data batch, one flag vector per
+   annotation and an offset-encoded parent adjacency — the relaxed
+   evaluation runs the engine's operator kernels ({!Engine.Kernel}) over
+   {!Engine.Columnar} batches.
 
    Aggregate constraints of the why-not question (e.g. revenue > 0) are
    checked *optimistically* via achievable ranges over sub-multisets of
@@ -34,17 +34,6 @@ module Int_set = Opset.Int_set
 module C = Engine.Columnar
 module K = Engine.Kernel
 
-type trow = {
-  rid : int;
-  data : Value.t;
-  consistent : bool;
-  retained : bool;   (* this operator's original parameters keep this row *)
-  surviving : bool;  (* row appears in the unrelaxed intermediate result *)
-  parents : int list;
-  ranges : (string * (float * float)) list;
-      (* achievable intervals for aggregate-output fields *)
-}
-
 (* Parent adjacency, offset-encoded instead of one list per row. *)
 type parents =
   | P_none  (* source rows *)
@@ -52,24 +41,19 @@ type parents =
   | P_one of int array  (* one parent per row *)
   | P_many of int array * int array  (* offsets[n+1] into flat rid array *)
 
-type vann = {
-  v_n : int;
-  v_rid0 : int;  (* rows of this operator are rids [v_rid0, v_rid0+v_n) *)
-  v_consistent : Bytes.t;
-  v_retained : Bytes.t;
-  v_surviving : Bytes.t;
-  v_parents : parents;
-  v_ranges : (string * (float * float)) list array option;
-      (* [None] = no row has ranges *)
-}
-
 type op_trace = {
   op_id : int;
   op_node : Query.node;
   nip : Nip.t;
-  ann : vann;
-  rows : trow list Lazy.t;  (* per-row trees, reconstructed on demand *)
-  data : C.t;  (* the operator's output batch, row [i] = rid [v_rid0 + i] *)
+  rid0 : int;  (* rows of this operator are rids [rid0, rid0 + n) *)
+  n : int;
+  data : C.t;  (* the operator's output batch, row [i] = rid [rid0 + i] *)
+  consistent : Bytes.t;
+  retained : Bytes.t;
+  surviving : Bytes.t;
+  parents : parents;
+  ranges : (string * (float * float)) list array option;
+      (* [None] = no row has ranges *)
 }
 
 type t = {
@@ -88,14 +72,6 @@ let bytes_of_bitv n bv = Bytes.init n (fun i -> chr (C.Bitv.get bv i))
 
 let band a b =
   Bytes.init (Bytes.length a) (fun i -> chr (bget a i && bget b i))
-
-let parents_list (p : parents) (i : int) : int list =
-  match p with
-  | P_none -> []
-  | P_self base -> [ base + i ]
-  | P_one a -> [ a.(i) ]
-  | P_many (off, flat) ->
-    List.init (off.(i + 1) - off.(i)) (fun j -> flat.(off.(i) + j))
 
 (* Does some parent of row [i] satisfy [f]?  Walks the adjacency in
    place, without building the parent list. *)
@@ -123,45 +99,24 @@ let rng_at (r : (string * (float * float)) list array option) i =
 let norm_rng (arr : (string * (float * float)) list array) =
   if Array.for_all (fun l -> l = []) arr then None else Some arr
 
-let rows_of_ann (ann : vann) (data : C.t) : trow list =
-  let vals = C.to_values data in
-  List.init ann.v_n (fun i ->
-      {
-        rid = ann.v_rid0 + i;
-        data = vals.(i);
-        consistent = bget ann.v_consistent i;
-        retained = bget ann.v_retained i;
-        surviving = bget ann.v_surviving i;
-        parents = parents_list ann.v_parents i;
-        ranges = rng_at ann.v_ranges i;
-      })
-
 (* --- Accessors ---------------------------------------------------------- *)
 
-let rows (ot : op_trace) : trow list = Lazy.force ot.rows
-let data_at (ot : op_trace) i = C.get_row ot.data i
-let n_rows (ot : op_trace) = ot.ann.v_n
-let rid0 (ot : op_trace) = ot.ann.v_rid0
-let consistent_at (ot : op_trace) i = bget ot.ann.v_consistent i
-let retained_at (ot : op_trace) i = bget ot.ann.v_retained i
-let surviving_at (ot : op_trace) i = bget ot.ann.v_surviving i
-let parents_at (ot : op_trace) i = parents_list ot.ann.v_parents i
+let n_rows (ot : op_trace) = ot.n
+let rid0 (ot : op_trace) = ot.rid0
+let consistent_at (ot : op_trace) i = bget ot.consistent i
+let retained_at (ot : op_trace) i = bget ot.retained i
+let surviving_at (ot : op_trace) i = bget ot.surviving i
+
+let parents_at (ot : op_trace) i : int list =
+  match ot.parents with
+  | P_none -> []
+  | P_self base -> [ base + i ]
+  | P_one a -> [ a.(i) ]
+  | P_many (off, flat) ->
+    List.init (off.(i + 1) - off.(i)) (fun j -> flat.(off.(i) + j))
 
 let op_trace (tr : t) (op_id : int) : op_trace option =
   List.find_opt (fun o -> o.op_id = op_id) tr.ops
-
-let root_rows (tr : t) : trow list =
-  match op_trace tr tr.root_op with Some o -> rows o | None -> []
-
-(* Every operator owns the contiguous rid block [rid0, rid0 + n). *)
-let find_row (tr : t) (rid : int) : (trow * int) option =
-  List.find_map
-    (fun o ->
-      let a = o.ann in
-      if rid >= a.v_rid0 && rid < a.v_rid0 + a.v_n then
-        Some (List.nth (rows o) (rid - a.v_rid0), o.op_id)
-      else None)
-    tr.ops
 
 (* --- Optimistic NIP matching over rows with aggregate ranges ----------- *)
 
@@ -879,26 +834,19 @@ let annotate_tree ~revalidate ~stride (bt : Backtrace.t) (res : cres) :
     let op = r.c_op in
     let nip = Backtrace.op_nip bt op.Query.id in
     let cons = consistency ~revalidate ~stride nip kids r in
-    let ann =
-      {
-        v_n = r.c_n;
-        v_rid0 = r.c_rid0;
-        v_consistent = cons;
-        v_retained = r.c_ret;
-        v_surviving = r.c_surv;
-        v_parents = r.c_par;
-        v_ranges = r.c_rng;
-      }
-    in
-    let data = r.c_data in
     traces :=
       {
         op_id = op.Query.id;
         op_node = op.Query.node;
         nip;
-        ann;
-        rows = lazy (rows_of_ann ann data);
-        data;
+        rid0 = r.c_rid0;
+        n = r.c_n;
+        data = r.c_data;
+        consistent = cons;
+        retained = r.c_ret;
+        surviving = r.c_surv;
+        parents = r.c_par;
+        ranges = r.c_rng;
       }
       :: !traces;
     cons
@@ -1000,6 +948,6 @@ let annotate ?(revalidate = true) ?(sample_stride = 1) (r : relaxed)
     root_op = r.r_sa.Alternatives.query.Query.id;
   }
 
-let run ?revalidate ?sample_stride ?shared ~(env : Typecheck.env)
-    (db : Relation.Db.t) (sa : Alternatives.sa) (bt : Backtrace.t) : t =
-  annotate ?revalidate ?sample_stride (relax ?shared ~env db sa) bt
+let run ?revalidate ?sample_stride ~(env : Typecheck.env) (db : Relation.Db.t)
+    (sa : Alternatives.sa) (bt : Backtrace.t) : t =
+  annotate ?revalidate ?sample_stride (relax ~env db sa) bt

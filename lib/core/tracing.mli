@@ -6,9 +6,9 @@
     and every intermediate tuple is annotated.  The per-SA relations here
     correspond to the per-SA column groups of the merged annotated tables
     of Figures 4–7 — and, like them, the annotations are stored columnar:
-    flat flag vectors plus an offset-encoded parent adjacency ({!vann}),
-    with per-row {!trow} trees reconstructed lazily from the arena-backed
-    data batch.
+    each operator's trace is one record ({!op_trace}) of its data batch,
+    one flag vector per annotation and an offset-encoded parent
+    adjacency.
 
     The relaxed operators are the engine's own: every operator's data
     comes from the {!Engine.Kernel} call that ⟦Q⟧_D's executor makes
@@ -35,24 +35,6 @@
 open Nested
 open Nrab
 
-type trow = {
-  rid : int;  (** unique row id within the trace *)
-  data : Value.t;
-  consistent : bool;
-      (** matches the backtraced NIP at this operator — the re-validation
-          that distinguishes the approach from prior lineage-based work *)
-  retained : bool;
-      (** this operator, with its (SA-substituted) original parameters,
-          produces/keeps this row; [false] marks rows only a
-          reparameterization admits *)
-  surviving : bool;
-      (** the row appears in the unrelaxed intermediate result
-          (cumulative across upstream operators) *)
-  parents : int list;  (** immediate-predecessor rows (lineage) *)
-  ranges : (string * (float * float)) list;
-      (** achievable intervals for aggregate-output fields *)
-}
-
 (** Parent adjacency of one operator's rows, offset-encoded. *)
 type parents =
   | P_none  (** source rows *)
@@ -61,28 +43,30 @@ type parents =
   | P_many of int array * int array
       (** [offsets] of length [n+1] into the flat rid array *)
 
-(** Columnar annotation vectors: one flag byte per row per annotation,
-    rids implicit — row [i] of the operator is rid [v_rid0 + i]. *)
-type vann = {
-  v_n : int;
-  v_rid0 : int;
-  v_consistent : Bytes.t;
-  v_retained : Bytes.t;
-  v_surviving : Bytes.t;
-  v_parents : parents;
-  v_ranges : (string * (float * float)) list array option;
-      (** [None] = no row carries ranges *)
-}
-
+(** One operator's trace, columnar: row [i] of the operator is rid
+    [rid0 + i], and each flag vector holds one byte per row (['\001'] =
+    set). *)
 type op_trace = {
   op_id : int;
   op_node : Query.node;
   nip : Nip.t;
-  ann : vann;
-  rows : trow list Lazy.t;
-      (** per-row trees, reconstructed on demand — force via {!rows} *)
-  data : Engine.Columnar.t;
-      (** the operator's output batch: row [i] is rid [ann.v_rid0 + i] *)
+  rid0 : int;  (** the operator's rows are rids [[rid0, rid0 + n)] *)
+  n : int;
+  data : Engine.Columnar.t;  (** the operator's output batch *)
+  consistent : Bytes.t;
+      (** matches the backtraced NIP at this operator — the re-validation
+          that distinguishes the approach from prior lineage-based work *)
+  retained : Bytes.t;
+      (** this operator, with its (SA-substituted) original parameters,
+          produces/keeps this row; unset marks rows only a
+          reparameterization admits *)
+  surviving : Bytes.t;
+      (** the row appears in the unrelaxed intermediate result
+          (cumulative across upstream operators) *)
+  parents : parents;  (** immediate-predecessor rows (lineage) *)
+  ranges : (string * (float * float)) list array option;
+      (** achievable intervals for aggregate-output fields; [None] = no
+          row carries ranges *)
 }
 
 type t = {
@@ -93,25 +77,17 @@ type t = {
 
 (** {1 Accessors} *)
 
-(** Force the operator's per-row tree view. *)
-val rows : op_trace -> trow list
-
 val n_rows : op_trace -> int
 val rid0 : op_trace -> int
 
-(** Row data by index, reconstructing just that row. *)
-val data_at : op_trace -> int -> Value.t
-
-(** Flag lookups by row index (no tree reconstruction). *)
+(** Flag lookups by row index; {!Engine.Columnar.get_row} [ot.data i]
+    gives the row's data. *)
 val consistent_at : op_trace -> int -> bool
 
 val retained_at : op_trace -> int -> bool
 val surviving_at : op_trace -> int -> bool
 val parents_at : op_trace -> int -> int list
-val parents_list : parents -> int -> int list
 val op_trace : t -> int -> op_trace option
-val root_rows : t -> trow list
-val find_row : t -> int -> (trow * int) option
 
 (** Interval satisfiability of a comparison: the optimistic NIP check for
     fields with achievable intervals (aggregate outputs). *)
@@ -208,11 +184,10 @@ val annotate :
   ?revalidate:bool -> ?sample_stride:int -> relaxed -> Backtrace.t -> t
 
 (** Trace one schema alternative: [annotate ?revalidate ?sample_stride
-    (relax ?shared ~env db sa) bt]. *)
+    (relax ~env db sa) bt]. *)
 val run :
   ?revalidate:bool ->
   ?sample_stride:int ->
-  ?shared:shared ->
   env:Typecheck.env ->
   Relation.Db.t ->
   Alternatives.sa ->

@@ -22,6 +22,12 @@ exception Engine_error of string
 (** Execute a plan over [partitions] partitions (default 4, at least
     1); returns the result relation and execution statistics.
 
+    The result is the same for every partition count up to
+    {!Nested.Value.equal}, not as printed: where a γ group or a δ class
+    holds floats that are equal but print apart ([-0.0]/[0.0],
+    [nan]/[-nan]), which of them the result keeps depends on the
+    partition count.
+
     The engine does not retry: an exception, {!Fault.Transient} included,
     propagates out of the run unwrapped, and the caller replays the
     whole run (the why-not pipeline's phase retry does).  The

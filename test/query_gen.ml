@@ -1,5 +1,6 @@
-(* Random well-typed NRAB queries over a small nested schema, for the
-   frontend's print/parse fuzzer and the engine's pruning property. *)
+(* Random well-typed NRAB queries and databases over a small nested
+   schema, for the frontend's print/parse fuzzer, the engine's pruning
+   property and the trace-structure property. *)
 
 open Nested
 open Nrab
@@ -211,3 +212,48 @@ let gen_query rs : Query.t =
   done;
   !q
 
+
+(* A small random database over the schema: nullable fields, repeated
+   values, and [addrs] bags that are empty, Null or repeat an element. *)
+let gen_db rs : Relation.Db.t =
+  let open QCheck.Gen in
+  let nullable v = if int_bound 4 rs = 0 then Value.Null else v in
+  let pick l = List.nth l (int_bound (List.length l - 1) rs) in
+  let addr () =
+    Value.tuple
+      [
+        ("city", nullable (Value.String (pick [ "NY"; "LA"; "SF" ])));
+        ("year", nullable (Value.Int (2017 + int_bound 3 rs)));
+      ]
+  in
+  let addrs () =
+    if int_bound 6 rs = 0 then Value.Null
+    else
+      let one = addr () in
+      Value.bag_of_list
+        (List.init (int_bound 3 rs) (fun i -> if i = 2 then one else addr ()))
+  in
+  let person () =
+    Value.tuple
+      [
+        ("name", nullable (Value.String (pick [ "Sue"; "Peter"; "Ann" ])));
+        ("age", nullable (Value.Int (int_bound 4 rs)));
+        ("score", nullable (Value.Float (pick [ 0.5; -2.25; 3. ])));
+        ("active", nullable (Value.Bool (bool rs)));
+        ("addrs", addrs ());
+      ]
+  in
+  let order () =
+    Value.tuple
+      [
+        ("oid", nullable (Value.Int (int_bound 4 rs)));
+        ("item", nullable (Value.String (pick [ "tea"; "pen" ])));
+        ("qty", nullable (Value.Int (int_bound 3 rs)));
+      ]
+  in
+  let rows f = List.init (int_bound 7 rs) (fun _ -> f ()) in
+  Relation.Db.of_list
+    [
+      ("people", Relation.of_tuples ~schema:people_schema (rows person));
+      ("orders", Relation.of_tuples ~schema:orders_schema (rows order));
+    ]

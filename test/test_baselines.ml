@@ -69,18 +69,16 @@ let test_example2_conseil () =
 let test_element_granular_successors () =
   let info = Baselines.Lineage.original_trace phi in
   let succ = Baselines.Lineage.successor_rids ~surviving_only:true info in
-  let flatten_rows =
-    match Whynot.Tracing.op_trace info.Baselines.Lineage.trace 2 with
-    | Some ot -> Whynot.Tracing.rows ot
-    | None -> []
-  in
   let successor_cities =
-    List.filter_map
-      (fun (r : Whynot.Tracing.trow) ->
-        if Hashtbl.mem succ r.Whynot.Tracing.rid then
-          Value.field "city" r.Whynot.Tracing.data
-        else None)
-      flatten_rows
+    match Whynot.Tracing.op_trace info.Baselines.Lineage.trace 2 with
+    | Some ot ->
+      List.filter_map
+        (fun i ->
+          if Hashtbl.mem succ (Whynot.Tracing.rid0 ot + i) then
+            Value.field "city" (Engine.Columnar.get_row ot.Whynot.Tracing.data i)
+          else None)
+        (List.init (Whynot.Tracing.n_rows ot) Fun.id)
+    | None -> []
   in
   Alcotest.(check bool) "only the NY element is a successor" true
     (successor_cities = [ Value.String "NY" ])

@@ -820,7 +820,7 @@ let test_registry_batches () =
               let data = ot.Whynot.Tracing.data in
               let n = Whynot.Tracing.n_rows ot in
               let hs = C.hash_col data.C.row in
-              let vs = List.init n (Whynot.Tracing.data_at ot) in
+              let vs = List.init n (C.get_row data) in
               let m =
                 Whynot.Msr.matches ~original:(C.of_rows vs) data (Bytes.make n '\001')
               in

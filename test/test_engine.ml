@@ -459,53 +459,6 @@ let test_plan_narrow_pipeline () =
 
 (* --- Column pruning ------------------------------------------------------ *)
 
-(* A small random database over [Query_gen]'s schema: nullable fields,
-   repeated values, and [addrs] bags that are empty, Null or repeat an
-   element. *)
-let gen_db rs : Relation.Db.t =
-  let open QCheck.Gen in
-  let nullable v = if int_bound 4 rs = 0 then Value.Null else v in
-  let pick l = List.nth l (int_bound (List.length l - 1) rs) in
-  let addr () =
-    tup
-      [
-        ("city", nullable (v_str (pick [ "NY"; "LA"; "SF" ])));
-        ("year", nullable (v_int (2017 + int_bound 3 rs)));
-      ]
-  in
-  let addrs () =
-    if int_bound 6 rs = 0 then Value.Null
-    else
-      let one = addr () in
-      Value.bag_of_list
-        (List.init (int_bound 3 rs) (fun i -> if i = 2 then one else addr ()))
-  in
-  let person () =
-    tup
-      [
-        ("name", nullable (v_str (pick [ "Sue"; "Peter"; "Ann" ])));
-        ("age", nullable (v_int (int_bound 4 rs)));
-        ("score", nullable (Value.Float (pick [ 0.5; -2.25; 3. ])));
-        ("active", nullable (Value.Bool (bool rs)));
-        ("addrs", addrs ());
-      ]
-  in
-  let order () =
-    tup
-      [
-        ("oid", nullable (v_int (int_bound 4 rs)));
-        ("item", nullable (v_str (pick [ "tea"; "pen" ])));
-        ("qty", nullable (v_int (int_bound 3 rs)));
-      ]
-  in
-  let rows f = List.init (int_bound 7 rs) (fun _ -> f ()) in
-  let schema name = List.assoc name Query_gen.env in
-  Relation.Db.of_list
-    [
-      ("people", Relation.of_tuples ~schema:(schema "people") (rows person));
-      ("orders", Relation.of_tuples ~schema:(schema "orders") (rows order));
-    ]
-
 (* Each table batch keeps only the columns some operator reads, yet
    [Exec.rows] gives [Eval]'s bag over random queries (outer joins,
    flattens, nesting, aggregation, ∪, −, δ) and random nested data. *)
@@ -513,7 +466,7 @@ let pruning_sound =
   QCheck.Test.make ~count:300 ~name:"pruned Exec.rows = Eval"
     (QCheck.make
        ~print:(fun (q, _) -> Parser.query_to_string q)
-       (fun rs -> (Query_gen.gen_query rs, gen_db rs)))
+       (fun rs -> (Query_gen.gen_query rs, Query_gen.gen_db rs)))
     (fun (q, db) ->
       let expected = Value.to_string (Relation.data (Eval.eval db q)) in
       List.for_all

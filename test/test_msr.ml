@@ -271,18 +271,16 @@ let test_contributing_closure () =
   let tr = trace0 () in
   let contrib = contributing tr in
   (* the closure reaches down to Sue's input tuple *)
-  let table_rows =
-    match Whynot.Tracing.op_trace tr 1 with
-    | Some ot -> Whynot.Tracing.rows ot
-    | None -> []
-  in
   let contributing_names =
-    List.filter_map
-      (fun (r : Whynot.Tracing.trow) ->
-        if Hashtbl.mem contrib r.Whynot.Tracing.rid then
-          Value.field "name" r.Whynot.Tracing.data
-        else None)
-      table_rows
+    match Whynot.Tracing.op_trace tr 1 with
+    | Some ot ->
+      List.filter_map
+        (fun i ->
+          if Hashtbl.mem contrib (Whynot.Tracing.rid0 ot + i) then
+            Value.field "name" (Engine.Columnar.get_row ot.Whynot.Tracing.data i)
+          else None)
+        (List.init (Whynot.Tracing.n_rows ot) Fun.id)
+    | None -> []
   in
   Alcotest.(check bool) "Sue's tuple contributes" true
     (List.mem (Value.String "Sue") contributing_names)
@@ -453,7 +451,7 @@ let reference_terms ~stride ~(original : Value.t list) tr : Whynot.Msr.terms =
     (fun (ot, i, rid) ->
       if rid mod stride = 0 && Whynot.Tracing.surviving_at ot i then begin
         incr surviving;
-        let v = Whynot.Tracing.data_at ot i in
+        let v = Engine.Columnar.get_row ot.Whynot.Tracing.data i in
         if
           List.exists (Value.equal v)
             (Hashtbl.find_all buckets (Engine.Columnar.value_hash v))
@@ -509,8 +507,7 @@ let bounds_of (es : Whynot.Explanation.t list) =
 (* ⟦Q⟧_D, as a batch, matched against the trace's root rows. *)
 let matches_of (original : Engine.Columnar.t) (tr : Whynot.Tracing.t) =
   let ot = Option.get (Whynot.Tracing.op_trace tr tr.Whynot.Tracing.root_op) in
-  Whynot.Msr.matches ~original ot.Whynot.Tracing.data
-    ot.Whynot.Tracing.ann.Whynot.Tracing.v_surviving
+  Whynot.Msr.matches ~original ot.Whynot.Tracing.data ot.Whynot.Tracing.surviving
 
 (* One trace's bounds, exact and top-2, through [explain] with the
    matches computed once and through the [~bi] wrappers (⟦Q⟧_D as
@@ -654,18 +651,14 @@ let op_trace ~q ~id ~rid0 ~n ?(retained = fun _ -> true)
     Whynot.Tracing.op_id = id;
     op_node;
     nip = Nip.any;
-    ann =
-      {
-        Whynot.Tracing.v_n = n;
-        v_rid0 = rid0;
-        v_consistent = flags n consistent;
-        v_retained = flags n retained;
-        v_surviving = flags n surviving;
-        v_parents = parents;
-        v_ranges = None;
-      };
-    rows = lazy [];
+    rid0;
+    n;
     data = Engine.Columnar.broadcast n Value.Null;
+    consistent = flags n consistent;
+    retained = flags n retained;
+    surviving = flags n surviving;
+    parents;
+    ranges = None;
   }
 
 let hand_trace q ops =

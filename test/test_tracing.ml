@@ -61,27 +61,34 @@ let trace ?revalidate () =
   let bt = Whynot.Backtrace.run ~env query missing in
   Whynot.Tracing.run ?revalidate ~env db sa0 bt
 
-let rows_of tr id =
-  match Whynot.Tracing.op_trace tr id with
-  | Some ot -> Whynot.Tracing.rows ot
+module T = Whynot.Tracing
+
+let op_of tr id =
+  match T.op_trace tr id with
+  | Some ot -> ot
   | None -> Alcotest.failf "no trace for op %d" id
 
-let field_str name (r : Whynot.Tracing.trow) =
-  match Value.field name r.Whynot.Tracing.data with
+(* The row indices of [ot] that satisfy [f]. *)
+let rows_where f (ot : T.op_trace) =
+  List.filter (f ot) (List.init (T.n_rows ot) Fun.id)
+
+let data (ot : T.op_trace) i = Engine.Columnar.get_row ot.T.data i
+
+let field_str name ot i =
+  match Value.field name (data ot i) with
   | Some v -> Value.to_string v
   | None -> "<none>"
 
+let root_of (tr : T.t) = op_of tr tr.T.root_op
+
 (* Figure 4: after table access, Sue is consistent under S1, Peter not. *)
 let test_table_annotations () =
-  let tr = trace () in
-  let rows = rows_of tr 1 in
-  Alcotest.(check int) "two input tuples" 2 (List.length rows);
+  let ot = op_of (trace ()) 1 in
+  Alcotest.(check int) "two input tuples" 2 (T.n_rows ot);
   let consistent_names =
     List.filter_map
-      (fun (r : Whynot.Tracing.trow) ->
-        if r.Whynot.Tracing.consistent then Value.field "name" r.Whynot.Tracing.data
-        else None)
-      rows
+      (fun i -> Value.field "name" (data ot i))
+      (rows_where T.consistent_at ot)
   in
   Alcotest.(check bool) "only Sue is compatible" true
     (consistent_names = [ Value.String "Sue" ])
@@ -89,31 +96,24 @@ let test_table_annotations () =
 (* Figure 5: the flatten yields 4 rows under S1 (2 addresses each), all
    retained; re-validation leaves only the NY row consistent. *)
 let test_flatten_annotations () =
-  let tr = trace () in
-  let rows = rows_of tr 2 in
-  Alcotest.(check int) "four flattened rows" 4 (List.length rows);
-  List.iter
-    (fun (r : Whynot.Tracing.trow) ->
-      Alcotest.(check bool) "flatten retains element rows" true
-        r.Whynot.Tracing.retained)
-    rows;
-  let consistent = List.filter (fun (r : Whynot.Tracing.trow) -> r.Whynot.Tracing.consistent) rows in
+  let ot = op_of (trace ()) 2 in
+  Alcotest.(check int) "four flattened rows" 4 (T.n_rows ot);
+  Alcotest.(check int) "flatten retains element rows" 4
+    (List.length (rows_where T.retained_at ot));
+  let consistent = rows_where T.consistent_at ot in
   Alcotest.(check int) "re-validation: only Sue/NY row" 1 (List.length consistent);
   Alcotest.(check string) "it is the NY row" "\"NY\""
-    (field_str "city" (List.hd consistent))
+    (field_str "city" ot (List.hd consistent))
 
 (* Figure 6: the selection keeps everything in the relaxed stream; only
    year ≥ 2019 rows are retained. *)
 let test_selection_annotations () =
-  let tr = trace () in
-  let rows = rows_of tr 3 in
-  Alcotest.(check int) "selection passes all rows through" 4 (List.length rows);
-  let retained = List.filter (fun (r : Whynot.Tracing.trow) -> r.Whynot.Tracing.retained) rows in
+  let ot = op_of (trace ()) 3 in
+  Alcotest.(check int) "selection passes all rows through" 4 (T.n_rows ot);
+  let retained = rows_where T.retained_at ot in
   (* only Sue's LA-2019 element is in address2 with year ≥ 2019 *)
   Alcotest.(check int) "one row satisfies θ" 1 (List.length retained);
-  let inconsistent_retained =
-    List.filter (fun (r : Whynot.Tracing.trow) -> r.Whynot.Tracing.consistent) retained
-  in
+  let inconsistent_retained = List.filter (T.consistent_at ot) retained in
   Alcotest.(check int) "the retained rows are not the NY row" 0
     (List.length inconsistent_retained)
 
@@ -128,14 +128,12 @@ let test_flatten_padding () =
       ]
   in
   let bt = Whynot.Backtrace.run ~env query missing in
-  let tr = Whynot.Tracing.run ~env db sa0 bt in
-  let rows = rows_of tr 2 in
-  Alcotest.(check int) "one padded row" 1 (List.length rows);
-  let r = List.hd rows in
+  let ot = op_of (T.run ~env db sa0 bt) 2 in
+  Alcotest.(check int) "one padded row" 1 (T.n_rows ot);
   Alcotest.(check bool) "padding is not retained by the inner flatten" false
-    r.Whynot.Tracing.retained;
-  Alcotest.(check bool) "padding does not survive" false r.Whynot.Tracing.surviving;
-  Alcotest.(check string) "padded city is null" "⊥" (field_str "city" r)
+    (T.retained_at ot 0);
+  Alcotest.(check bool) "padding does not survive" false (T.surviving_at ot 0);
+  Alcotest.(check string) "padded city is null" "⊥" (field_str "city" ot 0)
 
 (* Surviving rows of the root reproduce the original result: the
    surviving root rows of the trace, the engine's rows and the reference
@@ -149,12 +147,8 @@ let check_surviving label ~env db missing (sa : Whynot.Alternatives.sa) =
   let q = sa.Whynot.Alternatives.query in
   let bt = Whynot.Backtrace.run ~env q missing in
   let surviving =
-    sorted
-      (List.filter_map
-         (fun (r : Whynot.Tracing.trow) ->
-           if r.Whynot.Tracing.surviving then Some r.Whynot.Tracing.data
-           else None)
-         (Whynot.Tracing.root_rows (Whynot.Tracing.run ~env db sa bt)))
+    let root = root_of (T.run ~env db sa bt) in
+    sorted (List.map (data root) (rows_where T.surviving_at root))
   in
   let compare_with name rows =
     let rows = sorted rows in
@@ -216,28 +210,102 @@ let test_surviving_is_original () =
   in
   Alcotest.(check (list string)) "cases equal only when printed" printed_only found
 
-(* Lineage: parents always point to rows of the child operator. *)
-let test_lineage_well_formed () =
-  let tr = trace () in
-  List.iter
-    (fun (ot : Whynot.Tracing.op_trace) ->
+(* The shape [Msr.families] and the lineage baselines rely on: the
+   operators come in post-order over the query and their rid blocks tile
+   [0, total) in that order, the data batch and every flag vector hold
+   one entry per row, and every parent rid is a row of one of the
+   operator's immediate children.  The first violation, if any. *)
+let structure_error (tr : T.t) : string option =
+  let q = tr.T.sa.Whynot.Alternatives.query in
+  let rec post (op : Query.t) =
+    List.concat_map post op.Query.children @ [ op.Query.id ]
+  in
+  let in_block rid (o : T.op_trace) = rid >= o.T.rid0 && rid < o.T.rid0 + o.T.n in
+  let check next (o : T.op_trace) =
+    let id = o.T.op_id in
+    if o.T.rid0 <> next then
+      Fmt.failwith "op %d starts at rid %d, not %d" id o.T.rid0 next;
+    List.iter
+      (fun (name, l) ->
+        if l <> o.T.n then
+          Fmt.failwith "op %d: %s has %d entries for %d rows" id name l o.T.n)
+      [
+        ("data", Engine.Columnar.length o.T.data);
+        ("consistent", Bytes.length o.T.consistent);
+        ("retained", Bytes.length o.T.retained);
+        ("surviving", Bytes.length o.T.surviving);
+        ("ranges", Option.fold ~none:o.T.n ~some:Array.length o.T.ranges);
+      ];
+    let kids =
+      List.filter_map
+        (fun (c : Query.t) -> T.op_trace tr c.Query.id)
+        (Option.get (Query.find_op q id)).Query.children
+    in
+    for i = 0 to o.T.n - 1 do
       List.iter
-        (fun (r : Whynot.Tracing.trow) ->
-          List.iter
-            (fun pid ->
-              Alcotest.(check bool) "parent exists" true
-                (Whynot.Tracing.find_row tr pid <> None))
-            r.Whynot.Tracing.parents)
-        (Whynot.Tracing.rows ot))
-    tr.Whynot.Tracing.ops
+        (fun p ->
+          if not (List.exists (in_block p) kids) then
+            Fmt.failwith "op %d row %d: parent %d is no child's row" id i p)
+        (T.parents_at o i)
+    done;
+    next + o.T.n
+  in
+  if List.map (fun (o : T.op_trace) -> o.T.op_id) tr.T.ops <> post q then
+    Some "operators not in post-order"
+  else
+    match List.fold_left check 0 tr.T.ops with
+    | _ -> None
+    | exception Failure m -> Some m
+
+let check_structure label tr =
+  Option.iter (Alcotest.failf "%s: %s" label) (structure_error tr)
+
+(* The running example, traced with and without re-validation. *)
+let test_lineage_well_formed () =
+  check_structure "revalidate" (trace ());
+  check_structure "no revalidation" (trace ~revalidate:false ())
+
+(* The same over random queries and databases, traced plain and through
+   shared blocks.  The second SA changes every operator at or above a
+   binary one, so the blocks are the subtrees free of binary operators,
+   and a right input's block lands at a rid other than 0. *)
+let structure_prop =
+  QCheck.Test.make ~count:300 ~name:"rid blocks tile, parents are child rows"
+    (QCheck.make
+       ~print:(fun (q, _) -> Parser.query_to_string q)
+       (fun rs -> (Query_gen.gen_query rs, Query_gen.gen_db rs)))
+    (fun (q, db) ->
+      let env = Query_gen.env in
+      let binary (op : Query.t) =
+        List.compare_length_with op.Query.children 2 >= 0
+      in
+      let changed =
+        Query.fold
+          (fun acc (op : Query.t) ->
+            if Query.fold (fun b o -> b || binary o) false op then
+              Whynot.Msr.Int_set.add op.Query.id acc
+            else acc)
+          Whynot.Msr.Int_set.empty q
+      in
+      let sa = { sa0 with Whynot.Alternatives.query = q } in
+      let sas =
+        [ sa; { sa with Whynot.Alternatives.index = 1; changed_ops = changed } ]
+      in
+      let shared = T.share ~env db sas in
+      let bt = Whynot.Backtrace.run ~env q Nip.any in
+      List.for_all
+        (fun tr ->
+          match structure_error tr with
+          | None -> true
+          | Some e -> QCheck.Test.fail_report e)
+        [ T.run ~env db sa bt; T.annotate (T.relax ~shared ~env db sa) bt ])
 
 (* Ablation: without re-validation, all of Sue's flattened rows count as
    consistent (they descend from the compatible tuple) — the false
    positives of prior lineage-based approaches. *)
 let test_ablation_no_revalidation () =
-  let tr = trace ~revalidate:false () in
-  let rows = rows_of tr 2 in
-  let consistent = List.filter (fun (r : Whynot.Tracing.trow) -> r.Whynot.Tracing.consistent) rows in
+  let ot = op_of (trace ~revalidate:false ()) 2 in
+  let consistent = rows_where T.consistent_at ot in
   Alcotest.(check int) "both Sue rows flagged without re-validation" 2
     (List.length consistent)
 
@@ -336,10 +404,8 @@ let test_int_float_join () =
       let sa = { sa0 with Whynot.Alternatives.query = q } in
       let bt = Whynot.Backtrace.run ~env q (Nip.tup [ ("a", Nip.int 2) ]) in
       let surviving =
-        List.filter_map
-          (fun (r : Whynot.Tracing.trow) ->
-            if r.Whynot.Tracing.surviving then Some r.Whynot.Tracing.data else None)
-          (Whynot.Tracing.root_rows (Whynot.Tracing.run ~env db sa bt))
+        let root = root_of (T.run ~env db sa bt) in
+        List.map (data root) (rows_where T.surviving_at root)
       in
       let expected = Relation.data (Eval.eval db q) in
       let got = Value.bag_of_list surviving in
@@ -367,13 +433,14 @@ let test_nan_group () =
   let q = Query.group_agg g [ "k" ] [ (Agg.Count, None, "n") ] (Query.table g "f") in
   let sa = { sa0 with Whynot.Alternatives.query = q } in
   let bt = Whynot.Backtrace.run ~env q (Nip.tup [ ("k", Nip.flt 5.0) ]) in
-  let roots = Whynot.Tracing.root_rows (Whynot.Tracing.run ~env db sa bt) in
+  let root = root_of (T.run ~env db sa bt) in
+  let roots = List.init (T.n_rows root) Fun.id in
   Alcotest.(check (list bool)) "every root row survives" [ true; true ]
-    (List.map (fun (r : Whynot.Tracing.trow) -> r.Whynot.Tracing.surviving) roots);
+    (List.map (T.surviving_at root) roots);
   Alcotest.(check bool) "= Eval" true
     (Value.equal
        (Relation.data (Eval.eval db q))
-       (Value.bag_of_list (List.map (fun (r : Whynot.Tracing.trow) -> r.Whynot.Tracing.data) roots)))
+       (Value.bag_of_list (List.map (data root) roots)))
 
 (* Aggregate ranges: interval satisfiability used for optimistic
    consistency. *)
@@ -392,8 +459,6 @@ let test_interval_satisfies () =
 
 (* --- Shared SA-invariant subtrees ---------------------------------------- *)
 
-module T = Whynot.Tracing
-
 (* Two traces agree field by field: the SA, operator order and ids, rid blocks,
    NIPs, every flag vector, parents, ranges and row data. *)
 let same_trace label (a : T.t) (b : T.t) =
@@ -404,21 +469,20 @@ let same_trace label (a : T.t) (b : T.t) =
   List.iter2
     (fun (x : T.op_trace) (y : T.op_trace) ->
       let l = Fmt.str "%s op %d" label x.T.op_id in
-      let xa = x.T.ann and ya = y.T.ann in
       Alcotest.(check int) (l ^ " rid0") (T.rid0 x) (T.rid0 y);
       Alcotest.(check int) (l ^ " n") (T.n_rows x) (T.n_rows y);
       Alcotest.(check bool) (l ^ " nip") true (x.T.nip = y.T.nip);
       Alcotest.(check bool) (l ^ " consistent") true
-        (Bytes.equal xa.T.v_consistent ya.T.v_consistent);
+        (Bytes.equal x.T.consistent y.T.consistent);
       Alcotest.(check bool) (l ^ " retained") true
-        (Bytes.equal xa.T.v_retained ya.T.v_retained);
+        (Bytes.equal x.T.retained y.T.retained);
       Alcotest.(check bool) (l ^ " surviving") true
-        (Bytes.equal xa.T.v_surviving ya.T.v_surviving);
-      Alcotest.(check bool) (l ^ " ranges") true (xa.T.v_ranges = ya.T.v_ranges);
+        (Bytes.equal x.T.surviving y.T.surviving);
+      Alcotest.(check bool) (l ^ " ranges") true (x.T.ranges = y.T.ranges);
       for i = 0 to T.n_rows x - 1 do
         if T.parents_at x i <> T.parents_at y i then
           Alcotest.failf "%s row %d: parents differ" l i;
-        if not (Value.equal (T.data_at x i) (T.data_at y i)) then
+        if not (Value.equal (data x i) (data y i)) then
           Alcotest.failf "%s row %d: data differ" l i
       done)
     a.T.ops b.T.ops
@@ -440,7 +504,8 @@ let check_shared label ~env db missing (sas : Whynot.Alternatives.sa list) =
           in
           let plain = T.run ~revalidate ~sample_stride:stride ~env db sa bt in
           same_trace l
-            (T.run ~revalidate ~sample_stride:stride ~shared ~env db sa bt)
+            (T.annotate ~revalidate ~sample_stride:stride
+               (T.relax ~shared ~env db sa) bt)
             plain;
           same_trace (l ^ " relax+annotate")
             (T.annotate ~revalidate ~sample_stride:stride relaxed bt)
@@ -518,7 +583,7 @@ let test_nip_attrs_are_columns () =
                             (sa.Whynot.Alternatives.index + 1) o.T.op_id
                             (String.concat ", " m))
                     tr.T.ops)
-                [ T.run ~env db sa bt; T.run ~shared ~env db sa bt ])
+                [ T.run ~env db sa bt; T.annotate (T.relax ~shared ~env db sa) bt ])
             sas)
         [ 1; 2 ])
     Scenarios.Registry.all
@@ -563,7 +628,7 @@ let test_shared_block_moves () =
     let bt =
       Whynot.Backtrace.run ~env:env_likes sa.Whynot.Alternatives.query missing
     in
-    match T.op_trace (T.run ~shared ~env:env_likes db_likes sa bt) 4 with
+    match T.op_trace (T.annotate (T.relax ~shared ~env:env_likes db_likes sa) bt) 4 with
     | Some ot -> T.rid0 ot
     | None -> Alcotest.fail "no trace for σ^4"
   in
@@ -602,6 +667,7 @@ let () =
           Alcotest.test_case "outer-flatten padding" `Quick test_flatten_padding;
           Alcotest.test_case "surviving = original" `Quick test_surviving_is_original;
           Alcotest.test_case "lineage well-formed" `Quick test_lineage_well_formed;
+          QCheck_alcotest.to_alcotest structure_prop;
         ] );
       ( "set-operations",
         [
