@@ -67,16 +67,51 @@ let write_prometheus = function
     close_out oc;
     Fmt.pr "metrics written to %s@." path
 
+(* The wall time of a run whose SAs ran in parallel: its tiled phases
+   before the first [sa:S<i>] span (prepare), the longest [sa:S<i>]
+   span, and the phases after them (rank).  [tracing.shared] runs
+   beside ⟦Q⟧_D, inside prepare's wall time. *)
+let critical_path_ms root =
+  let is_sa sp = String.starts_with ~prefix:"sa:S" (Obs.Span.name sp) in
+  let tiled =
+    List.filter
+      (fun sp -> not (String.equal (Obs.Span.name sp) "tracing.shared"))
+      (Obs.Span.children root)
+  in
+  let rec prepare acc = function
+    | sp :: rest when not (is_sa sp) -> prepare (acc +. Obs.Span.duration_ms sp) rest
+    | rest -> (acc, rest)
+  in
+  let prep, rest = prepare 0.0 tiled in
+  let sas, rank = List.partition is_sa rest in
+  let longest = List.fold_left (fun m sp -> Float.max m (Obs.Span.duration_ms sp)) 0.0 sas in
+  let rank = List.fold_left (fun acc sp -> acc +. Obs.Span.duration_ms sp) 0.0 rank in
+  (prep, longest, rank)
+
 let pp_phase_breakdown ppf (rp : Whynot.Pipeline.result) =
-  let total = Obs.Span.duration_ms rp.Whynot.Pipeline.span in
+  let root = rp.Whynot.Pipeline.span in
+  let total = Obs.Span.duration_ms root in
   let phases = Whynot.Pipeline.phase_durations_ms rp in
   let sum = List.fold_left (fun acc (_, ms) -> acc +. ms) 0.0 phases in
   let pct ms = 100. *. ms /. Float.max total 1e-9 in
-  Fmt.pf ppf "@[<v>phase breakdown (RP): total %.3f ms@," total;
+  let parallel = Obs.Span.attr root "parallel_sas" = Some (Obs.Span.Bool true) in
+  Fmt.pf ppf "@[<v>phase breakdown (RP): total %.3f ms" total;
+  if parallel then begin
+    let prep, longest, rank = critical_path_ms root in
+    Fmt.pf ppf ", critical path %.3f ms (prepare %.3f + longest SA %.3f + rank %.3f)"
+      (prep +. longest +. rank) prep longest rank
+  end;
+  Fmt.pf ppf "@,";
+  (* Parallel SAs overlap, so a per-SA phase's row adds up time that ran
+     side by side and can exceed the total. *)
   List.iter
-    (fun (p, ms) -> Fmt.pf ppf "  %-14s %10.3f ms  %5.1f%%@," p ms (pct ms))
+    (fun (p, ms) ->
+      Fmt.pf ppf "  %-14s %10.3f ms  %5.1f%%%s@," p ms (pct ms)
+        (if parallel && not (String.equal p "alternatives") then "  summed over SAs"
+         else ""))
     phases;
-  Fmt.pf ppf "  %-14s %10.3f ms  %5.1f%% of total@]" "sum" sum (pct sum)
+  Fmt.pf ppf "  %-14s %10.3f ms  %5.1f%% of total%s@]" "sum" sum (pct sum)
+    (if parallel then " (SA phases summed over parallel SAs)" else "")
 
 let pp_approx_report ppf (r : Whynot.Approx.report) =
   Fmt.pf ppf "approx: mode=%s confidence=%.3f max_stride=%d%s%s"

@@ -413,36 +413,72 @@ type bounds_input = {
   original_result : Value.t list;  (* tuples of ⟦Q⟧_D, expanded *)
 }
 
-type matches = { q_rows : int; flags : Bytes.t }
+type matches = { q_rows : int; flags : Bytes.t; verified : int }
 
-(* ⟦Q⟧_D stacked above the surviving rows: [eqclasses] codes each row by
-   the smallest row of its class, so a surviving row equals some row of
-   ⟦Q⟧_D exactly when its code falls among ⟦Q⟧_D's rows. *)
-let matches ~(original : Engine.Columnar.t) (data : Engine.Columnar.t)
-    (surviving : Bytes.t) : matches =
+(* ⟦Q⟧_D hashed once: an open-addressing table
+   ([Engine.Columnar.table_mask], [slot]) over the batch's distinct
+   rows, each slot holding a row's hash and the first row of ⟦Q⟧_D with
+   its value ([-1] = empty). *)
+type index = {
+  batch : Engine.Columnar.t;
+  mask : int;
+  keys : int array;
+  rows : int array;
+}
+
+let index (batch : Engine.Columnar.t) : index =
   let module C = Engine.Columnar in
-  let nq = C.length original and n = Bytes.length surviving in
-  let matched = Bytes.make n '\000' in
-  let rows =
-    if nq = 0 then [||]
-    else Array.of_seq (Seq.filter (flag surviving) (Seq.init n Fun.id))
-  in
-  if Array.length rows > 0 then begin
-    let kept = if Array.length rows = n then data else C.gather data rows in
-    let both = C.vstack [ original; kept ] in
-    let codes = C.eqclasses both.C.n [ both.C.row ] in
-    Array.iteri
-      (fun k i -> if codes.(nq + k) < nq then Bytes.set matched i '\001')
-      rows
+  let n = C.length batch in
+  let hashes = C.hash_col batch.C.row in
+  let mask = C.table_mask n in
+  let keys = Array.make (mask + 1) 0 and rows = Array.make (mask + 1) (-1) in
+  for i = 0 to n - 1 do
+    let k = hashes.(i) in
+    let s = ref (C.slot ~mask k) in
+    while
+      rows.(!s) >= 0 && not (keys.(!s) = k && C.equal_rows batch rows.(!s) batch i)
+    do
+      s := (!s + 1) land mask
+    done;
+    if rows.(!s) < 0 then begin
+      keys.(!s) <- k;
+      rows.(!s) <- i
+    end
+  done;
+  { batch; mask; keys; rows }
+
+(* Each surviving row is hashed in place and probed; a slot with its
+   hash is a candidate, verified by [equal_rows]. *)
+let matches (idx : index) (data : Engine.Columnar.t) (surviving : Bytes.t) :
+    matches =
+  let module C = Engine.Columnar in
+  let nq = C.length idx.batch and n = Bytes.length surviving in
+  let flags = Bytes.make n '\000' and verified = ref 0 in
+  if nq > 0 then begin
+    let hash = C.hash_row data.C.row in
+    for i = 0 to n - 1 do
+      if flag surviving i then begin
+        let k = hash i in
+        let s = ref (C.slot ~mask:idx.mask k) and found = ref false in
+        while (not !found) && idx.rows.(!s) >= 0 do
+          if idx.keys.(!s) = k then begin
+            incr verified;
+            found := C.equal_rows idx.batch idx.rows.(!s) data i
+          end;
+          s := (!s + 1) land idx.mask
+        done;
+        if !found then Bytes.set flags i '\001'
+      end
+    done
   end;
-  { q_rows = nq; flags = matched }
+  { q_rows = nq; flags; verified = !verified }
 
 (* ⟦Q⟧_D given as rows, matched against a trace's root rows. *)
 let matches_of_trace (bi : bounds_input) (tr : Tracing.t) : matches =
-  let original = Engine.Columnar.of_rows bi.original_result in
+  let idx = index (Engine.Columnar.of_rows bi.original_result) in
   match root_ot tr with
-  | Some ot -> matches ~original ot.data ot.surviving
-  | None -> matches ~original Engine.Columnar.empty Bytes.empty
+  | Some ot -> matches idx ot.data ot.surviving
+  | None -> matches idx Engine.Columnar.empty Bytes.empty
 
 type terms = {
   original_rows : int;

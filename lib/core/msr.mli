@@ -87,21 +87,31 @@ type bounds_input = {
     [flags.\[i\]] = ['\001'] when row [i] survives and is
     [Value.equal] to some row of ⟦Q⟧_D (['\000'] otherwise).  A match
     is exactly [Value.equal]: [-0.0] matches [0.0] and any NaN matches
-    any NaN.  Immutable once built, so SA jobs on several domains may
-    read it at once. *)
-type matches = { q_rows : int; flags : Bytes.t }
+    any NaN.  [verified] counts the hash hits the matching compared
+    with {!Engine.Columnar.equal_rows}.  Immutable once built, so SA
+    jobs on several domains may read it at once. *)
+type matches = { q_rows : int; flags : Bytes.t; verified : int }
 
-(** [matches ~original data surviving]: [original] is ⟦Q⟧_D as a batch,
-    [data] an SA's root batch and [surviving] its flags
-    ({!Tracing.relaxed_root}).  ⟦Q⟧_D and the surviving rows are stacked
-    ({!Engine.Columnar.vstack}) and coded by one
-    {!Engine.Columnar.eqclasses} pass: a surviving row matches when the
-    smallest row of its class is a row of ⟦Q⟧_D.  The two batches must
-    share a row type (an SA preserves the query's output type); their
-    columns may differ in representation.  Compute it once per SA's
-    relaxed evaluation ({!Pipeline.explain_with} keeps it beside the
-    evaluation): every {!explain} of that SA reads it. *)
-val matches : original:Engine.Columnar.t -> Engine.Columnar.t -> Bytes.t -> matches
+(** ⟦Q⟧_D hashed once ({!Engine.Columnar.hash_col}) into an
+    open-addressing table of its distinct rows, probed as
+    {!Engine.Columnar.eqclasses} probes.  Immutable once built: one
+    index serves every SA's {!matches}, on any domain. *)
+type index
+
+(** [index original]: ⟦Q⟧_D, the engine's batch, as an {!index}. *)
+val index : Engine.Columnar.t -> index
+
+(** [matches index data surviving]: [data] is an SA's root batch and
+    [surviving] its flags ({!Tracing.relaxed_root}).  Only the
+    surviving rows are hashed, each in place
+    ({!Engine.Columnar.hash_row}: nothing is gathered or stacked, and a
+    bag row hashes only its own elements), and probed; a slot holding
+    the row's hash is verified with {!Engine.Columnar.equal_rows}.  The
+    batch must share ⟦Q⟧_D's row type (an SA preserves the query's
+    output type); their columns may differ in representation.  Compute
+    it once per SA's relaxed evaluation ({!Pipeline.explain_with} keeps
+    it beside the evaluation): every {!explain} of that SA reads it. *)
+val matches : index -> Engine.Columnar.t -> Bytes.t -> matches
 
 (** The terms of one SA's bounds sweep, shared by every explanation of
     that SA.  With a sampling stride [s > 1], [surviving] and [matched]
@@ -171,8 +181,8 @@ val explain :
   Explanation.t list * int * terms
 
 (** [explain]'s explanations, with ⟦Q⟧_D given as [bi] and matched
-    ({!matches} over [Engine.Columnar.of_rows bi.original_result]) for
-    this one call. *)
+    ({!matches} against the {!index} of
+    [Engine.Columnar.of_rows bi.original_result]) for this one call. *)
 val from_trace :
   ?sample_stride:int ->
   bi:bounds_input ->

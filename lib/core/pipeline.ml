@@ -117,7 +117,7 @@ type handle = {
   h_env : Typecheck.env;
   h_max_sas : int;  (* the enumeration cap; 1 without schema alternatives *)
   h_sas : Alternatives.sa list;
-  h_original : Engine.Columnar.t;  (* ⟦Q⟧_D *)
+  h_original : Msr.index;  (* ⟦Q⟧_D, hashed once *)
   h_shared : Tracing.shared option;  (* [None] with a single SA *)
   h_relaxed : (Tracing.relaxed * Msr.matches) option Atomic.t array;
       (* SA [i]'s relaxed evaluation and its root rows matched against
@@ -198,16 +198,20 @@ let prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retries root cursor
      interpreter: the results are identical and the engine is an order
      of magnitude faster on the bench scales.  The bounds only count the
      rows and test membership, so they keep the engine's batch as it
-     comes, without the relation's canonical sort or a row tree; each
-     SA's root rows are matched against it once ({!relaxed_of}).  The
-     engine does not retry: a transient fault in the run propagates
-     unwrapped, and this phase's retry replays the whole of ⟦Q⟧_D. *)
+     comes, without the relation's canonical sort or a row tree, hashed
+     once into the index each SA's root rows are matched against
+     ({!relaxed_of}).  The engine does not retry: a transient fault in
+     the run propagates unwrapped, and this phase's retry replays the
+     whole of ⟦Q⟧_D. *)
   let original =
     phase root "msr" (fun sp ->
         let original = fst (Engine.Exec.rows ~parent:sp db q) in
         Obs.Span.set_int sp "original_result_rows"
           (Engine.Columnar.length original);
-        original)
+        let t0 = Obs.Clock.now_ns () in
+        let index = Msr.index original in
+        Obs.Span.set_int sp "index_us" ((Obs.Clock.now_ns () - t0) / 1000);
+        index)
   in
   (* Whatever of the share job outlasts ⟦Q⟧_D is charged to tracing. *)
   let shared =
@@ -232,9 +236,9 @@ let m_relaxed_reuses = Obs.Metrics.counter "whynot.tracing.relaxed_reuses"
 
 (* SA [sa]'s relaxed evaluation and its matches against ⟦Q⟧_D: read
    from its slot, or computed and published there, with the matching's
-   time as [match_us] on [sp].  Runs inside the tracing phase's retry
-   scope, so a faulted or cancelled evaluation raises before it
-   publishes. *)
+   time as [match_us] and its verified hash hits as [match_verified] on
+   [sp].  Runs inside the tracing phase's retry scope, so a faulted or
+   cancelled evaluation raises before it publishes. *)
 let relaxed_of h (sa : Alternatives.sa) sp =
   let slot = h.h_relaxed.(sa.Alternatives.index) in
   match Atomic.get slot with
@@ -245,8 +249,9 @@ let relaxed_of h (sa : Alternatives.sa) sp =
     let r = Tracing.relax ?shared:h.h_shared ~env:h.h_env h.h_db sa in
     let t0 = Obs.Clock.now_ns () in
     let data, surviving = Tracing.relaxed_root r in
-    let m = Msr.matches ~original:h.h_original data surviving in
+    let m = Msr.matches h.h_original data surviving in
     Obs.Span.set_int sp "match_us" ((Obs.Clock.now_ns () - t0) / 1000);
+    Obs.Span.set_int sp "match_verified" m.Msr.verified;
     ignore (Atomic.compare_and_set slot None (Some (r, m)) : bool);
     (r, m, false)
 

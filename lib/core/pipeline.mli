@@ -102,10 +102,10 @@ val explain :
 
     A handle holds:
     - the enumerated SAs (at most [max_sas], in enumeration order);
-    - ⟦Q⟧_D, as the engine's batch;
+    - ⟦Q⟧_D, the engine's batch hashed once into an {!Msr.index};
     - the shared blocks, with more than one SA;
     - one set-once slot per SA for its {!Tracing.relaxed} and the
-      {!Msr.matches} of its root rows against ⟦Q⟧_D.  The slots are
+      {!Msr.matches} of its root rows against that index.  The slots are
       filled lazily: the first SA chain that completes the SA's relaxed
       evaluation matches it and publishes both, and every later chain
       for that SA runs only backtrace → consistency
@@ -123,7 +123,9 @@ type handle
 (** Run the pattern-independent phases.  The work is recorded under a
     [pipeline.prepare] span, exactly like the first half of {!explain}'s
     span tree: an [alternatives] child, then the [msr] child that runs
-    ⟦Q⟧_D ({!Engine.Exec.rows}).  With more than one SA, {!Tracing.share} runs as a job on the
+    ⟦Q⟧_D ({!Engine.Exec.rows}) and hashes it into the handle's
+    {!Msr.index}; it carries [original_result_rows] (|⟦Q⟧_D|) and
+    [index_us], the µs spent building the index.  With more than one SA, {!Tracing.share} runs as a job on the
     shared {!Engine.Pool} while ⟦Q⟧_D runs on the calling domain, so the
     two cost the longer of them, not the sum.  The job's
     [tracing.shared] span carries [queued_ms], [shared_blocks] and
@@ -151,8 +153,10 @@ val handle_sas : handle -> Alternatives.sa list
     {!prepare}.  Each SA's [tracing] span carries [relaxed_reused]: true
     when its relaxed evaluation came from the handle's slot, counted on
     [whynot.tracing.relaxed_reuses]; when it did not, the span also
-    carries [match_us], the µs spent matching the SA's root rows
-    against ⟦Q⟧_D ({!Msr.matches}).
+    carries [match_us], the µs spent matching the SA's surviving root
+    rows against the handle's index of ⟦Q⟧_D ({!Msr.matches}), and
+    [match_verified], the number of hash hits that matching compared
+    row against row ({!Msr.matches}'s [verified]).
 
     The run covers a prefix of the handle's SAs.  Enumeration is a fixed
     order truncated at [max_sas], whose SA 0 is the query itself, so:

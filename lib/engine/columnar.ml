@@ -583,6 +583,51 @@ let rec cmp_cells (c : col) (i : int) (j : int) : int =
 
 let cmp_rows (t : t) (i : int) (j : int) : int = cmp_cells t.row i j
 
+(* [Value.equal (col_get a i) (col_get b j)] for cells of two columns of
+   one type that may differ in representation, without building either
+   value: equal ranks first, so a Null meets only a Null; strings by
+   dictionary code, floats by [compare] (as [Value.equal], so -0.0 =
+   0.0 and NaN = NaN), bags element by element in their canonical
+   order.  Only a constant cell is compared as a value. *)
+let rec equal_cells (a : col) (i : int) (b : col) (j : int) : bool =
+  match (a, b) with
+  | CConst (_, v), _ -> Value.equal v (col_get b j)
+  | _, CConst (_, v) -> Value.equal (col_get a i) v
+  | _ -> (
+    let r = cell_rank a i in
+    r = cell_rank b j
+    && (r = 0
+       ||
+       match (a, b) with
+       | CBool (x, _), CBool (y, _) -> Bool.equal (Bitv.get x i) (Bitv.get y j)
+       | CInt (x, _), CInt (y, _) -> x.(i) = y.(j)
+       | CFloat (x, _), CFloat (y, _) -> Float.compare x.(i) y.(j) = 0
+       | CStr (x, _), CStr (y, _) -> x.(i) = y.(j)
+       | CTuple (_, fa, _), CTuple (_, fb, _) -> equal_fields fa i fb j
+       | CBag x, CBag y ->
+         let lo = x.bstart.(i) and hi = x.bstop.(i) in
+         hi - lo = y.bstop.(j) - y.bstart.(j)
+         && equal_elems x lo hi y (y.bstart.(j) - lo)
+       | _ -> false))
+
+and equal_fields fa i fb j =
+  match (fa, fb) with
+  | [], [] -> true
+  | (la, ca) :: fa, (lb, cb) :: fb ->
+    (la == lb || String.equal la lb) && equal_cells ca i cb j && equal_fields fa i fb j
+  | _ -> false
+
+(* Elements [u, hi) of [x]'s store against those [d] further on in
+   [y]'s. *)
+and equal_elems x u hi y d =
+  u >= hi
+  || x.bmult.(u) = y.bmult.(u + d)
+     && equal_cells x.belems u y.belems (u + d)
+     && equal_elems x (u + 1) hi y d
+
+let equal_rows (a : t) (i : int) (b : t) (j : int) : bool =
+  equal_cells a.row i b.row j
+
 (* ------------------------------------------------------------------ *)
 (* Tuple-structure access                                              *)
 (* ------------------------------------------------------------------ *)
@@ -1046,23 +1091,68 @@ let rec hash_col (c : col) : int array =
         end
         else 17)
 
+(* [(hash_col c).(i)], staged on the column: [hash_row c] hashes the
+   labels and constants once, and the function it returns hashes one row
+   at a time.  A bag row hashes only its own range of the store. *)
+let rec hash_row (c : col) : int -> int =
+  match c with
+  | CNull _ -> fun _ -> 17
+  | CConst (_, v) ->
+    let h = value_hash v in
+    fun _ -> h
+  | CBool (b, p) ->
+    fun i -> if not (present p i) then 17 else if Bitv.get b i then 31 else 37
+  | CInt (a, p) -> fun i -> if present p i then a.(i) * 2654435761 else 17
+  | CFloat (a, p) -> fun i -> if present p i then float_hash a.(i) else 17
+  | CStr (a, p) -> fun i -> if present p i then Dict.hash a.(i) else 17
+  | CTuple (_, fields, p) ->
+    let fs = List.map (fun (l, fc) -> (string_hash l, hash_row fc)) fields in
+    fun i -> if present p i then fields_hash_row fs i 7 else 17
+  | CBag bg ->
+    let elem = hash_row bg.belems in
+    fun i ->
+      if present bg.bpresent i then begin
+        let acc = ref 11 in
+        for j = bg.bstart.(i) to bg.bstop.(i) - 1 do
+          acc := !acc + (elem j * bg.bmult.(j))
+        done;
+        !acc
+      end
+      else 17
+
+and fields_hash_row fs i acc =
+  match fs with
+  | [] -> acc
+  | (lh, h) :: fs -> fields_hash_row fs i ((acc * 31) + lh + h i)
+
+(* Open addressing for [n] keys: a power-of-two table at most half
+   full, of [mask + 1] slots, where the probe for key [k] starts at
+   [slot ~mask k] (the high bits of a multiplicative mix, folded down)
+   and walks the slots that follow.  [classes] and [Whynot.Msr]'s index
+   of ⟦Q⟧_D use it. *)
+let table_mask (n : int) : int =
+  let cap = ref 16 in
+  while !cap < 2 * n do
+    cap := 2 * !cap
+  done;
+  !cap - 1
+
+let slot ~mask (k : int) : int =
+  let x = k * 0x2545F4914F6CDD1D in
+  (x lxor (x lsr 32)) land mask
+
 (* Equivalence classes of rows: [result.(i)] is the smallest row whose
    [key] equals row [i]'s and that [same] accepts as equal to it.  Open
    addressing over a power-of-two table at most half full: each slot
    holds a key and the first row that had it, and a probe passes over
    the slots of other classes. *)
 let classes (n : int) (key : int -> int) (same : int -> int -> bool) : int array =
-  let cap = ref 16 in
-  while !cap < 2 * n do
-    cap := 2 * !cap
-  done;
-  let mask = !cap - 1 in
-  let keys = Array.make !cap 0 and first = Array.make !cap (-1) in
+  let mask = table_mask n in
+  let keys = Array.make (mask + 1) 0 and first = Array.make (mask + 1) (-1) in
   let cls = Array.make n 0 in
   for i = 0 to n - 1 do
     let k = key i in
-    let x = k * 0x2545F4914F6CDD1D in
-    let s = ref ((x lxor (x lsr 32)) land mask) in
+    let s = ref (slot ~mask k) in
     while first.(!s) >= 0 && not (keys.(!s) = k && same first.(!s) i) do
       s := (!s + 1) land mask
     done;
@@ -1347,18 +1437,19 @@ let rec pred_mask (t : t) (p : Nrab.Expr.pred) : Bitv.t =
   | Nrab.Expr.Contains (e, s) -> (
     match eval_col t e with
     | CStr (a, p) ->
-      let memo = Hashtbl.create 16 in
+      (* One skip table per batch; the last code's answer is kept, for
+         the runs of one text a flatten leaves in adjacent rows. *)
+      let found = Nrab.Expr.string_contains ~needle:s in
+      let last = ref (-1) and last_found = ref false in
       Bitv.init t.n (fun i ->
           present p i
           &&
-          match Hashtbl.find_opt memo a.(i) with
-          | Some r -> r
-          | None ->
-            let r =
-              Nrab.Expr.string_contains ~needle:s (Dict.lookup a.(i))
-            in
-            Hashtbl.add memo a.(i) r;
-            r)
+          let c = a.(i) in
+          if c <> !last then begin
+            last := c;
+            last_found := found (Dict.lookup c)
+          end;
+          !last_found)
     | CConst (_, Value.String text) ->
       Bitv.create t.n (Nrab.Expr.string_contains ~needle:s text)
     | _ -> Bitv.create t.n false)

@@ -117,12 +117,23 @@ val get_row : t -> int -> Value.t
     either value. *)
 val cmp_rows : t -> int -> int -> int
 
+(** [equal_rows a i b j] decides
+    [Value.equal (get_row a i) (get_row b j)] for rows of two batches of
+    one row type, whose columns may differ in representation (typed,
+    constant or all-[Null]), without reconstructing either row: strings
+    compare by dictionary code, floats by [compare] (so [-0.0] equals
+    [0.0] and NaN equals NaN), bags element by element in canonical
+    order; only constant cells are compared as values. *)
+val equal_rows : t -> int -> t -> int -> bool
+
 (** [eqclasses n cols] assigns each of the [n] rows the smallest row
     index whose cells are [Value.equal] to its own on every listed
     column: an exact integer grouping key (hash candidates are verified
     with the columnar comparator).  It is the engine's one row-equality
     test: grouping, relation nesting, δ, − and join keys all run on it,
-    over the two sides stacked with {!vstack} where two batches meet. *)
+    over the two sides stacked with {!vstack} where two batches meet.
+    {!equal_rows} is the same test for one row of each of two batches,
+    for lookups that probe a table of one batch with the other's rows. *)
 val eqclasses : int -> col list -> int array
 val col_get : col -> int -> Value.t
 
@@ -204,6 +215,20 @@ val canonical_bags : t -> int array -> int array array -> col
 
 val value_hash : Value.t -> int
 val hash_col : col -> int array
+
+(** [hash_row c i] = [(hash_col c).(i)], computed for row [i] alone: a
+    bag row hashes only its own range, never the rest of the store.
+    Staged on the column: [hash_row c] hashes its labels and constants
+    once, so apply it once per batch and the result once per row. *)
+val hash_row : col -> int -> int
+
+(** Open addressing as {!eqclasses} does it.  [table_mask n] is the
+    mask of a power-of-two table at most half full with [n] keys, of
+    [table_mask n + 1] slots; [slot ~mask k] is the slot where the probe
+    for key [k] starts, and a probe walks the slots that follow. *)
+val table_mask : int -> int
+
+val slot : mask:int -> int -> int
 
 (** {1 Vectorized expression evaluation}
 

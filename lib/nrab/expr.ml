@@ -144,18 +144,57 @@ let eval_cmp (c : cmp) (a : Value.t) (b : Value.t) : bool =
     | Gt -> r > 0
     | Ge -> r >= 0)
 
-(* Naive scan comparing bytes in place: no substring is allocated.
-   [i + n <= m] holds at every [matches_at i _], so both reads are in
-   bounds. *)
-let string_contains ~needle haystack =
+(* Boyer–Moore–Horspool.  A window of the needle's length ends at byte
+   [e] of the haystack; its last byte [c] is compared with the needle's
+   last byte, and on a match the rest right to left.  Either way the
+   window moves by [skip.[c]].  Reads stay within both strings. *)
+let rec window_matches needle haystack i j =
+  j < 0
+  || Char.equal (String.unsafe_get haystack (i + j)) (String.unsafe_get needle j)
+     && window_matches needle haystack i (j - 1)
+
+let search skip needle haystack =
   let n = String.length needle and m = String.length haystack in
-  let rec matches_at i j =
-    j >= n
-    || Char.equal (String.unsafe_get haystack (i + j)) (String.unsafe_get needle j)
-       && matches_at i (j + 1)
-  in
-  let rec scan i = i + n <= m && (matches_at i 0 || scan (i + 1)) in
-  scan 0
+  n = 0
+  || begin
+       let last = String.unsafe_get needle (n - 1) in
+       let e = ref (n - 1) and found = ref false in
+       while (not !found) && !e < m do
+         let c = String.unsafe_get haystack !e in
+         if Char.equal c last && window_matches needle haystack (!e - n + 1) (n - 2)
+         then found := true
+         else e := !e + Char.code (Bytes.unsafe_get skip (Char.code c))
+       done;
+       !found
+     end
+
+(* The shift of byte [c]: the distance from its last occurrence in the
+   needle's first [n - 1] bytes to the needle's end, or [n] when it has
+   none, capped at 255 (a shorter shift is still safe). *)
+let skip_table needle =
+  let n = String.length needle in
+  let skip = Bytes.make 256 (Char.unsafe_chr (min n 255)) in
+  for j = 0 to n - 2 do
+    Bytes.unsafe_set skip
+      (Char.code (String.unsafe_get needle j))
+      (Char.unsafe_chr (min (n - 1 - j) 255))
+  done;
+  skip
+
+(* Shift 1 at every byte: the search without a table. *)
+let unit_skip = Bytes.make 256 '\001'
+
+let string_contains ~needle =
+  let skip = skip_table needle in
+  fun haystack -> search skip needle haystack
+
+(* One haystack on its own builds the table only when it is long
+   enough to repay it: filling 256 shifts costs about what scanning a
+   few dozen bytes one by one does. *)
+let contains_once ~needle haystack =
+  search
+    (if String.length haystack >= 64 then skip_table needle else unit_skip)
+    needle haystack
 
 let rec eval_pred (tuple : Value.t) (p : pred) : bool =
   match p with
@@ -169,7 +208,7 @@ let rec eval_pred (tuple : Value.t) (p : pred) : bool =
   | IsNotNull e -> not (Value.equal (eval tuple e) Value.Null)
   | Contains (e, s) -> (
     match eval tuple e with
-    | Value.String text -> string_contains ~needle:s text
+    | Value.String text -> contains_once ~needle:s text
     | _ -> false)
 
 (* Pretty printing *)

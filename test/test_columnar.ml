@@ -280,6 +280,46 @@ let prop_pred_mask =
             rows)
         preds)
 
+(* [Contains] over a string column: runs of one text (a flatten's
+   repeats, the kernel's last-code memo), Nulls, and rows whose presence
+   bit is off over a code, row by row against [eval_pred]. *)
+let prop_pred_mask_contains =
+  let letter = QCheck.Gen.oneofl [ 'a'; 'b' ] in
+  QCheck.Test.make ~name:"Contains pred_mask = per-row eval_pred" ~count:300
+    (QCheck.make
+       ~print:(fun (runs, needle, bits) ->
+         Fmt.str "%a %S %d"
+           (Fmt.Dump.list (Fmt.Dump.pair (Fmt.Dump.option Fmt.Dump.string) Fmt.int))
+           runs needle bits)
+       QCheck.Gen.(
+         triple
+           (list_size (int_range 0 8)
+              (pair (opt (string_size ~gen:letter (int_range 0 20))) (int_range 1 4)))
+           (string_size ~gen:letter (int_range 0 4))
+           int))
+    (fun (runs, needle, bits) ->
+      let rows =
+        List.concat_map
+          (fun (s, k) ->
+            List.init k (fun _ ->
+                Value.Tuple
+                  [ ("t", match s with Some s -> Value.String s | None -> Value.Null) ]))
+          runs
+      in
+      let b = C.of_rows rows in
+      let b =
+        match C.find_col b "t" with
+        | Some (C.CStr (codes, None)) when bits land 1 = 1 ->
+          let p = C.Bitv.init b.C.n (fun i -> (bits lsr (1 + (i mod 60))) land 1 = 0) in
+          C.of_cols b.C.n [ ("t", C.CStr (codes, Some p)) ]
+        | _ -> b
+      in
+      let p = Nrab.Expr.Contains (Nrab.Expr.attr "t", needle) in
+      let mask = C.eval_pred_mask b p in
+      List.for_all
+        (fun i -> Bool.equal (C.Bitv.get mask i) (Nrab.Expr.eval_pred (C.get_row b i) p))
+        (List.init b.C.n Fun.id))
+
 (* --- Engine-zoo unit cases ---------------------------------------- *)
 
 let test_empty () =
@@ -680,7 +720,7 @@ let prop_matches =
   QCheck.Test.make ~name:"Msr.matches = surviving and Value.equal to a row of ⟦Q⟧_D"
     ~count:500 arb_match_case (fun (original, data, surviving) ->
       let qs = C.to_rows original in
-      let m = Whynot.Msr.matches ~original data surviving in
+      let m = Whynot.Msr.matches (Whynot.Msr.index original) data surviving in
       m.Whynot.Msr.q_rows = List.length qs
       && Bytes.length m.Whynot.Msr.flags = C.length data
       && List.for_all
@@ -691,6 +731,71 @@ let prop_matches =
              in
              Bool.equal expected (Bytes.get m.Whynot.Msr.flags i = '\001'))
            (List.init (C.length data) Fun.id))
+
+(* [gather] that never compacts a bag store: the rows keep the whole
+   store, also the elements of the rows left out. *)
+let rec gather_keep (c : C.col) (idx : int array) : C.col =
+  let pick p = Option.map (fun p -> C.Bitv.init (Array.length idx) (fun j -> C.Bitv.get p idx.(j))) p in
+  match c with
+  | C.CTuple (_, fields, p) ->
+    C.CTuple
+      (Array.length idx, List.map (fun (l, f) -> (l, gather_keep f idx)) fields, pick p)
+  | C.CBag bg ->
+    C.CBag
+      {
+        bg with
+        C.bn = Array.length idx;
+        bstart = Array.map (Array.get bg.C.bstart) idx;
+        bstop = Array.map (Array.get bg.C.bstop) idx;
+        bpresent = pick bg.C.bpresent;
+      }
+  | c -> C.col_gather c idx
+
+(* A batch of [ty] as [batch_of_type] builds it, or a slice of one that
+   keeps its stores whole. *)
+let mixed_batch_of_type ty =
+  let open QCheck.Gen in
+  batch_of_type ty >>= fun b ->
+  if C.length b = 0 then return b
+  else
+    let slice =
+      list_size (int_range 0 6) (int_bound (C.length b - 1)) >|= fun picks ->
+      let idx = Array.of_list picks in
+      { C.n = Array.length idx; row = gather_keep b.C.row idx }
+    in
+    frequency [ (1, return b); (1, slice) ]
+
+(* The equality kernel on every pair of rows of two batches of one row
+   type, in mixed representations (constant, all-Null, typed, sliced
+   over a store with unreferenced elements), the second holding typed
+   copies of some rows of the first. *)
+let prop_equal_rows =
+  QCheck.Test.make ~name:"equal_rows = Value.equal on rebuilt rows" ~count:500
+    (QCheck.make
+       ~print:(fun (a, b) ->
+         Fmt.str "%a %a" (Fmt.Dump.list Value.pp) (C.to_rows a) (Fmt.Dump.list Value.pp)
+           (C.to_rows b))
+       QCheck.Gen.(
+         vtype_gen >>= fun ty ->
+         mixed_batch_of_type ty >>= fun a ->
+         mixed_batch_of_type ty >>= fun other ->
+         list_size (int_range 0 3) (int_bound 1000) >|= fun picks ->
+         let rows = Array.of_list (C.to_rows a) in
+         let copies =
+           if Array.length rows = 0 then []
+           else List.map (fun k -> rows.(k mod Array.length rows)) picks
+         in
+         (a, C.vstack [ other; C.of_rows copies ])))
+    (fun (a, b) ->
+      let ra = C.to_values a and rb = C.to_values b in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun i va ->
+             Array.for_all Fun.id
+               (Array.mapi
+                  (fun j vb -> Bool.equal (C.equal_rows a i b j) (Value.equal va vb))
+                  rb))
+           ra))
 
 (* One row type, two representations: constant and all-Null columns on
    one side, typed float and string columns on the other, either way
@@ -703,12 +808,14 @@ let test_matches_representations () =
       [ row 0.0 Value.Null; row 0.0 (Value.String "a"); row (-0.0) Value.Null; row 2.0 Value.Null ]
   in
   let matched m = Bytes.to_string m.Whynot.Msr.flags in
-  let m = Whynot.Msr.matches ~original:const typed (Bytes.of_string "\001\001\001\001") in
+  let m =
+    Whynot.Msr.matches (Whynot.Msr.index const) typed (Bytes.of_string "\001\001\001\001")
+  in
   Alcotest.(check string) "typed rows against constant columns" "\001\000\001\000" (matched m);
   Alcotest.(check int) "|⟦Q⟧_D|" 3 m.Whynot.Msr.q_rows;
-  let m = Whynot.Msr.matches ~original:typed const (Bytes.of_string "\001\000\001") in
+  let m = Whynot.Msr.matches (Whynot.Msr.index typed) const (Bytes.of_string "\001\000\001") in
   Alcotest.(check string) "constant rows against typed columns" "\001\000\001" (matched m);
-  let m = Whynot.Msr.matches ~original:C.empty typed (Bytes.make 4 '\001') in
+  let m = Whynot.Msr.matches (Whynot.Msr.index C.empty) typed (Bytes.make 4 '\001') in
   Alcotest.(check string) "an empty ⟦Q⟧_D matches nothing" "\000\000\000\000" (matched m)
 
 let qsuite =
@@ -725,7 +832,9 @@ let qsuite =
       prop_equal_hash;
       prop_codes;
       prop_matches;
+      prop_equal_rows;
       prop_pred_mask;
+      prop_pred_mask_contains;
       prop_canonical_bags;
       prop_shared_ops;
       prop_shared_readers;
@@ -796,10 +905,10 @@ let test_bytes_shared () =
 
 (* Batches the kernels build, not [of_rows]: every operator's output
    batch in every SA trace of every registry scenario at scale 1.  Its
-   [hash_col] must agree with the rebuilt rows' [value_hash], and
-   [Msr.matches] must match every row with its rebuilt copy, built by
-   [of_rows] in typed columns where the kernels may have left constant
-   ones. *)
+   [hash_col] must agree with the rebuilt rows' [value_hash] and with
+   [hash_row] row by row, and [Msr.matches] must match every row with
+   its rebuilt copy, built by [of_rows] in typed columns where the
+   kernels may have left constant ones. *)
 let test_registry_batches () =
   let rows = ref 0 in
   List.iter
@@ -819,15 +928,20 @@ let test_registry_batches () =
             (fun (ot : Whynot.Tracing.op_trace) ->
               let data = ot.Whynot.Tracing.data in
               let n = Whynot.Tracing.n_rows ot in
-              let hs = C.hash_col data.C.row in
+              let hs = C.hash_col data.C.row and hash = C.hash_row data.C.row in
               let vs = List.init n (C.get_row data) in
               let m =
-                Whynot.Msr.matches ~original:(C.of_rows vs) data (Bytes.make n '\001')
+                Whynot.Msr.matches
+                  (Whynot.Msr.index (C.of_rows vs))
+                  data (Bytes.make n '\001')
               in
               List.iteri
                 (fun i v ->
                   incr rows;
-                  if C.value_hash v <> hs.(i) || Bytes.get m.Whynot.Msr.flags i <> '\001'
+                  if
+                    C.value_hash v <> hs.(i)
+                    || hash i <> hs.(i)
+                    || Bytes.get m.Whynot.Msr.flags i <> '\001'
                   then
                     Alcotest.failf "%s S%d op %d row %d" s.Scenarios.Scenario.name
                       (sa.Whynot.Alternatives.index + 1) ot.Whynot.Tracing.op_id i)

@@ -413,8 +413,10 @@ let test_columns_pruned () =
    relaxed trace from a prepared handle instead of evaluating it: none on
    a handle's first explain, one per SA on the second, and each SA's
    [tracing] span says which it was.  Only an evaluated SA's span carries
-   [match_us], the time its root rows took to match ⟦Q⟧_D: a reused one
-   reads its matches from the slot too.  The counter is registered up
+   [match_us] and [match_verified], the time its root rows took to match
+   ⟦Q⟧_D and the hash hits compared: a reused one reads its matches from
+   the slot too.  Prepare's [msr] span carries [index_us], the time
+   ⟦Q⟧_D took to hash into the index.  The counter is registered up
    front, so the telemetry verb lists it before any handle is reused. *)
 let test_relaxed_reuses () =
   let reuses () =
@@ -434,10 +436,20 @@ let test_relaxed_reuses () =
       ~scale:1 ()
   in
   let phi = inst.Scenarios.Scenario.question in
+  let prep = Obs.Span.start "prepare" in
   let h =
-    Whynot.Pipeline.prepare ~alternatives:inst.Scenarios.Scenario.alternatives
+    Whynot.Pipeline.prepare ~parent:prep
+      ~alternatives:inst.Scenarios.Scenario.alternatives
       ~db:phi.Whynot.Question.db phi.Whynot.Question.query
   in
+  Obs.Span.finish prep;
+  let indexed =
+    List.filter_map
+      (fun sp -> Obs.Span.attr sp "index_us")
+      (Obs.Span.find_all (fun sp -> Obs.Span.name sp = "msr") prep)
+  in
+  Alcotest.(check bool) "prepare's msr span times the index" true
+    (match indexed with [ Obs.Span.Int us ] -> us >= 0 | _ -> false);
   let n_sas = List.length (Whynot.Pipeline.handle_sas h) in
   let explain () =
     let before = reuses () in
@@ -451,10 +463,10 @@ let test_relaxed_reuses () =
     let matched =
       List.map
         (fun sp ->
-          match Obs.Span.attr sp "match_us" with
-          | Some (Obs.Span.Int us) -> us >= 0
-          | Some _ -> Alcotest.fail "match_us is not an int"
-          | None -> false)
+          match (Obs.Span.attr sp "match_us", Obs.Span.attr sp "match_verified") with
+          | Some (Obs.Span.Int us), Some (Obs.Span.Int hits) -> us >= 0 && hits >= 0
+          | None, None -> false
+          | _ -> Alcotest.fail "match_us and match_verified are not two ints")
         spans
     in
     (reuses () - before, flags, matched)
