@@ -67,12 +67,13 @@ let write_prometheus = function
     close_out oc;
     Fmt.pr "metrics written to %s@." path
 
+let is_sa sp = String.starts_with ~prefix:"sa:S" (Obs.Span.name sp)
+
 (* The wall time of a run whose SAs ran in parallel: its tiled phases
    before the first [sa:S<i>] span (prepare), the longest [sa:S<i>]
    span, and the phases after them (rank).  [tracing.shared] runs
    beside ⟦Q⟧_D, inside prepare's wall time. *)
 let critical_path_ms root =
-  let is_sa sp = String.starts_with ~prefix:"sa:S" (Obs.Span.name sp) in
   let tiled =
     List.filter
       (fun sp -> not (String.equal (Obs.Span.name sp) "tracing.shared"))
@@ -102,16 +103,23 @@ let pp_phase_breakdown ppf (rp : Whynot.Pipeline.result) =
       (prep +. longest +. rank) prep longest rank
   end;
   Fmt.pf ppf "@,";
-  (* Parallel SAs overlap, so a per-SA phase's row adds up time that ran
-     side by side and can exceed the total. *)
+  (* Parallel SAs overlap, so the part of a phase's row that ran inside
+     [sa:S<i>] spans adds up time that ran side by side, and the rows
+     can exceed the total.  The rest of a row (⟦Q⟧_D's run under
+     prepare's [msr], rank's [msr]) ran once. *)
+  let sas = List.filter is_sa (Obs.Span.children root) in
+  let in_sas p =
+    List.fold_left (fun acc sp -> acc +. Obs.Span.sum_duration_ms_named p sp) 0.0 sas
+  in
   List.iter
     (fun (p, ms) ->
-      Fmt.pf ppf "  %-14s %10.3f ms  %5.1f%%%s@," p ms (pct ms)
-        (if parallel && not (String.equal p "alternatives") then "  summed over SAs"
-         else ""))
+      Fmt.pf ppf "  %-14s %10.3f ms  %5.1f%%" p ms (pct ms);
+      if parallel && in_sas p > 0.0 then
+        Fmt.pf ppf "  (%.3f ms of it summed over SAs)" (in_sas p);
+      Fmt.pf ppf "@,")
     phases;
   Fmt.pf ppf "  %-14s %10.3f ms  %5.1f%% of total%s@]" "sum" sum (pct sum)
-    (if parallel then " (SA phases summed over parallel SAs)" else "")
+    (if parallel then " (per-SA parts summed over parallel SAs)" else "")
 
 let pp_approx_report ppf (r : Whynot.Approx.report) =
   Fmt.pf ppf "approx: mode=%s confidence=%.3f max_stride=%d%s%s"

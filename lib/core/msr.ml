@@ -415,67 +415,21 @@ type bounds_input = {
 
 type matches = { q_rows : int; flags : Bytes.t; verified : int }
 
-(* ⟦Q⟧_D hashed once: an open-addressing table
-   ([Engine.Columnar.table_mask], [slot]) over the batch's distinct
-   rows, each slot holding a row's hash and the first row of ⟦Q⟧_D with
-   its value ([-1] = empty). *)
-type index = {
-  batch : Engine.Columnar.t;
-  mask : int;
-  keys : int array;
-  rows : int array;
-}
-
-let index (batch : Engine.Columnar.t) : index =
+(* Each surviving row is looked up in ⟦Q⟧_D's index, in place. *)
+let matches (idx : Engine.Columnar.row_index) (data : Engine.Columnar.t)
+    (surviving : Bytes.t) : matches =
   let module C = Engine.Columnar in
-  let n = C.length batch in
-  let hashes = C.hash_col batch.C.row in
-  let mask = C.table_mask n in
-  let keys = Array.make (mask + 1) 0 and rows = Array.make (mask + 1) (-1) in
-  for i = 0 to n - 1 do
-    let k = hashes.(i) in
-    let s = ref (C.slot ~mask k) in
-    while
-      rows.(!s) >= 0 && not (keys.(!s) = k && C.equal_rows batch rows.(!s) batch i)
-    do
-      s := (!s + 1) land mask
-    done;
-    if rows.(!s) < 0 then begin
-      keys.(!s) <- k;
-      rows.(!s) <- i
-    end
-  done;
-  { batch; mask; keys; rows }
-
-(* Each surviving row is hashed in place and probed; a slot with its
-   hash is a candidate, verified by [equal_rows]. *)
-let matches (idx : index) (data : Engine.Columnar.t) (surviving : Bytes.t) :
-    matches =
-  let module C = Engine.Columnar in
-  let nq = C.length idx.batch and n = Bytes.length surviving in
-  let flags = Bytes.make n '\000' and verified = ref 0 in
-  if nq > 0 then begin
-    let hash = C.hash_row data.C.row in
-    for i = 0 to n - 1 do
-      if flag surviving i then begin
-        let k = hash i in
-        let s = ref (C.slot ~mask:idx.mask k) and found = ref false in
-        while (not !found) && idx.rows.(!s) >= 0 do
-          if idx.keys.(!s) = k then begin
-            incr verified;
-            found := C.equal_rows idx.batch idx.rows.(!s) data i
-          end;
-          s := (!s + 1) land idx.mask
-        done;
-        if !found then Bytes.set flags i '\001'
-      end
-    done
-  end;
-  { q_rows = nq; flags; verified = !verified }
+  let verified = ref 0 in
+  let mem = C.mem idx data ~verified in
+  let flags =
+    Bytes.init (Bytes.length surviving) (fun i ->
+        if flag surviving i && mem i then '\001' else '\000')
+  in
+  { q_rows = C.length (C.indexed idx); flags; verified = !verified }
 
 (* ⟦Q⟧_D given as rows, matched against a trace's root rows. *)
 let matches_of_trace (bi : bounds_input) (tr : Tracing.t) : matches =
-  let idx = index (Engine.Columnar.of_rows bi.original_result) in
+  let idx = Engine.Columnar.(row_index (of_rows bi.original_result)) in
   match root_ot tr with
   | Some ot -> matches idx ot.data ot.surviving
   | None -> matches idx Engine.Columnar.empty Bytes.empty

@@ -92,26 +92,17 @@ type bounds_input = {
     jobs on several domains may read it at once. *)
 type matches = { q_rows : int; flags : Bytes.t; verified : int }
 
-(** ⟦Q⟧_D hashed once ({!Engine.Columnar.hash_col}) into an
-    open-addressing table of its distinct rows, probed as
-    {!Engine.Columnar.eqclasses} probes.  Immutable once built: one
-    index serves every SA's {!matches}, on any domain. *)
-type index
-
-(** [index original]: ⟦Q⟧_D, the engine's batch, as an {!index}. *)
-val index : Engine.Columnar.t -> index
-
-(** [matches index data surviving]: [data] is an SA's root batch and
-    [surviving] its flags ({!Tracing.relaxed_root}).  Only the
-    surviving rows are hashed, each in place
-    ({!Engine.Columnar.hash_row}: nothing is gathered or stacked, and a
-    bag row hashes only its own elements), and probed; a slot holding
-    the row's hash is verified with {!Engine.Columnar.equal_rows}.  The
-    batch must share ⟦Q⟧_D's row type (an SA preserves the query's
-    output type); their columns may differ in representation.  Compute
-    it once per SA's relaxed evaluation ({!Pipeline.explain_with} keeps
-    it beside the evaluation): every {!explain} of that SA reads it. *)
-val matches : index -> Engine.Columnar.t -> Bytes.t -> matches
+(** [matches index data surviving]: [index] is ⟦Q⟧_D's, built once
+    per prepare ({!Engine.Columnar.row_index}); [data] is an SA's root
+    batch and [surviving] its flags ({!Tracing.relaxed_root}).  Only the
+    surviving rows are looked up, each in place
+    ({!Engine.Columnar.mem}: nothing is gathered or stacked, and a bag
+    row hashes only its own elements).  The batch must share ⟦Q⟧_D's
+    row type (an SA preserves the query's output type); their columns
+    may differ in representation.  Compute it once per SA's relaxed
+    evaluation ({!Pipeline.explain_with} keeps it beside the
+    evaluation): every {!explain} of that SA reads it. *)
+val matches : Engine.Columnar.row_index -> Engine.Columnar.t -> Bytes.t -> matches
 
 (** The terms of one SA's bounds sweep, shared by every explanation of
     that SA.  With a sampling stride [s > 1], [surviving] and [matched]
@@ -181,7 +172,7 @@ val explain :
   Explanation.t list * int * terms
 
 (** [explain]'s explanations, with ⟦Q⟧_D given as [bi] and matched
-    ({!matches} against the {!index} of
+    ({!matches} against the {!Engine.Columnar.row_index} of
     [Engine.Columnar.of_rows bi.original_result]) for this one call. *)
 val from_trace :
   ?sample_stride:int ->

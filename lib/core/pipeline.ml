@@ -117,7 +117,7 @@ type handle = {
   h_env : Typecheck.env;
   h_max_sas : int;  (* the enumeration cap; 1 without schema alternatives *)
   h_sas : Alternatives.sa list;
-  h_original : Msr.index;  (* ⟦Q⟧_D, hashed once *)
+  h_original : Engine.Columnar.row_index;  (* ⟦Q⟧_D, hashed once *)
   h_shared : Tracing.shared option;  (* [None] with a single SA *)
   h_relaxed : (Tracing.relaxed * Msr.matches) option Atomic.t array;
       (* SA [i]'s relaxed evaluation and its root rows matched against
@@ -209,7 +209,7 @@ let prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retries root cursor
         Obs.Span.set_int sp "original_result_rows"
           (Engine.Columnar.length original);
         let t0 = Obs.Clock.now_ns () in
-        let index = Msr.index original in
+        let index = Engine.Columnar.row_index original in
         Obs.Span.set_int sp "index_us" ((Obs.Clock.now_ns () - t0) / 1000);
         index)
   in

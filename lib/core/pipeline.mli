@@ -102,7 +102,8 @@ val explain :
 
     A handle holds:
     - the enumerated SAs (at most [max_sas], in enumeration order);
-    - ⟦Q⟧_D, the engine's batch hashed once into an {!Msr.index};
+    - ⟦Q⟧_D, the engine's batch hashed once into an
+      {!Engine.Columnar.row_index};
     - the shared blocks, with more than one SA;
     - one set-once slot per SA for its {!Tracing.relaxed} and the
       {!Msr.matches} of its root rows against that index.  The slots are
@@ -124,8 +125,9 @@ type handle
     [pipeline.prepare] span, exactly like the first half of {!explain}'s
     span tree: an [alternatives] child, then the [msr] child that runs
     ⟦Q⟧_D ({!Engine.Exec.rows}) and hashes it into the handle's
-    {!Msr.index}; it carries [original_result_rows] (|⟦Q⟧_D|) and
-    [index_us], the µs spent building the index.  With more than one SA, {!Tracing.share} runs as a job on the
+    {!Engine.Columnar.row_index}; it carries [original_result_rows]
+    (|⟦Q⟧_D|) and [index_us], the µs spent building the index.  With
+    more than one SA, {!Tracing.share} runs as a job on the
     shared {!Engine.Pool} while ⟦Q⟧_D runs on the calling domain, so the
     two cost the longer of them, not the sum.  The job's
     [tracing.shared] span carries [queued_ms], [shared_blocks] and

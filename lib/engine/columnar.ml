@@ -1051,49 +1051,9 @@ let flatten_tuple (inner_ty : Vtype.t) (c : col) : t =
 (* Vectorized hash (shuffle destinations)                              *)
 (* ------------------------------------------------------------------ *)
 
-let rec hash_col (c : col) : int array =
-  match c with
-  | CNull n -> Array.make n 17
-  | CConst (n, v) -> Array.make n (value_hash v)
-  | CBool (b, p) ->
-    Array.init (Bitv.length b) (fun i ->
-        if not (present p i) then 17 else if Bitv.get b i then 31 else 37)
-  | CInt (a, p) ->
-    Array.init (Array.length a) (fun i ->
-        if present p i then a.(i) * 2654435761 else 17)
-  | CFloat (a, p) ->
-    Array.init (Array.length a) (fun i ->
-        if present p i then float_hash a.(i) else 17)
-  | CStr (a, p) ->
-    Array.init (Array.length a) (fun i ->
-        if present p i then Dict.hash a.(i) else 17)
-  | CTuple (n, fields, p) ->
-    let fhashes =
-      List.map
-        (fun (l, c) -> (string_hash l, hash_col c))
-        fields
-    in
-    Array.init n (fun i ->
-        if present p i then
-          List.fold_left
-            (fun acc (lh, hs) -> (acc * 31) + lh + hs.(i))
-            7 fhashes
-        else 17)
-  | CBag bg ->
-    let ehashes = hash_col bg.belems in
-    Array.init bg.bn (fun i ->
-        if present bg.bpresent i then begin
-          let acc = ref 11 in
-          for j = bg.bstart.(i) to bg.bstop.(i) - 1 do
-            acc := !acc + (ehashes.(j) * bg.bmult.(j))
-          done;
-          !acc
-        end
-        else 17)
-
-(* [(hash_col c).(i)], staged on the column: [hash_row c] hashes the
-   labels and constants once, and the function it returns hashes one row
-   at a time.  A bag row hashes only its own range of the store. *)
+(* One row's hash, staged on the column: [hash_row c] hashes the labels
+   and constants once, and the function it returns hashes one row at a
+   time.  A bag row hashes only its own range of the store. *)
 let rec hash_row (c : col) : int -> int =
   match c with
   | CNull _ -> fun _ -> 17
@@ -1125,45 +1085,78 @@ and fields_hash_row fs i acc =
   | [] -> acc
   | (lh, h) :: fs -> fields_hash_row fs i ((acc * 31) + lh + h i)
 
-(* Open addressing for [n] keys: a power-of-two table at most half
-   full, of [mask + 1] slots, where the probe for key [k] starts at
-   [slot ~mask k] (the high bits of a multiplicative mix, folded down)
-   and walks the slots that follow.  [classes] and [Whynot.Msr]'s index
-   of ⟦Q⟧_D use it. *)
-let table_mask (n : int) : int =
+let hash_col (c : col) : int array = Array.init (col_length c) (hash_row c)
+
+(* Open addressing for up to [n] keys: a power-of-two table at most half
+   full, each slot holding a key and the first row entered with it
+   ([-1] = empty).  The probe for key [k] starts at the slot the high
+   bits of a multiplicative mix pick and walks the slots that follow,
+   passing over those of other keys and rows. *)
+type table = { tmask : int; tkeys : int array; tfirst : int array }
+
+let table (n : int) : table =
   let cap = ref 16 in
   while !cap < 2 * n do
     cap := 2 * !cap
   done;
-  !cap - 1
+  { tmask = !cap - 1; tkeys = Array.make !cap 0; tfirst = Array.make !cap (-1) }
 
-let slot ~mask (k : int) : int =
+let slot (tbl : table) (k : int) : int =
   let x = k * 0x2545F4914F6CDD1D in
-  (x lxor (x lsr 32)) land mask
+  (x lxor (x lsr 32)) land tbl.tmask
+
+(* The first row entered with key [k] that [same] accepts as equal to
+   row [i]; when there is none, [i], entered. *)
+let insert (tbl : table) (k : int) (same : int -> int -> bool) (i : int) : int =
+  let s = ref (slot tbl k) in
+  while tbl.tfirst.(!s) >= 0 && not (tbl.tkeys.(!s) = k && same tbl.tfirst.(!s) i) do
+    s := (!s + 1) land tbl.tmask
+  done;
+  if tbl.tfirst.(!s) < 0 then begin
+    tbl.tkeys.(!s) <- k;
+    tbl.tfirst.(!s) <- i;
+    i
+  end
+  else tbl.tfirst.(!s)
 
 (* Equivalence classes of rows: [result.(i)] is the smallest row whose
-   [key] equals row [i]'s and that [same] accepts as equal to it.  Open
-   addressing over a power-of-two table at most half full: each slot
-   holds a key and the first row that had it, and a probe passes over
-   the slots of other classes. *)
+   [key] equals row [i]'s and that [same] accepts as equal to it. *)
 let classes (n : int) (key : int -> int) (same : int -> int -> bool) : int array =
-  let mask = table_mask n in
-  let keys = Array.make (mask + 1) 0 and first = Array.make (mask + 1) (-1) in
-  let cls = Array.make n 0 in
+  let tbl = table n in
+  Array.init n (fun i -> insert tbl (key i) same i)
+
+(* A batch's distinct rows in a [table], keyed by their hashes. *)
+type row_index = { indexed : t; distinct : table }
+
+let row_index (b : t) : row_index =
+  let n = length b in
+  let hashes = hash_col b.row and distinct = table n in
+  let same r i = equal_rows b r b i in
   for i = 0 to n - 1 do
-    let k = key i in
-    let s = ref (slot ~mask k) in
-    while first.(!s) >= 0 && not (keys.(!s) = k && same first.(!s) i) do
-      s := (!s + 1) land mask
-    done;
-    if first.(!s) < 0 then begin
-      keys.(!s) <- k;
-      first.(!s) <- i;
-      cls.(i) <- i
-    end
-    else cls.(i) <- first.(!s)
+    ignore (insert distinct hashes.(i) same i : int)
   done;
-  cls
+  { indexed = b; distinct }
+
+let indexed (idx : row_index) : t = idx.indexed
+
+(* Row [i] of [b] is hashed in place and probed; each slot holding its
+   hash is a candidate, compared by [equal_rows]. *)
+let mem (idx : row_index) (b : t) ~(verified : int ref) : int -> bool =
+  if length idx.indexed = 0 then fun _ -> false
+  else begin
+    let hash = hash_row b.row and tbl = idx.distinct in
+    fun i ->
+      let k = hash i in
+      let s = ref (slot tbl k) and found = ref false in
+      while (not !found) && tbl.tfirst.(!s) >= 0 do
+        if tbl.tkeys.(!s) = k then begin
+          incr verified;
+          found := equal_rows idx.indexed tbl.tfirst.(!s) b i
+        end;
+        s := (!s + 1) land tbl.tmask
+      done;
+      !found
+  end
 
 (* Over a single integer key per row that is already a structural
    equality witness (dict codes, raw ints). *)

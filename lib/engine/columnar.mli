@@ -133,7 +133,8 @@ val equal_rows : t -> int -> t -> int -> bool
     test: grouping, relation nesting, δ, − and join keys all run on it,
     over the two sides stacked with {!vstack} where two batches meet.
     {!equal_rows} is the same test for one row of each of two batches,
-    for lookups that probe a table of one batch with the other's rows. *)
+    with which {!mem} looks one batch's rows up in a {!row_index} of
+    the other. *)
 val eqclasses : int -> col list -> int array
 val col_get : col -> int -> Value.t
 
@@ -222,13 +223,25 @@ val hash_col : col -> int array
     once, so apply it once per batch and the result once per row. *)
 val hash_row : col -> int -> int
 
-(** Open addressing as {!eqclasses} does it.  [table_mask n] is the
-    mask of a power-of-two table at most half full with [n] keys, of
-    [table_mask n + 1] slots; [slot ~mask k] is the slot where the probe
-    for key [k] starts, and a probe walks the slots that follow. *)
-val table_mask : int -> int
+(** {1 Row lookup} *)
 
-val slot : mask:int -> int -> int
+(** A batch's distinct rows, hashed once ({!hash_col}) into the
+    open-addressing table {!eqclasses} uses.  Immutable once built: one
+    index may serve lookups on several domains at once. *)
+type row_index
+
+val row_index : t -> row_index
+
+(** The batch a {!row_index} was built from. *)
+val indexed : row_index -> t
+
+(** [mem idx b ~verified i] tells whether row [i] of [b] is
+    [Value.equal] to a row of [indexed idx]; [b] must share its row
+    type, in any representation.  The row is hashed in place
+    ({!hash_row}) and each slot holding its hash is compared with
+    {!equal_rows}, adding one to [verified].  Staged on [b]: apply
+    [mem idx b ~verified] once per batch and the result once per row. *)
+val mem : row_index -> t -> verified:int ref -> int -> bool
 
 (** {1 Vectorized expression evaluation}
 

@@ -181,20 +181,13 @@ let skip_table needle =
   done;
   skip
 
-(* Shift 1 at every byte: the search without a table. *)
+(* Shift 1 at every byte: the search without a table, for a one-off
+   haystack. *)
 let unit_skip = Bytes.make 256 '\001'
 
 let string_contains ~needle =
   let skip = skip_table needle in
   fun haystack -> search skip needle haystack
-
-(* One haystack on its own builds the table only when it is long
-   enough to repay it: filling 256 shifts costs about what scanning a
-   few dozen bytes one by one does. *)
-let contains_once ~needle haystack =
-  search
-    (if String.length haystack >= 64 then skip_table needle else unit_skip)
-    needle haystack
 
 let rec eval_pred (tuple : Value.t) (p : pred) : bool =
   match p with
@@ -208,7 +201,7 @@ let rec eval_pred (tuple : Value.t) (p : pred) : bool =
   | IsNotNull e -> not (Value.equal (eval tuple e) Value.Null)
   | Contains (e, s) -> (
     match eval tuple e with
-    | Value.String text -> contains_once ~needle:s text
+    | Value.String text -> search unit_skip s text
     | _ -> false)
 
 (* Pretty printing *)

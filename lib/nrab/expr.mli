@@ -88,9 +88,9 @@ val eval_pred : Value.t -> pred -> bool
 (** [string_contains ~needle] is the substring test of [Contains],
     staged on the needle: the partial application builds the needle's
     Boyer–Moore–Horspool skip table once, and the function it returns
-    searches any number of haystacks with it.  [eval_pred] searches a
-    one-off haystack with the same search, building the table only for
-    haystacks of 64 bytes or more. *)
+    searches any number of haystacks with it.  [eval_pred] runs the same
+    search on its one-off haystack with a shift of 1 at every byte, so
+    it builds no table. *)
 val string_contains : needle:string -> string -> bool
 
 (** {1 Printing} *)

@@ -720,7 +720,7 @@ let prop_matches =
   QCheck.Test.make ~name:"Msr.matches = surviving and Value.equal to a row of ⟦Q⟧_D"
     ~count:500 arb_match_case (fun (original, data, surviving) ->
       let qs = C.to_rows original in
-      let m = Whynot.Msr.matches (Whynot.Msr.index original) data surviving in
+      let m = Whynot.Msr.matches (C.row_index original) data surviving in
       m.Whynot.Msr.q_rows = List.length qs
       && Bytes.length m.Whynot.Msr.flags = C.length data
       && List.for_all
@@ -809,13 +809,13 @@ let test_matches_representations () =
   in
   let matched m = Bytes.to_string m.Whynot.Msr.flags in
   let m =
-    Whynot.Msr.matches (Whynot.Msr.index const) typed (Bytes.of_string "\001\001\001\001")
+    Whynot.Msr.matches (C.row_index const) typed (Bytes.of_string "\001\001\001\001")
   in
   Alcotest.(check string) "typed rows against constant columns" "\001\000\001\000" (matched m);
   Alcotest.(check int) "|⟦Q⟧_D|" 3 m.Whynot.Msr.q_rows;
-  let m = Whynot.Msr.matches (Whynot.Msr.index typed) const (Bytes.of_string "\001\000\001") in
+  let m = Whynot.Msr.matches (C.row_index typed) const (Bytes.of_string "\001\000\001") in
   Alcotest.(check string) "constant rows against typed columns" "\001\000\001" (matched m);
-  let m = Whynot.Msr.matches (Whynot.Msr.index C.empty) typed (Bytes.make 4 '\001') in
+  let m = Whynot.Msr.matches (C.row_index C.empty) typed (Bytes.make 4 '\001') in
   Alcotest.(check string) "an empty ⟦Q⟧_D matches nothing" "\000\000\000\000" (matched m)
 
 let qsuite =
@@ -932,7 +932,7 @@ let test_registry_batches () =
               let vs = List.init n (C.get_row data) in
               let m =
                 Whynot.Msr.matches
-                  (Whynot.Msr.index (C.of_rows vs))
+                  (C.row_index (C.of_rows vs))
                   data (Bytes.make n '\001')
               in
               List.iteri

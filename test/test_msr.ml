@@ -507,7 +507,7 @@ let bounds_of (es : Whynot.Explanation.t list) =
 (* ⟦Q⟧_D, as a batch, matched against the trace's root rows. *)
 let matches_of (original : Engine.Columnar.t) (tr : Whynot.Tracing.t) =
   let ot = Option.get (Whynot.Tracing.op_trace tr tr.Whynot.Tracing.root_op) in
-  Whynot.Msr.matches (Whynot.Msr.index original) ot.Whynot.Tracing.data
+  Whynot.Msr.matches (Engine.Columnar.row_index original) ot.Whynot.Tracing.data
     ot.Whynot.Tracing.surviving
 
 (* One trace's bounds, exact and top-2, through [explain] with the
