@@ -30,11 +30,7 @@ type info = {
 let original_trace (phi : Whynot.Question.t) : info =
   let db = phi.Whynot.Question.db in
   let q = phi.Whynot.Question.query in
-  let env =
-    List.map
-      (fun (n, r) -> (n, Nested.Relation.schema r))
-      (Nested.Relation.Db.tables db)
-  in
+  let env = Eval.schema_env db in
   let bt = Whynot.Backtrace.run ~env q phi.Whynot.Question.missing in
   let sa0 =
     {

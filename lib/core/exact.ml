@@ -7,6 +7,10 @@
    the successful ones, and compute the minimal ones under the partial
    order of Definition 9 with the tree edit distance as d.
 
+   This is the one reparameterization search: [successful] runs [search]
+   over every operator subset up to [max_ops], and [Repair.suggest] runs it
+   over the one subset an explanation names.
+
    Exponential in the number of simultaneously changed operators, so only
    usable on small instances; it serves as ground truth for the heuristic
    pipeline in the test suite and for the crime-dataset comparison. *)
@@ -15,53 +19,58 @@ open Nested
 open Nrab
 module Int_set = Opset.Int_set
 
-type sr = { query : Query.t; changed : Int_set.t; distance : int }
+type sr = {
+  query : Query.t;
+  changes : (int * Query.node) list;
+  changed : Int_set.t;
+  distance : int;
+}
 
-(* Input fields (name × type) of operator [op] inside query [q]. *)
-let input_fields env (op : Query.t) : (string * Vtype.t) list =
-  List.concat_map
-    (fun child ->
-      match Typecheck.infer_result env child with
-      | Ok ty -> Vtype.relation_fields ty
-      | Error _ -> [])
-    op.Query.children
-
-(* Active domain of attribute [a] in the input of [op]. *)
-let active_domain (db : Relation.Db.t) (op : Query.t) (a : string) :
-    Value.t list =
-  let values =
-    List.concat_map
-      (fun child ->
-        match Eval.eval db child with
-        | rel ->
-          List.filter_map
-            (fun t -> Value.field a t)
-            (Relation.distinct_tuples rel)
-        | exception _ -> [])
-      op.Query.children
-  in
-  List.sort_uniq Value.compare values
-
-(* All candidate node replacements for one operator (one or two admissible
-   changes deep). *)
+(* All candidate node replacements for one operator (one to [depth]
+   admissible changes deep).  The operator's inputs are evaluated at most
+   once, when a constant first needs an active domain, and each
+   attribute's domain is read from them once; an input whose evaluation
+   raises contributes no constants. *)
 let candidates ~(depth : int) (db : Relation.Db.t) env (op : Query.t) :
     Query.node list =
-  let fields = input_fields env op in
-  let type_of a = List.assoc_opt a fields in
+  let fields =
+    List.concat_map
+      (fun child ->
+        match Typecheck.infer_result env child with
+        | Ok ty -> Vtype.relation_fields ty
+        | Error _ -> [])
+      op.Query.children
+  in
   let attr_pool a =
-    match type_of a with
+    match List.assoc_opt a fields with
     | None -> []
     | Some ty ->
       List.filter_map
         (fun (a', ty') -> if Vtype.equal ty ty' then Some a' else None)
         fields
   in
+  let inputs =
+    lazy
+      (List.concat_map
+         (fun child ->
+           match Eval.eval db child with
+           | rel -> Relation.distinct_tuples rel
+           | exception _ -> [])
+         op.Query.children)
+  in
+  let domains = Hashtbl.create 8 in
+  let active_domain a =
+    match Hashtbl.find_opt domains a with
+    | Some domain -> domain
+    | None ->
+      let domain =
+        List.sort_uniq Value.compare
+          (List.filter_map (Value.field a) (Lazy.force inputs))
+      in
+      Hashtbl.add domains a domain;
+      domain
+  in
   let const_pool attr_hint (v : Value.t) =
-    let domain =
-      match attr_hint with
-      | Some a -> active_domain db op a
-      | None -> []
-    in
     let same_type v' =
       match v, v' with
       | Value.Int _, Value.Int _
@@ -71,7 +80,9 @@ let candidates ~(depth : int) (db : Relation.Db.t) env (op : Query.t) :
         true
       | _ -> false
     in
-    List.filter same_type domain
+    match attr_hint with
+    | Some a -> List.filter same_type (active_domain a)
+    | None -> []
   in
   let step node = Reparam.node_variants ~attr_pool ~const_pool node in
   let rec go d frontier acc =
@@ -85,30 +96,58 @@ let candidates ~(depth : int) (db : Relation.Db.t) env (op : Query.t) :
   in
   go depth [ op.Query.node ] []
 
-(* Enumerate subsets of operators up to [max_ops] and all combinations of
-   their candidate replacements. *)
-let reparameterizations ?(max_ops = 2) ?(depth = 2) (phi : Question.t) :
-    (Query.t * Int_set.t) list =
+(* Every combination of one candidate per operator of a subset, applied to
+   Φ's query.  A well-typed candidate is evaluated once: that result
+   decides success (Definition 8) and gives the tree edit distance to
+   ⟦Q⟧_D.  A candidate whose evaluation or NIP test raises is skipped. *)
+let search (phi : Question.t) (subsets : (int * Query.node list) list list) :
+    sr list =
   let q = phi.Question.query in
-  let db = phi.Question.db in
-  let env =
-    List.map (fun (n, r) -> (n, Relation.schema r)) (Relation.Db.tables db)
+  let env = Eval.schema_env phi.Question.db in
+  let original = Relation.data (Question.original_result phi) in
+  let rec product = function
+    | [] -> [ [] ]
+    | (id, cs) :: rest ->
+      let tails = product rest in
+      List.concat_map (fun c -> List.map (fun tl -> (id, c) :: tl) tails) cs
   in
-  let ops =
-    List.filter
+  let evaluate changes =
+    let q' = Reparam.apply q changes in
+    if not (Typecheck.well_typed env q') then None
+    else
+      match Question.successful_result phi q' with
+      | Some result ->
+        Some
+          {
+            query = q';
+            changes;
+            changed = Int_set.of_list (List.map fst changes);
+            distance = Ted.distance original (Relation.data result);
+          }
+      | None | (exception _) -> None
+  in
+  List.concat_map
+    (fun subset -> List.filter_map evaluate (product subset))
+    subsets
+
+(* Successful reparameterizations (Definition 8) changing at most
+   [max_ops] operators, with their tree edit distance side effects. *)
+let successful ?(max_ops = 2) ?(depth = 2) (phi : Question.t) : sr list =
+  let db = phi.Question.db in
+  let env = Eval.schema_env db in
+  let per_op =
+    List.filter_map
       (fun (op : Query.t) ->
         match op.Query.node with
         | Query.Table _ | Query.Product | Query.Union | Query.Diff
         | Query.Dedup ->
-          false
-        | _ -> true)
-      (Query.operators q)
+          None
+        | _ -> (
+          match candidates ~depth db env op with
+          | [] -> None
+          | cs -> Some (op.Query.id, cs)))
+      (Query.operators phi.Question.query)
   in
-  let per_op =
-    List.map (fun op -> (op.Query.id, candidates ~depth db env op)) ops
-  in
-  let per_op = List.filter (fun (_, cs) -> cs <> []) per_op in
-  (* subsets of changed operators *)
   let rec subsets k = function
     | [] -> [ [] ]
     | _ when k = 0 -> [ [] ]
@@ -117,45 +156,7 @@ let reparameterizations ?(max_ops = 2) ?(depth = 2) (phi : Question.t) :
       let with_x = List.map (fun s -> x :: s) (subsets (k - 1) rest) in
       without @ with_x
   in
-  let combos =
-    List.concat_map
-      (fun subset ->
-        let rec product = function
-          | [] -> [ [] ]
-          | (id, cs) :: rest ->
-            let tails = product rest in
-            List.concat_map
-              (fun c -> List.map (fun tl -> (id, c) :: tl) tails)
-              cs
-        in
-        product subset)
-      (subsets max_ops per_op)
-  in
-  List.filter_map
-    (fun rp ->
-      if rp = [] then None
-      else
-        let q' = Reparam.apply q rp in
-        if Typecheck.well_typed env q' then
-          Some (q', Int_set.of_list (List.map fst rp))
-        else None)
-    combos
-
-(* Successful reparameterizations (Definition 8) with their tree edit
-   distance side effects. *)
-let successful ?max_ops ?depth (phi : Question.t) : sr list =
-  let original = Question.original_result phi in
-  let original_data = Relation.data original in
-  List.filter_map
-    (fun (q', changed) ->
-      match Question.is_successful phi q' with
-      | true ->
-        let result = Eval.eval phi.Question.db q' in
-        let distance = Ted.distance original_data (Relation.data result) in
-        Some { query = q'; changed; distance }
-      | false -> None
-      | exception _ -> None)
-    (reparameterizations ?max_ops ?depth phi)
+  search phi (List.filter (( <> ) []) (subsets max_ops per_op))
 
 (* MSRs: SRs minimal w.r.t. the partial order (Definition 9). *)
 let msrs ?max_ops ?depth (phi : Question.t) : sr list =

@@ -19,8 +19,7 @@ type result = {
   span : Obs.Span.t;
 }
 
-let schema_env (db : Relation.Db.t) : Typecheck.env =
-  List.map (fun (n, r) -> (n, Relation.schema r)) (Relation.Db.tables db)
+let schema_env = Eval.schema_env
 
 let phases = [ "backtrace"; "alternatives"; "tracing"; "msr" ]
 
@@ -453,6 +452,20 @@ let finish_cancelled root f =
     Obs.Span.finish root;
     raise e
 
+(* The tail of both explains: the root's run attributes, its finish, the
+   run and approximation metrics, and the result record. *)
+let finish_run root question sas explanations report : result =
+  Obs.Span.set_int root "sas" (List.length sas);
+  Obs.Span.set_int root "explanations" (List.length explanations);
+  Option.iter
+    (fun r -> Obs.Span.set_string root "approx_mode" r.Approx.mode)
+    report;
+  Obs.Span.finish root;
+  record_run_metrics root ~sas:(List.length sas)
+    ~explanations:(List.length explanations);
+  record_approx_metrics report;
+  { question; sas; explanations; approx = report; span = root }
+
 let prepare ?(use_sas = true) ?(max_sas = 16)
     ?(alternatives : Alternatives.alternatives = []) ?(cancel = Cancel.none)
     ?(retries = 0) ?parent ~db (q : Query.t) : handle =
@@ -482,17 +495,8 @@ let explain_with ?approx ?(use_sas = true) ?max_sas ?(revalidate = true)
         run_phases ?approx ~revalidate ~cancel ~retries root cursor h sas
           missing)
   in
-  Obs.Span.set_int root "sas" (List.length sas);
-  Obs.Span.set_int root "explanations" (List.length explanations);
-  Option.iter
-    (fun r -> Obs.Span.set_string root "approx_mode" r.Approx.mode)
-    report;
-  Obs.Span.finish root;
-  record_run_metrics root ~sas:(List.length sas)
-    ~explanations:(List.length explanations);
-  record_approx_metrics report;
-  let question = Question.make ~query:h.h_query ~db:h.h_db ~missing in
-  { question; sas; explanations; approx = report; span = root }
+  finish_run root (Question.make ~query:h.h_query ~db:h.h_db ~missing) sas
+    explanations report
 
 let explain ?approx ?(use_sas = true) ?(max_sas = 16) ?(revalidate = true)
     ?(alternatives : Alternatives.alternatives = []) ?(cancel = Cancel.none)
@@ -513,16 +517,7 @@ let explain ?approx ?(use_sas = true) ?(max_sas = 16) ?(revalidate = true)
           run_phases ?approx ~revalidate ~cancel ~retries root cursor h
             h.h_sas phi.Question.missing ))
   in
-  Obs.Span.set_int root "sas" (List.length h.h_sas);
-  Obs.Span.set_int root "explanations" (List.length explanations);
-  Option.iter
-    (fun r -> Obs.Span.set_string root "approx_mode" r.Approx.mode)
-    report;
-  Obs.Span.finish root;
-  record_run_metrics root ~sas:(List.length h.h_sas)
-    ~explanations:(List.length explanations);
-  record_approx_metrics report;
-  { question = phi; sas = h.h_sas; explanations; approx = report; span = root }
+  finish_run root phi h.h_sas explanations report
 
 (* Total time per algorithm phase (summed across schema alternatives). *)
 let phase_durations_ms (r : result) = phase_durations_ms_of_span r.span

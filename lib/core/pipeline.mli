@@ -29,7 +29,7 @@ type result = {
           rank/prune *)
 }
 
-(** Typing environment of a database. *)
+(** Typing environment of a database: {!Nrab.Eval.schema_env}. *)
 val schema_env : Relation.Db.t -> Typecheck.env
 
 (** Compute query-based why-not explanations.

@@ -24,6 +24,10 @@ val original_result : t -> Relation.t
     missing-answer NIP. *)
 val matching_tuples : t -> Query.t -> Value.t list
 
+(** ⟦q⟧_D if one of its tuples matches the missing-answer NIP, [None]
+    otherwise: one evaluation decides success and can then be measured. *)
+val successful_result : t -> Query.t -> Nested.Relation.t option
+
 (** Is [q] a successful reparameterization result-wise (Definition 8)? *)
 val is_successful : t -> Query.t -> bool
 

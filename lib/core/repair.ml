@@ -4,12 +4,11 @@
    further and searches for *actual parameter changes* of exactly those
    operators that make the missing answer appear — bridging towards the
    refinement-based explanations the paper contrasts itself with
-   (Example 10's discussion).  The search reuses the bounded candidate
-   enumeration of the exact algorithm, restricted to the explanation's
-   operators, and ranks successful repairs by their true tree-edit-distance
-   side effects. *)
+   (Example 10's discussion).  It is the exact algorithm's search
+   ([Exact.search]) restricted to one operator subset, the explanation's
+   operators, each of them changed; the successful repairs are ranked by
+   their true tree-edit-distance side effects. *)
 
-open Nested
 open Nrab
 module Int_set = Opset.Int_set
 
@@ -19,114 +18,31 @@ type suggestion = {
   side_effects : int;  (* tree edit distance to the original result *)
 }
 
-(* Candidate node replacements for one operator (reusing the exact
-   search's pools). *)
-let candidates_for ~depth (phi : Question.t) (op : Query.t) : Query.node list =
-  let db = phi.Question.db in
-  let env =
-    List.map (fun (n, r) -> (n, Relation.schema r)) (Relation.Db.tables db)
-  in
-  let fields =
-    List.concat_map
-      (fun child ->
-        match Typecheck.infer_result env child with
-        | Ok ty -> Vtype.relation_fields ty
-        | Error _ -> [])
-      op.Query.children
-  in
-  let attr_pool a =
-    match List.assoc_opt a fields with
-    | None -> []
-    | Some ty ->
-      List.filter_map
-        (fun (a', ty') -> if Vtype.equal ty ty' then Some a' else None)
-        fields
-  in
-  let active_domain a =
-    List.concat_map
-      (fun child ->
-        match Eval.eval db child with
-        | rel ->
-          List.filter_map (fun t -> Value.field a t) (Relation.distinct_tuples rel)
-        | exception _ -> [])
-      op.Query.children
-    |> List.sort_uniq Value.compare
-  in
-  let const_pool attr_hint (v : Value.t) =
-    let domain = match attr_hint with Some a -> active_domain a | None -> [] in
-    List.filter
-      (fun v' ->
-        match v, v' with
-        | Value.Int _, Value.Int _
-        | Value.Float _, Value.Float _
-        | Value.String _, Value.String _
-        | Value.Bool _, Value.Bool _ ->
-          true
-        | _ -> false)
-      domain
-  in
-  let step node = Reparam.node_variants ~attr_pool ~const_pool node in
-  let rec go d frontier acc =
-    if d = 0 then acc
-    else
-      let next = List.sort_uniq compare (List.concat_map step frontier) in
-      let fresh =
-        List.filter (fun n -> n <> op.Query.node && not (List.mem n acc)) next
-      in
-      go (d - 1) fresh (acc @ fresh)
-  in
-  go depth [ op.Query.node ] []
-
 (* Suggest concrete repairs implementing one explanation: combinations of
    candidate parameter changes over exactly the explanation's operators
-   that make the missing answer appear. *)
+   that make the missing answer appear, fewest side effects first (ties
+   in enumeration order). *)
 let suggest ?(depth = 2) ?(max_suggestions = 5) (phi : Question.t)
     (expl : Explanation.t) : suggestion list =
-  let q = phi.Question.query in
-  let env =
-    List.map
-      (fun (n, r) -> (n, Relation.schema r))
-      (Relation.Db.tables phi.Question.db)
-  in
-  let ops =
-    List.filter
-      (fun (op : Query.t) -> Int_set.mem op.Query.id (Explanation.ops expl))
-      (Query.operators q)
-  in
-  let per_op =
-    List.map (fun op -> (op.Query.id, candidates_for ~depth phi op)) ops
-  in
-  (* every operator of the explanation must change *)
-  let rec combos = function
-    | [] -> [ [] ]
-    | (id, cs) :: rest ->
-      let tails = combos rest in
-      List.concat_map (fun c -> List.map (fun tl -> (id, c) :: tl) tails) cs
-  in
-  let original = Relation.data (Question.original_result phi) in
-  let successful =
+  let db = phi.Question.db in
+  let env = Eval.schema_env db in
+  let subset =
     List.filter_map
-      (fun changes ->
-        let repaired = Reparam.apply q changes in
-        if not (Typecheck.well_typed env repaired) then None
-        else
-          match Question.is_successful phi repaired with
-          | true ->
-            let result = Eval.eval phi.Question.db repaired in
-            Some
-              {
-                changes;
-                repaired;
-                side_effects = Ted.distance original (Relation.data result);
-              }
-          | false -> None
-          | exception _ -> None)
-      (combos per_op)
+      (fun (op : Query.t) ->
+        if Int_set.mem op.Query.id (Explanation.ops expl) then
+          Some (op.Query.id, Exact.candidates ~depth db env op)
+        else None)
+      (Query.operators phi.Question.query)
   in
-  let ranked =
-    List.sort (fun a b -> compare a.side_effects b.side_effects) successful
-  in
-  List.filteri (fun i _ -> i < max_suggestions) ranked
+  Exact.search phi [ subset ]
+  |> List.map (fun (sr : Exact.sr) ->
+         {
+           changes = sr.Exact.changes;
+           repaired = sr.Exact.query;
+           side_effects = sr.Exact.distance;
+         })
+  |> List.stable_sort (fun a b -> compare a.side_effects b.side_effects)
+  |> List.filteri (fun i _ -> i < max_suggestions)
 
 let pp_suggestion (q : Query.t) ppf (s : suggestion) =
   let pp_change ppf (id, node) =

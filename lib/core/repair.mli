@@ -7,8 +7,10 @@
     tree-edit-distance side effects.  This bridges query-based towards
     refinement-based explanations.
 
-    Bounded search — intended for interactive use on one explanation at a
-    time, on data small enough to evaluate candidate queries. *)
+    The search is {!Exact.search} over one operator subset, the
+    explanation's operators, each of them changed.  Bounded — intended
+    for interactive use on one explanation at a time, on data small
+    enough to evaluate candidate queries. *)
 
 open Nrab
 

@@ -20,9 +20,6 @@ let err fmt = Fmt.kstr (fun m -> raise (Engine_error m)) fmt
    phase retry replays, so it is the unit a chaos test faults. *)
 let site_run = Obs.Faultinject.register_site "engine.run"
 
-let schema_env (db : Relation.Db.t) : Typecheck.env =
-  List.map (fun (n, r) -> (n, Relation.schema r)) (Relation.Db.tables db)
-
 (* Column resolution: an unknown attribute raises, except where the
    reference evaluator reads it as Null (group keys, nested projections,
    flattened and aggregated bags). *)
@@ -83,7 +80,7 @@ let group_agg_cols group aggs (b : C.t) : C.t =
 let rows ?(partitions = 4) ?parent ?registry (db : Relation.Db.t)
     (q : Query.t) : C.t * Stats.t =
   Obs.Faultinject.fire site_run;
-  let env = schema_env db in
+  let env = Eval.schema_env db in
   let cols = Kernel.reads env q in
   let stats = Stats.create () in
   let n = max 1 partitions in
@@ -298,6 +295,6 @@ let rows ?(partitions = 4) ?parent ?registry (db : Relation.Db.t)
 
 let run ?partitions ?parent ?registry (db : Relation.Db.t) (q : Query.t) :
     Relation.t * Stats.t =
-  let schema = Typecheck.infer (schema_env db) q in
+  let schema = Typecheck.infer (Eval.schema_env db) q in
   let out, stats = rows ?partitions ?parent ?registry db q in
   (Relation.of_tuples ~schema (C.to_rows out), stats)

@@ -1,4 +1,3 @@
-open Nested
 open Nrab
 
 type syntax = [ `Sql | `Sexp ]
@@ -14,8 +13,7 @@ let detect (s : string) : syntax =
   in
   match first 0 with Some ('(' | ';') -> `Sexp | _ -> `Sql
 
-let env_of_db db =
-  List.map (fun (n, r) -> (n, Relation.schema r)) (Relation.Db.tables db)
+let env_of_db = Eval.schema_env
 
 let fresh_gen = function Some g -> g | None -> Query.Gen.create ()
 

@@ -13,7 +13,8 @@ type syntax = [ `Sql | `Sexp ]
 
 val detect : string -> syntax
 
-(** Schema environment of a database: table name → relation type. *)
+(** Schema environment of a database: table name → relation type
+    ({!Nrab.Eval.schema_env}). *)
 val env_of_db : Nested.Relation.Db.t -> Typecheck.env
 
 (** Compile SQL-ish text.  Fresh operator ids come from [gen]

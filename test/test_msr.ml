@@ -336,9 +336,7 @@ let test_from_trace_explanations () =
 let sas_of (inst : Scenarios.Scenario.instance) =
   let q = inst.question.Whynot.Question.query
   and db = inst.question.Whynot.Question.db in
-  let env =
-    List.map (fun (n, r) -> (n, Relation.schema r)) (Relation.Db.tables db)
-  in
+  let env = Eval.schema_env db in
   (env, db, Whynot.Alternatives.enumerate ~max_sas:16 ~env q inst.alternatives)
 
 let root_rids (tr : Whynot.Tracing.t) =
