@@ -69,14 +69,16 @@ let write_prometheus = function
 
 let is_sa sp = String.starts_with ~prefix:"sa:S" (Obs.Span.name sp)
 
-(* The wall time of a run whose SAs ran in parallel: its tiled phases
-   before the first [sa:S<i>] span (prepare), the longest [sa:S<i>]
-   span, and the phases after them (rank).  [tracing.shared] runs
-   beside ⟦Q⟧_D, inside prepare's wall time. *)
+(* The wall time of a run whose SAs ran in parallel: the spans before
+   the first [sa:S<i>] span that ran on the calling domain (prepare: the
+   [alternatives] phase and [tracing.shared]), the longest [sa:S<i>]
+   span, and the phases after them (rank).  [msr.original], ⟦Q⟧_D's pool
+   job, runs beside them; an SA that waits for it shows the wait inside
+   its own span. *)
 let critical_path_ms root =
   let tiled =
     List.filter
-      (fun sp -> not (String.equal (Obs.Span.name sp) "tracing.shared"))
+      (fun sp -> not (String.equal (Obs.Span.name sp) "msr.original"))
       (Obs.Span.children root)
   in
   let rec prepare acc = function
@@ -105,8 +107,9 @@ let pp_phase_breakdown ppf (rp : Whynot.Pipeline.result) =
   Fmt.pf ppf "@,";
   (* Parallel SAs overlap, so the part of a phase's row that ran inside
      [sa:S<i>] spans adds up time that ran side by side, and the rows
-     can exceed the total.  The rest of a row (⟦Q⟧_D's run under
-     prepare's [msr], rank's [msr]) ran once. *)
+     can exceed the total.  The rest of a row (prepare's [alternatives],
+     rank's [msr]) ran once.  No row holds ⟦Q⟧_D's job or the share:
+     [msr.original] and [tracing.shared] are no phases. *)
   let sas = List.filter is_sa (Obs.Span.children root) in
   let in_sas p =
     List.fold_left (fun acc sp -> acc +. Obs.Span.sum_duration_ms_named p sp) 0.0 sas

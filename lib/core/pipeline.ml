@@ -109,19 +109,22 @@ let submit_spanned ~cancel sp f =
    the query, the database, and the alternative groups — not on the
    missing-answer pattern — so a long-lived service can compute them
    once and re-answer every new pattern on the same ⟨Q, D⟩ from the
-   handle. *)
+   handle.  Only the enumeration runs in [prepare]; the rest sits in
+   set-once slots filled by the first explain that needs them, and a
+   race computes a (pure) value twice and keeps one. *)
 type handle = {
   h_query : Query.t;
   h_db : Relation.Db.t;
   h_env : Typecheck.env;
   h_max_sas : int;  (* the enumeration cap; 1 without schema alternatives *)
   h_sas : Alternatives.sa list;
-  h_original : Engine.Columnar.row_index;  (* ⟦Q⟧_D, hashed once *)
-  h_shared : Tracing.shared option;  (* [None] with a single SA *)
+  h_original : Engine.Columnar.row_index option Atomic.t;
+      (* ⟦Q⟧_D, hashed once, set by the first pool job that completes it *)
+  h_shared : Tracing.shared option Atomic.t;
+      (* set by the first explain that evaluates more than one SA *)
   h_relaxed : (Tracing.relaxed * Msr.matches) option Atomic.t array;
       (* SA [i]'s relaxed evaluation and its root rows matched against
-         ⟦Q⟧_D, set once by the first chain that completes them; a race
-         computes the (pure) pair twice and keeps one *)
+         ⟦Q⟧_D, set by the first chain that completes them *)
 }
 
 let handle_sas h = h.h_sas
@@ -154,16 +157,14 @@ let handle_prefix h ~use_sas ~max_sas =
          max_sas h.h_max_sas)
   else take max_sas h.h_sas
 
-(* Steps 2 (schema alternatives), the ⟦Q⟧_D execution and the shared
-   part of step 3, under [root]; step 1 (backtracing) runs per SA since
-   the NIPs depend on the substituted attributes. *)
+(* Step 2 (schema alternatives) under [root], into a handle whose slots
+   are all empty; step 1 (backtracing) runs per SA since the NIPs depend
+   on the substituted attributes. *)
 let prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retries root cursor
     ~db q : handle =
-  let phase parent name f =
-    guarded_phase ~retries ~cancel cursor ~prefix:"prepare/" parent name f
-  in
   let env, sas =
-    phase root "alternatives" (fun sp ->
+    guarded_phase ~retries ~cancel cursor ~prefix:"prepare/" root
+      "alternatives" (fun sp ->
         let env = schema_env db in
         let sas =
           if use_sas then Alternatives.enumerate ~max_sas ~env q alternatives
@@ -172,87 +173,100 @@ let prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retries root cursor
         Obs.Span.set_int sp "sas" (List.length sas);
         (env, sas))
   in
-  (* The SA-invariant subtrees are traced once, on the shared pool, while
-     ⟦Q⟧_D runs here, so the two cost the longer of them rather than the
-     sum.  Retries run in the job, attributed as [prepare/tracing]. *)
-  let share_job =
-    if List.length sas < 2 then None
-    else
-      let sp = Obs.Span.start ~parent:root "tracing.shared" in
-      Some
-        (submit_spanned ~cancel sp (fun _ ->
-             let shared =
-               protect_phase ~retries ~cancel ~task:"prepare/tracing" sp
-                 (fun () -> Tracing.share ~env db sas)
-             in
-             Obs.Span.set_int sp "shared_blocks" (Tracing.shared_blocks shared);
-             Obs.Span.set_int sp "shared_rows" (Tracing.shared_rows shared);
-             let kept, pruned = Tracing.shared_columns shared in
-             Obs.Span.set_int sp "columns_kept" kept;
-             Obs.Span.set_int sp "columns_pruned" pruned;
-             shared))
-  in
-  (* ⟦Q⟧_D, the basis of the side-effect bounds, is charged to the MSR
-     phase.  Evaluated on the engine rather than the reference
-     interpreter: the results are identical and the engine is an order
-     of magnitude faster on the bench scales.  The bounds only count the
-     rows and test membership, so they keep the engine's batch as it
-     comes, without the relation's canonical sort or a row tree, hashed
-     once into the index each SA's root rows are matched against
-     ({!relaxed_of}).  The engine does not retry: a transient fault in
-     the run propagates unwrapped, and this phase's retry replays the
-     whole of ⟦Q⟧_D. *)
-  let original =
-    phase root "msr" (fun sp ->
-        let original = fst (Engine.Exec.rows ~parent:sp db q) in
-        Obs.Span.set_int sp "original_result_rows"
-          (Engine.Columnar.length original);
-        let t0 = Obs.Clock.now_ns () in
-        let index = Engine.Columnar.row_index original in
-        Obs.Span.set_int sp "index_us" ((Obs.Clock.now_ns () - t0) / 1000);
-        index)
-  in
-  (* Whatever of the share job outlasts ⟦Q⟧_D is charged to tracing. *)
-  let shared =
-    Option.map
-      (fun job ->
-        Cancel.check cancel ~where:"tracing";
-        phase_at cursor root "tracing" (fun _ -> Engine.Pool.await job))
-      share_job
-  in
   {
     h_query = q;
     h_db = db;
     h_env = env;
     h_max_sas = (if use_sas then max_sas else 1);
     h_sas = sas;
-    h_original = original;
-    h_shared = shared;
+    h_original = Atomic.make None;
+    h_shared = Atomic.make None;
     h_relaxed = Array.init (List.length sas) (fun _ -> Atomic.make None);
   }
 
+(* ⟦Q⟧_D, the basis of the side-effect bounds, as one job on the shared
+   pool under an [msr.original] span: nothing needs it before an SA's
+   matching, so it runs beside the share and the SA chains, and each
+   chain awaits it right before {!Msr.matches}.  Evaluated on the engine
+   rather than the reference interpreter: the results are identical and
+   the engine is an order of magnitude faster on the bench scales.  The
+   bounds only count the rows and test membership, so they keep the
+   engine's batch as it comes, without the relation's canonical sort or
+   a row tree, hashed once into the index each SA's root rows are
+   matched against.  The engine does not retry: a transient fault in the
+   run propagates unwrapped, and the job's retry scope, attributed as
+   [prepare/msr], replays the whole of ⟦Q⟧_D.  The job publishes the
+   index to the handle's slot only when its run completes uncancelled,
+   so a failed or cancelled job leaves the slot for the next explain. *)
+let submit_original ~cancel ~retries root h =
+  let sp = Obs.Span.start ~parent:root "msr.original" in
+  submit_spanned ~cancel sp (fun _ ->
+      let index =
+        protect_phase ~retries ~cancel ~task:"prepare/msr" sp (fun () ->
+            let original = fst (Engine.Exec.rows ~parent:sp h.h_db h.h_query) in
+            Obs.Span.set_int sp "original_result_rows"
+              (Engine.Columnar.length original);
+            let t0 = Obs.Clock.now_ns () in
+            let index = Engine.Columnar.row_index original in
+            Obs.Span.set_int sp "index_us" ((Obs.Clock.now_ns () - t0) / 1000);
+            index)
+      in
+      Cancel.check cancel ~where:"msr.original";
+      ignore (Atomic.compare_and_set h.h_original None (Some index) : bool);
+      index)
+
+(* The SA-invariant subtrees, traced once for all of the handle's SAs on
+   the calling domain (while ⟦Q⟧_D's job runs on the pool) under a
+   [tracing.shared] span, and published to the handle's slot.  The span
+   is no phase: the cursor moves past it, so the phases still tile no
+   more than the run.  Retries are attributed as [prepare/tracing]. *)
+let share_into ~cancel ~retries root cursor h =
+  Cancel.check cancel ~where:"tracing.shared";
+  let sp = Obs.Span.start ~parent:root ~at:!cursor "tracing.shared" in
+  Fun.protect
+    ~finally:(fun () ->
+      cursor := Obs.Clock.now_ns ();
+      Obs.Span.finish ~at:!cursor sp)
+    (fun () ->
+      let shared =
+        protect_phase ~retries ~cancel ~task:"prepare/tracing" sp (fun () ->
+            Tracing.share ~env:h.h_env h.h_db h.h_sas)
+      in
+      Obs.Span.set_int sp "shared_blocks" (Tracing.shared_blocks shared);
+      Obs.Span.set_int sp "shared_rows" (Tracing.shared_rows shared);
+      let kept, pruned = Tracing.shared_columns shared in
+      Obs.Span.set_int sp "columns_kept" kept;
+      Obs.Span.set_int sp "columns_pruned" pruned;
+      ignore (Atomic.compare_and_set h.h_shared None (Some shared) : bool))
+
 let m_relaxed_reuses = Obs.Metrics.counter "whynot.tracing.relaxed_reuses"
 
-(* SA [sa]'s relaxed evaluation and its matches against ⟦Q⟧_D: read
-   from its slot, or computed and published there, with the matching's
-   time as [match_us] and its verified hash hits as [match_verified] on
-   [sp].  Runs inside the tracing phase's retry scope, so a faulted or
-   cancelled evaluation raises before it publishes. *)
-let relaxed_of h (sa : Alternatives.sa) sp =
+(* SA [sa]'s relaxed evaluation, read from its slot or computed, passed
+   to [annotate], and its matches against ⟦Q⟧_D.  An evaluation computed
+   here is annotated first, and only then does [original ()] wait for
+   ⟦Q⟧_D; the matching's time goes on [sp] as [match_us], its verified
+   hash hits as [match_verified], and the pair is published to the slot.
+   Runs inside the tracing phase's retry scope, so a faulted or cancelled
+   evaluation raises before it publishes. *)
+let relaxed_of h ~original (sa : Alternatives.sa) sp annotate =
   let slot = h.h_relaxed.(sa.Alternatives.index) in
   match Atomic.get slot with
   | Some (r, m) ->
     Obs.Metrics.Counter.incr m_relaxed_reuses;
-    (r, m, true)
+    (annotate r, m, true)
   | None ->
-    let r = Tracing.relax ?shared:h.h_shared ~env:h.h_env h.h_db sa in
+    let r =
+      Tracing.relax ?shared:(Atomic.get h.h_shared) ~env:h.h_env h.h_db sa
+    in
+    let trace = annotate r in
+    let index = original () in
     let t0 = Obs.Clock.now_ns () in
     let data, surviving = Tracing.relaxed_root r in
-    let m = Msr.matches h.h_original data surviving in
+    let m = Msr.matches index data surviving in
     Obs.Span.set_int sp "match_us" ((Obs.Clock.now_ns () - t0) / 1000);
     Obs.Span.set_int sp "match_verified" m.Msr.verified;
     ignore (Atomic.compare_and_set slot None (Some (r, m)) : bool);
-    (r, m, false)
+    (trace, m, false)
 
 (* Steps 1, 3, and 4 — the pattern-dependent per-SA chains plus the final
    prune/rank — under [root], reading everything else from the handle. *)
@@ -261,6 +275,39 @@ let run_phases ?approx ~revalidate ~cancel ~retries root cursor
     Explanation.t list * Approx.report option =
   let phase parent name f = phase_at cursor parent name f in
   let { h_query = q; h_env = env; _ } = h in
+  (* Only the SAs whose relaxed slot is empty need ⟦Q⟧_D and the shared
+     blocks.  ⟦Q⟧_D's job is queued first, so the pool's worker runs it
+     while this domain traces the shared blocks, and the SA chains queue
+     behind it. *)
+  let pending =
+    List.filter
+      (fun (sa : Alternatives.sa) ->
+        Option.is_none (Atomic.get h.h_relaxed.(sa.Alternatives.index)))
+      sas
+  in
+  let job =
+    if pending = [] || Option.is_some (Atomic.get h.h_original) then None
+    else Some (submit_original ~cancel ~retries root h)
+  in
+  let original () =
+    match job with
+    | Some job -> Engine.Pool.await job
+    | None ->
+      (* the slot was filled, or no chain of this run calls [original] *)
+      Option.get (Atomic.get h.h_original)
+  in
+  (* Every exit, a raise included, waits for the job, whose span is a
+     child of [root]. *)
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter
+        (fun job -> try ignore (Engine.Pool.await job) with _ -> ())
+        job)
+  @@ fun () ->
+  if
+    List.compare_length_with pending 1 > 0
+    && Option.is_none (Atomic.get h.h_shared)
+  then share_into ~cancel ~retries root cursor h;
   (* One SA's backtrace→tracing→MSR chain; independent across SAs.  The
      cancellation token is polled before every phase — the pipeline's
      preemption points, so a lapsed deadline is observed within one
@@ -288,11 +335,13 @@ let run_phases ?approx ~revalidate ~cancel ~retries root cursor
       checked "tracing" (fun sp ->
           if decision.Approx.stride > 1 then
             Obs.Span.set_int sp "sample_stride" decision.Approx.stride;
-          let relaxed, matches, reused = relaxed_of h sa sp in
+          let trace, matches, reused =
+            relaxed_of h ~original sa sp (fun relaxed ->
+                Tracing.annotate ~revalidate
+                  ~sample_stride:decision.Approx.stride relaxed bt)
+          in
           Obs.Span.set_bool sp "relaxed_reused" reused;
-          ( Tracing.annotate ~revalidate ~sample_stride:decision.Approx.stride
-              relaxed bt,
-            matches ))
+          (trace, matches))
     in
     checked "msr" (fun msp ->
         let es, skipped, terms =
@@ -345,7 +394,14 @@ let run_phases ?approx ~revalidate ~cancel ~retries root cursor
                 process_sa (ref started) sa sasp))
           sas
       in
-      let per_sa = List.map Engine.Pool.await futures in
+      (* Every chain is awaited before the first failure is raised, so
+         no [sa:S<i>] span outlives the run. *)
+      let per_sa =
+        List.map
+          (fun f -> try Ok (Engine.Pool.await f) with e -> Error e)
+          futures
+      in
+      let per_sa = List.map (function Ok r -> r | Error e -> raise e) per_sa in
       (* the root-level prune+rank starts after the last SA finished *)
       cursor := Obs.Clock.now_ns ();
       per_sa
@@ -441,14 +497,17 @@ let record_run_metrics root ~sas ~explanations =
         Obs.Log.int "explanations" explanations;
       ])
 
-(* A cancelled run still leaves a well-formed (finished) span tree: the
-   root is closed with a [cancelled_at] attribute naming the boundary
-   that observed the cancellation — the partial-phase attribution the
-   serve layer surfaces in Deadline_exceeded errors. *)
-let finish_cancelled root f =
+(* A run that raises still leaves a well-formed (finished) span tree.
+   A cancelled run's root is closed with a [cancelled_at] attribute
+   naming the boundary that observed the cancellation — the
+   partial-phase attribution the serve layer surfaces in
+   Deadline_exceeded errors. *)
+let finish_raised root f =
   try f ()
-  with Cancel.Cancelled where as e ->
-    Obs.Span.set_string root "cancelled_at" where;
+  with e ->
+    (match e with
+    | Cancel.Cancelled where -> Obs.Span.set_string root "cancelled_at" where
+    | _ -> ());
     Obs.Span.finish root;
     raise e
 
@@ -472,7 +531,7 @@ let prepare ?(use_sas = true) ?(max_sas = 16)
   let root = Obs.Span.start ?parent "pipeline.prepare" in
   let cursor = ref (Obs.Span.start_ns root) in
   let h =
-    finish_cancelled root (fun () ->
+    finish_raised root (fun () ->
         prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retries root
           cursor ~db q)
   in
@@ -491,7 +550,7 @@ let explain_with ?approx ?(use_sas = true) ?max_sas ?(revalidate = true)
   let root = Obs.Span.start ?parent "pipeline.explain" in
   let cursor = ref (Obs.Span.start_ns root) in
   let explanations, report =
-    finish_cancelled root (fun () ->
+    finish_raised root (fun () ->
         run_phases ?approx ~revalidate ~cancel ~retries root cursor h sas
           missing)
   in
@@ -504,11 +563,12 @@ let explain ?approx ?(use_sas = true) ?(max_sas = 16) ?(revalidate = true)
     result =
   let root = Obs.Span.start ?parent "pipeline.explain" in
   (* Phase spans are tiled wall-to-wall — the four phase totals account
-     for ≈ all of the root span (in the sequential pipeline; concurrent
-     SA phases overlap, so there the sums can exceed the total). *)
+     for ≈ all of the root span but [tracing.shared] (in the sequential
+     pipeline; concurrent SA phases overlap, so there the sums can
+     exceed the total). *)
   let cursor = ref (Obs.Span.start_ns root) in
   let h, (explanations, report) =
-    finish_cancelled root (fun () ->
+    finish_raised root (fun () ->
         let h =
           prepare_phases ~use_sas ~max_sas ~alternatives ~cancel ~retries root
             cursor ~db:phi.Question.db phi.Question.query

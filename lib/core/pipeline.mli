@@ -25,8 +25,9 @@ type result = {
           alternative, each with [backtrace]/[tracing]/[msr] children
           (the [msr] child carries the SA's {!Msr.terms} as
           [original_rows], [surviving], [matched] and [ub_minus]), plus
-          the [alternatives] enumeration and the final [msr]
-          rank/prune *)
+          the [alternatives] enumeration, the final [msr] rank/prune
+          and, when the run computed them, the [msr.original] job that
+          ran ⟦Q⟧_D and the [tracing.shared] span (see {!explain_with}) *)
 }
 
 (** Typing environment of a database: {!Nrab.Eval.schema_env}. *)
@@ -71,7 +72,7 @@ val schema_env : Relation.Db.t -> Typecheck.env
            no retries), the pipeline's one recovery path.
            A phase body raising {!Engine.Fault.Transient} is recomputed
            from its immutable inputs — a fault in the engine's run of
-           ⟦Q⟧_D replays that whole run in the [prepare/msr] phase;
+           ⟦Q⟧_D replays that whole run in its job's [prepare/msr] scope;
            exhaustion raises {!Engine.Fault.Exhausted} attributed as e.g.
            ["sa:S2/tracing"] or ["prepare/msr"].  {!Cancel.Cancelled} is
            permanent — a cancelled run is never retried
@@ -100,41 +101,32 @@ val explain :
     for them once and answer every subsequent why-not pattern over the
     same ⟨Q, D⟩ with {!explain_with}.
 
-    A handle holds:
-    - the enumerated SAs (at most [max_sas], in enumeration order);
+    A handle holds the enumerated SAs (at most [max_sas], in
+    enumeration order), which {!prepare} computes, and set-once slots
+    that the first {!explain_with} needing them fills:
     - ⟦Q⟧_D, the engine's batch hashed once into an
-      {!Engine.Columnar.row_index};
-    - the shared blocks, with more than one SA;
-    - one set-once slot per SA for its {!Tracing.relaxed} and the
-      {!Msr.matches} of its root rows against that index.  The slots are
-      filled lazily: the first SA chain that completes the SA's relaxed
-      evaluation matches it and publishes both, and every later chain
-      for that SA runs only backtrace → consistency
-      ({!Tracing.annotate}) → MSR.
+      {!Engine.Columnar.row_index}, computed by one job on the shared
+      {!Engine.Pool};
+    - the shared blocks ({!Tracing.share} over all of the handle's SAs),
+      computed by the first explain that evaluates more than one SA;
+    - one slot per SA for its {!Tracing.relaxed} and the {!Msr.matches}
+      of its root rows against that index: the first SA chain that
+      completes the SA's relaxed evaluation matches it and publishes
+      both, and every later chain for that SA runs only backtrace →
+      consistency ({!Tracing.annotate}) → MSR.
 
     Thread-safety: a handle may be shared by concurrent {!explain_with}
     calls on any domains.  Each slot is an [Atomic.t] written by
     compare-and-set from empty, so it never changes once filled; two
-    chains that race on an empty slot both compute the (pure) value and
-    one of them is kept.  An evaluation that faults or is cancelled
-    publishes nothing. *)
+    explains that race on an empty slot both compute the (pure) value
+    and one of them is kept.  A computation that faults or is cancelled
+    publishes nothing, so the next explain computes it again. *)
 
 type handle
 
-(** Run the pattern-independent phases.  The work is recorded under a
-    [pipeline.prepare] span, exactly like the first half of {!explain}'s
-    span tree: an [alternatives] child, then the [msr] child that runs
-    ⟦Q⟧_D ({!Engine.Exec.rows}) and hashes it into the handle's
-    {!Engine.Columnar.row_index}; it carries [original_result_rows]
-    (|⟦Q⟧_D|) and [index_us], the µs spent building the index.  With
-    more than one SA, {!Tracing.share} runs as a job on the
-    shared {!Engine.Pool} while ⟦Q⟧_D runs on the calling domain, so the
-    two cost the longer of them, not the sum.  The job's
-    [tracing.shared] span carries [queued_ms], [shared_blocks] and
-    [shared_rows]; a [tracing] child after [msr] covers the wait for the
-    job, if any.  The job retries under [retries] as task
-    ["prepare/tracing"], and a cancelled run drops it if it has not
-    started. *)
+(** Enumerate the schema alternatives, into a handle whose slots are
+    all empty.  The work is recorded under a [pipeline.prepare] span
+    with one [alternatives] child, as in {!explain}'s span tree. *)
 val prepare :
   ?use_sas:bool ->
   ?max_sas:int ->
@@ -151,8 +143,26 @@ val handle_sas : handle -> Alternatives.sa list
 (** Answer one why-not pattern from a prepared handle.  The result is
     identical to {!explain} with the same options (same explanations,
     same ranking, same SA list); the [pipeline.explain] span just lacks
-    the [alternatives]/initial-[msr] children, which were charged to
-    {!prepare}.  Each SA's [tracing] span carries [relaxed_reused]: true
+    the [alternatives] child, which was charged to {!prepare}.
+
+    An explain that finds an SA of its run without a relaxed evaluation
+    fills the handle's empty slots in this order.  It first submits
+    ⟦Q⟧_D ({!Engine.Exec.rows} and the index) as a job on the shared
+    {!Engine.Pool}, under an [msr.original] span that carries
+    [queued_ms], [original_result_rows] (|⟦Q⟧_D|) and [index_us], the µs
+    spent building the index.  With more than one such SA it then runs
+    {!Tracing.share} on the calling domain, beside the job, under a
+    [tracing.shared] span that carries [shared_blocks], [shared_rows],
+    [columns_kept] and [columns_pruned].  Only then does it start the SA
+    chains.  Each chain runs backtrace, relaxed evaluation and
+    consistency, and awaits ⟦Q⟧_D only to match its root rows.  The job
+    retries under [retries] as task ["prepare/msr"] and the share as
+    ["prepare/tracing"]; a cancelled run drops the job if it has not
+    started.  Neither span is a phase, so {!phase_durations_ms} counts
+    neither, and every exit of the explain, a raise included, waits for
+    the job before it returns.
+
+    Each SA's [tracing] span carries [relaxed_reused]: true
     when its relaxed evaluation came from the handle's slot, counted on
     [whynot.tracing.relaxed_reuses]; when it did not, the span also
     carries [match_us], the µs spent matching the SA's surviving root

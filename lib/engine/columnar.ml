@@ -583,6 +583,29 @@ let rec cmp_cells (c : col) (i : int) (j : int) : int =
 
 let cmp_rows (t : t) (i : int) (j : int) : int = cmp_cells t.row i j
 
+(* [cmp_cells c], staged on the column like [hash_row]: int and string
+   columns without a presence bitmap, and tuples without one, get a
+   direct closure (a string pair with one code is equal without a
+   lookup); every other column falls back to [cmp_cells]. *)
+let rec cmp_row (c : col) : int -> int -> int =
+  match c with
+  | CInt (a, None) -> fun i j -> Int.compare a.(i) a.(j)
+  | CStr (a, None) ->
+    fun i j ->
+      let x = a.(i) and y = a.(j) in
+      if x = y then 0 else String.compare (Dict.lookup x) (Dict.lookup y)
+  | CTuple (_, fields, None) ->
+    let fs = Array.of_list (List.map (fun (_, fc) -> cmp_row fc) fields) in
+    let k = Array.length fs in
+    fun i j ->
+      let c = ref 0 and f = ref 0 in
+      while !c = 0 && !f < k do
+        c := fs.(!f) i j;
+        incr f
+      done;
+      !c
+  | _ -> cmp_cells c
+
 (* [Value.equal (col_get a i) (col_get b j)] for cells of two columns of
    one type that may differ in representation, without building either
    value: equal ranks first, so a Null meets only a Null; strings by
@@ -1204,7 +1227,7 @@ let canonical_bags (b : t) (codes : int array) (groups : int array array) :
     col =
   (* Multiplicities live in one [n]-sized scratch array, reset after
      each group. *)
-  let mult_of = Array.make b.n 0 in
+  let mult_of = Array.make b.n 0 and cmp = cmp_row b.row in
   let canon members =
     let distinct = ref [] in
     Array.iter
@@ -1214,7 +1237,7 @@ let canonical_bags (b : t) (codes : int array) (groups : int array array) :
         mult_of.(cd) <- mult_of.(cd) + 1)
       members;
     let ds = Array.of_list (List.rev !distinct) in
-    Array.stable_sort (cmp_rows b) ds;
+    Array.stable_sort cmp ds;
     let ms =
       Array.map
         (fun cd ->

@@ -117,6 +117,13 @@ val get_row : t -> int -> Value.t
     either value. *)
 val cmp_rows : t -> int -> int -> int
 
+(** [cmp_row c i j] has the sign of [cmp_rows] on rows [i] and [j] of
+    [c].  Staged on the column like {!hash_row}: int and string columns
+    without a presence bitmap, and tuples without one, compare through
+    direct closures, so apply it once per column and the result once per
+    pair. *)
+val cmp_row : col -> int -> int -> int
+
 (** [equal_rows a i b j] decides
     [Value.equal (get_row a i) (get_row b j)] for rows of two batches of
     one row type, whose columns may differ in representation (typed,

@@ -6,15 +6,15 @@
     A {e site} is a string naming a hook point.  Current sites:
     - engine: ["engine.run"] (fired once per {!Engine.Exec.rows} run,
       before any work: the engine does not retry, so a fault here is
-      replayed by the pipeline phase that owns the run — the [prepare]
-      [msr] phase for ⟦Q⟧_D), ["engine.pool.worker"] (the pool's worker
+      replayed by the pipeline task that owns the run — the
+      [prepare/msr] job for ⟦Q⟧_D), ["engine.pool.worker"] (the pool's worker
       loop, fired before each dequeue — arming it kills a worker
       domain);
     - pipeline: ["tracing.relaxed"] (at the entry of a schema
       alternative's relaxed data-tracing evaluation, which runs only to
       fill that SA's empty slot on a prepared handle: a chain that reads
       a filled slot does not fire it), ["tracing.shared"]
-      (per attempt of the job that traces the SA-invariant subtrees
+      (per attempt of the share that traces the SA-invariant subtrees
       once per prepared query);
     - server: ["server.accept"], ["server.read"], ["server.write"],
       ["server.explain"].

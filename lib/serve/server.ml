@@ -8,11 +8,12 @@
      lookup; cached and freshly computed payloads are byte-identical
      (the payload is stored serialized).
    - handle cache: ⟨dataset key, version, query, alternatives⟩ →
-     prepared Pipeline.handle (enumerated SAs, indexed ⟦Q⟧_D, shared
-     blocks, and each SA's relaxed trace once an explain has computed
-     it).  The prepare-handle key strips the knobs — every option
-     variant of a query runs on a prefix of one handle's SAs, and only a
-     max_sas above the default is prepared, and keyed, at that value.  A
+     prepared Pipeline.handle (enumerated SAs, and the indexed ⟦Q⟧_D,
+     the shared blocks and each SA's relaxed trace once an explain has
+     computed them).  The prepare-handle key strips the knobs — every
+     option variant of a query runs on a prefix of one handle's SAs, and
+     only a max_sas above the default is prepared, and keyed, at that
+     value.  A
      new pattern or option variant on a cached handle skips straight to
      the per-SA phases, and there to backtrace, consistency and MSR.
    - single-flight (Inflight) in front of both: N concurrent misses on

@@ -544,6 +544,43 @@ let prop_cmp_rows =
             rows)
         rows)
 
+(* The staged [cmp_row] has the sign of [cmp_rows] (that is, of
+   [cmp_cells]) on every row pair.  Besides [arb_batch]'s Nulls, ±0 and
+   NaN floats, nested tuples and bags, half the batches are Null-free
+   tuples of ints, strings and such tuples, the shapes with direct
+   closures. *)
+let prop_cmp_row =
+  let open QCheck.Gen in
+  let typed =
+    sized_size (int_bound 8)
+    @@ fix (fun self n ->
+           let prim = oneofl Vtype.[ TInt; TString ] in
+           if n <= 0 then prim
+           else
+             frequency
+               [
+                 (1, prim);
+                 ( 2,
+                   map
+                     (fun tys ->
+                       Vtype.TTuple (List.mapi (fun i t -> (Fmt.str "f%d" i, t)) tys))
+                     (list_size (int_range 1 3) (self (n / 2))) );
+               ])
+  in
+  let batch = frequency [ (1, batch_gen); (1, map C.of_rows (typed >>= rows_of 0)) ] in
+  QCheck.Test.make ~name:"staged cmp_row = cmp_rows" ~count:500
+    (QCheck.make
+       ~print:(fun b -> Fmt.str "%a" (Fmt.Dump.list Value.pp) (C.to_rows b))
+       batch)
+    (fun b ->
+      let cmp = C.cmp_row b.C.row and rows = List.init b.C.n Fun.id in
+      List.for_all
+        (fun i ->
+          List.for_all
+            (fun j -> Int.compare (cmp i j) 0 = Int.compare (C.cmp_rows b i j) 0)
+            rows)
+        rows)
+
 (* --- Kernels against their boxed definitions --------------------------- *)
 
 let fns = Nrab.Agg.[ Sum; Count; Count_distinct; Avg; Min; Max ]
@@ -839,6 +876,7 @@ let qsuite =
       prop_shared_ops;
       prop_shared_readers;
       prop_cmp_rows;
+      prop_cmp_row;
       prop_typed_aggs;
       prop_groups;
       prop_eqclasses;

@@ -203,18 +203,19 @@ let test_pipeline_exhaustion_attributed =
   pipeline_exhaustion_attributed ~site:"tracing.relaxed"
     (String.starts_with ~prefix:"sa:S1")
 
-(* ⟦Q⟧_D runs on the engine inside [prepare].  The engine does not
-   retry: a fault in its run propagates unwrapped, the [prepare/msr]
-   phase replays the whole run, and an exhausted one names that phase. *)
+(* ⟦Q⟧_D runs on the engine in a pool job beside the SA chains.  The
+   engine does not retry: a fault in its run propagates unwrapped, the
+   job's [prepare/msr] scope replays the whole run, and an exhausted one
+   names that scope. *)
 let test_pipeline_identical_under_partition_chaos =
   pipeline_identical_under ~site:"engine.run" ~period:7
 
 let test_pipeline_partition_exhaustion_attributed =
   pipeline_exhaustion_attributed ~site:"engine.run" (String.equal "prepare/msr")
 
-(* One faulted engine run is replayed by the phase that owns it: the
+(* One faulted engine run is replayed by the job that owns it: the
    explanations are byte-identical to an unarmed run, and the retry is
-   marked on the [prepare] [msr] phase span, not on any span of the
+   marked on the job's [msr.original] span, not on any span of the
    engine run inside it. *)
 let test_engine_run_replayed_by_phase () =
   let inst =
@@ -243,8 +244,8 @@ let test_engine_run_replayed_by_phase () =
   in
   match attempted with
   | [ sp ] ->
-    Alcotest.(check string) "the retried span" "msr" (Obs.Span.name sp);
-    Alcotest.(check bool) "a prepare phase, under the run's root" true
+    Alcotest.(check string) "the retried span" "msr.original" (Obs.Span.name sp);
+    Alcotest.(check bool) "the job's span, under the run's root" true
       (List.memq sp (Obs.Span.children armed.Whynot.Pipeline.span));
     Alcotest.(check bool) "attempt = 2" true
       (Obs.Span.attr sp "attempt" = Some (Obs.Span.Int 2))
@@ -324,6 +325,91 @@ let test_kept_relaxed_traces_under_chaos () =
   Alcotest.(check string) "kept traces byte-identical" (result_fingerprint plain)
     (result_fingerprint second);
   Obs.Faultinject.reset ()
+
+(* ⟦Q⟧_D sits in a set-once slot of the handle, filled by one pool job.
+   A job that faults or is cancelled publishes nothing: the explain that
+   ran it fails, and the next explain on the handle runs ⟦Q⟧_D again
+   (its span tree holds an [msr.original] span) and answers byte for
+   byte as a fault-free run. *)
+let test_original_slot_left_empty () =
+  let inst =
+    (Option.get (Scenarios.Registry.find "D3")).Scenarios.Scenario.make
+      ~scale:1 ()
+  in
+  let phi = inst.Scenarios.Scenario.question in
+  let alternatives = inst.Scenarios.Scenario.alternatives in
+  Obs.Faultinject.reset ();
+  let plain = Whynot.Pipeline.explain ~alternatives phi in
+  let fresh () =
+    Whynot.Pipeline.prepare ~alternatives ~db:phi.Whynot.Question.db
+      phi.Whynot.Question.query
+  in
+  let recomputed label h =
+    let r = Whynot.Pipeline.explain_with h phi.Whynot.Question.missing in
+    Alcotest.(check int) (label ^ ": the next explain runs ⟦Q⟧_D") 1
+      (Obs.Span.count_named "msr.original" r.Whynot.Pipeline.span);
+    Alcotest.(check string) (label ^ ": codec JSON byte-identical")
+      (result_fingerprint plain) (result_fingerprint r)
+  in
+  let h = fresh () in
+  Obs.Faultinject.arm "engine.run" (Obs.Faultinject.fail_once (transient "chaos"));
+  (match Whynot.Pipeline.explain_with ~retries:0 h phi.Whynot.Question.missing with
+  | _ -> Alcotest.fail "expected Exhausted"
+  | exception Engine.Fault.Exhausted { task; _ } ->
+    Alcotest.(check string) "the fault is attributed" "prepare/msr" task);
+  Alcotest.(check int) "the engine run faulted once" 1
+    (Obs.Faultinject.fired "engine.run");
+  Obs.Faultinject.reset ();
+  recomputed "after a fault" h;
+  (* The job outlasts the deadline, finishes its run and drops it. *)
+  let h = fresh () in
+  Obs.Faultinject.arm "engine.run" (Obs.Faultinject.Delay_ms 50.0);
+  (match
+     Whynot.Pipeline.explain_with ~cancel:(Whynot.Cancel.with_deadline_ms 10.0) h
+       phi.Whynot.Question.missing
+   with
+  | _ -> Alcotest.fail "expected Cancelled"
+  | exception Whynot.Cancel.Cancelled _ -> ());
+  Obs.Faultinject.reset ();
+  recomputed "after a cancellation" h
+
+(* Every exit of an explain waits for ⟦Q⟧_D's job.  An SA chain raises in
+   its relaxed evaluation, before it awaits ⟦Q⟧_D, while the (delayed)
+   job still runs: the explain raises only once the job and every other
+   chain are done, so every span of the run is finished.  Runs with one
+   SA (sequential) and with five (parallel). *)
+let test_spans_finished_when_a_chain_raises () =
+  let inst =
+    (Option.get (Scenarios.Registry.find "D3")).Scenarios.Scenario.make
+      ~scale:1 ()
+  in
+  List.iter
+    (fun use_sas ->
+      let label = Fmt.str "use_sas=%b" use_sas in
+      Obs.Faultinject.reset ();
+      Obs.Faultinject.arm "engine.run" (Obs.Faultinject.Delay_ms 30.0);
+      Obs.Faultinject.arm "tracing.relaxed"
+        (Obs.Faultinject.fail_once (transient "chaos"));
+      let parent = Obs.Span.start "test" in
+      (match
+         Whynot.Pipeline.explain ~use_sas ~parent
+           ~alternatives:inst.Scenarios.Scenario.alternatives
+           inst.Scenarios.Scenario.question
+       with
+      | _ -> Alcotest.fail "expected Exhausted"
+      | exception Engine.Fault.Exhausted { task; _ } ->
+        Alcotest.(check bool) (label ^ ": an SA's tracing failed") true
+          (String.starts_with ~prefix:"sa:S" task));
+      Obs.Faultinject.reset ();
+      Obs.Span.finish parent;
+      Alcotest.(check int) (label ^ ": one msr.original span") 1
+        (Obs.Span.count_named "msr.original" parent);
+      Alcotest.(check (list string)) (label ^ ": every span finished") []
+        (Obs.Span.fold
+           (fun acc sp ->
+             if Obs.Span.finished sp then acc else Obs.Span.name sp :: acc)
+           [] parent))
+    [ false; true ]
 
 (* --- serve integration --------------------------------------------------- *)
 
@@ -446,6 +532,10 @@ let () =
             test_share_job_exhaustion_attributed;
           Alcotest.test_case "kept relaxed traces under chaos" `Quick
             test_kept_relaxed_traces_under_chaos;
+          Alcotest.test_case "original slot left empty" `Quick
+            test_original_slot_left_empty;
+          Alcotest.test_case "spans finished when a chain raises" `Quick
+            test_spans_finished_when_a_chain_raises;
         ] );
       ( "serve",
         [

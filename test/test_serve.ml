@@ -1566,6 +1566,52 @@ let test_server_one_handle_per_query () =
     variants;
   Alcotest.(check int) "max_sas=32 prepared its own handle" 2 (prepares ())
 
+(* A failed or cancelled explain on a cached handle leaves its ⟦Q⟧_D
+   slot empty, and the server keeps serving the handle: the next explain
+   answers "handle", runs ⟦Q⟧_D again (the [engine.run] site fires once)
+   and returns the payload of a fault-free server. *)
+let test_server_original_slot_under_failure () =
+  let fresh () =
+    let srv = Serve.Server.create ~config:quiet_config () in
+    register_re srv;
+    srv
+  in
+  let payload label = function
+    | Serve.Protocol.Explained { result; _ } -> Nested.Json.to_line result
+    | Serve.Protocol.Error { message; _ } -> Alcotest.fail (label ^ ": " ^ message)
+    | _ -> Alcotest.fail (label ^ ": expected explained")
+  in
+  Obs.Faultinject.reset ();
+  let plain = payload "plain" (Serve.Server.handle_request (fresh ()) (explain_request ())) in
+  let next label srv =
+    Obs.Faultinject.reset ();
+    Obs.Faultinject.arm "engine.run" (Obs.Faultinject.Delay_ms 0.0);
+    let r = Serve.Server.handle_request srv (explain_request ()) in
+    Alcotest.(check int) (label ^ ": ⟦Q⟧_D ran again") 1
+      (Obs.Faultinject.fired "engine.run");
+    Obs.Faultinject.reset ();
+    (match r with
+    | Serve.Protocol.Explained { cache = `Handle; _ } -> ()
+    | _ -> Alcotest.fail (label ^ ": expected an answer from the kept handle"));
+    Alcotest.(check string) (label ^ ": payload byte-identical") plain
+      (payload label r)
+  in
+  let srv = fresh () in
+  Obs.Faultinject.arm "engine.run"
+    (Obs.Faultinject.fail_once (Engine.Fault.Transient (Failure "chaos")));
+  (match Serve.Server.handle_request srv (explain_request ()) with
+  | Serve.Protocol.Error { code = Serve.Protocol.Task_failed; message; _ } ->
+    Alcotest.(check bool) (Fmt.str "%S names prepare/msr" message) true
+      (str_contains ~needle:"prepare/msr" message)
+  | _ -> Alcotest.fail "expected task_failed");
+  next "after a fault" srv;
+  let srv = fresh () in
+  Obs.Faultinject.arm "engine.run" (Obs.Faultinject.Delay_ms 60.0);
+  (match Serve.Server.handle_request srv (explain_request ~deadline_ms:15.0 ()) with
+  | Serve.Protocol.Error { code = Serve.Protocol.Deadline_exceeded; _ } -> ()
+  | _ -> Alcotest.fail "expected deadline_exceeded");
+  next "after a cancellation" srv
+
 let () =
   Alcotest.run "serve"
     [
@@ -1682,5 +1728,7 @@ let () =
             test_handle_option_grid;
           Alcotest.test_case "one handle per query" `Quick
             test_server_one_handle_per_query;
+          Alcotest.test_case "original slot under failure" `Quick
+            test_server_original_slot_under_failure;
         ] );
     ]
