@@ -3,10 +3,10 @@
 # smallest-scale pass over every bench family (the harness itself is
 # code that can rot) and the wire-level benchmark smoke, which checks
 # every answer against its pin.  Run before every merge.
-.PHONY: verify build test fuzz lib-lines bench-smoke wirebench-smoke wirebench-pairs bench-chaos bench-obs bench-approx
+.PHONY: verify build test fuzz lib-lines one-shape bench-smoke wirebench-smoke wirebench-pairs bench-chaos bench-obs bench-approx
 
 verify:
-	dune build @all && dune runtest && $(MAKE) bench-smoke && $(MAKE) wirebench-smoke
+	dune build @all && dune runtest && $(MAKE) one-shape && $(MAKE) bench-smoke && $(MAKE) wirebench-smoke
 
 build:
 	dune build @all
@@ -17,6 +17,13 @@ test:
 # Lines of library code, the size ROADMAP.md and CHANGES.md report.
 lib-lines:
 	@cat lib/*/*.ml lib/*/*.mli | wc -l
+
+# One shape per column and one row comparator: fails if a boxed column
+# (CBox, CConst), the mixed shape, a per-row kernel fallback or the
+# second comparator (cmp_cells) comes back to the code.
+one-shape:
+	@! grep -rn 'CBox\|CConst\|SMixed\|\bFallback\b\|note_row_fallback\|row_fallbacks\|cmp_cells' \
+	  lib bin bench examples test
 
 # High-iteration frontend fuzz: random well-typed queries are printed to
 # SQL and to s-expressions, re-parsed, and checked fingerprint-identical.

@@ -160,7 +160,6 @@ let rec col_mask (c : C.col) (pat : Nip.t) : Bytes.t =
   match c, pat with
   | _, Nip.Any -> ball n true
   | C.CNull _, _ -> ball n (Nip.matches Value.Null pat)
-  | C.CConst (_, v), _ -> ball n (Nip.matches v pat)
   | C.CStr (codes, p), Nip.Prim (Value.String s) ->
     let sc = C.Dict.intern s in
     Bytes.init n (fun i -> chr (present p i && codes.(i) = sc))
@@ -724,7 +723,7 @@ let evaluate ~(env : Typecheck.env) (db : Relation.Db.t) ~cols ~blocks
          [Value.equal] to its original row (a group all of whose members
          survive is its own original row); an original row that differs
          follows it. *)
-      let rows = ref [] in
+      let rows = ref [] and cmp = C.cmp_row both.C.row in
       Array.iteri
         (fun gi members ->
           let orig =
@@ -732,7 +731,7 @@ let evaluate ~(env : Typecheck.env) (db : Relation.Db.t) ~cols ~blocks
             else if original_row.(gi) >= 0 then original_row.(gi)
             else gi
           in
-          let same = orig >= 0 && (orig = gi || C.cmp_rows both orig gi = 0) in
+          let same = orig >= 0 && (orig = gi || cmp orig gi = 0) in
           let ranges =
             List.filter_map
               (fun (a : K.agg) ->

@@ -219,7 +219,6 @@ end
 
 type col =
   | CNull of int  (** [n] all-Null rows *)
-  | CConst of int * Value.t  (** [n] copies of one non-Null value *)
   | CBool of Bitv.t * Bitv.t option
   | CInt of int array * Bitv.t option
   | CFloat of float array * Bitv.t option
@@ -241,7 +240,7 @@ type t = { n : int; row : col }
 let length t = t.n
 
 let col_length = function
-  | CNull n | CConst (n, _) | CTuple (n, _, _) -> n
+  | CNull n | CTuple (n, _, _) -> n
   | CBool (b, _) -> Bitv.length b
   | CInt (a, _) -> Array.length a
   | CFloat (a, _) -> Array.length a
@@ -453,7 +452,6 @@ let of_rows (rows : Value.t list) : t = of_values (Array.of_list rows)
 let rec col_values (c : col) : Value.t array =
   match c with
   | CNull n -> Array.make n Value.Null
-  | CConst (n, v) -> Array.make n v
   | CBool (b, p) ->
     Array.init (Bitv.length b) (fun i ->
         if present p i then Value.Bool (Bitv.get b i) else Value.Null)
@@ -492,7 +490,6 @@ let to_rows t = Array.to_list (to_values t)
 let rec col_get (c : col) (i : int) : Value.t =
   match c with
   | CNull _ -> Value.Null
-  | CConst (_, v) -> v
   | CBool (b, p) -> if present p i then Value.Bool (Bitv.get b i) else Value.Null
   | CInt (a, p) -> if present p i then Value.Int a.(i) else Value.Null
   | CFloat (a, p) -> if present p i then Value.Float a.(i) else Value.Null
@@ -515,23 +512,12 @@ let rec col_get (c : col) (i : int) : Value.t =
 
 let get_row t i = col_get t.row i
 
-(* Compare the values two cells of one column would reconstruct to,
-   without building them.  Must order exactly like [Value.compare] on
-   [col_get c i] vs [col_get c j]; the constructor ranks below follow
-   [Value.t]'s declaration order. *)
-let value_rank : Value.t -> int = function
-  | Value.Null -> 0
-  | Value.Bool _ -> 1
-  | Value.Int _ -> 2
-  | Value.Float _ -> 3
-  | Value.String _ -> 4
-  | Value.Tuple _ -> 5
-  | Value.Bag _ -> 6
-
+(* The rank of a cell in [Value.t]'s declaration order, the order in
+   which [Value.compare] ranks constructors: 0 for a Null cell, and for
+   a present cell its column's type. *)
 let cell_rank (c : col) (i : int) : int =
   match c with
   | CNull _ -> 0
-  | CConst (_, v) -> value_rank v
   | CBool (_, p) -> if present p i then 1 else 0
   | CInt (_, p) -> if present p i then 2 else 0
   | CFloat (_, p) -> if present p i then 3 else 0
@@ -539,99 +525,89 @@ let cell_rank (c : col) (i : int) : int =
   | CTuple (_, _, p) -> if present p i then 5 else 0
   | CBag bg -> if present bg.bpresent i then 6 else 0
 
-let rec cmp_cells (c : col) (i : int) (j : int) : int =
+(* [cmp] behind a presence bitmap: Null is the least value, and the
+   present cells of a column share one type, so the bitmap decides
+   every pair that holds a Null and [cmp] only sees present pairs. *)
+let nulls_first (p : Bitv.t option) (cmp : int -> int -> int) : int -> int -> int =
+  match p with
+  | None -> cmp
+  | Some p -> (
+    fun i j ->
+      match (Bitv.get p i, Bitv.get p j) with
+      | true, true -> cmp i j
+      | false, false -> 0
+      | false, true -> -1
+      | true, false -> 1)
+
+(* Order two cells of one column as [Value.compare] orders the values
+   they reconstruct to, without building them.  Staged on the column
+   like [hash_row]: [cmp_row c] reads the column's shape once, and the
+   function it returns compares one pair. *)
+let rec cmp_row (c : col) : int -> int -> int =
   match c with
-  | CNull _ | CConst _ -> 0
-  | _ ->
-    let ri = cell_rank c i and rj = cell_rank c j in
-    if ri <> rj then Stdlib.compare ri rj
-    else if ri = 0 then 0
-    else begin
-      match c with
-      | CBool (b, _) -> Stdlib.compare (Bitv.get b i) (Bitv.get b j)
-      | CInt (a, _) -> Stdlib.compare a.(i) a.(j)
-      | CFloat (a, _) -> Stdlib.compare a.(i) a.(j)
-      | CStr (a, _) -> String.compare (Dict.lookup a.(i)) (Dict.lookup a.(j))
-      | CTuple (_, fields, _) ->
-        (* Both rows reconstruct with the same labels in the same order,
-           so [Value.compare_fields] reduces to field-wise comparison. *)
-        let rec go = function
-          | [] -> 0
-          | (_, fc) :: rest ->
-            let c = cmp_cells fc i j in
-            if c <> 0 then c else go rest
-        in
-        go fields
-      | CBag bg ->
-        (* Stored contents are canonical, so bag comparison is
-           lexicographic over (element, multiplicity) pairs. *)
+  | CNull _ -> fun _ _ -> 0
+  | CBool (b, p) -> nulls_first p (fun i j -> Bool.compare (Bitv.get b i) (Bitv.get b j))
+  | CInt (a, p) -> nulls_first p (fun i j -> Int.compare a.(i) a.(j))
+  | CFloat (a, p) -> nulls_first p (fun i j -> Float.compare a.(i) a.(j))
+  | CStr (a, p) ->
+    (* A string pair with one dictionary code is equal without a
+       lookup. *)
+    nulls_first p (fun i j ->
+        let x = a.(i) and y = a.(j) in
+        if x = y then 0 else String.compare (Dict.lookup x) (Dict.lookup y))
+  | CTuple (_, fields, p) ->
+    (* Both rows reconstruct with the same labels in the same order, so
+       [Value.compare_fields] reduces to field-wise comparison. *)
+    let fs = Array.of_list (List.map (fun (_, fc) -> cmp_row fc) fields) in
+    let k = Array.length fs in
+    nulls_first p (fun i j ->
+        let c = ref 0 and f = ref 0 in
+        while !c = 0 && !f < k do
+          c := fs.(!f) i j;
+          incr f
+        done;
+        !c)
+  | CBag bg ->
+    (* Stored contents are canonical, so bag comparison is lexicographic
+       over (element, multiplicity) pairs. *)
+    let elem = cmp_row bg.belems in
+    nulls_first bg.bpresent (fun i j ->
         let rec go u v =
           let endu = u >= bg.bstop.(i) and endv = v >= bg.bstop.(j) in
           if endu && endv then 0
           else if endu then -1
           else if endv then 1
           else
-            let c = cmp_cells bg.belems u v in
+            let c = elem u v in
             if c <> 0 then c
             else
-              let c = Stdlib.compare bg.bmult.(u) bg.bmult.(v) in
+              let c = Int.compare bg.bmult.(u) bg.bmult.(v) in
               if c <> 0 then c else go (u + 1) (v + 1)
         in
-        go bg.bstart.(i) bg.bstart.(j)
-      | CNull _ | CConst _ -> 0
-    end
-
-let cmp_rows (t : t) (i : int) (j : int) : int = cmp_cells t.row i j
-
-(* [cmp_cells c], staged on the column like [hash_row]: int and string
-   columns without a presence bitmap, and tuples without one, get a
-   direct closure (a string pair with one code is equal without a
-   lookup); every other column falls back to [cmp_cells]. *)
-let rec cmp_row (c : col) : int -> int -> int =
-  match c with
-  | CInt (a, None) -> fun i j -> Int.compare a.(i) a.(j)
-  | CStr (a, None) ->
-    fun i j ->
-      let x = a.(i) and y = a.(j) in
-      if x = y then 0 else String.compare (Dict.lookup x) (Dict.lookup y)
-  | CTuple (_, fields, None) ->
-    let fs = Array.of_list (List.map (fun (_, fc) -> cmp_row fc) fields) in
-    let k = Array.length fs in
-    fun i j ->
-      let c = ref 0 and f = ref 0 in
-      while !c = 0 && !f < k do
-        c := fs.(!f) i j;
-        incr f
-      done;
-      !c
-  | _ -> cmp_cells c
+        go bg.bstart.(i) bg.bstart.(j))
 
 (* [Value.equal (col_get a i) (col_get b j)] for cells of two columns of
-   one type that may differ in representation, without building either
-   value: equal ranks first, so a Null meets only a Null; strings by
-   dictionary code, floats by [compare] (as [Value.equal], so -0.0 =
-   0.0 and NaN = NaN), bags element by element in their canonical
-   order.  Only a constant cell is compared as a value. *)
+   one type that may differ in representation (typed or all-Null,
+   presence bitmaps, bag stores), without building either value: equal
+   ranks first, so a Null meets only a Null; strings by dictionary
+   code, floats by [compare] (as [Value.equal], so -0.0 = 0.0 and NaN =
+   NaN), bags element by element in their canonical order. *)
 let rec equal_cells (a : col) (i : int) (b : col) (j : int) : bool =
-  match (a, b) with
-  | CConst (_, v), _ -> Value.equal v (col_get b j)
-  | _, CConst (_, v) -> Value.equal (col_get a i) v
-  | _ -> (
-    let r = cell_rank a i in
-    r = cell_rank b j
-    && (r = 0
-       ||
-       match (a, b) with
-       | CBool (x, _), CBool (y, _) -> Bool.equal (Bitv.get x i) (Bitv.get y j)
-       | CInt (x, _), CInt (y, _) -> x.(i) = y.(j)
-       | CFloat (x, _), CFloat (y, _) -> Float.compare x.(i) y.(j) = 0
-       | CStr (x, _), CStr (y, _) -> x.(i) = y.(j)
-       | CTuple (_, fa, _), CTuple (_, fb, _) -> equal_fields fa i fb j
-       | CBag x, CBag y ->
-         let lo = x.bstart.(i) and hi = x.bstop.(i) in
-         hi - lo = y.bstop.(j) - y.bstart.(j)
-         && equal_elems x lo hi y (y.bstart.(j) - lo)
-       | _ -> false))
+  let r = cell_rank a i in
+  r = cell_rank b j
+  && (r = 0
+     ||
+     match (a, b) with
+     | CBool (x, _), CBool (y, _) -> Bool.equal (Bitv.get x i) (Bitv.get y j)
+     | CInt (x, _), CInt (y, _) -> x.(i) = y.(j)
+     | CFloat (x, _), CFloat (y, _) -> Float.compare x.(i) y.(j) = 0
+     | CStr (x, _), CStr (y, _) -> x.(i) = y.(j)
+     | CTuple (_, fa, _), CTuple (_, fb, _) -> equal_fields fa i fb j
+     | CBag x, CBag y ->
+       let lo = x.bstart.(i) and hi = x.bstop.(i) in
+       hi - lo = y.bstop.(j) - y.bstart.(j)
+       && equal_elems x lo hi y (y.bstart.(j) - lo)
+     | _ -> false)
 
 and equal_fields fa i fb j =
   match (fa, fb) with
@@ -674,15 +650,6 @@ let of_cols n (fields : (string * col) list) : t =
 (* Size accounting                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let rec value_bytes (v : Value.t) : int =
-  match v with
-  | Value.Null | Value.Bool _ | Value.Int _ | Value.Float _ -> 8
-  | Value.String s -> 24 + String.length s
-  | Value.Tuple fs ->
-    List.fold_left (fun acc (l, fv) -> acc + 24 + String.length l + value_bytes fv) 8 fs
-  | Value.Bag es ->
-    List.fold_left (fun acc (e, _) -> acc + 24 + value_bytes e) 8 es
-
 let opt_bitv_bytes = function None -> 0 | Some p -> (Bitv.length p + 7) / 8
 
 (* The element references of a bag's rows: the sum of their range
@@ -697,7 +664,6 @@ let bag_refs (bg : bag) : int =
 let rec col_bytes (c : col) : int =
   match c with
   | CNull n -> 8 + (n / 64)
-  | CConst (_, v) -> 16 + value_bytes v
   | CBool (b, p) -> ((Bitv.length b + 7) / 8) + opt_bitv_bytes p
   | CInt (a, p) -> (8 * Array.length a) + opt_bitv_bytes p
   | CFloat (a, p) -> (8 * Array.length a) + opt_bitv_bytes p
@@ -730,7 +696,6 @@ let rec col_gather (c : col) (idx : int array) : col =
   let m = Array.length idx in
   match c with
   | CNull _ -> CNull m
-  | CConst (_, v) -> CConst (m, v)
   | CBool (b, p) ->
     CBool (Bitv.init m (fun j -> Bitv.get b idx.(j)), opt_bitv_gather p idx)
   | CInt (a, p) ->
@@ -829,17 +794,17 @@ let hstack a b =
 
 let empty = of_cols 0 []
 
-(* [n] copies of [v]; Null is an all-Null column. *)
-let repeat n (v : Value.t) : col =
-  match v with Value.Null -> CNull n | v -> CConst (n, v)
-
-let broadcast n (v : Value.t) : t =
+(* [n] copies of [v] in a typed column.  Null is an all-Null column and
+   a tuple a column per field, so a null pad (join and flatten padding
+   broadcast null tuples) allocates nothing per row; any other value is
+   built once and gathered, so a bag's rows share one stored copy. *)
+let rec repeat n (v : Value.t) : col =
   match v with
-  | Value.Tuple fs ->
-    (* Per-field constant columns keep [hstack]/[vstack] on their
-       column fast paths (join/flatten pads broadcast null tuples). *)
-    of_cols n (List.map (fun (l, fv) -> (l, repeat n fv)) fs)
-  | v -> { n; row = repeat n v }
+  | Value.Null -> CNull n
+  | Value.Tuple fs -> CTuple (n, List.map (fun (l, fv) -> (l, repeat n fv)) fs, None)
+  | v -> col_gather (build_col (shape_of v) [| v |]) (Array.make n 0)
+
+let broadcast n (v : Value.t) : t = { n; row = repeat n v }
 
 let as_bag (c : col) : bag =
   match c with
@@ -853,24 +818,12 @@ let as_bag (c : col) : bag =
       belems = CNull 0;
       bpresent = Some (Bitv.create n false);
     }
-  | CConst (n, Value.Bag es) ->
-    (* Every row ranges over one stored copy of the bag. *)
-    let evs = Array.of_list (List.map fst es) in
-    {
-      bn = n;
-      bstart = Array.make n 0;
-      bstop = Array.make n (Array.length evs);
-      bmult = Array.of_list (List.map snd es);
-      belems = build_col (shape_of_values evs) evs;
-      bpresent = None;
-    }
   | _ -> invalid_arg "Columnar.as_bag: not a bag column"
 
 (* A bag with no stored element has no element shape yet. *)
 let rec col_shape (c : col) : shape =
   match c with
   | CNull _ -> SNull
-  | CConst (_, v) -> shape_of v
   | CBool _ -> SBool
   | CInt _ -> SInt
   | CFloat _ -> SFloat
@@ -882,7 +835,7 @@ let rec col_shape (c : col) : shape =
 
 (* Splice the columns [cs], all of shape [sh], into one [total]-row
    column without materializing rows: Null pieces become presence bits,
-   constant pieces array fills, bag pieces ranges over their stores.
+   typed pieces array blits, bag pieces ranges over their stores.
    Empty pieces take no part. *)
 let rec concat (sh : shape) (cs : col list) (total : int) : col =
   let cs = List.filter (fun c -> col_length c > 0) cs in
@@ -922,17 +875,13 @@ let rec concat (sh : shape) (cs : col list) (total : int) : col =
          0 cs)
   in
   let outside () = invalid_arg "Columnar.vstack: a piece outside the shape" in
-  (* A flat array: [cells c] is a piece's values and presence, [const v]
-     the value a constant piece fills in. *)
-  let flat zero cells const =
+  (* A flat array: [cells c] is a piece's values and presence. *)
+  let flat zero cells =
     let arr = Array.make total zero in
     each (fun off len c ->
-        match c with
-        | CConst (_, v) -> Array.fill arr off len (const v)
-        | c ->
-          let a, p = cells c in
-          Array.blit a 0 arr off len;
-          splice off len p);
+        let a, p = cells c in
+        Array.blit a 0 arr off len;
+        splice off len p);
     arr
   in
   match sh with
@@ -942,34 +891,20 @@ let rec concat (sh : shape) (cs : col list) (total : int) : col =
       flat false
         (function
           | CBool (b, p) -> (Array.init (Bitv.length b) (Bitv.get b), p) | _ -> outside ())
-        (function Value.Bool x -> x | _ -> outside ())
     in
     CBool (Bitv.init total (Array.get bits), !pres)
   | SInt ->
-    let a =
-      flat 0
-        (function CInt (a, p) -> (a, p) | _ -> outside ())
-        (function Value.Int x -> x | _ -> outside ())
-    in
+    let a = flat 0 (function CInt (a, p) -> (a, p) | _ -> outside ()) in
     CInt (a, !pres)
   | SFloat ->
-    let a =
-      flat 0.
-        (function CFloat (a, p) -> (a, p) | _ -> outside ())
-        (function Value.Float x -> x | _ -> outside ())
-    in
+    let a = flat 0. (function CFloat (a, p) -> (a, p) | _ -> outside ()) in
     CFloat (a, !pres)
   | SStr ->
-    let a =
-      flat 0
-        (function CStr (a, p) -> (a, p) | _ -> outside ())
-        (function Value.String s -> Dict.intern s | _ -> outside ())
-    in
+    let a = flat 0 (function CStr (a, p) -> (a, p) | _ -> outside ()) in
     CStr (a, !pres)
   | STuple fields ->
     let field j = function
       | CTuple (_, fs, _) -> snd (List.nth fs j)
-      | CConst (k, Value.Tuple fs) -> repeat k (snd (List.nth fs j))
       | CNull k -> CNull k
       | _ -> outside ()
     in
@@ -1036,19 +971,16 @@ let vstack (ts : t list) : t =
 let null_mask (c : col) : Bitv.t option =
   match c with
   | CNull n -> Some (Bitv.create n true)
-  | CConst (n, v) ->
-    if v = Value.Null then Some (Bitv.create n true) else None
   | CBool (_, p) | CInt (_, p) | CFloat (_, p) | CStr (_, p)
   | CTuple (_, _, p) ->
     Option.map Bitv.lognot p
   | CBag bg -> Option.map Bitv.lognot bg.bpresent
 
 (* [c] with the rows outside [p] read as Null. *)
-let rec mask_col (p : Bitv.t) (c : col) : col =
+let mask_col (p : Bitv.t) (c : col) : col =
   let absent q = Some (match q with None -> p | Some q -> Bitv.logand p q) in
   match c with
   | CNull _ -> c
-  | CConst (n, v) -> mask_col p (build_col (shape_of v) (Array.make n v))
   | CBool (b, q) -> CBool (b, absent q)
   | CInt (a, q) -> CInt (a, absent q)
   | CFloat (a, q) -> CFloat (a, absent q)
@@ -1064,7 +996,6 @@ let flatten_tuple (inner_ty : Vtype.t) (c : col) : t =
   let n = col_length c in
   match c with
   | CNull _ -> broadcast n (Vtype.null_tuple inner_ty)
-  | CConst (_, (Value.Tuple _ as v)) -> broadcast n v
   | CTuple (_, fields, None) -> of_cols n fields
   | CTuple (_, fields, Some p) ->
     of_cols n (List.map (fun (l, f) -> (l, mask_col p f)) fields)
@@ -1075,14 +1006,10 @@ let flatten_tuple (inner_ty : Vtype.t) (c : col) : t =
 (* ------------------------------------------------------------------ *)
 
 (* One row's hash, staged on the column: [hash_row c] hashes the labels
-   and constants once, and the function it returns hashes one row at a
-   time.  A bag row hashes only its own range of the store. *)
+   once, and the function it returns hashes one row at a time.  A bag row hashes only its own range of the store. *)
 let rec hash_row (c : col) : int -> int =
   match c with
   | CNull _ -> fun _ -> 17
-  | CConst (_, v) ->
-    let h = value_hash v in
-    fun _ -> h
   | CBool (b, p) ->
     fun i -> if not (present p i) then 17 else if Bitv.get b i then 31 else 37
   | CInt (a, p) -> fun i -> if present p i then a.(i) * 2654435761 else 17
@@ -1187,8 +1114,8 @@ let eqclasses_codes (n : int) (key : int -> int) : int array =
   classes n key (fun _ _ -> true)
 
 (* Over several columns: the key is a hash of the row's cells, and
-   candidates are verified with [cmp_cells].  Cells [cmp_cells] calls
-   equal hash equally, so classes are exact (class equality iff
+   candidates are verified with [equal_cells].  Cells [equal_cells]
+   calls equal hash equally, so classes are exact (class equality iff
    [Value.equal] rows). *)
 let eqclasses_general (n : int) (cs : col list) : int array =
   let h = Array.make n 0 in
@@ -1199,7 +1126,7 @@ let eqclasses_general (n : int) (cs : col list) : int array =
         h.(i) <- (h.(i) * 31) + ha.(i)
       done)
     cs;
-  classes n (Array.get h) (fun r i -> List.for_all (fun c -> cmp_cells c r i = 0) cs)
+  classes n (Array.get h) (fun r i -> List.for_all (fun c -> equal_cells c r c i) cs)
 
 let eqclasses (n : int) (cs : col list) : int array =
   match cs with
@@ -1218,7 +1145,7 @@ let eqclasses (n : int) (cs : col list) : int array =
   | _ -> eqclasses_general n cs
 
 (* One canonical bag per group of row indices of [b]: the members'
-   distinct rows with merged multiplicities, sorted by [cmp_rows] — the
+   distinct rows with merged multiplicities, sorted by [cmp_row] — the
    contents [Value.bag_of_list] gives the members' rows.  [codes] come
    from [eqclasses] over [b]'s columns, so a code is the smallest row
    index of its class and doubles as the element's source row; every
@@ -1275,14 +1202,19 @@ let canonical_bags (b : t) (codes : int array) (groups : int array array) :
 let col_presence (c : col) n : Bitv.t option =
   match c with
   | CNull _ -> Some (Bitv.create n false)
-  | CConst (_, v) -> if v = Value.Null then Some (Bitv.create n false) else None
   | CBool (_, p) | CInt (_, p) | CFloat (_, p) | CStr (_, p)
   | CTuple (_, _, p) ->
     p
   | CBag bg -> bg.bpresent
 
-let num2 name fi ff (a : col) (b : col) n : col =
-  let pa = col_presence a n and pb = col_presence b n in
+(* An operand of arithmetic or of a comparison: a column, or an Int,
+   Float or String literal kept as its one value, so [x + 1] and σ
+   against a literal build no column of copies. *)
+type operand = Col of col | Lit of Value.t
+
+let num2 name fi ff (a : operand) (b : operand) n : col =
+  let presence = function Col c -> col_presence c n | Lit _ -> None in
+  let pa = presence a and pb = presence b in
   (* The rows where both operands are non-Null; only those can compute or
      raise — everything else is Null, like [numeric_binop]. *)
   let both =
@@ -1296,12 +1228,11 @@ let num2 name fi ff (a : col) (b : col) n : col =
   match both with
   | `None -> CNull n
   | _ ->
-    let view c =
-      match c with
-      | CInt (x, _) -> `I x
-      | CFloat (x, _) -> `F x
-      | CConst (_, Value.Int k) -> `CI k
-      | CConst (_, Value.Float k) -> `CF k
+    let view = function
+      | Col (CInt (x, _)) -> `I x
+      | Col (CFloat (x, _)) -> `F x
+      | Lit (Value.Int k) -> `CI k
+      | Lit (Value.Float k) -> `CF k
       | _ -> raise (Nrab.Expr.Eval_error ("non-numeric operands to " ^ name))
     in
     let va = view a and vb = view b in
@@ -1330,22 +1261,26 @@ let num2 name fi ff (a : col) (b : col) n : col =
       done;
       CFloat (out, pres))
 
-let rec eval_col (t : t) (e : Nrab.Expr.t) : col =
+let rec operand (t : t) (e : Nrab.Expr.t) : operand =
   match e with
-  | Nrab.Expr.Const v ->
-    if v = Value.Null then CNull t.n else CConst (t.n, v)
+  | Nrab.Expr.Const ((Value.Int _ | Value.Float _ | Value.String _) as v) -> Lit v
+  | e -> Col (eval_col t e)
+
+and eval_col (t : t) (e : Nrab.Expr.t) : col =
+  match e with
+  | Nrab.Expr.Const v -> repeat t.n v
   | Nrab.Expr.Attr a -> (
     match find_col t a with
     | Some c -> c
     | None -> raise (Nrab.Expr.Eval_error ("unknown attribute " ^ a)))
   | Nrab.Expr.Add (a, b) ->
-    num2 "+" ( + ) ( +. ) (eval_col t a) (eval_col t b) t.n
+    num2 "+" ( + ) ( +. ) (operand t a) (operand t b) t.n
   | Nrab.Expr.Sub (a, b) ->
-    num2 "-" ( - ) ( -. ) (eval_col t a) (eval_col t b) t.n
+    num2 "-" ( - ) ( -. ) (operand t a) (operand t b) t.n
   | Nrab.Expr.Mul (a, b) ->
-    num2 "*" ( * ) ( *. ) (eval_col t a) (eval_col t b) t.n
+    num2 "*" ( * ) ( *. ) (operand t a) (operand t b) t.n
   | Nrab.Expr.Div (a, b) ->
-    num2 "/" ( / ) ( /. ) (eval_col t a) (eval_col t b) t.n
+    num2 "/" ( / ) ( /. ) (operand t a) (operand t b) t.n
 
 let eval_expr (t : t) (e : Nrab.Expr.t) : col =
   note_rows_scanned t.n;
@@ -1355,33 +1290,60 @@ let eval_expr (t : t) (e : Nrab.Expr.t) : col =
     let vs = Array.init t.n (fun i -> Nrab.Expr.eval (get_row t i) e) in
     build_col (shape_of_values vs) vs
 
-(* Comparison of two columns with [Expr.compare_values] semantics. *)
-let cmp_mask (c : Nrab.Expr.cmp) (a : col) (b : col) n : Bitv.t =
-  let test r =
+let cmp_test (c : Nrab.Expr.cmp) (r : int) : bool =
+  match c with
+  | Nrab.Expr.Eq -> r = 0
+  | Nrab.Expr.Neq -> r <> 0
+  | Nrab.Expr.Lt -> r < 0
+  | Nrab.Expr.Le -> r <= 0
+  | Nrab.Expr.Gt -> r > 0
+  | Nrab.Expr.Ge -> r >= 0
+
+(* [c] with its operands swapped: [x c y] exactly when [y (flip c) x],
+   since [Expr.compare_values] is antisymmetric. *)
+let flip : Nrab.Expr.cmp -> Nrab.Expr.cmp = function
+  | Nrab.Expr.Lt -> Nrab.Expr.Gt
+  | Nrab.Expr.Le -> Nrab.Expr.Ge
+  | Nrab.Expr.Gt -> Nrab.Expr.Lt
+  | Nrab.Expr.Ge -> Nrab.Expr.Le
+  | (Nrab.Expr.Eq | Nrab.Expr.Neq) as c -> c
+
+(* A column against a literal on its right, with [Expr.compare_values]
+   semantics. *)
+let cmp_lit (c : Nrab.Expr.cmp) (a : col) (k : Value.t) n : Bitv.t =
+  let test = cmp_test c in
+  match (a, k) with
+  | CNull _, _ -> Bitv.create n false
+  | CInt (xa, pa), Value.Int k -> Bitv.init n (fun i -> present pa i && test (compare xa.(i) k))
+  | CFloat (xa, pa), Value.Float k ->
+    Bitv.init n (fun i -> present pa i && test (compare xa.(i) k))
+  | CInt (xa, pa), Value.Float k ->
+    Bitv.init n (fun i -> present pa i && test (compare (float_of_int xa.(i)) k))
+  | CFloat (xa, pa), Value.Int k ->
+    Bitv.init n (fun i -> present pa i && test (compare xa.(i) (float_of_int k)))
+  | CStr (xa, pa), Value.String s -> (
     match c with
-    | Nrab.Expr.Eq -> r = 0
-    | Nrab.Expr.Neq -> r <> 0
-    | Nrab.Expr.Lt -> r < 0
-    | Nrab.Expr.Le -> r <= 0
-    | Nrab.Expr.Gt -> r > 0
-    | Nrab.Expr.Ge -> r >= 0
-  in
+    | Nrab.Expr.Eq | Nrab.Expr.Neq ->
+      let kc, _ = Dict.intern_hit s in
+      Bitv.init n (fun i -> present pa i && test (if xa.(i) = kc then 0 else 1))
+    | _ ->
+      Bitv.init n (fun i -> present pa i && test (String.compare (Dict.lookup xa.(i)) s)))
+  | _ ->
+    (* Mixed kinds: [eval_cmp] on each reconstructed cell. *)
+    Bitv.init n (fun i -> Nrab.Expr.eval_cmp c (col_get a i) k)
+
+(* Two columns compared row by row, with [Expr.compare_values]
+   semantics. *)
+let cmp_cols (c : Nrab.Expr.cmp) (a : col) (b : col) n : Bitv.t =
+  let test = cmp_test c in
   match (a, b) with
   | CNull _, _ | _, CNull _ -> Bitv.create n false
   | CInt (xa, pa), CInt (xb, pb) ->
     Bitv.init n (fun i ->
         present pa i && present pb i && test (compare xa.(i) xb.(i)))
-  | CInt (xa, pa), CConst (_, Value.Int k) ->
-    Bitv.init n (fun i -> present pa i && test (compare xa.(i) k))
-  | CConst (_, Value.Int k), CInt (xb, pb) ->
-    Bitv.init n (fun i -> present pb i && test (compare k xb.(i)))
   | CFloat (xa, pa), CFloat (xb, pb) ->
     Bitv.init n (fun i ->
         present pa i && present pb i && test (compare xa.(i) xb.(i)))
-  | CFloat (xa, pa), CConst (_, Value.Float k) ->
-    Bitv.init n (fun i -> present pa i && test (compare xa.(i) k))
-  | CConst (_, Value.Float k), CFloat (xb, pb) ->
-    Bitv.init n (fun i -> present pb i && test (compare k xb.(i)))
   | CInt (xa, pa), CFloat (xb, pb) ->
     Bitv.init n (fun i ->
         present pa i && present pb i
@@ -1390,30 +1352,6 @@ let cmp_mask (c : Nrab.Expr.cmp) (a : col) (b : col) n : Bitv.t =
     Bitv.init n (fun i ->
         present pa i && present pb i
         && test (compare xa.(i) (float_of_int xb.(i))))
-  | CInt (xa, pa), CConst (_, Value.Float k) ->
-    Bitv.init n (fun i ->
-        present pa i && test (compare (float_of_int xa.(i)) k))
-  | CFloat (xa, pa), CConst (_, Value.Int k) ->
-    Bitv.init n (fun i ->
-        present pa i && test (compare xa.(i) (float_of_int k)))
-  | CStr (xa, pa), CConst (_, Value.String s) -> (
-    match c with
-    | Nrab.Expr.Eq | Nrab.Expr.Neq ->
-      let kc, _ = Dict.intern_hit s in
-      Bitv.init n (fun i ->
-          present pa i && test (if xa.(i) = kc then 0 else 1))
-    | _ ->
-      Bitv.init n (fun i ->
-          present pa i && test (String.compare (Dict.lookup xa.(i)) s)))
-  | CConst (_, Value.String s), CStr (xb, pb) -> (
-    match c with
-    | Nrab.Expr.Eq | Nrab.Expr.Neq ->
-      let kc, _ = Dict.intern_hit s in
-      Bitv.init n (fun i ->
-          present pb i && test (if xb.(i) = kc then 0 else 1))
-    | _ ->
-      Bitv.init n (fun i ->
-          present pb i && test (String.compare s (Dict.lookup xb.(i)))))
   | CStr (xa, pa), CStr (xb, pb) -> (
     match c with
     | Nrab.Expr.Eq | Nrab.Expr.Neq ->
@@ -1434,11 +1372,20 @@ let cmp_mask (c : Nrab.Expr.cmp) (a : col) (b : col) n : Bitv.t =
     let va = col_values a and vb = col_values b in
     Bitv.init n (fun i -> Nrab.Expr.eval_cmp c va.(i) vb.(i))
 
+(* A literal on the left compares with the sign flipped, and two
+   literals compare once. *)
+let cmp_mask (c : Nrab.Expr.cmp) (a : operand) (b : operand) n : Bitv.t =
+  match (a, b) with
+  | Lit x, Lit y -> Bitv.create n (Nrab.Expr.eval_cmp c x y)
+  | Col a, Lit k -> cmp_lit c a k n
+  | Lit k, Col b -> cmp_lit (flip c) b k n
+  | Col a, Col b -> cmp_cols c a b n
+
 let rec pred_mask (t : t) (p : Nrab.Expr.pred) : Bitv.t =
   match p with
   | Nrab.Expr.True -> Bitv.create t.n true
   | Nrab.Expr.False -> Bitv.create t.n false
-  | Nrab.Expr.Cmp (c, a, b) -> cmp_mask c (eval_col t a) (eval_col t b) t.n
+  | Nrab.Expr.Cmp (c, a, b) -> cmp_mask c (operand t a) (operand t b) t.n
   | Nrab.Expr.And (a, b) -> Bitv.logand (pred_mask t a) (pred_mask t b)
   | Nrab.Expr.Or (a, b) -> Bitv.logor (pred_mask t a) (pred_mask t b)
   | Nrab.Expr.Not p -> Bitv.lognot (pred_mask t p)
@@ -1466,8 +1413,6 @@ let rec pred_mask (t : t) (p : Nrab.Expr.pred) : Bitv.t =
             last_found := found (Dict.lookup c)
           end;
           !last_found)
-    | CConst (_, Value.String text) ->
-      Bitv.create t.n (Nrab.Expr.string_contains ~needle:s text)
     | _ -> Bitv.create t.n false)
 
 let eval_pred_mask (t : t) (p : Nrab.Expr.pred) : Bitv.t =

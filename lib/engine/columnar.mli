@@ -13,7 +13,9 @@
     typechecked query over a typed database share their type, and
     [Null] fits every shape, so kernels work column by column; rows that
     disagree on shape (mixed primitive kinds, differing tuple labels)
-    raise {!Shape_mismatch} where they meet. *)
+    raise {!Shape_mismatch} where they meet.  Every cell sits in a typed
+    array, a bitmap or a bag range: no cell is a boxed [Value.t], so a
+    constant is a typed column of copies ({!broadcast}). *)
 
 open Nested
 
@@ -57,7 +59,6 @@ end
 
 type col =
   | CNull of int  (** [n] all-Null rows *)
-  | CConst of int * Value.t  (** [n] copies of one non-Null value *)
   | CBool of Bitv.t * Bitv.t option  (** values, presence ([None] = all) *)
   | CInt of int array * Bitv.t option
   | CFloat of float array * Bitv.t option
@@ -112,25 +113,21 @@ val to_values : t -> Value.t array
 val col_values : col -> Value.t array
 val get_row : t -> int -> Value.t
 
-(** [cmp_rows t i j] orders rows [i] and [j] exactly like
-    [Value.compare (get_row t i) (get_row t j)], without reconstructing
-    either value. *)
-val cmp_rows : t -> int -> int -> int
-
-(** [cmp_row c i j] has the sign of [cmp_rows] on rows [i] and [j] of
-    [c].  Staged on the column like {!hash_row}: int and string columns
-    without a presence bitmap, and tuples without one, compare through
-    direct closures, so apply it once per column and the result once per
-    pair. *)
+(** [cmp_row c i j] orders rows [i] and [j] of [c] exactly like
+    [Value.compare (col_get c i) (col_get c j)], without reconstructing
+    either value.  Staged on the column like {!hash_row}: [cmp_row c]
+    builds one closure per column of every shape (a presence bitmap
+    sorts Null first), so apply it once per column and the result once
+    per pair. *)
 val cmp_row : col -> int -> int -> int
 
 (** [equal_rows a i b j] decides
     [Value.equal (get_row a i) (get_row b j)] for rows of two batches of
-    one row type, whose columns may differ in representation (typed,
-    constant or all-[Null]), without reconstructing either row: strings
-    compare by dictionary code, floats by [compare] (so [-0.0] equals
-    [0.0] and NaN equals NaN), bags element by element in canonical
-    order; only constant cells are compared as values. *)
+    one row type, whose columns may differ in representation (typed or
+    all-[Null], with or without a presence bitmap, over differing bag
+    stores), without reconstructing either row: strings compare by
+    dictionary code, floats by [compare] (so [-0.0] equals [0.0] and NaN
+    equals NaN), bags element by element in canonical order. *)
 val equal_rows : t -> int -> t -> int -> bool
 
 (** [eqclasses n cols] assigns each of the [n] rows the smallest row
@@ -183,7 +180,10 @@ val vstack : t list -> t
 (** The batch of no rows and no columns. *)
 val empty : t
 
-(** [n] copies of one value, as a batch. *)
+(** [n] copies of one value, as a batch of typed columns: [Null] is an
+    all-[Null] column and a tuple a column per field, so a null pad
+    allocates nothing per row; any other value is built once and
+    gathered, so a bag's rows share one stored copy. *)
 val broadcast : int -> Value.t -> t
 
 (** Which rows hold [Null] ([None] = no nulls). *)
@@ -193,21 +193,19 @@ val null_mask : col -> Bitv.t option
     next to its input for the tuple column [c] of type [inner_ty],
     built column-wise.  A [CTuple] gives its field columns, with its
     presence bitmap pushed into each field so a [Null] tuple reads
-    [Null] in every field (the [Vtype.null_tuple] pad); a constant tuple
-    gives its fields, broadcast; an all-[Null] column gives the pad,
-    broadcast.  Raises [Invalid_argument] on any other column. *)
+    [Null] in every field (the [Vtype.null_tuple] pad); an all-[Null]
+    column gives the pad, broadcast.  Raises [Invalid_argument] on any
+    other column. *)
 val flatten_tuple : Vtype.t -> col -> t
 
 (** A bag column as a {!bag}: an all-[Null] column is a bag column of
-    absent rows, and a constant bag ranges every row over one stored
-    copy of its elements.  Raises [Invalid_argument] on any other
-    column. *)
+    absent rows.  Raises [Invalid_argument] on any other column. *)
 val as_bag : col -> bag
 
 (** The canonical bag builder behind relation nesting, in the engine and
     in tracing.  [canonical_bags b codes groups] builds one bag per
     group of row indices of [b].  Each bag holds its members' distinct
-    rows with merged multiplicities, ordered by [cmp_rows b]: exactly
+    rows with merged multiplicities, ordered by [cmp_row b.row]: exactly
     the contents [Value.bag_of_list] gives the members' rows, without
     reconstructing them.  [codes] must be [eqclasses] over [b]'s
     columns; each bag element is gathered from the row its code names,
@@ -226,8 +224,8 @@ val hash_col : col -> int array
 
 (** [hash_row c i] = [(hash_col c).(i)], computed for row [i] alone: a
     bag row hashes only its own range, never the rest of the store.
-    Staged on the column: [hash_row c] hashes its labels and constants
-    once, so apply it once per batch and the result once per row. *)
+    Staged on the column: [hash_row c] hashes its labels once, so apply
+    it once per batch and the result once per row. *)
 val hash_row : col -> int -> int
 
 (** {1 Row lookup} *)

@@ -199,7 +199,7 @@ let rec keep_fields s ~dropped (fs : (string * C.col) list) =
               { bg with C.belems = C.CTuple (n, keep_fields s ~dropped:never efs, p) }
           )
       | Elements, (C.CBag { C.belems = C.CNull _; _ } | C.CNull _) -> Some (l, col)
-      | Elements, (C.CBag _ | C.CConst _) -> raise Inexact
+      | Elements, C.CBag _ -> raise Inexact
       | _ -> Some (l, col))
     fs
 

@@ -213,10 +213,10 @@ let combine hs = List.fold_left mix_int64 fnv_offset hs
 
 let to_hex h = Printf.sprintf "%016Lx" h
 
-let prepare_key ~dataset ~version ~options:o ~alternatives:alts q =
+let prepare_key ~dataset ~version ~max_sas ~alternatives:alts q =
   to_hex
     (combine
-       [ mix_string fnv_offset dataset; Int64.of_int version; options o;
+       [ mix_string fnv_offset dataset; Int64.of_int version; mix_int fnv_offset max_sas;
          mix_alternatives fnv_offset alts; query q ])
 
 let explain_key ~dataset ~version ~options:o ~alternatives:alts q pattern =

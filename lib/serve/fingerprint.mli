@@ -60,12 +60,13 @@ val explain_key :
   string
 
 (** Pattern-free key of the reusable traced-run handle:
-    ⟨query, dataset name + version, options⟩ — shared by every why-not
-    pattern on the same prepared run. *)
+    ⟨query, dataset name + version, SA cap⟩ — shared by every why-not
+    pattern and every option variant on the same prepared run; [max_sas]
+    is the only knob a handle depends on. *)
 val prepare_key :
   dataset:string ->
   version:int ->
-  options:options ->
+  max_sas:int ->
   alternatives:Whynot.Alternatives.alternatives ->
   Query.t ->
   string

@@ -271,25 +271,17 @@ let fp_options (o : Protocol.explain_options) ~budget_ms : Fingerprint.options =
     budget_ms;
   }
 
-(* The SA cap a handle is prepared at: a request's SAs are a prefix of
-   the default enumeration's unless it asks for more. *)
+(* The SA cap a handle is prepared at, and the only option its key
+   reads: no handle field depends on sampling, top-k, budget or
+   [revalidate] (they act in the per-SA phases), and [explain_with] runs
+   [use_sas = false] or a smaller [max_sas] on a prefix of the handle's
+   SAs.  So every option variant of a query shares one handle, prepared
+   with schema alternatives at the default cap; only a larger
+   [max_sas] gets a handle of its own. *)
 let prepared_max_sas (o : Protocol.explain_options) =
   if o.Protocol.use_sas then
     max o.Protocol.max_sas Protocol.default_options.Protocol.max_sas
   else Protocol.default_options.Protocol.max_sas
-
-(* The prepare-handle key strips the knobs: no handle field depends on
-   sampling, top-k, budget or [revalidate] (they act in the per-SA
-   phases), and [explain_with] runs [use_sas = false] or a smaller
-   [max_sas] on a prefix of the handle's SAs.  So every option variant
-   of a query shares one handle, prepared with schema alternatives at
-   [prepared_max_sas]; only a larger [max_sas] gets a handle of its
-   own. *)
-let handle_options (o : Protocol.explain_options) : Fingerprint.options =
-  {
-    Fingerprint.default_options with
-    Fingerprint.max_sas = prepared_max_sas o;
-  }
 
 (* -- request handlers ---------------------------------------------------- *)
 
@@ -416,7 +408,7 @@ let handle_explain t ~dataset ~scale ~seed ~query ~query_name ~pattern
           let hkey =
             prefix
             ^ Fingerprint.prepare_key ~dataset:dskey ~version
-                ~options:(handle_options options) ~alternatives q
+                ~max_sas:(prepared_max_sas options) ~alternatives q
           in
           let handle, reused_handle =
             match Cache.find t.handle_cache hkey with
@@ -498,27 +490,15 @@ let handle_explain t ~dataset ~scale ~seed ~query ~query_name ~pattern
               { dataset = entry.Catalog.key.Catalog.name; version; cache;
                 result = payload },
             run_info )
-        | Ok (Error (Scheduler.Overloaded _ as e)) ->
+        | Ok (Error e) ->
+          let code =
+            match e with
+            | Scheduler.Overloaded _ -> Protocol.Overloaded
+            | Scheduler.Deadline_exceeded _ -> Protocol.Deadline_exceeded
+            | Scheduler.Faulted _ -> Protocol.Task_failed
+          in
           ( Protocol.Error
-              {
-                code = Protocol.Overloaded;
-                message = Scheduler.error_to_string e;
-                details = None;
-              },
-            None )
-        | Ok (Error (Scheduler.Deadline_exceeded _ as e)) ->
-          ( Protocol.Error
-              {
-                code = Protocol.Deadline_exceeded;
-                message = Scheduler.error_to_string e;
-                details = None;
-              },
-            None )
-        | Ok (Error (Scheduler.Faulted _ as e)) ->
-          ( Protocol.Error
-              { code = Protocol.Task_failed;
-                message = Scheduler.error_to_string e;
-                details = None },
+              { code; message = Scheduler.error_to_string e; details = None },
             None )))))
 
 (* Compile-and-typecheck without running anything: the dry-run behind

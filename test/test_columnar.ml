@@ -81,21 +81,28 @@ let print_pair (xs, ys) = print_rows xs ^ " " ^ print_rows ys
 let arb_rows = QCheck.make ~print:print_rows rows_gen
 let arb_rows_pair = QCheck.make ~print:print_pair rows_pair_gen
 
-(* Uniform tuple rows (the common relational case: typed columns). *)
+(* Uniform tuple rows (the common relational case: typed columns), with
+   a nullable float column of awkward values. *)
 let arb_uniform_rows =
   let open QCheck.Gen in
+  let x =
+    oneofl
+      Value.
+        [ Float 0.0; Float (-0.0); Float nan; Float computed_nan; Float 1.0; Float 2.5; Null ]
+  in
   let row =
-    map3
-      (fun i s b ->
+    map4
+      (fun i s b x ->
         Value.Tuple
           [
             ("id", Value.Int i);
             ("name", (match s with Some s -> Value.String s | None -> Value.Null));
             ("flag", Value.Bool b);
+            ("x", x);
           ])
       small_signed_int
       (opt (string_size ~gen:(char_range 'a' 'c') (return 2)))
-      bool
+      bool x
   in
   QCheck.make
     ~print:(fun vs -> Fmt.str "%a" (Fmt.Dump.list Value.pp) vs)
@@ -113,7 +120,7 @@ let with_presence (mask : C.Bitv.t) (c : C.col) : C.col =
   | C.CStr (a, _) -> C.CStr (a, p)
   | C.CTuple (n, fields, _) -> C.CTuple (n, fields, p)
   | C.CBag bg -> C.CBag { bg with C.bpresent = p }
-  | C.CNull n | C.CConst (n, _) -> C.CTuple (n, [ ("w", c) ], p)
+  | C.CNull n -> C.CTuple (n, [ ("w", c) ], p)
 
 let batch_gen : C.t QCheck.Gen.t =
   let open QCheck.Gen in
@@ -255,21 +262,48 @@ let prop_codes =
             (List.init n Fun.id))
         (List.init n Fun.id))
 
+(* Besides a few compound predicates, every comparison of every pair of
+   operands drawn from the int, float and string columns and from
+   literals: a literal on either side, Int literals against the float
+   column and Float literals against the int one, NaN and -0.0 literals,
+   a Null literal, strings, and literal against literal. *)
 let prop_pred_mask =
   QCheck.Test.make ~name:"eval_pred_mask = per-row eval_pred" ~count:200
     arb_uniform_rows (fun rows ->
       let b = C.of_rows rows in
+      let operands =
+        Nrab.Expr.
+          [
+            attr "id"; attr "x"; attr "name"; int 3; int 1; flt 1.5; flt nan; flt (-0.0);
+            Const Value.Null; str "ab";
+          ]
+      in
+      let comparisons =
+        List.concat_map
+          (fun c ->
+            List.concat_map
+              (fun a -> List.map (fun b -> Nrab.Expr.Cmp (c, a, b)) operands)
+              operands)
+          Nrab.Expr.[ Eq; Neq; Lt; Le; Gt; Ge ]
+      in
       let preds =
         let open Nrab.Expr.Infix in
         [
           Nrab.Expr.attr "id" > Nrab.Expr.int 3;
           Nrab.Expr.Contains (Nrab.Expr.attr "name", "a");
+          Nrab.Expr.Contains (Nrab.Expr.str "abc", "bc");
           Nrab.Expr.IsNull (Nrab.Expr.attr "name");
+          Nrab.Expr.IsNull (Nrab.Expr.int 1);
+          Nrab.Expr.IsNotNull (Nrab.Expr.Const Value.Null);
           (Nrab.Expr.attr "id" >= Nrab.Expr.int 0)
           && Nrab.Expr.IsNotNull (Nrab.Expr.attr "name");
           Nrab.Expr.attr "name" = Nrab.Expr.str "aa";
           Nrab.Expr.attr "id" + Nrab.Expr.int 1 <= Nrab.Expr.int 10;
+          Nrab.Expr.int 10 - Nrab.Expr.attr "id" < Nrab.Expr.flt 2.5;
+          Nrab.Expr.attr "x" * Nrab.Expr.int 2 >= Nrab.Expr.attr "x";
+          Nrab.Expr.int 1 + Nrab.Expr.int 2 = Nrab.Expr.attr "id";
         ]
+        @ comparisons
       in
       List.for_all
         (fun p ->
@@ -431,11 +465,18 @@ let test_flatten_tuple_presence () =
     (eq_rows
        (C.to_rows (C.flatten_tuple ty (C.CNull 2)))
        [ row Value.Null None; row Value.Null None ]);
+  Alcotest.(check bool) "the null pad's fields are all-Null columns" true
+    (List.for_all
+       (function _, C.CNull 2 -> true | _ -> false)
+       (C.cols (C.flatten_tuple ty (C.CNull 2))));
+  let const = (C.broadcast 3 (Value.Tuple [ ("x", Value.Int 1); ("t", Value.Null) ])).C.row in
   Alcotest.(check bool) "a constant field takes the presence" true
     (eq_rows
        (C.to_rows
           (C.flatten_tuple ty
-             (C.CTuple (3, [ ("x", C.CConst (3, Value.Int 1)); ("t", C.CNull 3) ], Some absent))))
+             (match const with
+             | C.CTuple (n, fields, None) -> C.CTuple (n, fields, Some absent)
+             | _ -> Alcotest.fail "broadcast tuple is not a tuple column")))
        [ row (Value.Int 1) None; row Value.Null None; row (Value.Int 1) None ])
 
 let test_dict_dedup () =
@@ -515,11 +556,12 @@ let prop_shared_readers =
       let sh = C.gather a (pick_indices (C.length a) picks) in
       let cp = C.of_rows (C.to_rows sh) in
       let rows = List.init (C.length sh) Fun.id in
+      let cmp_sh = C.cmp_row sh.C.row and cmp_cp = C.cmp_row cp.C.row in
       List.for_all
         (fun i ->
           let v = C.get_row sh i in
           String.equal (Value.to_string v) (Value.to_string (C.get_row cp i))
-          && List.for_all (fun j -> C.cmp_rows sh i j = C.cmp_rows cp i j) rows)
+          && List.for_all (fun j -> cmp_sh i j = cmp_cp i j) rows)
         rows
       && C.hash_col sh.C.row = C.hash_col cp.C.row
       && C.eqclasses (C.length sh) [ sh.C.row ] = C.eqclasses (C.length cp) [ cp.C.row ]
@@ -529,26 +571,11 @@ let prop_shared_readers =
       let cls = C.eqclasses (2 * n) [ both.C.row ] in
       List.for_all (fun i -> cls.(n + i) = cls.(i)) rows)
 
-(* [cmp_rows] orders every row pair as [Value.compare] orders the rows
-   rebuilt; the relaxed γ's original rows are told apart with it. *)
-let prop_cmp_rows =
-  QCheck.Test.make ~name:"cmp_rows = Value.compare on get_row" ~count:300 arb_batch
-    (fun b ->
-      let rows = List.init b.C.n Fun.id in
-      List.for_all
-        (fun i ->
-          List.for_all
-            (fun j ->
-              Int.compare (C.cmp_rows b i j) 0
-              = Int.compare (Value.compare (C.get_row b i) (C.get_row b j)) 0)
-            rows)
-        rows)
-
-(* The staged [cmp_row] has the sign of [cmp_rows] (that is, of
-   [cmp_cells]) on every row pair.  Besides [arb_batch]'s Nulls, ±0 and
+(* [cmp_row] orders every row pair as [Value.compare] orders the rows
+   rebuilt; the relaxed γ's original rows are told apart with it, and
+   [canonical_bags] sorts with it.  Besides [arb_batch]'s Nulls, ±0 and
    NaN floats, nested tuples and bags, half the batches are Null-free
-   tuples of ints, strings and such tuples, the shapes with direct
-   closures. *)
+   tuples of ints, strings and such tuples. *)
 let prop_cmp_row =
   let open QCheck.Gen in
   let typed =
@@ -568,7 +595,7 @@ let prop_cmp_row =
                ])
   in
   let batch = frequency [ (1, batch_gen); (1, map C.of_rows (typed >>= rows_of 0)) ] in
-  QCheck.Test.make ~name:"staged cmp_row = cmp_rows" ~count:500
+  QCheck.Test.make ~name:"cmp_row = Value.compare on get_row" ~count:500
     (QCheck.make
        ~print:(fun b -> Fmt.str "%a" (Fmt.Dump.list Value.pp) (C.to_rows b))
        batch)
@@ -577,7 +604,9 @@ let prop_cmp_row =
       List.for_all
         (fun i ->
           List.for_all
-            (fun j -> Int.compare (cmp i j) 0 = Int.compare (C.cmp_rows b i j) 0)
+            (fun j ->
+              Int.compare (cmp i j) 0
+              = Int.compare (Value.compare (C.get_row b i) (C.get_row b j)) 0)
             rows)
         rows)
 
@@ -713,7 +742,7 @@ let batch_of_type (ty : Vtype.t) : C.t QCheck.Gen.t =
   let masked xs bits =
     let b = C.of_rows xs in
     match b.C.row with
-    | C.CNull _ | C.CConst _ -> b
+    | C.CNull _ -> b
     | c -> { b with C.row = with_presence (C.Bitv.init b.C.n (fun i -> bits land (1 lsl i) = 0)) c }
   in
   let piece =
@@ -834,12 +863,13 @@ let prop_equal_rows =
                   rb))
            ra))
 
-(* One row type, two representations: constant and all-Null columns on
-   one side, typed float and string columns on the other, either way
-   round; -0.0 matches 0.0. *)
+(* One row type, two representations: a broadcast row (a float column of
+   copies and an all-Null column) on one side, typed float and string
+   columns from [of_rows] on the other, either way round; -0.0 matches
+   0.0. *)
 let test_matches_representations () =
   let row x s = Value.Tuple [ ("x", Value.Float x); ("s", s) ] in
-  let const = C.of_cols 3 [ ("x", C.CConst (3, Value.Float 0.0)); ("s", C.CNull 3) ] in
+  let const = C.broadcast 3 (row 0.0 Value.Null) in
   let typed =
     C.of_rows
       [ row 0.0 Value.Null; row 0.0 (Value.String "a"); row (-0.0) Value.Null; row 2.0 Value.Null ]
@@ -875,7 +905,6 @@ let qsuite =
       prop_canonical_bags;
       prop_shared_ops;
       prop_shared_readers;
-      prop_cmp_rows;
       prop_cmp_row;
       prop_typed_aggs;
       prop_groups;

@@ -64,7 +64,7 @@ let test_fp_keys () =
   in
   Alcotest.(check bool) "version bump changes the key" true (k 1 <> k 2);
   let pk =
-    Serve.Fingerprint.prepare_key ~dataset:"RE@1#0" ~version:1 ~options:o
+    Serve.Fingerprint.prepare_key ~dataset:"RE@1#0" ~version:1 ~max_sas:o.max_sas
       ~alternatives:[] query
   in
   Alcotest.(check bool) "pattern-free key differs from full key" true (pk <> k 1)
