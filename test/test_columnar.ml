@@ -571,12 +571,10 @@ let prop_shared_readers =
       let cls = C.eqclasses (2 * n) [ both.C.row ] in
       List.for_all (fun i -> cls.(n + i) = cls.(i)) rows)
 
-(* [cmp_row] orders every row pair as [Value.compare] orders the rows
-   rebuilt; the relaxed γ's original rows are told apart with it, and
-   [canonical_bags] sorts with it.  Besides [arb_batch]'s Nulls, ±0 and
-   NaN floats, nested tuples and bags, half the batches are Null-free
+(* Batches for the comparator properties: besides [arb_batch]'s Nulls, ±0
+   and NaN floats, nested tuples and bags, half the batches are Null-free
    tuples of ints, strings and such tuples. *)
-let prop_cmp_row =
+let arb_cmp_batch =
   let open QCheck.Gen in
   let typed =
     sized_size (int_bound 8)
@@ -594,11 +592,15 @@ let prop_cmp_row =
                      (list_size (int_range 1 3) (self (n / 2))) );
                ])
   in
-  let batch = frequency [ (1, batch_gen); (1, map C.of_rows (typed >>= rows_of 0)) ] in
-  QCheck.Test.make ~name:"cmp_row = Value.compare on get_row" ~count:500
-    (QCheck.make
-       ~print:(fun b -> Fmt.str "%a" (Fmt.Dump.list Value.pp) (C.to_rows b))
-       batch)
+  QCheck.make
+    ~print:(fun b -> Fmt.str "%a" (Fmt.Dump.list Value.pp) (C.to_rows b))
+    (frequency [ (1, batch_gen); (1, map C.of_rows (typed >>= rows_of 0)) ])
+
+(* [cmp_row] orders every row pair as [Value.compare] orders the rows
+   rebuilt; the relaxed γ's original rows are told apart with it, and
+   [canonical_bags] sorts with it. *)
+let prop_cmp_rows =
+  QCheck.Test.make ~name:"cmp_rows = Value.compare on get_row" ~count:500 arb_cmp_batch
     (fun b ->
       let cmp = C.cmp_row b.C.row and rows = List.init b.C.n Fun.id in
       List.for_all
@@ -607,6 +609,24 @@ let prop_cmp_row =
             (fun j ->
               Int.compare (cmp i j) 0
               = Int.compare (Value.compare (C.get_row b i) (C.get_row b j)) 0)
+            rows)
+        rows)
+
+(* [cmp_row] staged once on a whole column (as tracing's relaxed γ stages
+   it once per operator) orders every row pair as [cmp_row] staged on
+   those two rows alone, gathered and rebuilt by [of_rows]. *)
+let prop_cmp_row =
+  QCheck.Test.make ~name:"staged cmp_row = cmp_rows" ~count:300 arb_cmp_batch (fun b ->
+      let cmp = C.cmp_row b.C.row and rows = List.init b.C.n Fun.id in
+      List.for_all
+        (fun i ->
+          List.for_all
+            (fun j ->
+              let sign = Int.compare (cmp i j) 0 in
+              let pair = C.gather b [| i; j |] in
+              let copy = C.of_rows (C.to_rows pair) in
+              sign = Int.compare (C.cmp_row pair.C.row 0 1) 0
+              && sign = Int.compare (C.cmp_row copy.C.row 0 1) 0)
             rows)
         rows)
 
@@ -905,6 +925,7 @@ let qsuite =
       prop_canonical_bags;
       prop_shared_ops;
       prop_shared_readers;
+      prop_cmp_rows;
       prop_cmp_row;
       prop_typed_aggs;
       prop_groups;
