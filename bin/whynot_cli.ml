@@ -114,11 +114,23 @@ let pp_phase_breakdown ppf (rp : Whynot.Pipeline.result) =
   let in_sas p =
     List.fold_left (fun acc sp -> acc +. Obs.Span.sum_duration_ms_named p sp) 0.0 sas
   in
+  (* The SAs' waits for ⟦Q⟧_D's job, part of their [tracing] spans. *)
+  let waiting_ms =
+    Obs.Span.fold
+      (fun acc sp ->
+        match Obs.Span.attr sp "original_wait_us" with
+        | Some (Obs.Span.Int us) when Obs.Span.name sp = "tracing" ->
+          acc +. (float_of_int us /. 1000.)
+        | _ -> acc)
+      0.0 root
+  in
   List.iter
     (fun (p, ms) ->
       Fmt.pf ppf "  %-14s %10.3f ms  %5.1f%%" p ms (pct ms);
       if parallel && in_sas p > 0.0 then
         Fmt.pf ppf "  (%.3f ms of it summed over SAs)" (in_sas p);
+      if p = "tracing" && waiting_ms > 0.0 then
+        Fmt.pf ppf "  (%.3f ms of it waiting for ⟦Q⟧_D)" waiting_ms;
       Fmt.pf ppf "@,")
     phases;
   Fmt.pf ppf "  %-14s %10.3f ms  %5.1f%% of total%s@]" "sum" sum (pct sum)

@@ -205,13 +205,44 @@ let cross t s x y =
 let root_ot (tr : Tracing.t) = Tracing.op_trace tr tr.Tracing.root_op
 let flag b i = Bytes.unsafe_get b i = '\001'
 
+(* The per-rid vectors of [families], one scratch per domain: [state]
+   bytes and [codes] words over at least [total] rids, grown
+   geometrically and reused by every later call on the domain, so a
+   call allocates nothing per rid once the scratch is large enough. *)
+type scratch = { mutable state : Bytes.t; mutable codes : int array }
+
+let scratch_slot : scratch option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+(* The domain's scratch, taken out of its slot (a nested call finds the
+   slot empty and makes its own), with room for [total] rids and
+   [state] reset over [0, total).  [codes] is not reset: a row's code is
+   written when it is marked or computed, before any read. *)
+let borrow total =
+  let s =
+    match Domain.DLS.get scratch_slot with
+    | Some s ->
+      Domain.DLS.set scratch_slot None;
+      s
+    | None -> { state = Bytes.empty; codes = [||] }
+  in
+  if Bytes.length s.state < total then begin
+    let cap = max total (2 * Bytes.length s.state) in
+    s.state <- Bytes.create cap;
+    s.codes <- Array.make cap 0
+  end;
+  Bytes.fill s.state 0 total '\000';
+  s
+
 type families = {
   op_ids : int array;  (* bit → op id, increasing *)
   root : Tracing.op_trace option;
+  total : int;  (* rids [0, total) are the trace's *)
   state : Bytes.t;
-      (* per rid: 0 unread, 1 read but owned by no operator, 2 read and
-         inconsistent, 3 read and consistent *)
-  codes : int array;  (* per rid; meaningful where state > 0 *)
+      (* per rid below [total]: 0 unread, 1 read but owned by no
+         operator, 2 read and inconsistent, 3 read and consistent; a view
+         of the borrowed scratch *)
+  codes : int array;  (* per rid; meaningful where state > 0; a view too *)
   table : table;  (* the multi-set families [codes] name *)
   rows : int;  (* rows whose family was computed *)
 }
@@ -220,20 +251,28 @@ type families = {
 let bit (op_ids : int array) (id : int) : int =
   Option.fold ~none:0 ~some:(( lsl ) 1) (Array.find_index (Int.equal id) op_ids)
 
-let decode (f : families) (m : int) : Int_set.t =
+let decode (op_ids : int array) (m : int) : Int_set.t =
   let s = ref Int_set.empty in
   Array.iteri
     (fun b id -> if m land (1 lsl b) <> 0 then s := Int_set.add id !s)
-    f.op_ids;
+    op_ids;
   !s
 
-let masks (f : families) c =
-  if c >= 0 then [| c |] else if c = bot then [||] else multi f.table c
+let masks (t : table) c =
+  if c >= 0 then [| c |] else if c = bot then [||] else multi t c
 
-(* Families of the root rows [want] selects and of all their ancestors,
-   in two passes over the annotation vectors. *)
-let families (tr : Tracing.t) (want : Tracing.op_trace -> int -> bool) :
-    families =
+(* The root rows whose families are computed, with their ancestors':
+   every root row, or the ones MSR reads at a bounds-sweep stride — the
+   consistent rows (candidate sets) and the non-surviving rows the
+   sweep visits. *)
+type reads = All_roots | Msr_reads of int
+
+(* Families of the root rows [reads] selects and of all their ancestors,
+   in two passes over the annotation vectors, kept in the domain's
+   scratch while [k] runs.  [k]'s result must not hold the [state] or
+   [codes] views: the scratch goes back to its slot when [k] returns or
+   raises. *)
+let families (tr : Tracing.t) (reads : reads) (k : families -> 'a) : 'a =
   (* Parameter-free operators (Table 2) cannot be reparameterized and get
      no bit; a row they fail to retain has no derivation under any
      reparameterization.  Neither does an operator that retains every row:
@@ -257,20 +296,43 @@ let families (tr : Tracing.t) (want : Tracing.op_trace -> int -> bool) :
       (fun acc ot -> max acc (Tracing.rid0 ot + Tracing.n_rows ot))
       0 tr.Tracing.ops
   in
-  let state = Bytes.make total '\000' in
+  let scratch = borrow total in
+  Fun.protect ~finally:(fun () ->
+      Domain.DLS.set scratch_slot (Some scratch))
+  @@ fun () ->
+  let state = scratch.state and codes = scratch.codes in
   let[@inline] st rid =
     if rid >= 0 && rid < total then Bytes.unsafe_get state rid else '\000'
   in
+  (* A newly marked rid reads the family {∅} until its operator, if any,
+     computes it. *)
   let[@inline] mark rid =
-    if rid >= 0 && rid < total && Bytes.unsafe_get state rid = '\000' then
-      Bytes.unsafe_set state rid '\001'
+    if rid >= 0 && rid < total && Bytes.unsafe_get state rid = '\000' then begin
+      Bytes.unsafe_set state rid '\001';
+      Array.unsafe_set codes rid 0
+    end
   in
   let root = root_ot tr in
+  (* The root's rows lie in its own block, so they are marked directly;
+     at stride 1 the test reads the two flag bytes and nothing else. *)
   Option.iter
-    (fun ot ->
-      for i = 0 to Tracing.n_rows ot - 1 do
-        if want ot i then mark (Tracing.rid0 ot + i)
-      done)
+    (fun (ot : Tracing.op_trace) ->
+      let r0 = ot.rid0 and consistent = ot.consistent
+      and surviving = ot.surviving in
+      match reads with
+      | All_roots -> Bytes.fill state r0 ot.n '\001'
+      | Msr_reads 1 ->
+        for i = 0 to ot.n - 1 do
+          if flag consistent i || not (flag surviving i) then
+            Bytes.unsafe_set state (r0 + i) '\001'
+        done
+      | Msr_reads stride ->
+        for i = 0 to ot.n - 1 do
+          if
+            flag consistent i
+            || ((r0 + i) mod stride = 0 && not (flag surviving i))
+          then Bytes.unsafe_set state (r0 + i) '\001'
+        done)
     root;
   (* Mark pass, root first: every consumer of an operator's rows comes
      after it in [tr.ops], so its rows are fully marked when reached.
@@ -309,9 +371,10 @@ let families (tr : Tracing.t) (want : Tracing.op_trace -> int -> bool) :
     (List.rev tr.Tracing.ops);
   (* Family pass, bottom-up over the marked rows.  A rid that no operator
      owns, or that lies outside the trace, has the family {∅}. *)
-  let codes = Array.make total 0 in
   let t = table () and s = mask_set () in
-  let[@inline] code pid = if pid >= 0 && pid < total then codes.(pid) else 0 in
+  let[@inline] code pid =
+    if pid >= 0 && pid < total then Array.unsafe_get codes pid else 0
+  in
   (* cross-product union over a row's parents (joins have two) *)
   let cross_range lo hi flat =
     let acc = ref 0 in
@@ -377,23 +440,23 @@ let families (tr : Tracing.t) (want : Tracing.op_trace -> int -> bool) :
         end
       done)
     tr.Tracing.ops;
-  { op_ids; root; state; codes; table = t; rows = !rows }
+  k { op_ids; root; total; state; codes; table = t; rows = !rows }
 
-(* The root rows MSR reads: the consistent ones (candidate sets) and the
-   non-surviving ones the bounds sweep visits at the stride. *)
-let msr_reads stride (ot : Tracing.op_trace) i =
-  Tracing.consistent_at ot i
-  || ((Tracing.rid0 ot + i) mod stride = 0 && not (Tracing.surviving_at ot i))
-
+(* The closure reads copies of the rows' states and codes, never the
+   scratch, which the next call on the domain overwrites. *)
 let failure_sets (tr : Tracing.t) : int -> Set_set.t =
-  let f = families tr (fun _ _ -> true) in
+  let op_ids, table, state, codes =
+    families tr All_roots (fun f ->
+        (f.op_ids, f.table, Bytes.sub f.state 0 f.total,
+         Array.sub f.codes 0 f.total))
+  in
   fun rid ->
-    if rid < 0 || rid >= Bytes.length f.state || Bytes.get f.state rid = '\000'
+    if rid < 0 || rid >= Bytes.length state || Bytes.get state rid = '\000'
     then invalid_arg "Msr.failure_sets: not a root row or an ancestor of one";
     Array.fold_left
-      (fun acc m -> Set_set.add (decode f m) acc)
+      (fun acc m -> Set_set.add (decode op_ids m) acc)
       Set_set.empty
-      (masks f f.codes.(rid))
+      (masks table codes.(rid))
 
 (* The root operator's consistent rows (the candidate missing answers) by
    rid — flag-vector reads, no tree reconstruction. *)
@@ -454,7 +517,8 @@ let contains_filtering_op (q : Nrab.Query.t) (ops : Int_set.t) : bool =
    non-surviving rows' families feed the per-candidate UB(Δ+) scan. *)
 type bounds_ctx = {
   cq : Nrab.Query.t;
-  fams : families;
+  op_ids : int array;  (* the families' bit → op id *)
+  table : table;  (* the multi-set families [nonsurviving] names *)
   stride : int;
       (* 1 = exact sweep; s > 1 = every s-th root row (by global rid)
          was examined and the counts in [terms] are scaled-up estimates *)
@@ -500,7 +564,8 @@ let bounds_ctx ~stride ~(matches : matches) ~(q : Nrab.Query.t)
   let matched = stride * !n_matched and original_rows = matches.q_rows in
   {
     cq = q;
-    fams;
+    op_ids = fams.op_ids;
+    table = fams.table;
     stride;
     terms =
       {
@@ -517,7 +582,7 @@ let bounds_with (ctx : bounds_ctx) (expl_ops : Int_set.t) : int * int =
   (* UB(Δ+): rows that may newly appear when the explanation's operators
      are reparameterized (scaled back up when the sweep was sampled) *)
   let outside =
-    lnot (Int_set.fold (fun id m -> m lor bit ctx.fams.op_ids id) expl_ops 0)
+    lnot (Int_set.fold (fun id m -> m lor bit ctx.op_ids id) expl_ops 0)
   in
   let inside m = m land outside = 0 in
   let covered = ref 0 in
@@ -525,7 +590,7 @@ let bounds_with (ctx : bounds_ctx) (expl_ops : Int_set.t) : int * int =
     (fun k c ->
       if
         if c >= 0 then inside c
-        else Array.exists inside (multi ctx.fams.table c)
+        else Array.exists inside (multi ctx.table c)
       then covered := !covered + ctx.counts.(k))
     ctx.nonsurviving;
   let t = ctx.terms in
@@ -537,9 +602,9 @@ let bounds_with (ctx : bounds_ctx) (expl_ops : Int_set.t) : int * int =
 
 let bounds ~(bi : bounds_input) ~(q : Nrab.Query.t) (tr : Tracing.t)
     (expl_ops : Int_set.t) : int * int =
-  let fams = families tr (msr_reads 1) in
+  let matches = matches_of_trace bi tr in
   bounds_with
-    (bounds_ctx ~stride:1 ~matches:(matches_of_trace bi tr) ~q fams)
+    (families tr (Msr_reads 1) (bounds_ctx ~stride:1 ~matches ~q))
     expl_ops
 
 (* --- Explanation assembly ------------------------------------------------ *)
@@ -561,7 +626,7 @@ let candidate_sets (tr : Tracing.t) (f : families) : Set_set.t =
     f.root;
   let sets = ref Set_set.empty in
   for k = 0 to s.n - 1 do
-    sets := Set_set.add (Int_set.union prefix (decode f s.masks.(k))) !sets
+    sets := Set_set.add (Int_set.union prefix (decode f.op_ids s.masks.(k))) !sets
   done;
   Set_set.remove Int_set.empty !sets
 
@@ -605,16 +670,20 @@ let explain ?span ?(sample_stride = 1) ?top_k ~(matches : matches)
     ~(q : Nrab.Query.t) (tr : Tracing.t) : Explanation.t list * int * terms =
   let stride = max 1 sample_stride in
   let t0 = Obs.Clock.now_ns () in
-  let fams = families tr (msr_reads stride) in
-  let t1 = Obs.Clock.now_ns () in
-  let ctx = bounds_ctx ~stride ~matches ~q fams in
-  let t2 = Obs.Clock.now_ns () in
+  (* Nothing that outlives the families reads their scratch: [ctx] keeps
+     the bit index and the side table, the candidates are decoded. *)
+  let t1, t2, ctx, candidates, rows =
+    families tr (Msr_reads stride) (fun fams ->
+        let t1 = Obs.Clock.now_ns () in
+        let ctx = bounds_ctx ~stride ~matches ~q fams in
+        let t2 = Obs.Clock.now_ns () in
+        (t1, t2, ctx, Set_set.elements (candidate_sets tr fams), fams.rows))
+  in
   let sa_index = tr.Tracing.sa.Alternatives.index in
   let make ops =
     let lb, ub = bounds_with ctx ops in
     Explanation.make ~sa:sa_index ~lb ~ub ops
   in
-  let candidates = Set_set.elements (candidate_sets tr fams) in
   let es, skipped =
     match top_k with
     | None -> (List.map make candidates, 0)
@@ -629,8 +698,8 @@ let explain ?span ?(sample_stride = 1) ?top_k ~(matches : matches)
           ("families_us", (t1 - t0) / 1000);
           ("sweep_us", (t2 - t1) / 1000);
           ("candidates_us", (t3 - t2) / 1000);
-          ("family_rows", fams.rows);
-          ("multi_families", fams.table.len);
+          ("family_rows", rows);
+          ("multi_families", ctx.table.len);
         ])
     span;
   (es, skipped, ctx.terms)

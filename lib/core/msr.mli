@@ -32,9 +32,16 @@
       parents (joins have two), a plain [lor] of the codes unless both
       sides hold several sets;
     - plus the operator's own bit where the row is not retained.
-    The bounds sweep keeps the sampled non-surviving root rows as
-    distinct (code, count) pairs, and the candidate sets are the
-    distinct masks of the consistent root rows' families.
+    The per-rid vectors of the two passes (a state byte and a code
+    word per rid) live in one scratch per domain, grown geometrically
+    and reset over the trace's rids at the start of each call, so a
+    call allocates nothing per rid once its domain's scratch is large
+    enough.  A call takes the scratch out of its [Domain.DLS] slot and
+    puts it back when it returns or raises: a nested call on the same
+    domain makes its own.  Nothing that outlives a call reads the
+    scratch.  The bounds sweep keeps the sampled non-surviving root
+    rows as distinct (code, count) pairs, and the candidate sets are
+    the distinct masks of the consistent root rows' families.
     [Int_set]/[Set_set] appear only at the API edge: candidate sets are
     decoded for {!Explanation.make}, and {!failure_sets} decodes for
     callers outside the pipeline. *)
@@ -69,7 +76,9 @@ val max_alternatives : int
 val compare_mask : int -> int -> int
 
 (** Decoded failure-set families of every root row and of its
-    ancestors; other rids raise [Invalid_argument]. *)
+    ancestors; other rids raise [Invalid_argument].  The closure reads
+    its own copy of the rows' states and codes, so later calls on the
+    domain, which overwrite the scratch, do not change its answers. *)
 val failure_sets : Tracing.t -> int -> Set_set.t
 
 (** Rids of root rows matching the why-not question under the

@@ -243,9 +243,11 @@ let m_relaxed_reuses = Obs.Metrics.counter "whynot.tracing.relaxed_reuses"
 
 (* SA [sa]'s relaxed evaluation, read from its slot or computed, passed
    to [annotate], and its matches against ⟦Q⟧_D.  An evaluation computed
-   here is annotated first, and only then does [original ()] wait for
-   ⟦Q⟧_D; the matching's time goes on [sp] as [match_us], its verified
-   hash hits as [match_verified], and the pair is published to the slot.
+   here is annotated first, and only then does [original] wait for
+   ⟦Q⟧_D: the wait goes on [sp] as [original_wait_us], the part of it
+   spent running other pool jobs as [helped_us].  The matching's time
+   goes on [sp] as [match_us], its verified hash hits as
+   [match_verified], and the pair is published to the slot.
    Runs inside the tracing phase's retry scope, so a faulted or cancelled
    evaluation raises before it publishes. *)
 let relaxed_of h ~original (sa : Alternatives.sa) sp annotate =
@@ -259,8 +261,12 @@ let relaxed_of h ~original (sa : Alternatives.sa) sp annotate =
       Tracing.relax ?shared:(Atomic.get h.h_shared) ~env:h.h_env h.h_db sa
     in
     let trace = annotate r in
-    let index = original () in
-    let t0 = Obs.Clock.now_ns () in
+    let helped = ref 0 and t0 = Obs.Clock.now_ns () in
+    let index = original ~helped in
+    let t1 = Obs.Clock.now_ns () in
+    Obs.Span.set_int sp "original_wait_us" ((t1 - t0) / 1000);
+    Obs.Span.set_int sp "helped_us" (!helped / 1000);
+    let t0 = t1 in
     let data, surviving = Tracing.relaxed_root r in
     let m = Msr.matches index data surviving in
     Obs.Span.set_int sp "match_us" ((Obs.Clock.now_ns () - t0) / 1000);
@@ -289,9 +295,9 @@ let run_phases ?approx ~revalidate ~cancel ~retries root cursor
     if pending = [] || Option.is_some (Atomic.get h.h_original) then None
     else Some (submit_original ~cancel ~retries root h)
   in
-  let original () =
+  let original ~helped =
     match job with
-    | Some job -> Engine.Pool.await job
+    | Some job -> Engine.Pool.await ~helped job
     | None ->
       (* the slot was filled, or no chain of this run calls [original] *)
       Option.get (Atomic.get h.h_original)

@@ -165,10 +165,12 @@ val handle_sas : handle -> Alternatives.sa list
     Each SA's [tracing] span carries [relaxed_reused]: true
     when its relaxed evaluation came from the handle's slot, counted on
     [whynot.tracing.relaxed_reuses]; when it did not, the span also
-    carries [match_us], the µs spent matching the SA's surviving root
-    rows against the handle's index of ⟦Q⟧_D ({!Msr.matches}), and
-    [match_verified], the number of hash hits that matching compared
-    row against row ({!Msr.matches}'s [verified]).
+    carries [original_wait_us], the µs spent waiting for ⟦Q⟧_D's job,
+    [helped_us], the part of that wait spent running other pool jobs
+    ({!Engine.Pool.await}'s [helped]), [match_us], the µs spent matching
+    the SA's surviving root rows against the handle's index of ⟦Q⟧_D
+    ({!Msr.matches}), and [match_verified], the number of hash hits that
+    matching compared row against row ({!Msr.matches}'s [verified]).
 
     The run covers a prefix of the handle's SAs.  Enumeration is a fixed
     order truncated at [max_sas], whose SA 0 is the query itself, so:

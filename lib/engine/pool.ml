@@ -155,7 +155,7 @@ let try_steal (pool : t) : (unit -> unit) option =
   Mutex.unlock pool.mutex;
   job
 
-let rec await (fut : 'a future) : 'a =
+let rec await ?helped (fut : 'a future) : 'a =
   Mutex.lock fut.fmutex;
   let state = fut.state in
   Mutex.unlock fut.fmutex;
@@ -166,15 +166,17 @@ let rec await (fut : 'a future) : 'a =
     (* Run queued work on this domain while we wait — see module header. *)
     match try_steal fut.pool with
     | Some job ->
+      let t0 = Obs.Clock.now_ns () in
       job ();
-      await fut
+      Option.iter (fun h -> h := !h + (Obs.Clock.now_ns () - t0)) helped;
+      await ?helped fut
     | None ->
       Mutex.lock fut.fmutex;
       while fut.state = Pending do
         Condition.wait fut.fdone fut.fmutex
       done;
       Mutex.unlock fut.fmutex;
-      await fut)
+      await ?helped fut)
 
 let shutdown (pool : t) : unit =
   Mutex.lock pool.mutex;

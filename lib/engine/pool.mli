@@ -39,8 +39,11 @@ val size : t -> int
 val submit : ?abort:(unit -> exn option) -> t -> (unit -> 'a) -> 'a future
 
 (** Block until the future resolves, helping with queued work in the
-    meantime.  Re-raises the job's exception if it failed. *)
-val await : 'a future -> 'a
+    meantime.  Re-raises the job's exception if it failed.  [?helped]
+    accumulates the nanoseconds this call spent running queued jobs
+    rather than blocked: other jobs, or the awaited one itself when no
+    worker had taken it yet. *)
+val await : ?helped:int ref -> 'a future -> 'a
 
 (** Drain-free graceful teardown: workers finish the jobs already
     queued, then exit; [shutdown] joins them all (counting workers that

@@ -411,6 +411,51 @@ let test_spans_finished_when_a_chain_raises () =
            [] parent))
     [ false; true ]
 
+(* A slow ⟦Q⟧_D shows as waiting: with the engine run of ⟦Q⟧_D's job
+   delayed by 60 ms, the SA chains that evaluate their relaxed query wait
+   for it, and the longest [original_wait_us] on their [tracing] spans
+   holds most of the delay; [helped_us], the part of a wait spent
+   running other pool jobs, never exceeds it.  The explanations are
+   those of an undelayed run. *)
+let test_original_wait_timed () =
+  let inst =
+    (Option.get (Scenarios.Registry.find "D3")).Scenarios.Scenario.make
+      ~scale:1 ()
+  in
+  let explain () =
+    Whynot.Pipeline.explain ~alternatives:inst.Scenarios.Scenario.alternatives
+      inst.Scenarios.Scenario.question
+  in
+  Obs.Faultinject.reset ();
+  let plain = explain () in
+  Obs.Faultinject.arm "engine.run" (Obs.Faultinject.Delay_ms 60.0);
+  let slow = explain () in
+  Obs.Faultinject.reset ();
+  Alcotest.(check string) "codec JSON byte-identical" (result_fingerprint plain)
+    (result_fingerprint slow);
+  let int_attr sp name =
+    match Obs.Span.attr sp name with Some (Obs.Span.Int k) -> Some k | _ -> None
+  in
+  let waits =
+    List.filter_map
+      (fun sp ->
+        match (int_attr sp "original_wait_us", int_attr sp "helped_us") with
+        | Some wait, Some helped ->
+          Alcotest.(check bool)
+            (Fmt.str "helped_us %d <= original_wait_us %d" helped wait)
+            true (helped <= wait);
+          Some wait
+        | _ -> None)
+      (Obs.Span.find_all
+         (fun sp -> Obs.Span.name sp = "tracing")
+         slow.Whynot.Pipeline.span)
+  in
+  Alcotest.(check bool) "every SA evaluated its relaxed query" true (waits <> []);
+  let longest = List.fold_left max 0 waits in
+  Alcotest.(check bool)
+    (Fmt.str "the longest wait, %d us, holds the delay" longest)
+    true (longest >= 30_000)
+
 (* --- serve integration --------------------------------------------------- *)
 
 let test_scheduler_maps_exhaustion_to_faulted () =
@@ -536,6 +581,8 @@ let () =
             test_original_slot_left_empty;
           Alcotest.test_case "spans finished when a chain raises" `Quick
             test_spans_finished_when_a_chain_raises;
+          Alcotest.test_case "the wait for ⟦Q⟧_D is timed" `Quick
+            test_original_wait_timed;
         ] );
       ( "serve",
         [

@@ -915,10 +915,12 @@ let test_random_traces () =
   QCheck.Test.check_exn prop_random_traces;
   Alcotest.(check bool) "some families exceeded the cap" true (!capped_cases > 0)
 
-(* Families are int codes: on a 120k-row trace — a table, three σs and
-   an inner flatten, every root row consistent and none surviving —
-   [Msr.explain] allocates a bounded number of minor-heap words, far
-   below one per row.  A per-row array or list would exceed the bound. *)
+(* Families are int codes kept in a per-domain scratch: on a 120k-row
+   trace — a table, three σs and an inner flatten, every root row
+   consistent and none surviving — a second [Msr.explain] allocates a
+   bounded number of words, minor and major heap together, far below
+   one per row.  A per-row array or list, or a per-call [state] or
+   [codes] vector, would exceed the bound. *)
 let test_no_per_row_allocation () =
   let n = 20_000 in
   let g = Query.Gen.create () in
@@ -938,14 +940,184 @@ let test_no_per_row_allocation () =
   let tr = hand_trace q ((table :: selects) @ [ flatten ]) in
   let rows = 6 * n in
   let matches = matches_of Engine.Columnar.empty tr in
-  let before = Gc.minor_words () in
+  let first, _, _ = Whynot.Msr.explain ~matches ~q tr in
+  (* [quick_stat]'s minor count lags until the next minor collection;
+     [Gc.minor_words] does not.  Words allocated directly in the major
+     heap are its major words less the promoted ones. *)
+  let allocated () =
+    let s = Gc.quick_stat () in
+    Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = allocated () in
   let es, _, _ = Whynot.Msr.explain ~matches ~q tr in
-  let words = Gc.minor_words () -. before in
+  let words = allocated () -. before in
   Alcotest.(check int) "every non-empty set of the 4 bits explains" 15 (List.length es);
+  Alcotest.(check (list (pair (list int) (pair int int))))
+    "the second explain answers as the first" (bounds_of first) (bounds_of es);
   Alcotest.(check bool)
-    (Fmt.str "%.0f minor words for %d rows stay under %d" words rows (rows / 8))
+    (Fmt.str "%.0f words for %d rows stay under %d" words rows (rows / 8))
     true
     (words < float_of_int (rows / 8))
+
+(* --- Scratch reuse --------------------------------------------------------- *)
+
+let total_rids (tr : Whynot.Tracing.t) =
+  List.fold_left
+    (fun acc ot -> max acc (Whynot.Tracing.rid0 ot + Whynot.Tracing.n_rows ot))
+    0 tr.Whynot.Tracing.ops
+
+(* Everything [Msr] answers on a hand-built trace, against the
+   references: the family of every root row and ancestor, and
+   [Invalid_argument] for every other rid of the trace; at strides 1 and
+   3, [explain]'s candidate sets and UBs, its terms, and its span's
+   [family_rows] (the owned rows among the ancestors of the root rows it
+   reads).  Checks through [Alcotest], so a failure names the rid or
+   stride. *)
+let check_against_reference ~label q tr =
+  let fs = Whynot.Msr.failure_sets tr and expected = reference_failure_sets tr in
+  let rows = root_rids tr in
+  let closure = ancestor_closure tr (List.map (fun (_, _, rid) -> rid) rows) in
+  for rid = 0 to total_rids tr - 1 do
+    if Hashtbl.mem closure rid then check_families ~label expected fs rid
+    else
+      match fs rid with
+      | _ -> Alcotest.failf "%s rid %d: not an ancestor, must raise" label rid
+      | exception Invalid_argument _ -> ()
+  done;
+  let owner = rid_owners tr in
+  List.iter
+    (fun stride ->
+      let l = Fmt.str "%s stride %d" label stride in
+      let sp = Obs.Span.start "msr" in
+      let es, _, terms =
+        Whynot.Msr.explain ~span:sp ~sample_stride:stride
+          ~matches:(matches_of Engine.Columnar.empty tr) ~q tr
+      in
+      Obs.Span.finish sp;
+      Alcotest.(check (list (pair (list int) int)))
+        (l ^ " explanations") (reference_from_trace ~stride tr)
+        (List.sort compare
+           (List.map
+              (fun (e : Whynot.Explanation.t) ->
+                (Whynot.Explanation.op_list e, e.side_effect_ub))
+              es));
+      Alcotest.(check (list int)) (l ^ " terms")
+        (terms_list (reference_terms ~stride ~original:[] tr))
+        (terms_list terms);
+      let read =
+        List.filter_map
+          (fun (ot, i, rid) ->
+            if
+              Whynot.Tracing.consistent_at ot i
+              || (rid mod stride = 0 && not (Whynot.Tracing.surviving_at ot i))
+            then Some rid
+            else None)
+          rows
+      in
+      let owned =
+        Hashtbl.fold
+          (fun rid () acc ->
+            if rid >= 0 && rid < Array.length owner && Option.is_some owner.(rid)
+            then acc + 1
+            else acc)
+          (ancestor_closure tr read) 0
+      in
+      Alcotest.(check (option int)) (l ^ " family_rows") (Some owned)
+        (match Obs.Span.attr sp "family_rows" with
+        | Some (Obs.Span.Int k) -> Some k
+        | _ -> None))
+    [ 1; 3 ]
+
+(* Two random traces on one domain, the larger explained first, then the
+   smaller, then the larger again: every call answers as the reference,
+   so no call reads what the one before left in the scratch.  A
+   [failure_sets] closure taken on the first call still answers the same
+   after the two later ones overwrote the scratch. *)
+let prop_scratch_reuse =
+  let input =
+    QCheck.(
+      make
+        ~print:(fun (s, seed) -> Fmt.str "%a seed %d" pp_shape s seed)
+        Gen.(pair gen_shape int))
+  in
+  QCheck.Test.make ~count:150 ~name:"large, small, large on one domain"
+    (QCheck.pair input input)
+    (fun (a, b) ->
+      let ((_, ta) as a) = random_trace a and ((_, tb) as b) = random_trace b in
+      let (qb, big), (qs, small) =
+        if total_rids ta >= total_rids tb then (a, b) else (b, a)
+      in
+      let kept = Whynot.Msr.failure_sets big in
+      let closure =
+        ancestor_closure big (List.map (fun (_, _, rid) -> rid) (root_rids big))
+      in
+      let before = Hashtbl.fold (fun rid () acc -> (rid, kept rid) :: acc) closure [] in
+      check_against_reference ~label:"large" qb big;
+      check_against_reference ~label:"small" qs small;
+      check_against_reference ~label:"large again" qb big;
+      List.iter
+        (fun (rid, sets) ->
+          Alcotest.(check (list (list int)))
+            (Fmt.str "kept closure rid %d" rid)
+            (sets_to_lists sets) (sets_to_lists (kept rid)))
+        before;
+      true)
+
+let test_scratch_reuse () = QCheck.Test.check_exn prop_scratch_reuse
+
+(* A [failure_sets] closure answers from its own copy: after an explain
+   and a [failure_sets] call on another trace over the same rids, whose
+   families differ, it still answers as the reference. *)
+let test_failure_sets_outlive_calls () =
+  let wide seed = random_trace (Grp (2, sels 9 (Tab 160)), seed) in
+  let _, a = wide 1 and qb, b = wide 2 in
+  let kept = Whynot.Msr.failure_sets a and expected = reference_failure_sets a in
+  let rids = List.init (total_rids a) Fun.id in
+  let reference_b = reference_failure_sets b in
+  Alcotest.(check bool) "the two traces' families differ" true
+    (List.exists
+       (fun rid -> not (Set_set.equal (expected rid) (reference_b rid)))
+       rids);
+  ignore (Whynot.Msr.explain ~matches:(matches_of Engine.Columnar.empty b) ~q:qb b);
+  ignore (Whynot.Msr.failure_sets b 0);
+  List.iter (check_families ~label:"kept closure" expected kept) rids
+
+(* A call that raises leaves the scratch usable: after
+   [Too_many_operators] (raised before the passes) and after a fault
+   raised inside the mark pass, once it has marked rows — a root σ at
+   rids [0, n) whose parent vector is too short — the next call on the
+   domain answers as the reference. *)
+let test_raise_then_correct () =
+  let n_sel = Whynot.Msr.max_operators + 1 in
+  let chain = select_chain (Query.Gen.create ()) ~last:(n_sel + 1) in
+  let too_many =
+    hand_trace chain
+      (op_trace ~q:chain ~id:1 ~rid0:0 ~n:1 Whynot.Tracing.P_none
+      :: List.init n_sel (fun k ->
+             op_trace ~q:chain ~id:(k + 2) ~rid0:(k + 1) ~n:1
+               ~retained:(fun _ -> false) (Whynot.Tracing.P_self k)))
+  in
+  let faulty n =
+    let g = Query.Gen.create () in
+    let q = select_chain g ~last:2 in
+    hand_trace q
+      [
+        op_trace ~q ~id:1 ~rid0:n ~n Whynot.Tracing.P_none;
+        op_trace ~q ~id:2 ~rid0:0 ~n (Whynot.Tracing.P_one [| n |]);
+      ]
+  in
+  List.iter
+    (fun seed ->
+      let q, tr = random_trace (Join (Grp (2, sels 3 (Tab 40)), sels 2 (Tab 30)), seed) in
+      (match ignore (Whynot.Msr.failure_sets too_many : int -> Set_set.t) with
+      | _ -> Alcotest.fail "expected Too_many_operators"
+      | exception Whynot.Msr.Too_many_operators _ -> ());
+      check_against_reference ~label:"after Too_many_operators" q tr;
+      (match ignore (Whynot.Msr.failure_sets (faulty (total_rids tr)) : int -> Set_set.t) with
+      | _ -> Alcotest.fail "expected the short parent vector to raise"
+      | exception Invalid_argument _ -> ());
+      check_against_reference ~label:"after a fault" q tr)
+    [ 1; 2; 3 ]
 
 (* A surviving root row matches a row of ⟦Q⟧_D exactly when the two are
    [Value.equal]: [-0.0] matches [0.0] and a NaN computed at run time
@@ -1009,5 +1181,14 @@ let () =
           Alcotest.test_case "too many operators" `Quick test_too_many_operators;
           Alcotest.test_case "random traces" `Quick test_random_traces;
           Alcotest.test_case "no per-row allocation" `Quick test_no_per_row_allocation;
+        ] );
+      ( "scratch",
+        [
+          Alcotest.test_case "large, small, large on one domain" `Quick
+            test_scratch_reuse;
+          Alcotest.test_case "failure_sets outlive later calls" `Quick
+            test_failure_sets_outlive_calls;
+          Alcotest.test_case "a raise leaves the scratch usable" `Quick
+            test_raise_then_correct;
         ] );
     ]

@@ -5,7 +5,7 @@
    order. *)
 let submit_all pool f xs =
   let futures = Array.map (fun x -> Engine.Pool.submit pool (fun () -> f x)) xs in
-  Array.map Engine.Pool.await futures
+  Array.map (fun fut -> Engine.Pool.await fut) futures
 
 exception Boom of int
 
@@ -107,6 +107,33 @@ let test_default_pool_is_shared () =
   Alcotest.(check bool) "same instance" true (p1 == p2);
   Alcotest.(check bool) "at least one worker" true (Engine.Pool.size p1 >= 1)
 
+(* [await ~helped] adds the time it spent running queued jobs: the
+   awaiter of a 40 ms job on a size-1 pool runs one 20 ms job queued
+   behind it (or the awaited job itself, if the worker has not taken it
+   yet), so at least 20 ms; an awaiter of a resolved future helps with
+   nothing. *)
+let test_await_helped () =
+  let spin ms =
+    let until = Obs.Clock.now_ns () + (ms * 1_000_000) in
+    while Obs.Clock.now_ns () < until do
+      Domain.cpu_relax ()
+    done
+  in
+  let pool = Engine.Pool.create ~size:1 () in
+  let slow = Engine.Pool.submit pool (fun () -> spin 40) in
+  let queued = Engine.Pool.submit pool (fun () -> spin 20) in
+  let helped = ref 0 in
+  Engine.Pool.await ~helped slow;
+  Alcotest.(check bool)
+    (Fmt.str "helped %d ns >= 20 ms" !helped)
+    true
+    (!helped >= 20_000_000);
+  Engine.Pool.await queued;
+  let idle = ref 0 in
+  Engine.Pool.await ~helped:idle slow;
+  Alcotest.(check int) "a resolved future helps with nothing" 0 !idle;
+  Engine.Pool.shutdown pool
+
 let () =
   Alcotest.run "pool"
     [
@@ -114,6 +141,8 @@ let () =
         [
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagates;
+          Alcotest.test_case "await counts the time it helped" `Quick
+            test_await_helped;
         ] );
       ( "lifecycle",
         [
