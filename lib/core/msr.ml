@@ -234,6 +234,14 @@ let borrow total =
   Bytes.fill s.state 0 total '\000';
   s
 
+(* Put a scratch back in the domain's slot, unless a call that ran
+   meanwhile (a nested one, or another systhread's) put back a larger
+   one: the slot keeps the larger of the two. *)
+let give_back s =
+  match Domain.DLS.get scratch_slot with
+  | Some cur when Bytes.length cur.state >= Bytes.length s.state -> ()
+  | _ -> Domain.DLS.set scratch_slot (Some s)
+
 type families = {
   op_ids : int array;  (* bit → op id, increasing *)
   root : Tracing.op_trace option;
@@ -297,9 +305,7 @@ let families (tr : Tracing.t) (reads : reads) (k : families -> 'a) : 'a =
       0 tr.Tracing.ops
   in
   let scratch = borrow total in
-  Fun.protect ~finally:(fun () ->
-      Domain.DLS.set scratch_slot (Some scratch))
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> give_back scratch) @@ fun () ->
   let state = scratch.state and codes = scratch.codes in
   let[@inline] st rid =
     if rid >= 0 && rid < total then Bytes.unsafe_get state rid else '\000'
@@ -314,23 +320,19 @@ let families (tr : Tracing.t) (reads : reads) (k : families -> 'a) : 'a =
   in
   let root = root_ot tr in
   (* The root's rows lie in its own block, so they are marked directly;
-     at stride 1 the test reads the two flag bytes and nothing else. *)
+     at stride 1 the test reads the two flag bytes and takes no [mod]. *)
   Option.iter
     (fun (ot : Tracing.op_trace) ->
       let r0 = ot.rid0 and consistent = ot.consistent
       and surviving = ot.surviving in
       match reads with
       | All_roots -> Bytes.fill state r0 ot.n '\001'
-      | Msr_reads 1 ->
-        for i = 0 to ot.n - 1 do
-          if flag consistent i || not (flag surviving i) then
-            Bytes.unsafe_set state (r0 + i) '\001'
-        done
       | Msr_reads stride ->
         for i = 0 to ot.n - 1 do
           if
             flag consistent i
-            || ((r0 + i) mod stride = 0 && not (flag surviving i))
+            || ((not (flag surviving i))
+               && (stride = 1 || (r0 + i) mod stride = 0))
           then Bytes.unsafe_set state (r0 + i) '\001'
         done)
     root;

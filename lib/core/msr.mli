@@ -38,8 +38,11 @@
     call allocates nothing per rid once its domain's scratch is large
     enough.  A call takes the scratch out of its [Domain.DLS] slot and
     puts it back when it returns or raises: a nested call on the same
-    domain makes its own.  Nothing that outlives a call reads the
-    scratch.  The bounds sweep keeps the sampled non-surviving root
+    domain makes its own, and the slot keeps the larger of the two.
+    Nothing that outlives a call reads the scratch.  The scratch never
+    shrinks: each domain that has run MSR keeps about 9 bytes per rid
+    of the largest trace it has seen (up to twice that, from the
+    geometric growth) for the life of the process; no cap bounds it.  The bounds sweep keeps the sampled non-surviving root
     rows as distinct (code, count) pairs, and the candidate sets are
     the distinct masks of the consistent root rows' families.
     [Int_set]/[Set_set] appear only at the API edge: candidate sets are

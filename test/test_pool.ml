@@ -107,11 +107,12 @@ let test_default_pool_is_shared () =
   Alcotest.(check bool) "same instance" true (p1 == p2);
   Alcotest.(check bool) "at least one worker" true (Engine.Pool.size p1 >= 1)
 
-(* [await ~helped] adds the time it spent running queued jobs: the
-   awaiter of a 40 ms job on a size-1 pool runs one 20 ms job queued
-   behind it (or the awaited job itself, if the worker has not taken it
-   yet), so at least 20 ms; an awaiter of a resolved future helps with
-   nothing. *)
+(* [await ~helped] adds the time it spent running queued jobs.  On a
+   size-1 pool, [slow] holds the worker until [queued] has run, and
+   [queued] is submitted only once [slow] has started, so the awaiter of
+   [slow] is the only domain that can run [queued]: it helps for at
+   least [queued]'s 20 ms, whatever the scheduling.  An awaiter of a
+   resolved future helps with nothing. *)
 let test_await_helped () =
   let spin ms =
     let until = Obs.Clock.now_ns () + (ms * 1_000_000) in
@@ -119,9 +120,24 @@ let test_await_helped () =
       Domain.cpu_relax ()
     done
   in
+  let wait_for flag =
+    while not (Atomic.get flag) do
+      Domain.cpu_relax ()
+    done
+  in
+  let started = Atomic.make false and released = Atomic.make false in
   let pool = Engine.Pool.create ~size:1 () in
-  let slow = Engine.Pool.submit pool (fun () -> spin 40) in
-  let queued = Engine.Pool.submit pool (fun () -> spin 20) in
+  let slow =
+    Engine.Pool.submit pool (fun () ->
+        Atomic.set started true;
+        wait_for released)
+  in
+  wait_for started;
+  let queued =
+    Engine.Pool.submit pool (fun () ->
+        spin 20;
+        Atomic.set released true)
+  in
   let helped = ref 0 in
   Engine.Pool.await ~helped slow;
   Alcotest.(check bool)
