@@ -1038,42 +1038,93 @@ and fields_hash_row fs i acc =
 let hash_col (c : col) : int array = Array.init (col_length c) (hash_row c)
 
 (* Open addressing for up to [n] keys: a power-of-two table at most half
-   full, each slot holding a key and the first row entered with it
-   ([-1] = empty).  The probe for key [k] starts at the slot the high
-   bits of a multiplicative mix pick and walks the slots that follow,
-   passing over those of other keys and rows. *)
-type table = { tmask : int; tkeys : int array; tfirst : int array }
+   full, each slot holding a key and a row entered with it ([-1] =
+   empty).  The probe for key [k] starts at the slot the high bits of a
+   multiplicative mix pick, so keys that differ only in their high bits
+   (a float's bits) spread as well as keys that differ in their low
+   ones, and walks the slots that follow, passing over those of other
+   keys and rows. *)
+type table = { tmask : int; tshift : int; tkeys : int array; trow : int array }
 
 let table (n : int) : table =
-  let cap = ref 16 in
+  let cap = ref 16 and bits = ref 4 in
   while !cap < 2 * n do
-    cap := 2 * !cap
+    cap := 2 * !cap;
+    incr bits
   done;
-  { tmask = !cap - 1; tkeys = Array.make !cap 0; tfirst = Array.make !cap (-1) }
+  {
+    tmask = !cap - 1;
+    tshift = Sys.int_size - !bits;
+    tkeys = Array.make !cap 0;
+    trow = Array.make !cap (-1);
+  }
 
-let slot (tbl : table) (k : int) : int =
-  let x = k * 0x2545F4914F6CDD1D in
-  (x lxor (x lsr 32)) land tbl.tmask
+let slot (tbl : table) (k : int) : int = (k * 0x2545F4914F6CDD1D) lsr tbl.tshift
 
 (* The first row entered with key [k] that [same] accepts as equal to
    row [i]; when there is none, [i], entered. *)
 let insert (tbl : table) (k : int) (same : int -> int -> bool) (i : int) : int =
   let s = ref (slot tbl k) in
-  while tbl.tfirst.(!s) >= 0 && not (tbl.tkeys.(!s) = k && same tbl.tfirst.(!s) i) do
+  while tbl.trow.(!s) >= 0 && not (tbl.tkeys.(!s) = k && same tbl.trow.(!s) i) do
     s := (!s + 1) land tbl.tmask
   done;
-  if tbl.tfirst.(!s) < 0 then begin
+  if tbl.trow.(!s) < 0 then begin
     tbl.tkeys.(!s) <- k;
-    tbl.tfirst.(!s) <- i;
+    tbl.trow.(!s) <- i;
     i
   end
-  else tbl.tfirst.(!s)
+  else tbl.trow.(!s)
+
+(* The slot of the exact key [k]: its own, or the empty one that ends
+   its probe. *)
+let key_slot (tbl : table) (k : int) : int =
+  let s = ref (slot tbl k) in
+  while tbl.trow.(!s) >= 0 && tbl.tkeys.(!s) <> k do
+    s := (!s + 1) land tbl.tmask
+  done;
+  !s
+
+let push (tbl : table) (k : int) (i : int) : int =
+  let s = key_slot tbl k in
+  let prev = tbl.trow.(s) in
+  tbl.tkeys.(s) <- k;
+  tbl.trow.(s) <- i;
+  prev
+
+let find (tbl : table) (k : int) : int = tbl.trow.(key_slot tbl k)
 
 (* Equivalence classes of rows: [result.(i)] is the smallest row whose
-   [key] equals row [i]'s and that [same] accepts as equal to it. *)
-let classes (n : int) (key : int -> int) (same : int -> int -> bool) : int array =
-  let tbl = table n in
-  Array.init n (fun i -> insert tbl (key i) same i)
+   key [h.(i)] equals row [i]'s and that [same] accepts as equal to it.
+   The rows outside [live] (a presence bitmap) are Null: one class,
+   never compared. *)
+let classes ?live (h : int array) (same : int -> int -> bool) : int array =
+  let n = Array.length h in
+  let tbl = table n and out = Array.make n 0 and null = ref (-1) in
+  for i = 0 to n - 1 do
+    if present live i then out.(i) <- insert tbl h.(i) same i
+    else begin
+      if !null < 0 then null := i;
+      out.(i) <- !null
+    end
+  done;
+  out
+
+(* [classes] over keys that are exact codes, with no verification. *)
+let exact_classes (a : int array) : int array =
+  let n = Array.length a in
+  let tbl = table n and out = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let k = a.(i) in
+    let s = key_slot tbl k in
+    let r = tbl.trow.(s) in
+    if r >= 0 then out.(i) <- r
+    else begin
+      tbl.tkeys.(s) <- k;
+      tbl.trow.(s) <- i;
+      out.(i) <- i
+    end
+  done;
+  out
 
 (* A batch's distinct rows in a [table], keyed by their hashes. *)
 type row_index = { indexed : t; distinct : table }
@@ -1098,51 +1149,111 @@ let mem (idx : row_index) (b : t) ~(verified : int ref) : int -> bool =
     fun i ->
       let k = hash i in
       let s = ref (slot tbl k) and found = ref false in
-      while (not !found) && tbl.tfirst.(!s) >= 0 do
+      while (not !found) && tbl.trow.(!s) >= 0 do
         if tbl.tkeys.(!s) = k then begin
           incr verified;
-          found := equal_rows idx.indexed tbl.tfirst.(!s) b i
+          found := equal_rows idx.indexed tbl.trow.(!s) b i
         end;
         s := (!s + 1) land tbl.tmask
       done;
       !found
   end
 
-(* Over a single integer key per row that is already a structural
-   equality witness (dict codes, raw ints). *)
-let eqclasses_codes (n : int) (key : int -> int) : int array =
-  classes n key (fun _ _ -> true)
+(* ------------------------------------------------------------------ *)
+(* Exact codes                                                         *)
+(* ------------------------------------------------------------------ *)
 
-(* Over several columns: the key is a hash of the row's cells, and
-   candidates are verified with [equal_cells].  Cells [equal_cells]
-   calls equal hash equally, so classes are exact (class equality iff
-   [Value.equal] rows). *)
-let eqclasses_general (n : int) (cs : col list) : int array =
-  let h = Array.make n 0 in
-  List.iter
-    (fun c ->
-      let ha = hash_col c in
-      for i = 0 to n - 1 do
-        h.(i) <- (h.(i) * 31) + ha.(i)
-      done)
-    cs;
-  classes n (Array.get h) (fun r i -> List.for_all (fun c -> equal_cells c r c i) cs)
+(* Rows are equal on a set of columns when their exact codes are: one
+   int per row and column, and a presence bit where the column has a
+   bitmap.  An int column gives its values, a string column its
+   dictionary codes and a bool column 0 or 1, each 0 at an absent row;
+   a float, tuple or bag column gives each row its class, the smallest
+   row holding a [Value.equal] value (Null rows form a class of their
+   own); an all-Null column gives nothing, since it tells no rows
+   apart. *)
+type codes = { ints : int array list; bits : Bitv.t list }
+
+let no_codes = { ints = []; bits = [] }
+
+(* [a] with its absent rows read as 0. *)
+let zero_absent (a : int array) (p : Bitv.t option) : int array =
+  match p with
+  | None -> a
+  | Some p -> Array.mapi (fun i x -> if Bitv.get p i then x else 0) a
+
+let with_bits p (cs : codes) : codes =
+  match p with None -> cs | Some p -> { cs with bits = p :: cs.bits }
+
+let mix (h : int) (c : int) : int =
+  let x = (h lxor c) * 0x2545F4914F6CDD1D in
+  x lxor (x lsr 29)
+
+(* The classes of [n] rows under their codes [cs]: a row's class is the
+   smallest row with the same codes, found by one hash pass over the
+   code tuples, candidates verified code by code.  The rows outside
+   [outer] (a tuple column's presence) are Null: one class, whatever
+   their codes. *)
+let code_classes (n : int) (outer : Bitv.t option) (cs : codes) : int array =
+  match outer, cs.ints, cs.bits with
+  | None, [], [] -> Array.make n 0
+  | None, [ a ], [] -> exact_classes a
+  | _ ->
+    let ints = Array.of_list cs.ints and bits = Array.of_list cs.bits in
+    let w = Array.length ints and nb = Array.length bits in
+    let h = Array.make n 0 in
+    Array.iter
+      (fun a ->
+        for i = 0 to n - 1 do
+          h.(i) <- mix h.(i) a.(i)
+        done)
+      ints;
+    Array.iter
+      (fun p ->
+        for i = 0 to n - 1 do
+          h.(i) <- mix h.(i) (Bool.to_int (Bitv.get p i))
+        done)
+      bits;
+    let rec same_ints k r i = k = w || (ints.(k).(r) = ints.(k).(i) && same_ints (k + 1) r i) in
+    let rec same_bits k r i =
+      k = nb || (Bool.equal (Bitv.get bits.(k) r) (Bitv.get bits.(k) i) && same_bits (k + 1) r i)
+    in
+    classes ?live:outer h (fun r i -> same_ints 0 r i && same_bits 0 r i)
+
+(* The classes of a float column: a row's key is its bits (every NaN
+   read as [Float.nan], the sign bit dropped so that [-0.0] meets
+   [0.0]), verified by [Float.compare]. *)
+let float_classes (a : float array) (p : Bitv.t option) : int array =
+  let h =
+    Array.init (Array.length a) (fun i ->
+        let f = a.(i) in
+        Int64.to_int (Int64.bits_of_float (if Float.is_nan f then Float.nan else f)))
+  in
+  classes ?live:p h (fun r i -> Float.compare a.(r) a.(i) = 0)
+
+(* The codes of column [c], added to [cs]. *)
+let rec add_codes (c : col) (cs : codes) : codes =
+  match c with
+  | CNull _ -> cs
+  | CInt (a, p) | CStr (a, p) -> with_bits p { cs with ints = zero_absent a p :: cs.ints }
+  | CBool (b, p) ->
+    let a = Array.init (Bitv.length b) (fun i -> Bool.to_int (present p i && Bitv.get b i)) in
+    with_bits p { cs with ints = a :: cs.ints }
+  | CFloat _ | CTuple _ | CBag _ -> { cs with ints = col_classes c :: cs.ints }
+
+(* The classes of a float, tuple or bag column: floats verified by
+   [Float.compare] (so [-0.0] = [0.0] and NaN = NaN), a tuple by its
+   fields' codes, a bag by [equal_cells]. *)
+and col_classes (c : col) : int array =
+  match c with
+  | CFloat (a, p) -> float_classes a p
+  | CTuple (n, fields, p) ->
+    code_classes n p (List.fold_right (fun (_, f) cs -> add_codes f cs) fields no_codes)
+  | _ -> classes (hash_col c) (fun r i -> equal_cells c r c i)
 
 let eqclasses (n : int) (cs : col list) : int array =
   match cs with
-  (* Dict codes and raw ints are equality witnesses on their own; a
-     presence bitmap folds in as a sentinel ([Null] = [Null]). *)
-  | [ CStr (codes, None) ] -> eqclasses_codes n (fun i -> codes.(i))
-  | [ CStr (codes, Some p) ] ->
-    eqclasses_codes n (fun i -> if Bitv.get p i then codes.(i) else min_int)
-  | [ CInt (a, None) ] -> eqclasses_codes n (fun i -> a.(i))
-  | [ CInt (a, Some p) ] ->
-    (* [Null] keys as [min_int]; presence tells it from a present
-       [min_int]. *)
-    classes n
-      (fun i -> if Bitv.get p i then a.(i) else min_int)
-      (fun r i -> Bool.equal (Bitv.get p r) (Bitv.get p i))
-  | _ -> eqclasses_general n cs
+  | [ (CFloat _ | CTuple _ | CBag _) as c ] -> col_classes c
+  | cs -> code_classes n None (List.fold_right add_codes cs no_codes)
 
 (* One canonical bag per group of row indices of [b]: the members'
    distinct rows with merged multiplicities, sorted by [cmp_row] — the

@@ -132,13 +132,21 @@ val equal_rows : t -> int -> t -> int -> bool
 
 (** [eqclasses n cols] assigns each of the [n] rows the smallest row
     index whose cells are [Value.equal] to its own on every listed
-    column: an exact integer grouping key (hash candidates are verified
-    with the columnar comparator).  It is the engine's one row-equality
-    test: grouping, relation nesting, δ, − and join keys all run on it,
-    over the two sides stacked with {!vstack} where two batches meet.
-    {!equal_rows} is the same test for one row of each of two batches,
-    with which {!mem} looks one batch's rows up in a {!row_index} of
-    the other. *)
+    column: an exact integer grouping key.  Each column first gives
+    every row exact codes, column by column: an int column its value, a
+    string column its dictionary code, a bool column 0 or 1, each with
+    its presence bitmap (Null is a presence bit, never a reserved
+    value); a float, tuple or bag column its class from one pass over
+    its rows, candidates verified by [Float.compare] (so [-0.0] equals
+    [0.0] and NaN equals NaN), by the fields' codes, or by
+    {!equal_rows}' cell test; an all-[Null] column gives nothing.  The
+    classes are then one hash pass over the rows' code tuples, each
+    candidate verified by comparing its codes.  It is the engine's one
+    row-equality test: grouping, relation nesting, δ, − and join keys
+    all run on it, over the two sides stacked with {!vstack} where two
+    batches meet and share no code space.  {!equal_rows} is the same
+    test for one row of each of two batches, with which {!mem} looks
+    one batch's rows up in a {!row_index} of the other. *)
 val eqclasses : int -> col list -> int array
 val col_get : col -> int -> Value.t
 
@@ -228,10 +236,28 @@ val hash_col : col -> int array
     it once per batch and the result once per row. *)
 val hash_row : col -> int -> int
 
+(** {1 Exact-key tables} *)
+
+(** The open-addressing table behind {!eqclasses} and {!row_index},
+    here over keys that are exact codes, so a key names its rows with
+    no verification: each key heads a chain of the rows entered under
+    it, the latest first. *)
+type table
+
+(** A table for up to [n] distinct keys. *)
+val table : int -> table
+
+(** [push tbl k i] enters row [i] under the key [k] and returns the row
+    entered under [k] just before it, or [-1] for the first. *)
+val push : table -> int -> int -> int
+
+(** [find tbl k]: the latest row entered under [k], or [-1]. *)
+val find : table -> int -> int
+
 (** {1 Row lookup} *)
 
 (** A batch's distinct rows, hashed once ({!hash_col}) into the
-    open-addressing table {!eqclasses} uses.  Immutable once built: one
+    open-addressing {!table} {!eqclasses} uses.  Immutable once built: one
     index may serve lookups on several domains at once. *)
 type row_index
 

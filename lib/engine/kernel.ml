@@ -661,84 +661,100 @@ let equi_split (lfields : (string * Vtype.t) list)
   in
   (List.rev keys, residual)
 
+(* A join key's codes on one side: equal codes are equal keys, and the
+   [excluded] rows, whose key has a Null component, match nothing. *)
+type key = { codes : int array; excluded : C.Bitv.t option }
+
+(* Which kind of raw code a key column gives: ints their values,
+   strings their dictionary codes, bools 0 or 1; an all-Null column fits
+   any kind.  [None] for a column without raw codes. *)
+let raw_kind : C.col -> int option = function
+  | C.CNull _ -> Some 0
+  | C.CInt _ -> Some 1
+  | C.CStr _ -> Some 2
+  | C.CBool _ -> Some 3
+  | _ -> None
+
+let raw_key (c : C.col) : key =
+  let codes =
+    match c with
+    | C.CInt (a, _) | C.CStr (a, _) -> a
+    | C.CBool (b, _) -> Array.init (C.Bitv.length b) (fun i -> Bool.to_int (C.Bitv.get b i))
+    | c -> Array.make (C.col_length c) 0
+  in
+  { codes; excluded = C.null_mask c }
+
+(* The rows of a side with a Null in any of its key columns. *)
+let any_null (cols : C.col list) : C.Bitv.t option =
+  List.fold_left
+    (fun acc c ->
+      match acc, C.null_mask c with
+      | None, m | m, None -> m
+      | Some a, Some b -> Some (C.Bitv.logor a b))
+    None cols
+
 (* Join-key codes of both sides from the (left, right) key column pairs,
-   comparable across the sides; [-1] marks a key with a Null component,
-   which no equality conjunct accepts.  One string pair keeps its
-   dictionary codes, which are equality witnesses already; any other key
-   codes each row by the [eqclasses] class of its key over both sides
-   stacked ([equi_split] pairs columns of one type, so they stack). *)
-let key_codes (pairs : (C.col * C.col) list) : int array * int array =
+   comparable across the sides.  A single int, string or bool pair
+   keeps its raw codes, which already share one code space.  Any other
+   key (float, tuple, bag, several columns) codes each row by the
+   [eqclasses] class of its key over both sides stacked ([equi_split]
+   pairs columns of one type, so they stack). *)
+let key_codes (pairs : (C.col * C.col) list) : key * key =
   match pairs with
-  | [ (C.CStr (la, lp), C.CStr (ra, rp)) ] ->
-    let side a p =
-      match p with
-      | None -> a
-      | Some p -> Array.mapi (fun i c -> if C.Bitv.get p i then c else -1) a
-    in
-    (side la lp, side ra rp)
+  | [ (l, r) ]
+    when match raw_kind l, raw_kind r with
+         | Some a, Some b -> a = b || a = 0 || b = 0
+         | _ -> false ->
+    (raw_key l, raw_key r)
   | _ ->
+    let ls = List.map fst pairs and rs = List.map snd pairs in
     let side cols =
-      C.of_cols (C.col_length (List.hd cols))
-        (List.mapi (fun k c -> (string_of_int k, c)) cols)
+      C.of_cols (C.col_length (List.hd cols)) (List.mapi (fun k c -> (string_of_int k, c)) cols)
     in
-    let l = side (List.map fst pairs) and r = side (List.map snd pairs) in
+    let l = side ls and r = side rs in
     let nl = C.length l and n = C.length l + C.length r in
-    let cols = List.map snd (C.cols (C.vstack [ l; r ])) in
-    let codes = C.eqclasses n cols in
-    List.iter
-      (fun c ->
-        Option.iter
-          (fun m -> Array.iter (fun i -> codes.(i) <- -1) (C.Bitv.indices m))
-          (C.null_mask c))
-      cols;
-    (Array.sub codes 0 nl, Array.sub codes nl (n - nl))
+    let codes = C.eqclasses n (List.map snd (C.cols (C.vstack [ l; r ]))) in
+    ( { codes = Array.sub codes 0 nl; excluded = any_null ls },
+      { codes = Array.sub codes nl (n - nl); excluded = any_null rs } )
 
 (* Hash-join candidates: the [(build, probe)] row pairs with equal codes,
    probe rows ascending and, within one, build rows descending.  The
-   classes of equal codes over both sides name each probe row's first
-   equal build row, if any; the build rows of each class are laid out
-   descending, one class after the other. *)
-let hash_pairs ~(build : int array) ~(probe : int array) : int array * int array =
-  let nb = Array.length build and np = Array.length probe in
-  let cls = C.eqclasses (nb + np) [ C.CInt (Array.append build probe, None) ] in
-  let size = Array.make nb 0 in
-  Array.iteri (fun bi c -> if c >= 0 then size.(cls.(bi)) <- size.(cls.(bi)) + 1) build;
-  let cursor = Array.make nb 0 and total = ref 0 in
-  for r = 0 to nb - 1 do
-    if size.(r) > 0 then begin
-      cursor.(r) <- !total;
-      total := !total + size.(r)
-    end
-  done;
-  let start = Array.copy cursor in
-  let members = Array.make !total 0 in
-  for bi = nb - 1 downto 0 do
-    if build.(bi) >= 0 then begin
-      let r = cls.(bi) in
-      members.(cursor.(r)) <- bi;
-      cursor.(r) <- cursor.(r) + 1
-    end
-  done;
-  (* The class of probe row [pi] when a build row is in it, else -1. *)
-  let match_of pi =
-    let r = cls.(nb + pi) in
-    if probe.(pi) >= 0 && r < nb then r else -1
+   build rows enter one table in ascending order, each chained to the
+   row entered under its code before it, so a chain walks its rows
+   descending; [run] is the length of the chain a row heads.  Each probe
+   row looks its code up once. *)
+let hash_pairs ~(build : key) ~(probe : key) : int array * int array =
+  let nb = Array.length build.codes and np = Array.length probe.codes in
+  let live (k : key) =
+    match k.excluded with None -> fun _ -> true | Some m -> fun i -> not (C.Bitv.get m i)
   in
-  let m = ref 0 in
-  for pi = 0 to np - 1 do
-    let r = match_of pi in
-    if r >= 0 then m := !m + size.(r)
+  let tbl = C.table nb and next = Array.make nb (-1) and run = Array.make nb 0 in
+  let build_live = live build in
+  for bi = 0 to nb - 1 do
+    if build_live bi then begin
+      let prev = C.push tbl build.codes.(bi) bi in
+      next.(bi) <- prev;
+      run.(bi) <- (if prev < 0 then 1 else run.(prev) + 1)
+    end
   done;
-  let bs = Array.make !m 0 and ps = Array.make !m 0 in
-  let k = ref 0 in
+  let probe_live = live probe in
+  let head = Array.make np (-1) and m = ref 0 in
   for pi = 0 to np - 1 do
-    let r = match_of pi in
-    if r >= 0 then
-      for j = start.(r) to start.(r) + size.(r) - 1 do
-        bs.(!k) <- members.(j);
-        ps.(!k) <- pi;
-        incr k
-      done
+    if probe_live pi then begin
+      let h = C.find tbl probe.codes.(pi) in
+      head.(pi) <- h;
+      if h >= 0 then m := !m + run.(h)
+    end
+  done;
+  let bs = Array.make !m 0 and ps = Array.make !m 0 and k = ref 0 in
+  for pi = 0 to np - 1 do
+    let b = ref head.(pi) in
+    while !b >= 0 do
+      bs.(!k) <- !b;
+      ps.(!k) <- pi;
+      incr k;
+      b := next.(!b)
+    done
   done;
   (bs, ps)
 

@@ -214,18 +214,29 @@ val equi_split :
   Expr.pred ->
   (string * string) list * Expr.pred
 
+(** A join key's codes on one side: two rows' keys are equal when
+    their codes are, and the [excluded] rows, whose key has a Null
+    component, match no row ([None] = none).  No code is reserved:
+    every int, [min_int] and [-1] included, is some key's code. *)
+type key = { codes : int array; excluded : Columnar.Bitv.t option }
+
 (** Join-key codes of both sides from (left, right) key column pairs of
-    one type, comparable across the sides; [-1] marks a key with a Null
-    component.  One string pair codes by global dictionary codes; any
-    other key codes each row by its [Columnar.eqclasses] class over the
-    key columns of both sides stacked, left rows first. *)
-val key_codes : (Columnar.col * Columnar.col) list -> int array * int array
+    one type, comparable across the sides.  A single int, string or
+    bool pair keeps its raw codes (values, global dictionary codes,
+    0 or 1), which the two sides already share, with no {!Columnar.vstack}.
+    Any other key (float, tuple, bag, several columns) codes each row by
+    its [Columnar.eqclasses] class over the key columns of both sides
+    stacked, left rows first.  A row is excluded when any of its key
+    columns reads Null. *)
+val key_codes : (Columnar.col * Columnar.col) list -> key * key
 
 (** [hash_pairs ~build ~probe]: the [(build, probe)] row index pairs
-    with equal non-negative codes, probe rows ascending and, within one
-    probe row, build rows descending.  Linear in the rows and the
-    pairs: the build rows are laid out per code by counting. *)
-val hash_pairs : build:int array -> probe:int array -> int array * int array
+    with equal codes, neither row excluded, probe rows ascending and,
+    within one probe row, build rows descending.  One table
+    ({!Columnar.table}) is built over the build side, chaining the rows
+    of each code, and each probe row looks its code up once: linear in
+    the rows and the pairs. *)
+val hash_pairs : build:key -> probe:key -> int array * int array
 
 (** Every [(left, right)] pair of [ln × rn] rows, left-major (the nested
     loop). *)

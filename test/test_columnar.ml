@@ -43,7 +43,12 @@ let rec value_of nulls (ty : Vtype.t) : Value.t QCheck.Gen.t =
   let present =
     match ty with
     | Vtype.TBool -> map (fun b -> Value.Bool b) bool
-    | Vtype.TInt -> map (fun i -> Value.Int i) small_signed_int
+    | Vtype.TInt ->
+      (* The extremes and the values a Null sentinel could take, so a raw
+         int key that collides with one shows. *)
+      map
+        (fun i -> Value.Int i)
+        (frequency [ (4, small_signed_int); (1, oneofl [ min_int; max_int; -1; 0 ]) ])
     | Vtype.TFloat ->
       frequency
         [
@@ -377,15 +382,18 @@ let test_all_null_column () =
     | None -> Alcotest.fail "expected null mask")
   | None -> Alcotest.fail "missing column");
   (* All-Null join keys: [eqclasses] puts them in one class, and
-     [key_codes] marks every one [-1], so a hash join that excludes
-     nulls produces no matches. *)
+     [key_codes] excludes every row, so the hash join produces no
+     matches. *)
   let k = Option.get (C.find_col b "k") in
   Alcotest.(check (array int)) "one Null class" (Array.make 8 0) (C.eqclasses 8 [ k ]);
-  let lc, rc = K.key_codes [ (k, k) ] in
-  Alcotest.(check bool) "every key code is -1" true
-    (Array.for_all (fun c -> c = -1) (Array.append lc rc));
+  let lk, rk = K.key_codes [ (k, k) ] in
+  let excluded (key : K.key) =
+    match key.K.excluded with Some m -> C.Bitv.count m | None -> 0
+  in
+  Alcotest.(check (pair int int)) "every key row is excluded" (8, 8)
+    (excluded lk, excluded rk);
   Alcotest.(check (pair (array int) (array int))) "no candidate pair" ([||], [||])
-    (K.hash_pairs ~build:rc ~probe:lc)
+    (K.hash_pairs ~build:rk ~probe:lk)
 
 (* Rows that disagree on shape have no column: building or stacking
    them raises, naming both shapes. *)
@@ -736,20 +744,191 @@ let prop_eqclasses =
         (fun i -> cls.(i) = List.find (fun j -> equal i j) (List.init n Fun.id))
         (List.init n Fun.id))
 
+(* A join key from [(code, excluded)] rows. *)
+let key_of (rows : (int * bool) list) : K.key =
+  let n = List.length rows in
+  let excl = Array.of_list (List.map snd rows) in
+  {
+    K.codes = Array.of_list (List.map fst rows);
+    excluded =
+      (if Array.exists Fun.id excl then Some (C.Bitv.init n (Array.get excl)) else None);
+  }
+
 let prop_hash_pairs =
+  let row =
+    QCheck.(
+      pair
+        (make Gen.(frequency [ (6, int_range (-1) 5); (1, oneofl [ min_int; max_int ]) ]))
+        (make Gen.(frequency [ (4, return false); (1, return true) ])))
+  in
   QCheck.Test.make ~name:"hash_pairs = nested-loop order" ~count:300
-    QCheck.(pair (small_list (int_range (-1) 5)) (small_list (int_range (-1) 5)))
+    QCheck.(pair (small_list row) (small_list row))
     (fun (build, probe) ->
       let expected =
         List.concat_map
-          (fun (pi, c) ->
+          (fun (pi, (c, px)) ->
             List.filter_map
-              (fun (bi, c') -> if c >= 0 && c = c' then Some (bi, pi) else None)
-              (List.rev (List.mapi (fun bi c' -> (bi, c')) build)))
-          (List.mapi (fun pi c -> (pi, c)) probe)
+              (fun (bi, (c', bx)) ->
+                if (not px) && (not bx) && c = c' then Some (bi, pi) else None)
+              (List.rev (List.mapi (fun bi r -> (bi, r)) build)))
+          (List.mapi (fun pi r -> (pi, r)) probe)
       in
-      let bs, ps = K.hash_pairs ~build:(Array.of_list build) ~probe:(Array.of_list probe) in
+      let bs, ps = K.hash_pairs ~build:(key_of build) ~probe:(key_of probe) in
       List.combine (Array.to_list bs) (Array.to_list ps) = expected)
+
+(* The reference for the join-key path, as the engine once ran it:
+   codes are [eqclasses] classes over both sides' key columns stacked,
+   [-1] for a key with a Null component (one string pair keeps its
+   dictionary codes), and the candidates come from classes over the two
+   code arrays appended, the build rows laid out per class by
+   counting. *)
+let ref_key_codes (pairs : (C.col * C.col) list) : int array * int array =
+  match pairs with
+  | [ (C.CStr (la, lp), C.CStr (ra, rp)) ] ->
+    let side a p =
+      match p with
+      | None -> a
+      | Some p -> Array.mapi (fun i c -> if C.Bitv.get p i then c else -1) a
+    in
+    (side la lp, side ra rp)
+  | _ ->
+    let side cols =
+      C.of_cols (C.col_length (List.hd cols))
+        (List.mapi (fun k c -> (string_of_int k, c)) cols)
+    in
+    let l = side (List.map fst pairs) and r = side (List.map snd pairs) in
+    let nl = C.length l and n = C.length l + C.length r in
+    let cols = List.map snd (C.cols (C.vstack [ l; r ])) in
+    let codes = C.eqclasses n cols in
+    List.iter
+      (fun c ->
+        Option.iter
+          (fun m -> Array.iter (fun i -> codes.(i) <- -1) (C.Bitv.indices m))
+          (C.null_mask c))
+      cols;
+    (Array.sub codes 0 nl, Array.sub codes nl (n - nl))
+
+let ref_hash_pairs ~(build : int array) ~(probe : int array) : int array * int array =
+  let nb = Array.length build and np = Array.length probe in
+  let cls = C.eqclasses (nb + np) [ C.CInt (Array.append build probe, None) ] in
+  let size = Array.make nb 0 in
+  Array.iteri (fun bi c -> if c >= 0 then size.(cls.(bi)) <- size.(cls.(bi)) + 1) build;
+  let cursor = Array.make nb 0 and total = ref 0 in
+  for r = 0 to nb - 1 do
+    if size.(r) > 0 then begin
+      cursor.(r) <- !total;
+      total := !total + size.(r)
+    end
+  done;
+  let start = Array.copy cursor in
+  let members = Array.make !total 0 in
+  for bi = nb - 1 downto 0 do
+    if build.(bi) >= 0 then begin
+      let r = cls.(bi) in
+      members.(cursor.(r)) <- bi;
+      cursor.(r) <- cursor.(r) + 1
+    end
+  done;
+  let match_of pi =
+    let r = cls.(nb + pi) in
+    if probe.(pi) >= 0 && r < nb then r else -1
+  in
+  let out = ref [] in
+  for pi = np - 1 downto 0 do
+    let r = match_of pi in
+    if r >= 0 then
+      for j = start.(r) + size.(r) - 1 downto start.(r) do
+        out := (members.(j), pi) :: !out
+      done
+  done;
+  (Array.of_list (List.map fst !out), Array.of_list (List.map snd !out))
+
+(* A join's candidates as [(left, right)] arrays from both sides' codes,
+   built on the right side ([`Right], as tracing builds) or on the left
+   ([`Left]). *)
+let orient side hash (l, r) =
+  match side with
+  | `Right ->
+    let rs, ls = hash r l in
+    (ls, rs)
+  | `Left -> hash l r
+
+let kernel_candidates side pairs =
+  orient side (fun b p -> K.hash_pairs ~build:b ~probe:p) (K.key_codes pairs)
+
+let reference_candidates side pairs =
+  orient side (fun b p -> ref_hash_pairs ~build:b ~probe:p) (ref_key_codes pairs)
+
+(* Keys of one or two columns of one type, a column of a side built
+   from its values ([of_rows]: typed, or all-Null) or broadcast from one
+   value, Nulls on either side. *)
+let join_case_gen =
+  let open QCheck.Gen in
+  let prim = oneofl Vtype.[ TInt; TString; TBool; TFloat ] in
+  let ty =
+    frequency
+      [
+        (4, prim);
+        (1, map (fun t -> Vtype.TTuple [ ("f0", t); ("f1", Vtype.TInt) ]) prim);
+        (1, map (fun t -> Vtype.TBag t) prim);
+      ]
+  in
+  let column ty n =
+    frequency
+      [
+        (3, list_repeat n (value_of 1 ty));
+        (1, map (fun v -> List.init n (fun _ -> v)) (value_of 1 ty));
+      ]
+  in
+  let side ty k = int_bound 10 >>= fun n -> list_repeat k (column ty n) in
+  ty >>= fun ty ->
+  int_range 1 2 >>= fun k -> pair (side ty k) (side ty k)
+
+let print_join_case (l, r) =
+  let side cols = Fmt.str "%a" (Fmt.Dump.list (Fmt.Dump.list Value.pp)) cols in
+  side l ^ " ⋈ " ^ side r
+
+(* The kernels' candidates are the nested loop's: probe rows ascending,
+   build rows descending within one, the pairs whose key components are
+   [Value.equal] and none of them Null. *)
+let prop_key_join =
+  QCheck.Test.make ~name:"key_codes + hash_pairs = nested-loop join" ~count:500
+    (QCheck.make ~print:print_join_case join_case_gen)
+    (fun (lcols, rcols) ->
+      let col vs =
+        match vs with
+        | v :: rest when List.for_all (Value.equal v) rest && List.length vs > 1 ->
+          (C.broadcast (List.length vs) v).C.row
+        | vs -> (C.of_rows vs).C.row
+      in
+      let pairs = List.combine (List.map col lcols) (List.map col rcols) in
+      let rows cols = Array.of_list (List.map Array.of_list cols) in
+      let lv = rows lcols and rv = rows rcols in
+      let ln = Array.length lv.(0) and rn = Array.length rv.(0) in
+      let matches i j =
+        let ok = ref true in
+        Array.iteri
+          (fun k lc ->
+            let a = lc.(i) and b = rv.(k).(j) in
+            if a = Value.Null || b = Value.Null || not (Value.equal a b) then ok := false)
+          lv;
+        !ok
+      in
+      let loop outer_n inner_n pair =
+        let out = ref [] in
+        for p = 0 to outer_n - 1 do
+          for b = inner_n - 1 downto 0 do
+            match pair p b with Some lr -> out := lr :: !out | None -> ()
+          done
+        done;
+        let out = List.rev !out in
+        (Array.of_list (List.map fst out), Array.of_list (List.map snd out))
+      in
+      let right_built =
+        loop ln rn (fun i j -> if matches i j then Some (i, j) else None)
+      and left_built = loop rn ln (fun j i -> if matches i j then Some (i, j) else None) in
+      kernel_candidates `Right pairs = right_built
+      && kernel_candidates `Left pairs = left_built)
 
 (* --- ⟦Q⟧_D matching ----------------------------------------------- *)
 
@@ -931,6 +1110,7 @@ let qsuite =
       prop_groups;
       prop_eqclasses;
       prop_hash_pairs;
+      prop_key_join;
     ]
 
 (* A relation flatten repeats each parent row once per element, so its
@@ -1040,6 +1220,60 @@ let test_registry_batches () =
     Scenarios.Registry.all;
   Alcotest.(check bool) "rows were checked" true (!rows > 0)
 
+(* Every equi-join of every registry query (each scenario's question
+   and its schema alternatives) at scales 1 and 2: over the batches the
+   engine gives the join's two children, the kernels and the reference
+   find identical candidates, built on the smaller side (the engine's
+   choice) and on the right side (tracing's). *)
+let test_registry_joins () =
+  let joins = ref 0 and pairs_seen = ref 0 in
+  List.iter
+    (fun scale ->
+      List.iter
+        (fun (s : Scenarios.Scenario.t) ->
+          let inst = s.Scenarios.Scenario.make ~scale () in
+          let phi = inst.Scenarios.Scenario.question in
+          let db = phi.Whynot.Question.db in
+          let env = Whynot.Pipeline.schema_env db in
+          let sas =
+            Whynot.Alternatives.enumerate ~env phi.Whynot.Question.query
+              inst.Scenarios.Scenario.alternatives
+          in
+          let queries =
+            phi.Whynot.Question.query
+            :: List.map (fun (sa : Whynot.Alternatives.sa) -> sa.Whynot.Alternatives.query) sas
+          in
+          let seen = Hashtbl.create 16 in
+          List.iter
+            (fun (o : Nrab.Query.t) ->
+              match o.Nrab.Query.node, o.Nrab.Query.children with
+              | Nrab.Query.Join (_, pred), [ l; r ] when not (Hashtbl.mem seen o) ->
+                Hashtbl.add seen o ();
+                let fields c = Vtype.relation_fields (Nrab.Typecheck.infer env c) in
+                let keys, _ = K.equi_split (fields l) (fields r) pred in
+                if keys <> [] then begin
+                  let lb = fst (Engine.Exec.rows db l) and rb = fst (Engine.Exec.rows db r) in
+                  let col b a =
+                    match K.column b a with Some c -> c | None -> C.CNull (C.length b)
+                  in
+                  let pairs = List.map (fun (la, ra) -> (col lb la, col rb ra)) keys in
+                  let exec_side = if C.length lb <= C.length rb then `Left else `Right in
+                  List.iter
+                    (fun side ->
+                      let got = kernel_candidates side pairs in
+                      if got <> reference_candidates side pairs then
+                        Alcotest.failf "%s@%d join %d: candidates differ" s.Scenarios.Scenario.name
+                          scale o.Nrab.Query.id;
+                      pairs_seen := !pairs_seen + Array.length (fst got))
+                    [ exec_side; `Right ];
+                  incr joins
+                end
+              | _ -> ())
+            (List.concat_map Nrab.Query.operators queries))
+        Scenarios.Registry.all)
+    [ 1; 2 ];
+  Alcotest.(check bool) "joins were checked" true (!joins > 0 && !pairs_seen > 0)
+
 (* Nullable integer columns code Null as [min_int]: a present [min_int]
    is still its own class, and classes keep their first-seen order. *)
 let test_min_int_is_not_null () =
@@ -1091,5 +1325,6 @@ let () =
         [
           Alcotest.test_case "trace batches hash and match their rows" `Quick
             test_registry_batches;
+          Alcotest.test_case "join candidates = reference" `Quick test_registry_joins;
         ] );
     ]
