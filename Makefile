@@ -18,11 +18,13 @@ test:
 lib-lines:
 	@cat lib/*/*.ml lib/*/*.mli | wc -l
 
-# One shape per column and one row comparator: fails if a boxed column
-# (CBox, CConst), the mixed shape, a per-row kernel fallback or the
-# second comparator (cmp_cells) comes back to the code.
+# One shape per column, one row comparator and one equality kernel:
+# fails if a boxed column (CBox, CConst), the mixed shape, a per-row
+# kernel fallback, the second comparator (cmp_cells) or a second
+# equality path beside eqclasses' exact codes (the cell-by-cell
+# eqclasses_general, a Coder module, row_codes) comes back to the code.
 one-shape:
-	@! grep -rn 'CBox\|CConst\|SMixed\|\bFallback\b\|note_row_fallback\|row_fallbacks\|cmp_cells' \
+	@! grep -rn 'CBox\|CConst\|SMixed\|\bFallback\b\|note_row_fallback\|row_fallbacks\|cmp_cells\|eqclasses_general\|Coder\|row_codes' \
 	  lib bin bench examples test
 
 # High-iteration frontend fuzz: random well-typed queries are printed to

@@ -78,8 +78,8 @@ let intern (t : table) (a : int array) : int =
 
 (* The masks of a family under construction: the distinct masks pushed
    since [reset], in push order.  Repeats are dropped by an
-   open-addressing set over a power-of-two table at most half full (the
-   probe [Columnar.eqclasses] uses), whose slots belong to the current
+   open-addressing set over a power-of-two table at most half full
+   (linear probing, as [Columnar]'s tables use), whose slots belong to the current
    build only while their stamp is [gen]: a reset bumps [gen] and clears
    nothing. *)
 type mask_set = {
@@ -214,6 +214,13 @@ type scratch = { mutable state : Bytes.t; mutable codes : int array }
 let scratch_slot : scratch option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
+(* The bytes the scratches hold: each grow adds what it adds, and a
+   scratch [give_back] drops takes its bytes away. *)
+let m_scratch_bytes = Obs.Metrics.gauge "whynot.msr.scratch_bytes"
+
+let scratch_bytes (s : scratch) =
+  Bytes.length s.state + (Sys.word_size / 8 * Array.length s.codes)
+
 (* The domain's scratch, taken out of its slot (a nested call finds the
    slot empty and makes its own), with room for [total] rids and
    [state] reset over [0, total).  [codes] is not reset: a row's code is
@@ -227,9 +234,10 @@ let borrow total =
     | None -> { state = Bytes.empty; codes = [||] }
   in
   if Bytes.length s.state < total then begin
-    let cap = max total (2 * Bytes.length s.state) in
+    let before = scratch_bytes s and cap = max total (2 * Bytes.length s.state) in
     s.state <- Bytes.create cap;
-    s.codes <- Array.make cap 0
+    s.codes <- Array.make cap 0;
+    Obs.Metrics.Gauge.add m_scratch_bytes (float_of_int (scratch_bytes s - before))
   end;
   Bytes.fill s.state 0 total '\000';
   s
@@ -238,9 +246,12 @@ let borrow total =
    meanwhile (a nested one, or another systhread's) put back a larger
    one: the slot keeps the larger of the two. *)
 let give_back s =
+  let drop d = Obs.Metrics.Gauge.add m_scratch_bytes (-.float_of_int (scratch_bytes d)) in
   match Domain.DLS.get scratch_slot with
-  | Some cur when Bytes.length cur.state >= Bytes.length s.state -> ()
-  | _ -> Domain.DLS.set scratch_slot (Some s)
+  | Some cur when Bytes.length cur.state >= Bytes.length s.state -> drop s
+  | cur ->
+    Option.iter drop cur;
+    Domain.DLS.set scratch_slot (Some s)
 
 type families = {
   op_ids : int array;  (* bit → op id, increasing *)

@@ -833,15 +833,23 @@ let ref_hash_pairs ~(build : int array) ~(probe : int array) : int array * int a
     let r = cls.(nb + pi) in
     if probe.(pi) >= 0 && r < nb then r else -1
   in
-  let out = ref [] in
-  for pi = np - 1 downto 0 do
+  let m = ref 0 in
+  for pi = 0 to np - 1 do
+    let r = match_of pi in
+    if r >= 0 then m := !m + size.(r)
+  done;
+  let bs = Array.make !m 0 and ps = Array.make !m 0 in
+  let k = ref 0 in
+  for pi = 0 to np - 1 do
     let r = match_of pi in
     if r >= 0 then
-      for j = start.(r) + size.(r) - 1 downto start.(r) do
-        out := (members.(j), pi) :: !out
+      for j = start.(r) to start.(r) + size.(r) - 1 do
+        bs.(!k) <- members.(j);
+        ps.(!k) <- pi;
+        incr k
       done
   done;
-  (Array.of_list (List.map fst !out), Array.of_list (List.map snd !out))
+  (bs, ps)
 
 (* A join's candidates as [(left, right)] arrays from both sides' codes,
    built on the right side ([`Right], as tracing builds) or on the left

@@ -1082,6 +1082,26 @@ let test_failure_sets_outlive_calls () =
   ignore (Whynot.Msr.failure_sets b 0);
   List.iter (check_families ~label:"kept closure" expected kept) rids
 
+(* [whynot.msr.scratch_bytes] shows what the scratches hold: the first
+   explain on a fresh domain grows that domain's scratch, and a second
+   explain of the same trace there finds it large enough. *)
+let test_scratch_gauge () =
+  let gauge = Obs.Metrics.gauge "whynot.msr.scratch_bytes" in
+  let q, tr = random_trace (Grp (2, sels 9 (Tab 160)), 1) in
+  let matches = matches_of Engine.Columnar.empty tr in
+  let grown, after_first, regrown =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let g0 = Obs.Metrics.Gauge.value gauge in
+           ignore (Whynot.Msr.explain ~matches ~q tr);
+           let g1 = Obs.Metrics.Gauge.value gauge in
+           ignore (Whynot.Msr.explain ~matches ~q tr);
+           (g1 -. g0, g1, Obs.Metrics.Gauge.value gauge -. g1)))
+  in
+  Alcotest.(check bool) "the first explain grows the scratch" true (grown > 0.);
+  Alcotest.(check bool) "the gauge is positive" true (after_first > 0.);
+  Alcotest.(check (float 0.)) "the second explain leaves it" 0. regrown
+
 (* A call that raises leaves the scratch usable: after
    [Too_many_operators] (raised before the passes) and after a fault
    raised inside the mark pass, once it has marked rows — a root σ at
@@ -1190,5 +1210,6 @@ let () =
             test_failure_sets_outlive_calls;
           Alcotest.test_case "a raise leaves the scratch usable" `Quick
             test_raise_then_correct;
+          Alcotest.test_case "the scratch gauge" `Quick test_scratch_gauge;
         ] );
     ]
