@@ -79,9 +79,9 @@ let intern (t : table) (a : int array) : int =
 (* The masks of a family under construction: the distinct masks pushed
    since [reset], in push order.  Repeats are dropped by an
    open-addressing set over a power-of-two table at most half full
-   (linear probing, as [Columnar]'s tables use), whose slots belong to the current
-   build only while their stamp is [gen]: a reset bumps [gen] and clears
-   nothing. *)
+   (linear probing, as [Columnar]'s tables use), whose slots belong to
+   the current build only while their stamp is [gen]: a reset bumps
+   [gen] and clears nothing. *)
 type mask_set = {
   mutable masks : int array;  (* the [n] distinct masks *)
   mutable n : int;
@@ -221,6 +221,9 @@ let m_scratch_bytes = Obs.Metrics.gauge "whynot.msr.scratch_bytes"
 let scratch_bytes (s : scratch) =
   Bytes.length s.state + (Sys.word_size / 8 * Array.length s.codes)
 
+let drop (s : scratch) =
+  Obs.Metrics.Gauge.add m_scratch_bytes (-.float_of_int (scratch_bytes s))
+
 (* The domain's scratch, taken out of its slot (a nested call finds the
    slot empty and makes its own), with room for [total] rids and
    [state] reset over [0, total).  [codes] is not reset: a row's code is
@@ -246,7 +249,6 @@ let borrow total =
    meanwhile (a nested one, or another systhread's) put back a larger
    one: the slot keeps the larger of the two. *)
 let give_back s =
-  let drop d = Obs.Metrics.Gauge.add m_scratch_bytes (-.float_of_int (scratch_bytes d)) in
   match Domain.DLS.get scratch_slot with
   | Some cur when Bytes.length cur.state >= Bytes.length s.state -> drop s
   | cur ->

@@ -709,7 +709,8 @@ let key_codes (pairs : (C.col * C.col) list) : key * key =
   | _ ->
     let ls = List.map fst pairs and rs = List.map snd pairs in
     let side cols =
-      C.of_cols (C.col_length (List.hd cols)) (List.mapi (fun k c -> (string_of_int k, c)) cols)
+      C.of_cols (C.col_length (List.hd cols))
+        (List.mapi (fun k c -> (string_of_int k, c)) cols)
     in
     let l = side ls and r = side rs in
     let nl = C.length l and n = C.length l + C.length r in
