@@ -1110,18 +1110,24 @@ let classes ?live (h : int array) (same : int -> int -> bool) : int array =
   out
 
 (* [classes] over keys that are exact codes, with no verification. *)
-let exact_classes (a : int array) : int array =
+let exact_classes ?live (a : int array) : int array =
   let n = Array.length a in
-  let tbl = table n and out = Array.make n 0 in
+  let tbl = table n and out = Array.make n 0 and null = ref (-1) in
   for i = 0 to n - 1 do
-    let k = a.(i) in
-    let s = key_slot tbl k in
-    let r = tbl.trow.(s) in
-    if r >= 0 then out.(i) <- r
+    if present live i then begin
+      let k = a.(i) in
+      let s = key_slot tbl k in
+      let r = tbl.trow.(s) in
+      if r >= 0 then out.(i) <- r
+      else begin
+        tbl.tkeys.(s) <- k;
+        tbl.trow.(s) <- i;
+        out.(i) <- i
+      end
+    end
     else begin
-      tbl.tkeys.(s) <- k;
-      tbl.trow.(s) <- i;
-      out.(i) <- i
+      if !null < 0 then null := i;
+      out.(i) <- !null
     end
   done;
   out
@@ -1252,6 +1258,7 @@ and col_classes (c : col) : int array =
 
 let eqclasses (n : int) (cs : col list) : int array =
   match cs with
+  | [ (CInt (a, p) | CStr (a, p)) ] -> exact_classes ?live:p a
   | [ (CFloat _ | CTuple _ | CBag _) as c ] -> col_classes c
   | cs -> code_classes n None (List.fold_right add_codes cs no_codes)
 
