@@ -214,8 +214,9 @@ type scratch = { mutable state : Bytes.t; mutable codes : int array }
 let scratch_slot : scratch option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-(* The bytes the scratches hold: each grow adds what it adds, and a
-   scratch [give_back] drops takes its bytes away. *)
+(* The bytes the scratches were grown to: each grow adds what it adds,
+   and a scratch [give_back] drops takes its bytes away.  A domain's
+   exit frees its scratch without taking its bytes away. *)
 let m_scratch_bytes = Obs.Metrics.gauge "whynot.msr.scratch_bytes"
 
 let scratch_bytes (s : scratch) =

@@ -43,10 +43,14 @@
     shrinks: each domain that has run MSR keeps about 9 bytes per rid
     of the largest trace it has seen (up to twice that, from the
     geometric growth) for the life of the process; no cap bounds it.
-    The gauge [whynot.msr.scratch_bytes] shows what the scratches hold:
-    each grow adds the bytes it adds, and a scratch the slot drops for
-    a larger one takes its bytes away.  The bounds sweep keeps the sampled non-surviving root
-    rows as distinct (code, count) pairs, and the candidate sets are
+    The gauge [whynot.msr.scratch_bytes] counts the bytes the scratches
+    were grown to: each grow adds the bytes it adds, and a scratch the
+    slot drops for a larger one takes its bytes away.  A domain that
+    exits frees its scratch but its bytes stay counted, so the gauge
+    covers the domains still running and those that have exited; the
+    default pool's domains live until the process ends.  The bounds
+    sweep keeps the sampled non-surviving root rows as distinct
+    (code, count) pairs, and the candidate sets are
     the distinct masks of the consistent root rows' families.
     [Int_set]/[Set_set] appear only at the API edge: candidate sets are
     decoded for {!Explanation.make}, and {!failure_sets} decodes for

@@ -1109,29 +1109,6 @@ let classes ?live (h : int array) (same : int -> int -> bool) : int array =
   done;
   out
 
-(* [classes] over keys that are exact codes, with no verification. *)
-let exact_classes ?live (a : int array) : int array =
-  let n = Array.length a in
-  let tbl = table n and out = Array.make n 0 and null = ref (-1) in
-  for i = 0 to n - 1 do
-    if present live i then begin
-      let k = a.(i) in
-      let s = key_slot tbl k in
-      let r = tbl.trow.(s) in
-      if r >= 0 then out.(i) <- r
-      else begin
-        tbl.tkeys.(s) <- k;
-        tbl.trow.(s) <- i;
-        out.(i) <- i
-      end
-    end
-    else begin
-      if !null < 0 then null := i;
-      out.(i) <- !null
-    end
-  done;
-  out
-
 (* A batch's distinct rows in a [table], keyed by their hashes. *)
 type row_index = { indexed : t; distinct : table }
 
@@ -1202,7 +1179,7 @@ let mix (h : int) (c : int) : int =
 let code_classes (n : int) (outer : Bitv.t option) (cs : codes) : int array =
   match outer, cs.ints, cs.bits with
   | None, [], [] -> Array.make n 0
-  | None, [ a ], [] -> exact_classes a
+  | None, [ a ], [] -> classes a (fun _ _ -> true)
   | _ ->
     let ints = Array.of_list cs.ints and bits = Array.of_list cs.bits in
     let w = Array.length ints and nb = Array.length bits in
@@ -1258,7 +1235,7 @@ and col_classes (c : col) : int array =
 
 let eqclasses (n : int) (cs : col list) : int array =
   match cs with
-  | [ (CInt (a, p) | CStr (a, p)) ] -> exact_classes ?live:p a
+  | [ (CInt (a, p) | CStr (a, p)) ] -> classes ?live:p a (fun _ _ -> true)
   | [ (CFloat _ | CTuple _ | CBag _) as c ] -> col_classes c
   | cs -> code_classes n None (List.fold_right add_codes cs no_codes)
 

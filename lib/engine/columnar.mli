@@ -240,15 +240,20 @@ val hash_row : col -> int -> int
 
 (** The open-addressing table behind {!eqclasses} and {!row_index},
     here over keys that are exact codes, so a key names its rows with
-    no verification: each key heads a chain of the rows entered under
-    it, the latest first. *)
+    no verification.  The table keeps one row per key, the latest
+    entered: a caller that wants every row of a key chains them itself
+    from what {!push} returns. *)
 type table
 
-(** A table for up to [n] distinct keys. *)
+(** A table for up to [n] distinct keys.  Entering more distinct keys
+    than that is outside the contract: once every slot is taken, a
+    probe for a key not in the table never ends. *)
 val table : int -> table
 
-(** [push tbl k i] enters row [i] under the key [k] and returns the row
-    entered under [k] just before it, or [-1] for the first. *)
+(** [push tbl k i] enters row [i] under the key [k], in place of the
+    row entered under [k] before it, and returns that row, or [-1] for
+    the first; [next.(i) <- push tbl k i] chains a key's rows, the
+    latest first. *)
 val push : table -> int -> int -> int
 
 (** [find tbl k]: the latest row entered under [k], or [-1]. *)

@@ -665,15 +665,12 @@ let equi_split (lfields : (string * Vtype.t) list)
    [excluded] rows, whose key has a Null component, match nothing. *)
 type key = { codes : int array; excluded : C.Bitv.t option }
 
-(* Which kind of raw code a key column gives: ints their values,
-   strings their dictionary codes, bools 0 or 1; an all-Null column fits
-   any kind.  [None] for a column without raw codes. *)
-let raw_kind : C.col -> int option = function
-  | C.CNull _ -> Some 0
-  | C.CInt _ -> Some 1
-  | C.CStr _ -> Some 2
-  | C.CBool _ -> Some 3
-  | _ -> None
+(* Whether a key column has raw codes: ints their values, strings their
+   dictionary codes, bools 0 or 1; an all-Null column has none to
+   compare, so it fits any. *)
+let has_raw_codes : C.col -> bool = function
+  | C.CNull _ | C.CInt _ | C.CStr _ | C.CBool _ -> true
+  | _ -> false
 
 let raw_key (c : C.col) : key =
   let codes =
@@ -701,11 +698,7 @@ let any_null (cols : C.col list) : C.Bitv.t option =
    pairs columns of one type, so they stack). *)
 let key_codes (pairs : (C.col * C.col) list) : key * key =
   match pairs with
-  | [ (l, r) ]
-    when match raw_kind l, raw_kind r with
-         | Some a, Some b -> a = b || a = 0 || b = 0
-         | _ -> false ->
-    (raw_key l, raw_key r)
+  | [ (l, r) ] when has_raw_codes l && has_raw_codes r -> (raw_key l, raw_key r)
   | _ ->
     let ls = List.map fst pairs and rs = List.map snd pairs in
     let side cols =

@@ -1082,9 +1082,10 @@ let test_failure_sets_outlive_calls () =
   ignore (Whynot.Msr.failure_sets b 0);
   List.iter (check_families ~label:"kept closure" expected kept) rids
 
-(* [whynot.msr.scratch_bytes] shows what the scratches hold: the first
-   explain on a fresh domain grows that domain's scratch, and a second
-   explain of the same trace there finds it large enough. *)
+(* [whynot.msr.scratch_bytes] counts the bytes the scratches were grown
+   to: the first explain on a fresh domain grows that domain's scratch,
+   and a second explain of the same trace there finds it large enough.
+   The domain's bytes stay counted once it exits, as msr.mli says. *)
 let test_scratch_gauge () =
   let gauge = Obs.Metrics.gauge "whynot.msr.scratch_bytes" in
   let q, tr = random_trace (Grp (2, sels 9 (Tab 160)), 1) in
